@@ -12,6 +12,7 @@
 //	E5  BenchmarkExample1AnalyzeString   — Definition 4, Example 1
 //	E6  BenchmarkQueryII1                — Query II.1 (substring highlight)
 //	E7  BenchmarkQueryIII1               — Query III.1 (match + restoration)
+//	E8  BenchmarkOverlayQueries/*        — Queries II.1/III.1 at 10×/100× scale
 //	P1  BenchmarkBuildScaling/*          — KyGODDAG construction scaling
 //	P2  BenchmarkAxes*/Reference         — interval vs Definition-1-literal axes
 //	P3  BenchmarkDamagedWords*           — KyGODDAG vs fragmentation vs milestones
@@ -116,20 +117,16 @@ return serialize(analyze-string($w, ".*un<a>a</a>we.*"))`,
 		`<res><m>un<a>a</a>we</m>ndendne</res>`)
 }
 
-func BenchmarkQueryII1(b *testing.B) {
-	benchQuery(b, `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
+const queryII1 = `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
 return (
   let $res := analyze-string($w, ".*unawe.*")
   for $n in $res/child::node()
   return if ($n[self::m]) then <b>{string($n)}</b> else string($n)
   ,
   <br/>
-)`,
-		"<b>unawe</b>ndendne<br/>")
-}
+)`
 
-func BenchmarkQueryIII1(b *testing.B) {
-	benchQuery(b, `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
+const queryIII1 = `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
 return (
   let $res := analyze-string($w, ".*unawe.*")
   for $n in $res/child::node()
@@ -139,8 +136,51 @@ return (
     else <b>{string($n)}</b>
   ,
   <br/>
-)`,
-		"<i><b>unawe</b></i><b>ndendne</b><br/>")
+)`
+
+func BenchmarkQueryII1(b *testing.B) {
+	benchQuery(b, queryII1, "<b>unawe</b>ndendne<br/>")
+}
+
+func BenchmarkQueryIII1(b *testing.B) {
+	benchQuery(b, queryIII1, "<i><b>unawe</b></i><b>ndendne</b><br/>")
+}
+
+// BenchmarkOverlayQueries runs Queries II.1 and III.1 over the generated
+// four-hierarchy manuscript at 10× and 100× the Boethius scale, where
+// one analyze-string overlay per matching word makes overlay
+// construction the dominant cost (the 1× fixture has a single match).
+func BenchmarkOverlayQueries(b *testing.B) {
+	for _, scale := range []struct {
+		name  string
+		words int
+	}{{"10x", 60}, {"100x", 600}} {
+		c := corpus.Generate(corpus.Params{Seed: 6, Words: scale.words, DamageRate: 0.12, RestoreRate: 0.2})
+		d, err := c.Document()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range []struct{ name, src string }{{"II1", queryII1}, {"III1", queryIII1}} {
+			cq := xquery.MustCompile(q.src)
+			res, err := cq.Eval(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			want := xquery.Serialize(res)
+			b.Run(scale.name+"/"+q.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := cq.Eval(d)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if got := xquery.Serialize(res); got != want {
+						b.Fatalf("got %q, want %q", got, want)
+					}
+				}
+			})
+		}
+	}
 }
 
 // ---- P1: construction scaling ----------------------------------------------

@@ -66,7 +66,7 @@ func TestMetricsCatalog(t *testing.T) {
 		"mhx_query_seconds", "mhx_update_commit_seconds", "mhx_cache_requests_total",
 		"mhx_fanout_queue_depth", "mhx_fanout_busy_workers", "mhx_documents",
 		"mhx_nameindex_builds_total", "mhx_nameindex_build_seconds_total",
-		"mhx_index_maintenance_total",
+		"mhx_index_maintenance_total", "mhx_overlays_total", "mhx_overlay_leaf_builds_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+family+" ") {
 			t.Errorf("scrape missing family %s", family)

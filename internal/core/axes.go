@@ -112,6 +112,20 @@ func (a Axis) Order() OrderContract {
 	return EmitsDocOrder
 }
 
+// Candidates tells AppendAxis and SharedAxis which nodes the caller's
+// node test can accept. AllCandidates yields the full axis result.
+// NoLeaves drops the leaf layer, for tests that reject every leaf on
+// its kind (element names, *, text(), comment(),
+// processing-instruction()): the axes then never append a leaf, and
+// never build a lazy leaf layer, while the surviving nodes, their order
+// and every error point stay those of the full result.
+type Candidates uint8
+
+const (
+	AllCandidates Candidates = iota
+	NoLeaves
+)
+
 // Eval evaluates the axis from context node n against document d,
 // returning nodes in axis order (reverse axes: nearest first). Results
 // contain no duplicates and satisfy the axis's OrderContract.
@@ -122,14 +136,26 @@ func (a Axis) Order() OrderContract {
 // parent of a leaf is the set of text nodes containing it (one per
 // covering hierarchy), siblings of a leaf are the other leaves.
 func (d *Document) Eval(a Axis, n *dom.Node) []*dom.Node {
-	return d.AppendAxis(nil, a, n)
+	return d.AppendAxis(nil, a, n, AllCandidates)
 }
 
-// SharedAxis returns the axis result as a read-only view of the
-// document's internal arrays when one exists for (a, n): no allocation,
-// no copying. ok=false means no contiguous view exists and the caller
-// must use AppendAxis. Callers must never mutate the returned slice.
-func (d *Document) SharedAxis(a Axis, n *dom.Node) (nodes []*dom.Node, ok bool) {
+// leafAxis returns leaves [lo,hi) for an axis result, or nothing when
+// the caller asked for no leaves or the range is empty — in which cases
+// the leaf layer is not built.
+func (d *Document) leafAxis(c Candidates, lo, hi int) []*dom.Node {
+	if c == NoLeaves || lo >= hi {
+		return nil
+	}
+	d.ensureLeaves()
+	return d.Leaves[lo:hi]
+}
+
+// SharedAxis returns the axis result restricted to c as a read-only view
+// of the document's internal arrays when one exists for (a, n): no
+// allocation, no copying. ok=false means no contiguous view exists and
+// the caller must use AppendAxis. Callers must never mutate the returned
+// slice.
+func (d *Document) SharedAxis(a Axis, n *dom.Node, c Candidates) (nodes []*dom.Node, ok bool) {
 	d.ensureLayout()
 	switch a {
 	case AxisAttribute:
@@ -142,28 +168,28 @@ func (d *Document) SharedAxis(a Axis, n *dom.Node) (nodes []*dom.Node, ok bool) 
 		case n == d.Root:
 			return d.rootKids, true
 		case n.Kind == dom.Text:
-			return d.LeavesOf(n), true
+			return d.leavesOf(n, c), true
 		case n.Kind == dom.Element:
 			return n.Children, true
 		}
 		return nil, true
 	case AxisDescendant:
 		if n != d.Root && n.Kind == dom.Text {
-			return d.LeavesOf(n), true
+			return d.leavesOf(n, c), true
 		}
 	case AxisFollowing:
 		if n != d.Root && n.Kind == dom.Leaf {
-			return d.Leaves[min(n.Ord+1, len(d.Leaves)):], true
+			return d.leafAxis(c, min(n.Ord+1, d.numLeaves()), d.numLeaves()), true
 		}
 	}
 	return nil, false
 }
 
-// AppendAxis appends the axis result for (a, n) to dst and returns the
-// extended slice, in axis order per the axis's OrderContract. It is
-// Eval with caller-owned storage, so per-step result buffers can be
-// reused across context nodes.
-func (d *Document) AppendAxis(dst []*dom.Node, a Axis, n *dom.Node) []*dom.Node {
+// AppendAxis appends the axis result for (a, n), restricted to c, to dst
+// and returns the extended slice, in axis order per the axis's
+// OrderContract. It is Eval with caller-owned storage, so per-step
+// result buffers can be reused across context nodes.
+func (d *Document) AppendAxis(dst []*dom.Node, a Axis, n *dom.Node, c Candidates) []*dom.Node {
 	d.ensureLayout()
 	switch a {
 	case AxisSelf:
@@ -174,11 +200,11 @@ func (d *Document) AppendAxis(dst []*dom.Node, a Axis, n *dom.Node) []*dom.Node 
 		}
 		return dst
 	case AxisChild:
-		return d.children(dst, n)
+		return d.children(dst, n, c)
 	case AxisDescendant:
-		return d.descendants(dst, n, false)
+		return d.descendants(dst, n, false, c)
 	case AxisDescendantOrSelf:
-		return d.descendants(dst, n, true)
+		return d.descendants(dst, n, true, c)
 	case AxisParent:
 		return d.parents(dst, n)
 	case AxisAncestor:
@@ -186,30 +212,30 @@ func (d *Document) AppendAxis(dst []*dom.Node, a Axis, n *dom.Node) []*dom.Node 
 	case AxisAncestorOrSelf:
 		return d.ancestors(dst, n, true)
 	case AxisFollowing:
-		return d.following(dst, n)
+		return d.following(dst, n, c)
 	case AxisPreceding:
-		return d.preceding(dst, n)
+		return d.preceding(dst, n, c)
 	case AxisFollowingSibling:
-		return d.siblings(dst, n, true)
+		return d.siblings(dst, n, true, c)
 	case AxisPrecedingSibling:
-		return d.siblings(dst, n, false)
+		return d.siblings(dst, n, false, c)
 	}
-	return d.extendedAxis(dst, a, n)
+	return d.extendedAxis(dst, a, n, c)
 }
 
-func (d *Document) children(dst []*dom.Node, n *dom.Node) []*dom.Node {
+func (d *Document) children(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.Node {
 	switch {
 	case n == d.Root:
 		return append(dst, d.rootKids...)
 	case n.Kind == dom.Text:
-		return append(dst, d.LeavesOf(n)...)
+		return append(dst, d.leavesOf(n, c)...)
 	case n.Kind == dom.Element:
 		return append(dst, n.Children...)
 	}
 	return dst
 }
 
-func (d *Document) descendants(dst []*dom.Node, n *dom.Node, self bool) []*dom.Node {
+func (d *Document) descendants(dst []*dom.Node, n *dom.Node, self bool, c Candidates) []*dom.Node {
 	if self {
 		dst = append(dst, n)
 	}
@@ -218,9 +244,9 @@ func (d *Document) descendants(dst []*dom.Node, n *dom.Node, self bool) []*dom.N
 		for _, h := range d.Hiers {
 			dst = append(dst, h.Nodes...)
 		}
-		dst = append(dst, d.Leaves...)
+		dst = append(dst, d.leafAxis(c, 0, d.numLeaves())...)
 	case n.Kind == dom.Text:
-		dst = append(dst, d.LeavesOf(n)...)
+		dst = append(dst, d.leavesOf(n, c)...)
 	case n.Kind == dom.Element && n.Hier != "":
 		h := d.byName[n.Hier]
 		if h == nil || n.Ord >= len(h.Nodes) || h.Nodes[n.Ord] != n {
@@ -228,7 +254,7 @@ func (d *Document) descendants(dst []*dom.Node, n *dom.Node, self bool) []*dom.N
 			return d.constructedDescendants(n, dst)
 		}
 		dst = append(dst, h.Nodes[n.Ord+1:n.Last+1]...)
-		dst = append(dst, d.LeavesOf(n)...)
+		dst = append(dst, d.leavesOf(n, c)...)
 	case n.Kind == dom.Element:
 		return d.constructedDescendants(n, dst)
 	}
@@ -287,15 +313,15 @@ func (d *Document) ancestors(dst []*dom.Node, n *dom.Node, self bool) []*dom.Nod
 	return dst
 }
 
-func (d *Document) following(dst []*dom.Node, n *dom.Node) []*dom.Node {
+func (d *Document) following(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.Node {
 	switch {
 	case n == d.Root:
 		return dst
 	case n.Kind == dom.Leaf:
-		return append(dst, d.Leaves[min(n.Ord+1, len(d.Leaves)):]...)
+		return append(dst, d.leafAxis(c, min(n.Ord+1, d.numLeaves()), d.numLeaves())...)
 	case n.Kind == dom.Attribute:
 		if n.Parent != nil {
-			return d.following(dst, n.Parent)
+			return d.following(dst, n.Parent, c)
 		}
 		return dst
 	case n.Hier != "":
@@ -306,18 +332,19 @@ func (d *Document) following(dst []*dom.Node, n *dom.Node) []*dom.Node {
 	return dst
 }
 
-func (d *Document) preceding(dst []*dom.Node, n *dom.Node) []*dom.Node {
+func (d *Document) preceding(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.Node {
 	switch {
 	case n == d.Root:
 		return dst
 	case n.Kind == dom.Leaf:
-		for i := min(n.Ord, len(d.Leaves)) - 1; i >= 0; i-- {
-			dst = append(dst, d.Leaves[i])
+		leaves := d.leafAxis(c, 0, min(n.Ord, d.numLeaves()))
+		for i := len(leaves) - 1; i >= 0; i-- {
+			dst = append(dst, leaves[i])
 		}
 		return dst
 	case n.Kind == dom.Attribute:
 		if n.Parent != nil {
-			return d.preceding(dst, n.Parent)
+			return d.preceding(dst, n.Parent, c)
 		}
 		return dst
 	case n.Hier != "":
@@ -336,15 +363,15 @@ func (d *Document) preceding(dst []*dom.Node, n *dom.Node) []*dom.Node {
 	return dst
 }
 
-func (d *Document) siblings(dst []*dom.Node, n *dom.Node, forward bool) []*dom.Node {
+func (d *Document) siblings(dst []*dom.Node, n *dom.Node, forward bool, c Candidates) []*dom.Node {
 	if n == d.Root || n.Kind == dom.Attribute {
 		return dst
 	}
 	if n.Kind == dom.Leaf {
 		if forward {
-			return d.following(dst, n)
+			return d.following(dst, n, c)
 		}
-		return d.preceding(dst, n)
+		return d.preceding(dst, n, c)
 	}
 	var sibs []*dom.Node
 	if n.Parent == d.Root {
@@ -449,28 +476,28 @@ func (d *Document) inAncestorOrSelf(n, m *dom.Node) bool {
 // extendedAxis dispatches a Definition 1 axis to the indexed
 // implementation (axesidx.go); the degenerate empty-leaf-set cases keep
 // the literal ∅-semantics via the full scan.
-func (d *Document) extendedAxis(dst []*dom.Node, a Axis, n *dom.Node) []*dom.Node {
+func (d *Document) extendedAxis(dst []*dom.Node, a Axis, n *dom.Node, c Candidates) []*dom.Node {
 	if !d.spanNode(n) {
 		return dst
 	}
 	switch a {
 	case AxisXAncestor, AxisXDescendant:
 		if n != d.Root && emptySpan(n) {
-			return append(dst, d.extendedScan(a, n)...)
+			return append(dst, d.extendedScan(a, n, c)...)
 		}
 		if a == AxisXAncestor {
 			return d.xancestorIdx(dst, n)
 		}
-		return d.xdescendantIdx(dst, n)
+		return d.xdescendantIdx(dst, n, c)
 	default:
 		if emptySpan(n) {
 			return dst
 		}
 		switch a {
 		case AxisXFollowing:
-			return d.xfollowingIdx(dst, n)
+			return d.xfollowingIdx(dst, n, c)
 		case AxisXPreceding:
-			return d.xprecedingIdx(dst, n)
+			return d.xprecedingIdx(dst, n, c)
 		case AxisPrecedingOverlapping, AxisFollowingOverlapping, AxisOverlapping:
 			return d.overlapIdx(dst, a, n)
 		}
@@ -489,14 +516,14 @@ func (d *Document) EvalScan(a Axis, n *dom.Node) []*dom.Node {
 	if !d.spanNode(n) {
 		return nil
 	}
-	return d.extendedScan(a, n)
+	return d.extendedScan(a, n, AllCandidates)
 }
 
 // extendedScan evaluates one of the Definition 1 axes by scanning all
 // candidate nodes (root, every hierarchy node, every leaf — the node set
-// N of the KyGODDAG) with an O(1) interval predicate. Results are in
-// document order by construction.
-func (d *Document) extendedScan(a Axis, n *dom.Node) []*dom.Node {
+// N of the KyGODDAG — restricted to c) with an O(1) interval predicate.
+// Results are in document order by construction.
+func (d *Document) extendedScan(a Axis, n *dom.Node, c Candidates) []*dom.Node {
 	var pred func(m *dom.Node) bool
 	switch a {
 	case AxisXAncestor:
@@ -556,7 +583,7 @@ func (d *Document) extendedScan(a Axis, n *dom.Node) []*dom.Node {
 			}
 		}
 	}
-	for _, l := range d.Leaves {
+	for _, l := range d.leafAxis(c, 0, d.numLeaves()) {
 		if pred(l) {
 			out = append(out, l)
 		}

@@ -95,23 +95,12 @@ func (h *Hierarchy) startIndex(p int) int {
 
 // leafLow returns the index of the first leaf with Start >= p.
 func (d *Document) leafLow(p int) int {
-	i := sort.SearchInts(d.Bounds, p)
-	if i > len(d.Leaves) {
-		i = len(d.Leaves)
-	}
-	return i
+	return min(sort.SearchInts(d.Bounds, p), d.numLeaves())
 }
 
 // leafCountEndingBy returns how many leaves have End <= p.
 func (d *Document) leafCountEndingBy(p int) int {
-	i := sort.SearchInts(d.Bounds, p+1) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i > len(d.Leaves) {
-		i = len(d.Leaves)
-	}
-	return i
+	return min(max(sort.SearchInts(d.Bounds, p+1)-1, 0), d.numLeaves())
 }
 
 func reverseNodes(out []*dom.Node) {
@@ -137,12 +126,12 @@ func (d *Document) xancestorIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
 	return dst
 }
 
-func (d *Document) xdescendantIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
+func (d *Document) xdescendantIdx(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.Node {
 	if n == d.Root {
 		for _, h := range d.Hiers {
 			dst = append(dst, h.Nodes...)
 		}
-		return append(dst, d.Leaves...)
+		return append(dst, d.leafAxis(c, 0, d.numLeaves())...)
 	}
 	base := len(dst)
 	for _, h := range d.Hiers {
@@ -166,11 +155,9 @@ func (d *Document) xdescendantIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
 			dst = append(dst, m)
 		}
 	}
-	lo := d.leafLow(n.Start)
-	hi := d.leafCountEndingBy(n.End)
-	for i := lo; i < hi; i++ {
-		if d.Leaves[i] != n {
-			dst = append(dst, d.Leaves[i])
+	for _, l := range d.leafAxis(c, d.leafLow(n.Start), d.leafCountEndingBy(n.End)) {
+		if l != n {
+			dst = append(dst, l)
 		}
 	}
 	if len(d.empties) > 0 {
@@ -179,7 +166,7 @@ func (d *Document) xdescendantIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
 	return dst
 }
 
-func (d *Document) xfollowingIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
+func (d *Document) xfollowingIdx(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.Node {
 	for _, h := range d.Hiers {
 		for i := h.startIndex(n.End); i < len(h.Nodes); i++ {
 			if m := h.Nodes[i]; !emptySpan(m) {
@@ -187,11 +174,10 @@ func (d *Document) xfollowingIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
 			}
 		}
 	}
-	lo := d.leafLow(n.End)
-	return append(dst, d.Leaves[lo:]...)
+	return append(dst, d.leafAxis(c, d.leafLow(n.End), d.numLeaves())...)
 }
 
-func (d *Document) xprecedingIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
+func (d *Document) xprecedingIdx(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.Node {
 	base := len(dst)
 	for _, h := range d.Hiers {
 		k := sort.Search(len(h.byEnd), func(i int) bool { return h.byEnd[i].End > n.Start })
@@ -201,7 +187,7 @@ func (d *Document) xprecedingIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
 			}
 		}
 	}
-	dst = append(dst, d.Leaves[:d.leafCountEndingBy(n.Start)]...)
+	dst = append(dst, d.leafAxis(c, 0, d.leafCountEndingBy(n.Start))...)
 	dst = dst[:base+len(SortDoc(dst[base:]))]
 	reverseNodes(dst[base:])
 	return dst

@@ -14,7 +14,7 @@ import "mhxquery/internal/dom"
 // LeafSetRef computes leaves(x) by traversal: the leaves reachable from x
 // through child edges and text→leaf edges (never via the interval index).
 func (d *Document) LeafSetRef(n *dom.Node) map[*dom.Node]bool {
-	d.ensureLayout()
+	d.ensureLeaves()
 	set := make(map[*dom.Node]bool)
 	switch {
 	case n == d.Root:
@@ -147,7 +147,7 @@ func (d *Document) ancestorSetRef(n *dom.Node) map[*dom.Node]bool {
 // semantics. Standard axes are delegated to Eval. Result order matches
 // Eval (document order; reversed for reverse axes).
 func (d *Document) EvalRef(a Axis, n *dom.Node) []*dom.Node {
-	d.ensureLayout()
+	d.ensureLeaves()
 	if !a.Extended() {
 		return d.Eval(a, n)
 	}

@@ -16,7 +16,7 @@ import (
 // name1, name2, … per element name in document order; text nodes t1, t2,
 // … per hierarchy; leaves are numbered boxes.
 func (d *Document) NodeLabels() map[*dom.Node]string {
-	d.ensureLayout()
+	d.ensureLeaves()
 	labels := make(map[*dom.Node]string)
 	labels[d.Root] = d.Root.Name
 	counts := map[string]int{}

@@ -1,6 +1,12 @@
 package core
 
-// RecomputePartitionForTest re-runs the full partition derivation on the
-// document, overwriting whatever the incremental overlay path computed —
-// the equivalence oracle for TestQuickOverlayPartitionIncremental.
-func (d *Document) RecomputePartitionForTest() { d.partition() }
+// FullPartitionForTest returns a fresh document over d's text and
+// hierarchies whose boundary array and leaf layer partition derives from
+// scratch — no Base chain, nothing lazy. d itself is not touched, so an
+// overlay's incremental, lazily built partition can be compared against
+// it (TestQuickOverlayPartitionIncremental, TestQuickLazyOverlayLeaves).
+func (d *Document) FullPartitionForTest() *Document {
+	f := &Document{Text: d.Text, Root: d.Root, Hiers: d.Hiers, byName: d.byName}
+	f.partition()
+	return f
+}

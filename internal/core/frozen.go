@@ -153,11 +153,11 @@ func (d *Document) ensureLayout() {
 }
 
 // Materialize forces full construction of the document's node storage
-// and leaf layer — the state an eagerly built document starts in. It
-// is safe (and cheap) on already-materialized documents and safe for
-// concurrent use.
+// and leaf layer — the state an eagerly built document starts in — for
+// frozen documents and analyze-string overlays alike. It is safe (and
+// cheap) on already-materialized documents and safe for concurrent use.
 func (d *Document) Materialize() {
-	d.ensureLayout()
+	d.ensureLeaves()
 }
 
 // NameTable returns the interned name table in symbol order:

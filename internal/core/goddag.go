@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"mhxquery/internal/cmh"
 	"mhxquery/internal/dom"
@@ -79,7 +80,9 @@ type Document struct {
 	// Bounds is the sorted array of all markup boundary offsets,
 	// including 0 and len(Text); leaf i spans [Bounds[i], Bounds[i+1]).
 	Bounds []int
-	// Leaves is the leaf layer, in text order.
+	// Leaves is the leaf layer, in text order. Frozen documents and
+	// analyze-string overlays build it on first use: read it directly
+	// only after Materialize (package code goes through ensureLeaves).
 	Leaves []*dom.Node
 	// Base points to the document this overlay was derived from, or nil.
 	Base *Document
@@ -121,16 +124,41 @@ type Document struct {
 	// frozen document's hierarchies and leaf layer (frozen.go). Eagerly
 	// built documents leave it nil.
 	layoutOnce *sync.Once
+	// leafOnce, when non-nil, guards the lazy construction of an
+	// overlay's leaf layer (Leaves and leafPar) from its Base
+	// (buildOverlayLeaves). Other documents leave it nil.
+	leafOnce *sync.Once
+	// leavesReady is set once Leaves and leafPar are built. Readers that
+	// only ask whether a leaf belongs to this document (ownsLeaf) check
+	// it instead of forcing a lazy build.
+	leavesReady atomic.Bool
 }
 
 // numLeaves is the leaf count implied by the boundary array — equal to
-// len(Leaves) once the leaf layer is built, but available before a
-// frozen document materializes it (Bounds is always eager).
+// len(Leaves) once the leaf layer is built, but available before a lazy
+// leaf layer exists (Bounds is always eager).
 func (d *Document) numLeaves() int {
 	if n := len(d.Bounds) - 1; n > 0 {
 		return n
 	}
 	return 0
+}
+
+// ensureLeaves builds the leaf layer (Leaves and leafPar) if it is lazy
+// and not built yet. Every read of those two fields goes through it; for
+// a frozen document it is ensureLayout.
+func (d *Document) ensureLeaves() {
+	d.ensureLayout()
+	if d.leafOnce != nil {
+		d.leafOnce.Do(d.buildOverlayLeaves)
+	}
+}
+
+// ownsLeaf reports whether leaf n belongs to this document without
+// building a lazy leaf layer: a document whose layer is not built yet
+// owns no leaves, because none of its leaf nodes exist yet.
+func (d *Document) ownsLeaf(n *dom.Node) bool {
+	return d.leavesReady.Load() && n.Ord < len(d.Leaves) && d.Leaves[n.Ord] == n
 }
 
 // intern returns the symbol for name in the document's name table,
@@ -159,7 +187,7 @@ func (d *Document) OrdinalOf(n *dom.Node) (int, bool) {
 		return 0, true
 	}
 	if n.Kind == dom.Leaf {
-		if n.Ord < len(d.Leaves) && d.Leaves[n.Ord] == n {
+		if d.ownsLeaf(n) {
 			return d.leafBase + n.Ord, true
 		}
 		return 0, false
@@ -359,6 +387,7 @@ func (d *Document) buildLeaves() {
 
 	d.finishLayout()
 	d.rootKids = d.rootChildren()
+	d.leavesReady.Store(true)
 }
 
 // LeafParents returns, for a leaf, the text node that contains it in
@@ -372,9 +401,10 @@ func (d *Document) LeafParents(n *dom.Node) []*dom.Node {
 	if n.Kind != dom.Leaf {
 		return nil
 	}
-	d.ensureLayout()
+	// The walk builds nothing: n exists, so the version that created it
+	// has its leaf layer built, and unbuilt versions cannot own it.
 	for e := d; e != nil; e = e.Base {
-		if n.Ord < len(e.Leaves) && e.Leaves[n.Ord] == n {
+		if e.ownsLeaf(n) {
 			return e.leafPar[n.Ord]
 		}
 	}
@@ -409,14 +439,15 @@ func (d *Document) finishLayout() {
 	d.leafBase = ord
 }
 
-// partitionFrom computes the overlay's boundary array and leaf layer
-// incrementally from the base document: the new hierarchy's boundaries
-// split the base leaves, and each fragment inherits the covering base
-// leaf's parent links plus the covering text node of the new hierarchy.
-// This keeps an analyze-string overlay's cost proportional to the leaf
-// count instead of re-deriving every hierarchy's text→leaf edges — the
-// dominant cost of the paper's Query II/III evaluations. The result is
-// field-for-field what partition would compute.
+// partitionFrom computes the overlay's pointer-free layout eagerly from
+// the base document: the merged boundary array, the empty-span list,
+// the ordinal layout and the root's children. The leaf layer is left to
+// buildOverlayLeaves, which runs only when a query first reads a leaf,
+// so an analyze-string overlay that is navigated through its elements
+// alone — the paper's Queries II.1 and III.1 — costs the new hierarchy
+// plus one integer merge, with no leaf nodes and no parent links. The
+// result, once the leaves are built, is field-for-field what partition
+// would compute.
 func (d *Document) partitionFrom(base *Document, h *Hierarchy) {
 	// Sorted, deduplicated boundary offsets contributed by the new
 	// hierarchy, merged with the base bounds (which already contain 0
@@ -452,51 +483,6 @@ func (d *Document) partitionFrom(base *Document, h *Hierarchy) {
 	}
 	d.Bounds = bounds
 
-	// Leaf layer: every new leaf lies inside exactly one base leaf (the
-	// new bounds are a superset of the base bounds) and inherits its
-	// parent links. Unsplit, uncovered leaves share the base parent
-	// slice, which is never mutated after construction.
-	d.Leaves = make([]*dom.Node, 0, len(bounds)-1)
-	d.leafPar = make([][]*dom.Node, 0, len(bounds)-1)
-	bi := 0
-	for k := 0; k+1 < len(bounds); k++ {
-		lo, hi := bounds[k], bounds[k+1]
-		leaf := &dom.Node{
-			Kind:      dom.Leaf,
-			Data:      d.Text[lo:hi],
-			Start:     lo,
-			End:       hi,
-			Ord:       k,
-			Last:      k,
-			HierIndex: dom.LeafHier,
-		}
-		for bi < len(base.Leaves) && base.Leaves[bi].End <= lo {
-			bi++
-		}
-		var par []*dom.Node
-		if bi < len(base.Leaves) && base.Leaves[bi].Start <= lo && hi <= base.Leaves[bi].End {
-			par = base.leafPar[bi]
-		}
-		d.Leaves = append(d.Leaves, leaf)
-		d.leafPar = append(d.leafPar, par)
-	}
-
-	// Text nodes of the new hierarchy adopt their covered fragments
-	// (copy-on-append: the inherited slices stay shared with the base).
-	for _, n := range h.Nodes {
-		if n.Kind != dom.Text {
-			continue
-		}
-		lo := sort.SearchInts(bounds, n.Start)
-		hi := sort.SearchInts(bounds, n.End)
-		for k := lo; k < hi; k++ {
-			np := make([]*dom.Node, len(d.leafPar[k])+1)
-			copy(np, d.leafPar[k])
-			np[len(np)-1] = n
-			d.leafPar[k] = np
-		}
-	}
-
 	// Empty-span nodes: the base's plus the new hierarchy's, in the
 	// same hierarchy-scan order partition produces.
 	var newEmpties []*dom.Node
@@ -514,6 +500,65 @@ func (d *Document) partitionFrom(base *Document, h *Hierarchy) {
 	d.finishLayout()
 	d.rootKids = make([]*dom.Node, 0, len(base.rootKids)+len(h.Top))
 	d.rootKids = append(append(d.rootKids, base.rootKids...), h.Top...)
+	d.leafOnce = new(sync.Once)
+}
+
+// buildOverlayLeaves builds an overlay's leaf layer from its base's,
+// which it builds first (the base may itself be a lazy overlay): the new
+// hierarchy's boundaries split the base leaves, each fragment inherits
+// the covering base leaf's parent links, and the new hierarchy's text
+// nodes adopt the fragments they cover. It runs once, under leafOnce.
+func (d *Document) buildOverlayLeaves() {
+	base := d.Base
+	base.ensureLeaves()
+	h := d.Hiers[len(d.Hiers)-1] // AddHierarchy registers the new one last
+	bounds := d.Bounds
+	nLeaves := d.numLeaves()
+
+	// Every new leaf lies inside exactly one base leaf (the new bounds
+	// are a superset of the base bounds) and inherits its parent links.
+	// Unsplit, uncovered leaves share the base parent slice, which is
+	// never mutated after construction.
+	slab := make([]dom.Node, nLeaves)
+	d.Leaves = make([]*dom.Node, nLeaves)
+	d.leafPar = make([][]*dom.Node, nLeaves)
+	bi := 0
+	for k := 0; k < nLeaves; k++ {
+		lo, hi := bounds[k], bounds[k+1]
+		slab[k] = dom.Node{
+			Kind:      dom.Leaf,
+			Data:      d.Text[lo:hi],
+			Start:     lo,
+			End:       hi,
+			Ord:       k,
+			Last:      k,
+			HierIndex: dom.LeafHier,
+		}
+		d.Leaves[k] = &slab[k]
+		for bi < len(base.Leaves) && base.Leaves[bi].End <= lo {
+			bi++
+		}
+		if bi < len(base.Leaves) && base.Leaves[bi].Start <= lo && hi <= base.Leaves[bi].End {
+			d.leafPar[k] = base.leafPar[bi]
+		}
+	}
+
+	// Text nodes of the new hierarchy adopt their covered fragments
+	// (copy-on-append: the inherited slices stay shared with the base).
+	for _, n := range h.Nodes {
+		if n.Kind != dom.Text {
+			continue
+		}
+		lo, hi := d.LeafRange(n)
+		for k := lo; k < hi; k++ {
+			np := make([]*dom.Node, len(d.leafPar[k])+1)
+			copy(np, d.leafPar[k])
+			np[len(np)-1] = n
+			d.leafPar[k] = np
+		}
+	}
+	overlayLeafBuilds.Add(1)
+	d.leavesReady.Store(true)
 }
 
 // LeafRange returns the half-open leaf-index interval [lo,hi) covered by
@@ -538,10 +583,12 @@ func (d *Document) LeafRange(n *dom.Node) (lo, hi int) {
 }
 
 // LeavesOf returns the leaves covered by a node, in text order.
-func (d *Document) LeavesOf(n *dom.Node) []*dom.Node {
-	d.ensureLayout()
+func (d *Document) LeavesOf(n *dom.Node) []*dom.Node { return d.leavesOf(n, AllCandidates) }
+
+// leavesOf is LeavesOf restricted to c.
+func (d *Document) leavesOf(n *dom.Node, c Candidates) []*dom.Node {
 	lo, hi := d.LeafRange(n)
-	return d.Leaves[lo:hi]
+	return d.leafAxis(c, lo, hi)
 }
 
 // HierarchyByName returns the named hierarchy, or nil.
@@ -592,7 +639,7 @@ func (d *Document) Owns(n *dom.Node) bool {
 		return true
 	}
 	if n.Kind == dom.Leaf {
-		return n.Ord < len(d.Leaves) && d.Leaves[n.Ord] == n
+		return d.ownsLeaf(n)
 	}
 	h, ok := d.byName[n.Hier]
 	return ok && n.Ord < len(h.Nodes) && h.Nodes[n.Ord] == n
@@ -603,7 +650,8 @@ func (d *Document) Owns(n *dom.Node) bool {
 // must already be expressed in d.Text coordinates (it may cover only a
 // sub-span of S, as the temporary hierarchies of analyze-string do). The
 // base document is never mutated: hierarchies are shared, the boundary
-// array and leaf layer are recomputed for the overlay.
+// array is merged for the overlay, and the overlay's leaf layer is built
+// from the base's only when first read (partitionFrom).
 func (d *Document) AddHierarchy(name string, top *dom.Node, temp bool) (*Document, error) {
 	if name == "" {
 		return nil, fmt.Errorf("core: empty hierarchy name")
@@ -617,7 +665,8 @@ func (d *Document) AddHierarchy(name string, top *dom.Node, temp bool) (*Documen
 	if top.Start < 0 || top.End > len(d.Text) || top.Start > top.End {
 		return nil, fmt.Errorf("core: hierarchy %q: span [%d,%d) outside base text", name, top.Start, top.End)
 	}
-	// The overlay's partition is computed from the base's leaf layer.
+	// The overlay's layout is derived from the base's hierarchies and
+	// empty-span list, which a frozen base materializes here.
 	d.ensureLayout()
 	nd := &Document{
 		Text:   d.Text,
@@ -642,6 +691,7 @@ func (d *Document) AddHierarchy(name string, top *dom.Node, temp bool) (*Documen
 		nd.byName[hh.Name] = hh
 	}
 	nd.partitionFrom(d, h)
+	overlays.Add(1)
 	return nd, nil
 }
 
@@ -662,7 +712,7 @@ type Stats struct {
 
 // Stats computes composition statistics for the document.
 func (d *Document) Stats() Stats {
-	d.ensureLayout()
+	d.ensureLeaves()
 	var s Stats
 	s.Hierarchies = len(d.Hiers)
 	s.Leaves = len(d.Leaves)

@@ -3,6 +3,7 @@ package core_test
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"mhxquery/internal/core"
@@ -219,10 +220,17 @@ func TestAddHierarchyOverlay(t *testing.T) {
 		t.Fatal("base document sees overlay hierarchy")
 	}
 	// The overlay has one more hierarchy, a new boundary at 16, leaves
-	// re-partitioned.
+	// re-partitioned — once something reads them.
 	if od.HierarchyByName("rest") == nil || !od.HierarchyByName("rest").Temp {
 		t.Fatal("overlay missing temp hierarchy")
 	}
+	if len(od.Leaves) != 0 {
+		t.Error("overlay built its leaf layer before any leaf was read")
+	}
+	if got := od.OrdinalSpace(); got != d.OrdinalSpace()+2+1 { // <tmpres>, its text, one split
+		t.Errorf("overlay ordinal space = %d before its leaves exist, want %d", got, d.OrdinalSpace()+3)
+	}
+	od.Materialize()
 	if len(od.Leaves) != baseLeaves+1 {
 		t.Errorf("overlay leaves = %d, want %d", len(od.Leaves), baseLeaves+1)
 	}
@@ -244,6 +252,69 @@ func TestAddHierarchyOverlay(t *testing.T) {
 	// Base document is still valid: its LeavesOf still works.
 	if got := strings.Join(leafTexts(d.LeavesOf(d.Root)), ""); got != d.Text {
 		t.Error("base leaves broken after overlay")
+	}
+}
+
+// TestLazyOverlayLeavesConcurrent reads a chain of two lazy overlays from
+// many goroutines at once, each forcing the leaf layers through a
+// different entry point while others probe leaf ownership; run with
+// -race this verifies the sync.Once build and the readiness flag, and
+// every goroutine must see the same leaf nodes.
+func TestLazyOverlayLeavesConcurrent(t *testing.T) {
+	d := corpus.MustBoethius()
+	overlay := func(base *core.Document, name string, s, e int) *core.Document {
+		top := dom.NewElement(name)
+		top.Start, top.End = s, e
+		txt := dom.NewText(d.Text[s:e])
+		txt.Start, txt.End = s, e
+		top.AppendChild(txt)
+		od, err := base.AddHierarchy(name, top, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return od
+	}
+	od1 := overlay(d, "rest", 11, 16)
+	od2 := overlay(od1, "rest2", 13, 20)
+	want := len(d.Text)
+	var wg sync.WaitGroup
+	firsts := make([]*dom.Node, 8)
+	for g := range firsts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, l := range d.Leaves {
+				od2.Owns(l)
+				od2.LeafParents(l)
+			}
+			var leaves []*dom.Node
+			switch g % 3 {
+			case 0:
+				leaves = od2.LeavesOf(od2.Root)
+			case 1:
+				leaves = od2.Eval(core.AxisXDescendant, od2.Root)
+				leaves = leaves[len(leaves)-len(od2.LeavesOf(od2.Root)):]
+			default:
+				od1.Materialize()
+				leaves = od2.LeavesOf(od2.Root)
+			}
+			if got := len(strings.Join(leafTexts(leaves), "")); got != want {
+				t.Errorf("goroutine %d: leaves cover %d bytes, want %d", g, got, want)
+			}
+			for _, l := range leaves {
+				if !od2.Owns(l) || len(od2.LeafParents(l)) == 0 {
+					t.Errorf("goroutine %d: overlay leaf %q unowned or parentless", g, l.Data)
+					return
+				}
+			}
+			firsts[g] = leaves[0]
+		}()
+	}
+	wg.Wait()
+	for g, f := range firsts {
+		if f != firsts[0] {
+			t.Fatalf("goroutine %d saw a different leaf layer", g)
+		}
 	}
 }
 

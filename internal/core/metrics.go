@@ -23,9 +23,16 @@ var (
 	synopsisBuildNanos atomic.Int64
 	synopsisPatched    atomic.Uint64
 	synopsisLazyReset  atomic.Uint64
+
+	// Overlay documents created by AddHierarchy, and the lazy overlay
+	// leaf layers a query actually forced (buildOverlayLeaves): the gap
+	// between the two is the leaf work analyze-string no longer does.
+	overlays          atomic.Uint64
+	overlayLeafBuilds atomic.Uint64
 )
 
-// IndexStats is a snapshot of the process-wide name-index counters.
+// IndexStats is a snapshot of the process-wide name-index counters and
+// their synopsis and overlay siblings.
 type IndexStats struct {
 	// Builds counts from-scratch index builds (lazy first-touch builds
 	// and oracle rebuilds alike).
@@ -44,10 +51,15 @@ type IndexStats struct {
 	SynopsisBuildNanos int64
 	SynopsisPatched    uint64
 	SynopsisLazyReset  uint64
+	// Overlays counts overlay documents (analyze-string hierarchies);
+	// OverlayLeafBuilds counts the overlay leaf layers built on demand.
+	Overlays          uint64
+	OverlayLeafBuilds uint64
 }
 
-// GlobalIndexStats returns the current process-wide name-index
-// counters. Values are monotonic for the life of the process.
+// GlobalIndexStats returns the current process-wide name-index,
+// synopsis and overlay counters. Values are monotonic for the life of
+// the process.
 func GlobalIndexStats() IndexStats {
 	return IndexStats{
 		Builds:             indexBuilds.Load(),
@@ -58,5 +70,7 @@ func GlobalIndexStats() IndexStats {
 		SynopsisBuildNanos: synopsisBuildNanos.Load(),
 		SynopsisPatched:    synopsisPatched.Load(),
 		SynopsisLazyReset:  synopsisLazyReset.Load(),
+		Overlays:           overlays.Load(),
+		OverlayLeafBuilds:  overlayLeafBuilds.Load(),
 	}
 }

@@ -296,7 +296,7 @@ func TestQuickOverlayPreservesBase(t *testing.T) {
 			t.Logf("seed %d: overlay: %v", seed, err)
 			return false
 		}
-		_ = od
+		od.Materialize() // allNodesOf reads od.Leaves directly
 		// Base results unchanged.
 		for _, n := range nodes {
 			for _, ax := range extendedAxes {
@@ -509,32 +509,127 @@ func TestQuickOverlayPartitionIncremental(t *testing.T) {
 			t.Logf("seed %d: overlay: %v", seed, err)
 			return false
 		}
-		type leafShape struct {
-			start, end int
-			data       string
-			parents    string
-		}
-		shape := func(doc *core.Document) (bounds []int, leaves []leafShape) {
-			bounds = append(bounds, doc.Bounds...)
-			for _, l := range doc.Leaves {
-				var p strings.Builder
-				for _, q := range doc.LeafParents(l) {
-					fmt.Fprintf(&p, "%s:%d;", q.Hier, q.Ord)
-				}
-				leaves = append(leaves, leafShape{l.Start, l.End, l.Data, p.String()})
-			}
-			return
-		}
-		gotB, gotL := shape(od)
-		od.RecomputePartitionForTest()
-		wantB, wantL := shape(od)
-		if fmt.Sprint(gotB) != fmt.Sprint(wantB) || fmt.Sprint(gotL) != fmt.Sprint(wantL) {
+		od.Materialize() // partitionShape reads od.Leaves directly
+		if got, want := partitionShape(od), partitionShape(od.FullPartitionForTest()); got != want {
 			t.Logf("seed %d: incremental partition differs from full recompute", seed)
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// partitionShape renders a materialized document's partition: the
+// boundary array, the ordinal space, and per leaf its span, text,
+// ordinal and parent links (as hierarchy:preorder). Two documents over
+// the same hierarchies render equal exactly when their partitions agree.
+func partitionShape(doc *core.Document) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "bounds %v space %d\n", doc.Bounds, doc.OrdinalSpace())
+	for _, l := range doc.Leaves {
+		ord, ok := doc.OrdinalOf(l)
+		fmt.Fprintf(&b, "[%d,%d) %q ord=%d/%v parents=", l.Start, l.End, l.Data, ord, ok)
+		for _, q := range doc.LeafParents(l) {
+			fmt.Fprintf(&b, "%s:%d;", q.Hier, q.Ord)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// randomOverlayTop builds the top element of a random analyze-string
+// style hierarchy over a sub-span of text: <res> holding text, an <m>
+// (sometimes empty, exercising the empty-span list) and more text.
+func randomOverlayTop(r *rand.Rand, text string) *dom.Node {
+	s := r.Intn(len(text) - 1)
+	e := s + 1 + r.Intn(len(text)-s-1)
+	a := s + r.Intn(e-s+1)
+	bnd := a + r.Intn(e-a+1)
+	top := dom.NewElement("res")
+	top.Start, top.End = s, e
+	addText := func(parent *dom.Node, from, to int) {
+		if from < to {
+			t := dom.NewText(text[from:to])
+			t.Start, t.End = from, to
+			parent.AppendChild(t)
+		}
+	}
+	addText(top, s, a)
+	m := dom.NewElement("m")
+	m.Start, m.End = a, bnd
+	addText(m, a, bnd)
+	top.AppendChild(m)
+	addText(top, bnd, e)
+	return top
+}
+
+// TestQuickLazyOverlayLeaves checks the lazy overlay leaf layer. On a
+// random chain of 1–4 overlays: leaf-ownership probes made before any
+// overlay layer exists build nothing and resolve base leaves through
+// the Base chain; forcing the layers in a random order of depths builds
+// exactly the unbuilt overlays at and below the forced one; and every
+// layer equals a full partition recompute over the same hierarchies.
+func TestQuickLazyOverlayLeaves(t *testing.T) {
+	f := func(seed int64) bool {
+		d, err := buildRandom(seed)
+		if err != nil || len(d.Text) < 2 {
+			return err == nil
+		}
+		r := rand.New(rand.NewSource(seed ^ 0x1a2f))
+		chain := []*core.Document{d}
+		for depth := 1 + r.Intn(4); len(chain) <= depth; {
+			od, err := chain[len(chain)-1].AddHierarchy(fmt.Sprintf("rest%d", len(chain)), randomOverlayTop(r, d.Text), true)
+			if err != nil {
+				t.Logf("seed %d: overlay: %v", seed, err)
+				return false
+			}
+			chain = append(chain, od)
+		}
+		builds := func() uint64 { return core.GlobalIndexStats().OverlayLeafBuilds }
+		before := builds()
+		for _, od := range chain[1:] {
+			for _, l := range d.Leaves {
+				_, hasOrd := od.OrdinalOf(l)
+				parents := od.LeafParents(l)
+				if od.Owns(l) || hasOrd || len(parents) != len(d.LeafParents(l)) ||
+					(len(parents) > 0 && &parents[0] != &d.LeafParents(l)[0]) {
+					t.Logf("seed %d: base leaf misresolved through an unbuilt overlay", seed)
+					return false
+				}
+			}
+		}
+		if builds() != before {
+			t.Logf("seed %d: ownership probes built an overlay leaf layer", seed)
+			return false
+		}
+		built := make([]bool, len(chain))
+		built[0] = true
+		for _, i := range r.Perm(len(chain) - 1) {
+			depth := i + 1
+			want := 0
+			for k := 1; k <= depth; k++ {
+				if !built[k] {
+					want++
+					built[k] = true
+				}
+			}
+			start := builds()
+			od := chain[depth]
+			od.Materialize()
+			if got := int(builds() - start); got != want {
+				t.Logf("seed %d: forcing depth %d built %d layers, want %d", seed, depth, got, want)
+				return false
+			}
+			if got, full := partitionShape(od), partitionShape(od.FullPartitionForTest()); got != full {
+				t.Logf("seed %d: lazy leaf layer at depth %d differs from a full recompute:\n%s\nvs\n%s", seed, depth, got, full)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

@@ -209,7 +209,7 @@ func (d *Document) Apply(edits []Edit) (*Document, *UpdateStats, error) {
 	}
 	// The copy-on-write machinery walks node storage and the leaf
 	// layer throughout; a frozen document materializes here once.
-	d.ensureLayout()
+	d.ensureLeaves()
 	for _, h := range d.Hiers {
 		if h.Temp {
 			return nil, nil, fmt.Errorf("core: cannot update a document with temporary hierarchies")
@@ -529,6 +529,7 @@ func (d2 *Document) patchLeaves(d *Document, copied map[int][]*dom.Node, reslice
 	}
 	d2.finishLayout()
 	d2.rootKids = d2.RootChildren()
+	d2.leavesReady.Store(true)
 }
 
 // checkVocabAdded is checkVocab against the partially assembled new

@@ -71,6 +71,12 @@ func oneNode(args []Seq, i int) (*dom.Node, error) {
 
 // ---- regex compilation with a small cache ----------------------------------
 
+// maxCachedRegexps bounds the process-wide regex cache. Ad-hoc queries
+// can send any number of distinct patterns, so the table is cleared when
+// full, as planCache is at maxCachedPlans: the working set of a steady
+// workload is small and refills after one recompile per pattern.
+const maxCachedRegexps = 256
+
 var (
 	reMu    sync.Mutex
 	reCache = map[string]*regexp.Regexp{}
@@ -109,6 +115,9 @@ func compileRegex(pattern, flags string) (*regexp.Regexp, error) {
 		return nil, errf("FORX0002", "invalid regular expression %q: %v", pattern, err)
 	}
 	reMu.Lock()
+	if len(reCache) >= maxCachedRegexps {
+		clear(reCache)
+	}
 	reCache[src] = re
 	reMu.Unlock()
 	return re, nil

@@ -120,6 +120,19 @@ func (rt *resolvedTest) match(n *dom.Node) (bool, error) {
 	return false, nil
 }
 
+// candidates is the axis candidate set the test can accept. Name, *,
+// text(), comment() and processing-instruction() tests reject every leaf
+// on its kind before any hierarchy check (match, matchTest), so the axes
+// may drop leaf candidates for them without changing results, positions
+// or error points — and without building an overlay's lazy leaf layer.
+func (t *nodeTest) candidates() core.Candidates {
+	switch t.kind {
+	case testNode, testLeaf:
+		return core.AllCandidates
+	}
+	return core.NoLeaves
+}
+
 // hierOK is hierOK of the reference evaluator with the per-candidate
 // string comparisons and map lookups replaced by integer hierarchy
 // indices resolved once per (step, document).
@@ -205,6 +218,7 @@ func evalStep(c *context, cur Seq, s *step) (Seq, error) {
 	sorted := true      // out is strictly ascending across segment junctions
 	degenerate := false // saw an order-degenerate segment: finish with sortDedupe
 	var rt resolvedTest
+	cands := s.test.candidates()
 	for _, it := range cur {
 		n, ok := it.(*dom.Node)
 		if !ok {
@@ -216,7 +230,7 @@ func evalStep(c *context, cur Seq, s *step) (Seq, error) {
 		}
 		// Axis candidates: a shared view of the document's internal
 		// arrays when one exists, else the reusable evalState buffer.
-		nodes, shared := d.SharedAxis(s.axis, n)
+		nodes, shared := d.SharedAxis(s.axis, n, cands)
 		if !shared {
 			if cap(st.axisBuf) == 0 {
 				// Start modestly and let append grow: descendant name
@@ -225,7 +239,7 @@ func evalStep(c *context, cur Seq, s *step) (Seq, error) {
 				// would dominate short queries.
 				st.axisBuf = make([]*dom.Node, 0, min(d.OrdinalSpace(), 512))
 			}
-			st.axisBuf = d.AppendAxis(st.axisBuf[:0], s.axis, n)
+			st.axisBuf = d.AppendAxis(st.axisBuf[:0], s.axis, n, cands)
 			nodes = st.axisBuf
 		}
 		if out == nil && len(nodes) > 0 {

@@ -101,13 +101,19 @@ func diffDocs(t *testing.T) map[string]*core.Document {
 // two must agree exactly before either is compared to the reference.
 func evalBoth(t *testing.T, d *core.Document, src string) (fast, ref Seq, fastErr, refErr error) {
 	t.Helper()
+	return evalBothWith(t, d, src, nil)
+}
+
+// evalBothWith is evalBoth with a resolver backing doc()/collection().
+func evalBothWith(t *testing.T, d *core.Document, src string, r Resolver) (fast, ref Seq, fastErr, refErr error) {
+	t.Helper()
 	q, err := Compile(src)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	fast, fastErr = q.Eval(d)
-	streamed, streamErr := drainStream(q.Stream(nil, d, nil, nil))
-	if (fastErr == nil) != (streamErr == nil) {
+	fast, fastErr = q.EvalWithResolver(d, nil, r)
+	streamed, streamErr := drainStream(q.Stream(nil, d, nil, r))
+	if (fastErr == nil) != (streamErr == nil) || errCode(fastErr) != errCode(streamErr) {
 		t.Errorf("%q: eval err=%v, stream err=%v", src, fastErr, streamErr)
 	} else if fastErr == nil && !sameItems(fast, streamed) &&
 		Serialize(fast) != Serialize(streamed) { // constructors build fresh nodes per run
@@ -116,8 +122,16 @@ func evalBoth(t *testing.T, d *core.Document, src string) (fast, ref Seq, fastEr
 	}
 	debugNaiveSteps = true
 	defer func() { debugNaiveSteps = false }()
-	ref, refErr = q.Eval(d)
+	ref, refErr = q.EvalWithResolver(d, nil, r)
 	return
+}
+
+// errCode is an evaluation error's code, "" for nil or uncoded errors.
+func errCode(err error) string {
+	if e, ok := err.(*Error); ok {
+		return e.Code
+	}
+	return ""
 }
 
 // drainStream materializes a Stream (test helper).

@@ -152,6 +152,30 @@ func TestPlanCache(t *testing.T) {
 
 // ---- differential sweep: planner vs reference oracle ----------------------
 
+// queryII1Src is the paper's Query II.1 and queryIII1Src its Query III.1
+// at match level, as in paper_test.go.
+const (
+	queryII1Src = `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
+return (
+  let $res := analyze-string($w, ".*unawe.*")
+  for $n in $res/child::node()
+  return if ($n[self::m]) then <b>{string($n)}</b> else string($n)
+  ,
+  <br/>
+)`
+	queryIII1Src = `for $w in /descendant::w[matches(string(.), ".*unawe.*")]
+return (
+  let $res := analyze-string($w, ".*unawe.*")
+  for $n in $res/child::node()
+  return
+    if ($n[self::m][xancestor::res('restoration') or xdescendant::res('restoration') or overlapping::res('restoration')])
+    then <i><b>{string($n)}</b></i>
+    else <b>{string($n)}</b>
+  ,
+  <br/>
+)`
+)
+
 // planPaperQueries mirrors the paper-query sources of paper_test.go and
 // the P9 fixtures of bench_test.go (both live in external test packages
 // and cannot be imported here); keep them in sync.
@@ -173,27 +197,8 @@ return ( for $leaf in $l/descendant::leaf() return
 	// Definition 4, Example 1
 	`for $w in /descendant::w[string(.) = 'unawendendne']
 return serialize(analyze-string($w, ".*un<a>a</a>we.*"))`,
-	// Query II.1
-	`for $w in /descendant::w[matches(string(.), ".*unawe.*")]
-return (
-  let $res := analyze-string($w, ".*unawe.*")
-  for $n in $res/child::node()
-  return if ($n[self::m]) then <b>{string($n)}</b> else string($n)
-  ,
-  <br/>
-)`,
-	// Query III.1 match-level
-	`for $w in /descendant::w[matches(string(.), ".*unawe.*")]
-return (
-  let $res := analyze-string($w, ".*unawe.*")
-  for $n in $res/child::node()
-  return
-    if ($n[self::m][xancestor::res('restoration') or xdescendant::res('restoration') or overlapping::res('restoration')])
-    then <i><b>{string($n)}</b></i>
-    else <b>{string($n)}</b>
-  ,
-  <br/>
-)`,
+	queryII1Src,
+	queryIII1Src,
 	// Query III.1 leaf-level
 	`for $w in /descendant::w[matches(string(.), ".*unawe.*")]
 return (

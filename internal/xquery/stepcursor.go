@@ -315,9 +315,10 @@ func (sc *stepCursor) axisSegment(n *dom.Node, d *core.Document) (Seq, error) {
 		sc.rt.init(d, s)
 		sc.rtDoc = d
 	}
-	nodes, shared := d.SharedAxis(s.axis, n)
+	cands := s.test.candidates()
+	nodes, shared := d.SharedAxis(s.axis, n, cands)
 	if !shared {
-		sc.axisBuf = d.AppendAxis(sc.axisBuf[:0], s.axis, n)
+		sc.axisBuf = d.AppendAxis(sc.axisBuf[:0], s.axis, n, cands)
 		nodes = sc.axisBuf
 	}
 	out, err := filterStep(sc.c, sc.segBuf[:0], nodes, s, &sc.rt)

@@ -2,7 +2,9 @@
 # bench.sh — run the evaluator benchmark suite and record the results.
 #
 # Runs the evaluator-level benchmarks (the paper queries E3–E7, the
-# P9 path-pipeline fixtures, the P10 indexed-descendant fixtures, the
+# E8 analyze-string queries II.1/III.1 at 10×/100× scale, the P4
+# analyze-string overlay scaling fixtures, the P9 path-pipeline
+# fixtures, the P10 indexed-descendant fixtures, the
 # P11 early-exit/FLWOR cursor fixtures, the P12 copy-on-write
 # update fixtures, the P13 durable-update fixtures, WAL vs
 # write-through, the P14 morsel-parallel scan fixtures at
@@ -10,6 +12,8 @@
 # fixtures) with -count repetitions, prints the raw
 # `go test -bench` output, and writes the best (minimum ns/op) run per
 # benchmark to a JSON file so the perf trajectory is diffable in git.
+# The JSON's _meta records the go version, the machine's online CPU
+# count (nproc) and the GOMAXPROCS the benchmarks ran with.
 #
 # Usage:
 #   scripts/bench.sh [-count N] [-bench REGEX] [-out FILE]
@@ -18,7 +22,7 @@
 set -eu
 
 COUNT=5
-BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkParallelScan|BenchmarkPlanChoice'
+BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkParallelScan|BenchmarkPlanChoice'
 OUT=BENCH_eval.json
 while [ $# -gt 0 ]; do
 	case "$1" in
@@ -36,9 +40,13 @@ trap 'rm -f "$TMP"' EXIT
 go test -run '^$' -bench "$BENCH" -benchmem -count "$COUNT" . | tee "$TMP"
 
 GOVER=$(go version | awk '{print $3}')
-awk -v count="$COUNT" -v gover="$GOVER" '
+NPROC=$(getconf _NPROCESSORS_ONLN)
+awk -v count="$COUNT" -v gover="$GOVER" -v nproc="$NPROC" '
+BEGIN { procs = 1 } # go test adds no suffix when GOMAXPROCS is 1
 /^Benchmark/ {
 	name = $1
+	# The -N suffix go test appends to every name is GOMAXPROCS.
+	if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
 	sub(/-[0-9]+$/, "", name)
 	ns = ""; bytes = ""; allocs = ""
 	for (i = 2; i <= NF; i++) {
@@ -54,7 +62,7 @@ awk -v count="$COUNT" -v gover="$GOVER" '
 }
 END {
 	printf "{\n"
-	printf "  \"_meta\": {\"go\": \"%s\", \"count\": %d, \"stat\": \"min\"},\n", gover, count
+	printf "  \"_meta\": {\"go\": \"%s\", \"count\": %d, \"stat\": \"min\", \"nproc\": %d, \"gomaxprocs\": %d},\n", gover, count, nproc, procs
 	for (i = 1; i <= n; i++) {
 		nm = order[i]
 		printf "  \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
