@@ -23,6 +23,7 @@
 //	P9  BenchmarkPathPipeline/*          — order-aware path pipeline at 1/10/100× scale
 //	P10 BenchmarkIndexedDescendant/*     — structural name index, //name steps at 1/10/100×
 //	P14 BenchmarkParallelScan/*          — morsel-parallel index scan, 1/2/4/GOMAXPROCS workers
+//	P17 BenchmarkQueryAfterUpdate/*      — Query I.1 after every update, through the plan cache
 //
 // scripts/bench.sh runs the evaluator-level subset (E3–E7, P9, P10)
 // with -count and emits BENCH_eval.json, the recorded perf trajectory.
@@ -96,11 +97,14 @@ func benchQuery(b *testing.B, src, want string) {
 	}
 }
 
-func BenchmarkQueryI1(b *testing.B) {
-	benchQuery(b, `for $l in /descendant::line
+// queryI1Src is the paper's Query I.1: the lines containing the
+// split word "singallice".
+const queryI1Src = `for $l in /descendant::line
   [xdescendant::w[string(.) = 'singallice'] or overlapping::w[string(.) = 'singallice']]
-return string($l)`,
-		"gesceaftum unawendendne sin gallice sibbe gecynde þa")
+return string($l)`
+
+func BenchmarkQueryI1(b *testing.B) {
+	benchQuery(b, queryI1Src, "gesceaftum unawendendne sin gallice sibbe gecynde þa")
 }
 
 func BenchmarkQueryI2(b *testing.B) {
@@ -732,6 +736,51 @@ func BenchmarkUpdateDurable(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkQueryAfterUpdate measures a read that follows every write,
+// the annotation workload's shape: each iteration commits one update
+// that keeps the hierarchy layout (a rename to the same name) to a
+// memory-only collection, then runs Query I.1 through Collection.Query
+// at 1×/10×/100× the Boethius scale. Plans are keyed by layout, so the
+// read reuses its cached plan on every new version instead of
+// replanning.
+func BenchmarkQueryAfterUpdate(b *testing.B) {
+	for _, scale := range []struct {
+		name  string
+		words int
+	}{{"1x", 6}, {"10x", 60}, {"100x", 600}} {
+		c := corpus.Generate(corpus.Params{Seed: 13, Words: scale.words, DamageRate: 0.12})
+		d, err := c.Document()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(scale.name, func(b *testing.B) {
+			coll := collection.New(collection.Options{})
+			if _, err := coll.Put("bench", d); err != nil {
+				b.Fatal(err)
+			}
+			res, err := coll.Query("bench", queryI1Src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			want := xquery.Serialize(res)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := coll.Update("bench", `rename node (//w)[1] as "w"`); err != nil {
+					b.Fatal(err)
+				}
+				res, err := coll.Query("bench", queryI1Src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := xquery.Serialize(res); got != want {
+					b.Fatalf("got %q, want %q", got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -116,10 +116,11 @@ type Collection struct {
 	workers int
 	cache   *lruCache
 	// plans caches physical plans keyed by query source + document
-	// hierarchy signature (core.Document.Signature): two documents with
-	// the same hierarchy layout share one plan, while an analyze-string
-	// overlay layout — one more (temporary) hierarchy — keys
-	// differently, so a base-document plan is never blindly reused.
+	// hierarchy signature (core.Document.Signature): documents with the
+	// same hierarchy layout — including every updated version of one
+	// document — share one plan, while adding or removing a hierarchy
+	// keys a new one. Plans hold no document, so an entry never keeps a
+	// replaced version alive.
 	plans *lruCache
 
 	// metrics is the collection's observability registry (metrics.go);

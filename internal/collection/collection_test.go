@@ -362,19 +362,7 @@ func TestPlanCacheKeyedBySignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hasIndexScan func(op *xquery.ExplainOp) bool
-	hasIndexScan = func(op *xquery.ExplainOp) bool {
-		if op.Op == "index-scan" && op.Index {
-			return true
-		}
-		for _, k := range op.Children {
-			if hasIndexScan(k) {
-				return true
-			}
-		}
-		return false
-	}
-	if !hasIndexScan(plan) {
+	if !hasOp(plan, "index-scan") {
 		t.Fatalf("ExplainDoc plan lacks an index-scan operator: %+v", plan)
 	}
 

@@ -87,9 +87,10 @@ type Document struct {
 	// Base points to the document this overlay was derived from, or nil.
 	Base *Document
 	// Rev is the document's update revision: 0 for a freshly built
-	// document, incremented by every Apply (update.go). It participates
-	// in Signature so plans compiled against an earlier version are
-	// never blindly reused for a mutated one.
+	// document, incremented by every Apply (update.go). The WAL records
+	// it as each update's base version. It is not part of Signature:
+	// plans bind names per document at run time, so every version of a
+	// document shares its plans.
 	Rev uint64
 
 	byName map[string]*Hierarchy

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -132,16 +131,15 @@ func SubRun(run []int32, after, upTo int) []int32 {
 
 // Signature identifies the document's hierarchy layout: the registered
 // hierarchy names in order, with temporary (analyze-string overlay)
-// hierarchies marked. Two documents with equal signatures resolve
-// hierarchy-qualified node tests to the same indices, so a query plan —
-// which binds hierarchy names to indices at plan time — is keyed by
-// (query source, signature). An overlay document extends its base's
-// signature, so plans bound to the base are never blindly reused for
-// the overlay. An updated document version (update.go) appends its
-// revision, so plans compiled against an earlier version — whose
-// symbol and hierarchy bindings may hard-code "name occurs nowhere" —
-// are invalidated by the key even when the hierarchy names are
-// unchanged.
+// hierarchies marked. Query plans are keyed by (query source,
+// signature). A plan holds no document and resolves names against the
+// document it runs on, so the signature only groups documents whose
+// plan choices are worth sharing. An overlay document extends its
+// base's signature, and adding or removing a hierarchy changes it.
+// Edits within the hierarchies — renames, inserts, deletes, text
+// replacements — keep it: the revision is deliberately left out, so
+// every version of a document shares one plan and no cached plan keeps
+// a superseded version reachable.
 func (d *Document) Signature() string {
 	var b strings.Builder
 	for i, h := range d.Hiers {
@@ -152,10 +150,6 @@ func (d *Document) Signature() string {
 		if h.Temp {
 			b.WriteByte('\x01')
 		}
-	}
-	if d.Rev > 0 {
-		b.WriteString("\x02r")
-		b.WriteString(strconv.FormatUint(d.Rev, 10))
 	}
 	return b.String()
 }

@@ -149,8 +149,26 @@ func TestApplyRename(t *testing.T) {
 	if st.HierarchiesCopied != 1 || st.HierarchiesShared != 2 || st.IndexesPatched != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if nd.Signature() == d.Signature() {
-		t.Fatal("signature did not change across versions")
+	// The signature names the hierarchy layout only: a rename keeps it,
+	// so every version shares its plans.
+	if nd.Signature() != d.Signature() {
+		t.Fatalf("signature changed across a rename: %q -> %q", d.Signature(), nd.Signature())
+	}
+	// Adding or removing a hierarchy changes it.
+	added, _, err := nd.Apply([]core.Edit{{Kind: core.EditAddHierarchy, Name: "hits",
+		Tops: []*dom.Node{{Kind: dom.Element, Name: "hit", Start: 1, End: 3}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if added.Signature() == nd.Signature() {
+		t.Fatal("signature did not change when a hierarchy was added")
+	}
+	removed, _, err := nd.Apply([]core.Edit{{Kind: core.EditRemoveHierarchy, Name: "C"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed.Signature() == nd.Signature() {
+		t.Fatal("signature did not change when a hierarchy was removed")
 	}
 	// Old version untouched.
 	if target.Name != "mark" {

@@ -88,9 +88,10 @@ func (q *Query) EvalContext(ctx stdctx.Context, d *core.Document, vars map[strin
 
 // PlanFor returns the query lowered to physical operators for d's
 // hierarchy layout, reusing the per-query plan cache. Plans are
-// immutable and safe for concurrent evaluation; a plan built for one
-// layout still evaluates correctly against any document (bindings are
-// revalidated by document pointer at run time).
+// immutable, safe for concurrent evaluation and hold no document: every
+// version of d shares one plan, and a plan built for one layout still
+// evaluates correctly against any document (scan operators bind names
+// to the document they run on).
 func (q *Query) PlanFor(d *core.Document) *Plan {
 	sig := d.Signature()
 	if pl := q.plans.get(sig); pl != nil {

@@ -14,12 +14,12 @@ import (
 // This file is the compile→plan→execute layer. Compile parses a query
 // into an AST once; PlanFor lowers the ENTIRE AST — every expression
 // kind, not just paths — into physical operators (pnode, lower.go) for
-// one document hierarchy layout (core.Document.Signature), binding node
-// tests to interned name symbols and hierarchy indices at plan time.
-// Execution is cursor-based (stepcursor.go): results stream from
-// name-index runs and axis steps through predicates, FLWOR bindings and
-// aggregation, so early-exit consumers stop the pipeline after the
-// items they need.
+// one document hierarchy layout (core.Document.Signature). Node tests
+// bind to interned name symbols and hierarchy indices at run time, per
+// (operator, document). Execution is cursor-based (stepcursor.go):
+// results stream from name-index runs and axis steps through
+// predicates, FLWOR bindings and aggregation, so early-exit consumers
+// stop the pipeline after the items they need.
 //
 // Within a path, three physical operators exist beyond the generic
 // pipeline step:
@@ -38,12 +38,14 @@ import (
 //   - axis-step: everything else runs through the order-aware pipeline
 //     (evalStep), streamed per context segment for the downward axes.
 //
-// Plans are immutable and shared: all mutable evaluation state lives in
-// evalState, and per-document bindings are revalidated by document
-// pointer at run time, so a plan built against one document evaluates
-// correctly against any other (overlay documents created by
-// analyze-string included) — it is merely fastest on the layout it was
-// planned for. Explain runs a plan with per-operator cardinality
+// Plans are immutable and shared, and hold no document: all mutable
+// evaluation state lives in evalState, and each scan operator resolves
+// its name binding against the document it is evaluating, reusing it
+// while that document stays the same. A plan built against one document
+// therefore evaluates correctly against any other (later versions and
+// analyze-string overlay documents included) — it is merely fastest on
+// the layout it was planned for — and a cached plan never keeps a
+// document reachable. Explain runs a plan with per-operator cardinality
 // counters and renders the full operator tree.
 //
 // Physical choice among those operators is cost-based (estimate.go):
@@ -70,11 +72,11 @@ var (
 // ---- plan structure --------------------------------------------------------
 
 // Plan is a query lowered to physical operators for one document
-// hierarchy signature. A Plan is immutable and safe for concurrent
-// evaluation.
+// hierarchy signature. A Plan is immutable, safe for concurrent
+// evaluation, and references no document: the planned document only
+// feeds the estimates that chose its operators.
 type Plan struct {
 	q    *Query
-	doc  *core.Document
 	sig  string
 	prog pnode
 	nOps int
@@ -117,18 +119,14 @@ type pathOp struct {
 	// construction). Order-observable shapes — positional shortcuts,
 	// strict-only plans — are never marked.
 	parallel bool
-
-	// Plan-time bindings for the planned document; revalidated by
-	// document pointer at run time.
-	bind      indexBinding
-	chainBind chainBinding
 }
 
-// indexBinding is a node test resolved against one document at plan
-// time: the interned name symbol and the hierarchy restriction as
-// sorted, deduplicated indices.
+// indexBinding is an index-scan node test resolved against the
+// document being evaluated: the interned name symbol and the hierarchy
+// restriction as sorted, deduplicated indices. Evaluation sites keep
+// one per (operator, document) and re-resolve when the document
+// changes, so a binding is never older than the document it runs on.
 type indexBinding struct {
-	doc     *core.Document
 	nameSym int32
 	hierIdx []int
 	hierErr error
@@ -138,7 +136,7 @@ type indexBinding struct {
 // hierarchy error is recorded, not raised: the reference evaluator
 // raises it only when a candidate actually reaches the hierarchy check.
 func resolveIndexBinding(d *core.Document, s *step) indexBinding {
-	b := indexBinding{doc: d, nameSym: d.NameSymOf(s.test.name)}
+	b := indexBinding{nameSym: d.NameSymOf(s.test.name)}
 	for _, name := range s.test.hiers {
 		h := d.HierarchyByName(name)
 		if h == nil {
@@ -174,17 +172,17 @@ func (b *indexBinding) allows(hierIndex int) bool {
 	return false
 }
 
-// chainBinding is a child:: chain resolved against one document: the
-// interned symbol of every chain name. ok is false when any name occurs
-// nowhere in the document (the chain selects nothing).
+// chainBinding is a child:: chain resolved against the document being
+// evaluated, like indexBinding: the interned symbol of every chain
+// name. ok is false when any name occurs nowhere in that document (the
+// chain selects nothing).
 type chainBinding struct {
-	doc  *core.Document
 	syms []int32
 	ok   bool
 }
 
 func resolveChainBinding(d *core.Document, chain []*step) chainBinding {
-	b := chainBinding{doc: d, syms: make([]int32, len(chain)), ok: true}
+	b := chainBinding{syms: make([]int32, len(chain)), ok: true}
 	for i, s := range chain {
 		if b.syms[i] = d.NameSymOf(s.test.name); b.syms[i] == 0 {
 			b.ok = false
@@ -196,7 +194,10 @@ func resolveChainBinding(d *core.Document, chain []*step) chainBinding {
 // ---- planner ---------------------------------------------------------------
 
 type planner struct {
-	pl  *Plan
+	pl *Plan
+	// doc is the document being planned for; it feeds the estimator
+	// only and is dropped with the planner.
+	doc *core.Document
 	est *estimator
 	// orderFree is set while lowering a FLWOR that feeds an
 	// order-insensitive consumer (exists/empty/count); it licenses
@@ -205,10 +206,11 @@ type planner struct {
 }
 
 // newPlan lowers q's whole expression tree against d's hierarchy
-// layout.
+// layout. d informs the cost-based choices and EXPLAIN estimates; the
+// plan keeps no reference to it.
 func newPlan(q *Query, d *core.Document) *Plan {
-	pl := &Plan{q: q, doc: d, sig: d.Signature(), strictOnly: q.strictOnly}
-	pn := &planner{pl: pl}
+	pl := &Plan{q: q, sig: d.Signature(), strictOnly: q.strictOnly}
+	pn := &planner{pl: pl, doc: d}
 	root := &explainNode{op: "query", id: -1, est: -1}
 	pl.prog = pn.lower(q.body, root)
 	pl.root = root
@@ -219,7 +221,7 @@ func newPlan(q *Query, d *core.Document) *Plan {
 // plan from the planned document's path synopses.
 func (pn *planner) estimate() *estimator {
 	if pn.est == nil {
-		pn.est = newEstimator(pn.pl.doc)
+		pn.est = newEstimator(pn.doc)
 	}
 	return pn.est
 }
@@ -714,7 +716,6 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 		if k >= 2 && pn.useChainScan(steps[:k]) {
 			op := &pathOp{kind: opChainScan, chn: steps[:k], id: pn.newOpID()}
 			op.parallel = !pn.pl.strictOnly
-			op.chainBind = resolveChainBinding(pn.pl.doc, op.chn)
 			ctx = est.chainEst(op.chn)
 			node.kids = append(node.kids, &explainNode{
 				op: "chain-scan", detail: describeChain(op.chn), index: true,
@@ -760,7 +761,6 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 			// per-candidate work worth parallelizing.
 			op.parallel = !pn.pl.strictOnly && s.posSel == 0 &&
 				len(s.preds) > 0 && fusablePreds(s.preds)
-			op.bind = resolveIndexBinding(pn.pl.doc, s)
 			en = &explainNode{op: "index-scan", detail: describeStep(s), index: true,
 				parallel: op.parallel, id: op.id, est: -1}
 		default:
@@ -988,15 +988,12 @@ func evalIndexScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 	var out Seq
 	sorted := true
 	var bind indexBinding
+	var bindDoc *core.Document
 	for _, it := range cur {
 		n := it.(*dom.Node)
 		d := st.docFor(n)
-		if bind.doc != d {
-			if op.bind.doc == d {
-				bind = op.bind
-			} else {
-				bind = resolveIndexBinding(d, s)
-			}
+		if bindDoc != d {
+			bind, bindDoc = resolveIndexBinding(d, s), d
 		}
 		if bind.nameSym == 0 {
 			// The name occurs nowhere in this document: no candidate
@@ -1145,6 +1142,8 @@ func indexCandidateExists(d *core.Document, n *dom.Node, sym int32, inclSelf boo
 func evalChainScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 	st := c.st
 	var out Seq
+	var bind chainBinding
+	var bindDoc *core.Document
 	for _, it := range cur {
 		n, ok := it.(*dom.Node)
 		if !ok {
@@ -1156,9 +1155,8 @@ func evalChainScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 			// absolute path; be safe and evaluate stepwise otherwise.
 			return evalChainSteps(c, cur, op.chn)
 		}
-		bind := op.chainBind
-		if bind.doc != d {
-			bind = resolveChainBinding(d, op.chn)
+		if bindDoc != d {
+			bind, bindDoc = resolveChainBinding(d, op.chn), d
 		}
 		if !bind.ok {
 			continue // some chain name occurs nowhere in the document

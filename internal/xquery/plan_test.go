@@ -396,8 +396,8 @@ return count(/descendant::line) + count($r/descendant::m)`)
 func TestPlanOverlayIndexScan(t *testing.T) {
 	d := corpus.MustBoethius()
 	for _, src := range []string{
-		// <m> exists only in the overlay: the plan-time binding (symbol
-		// 0 in the base document) must not leak into the overlay scan.
+		// <m> exists only in the overlay: the base document's binding
+		// (symbol 0) must not leak into the overlay scan.
 		`let $r := analyze-string(/descendant::w[2], "en") return count($r/descendant::m)`,
 		`let $r := analyze-string(/descendant::w[2], "en") return count(/descendant::m)`,
 		// Base-hierarchy scan through the overlay document.
@@ -414,8 +414,8 @@ func TestPlanOverlayIndexScan(t *testing.T) {
 }
 
 // TestPlanExplainAcrossDocs checks a plan evaluates correctly against a
-// document of a different layout than it was planned for (bindings
-// revalidate by document pointer).
+// document of a different layout than it was planned for (scans bind
+// names to the document they run on).
 func TestPlanExplainAcrossDocs(t *testing.T) {
 	q := MustCompile(`count(/descendant::p) , count(/descendant::w)`)
 	b := corpus.MustBoethius()

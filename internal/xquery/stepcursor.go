@@ -342,12 +342,7 @@ func (sc *stepCursor) axisSegment(n *dom.Node, d *core.Document) (Seq, error) {
 func (sc *stepCursor) indexSegment(n *dom.Node, d *core.Document) (cursor, error) {
 	c, s := sc.c, sc.op.s
 	if sc.bindDoc != d {
-		if sc.op.bind.doc == d {
-			sc.bind = sc.op.bind
-		} else {
-			sc.bind = resolveIndexBinding(d, s)
-		}
-		sc.bindDoc = d
+		sc.bind, sc.bindDoc = resolveIndexBinding(d, s), d
 	}
 	bind := &sc.bind
 	if bind.nameSym == 0 {
@@ -562,10 +557,7 @@ func (cc *chainCursor) next() (Item, bool, error) {
 			return cc.tail.next()
 		}
 		cc.d = d
-		cc.bind = cc.op.chainBind
-		if cc.bind.doc != d {
-			cc.bind = resolveChainBinding(d, cc.op.chn)
-		}
+		cc.bind = resolveChainBinding(d, cc.op.chn)
 		if !cc.bind.ok {
 			cc.done = true
 			return nil, false, nil

@@ -80,15 +80,42 @@ func TestUpdateDeleteRenameInsert(t *testing.T) {
 		t.Fatalf("Rev = %d, want 2", nd2.Rev)
 	}
 
-	// A single compiled query follows version signatures: the name
-	// "damage-span" did not exist in nd, so a stale plan would
-	// hard-code an empty index run.
-	q := MustCompile(`count(//damage-span)`)
-	if res, err := q.Eval(nd); err != nil || Serialize(res) != "0" {
-		t.Fatalf("on v1: %v %v", res, err)
-	}
-	if res, err := q.Eval(nd2); err != nil || Serialize(res) != "1" {
-		t.Fatalf("on v2: %v %v", res, err)
+	// A single compiled query shares one plan across versions: the
+	// signature names the hierarchy layout only, and scan operators bind
+	// names to the document they run on. The name "damage-span" did not
+	// exist in nd, which the plan is built against, so a binding made at
+	// plan time would hard-code an empty run for the later version. The
+	// chain-scan variant needs a two-level chain, so it wraps the
+	// remaining dmg's content instead of renaming it.
+	ndw, _ := mustUpdate(t, nd, `insert node damage-span into //dmg`)
+	for _, tc := range []struct {
+		src, op string
+		later   *core.Document
+	}{
+		{`//damage-span`, "index-scan", nd2},
+		{`/child::dmg/child::damage-span`, "chain-scan", ndw},
+	} {
+		q := MustCompile(tc.src)
+		pl := q.PlanFor(nd)
+		if q.PlanFor(tc.later) != pl {
+			t.Fatalf("%s: versions of one document got different plans", tc.src)
+		}
+		if ops := findOps(pl.Describe(), tc.op); len(ops) != 1 {
+			t.Fatalf("%s: plan has %d %s operators, want 1", tc.src, len(ops), tc.op)
+		}
+		for _, v := range []struct {
+			d    *core.Document
+			want int
+		}{{nd, 0}, {tc.later, 1}, {nd, 0}} {
+			strict, err := q.Eval(v.d)
+			if err != nil || len(strict) != v.want {
+				t.Fatalf("%s on rev %d, strict: %d items (err %v), want %d", tc.src, v.d.Rev, len(strict), err, v.want)
+			}
+			streamed, err := q.Stream(nil, v.d, nil, nil).Take(0)
+			if err != nil || len(streamed) != v.want {
+				t.Fatalf("%s on rev %d, stream: %d items (err %v), want %d", tc.src, v.d.Rev, len(streamed), err, v.want)
+			}
+		}
 	}
 
 	// Wrap all children of a w element; then point inserts around it.

@@ -8,10 +8,11 @@
 # P11 early-exit/FLWOR cursor fixtures, the P12 copy-on-write
 # update fixtures, the P13 durable-update fixtures, WAL vs
 # write-through, the P14 morsel-parallel scan fixtures at
-# 1/2/4/GOMAXPROCS workers, and the P16 cost-based plan-choice
-# fixtures) with -count repetitions, prints the raw
-# `go test -bench` output, and writes the best (minimum ns/op) run per
-# benchmark to a JSON file so the perf trajectory is diffable in git.
+# 1/2/4/GOMAXPROCS workers, the P16 cost-based plan-choice
+# fixtures, and the P17 query-after-update fixtures) with -count
+# repetitions, prints the raw `go test -bench` output, and writes the
+# best (minimum ns/op) run per benchmark to a JSON file so the perf
+# trajectory is diffable in git.
 # The JSON's _meta records the go version, the machine's online CPU
 # count (nproc) and the GOMAXPROCS the benchmarks ran with.
 #
@@ -22,7 +23,7 @@
 set -eu
 
 COUNT=5
-BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkParallelScan|BenchmarkPlanChoice'
+BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkParallelScan|BenchmarkPlanChoice|BenchmarkQueryAfterUpdate'
 OUT=BENCH_eval.json
 while [ $# -gt 0 ]; do
 	case "$1" in
