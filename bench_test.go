@@ -24,6 +24,7 @@
 //	P10 BenchmarkIndexedDescendant/*     — structural name index, //name steps at 1/10/100×
 //	P14 BenchmarkParallelScan/*          — morsel-parallel index scan, 1/2/4/GOMAXPROCS workers
 //	P17 BenchmarkQueryAfterUpdate/*      — Query I.1 after every update, through the plan cache
+//	P18 BenchmarkRecovery/*              — Open replaying a 256-record log tail at 1/10/100×
 //
 // scripts/bench.sh runs the evaluator-level subset (E3–E7, P9, P10)
 // with -count and emits BENCH_eval.json, the recorded perf trajectory.
@@ -780,6 +781,117 @@ func BenchmarkQueryAfterUpdate(b *testing.B) {
 					b.Fatalf("got %q, want %q", got, want)
 				}
 			}
+		})
+	}
+}
+
+// ---- P18: crash recovery -------------------------------------------------------
+
+// recoveryTail draws n content-preserving updates of c's document — a
+// same-length replacement of a word's text with itself, or a rename of
+// a word, line or damage span to its own name — the log an annotation
+// session leaves behind. Every update commits a new version, and the
+// document's content stays the same however many of them apply.
+func recoveryTail(c *corpus.Corpus, n int) []string {
+	t := c.Truth
+	srcs := make([]string, n)
+	for i := range srcs {
+		k := i * 7 // stride through the targets
+		switch {
+		case i%3 == 0:
+			w := t.WordSpans[k%len(t.WordSpans)]
+			srcs[i] = fmt.Sprintf(`replace value of node (//w)[%d]/text() with "%s"`, k%len(t.WordSpans)+1, c.Text[w.Start:w.End])
+		case i%3 == 1:
+			srcs[i] = fmt.Sprintf(`rename node (//w)[%d] as "w"`, k%len(t.WordSpans)+1)
+		case i%6 == 2 && len(t.DamageSpans) > 0:
+			srcs[i] = fmt.Sprintf(`rename node (//dmg)[%d] as "dmg"`, k%len(t.DamageSpans)+1)
+		default:
+			srcs[i] = fmt.Sprintf(`rename node (//line)[%d] as "line"`, k%len(t.LineSpans)+1)
+		}
+	}
+	return srcs
+}
+
+// BenchmarkRecovery measures Open of a durable collection whose log
+// holds a 256-record tail over one document (recoveryTail) at
+// 1×/10×/100× the Boethius scale: load the snapshot, replay the tail
+// onto one private working version, checkpoint the result and start a
+// fresh log. replay-ns/op is RecoveryStats.ReplayElapsed alone.
+func BenchmarkRecovery(b *testing.B) {
+	const tail = 256
+	for _, scale := range []struct {
+		name  string
+		words int
+	}{{"1x", 6}, {"10x", 60}, {"100x", 600}} {
+		c := corpus.Generate(corpus.Params{Seed: 15, Words: scale.words, DamageRate: 0.12})
+		d, err := c.Document()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(scale.name, func(b *testing.B) {
+			// One crashed-state directory: snapshots off, so the whole
+			// tail stays in the log. Every iteration opens a fresh copy,
+			// because Open checkpoints the log away.
+			prep := b.TempDir()
+			coll, err := collection.Open(prep, collection.Options{SnapshotEvery: -1, SnapshotBytes: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := coll.Put("bench", d); err != nil {
+				b.Fatal(err)
+			}
+			for _, src := range recoveryTail(c, tail) {
+				if _, _, err := coll.Update("bench", src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := coll.Close(); err != nil {
+				b.Fatal(err)
+			}
+			files := map[string][]byte{}
+			ents, err := os.ReadDir(prep)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, e := range ents {
+				if files[e.Name()], err = os.ReadFile(filepath.Join(prep, e.Name())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			dir := filepath.Join(b.TempDir(), "coll")
+			var replay int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := os.RemoveAll(dir); err != nil {
+					b.Fatal(err)
+				}
+				if err := os.MkdirAll(dir, 0o755); err != nil {
+					b.Fatal(err)
+				}
+				for name, data := range files {
+					if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				coll, err := collection.Open(dir, collection.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				rec := coll.Recovery()
+				if rec.Replayed != tail {
+					b.Fatalf("replayed %d records, want %d", rec.Replayed, tail)
+				}
+				replay += int64(rec.ReplayElapsed)
+				if err := coll.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(replay)/float64(b.N), "replay-ns/op")
 		})
 	}
 }

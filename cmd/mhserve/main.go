@@ -196,10 +196,13 @@ func main() {
 			"elapsed", time.Since(start).String(),
 			"snapshots_loaded", rec.Snapshots,
 			"wal_replayed", rec.Replayed,
+			"wal_replayed_in_place", rec.ReplayedInPlace,
 			"wal_skipped", rec.Skipped,
 			"wal_tombstones", rec.Tombstones,
 			"wal_torn_tail_bytes", rec.TornTailBytes,
-			"checkpointed_docs", rec.CheckpointDocs)
+			"checkpointed_docs", rec.CheckpointDocs,
+			"replay_elapsed", rec.ReplayElapsed.String(),
+			"checkpoint_elapsed", rec.CheckpointElapsed.String())
 	}()
 	go func() { errc <- srv.ListenAndServe() }()
 	select {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -76,7 +77,47 @@ func requireDocsEqual(t *testing.T, name string, got, want *core.Document) {
 		if gotRuns, wantRuns := h.IndexRuns(), h.RebuildIndexRuns(); !reflect.DeepEqual(gotRuns, wantRuns) {
 			t.Fatalf("%s: hierarchy %q: recovered index diverged from rebuild", name, h.Name)
 		}
+		if !h.Synopsis().Equal(h.RebuildSynopsis()) {
+			t.Fatalf("%s: hierarchy %q: recovered synopsis diverged from rebuild", name, h.Name)
+		}
 	}
+}
+
+// burstUpdate is the j-th update of a crash burst on one document (i
+// numbers the burst, for fresh names). The mix covers renames in the
+// structure, physical and damage hierarchies, same-length text
+// replacements of the last word — whose length is lastWord — and one
+// structural insert, so replay runs both the in-place and the copying
+// path of a private working version. A replacement — which copies every
+// hierarchy the lineage does not own yet — opens each run of three, the
+// snapshot interval of the suite, so most replayed tails reach the
+// in-place path.
+func burstUpdate(i, j, lastWord int) string {
+	switch j % 8 {
+	case 0, 3, 6:
+		return fmt.Sprintf(`replace value of node (//w)[last()]/text() with "%s"`, strings.Repeat(string(rune('a'+i%26)), lastWord))
+	case 2:
+		return fmt.Sprintf(`rename node (//line)[1] as "l%d"`, i)
+	case 4:
+		return fmt.Sprintf(`insert node ins%d after (//w)[1]`, i)
+	case 5:
+		return fmt.Sprintf(`rename node (//dmg)[1] as "d%d"`, i)
+	default:
+		return fmt.Sprintf(`rename node (//w)[1] as "u%d"`, i)
+	}
+}
+
+// lastWordLen returns the byte length of the document's last <w>.
+func lastWordLen(t *testing.T, d *core.Document) int {
+	t.Helper()
+	h := d.HierarchyByName("structure")
+	for i := len(h.Nodes) - 1; i >= 0; i-- {
+		if n := h.Nodes[i]; n.Kind == dom.Element && n.Name == "w" {
+			return n.End - n.Start
+		}
+	}
+	t.Fatal("document has no <w>")
+	return 0
 }
 
 // TestCrashAtEverySyscall is the crash-simulation suite of the durable
@@ -86,14 +127,26 @@ func requireDocsEqual(t *testing.T, name string, got, want *core.Document) {
 // with a varying amount of surviving unsynced tail, reopens, and
 // asserts (a) recovery itself never fails, (b) no acknowledged commit
 // is lost, (c) at most the one in-flight unacknowledged commit may
-// additionally survive, and (d) every recovered document is field- and
-// index-identical to the corresponding pre-crash in-memory version.
+// additionally survive, (d) every recovered document is field-, index-
+// and synopsis-identical to the corresponding pre-crash in-memory
+// version, and (e) a live update after recovery leaves the recovered
+// version untouched: replay's private working versions were published.
 func TestCrashAtEverySyscall(t *testing.T) {
 	const (
 		nDocs = 2
 		burst = 16
 		words = 25
 	)
+	// The burst's update sources, shared by the shadow chain and every
+	// crashing run.
+	lastWord := make([]int, nDocs)
+	for i := range lastWord {
+		lastWord[i] = lastWordLen(t, genDoc(t, uint64(i+1), words))
+	}
+	srcs := make([]string, burst)
+	for i := range srcs {
+		srcs[i] = burstUpdate(i, i/nDocs, lastWord[i%nDocs])
+	}
 	for _, short := range []bool{false, true} {
 		mode := "error"
 		if short {
@@ -115,13 +168,14 @@ func TestCrashAtEverySyscall(t *testing.T) {
 		}
 		for i := 0; i < burst; i++ {
 			name := fmt.Sprintf("doc%02d", i%nDocs)
-			nd, _, err := shadow.Update(name, fmt.Sprintf(`rename node (//w)[1] as "u%d"`, i))
+			nd, _, err := shadow.Update(name, srcs[i])
 			if err != nil {
 				t.Fatalf("shadow update %d: %v", i, err)
 			}
 			versions[name] = append(versions[name], nd)
 		}
 
+		inPlace := 0 // replayed records that copied no hierarchy, over all k
 		for k := 1; ; k++ {
 			fs := wal.NewCrashFS()
 			opts := Options{
@@ -145,7 +199,7 @@ func TestCrashAtEverySyscall(t *testing.T) {
 			for i := 0; i < burst; i++ {
 				name := fmt.Sprintf("doc%02d", i%nDocs)
 				attempted[name]++
-				if _, _, err := c.Update(name, fmt.Sprintf(`rename node (//w)[1] as "u%d"`, i)); err != nil {
+				if _, _, err := c.Update(name, srcs[i]); err != nil {
 					break
 				}
 				acked[name]++
@@ -160,6 +214,7 @@ func TestCrashAtEverySyscall(t *testing.T) {
 			if err != nil {
 				t.Fatalf("[%s k=%d] recovery failed: %v", mode, k, err)
 			}
+			inPlace += c2.Recovery().ReplayedInPlace
 			for i := 0; i < nDocs; i++ {
 				name := fmt.Sprintf("doc%02d", i)
 				d, ok := c2.Get(name)
@@ -171,7 +226,17 @@ func TestCrashAtEverySyscall(t *testing.T) {
 					t.Fatalf("[%s k=%d] %s recovered at rev %d, acked %d, attempted %d (stats %+v)",
 						mode, k, name, rev, acked[name], attempted[name], c2.Recovery())
 				}
-				requireDocsEqual(t, fmt.Sprintf("[%s k=%d] %s", mode, k, name), d, versions[name][rev])
+				label := fmt.Sprintf("[%s k=%d] %s", mode, k, name)
+				requireDocsEqual(t, label, d, versions[name][rev])
+				// Both primitives are layout-keeping, so a recovered
+				// version still carrying its replay lineage would be
+				// edited in place here.
+				live := fmt.Sprintf(`rename node (//w)[1] as "live", replace value of node (//w)[last()]/text() with "%s"`,
+					strings.Repeat("z", lastWord[i]))
+				if _, _, err := c2.Update(name, live); err != nil {
+					t.Fatalf("%s: live update after recovery: %v", label, err)
+				}
+				requireDocsEqual(t, label+" after a live update", d, versions[name][rev])
 			}
 			c2.Close()
 
@@ -185,6 +250,10 @@ func TestCrashAtEverySyscall(t *testing.T) {
 				t.Fatalf("[%s] failpoint sweep did not terminate", mode)
 			}
 		}
+		if inPlace == 0 {
+			t.Fatalf("[%s] no replayed record ran in place", mode)
+		}
+		t.Logf("[%s] %d replayed records ran in place", mode, inPlace)
 	}
 }
 

@@ -34,6 +34,10 @@ type RecoveryStats struct {
 	Snapshots int
 	// Replayed is the number of update records re-applied from the log.
 	Replayed int
+	// ReplayedInPlace counts the replayed records that copied no
+	// hierarchy: each document's records are applied to one private
+	// working version, which edits its own copies in place.
+	ReplayedInPlace int
 	// Skipped is the number of log records already covered by snapshots.
 	Skipped int
 	// Tombstones is the number of deletion records processed.
@@ -44,8 +48,12 @@ type RecoveryStats struct {
 	// CheckpointDocs is the number of documents re-snapshotted to
 	// compact the log away at the end of recovery.
 	CheckpointDocs int
-	// Elapsed is the wall time recovery took.
-	Elapsed time.Duration
+	// Elapsed is the wall time recovery took: ReplayElapsed (loading
+	// and re-applying the log) plus CheckpointElapsed (writing and
+	// syncing the images, and starting a fresh log).
+	Elapsed           time.Duration
+	ReplayElapsed     time.Duration
+	CheckpointElapsed time.Duration
 }
 
 // Recovery returns what Open had to replay (zero value for memory-only
@@ -119,6 +127,12 @@ func (c *Collection) recover(opts Options) error {
 				return fmt.Errorf("collection: log record %d updates unknown document %q: %w", r.Seq, r.Name, wal.ErrCorrupt)
 			}
 			d := c.docs[r.Name]
+			if !replayed[r.Name] {
+				// The document's first replayed record: its whole run is
+				// applied to one private working version, published
+				// before the checkpoint.
+				d = d.Private()
+			}
 			if r.Base != d.Rev {
 				return fmt.Errorf("collection: log record %d for %q applies to revision %d but the document is at %d: %w",
 					r.Seq, r.Name, r.Base, d.Rev, wal.ErrCorrupt)
@@ -127,7 +141,7 @@ func (c *Collection) recover(opts Options) error {
 			if err != nil {
 				return fmt.Errorf("collection: log record %d for %q: %v: %w", r.Seq, r.Name, err, wal.ErrCorrupt)
 			}
-			nd, _, err := u.ApplyContext(context.Background(), d, c.viewUnlocked())
+			nd, rep, err := u.ApplyContext(context.Background(), d, c.viewUnlocked())
 			if err != nil {
 				// The batch was acknowledged, so it applied cleanly once;
 				// failing now means the snapshot or log is damaged.
@@ -137,16 +151,21 @@ func (c *Collection) recover(opts Options) error {
 			st.lastSeq = r.Seq
 			replayed[r.Name] = true
 			c.recovery.Replayed++
+			if rep.Stats.HierarchiesCopied == 0 {
+				c.recovery.ReplayedInPlace++
+			}
 		}
 	}
+	c.recovery.ReplayElapsed = time.Since(start)
 
 	// Checkpoint: persist everything the log was ahead of, then the log
 	// itself can start empty. Images are fsynced individually and the
 	// directory once, before the log swap — so a crash anywhere in
 	// between leaves old-log + some-new-images, which replays to the
 	// same state.
+	ckpt := time.Now()
 	for name := range replayed {
-		if err := c.writeImage(name, c.docs[name], maxSeq); err != nil {
+		if err := c.writeImage(name, c.docs[name].Publish(), maxSeq); err != nil {
 			return err
 		}
 		c.logState[name].snapSeq = maxSeq
@@ -173,6 +192,7 @@ func (c *Collection) recover(opts Options) error {
 	}
 	c.wal = l
 	c.pubSeq = maxSeq
+	c.recovery.CheckpointElapsed = time.Since(ckpt)
 	c.recovery.Elapsed = time.Since(start)
 
 	c.snapKick = make(chan struct{}, 1)

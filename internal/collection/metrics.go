@@ -37,6 +37,8 @@ import (
 //	mhx_snapshot_errors_total         counter    failed background snapshots
 //	mhx_recovery_replayed_total       counter    log records re-applied by the last Open
 //	mhx_recovery_torn_bytes           gauge      torn tail truncated by the last Open
+//	mhx_recovery_replay_seconds       gauge      log load + replay time of the last Open
+//	mhx_recovery_checkpoint_seconds   gauge      checkpoint time of the last Open
 //	mhx_query_morsels_total           counter    morsels dispatched by parallel intra-query execution (process-wide)
 //	mhx_query_parallel_queries_total  counter    evaluations that engaged intra-query parallelism (process-wide)
 //	mhx_query_morsel_seconds          histogram  morsel execution latency (process-wide)
@@ -132,6 +134,12 @@ func newCollMetrics(c *Collection) *collMetrics {
 	reg.GaugeFunc("mhx_recovery_torn_bytes",
 		"Torn log tail truncated (and tolerated) by the last recovery.",
 		func() float64 { return float64(c.recovery.TornTailBytes) })
+	reg.GaugeFunc("mhx_recovery_replay_seconds",
+		"Wall time the last recovery spent loading and re-applying the log, in seconds.",
+		func() float64 { return c.recovery.ReplayElapsed.Seconds() })
+	reg.GaugeFunc("mhx_recovery_checkpoint_seconds",
+		"Wall time the last recovery spent checkpointing replayed documents and starting a fresh log, in seconds.",
+		func() float64 { return c.recovery.CheckpointElapsed.Seconds() })
 	reg.CounterFunc("mhx_query_morsels_total",
 		"Morsels dispatched by parallel intra-query execution (process-wide).",
 		func() float64 { m, _ := xquery.ParallelStats(); return float64(m) })

@@ -59,6 +59,10 @@ type Hierarchy struct {
 	// syn is the lazily built path synopsis (synopsis.go), with the same
 	// sharing and synchronization discipline as idx.
 	syn synIndex
+
+	// owner is the private lineage whose Apply copied this hierarchy, or
+	// nil. Only that lineage may edit its nodes in place (update.go).
+	owner *lineage
 }
 
 // NamedTree pairs a hierarchy name with its parsed document tree.
@@ -133,6 +137,12 @@ type Document struct {
 	// only ask whether a leaf belongs to this document (ownsLeaf) check
 	// it instead of forcing a lazy build.
 	leavesReady atomic.Bool
+
+	// lineage marks a private working version (Private); published
+	// documents carry nil. leafOwner is the lineage that allocated the
+	// leaf structs, or nil.
+	lineage   *lineage
+	leafOwner *lineage
 }
 
 // numLeaves is the leaf count implied by the boundary array — equal to
@@ -388,6 +398,7 @@ func (d *Document) buildLeaves() {
 
 	d.finishLayout()
 	d.rootKids = d.rootChildren()
+	d.leafOwner = d.lineage
 	d.leavesReady.Store(true)
 }
 

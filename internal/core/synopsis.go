@@ -10,6 +10,7 @@ package core
 // engine patches a private Clone.
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,77 +87,119 @@ func (h *Hierarchy) RebuildSynopsis() *synopsis.Tree {
 	return synopsis.Build(h.Top)
 }
 
-// maintainSynopsis carries h's synopsis across one applyToHierarchy:
-// given the set of old-version parent ordinals whose child lists
-// changed, the new version's synopsis is the old one with each region's
-// old contribution subtracted and its new contribution added. An
-// unbuilt synopsis has nothing to maintain (stays lazy). Root-level
-// child changes (edits targeting top-level nodes) patch the tree-level
-// region — the whole top list — which subsumes every nested region.
-func maintainSynopsis(d *Document, h, h2 *Hierarchy, nodes []*dom.Node, dirty map[int]bool, rootDirty bool, st *UpdateStats) {
-	oldSyn := h.syn.snapshot()
+// synPatch carries h's synopsis across one applyToHierarchy. Given the
+// old-version parent ordinals whose child lists the batch changes, the
+// new version's synopsis is the old one with each region's old
+// contribution subtracted and its new contribution added. The two
+// halves run on either side of the edits (subtractSynopsis before,
+// finish after), because an in-place batch overwrites the old state the
+// subtraction reads.
+type synPatch struct {
+	old *synopsis.Tree
+	// tree is the private clone being patched; nil with lazy unset means
+	// the structure is untouched and old is shared.
+	tree *synopsis.Tree
+	// lazy drops the synopsis for a from-scratch rebuild: it was never
+	// built, or the subtraction found it inconsistent.
+	lazy bool
+	// ords are the topmost dirty regions (old ordinals); root means the
+	// tree-level region instead. path is scratch for their label paths.
+	ords []int
+	root bool
+	path []int32
+}
+
+// subtractSynopsis starts the synopsis patch of h by subtracting every
+// dirty region's old contribution. It reads only h's current state, so
+// it must run before any edit writes. An unbuilt synopsis has nothing
+// to maintain (stays lazy). Root-level child changes (edits targeting
+// top-level nodes) patch the tree-level region — the whole top list —
+// which subsumes every nested region.
+func subtractSynopsis(h *Hierarchy, dirty map[int]bool, rootDirty bool) synPatch {
+	p := synPatch{old: h.syn.snapshot(), root: rootDirty}
 	switch {
-	case oldSyn == nil:
-		st.SynopsesLazy++
-		synopsisLazyReset.Add(1)
-		return
+	case p.old == nil:
+		p.lazy = true
+		return p
 	case rootDirty:
-		tree := oldSyn.Clone()
-		if !tree.PatchRegion(nil, h.Top, h2.Top) {
-			st.SynopsesLazy++
-			synopsisLazyReset.Add(1)
-			return
-		}
-		h2.syn.install(tree)
-		st.SynopsesPatched++
-		synopsisPatched.Add(1)
-		return
+		p.tree = p.old.Clone()
+		p.lazy = !p.tree.SubRegion(nil, h.Top)
+		return p
 	case len(dirty) == 0:
 		// Structure untouched (spans/text content only): the synopsis is
 		// identical and shared with the previous version.
-		h2.syn.install(oldSyn)
-		st.SynopsesPatched++
-		synopsisPatched.Add(1)
-		return
+		return p
 	}
 	// Reduce the dirty parents to topmost disjoint regions of the OLD
 	// tree. Preorder subtree intervals are nested or disjoint, so one
 	// ascending pass suffices. A topmost dirty node is provably neither
-	// renamed, deleted nor moved by the batch (any of those would have
-	// marked its own parent dirty), so its rooted label path is the same
-	// in both versions and its positional copy nodes[ord] is its new
-	// self.
+	// renamed, deleted nor moved by the batch, and neither are its
+	// ancestors (any of those would have marked a region enclosing it),
+	// so its rooted label path is the same in both versions and its
+	// positional counterpart nodes[ord] is its new self. No region's
+	// subtraction can prune another region's path: the region parents
+	// themselves and their ancestors stay counted.
 	ords := make([]int, 0, len(dirty))
 	for o := range dirty {
 		ords = append(ords, o)
 	}
 	sort.Ints(ords)
-	tree := oldSyn.Clone()
-	ok := true
+	p.tree = p.old.Clone()
+	p.ords = ords[:0]
 	last := -1
 	for _, o := range ords {
 		if o <= last {
 			continue // nested inside the previous region
 		}
-		p := h.Nodes[o]
-		last = p.Last
-		var path []int32
-		for n := p; n != nil && n != d.Root; n = n.Parent {
-			path = append(path, 0)
-			copy(path[1:], path)
-			path[0] = n.NameSym
+		n := h.Nodes[o]
+		last = n.Last
+		p.path = labelPath(p.path, n)
+		if !p.tree.SubRegion(p.path, n.Children) {
+			p.lazy = true
+			return p
 		}
-		if !tree.PatchRegion(path, p.Children, nodes[o].Children) {
-			ok = false
-			break
+		p.ords = append(p.ords, o)
+	}
+	return p
+}
+
+// finish adds the regions' new contributions, read from the edited
+// hierarchy h2 and its positional node mapping, and installs the result.
+func (p *synPatch) finish(h2 *Hierarchy, nodes []*dom.Node, st *UpdateStats) {
+	switch {
+	case p.lazy:
+	case p.tree == nil:
+		h2.syn.install(p.old)
+	case p.root:
+		p.lazy = !p.tree.AddRegion(nil, h2.Top)
+	default:
+		for _, o := range p.ords {
+			p.path = labelPath(p.path, nodes[o])
+			if !p.tree.AddRegion(p.path, nodes[o].Children) {
+				p.lazy = true
+				break
+			}
 		}
 	}
-	if !ok {
+	if p.lazy {
 		st.SynopsesLazy++
 		synopsisLazyReset.Add(1)
 		return
 	}
-	h2.syn.install(tree)
+	if p.tree != nil {
+		h2.syn.install(p.tree)
+	}
 	st.SynopsesPatched++
 	synopsisPatched.Add(1)
+}
+
+// labelPath returns n's rooted label path — name symbols top-down, from
+// a hierarchy top to n inclusive — reusing buf's storage.
+func labelPath(buf []int32, n *dom.Node) []int32 {
+	buf = buf[:0]
+	for a := n; a != nil && a.HierIndex != dom.RootHier; a = a.Parent {
+		buf = append(buf, a.NameSym)
+	}
+	slices.Reverse(buf)
+	return buf
 }

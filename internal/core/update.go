@@ -28,6 +28,14 @@ package core
 // merge their new offsets into the previous bounds; only boundary-
 // retiring edits (deleting an empty element, removing a hierarchy) pay
 // the full computeBounds pass.
+//
+// A private working version (Private) relaxes copy-on-write for a
+// writer that reads nothing but its own latest version, such as log
+// replay. Its first edit of a hierarchy or of the leaf slab copies it as
+// usual, and the copy is owned by the version's lineage. A later batch
+// that keeps every ordinal and every boundary (renames and same-length
+// text replacements) edits owned storage in place instead of copying it
+// again. Publish ends the lineage.
 
 import (
 	"fmt"
@@ -198,11 +206,57 @@ func (d *Document) checkVocab(name string, hierIdx int) error {
 	return nil
 }
 
+// lineage is the identity token of one private working version chain.
+// It is not zero-sized, so every token has a distinct address.
+type lineage struct{ _ byte }
+
+// Private returns a private working version of d: it shares all of d's
+// storage but carries a fresh lineage token. Apply on a private version
+// returns a private version of the same lineage, and may edit in place
+// the storage an earlier Apply of the lineage copied; d itself is never
+// written. A private version is consumed by Apply: once it has been
+// passed to a successful Apply, only the result may be read. Publish
+// ends the lineage before the version is shared. Private materializes a
+// frozen or lazily built d.
+func (d *Document) Private() *Document {
+	d.ensureLeaves()
+	p := &Document{
+		Text:      d.Text,
+		Root:      d.Root,
+		Hiers:     d.Hiers,
+		Bounds:    d.Bounds,
+		Leaves:    d.Leaves,
+		Base:      d.Base,
+		Rev:       d.Rev,
+		byName:    d.byName,
+		leafPar:   d.leafPar,
+		empties:   d.empties,
+		names:     d.names,
+		ordBase:   d.ordBase,
+		leafBase:  d.leafBase,
+		rootKids:  d.rootKids,
+		lineage:   new(lineage),
+		leafOwner: d.leafOwner,
+	}
+	p.leavesReady.Store(true)
+	return p
+}
+
+// Publish ends d's private lineage and returns d, now an ordinary
+// immutable version: Apply on it copies as usual. No other document
+// carries the lineage's token, so the storage it owned is no longer
+// writable by anyone. On a published document Publish is a no-op.
+func (d *Document) Publish() *Document {
+	d.lineage = nil
+	return d
+}
+
 // Apply produces a new document version with the batch of edits
-// applied, leaving the receiver untouched. All Target nodes are
-// resolved against the receiver (snapshot semantics: a batch is a
-// pending-update list evaluated against one version, then applied
-// atomically). An empty batch returns the receiver itself.
+// applied, leaving the receiver untouched (a private receiver may be
+// consumed instead; see Private). All Target nodes are resolved against
+// the receiver (snapshot semantics: a batch is a pending-update list
+// evaluated against one version, then applied atomically). An empty
+// batch returns the receiver itself.
 func (d *Document) Apply(edits []Edit) (*Document, *UpdateStats, error) {
 	if len(edits) == 0 {
 		return d, &UpdateStats{}, nil
@@ -237,6 +291,11 @@ func (d *Document) Apply(edits []Edit) (*Document, *UpdateStats, error) {
 		return nil
 	}
 	fullBounds := false
+	// layoutKept: the batch keeps every node's ordinal and every markup
+	// boundary (renames and same-length text replacements only), so a
+	// private version may apply it in place. Validation completes before
+	// the first write, so such a batch cannot fail part-way.
+	layoutKept := true
 
 	for _, e := range edits {
 		switch e.Kind {
@@ -244,6 +303,9 @@ func (d *Document) Apply(edits []Edit) (*Document, *UpdateStats, error) {
 			h, err := d.hierOf(e.Target, dom.Element)
 			if err != nil {
 				return nil, nil, err
+			}
+			if e.Kind != EditRename {
+				layoutKept = false
 			}
 			switch e.Kind {
 			case EditRename, EditWrap, EditInsertBefore, EditInsertAfter:
@@ -270,6 +332,7 @@ func (d *Document) Apply(edits []Edit) (*Document, *UpdateStats, error) {
 			}
 			s, en := e.Target.Start, e.Target.End
 			if len(e.Text) != en-s {
+				layoutKept = false
 				if s >= en {
 					return nil, nil, fmt.Errorf("core: cannot grow the empty span of <%s> (ownership of the inserted text would be ambiguous)", e.Target.Name)
 				}
@@ -288,6 +351,7 @@ func (d *Document) Apply(edits []Edit) (*Document, *UpdateStats, error) {
 			}
 			addedNames[e.Name] = true
 			addHiers = append(addHiers, e)
+			layoutKept = false
 		case EditRemoveHierarchy:
 			h := d.byName[e.Name]
 			if h == nil {
@@ -298,6 +362,7 @@ func (d *Document) Apply(edits []Edit) (*Document, *UpdateStats, error) {
 			}
 			removed[e.Name] = true
 			fullBounds = true
+			layoutKept = false
 		default:
 			return nil, nil, fmt.Errorf("core: unknown edit kind %d", e.Kind)
 		}
@@ -389,11 +454,12 @@ func (d *Document) Apply(edits []Edit) (*Document, *UpdateStats, error) {
 	}
 
 	d2 := &Document{
-		Text:   newText,
-		Root:   newRoot,
-		Rev:    d.Rev + 1,
-		byName: make(map[string]*Hierarchy, len(d.Hiers)+len(addHiers)),
-		names:  make(map[string]int32, len(d.names)+4),
+		Text:    newText,
+		Root:    newRoot,
+		Rev:     d.Rev + 1,
+		byName:  make(map[string]*Hierarchy, len(d.Hiers)+len(addHiers)),
+		names:   make(map[string]int32, len(d.names)+4),
+		lineage: d.lineage,
 	}
 	for k, v := range d.names {
 		d2.names[k] = v
@@ -415,11 +481,16 @@ func (d *Document) Apply(edits []Edit) (*Document, *UpdateStats, error) {
 			newIdx++
 			continue
 		}
-		h2, nodes, pts, err := d2.applyToHierarchy(d, h, newIdx, hEdits, remap, copyAll, st)
+		// A layout-keeping batch removes no hierarchy, so newIdx ==
+		// h.Index whenever inPlace holds.
+		inPlace := layoutKept && d.lineage != nil && h.owner == d.lineage
+		h2, nodes, pts, err := d2.applyToHierarchy(d, h, newIdx, hEdits, remap, copyAll, inPlace, st)
 		if err != nil {
 			return nil, nil, err
 		}
-		copied[h.Index] = nodes
+		if !inPlace {
+			copied[h.Index] = nodes
+		}
 		newBoundPts = append(newBoundPts, pts...)
 		d2.Hiers = append(d2.Hiers, h2)
 		newIdx++
@@ -483,40 +554,49 @@ func (d *Document) Apply(edits []Edit) (*Document, *UpdateStats, error) {
 // per-version text→leaf edge table is patched: entries pointing into
 // copied hierarchies swap to the new node structs (ordinals unchanged
 // on this path). With changed text (same-length replacements) the leaf
-// structs are copied in one slab so Data can be re-sliced.
+// structs are copied in one slab so Data can be re-sliced, unless d2's
+// private lineage owns them already: then they are re-sliced in place.
+// When no hierarchy was copied, every edge still points at the right
+// node struct and the table is shared too.
 func (d2 *Document) patchLeaves(d *Document, copied map[int][]*dom.Node, reslice bool) {
+	d2.Leaves, d2.leafOwner = d.Leaves, d.leafOwner
 	if reslice {
-		n := len(d.Leaves)
-		slab := make([]dom.Node, n)
-		d2.Leaves = make([]*dom.Node, n)
-		for i, l := range d.Leaves {
-			slab[i] = *l
-			slab[i].Data = d2.Text[l.Start:l.End]
-			d2.Leaves[i] = &slab[i]
-		}
-	} else {
-		d2.Leaves = d.Leaves
-	}
-	edges := 0
-	for _, ps := range d.leafPar {
-		edges += len(ps)
-	}
-	backing := make([]*dom.Node, edges)
-	d2.leafPar = make([][]*dom.Node, len(d.leafPar))
-	pos := 0
-	for i, ps := range d.leafPar {
-		np := backing[pos : pos+len(ps)]
-		pos += len(ps)
-		for j, p := range ps {
-			if m := copied[p.HierIndex]; m != nil {
-				np[j] = m[p.Ord]
-			} else {
-				np[j] = p
+		if d2.lineage == nil || d.leafOwner != d2.lineage {
+			n := len(d.Leaves)
+			slab := make([]dom.Node, n)
+			d2.Leaves = make([]*dom.Node, n)
+			for i, l := range d.Leaves {
+				slab[i] = *l
+				d2.Leaves[i] = &slab[i]
 			}
+			d2.leafOwner = d2.lineage
 		}
-		d2.leafPar[i] = np
+		for _, l := range d2.Leaves {
+			l.Data = d2.Text[l.Start:l.End]
+		}
 	}
-	d2.empties = d.empties
+	d2.leafPar, d2.empties = d.leafPar, d.empties
+	if len(copied) > 0 {
+		edges := 0
+		for _, ps := range d.leafPar {
+			edges += len(ps)
+		}
+		backing := make([]*dom.Node, edges)
+		d2.leafPar = make([][]*dom.Node, len(d.leafPar))
+		pos := 0
+		for i, ps := range d.leafPar {
+			np := backing[pos : pos+len(ps)]
+			pos += len(ps)
+			for j, p := range ps {
+				if m := copied[p.HierIndex]; m != nil {
+					np[j] = m[p.Ord]
+				} else {
+					np[j] = p
+				}
+			}
+			d2.leafPar[i] = np
+		}
+	}
 	if len(d.empties) > 0 && len(copied) > 0 {
 		d2.empties = make([]*dom.Node, len(d.empties))
 		for i, e := range d.empties {
@@ -602,104 +682,57 @@ func mergeBounds(old []int, remap func(int) int, pts []int, textLen int) []int {
 	return out
 }
 
-// applyToHierarchy produces the copy-on-write version of h for d2 at
+// applyToHierarchy produces the next version of h for d2 at
 // registration index newIdx with hEdits applied, maintaining the name
-// index incrementally. It returns the new hierarchy, the positional
+// index and the synopsis incrementally. It runs in two steps: a copy
+// step (copyHierarchy) and an edit step on the copy. inPlace skips the
+// copy step and edits h's own storage: the caller guarantees that h is
+// owned by d2's private lineage and that the batch keeps every ordinal
+// and boundary. It returns the new hierarchy, the positional
 // old-ordinal → new-node mapping, and any boundary offsets contributed
 // by inserted nodes.
-func (d2 *Document) applyToHierarchy(d *Document, h *Hierarchy, newIdx int, hEdits []Edit, remap func(int) int, reslice bool, st *UpdateStats) (*Hierarchy, []*dom.Node, []int, error) {
-	n := len(h.Nodes)
-	slab := make([]dom.Node, n)
-	nodes := make([]*dom.Node, n)
-	nAttr, nKids := 0, 0
-	for i, old := range h.Nodes {
-		slab[i] = *old
-		nodes[i] = &slab[i]
-		nAttr += len(old.Attrs)
-		nKids += len(old.Children)
+func (d2 *Document) applyToHierarchy(d *Document, h *Hierarchy, newIdx int, hEdits []Edit, remap func(int) int, reslice, inPlace bool, st *UpdateStats) (*Hierarchy, []*dom.Node, []int, error) {
+	var h2 *Hierarchy
+	var nodes []*dom.Node
+	var emptied []int
+	if inPlace {
+		nodes = h.Nodes
+		h2 = &Hierarchy{Name: h.Name, Index: newIdx, Top: h.Top, Nodes: nodes, byEnd: h.byEnd}
+	} else {
+		h2, nodes, emptied = d2.copyHierarchy(d, h, newIdx, remap)
+		st.HierarchiesCopied++
+		st.NodesCopied += len(nodes)
 	}
-	attrSlab := make([]dom.Node, nAttr)
-	attrPtrs := make([]*dom.Node, nAttr)
-	kidSlab := make([]*dom.Node, nKids)
-	ai, ki := 0, 0
-	for i, old := range h.Nodes {
-		nn := nodes[i]
-		nn.HierIndex = newIdx
-		if remap != nil {
-			nn.Start = remap(nn.Start)
-			nn.End = remap(nn.End)
-		}
-		if reslice && nn.Kind == dom.Text {
-			nn.Data = d2.Text[nn.Start:nn.End]
-		}
-		if old.Parent == nil || old.Parent == d.Root {
-			nn.Parent = d2.Root
-		} else {
-			nn.Parent = nodes[old.Parent.Ord]
-		}
-		if len(old.Children) > 0 {
-			kids := kidSlab[ki : ki+len(old.Children)]
-			ki += len(old.Children)
-			for j, c := range old.Children {
-				kids[j] = nodes[c.Ord]
-			}
-			nn.Children = kids
-		}
-		if len(old.Attrs) > 0 {
-			as := attrPtrs[ai : ai+len(old.Attrs)]
-			for j, a := range old.Attrs {
-				attrSlab[ai+j] = *a
-				na := &attrSlab[ai+j]
-				na.Parent = nn
-				na.HierIndex = newIdx
-				as[j] = na
-			}
-			ai += len(old.Attrs)
-			nn.Attrs = as
-		}
-	}
-	top := make([]*dom.Node, len(h.Top))
-	for i, t := range h.Top {
-		top[i] = nodes[t.Ord]
-	}
-	h2 := &Hierarchy{Name: h.Name, Index: newIdx, Top: top}
-	st.HierarchiesCopied++
-	st.NodesCopied += n
+	h2.owner = d2.lineage
 
-	// dirtyOrds collects the OLD ordinals of every element whose child
-	// list this batch changes — the regions the synopsis is patched
-	// over (maintainSynopsis). Changes directly under the shared root
-	// set rootDirty instead.
-	dirtyOrds := make(map[int]bool)
-	rootDirty := false
-	markDirty := func(parent *dom.Node) {
-		if parent == nil || parent == d.Root {
-			rootDirty = true
-			return
-		}
-		dirtyOrds[parent.Ord] = true
-	}
+	// The synopsis subtraction reads the old child lists and names, so it
+	// runs before the first write (in place, the old state is overwritten).
+	dirty := make(map[int]bool)
+	rootDirty := markRegions(d, h, hEdits, emptied, dirty)
+	syn := subtractSynopsis(h, dirty, rootDirty)
 
-	// ---- drop text nodes a splice emptied ---------------------------------
+	// ---- re-slice text, drop text nodes a splice emptied -----------------
 	// A text node whose replacement left it with an empty span would
 	// vanish on serialize→reparse; detach it now so the new version is
 	// round-trip faithful.
-	structural := false
 	if reslice {
-		for i, old := range h.Nodes {
-			nn := nodes[i]
-			if nn.Kind == dom.Text && nn.Start == nn.End && old.Start < old.End {
-				if err := spliceOut(d2, h2, nn); err != nil {
-					return nil, nil, nil, err
-				}
-				structural = true
-				markDirty(old.Parent)
+		for _, nn := range nodes {
+			if nn.Kind == dom.Text {
+				nn.Data = d2.Text[nn.Start:nn.End]
 			}
 		}
 	}
+	structural := len(emptied) > 0
+	for _, i := range emptied {
+		if err := spliceOut(d2, h2, nodes[i]); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 
-	// ---- apply the structural edits to the copy ---------------------------
-	renamedOrds := make(map[int]bool)
+	// ---- apply the edits ----------------------------------------------------
+	// renamed maps the old ordinal of each renamed node to its name
+	// symbol before the batch, recorded before the first write.
+	renamed := make(map[int]int32)
 	var inserted []*dom.Node
 	var boundPts []int
 	for _, e := range hEdits {
@@ -709,19 +742,18 @@ func (d2 *Document) applyToHierarchy(d *Document, h *Hierarchy, newIdx int, hEdi
 			if t.Name == e.Name {
 				continue
 			}
-			renamedOrds[e.Target.Ord] = true
+			if _, seen := renamed[e.Target.Ord]; !seen {
+				renamed[e.Target.Ord] = t.NameSym
+			}
 			t.Name = e.Name
 			t.NameSym = d2.intern(e.Name)
-			markDirty(e.Target.Parent)
 		case EditDelete:
 			structural = true
 			if err := spliceOut(d2, h2, t); err != nil {
 				return nil, nil, nil, err
 			}
-			markDirty(e.Target.Parent)
 		case EditWrap:
 			structural = true
-			markDirty(e.Target)
 			kids := t.Children
 			from, to := e.From, e.To
 			if to < 0 {
@@ -729,6 +761,11 @@ func (d2 *Document) applyToHierarchy(d *Document, h *Hierarchy, newIdx int, hEdi
 			}
 			if from < 0 || from > to || to > len(kids) {
 				return nil, nil, nil, fmt.Errorf("core: wrap range [%d,%d) outside the %d children of <%s>", e.From, e.To, len(kids), t.Name)
+			}
+			// A target deleted earlier in the batch has handed its children
+			// to its parent; wrapping them would orphan them.
+			if _, _, _, err := locateInParent(d2, h2, t); err != nil {
+				return nil, nil, nil, err
 			}
 			w := &dom.Node{Kind: dom.Element, Name: e.Name, NameSym: d2.intern(e.Name), Hier: h2.Name, HierIndex: newIdx, Parent: t}
 			if from < to {
@@ -763,31 +800,31 @@ func (d2 *Document) applyToHierarchy(d *Document, h *Hierarchy, newIdx int, hEdi
 			}
 			inserted = append(inserted, w)
 			boundPts = append(boundPts, w.Start, w.End)
-			markDirty(e.Target.Parent)
 		}
 	}
 
 	// ---- renumber (or keep ordinals for rename-only batches) --------------
 	oldRuns := h.idx.snapshot()
 	var remapOrd []int32 // old ordinal → new, -1 deleted; nil = identity
-	if structural {
-		for i := range slab {
-			slab[i].Ord = -1
+	switch {
+	case structural:
+		for _, nn := range nodes {
+			nn.Ord = -1
 		}
 		h2.Nodes = nil
 		d2.indexHierarchy(h2, newIdx)
-		remapOrd = make([]int32, n)
+		remapOrd = make([]int32, len(nodes))
 		identity := true
-		for i := range slab {
-			remapOrd[i] = int32(slab[i].Ord)
-			if slab[i].Ord != i {
+		for i, nn := range nodes {
+			remapOrd[i] = int32(nn.Ord)
+			if nn.Ord != i {
 				identity = false
 			}
 		}
 		if identity {
 			remapOrd = nil
 		}
-	} else {
+	case !inPlace:
 		h2.Nodes = nodes
 		h2.byEnd = make([]*dom.Node, len(h.byEnd))
 		for i, m := range h.byEnd {
@@ -806,8 +843,7 @@ func (d2 *Document) applyToHierarchy(d *Document, h *Hierarchy, newIdx int, hEdi
 		// pair, or none).
 		removals := make(map[int32]map[int32]bool)
 		adds := make(map[int32][]int32)
-		for oldOrd := range renamedOrds {
-			origSym := h.Nodes[oldOrd].NameSym
+		for oldOrd, origSym := range renamed {
 			node := nodes[oldOrd]
 			if node.NameSym == origSym {
 				continue // renamed back: net no-op
@@ -839,8 +875,107 @@ func (d2 *Document) applyToHierarchy(d *Document, h *Hierarchy, newIdx int, hEdi
 	}
 
 	// ---- incremental synopsis maintenance ---------------------------------
-	maintainSynopsis(d, h, h2, nodes, dirtyOrds, rootDirty, st)
+	syn.finish(h2, nodes, st)
 	return h2, nodes, boundPts, nil
+}
+
+// copyHierarchy is the copy step of applyToHierarchy: h's nodes copied
+// into one slab (plus one child slab and one attribute slab), re-linked
+// among themselves, re-registered at newIdx and parented at d2's root,
+// with spans remapped. It returns the copy, the positional
+// old-ordinal → new-node mapping, and the ordinals of text nodes the
+// remap left empty.
+func (d2 *Document) copyHierarchy(d *Document, h *Hierarchy, newIdx int, remap func(int) int) (*Hierarchy, []*dom.Node, []int) {
+	n := len(h.Nodes)
+	slab := make([]dom.Node, n)
+	nodes := make([]*dom.Node, n)
+	nAttr, nKids := 0, 0
+	for i, old := range h.Nodes {
+		slab[i] = *old
+		nodes[i] = &slab[i]
+		nAttr += len(old.Attrs)
+		nKids += len(old.Children)
+	}
+	attrSlab := make([]dom.Node, nAttr)
+	attrPtrs := make([]*dom.Node, nAttr)
+	kidSlab := make([]*dom.Node, nKids)
+	ai, ki := 0, 0
+	var emptied []int
+	for i, old := range h.Nodes {
+		nn := nodes[i]
+		nn.HierIndex = newIdx
+		if remap != nil {
+			nn.Start = remap(nn.Start)
+			nn.End = remap(nn.End)
+			if nn.Kind == dom.Text && nn.Start == nn.End && old.Start < old.End {
+				emptied = append(emptied, i)
+			}
+		}
+		if old.Parent == nil || old.Parent == d.Root {
+			nn.Parent = d2.Root
+		} else {
+			nn.Parent = nodes[old.Parent.Ord]
+		}
+		if len(old.Children) > 0 {
+			kids := kidSlab[ki : ki+len(old.Children)]
+			ki += len(old.Children)
+			for j, c := range old.Children {
+				kids[j] = nodes[c.Ord]
+			}
+			nn.Children = kids
+		}
+		if len(old.Attrs) > 0 {
+			as := attrPtrs[ai : ai+len(old.Attrs)]
+			for j, a := range old.Attrs {
+				attrSlab[ai+j] = *a
+				na := &attrSlab[ai+j]
+				na.Parent = nn
+				na.HierIndex = newIdx
+				as[j] = na
+			}
+			ai += len(old.Attrs)
+			nn.Attrs = as
+		}
+	}
+	top := make([]*dom.Node, len(h.Top))
+	for i, t := range h.Top {
+		top[i] = nodes[t.Ord]
+	}
+	return &Hierarchy{Name: h.Name, Index: newIdx, Top: top}, nodes, emptied
+}
+
+// markRegions adds to dirty the OLD ordinal of every element of h whose
+// child list the batch changes — the regions the synopsis is patched
+// over — and reports whether the shared root's child list changes
+// instead. It reads only the previous version, so it runs before the
+// first write.
+func markRegions(d *Document, h *Hierarchy, hEdits []Edit, emptied []int, dirty map[int]bool) (rootDirty bool) {
+	mark := func(parent *dom.Node) {
+		if parent == nil || parent == d.Root {
+			rootDirty = true
+			return
+		}
+		dirty[parent.Ord] = true
+	}
+	for _, i := range emptied {
+		mark(h.Nodes[i].Parent)
+	}
+	for _, e := range hEdits {
+		switch e.Kind {
+		case EditRename:
+			// The edit step skips a rename to the node's current name, so
+			// a node's renames change something iff one of them names it
+			// other than its name before the batch.
+			if e.Name != e.Target.Name {
+				mark(e.Target.Parent)
+			}
+		case EditWrap:
+			mark(e.Target)
+		default: // delete, insert before/after
+			mark(e.Target.Parent)
+		}
+	}
+	return rootDirty
 }
 
 // spliceOut removes t from its parent's child list (or the hierarchy's

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mhxquery/internal/core"
@@ -103,6 +104,13 @@ func checkAgainstReference(t *testing.T, d *core.Document) {
 		if g.Data != w.Data || g.Start != w.Start || g.End != w.End || len(gp) != len(wp) {
 			t.Fatalf("leaf %d: got %q [%d,%d) %d parents, want %q [%d,%d) %d parents",
 				i, g.Data, g.Start, g.End, len(gp), w.Data, w.Start, w.End, len(wp))
+		}
+		// Each edge leads to a text node of THIS version covering the leaf.
+		for _, p := range gp {
+			if !d.Owns(p) || p.Kind != dom.Text || p.Start > g.Start || p.End < g.End {
+				t.Fatalf("leaf %d [%d,%d): parent %s [%d,%d) is not a covering text node of this version",
+					i, g.Start, g.End, p.Kind, p.Start, p.End)
+			}
 		}
 	}
 	if len(d.Hiers) != len(ref.Hiers) {
@@ -357,91 +365,281 @@ func TestApplyValidation(t *testing.T) {
 	}
 }
 
+// editSpec is one random edit addressed by hierarchy name and preorder
+// ordinal, so the same batch resolves against two field-identical
+// document versions.
+type editSpec struct {
+	kind       core.EditKind
+	hier       string
+	ord        int
+	name, text string
+	from, to   int
+	// elem, a and b describe the one element of an added hierarchy.
+	elem string
+	a, b int
+}
+
+func resolveBatch(d *core.Document, specs []editSpec) []core.Edit {
+	edits := make([]core.Edit, len(specs))
+	for i, s := range specs {
+		e := core.Edit{Kind: s.kind, Name: s.name, Text: s.text, From: s.from, To: s.to}
+		switch s.kind {
+		case core.EditAddHierarchy:
+			e.Tops = []*dom.Node{{Kind: dom.Element, Name: s.elem, Start: s.a, End: s.b}}
+		case core.EditRemoveHierarchy:
+		default:
+			e.Target = d.HierarchyByName(s.hier).Nodes[s.ord]
+		}
+		edits[i] = e
+	}
+	return edits
+}
+
+// randomBatch draws one batch of 1–4 edits against d. A layout-keeping
+// batch holds only renames (a third of them to the node's own name) and
+// same-length text replacements over elements or text nodes; any other
+// batch mixes every edit kind.
+func randomBatch(r *rand.Rand, d *core.Document, tag string, layoutKept bool) []editSpec {
+	var specs []editSpec
+	for k, nEdits := 0, 1+r.Intn(4); k < nEdits; k++ {
+		h := d.Hiers[r.Intn(len(d.Hiers))]
+		var elems, texts []*dom.Node
+		for _, n := range h.Nodes {
+			switch n.Kind {
+			case dom.Element:
+				elems = append(elems, n)
+			case dom.Text:
+				texts = append(texts, n)
+			}
+		}
+		if len(elems) == 0 {
+			continue
+		}
+		target := elems[r.Intn(len(elems))]
+		kind := r.Intn(6)
+		if layoutKept {
+			kind = []int{0, 4}[r.Intn(2)]
+			if kind == 4 && len(texts) > 0 && r.Intn(2) == 0 {
+				target = texts[r.Intn(len(texts))]
+			}
+		}
+		s := editSpec{hier: h.Name, ord: target.Ord}
+		switch kind {
+		case 0:
+			s.kind, s.name = core.EditRename, fmt.Sprintf("n%s_%d", tag, k)
+			if layoutKept && r.Intn(3) == 0 {
+				s.name = target.Name
+			}
+		case 1:
+			s.kind = core.EditDelete
+		case 2:
+			s.kind, s.name = core.EditWrap, fmt.Sprintf("w%s_%d", tag, k)
+			s.from = r.Intn(len(target.Children) + 1)
+			s.to = s.from + r.Intn(len(target.Children)-s.from+1)
+		case 3:
+			s.kind, s.name = core.EditInsertBefore, fmt.Sprintf("p%s_%d", tag, k)
+			if r.Intn(2) == 0 {
+				s.kind = core.EditInsertAfter
+			}
+		case 4:
+			if target.Start == target.End {
+				continue
+			}
+			repl := make([]byte, target.End-target.Start)
+			for i := range repl {
+				repl[i] = byte('p' + r.Intn(4))
+			}
+			s.kind, s.text = core.EditReplaceText, string(repl)
+		case 5:
+			// Occasionally a whole-layer change.
+			if r.Intn(2) == 0 && len(d.Text) > 2 {
+				s.a = r.Intn(len(d.Text) - 1)
+				s.b = s.a + 1 + r.Intn(len(d.Text)-s.a-1)
+				s.kind, s.name, s.elem = core.EditAddHierarchy, fmt.Sprintf("layer%s_%d", tag, k), fmt.Sprintf("hx%s_%d", tag, k)
+			} else {
+				s.kind, s.name = core.EditRemoveHierarchy, h.Name
+			}
+		}
+		specs = append(specs, s)
+	}
+	return specs
+}
+
+// docDump renders every field of a document version that an update can
+// touch — text, bounds, leaves with their parent edges, each node in
+// preorder with its links, and each hierarchy's name index and
+// synopsis — so two versions are field-, index- and synopsis-identical
+// iff their dumps are equal.
+func docDump(d *core.Document) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "rev %d sig %q text %q bounds %v\n", d.Rev, d.Signature(), d.Text, d.Bounds)
+	for i, l := range d.Leaves {
+		fmt.Fprintf(&b, "leaf %d %q [%d,%d) parents", i, l.Data, l.Start, l.End)
+		for _, p := range d.LeafParents(l) {
+			fmt.Fprintf(&b, " %d:%d", p.HierIndex, p.Ord)
+		}
+		b.WriteByte('\n')
+	}
+	for _, h := range d.Hiers {
+		fmt.Fprintf(&b, "hierarchy %d %s\n", h.Index, h.Name)
+		for _, n := range h.Nodes {
+			parent := -1
+			if n.Parent != d.Root {
+				parent = n.Parent.Ord
+			}
+			fmt.Fprintf(&b, "  %s %q sym %d data %q [%d,%d) ord %d..%d in %d:%s parent %d kids",
+				n.Kind, n.Name, n.NameSym, n.Data, n.Start, n.End, n.Ord, n.Last, n.HierIndex, n.Hier, parent)
+			for _, c := range n.Children {
+				fmt.Fprintf(&b, " %d", c.Ord)
+			}
+			b.WriteByte('\n')
+		}
+		fmt.Fprintf(&b, "  runs %v\n", h.IndexRuns())
+		b.WriteString(h.Synopsis().Dump(func(sym int32) string { return fmt.Sprint(sym) }))
+	}
+	return b.String()
+}
+
 // TestApplyDifferentialSweep is the core half of the differential
-// mutation sweep: seeded random edit sequences over random documents;
-// after each successful batch the updated version must agree with its
-// serialize→reparse reference and its incrementally patched indexes
-// with a from-scratch rebuild.
+// mutation sweep: seeded random lineages of edit batches over random
+// documents, interleaving layout-keeping batches (renames, same-length
+// text replacements) with structural ones. Each lineage runs twice —
+// on published versions (copy-on-write) and on a private working
+// version (Private), which edits its own copies in place. After each
+// batch both versions must be field-, index- and synopsis-identical
+// and agree with their serialize→reparse reference, and the private
+// one may never copy more. At the end the document the lineage started
+// from must be untouched.
 func TestApplyDifferentialSweep(t *testing.T) {
-	const sequences = 120
-	applied, failed := 0, 0
+	const (
+		sequences = 120
+		steps     = 5
+	)
+	applied, failed, inPlace := 0, 0, 0
 	for seq := 0; seq < sequences; seq++ {
 		r := rand.New(rand.NewSource(int64(9000 + seq)))
 		d, err := buildRandom(int64(500 + seq%17))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Warm indexes so the incremental patch path is exercised.
+		// Warm indexes and synopses so the incremental patch paths run.
 		for _, h := range d.Hiers {
 			h.IndexRuns()
+			h.Synopsis()
 		}
-		nEdits := 1 + r.Intn(4)
-		var edits []core.Edit
-		for k := 0; k < nEdits; k++ {
-			h := d.Hiers[r.Intn(len(d.Hiers))]
-			var elems []*dom.Node
-			for _, n := range h.Nodes {
-				if n.Kind == dom.Element {
-					elems = append(elems, n)
-				}
-			}
-			if len(elems) == 0 {
+		origin := docDump(d)
+		pub, priv := d, d.Private()
+		for step := 0; step < steps; step++ {
+			layoutKept := r.Intn(5) < 3
+			specs := randomBatch(r, pub, fmt.Sprintf("%d_%d", seq, step), layoutKept)
+			if len(specs) == 0 {
 				continue
 			}
-			target := elems[r.Intn(len(elems))]
-			switch r.Intn(6) {
-			case 0:
-				edits = append(edits, core.Edit{Kind: core.EditRename, Target: target, Name: fmt.Sprintf("n%d_%d", seq, k)})
-			case 1:
-				edits = append(edits, core.Edit{Kind: core.EditDelete, Target: target})
-			case 2:
-				from := r.Intn(len(target.Children) + 1)
-				to := from + r.Intn(len(target.Children)-from+1)
-				edits = append(edits, core.Edit{Kind: core.EditWrap, Target: target, Name: fmt.Sprintf("w%d_%d", seq, k), From: from, To: to})
-			case 3:
-				kind := core.EditInsertBefore
-				if r.Intn(2) == 0 {
-					kind = core.EditInsertAfter
-				}
-				edits = append(edits, core.Edit{Kind: kind, Target: target, Name: fmt.Sprintf("p%d_%d", seq, k)})
-			case 4:
-				if target.Start < target.End {
-					repl := make([]byte, target.End-target.Start)
-					for i := range repl {
-						repl[i] = byte('p' + r.Intn(4))
-					}
-					edits = append(edits, core.Edit{Kind: core.EditReplaceText, Target: target, Text: string(repl)})
-				}
-			case 5:
-				// Occasionally a whole-layer change.
-				if r.Intn(2) == 0 && len(d.Text) > 2 {
-					a := r.Intn(len(d.Text) - 1)
-					b := a + 1 + r.Intn(len(d.Text)-a-1)
-					edits = append(edits, core.Edit{Kind: core.EditAddHierarchy, Name: fmt.Sprintf("layer%d_%d", seq, k),
-						Tops: []*dom.Node{{Kind: dom.Element, Name: fmt.Sprintf("hx%d_%d", seq, k), Start: a, End: b}}})
-				} else {
-					edits = append(edits, core.Edit{Kind: core.EditRemoveHierarchy, Name: h.Name})
-				}
+			np, pst, perr := pub.Apply(resolveBatch(pub, specs))
+			nv, vst, verr := priv.Apply(resolveBatch(priv, specs))
+			if (perr == nil) != (verr == nil) {
+				t.Fatalf("seq %d step %d: published error %v, private error %v", seq, step, perr, verr)
 			}
+			if perr != nil {
+				// Conflicting random batches (double delete, edits in a
+				// removed hierarchy, …) legitimately fail — atomically,
+				// so both lineages continue from their current version.
+				failed++
+				continue
+			}
+			applied++
+			checkAgainstReference(t, np)
+			checkAgainstReference(t, nv)
+			if got, want := docDump(nv), docDump(np); got != want {
+				t.Fatalf("seq %d step %d: private version diverged from copy-on-write:\n got %s\nwant %s", seq, step, got, want)
+			}
+			label := fmt.Sprintf("seq %d step %d", seq, step)
+			checkSynopses(t, np, label+" copy-on-write")
+			checkSynopses(t, nv, label+" private")
+			if vst.HierarchiesCopied > pst.HierarchiesCopied {
+				t.Fatalf("seq %d step %d: private version copied %d hierarchies, copy-on-write %d", seq, step, vst.HierarchiesCopied, pst.HierarchiesCopied)
+			}
+			if layoutKept && vst.HierarchiesCopied == 0 && pst.HierarchiesCopied > 0 {
+				inPlace++
+			}
+			vs, ps := *vst, *pst
+			vs.HierarchiesCopied, vs.NodesCopied, ps.HierarchiesCopied, ps.NodesCopied = 0, 0, 0, 0
+			if vs != ps {
+				t.Fatalf("seq %d step %d: stats diverged:\n private %+v\n    cow %+v", seq, step, vs, ps)
+			}
+			pub, priv = np, nv
 		}
-		if len(edits) == 0 {
-			continue
-		}
-		nd, _, err := d.Apply(edits)
-		if err != nil {
-			// Conflicting random batches (double delete, edits in a
-			// removed hierarchy, …) legitimately fail — atomically.
-			failed++
-			continue
-		}
-		applied++
-		checkAgainstReference(t, nd)
-		// Snapshot isolation: the original still matches its own
-		// reference after the new version was derived.
+		// Snapshot isolation: the origin still matches its own reference
+		// and every field it had before either lineage started.
 		checkAgainstReference(t, d)
+		if docDump(d) != origin {
+			t.Fatalf("seq %d: the document Private was called on changed", seq)
+		}
 	}
-	if applied < sequences/2 {
-		t.Fatalf("only %d/%d random batches applied (%d failed); generator too conflict-happy", applied, sequences, failed)
+	if applied < sequences*steps/2 {
+		t.Fatalf("only %d random batches applied (%d failed); generator too conflict-happy", applied, failed)
+	}
+	if inPlace < sequences/2 {
+		t.Fatalf("only %d batches ran wholly in place; the sweep does not exercise the private path", inPlace)
+	}
+}
+
+// TestPrivateAppliesInPlace pins when a private working version edits
+// in place: the first edit of a hierarchy (or of the leaf slab) copies
+// it, later layout-keeping batches reuse the copy, structural batches
+// copy again, and Publish restores copy-on-write. The document Private
+// was called on, and a published version, stay untouched.
+func TestPrivateAppliesInPlace(t *testing.T) {
+	d := buildUpdateDoc(t)
+	for _, h := range d.Hiers {
+		h.IndexRuns()
+		h.Synopsis()
+	}
+	origin := docDump(d)
+	step := func(v *core.Document, copies int, edits ...core.Edit) *core.Document {
+		t.Helper()
+		nv, st, err := v.Apply(edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.HierarchiesCopied != copies {
+			t.Fatalf("copied %d hierarchies, want %d (stats %+v)", st.HierarchiesCopied, copies, st)
+		}
+		checkAgainstReference(t, nv)
+		checkSynopses(t, nv, "private")
+		return nv
+	}
+	rename := func(v *core.Document, hier, name string, i int, to string) core.Edit {
+		return core.Edit{Kind: core.EditRename, Target: pickElem(v, hier, name, i), Name: to}
+	}
+	replace := func(v *core.Document, text string) core.Edit {
+		return core.Edit{Kind: core.EditReplaceText, Target: pickElem(v, "C", "note", 0), Text: text}
+	}
+
+	p1 := step(d.Private(), 1, rename(d, "B", "mark", 0, "hi"))
+	p2 := step(p1, 0, rename(p1, "B", "mark", 0, "hj"), rename(p1, "B", "hi", 0, "hk"))
+	if p2.HierarchyByName("B").Nodes[1] != p1.HierarchyByName("B").Nodes[1] {
+		t.Fatal("an in-place rename copied the node")
+	}
+	// A same-length replacement touches every hierarchy and the leaves:
+	// A and C are copied now, B is the lineage's own.
+	p3 := step(p2, 2, replace(p2, "WXYZ"))
+	p4 := step(p3, 0, replace(p3, "QRST"))
+	if p4.Leaves[0] != p3.Leaves[0] {
+		t.Fatal("an owned leaf slab was copied instead of re-sliced")
+	}
+	// Structural batches always copy.
+	p5 := step(p4, 1, core.Edit{Kind: core.EditDelete, Target: pickElem(p4, "A", "seg", 1)})
+	if docDump(d) != origin {
+		t.Fatal("the document Private was called on changed")
+	}
+
+	// Published, the lineage's copies are read-only again.
+	pub := p5.Publish()
+	published := docDump(pub)
+	step(pub, 3, rename(pub, "B", "hj", 0, "hl"), replace(pub, "abcd"))
+	if docDump(pub) != published {
+		t.Fatal("an update of a published version changed it")
 	}
 }
 

@@ -172,25 +172,25 @@ func cloneKids(kids []*Node) []*Node {
 	return out
 }
 
-// PatchRegion applies a region replacement: the element reached by path
-// (name symbols top-down from a hierarchy top, inclusive of the region
-// parent itself) kept its name and position, but its child list changed
-// from oldKids to newKids. An empty path addresses the tree level
-// itself (the shared root's child list). The parent's own Count is
-// untouched; its Texts and subtree counts are re-derived by subtracting
-// the old children's contributions and adding the new ones. Returns
-// false — and leaves the tree in an unspecified state — if the synopsis
-// disagrees with the old contributions; callers then fall back to a
+// A region replacement patches the synopsis in two phases: the element
+// reached by path (name symbols top-down from a hierarchy top, inclusive
+// of the region parent itself) keeps its name and position while its
+// child list changes. SubRegion subtracts the old children's
+// contributions and AddRegion adds the new ones; the parent's own Count
+// is untouched. An empty path addresses the tree level itself (the
+// shared root's child list). The phases are separate so a caller that
+// edits the children in place can subtract before it writes and add
+// after; several disjoint regions may all be subtracted before any is
+// added.
+
+// SubRegion subtracts the contributions of the child list oldKids under
+// path. It returns false — leaving the tree in an unspecified state —
+// when the synopsis disagrees with them; callers then fall back to a
 // from-scratch rebuild.
-func (t *Tree) PatchRegion(path []int32, oldKids, newKids []*dom.Node) bool {
-	kids, texts := &t.Kids, &t.Texts
-	for _, sym := range path {
-		i := findKid(*kids, sym)
-		if i < 0 {
-			return false
-		}
-		p := (*kids)[i]
-		kids, texts = &p.Kids, &p.Texts
+func (t *Tree) SubRegion(path []int32, oldKids []*dom.Node) bool {
+	kids, texts := t.region(path)
+	if kids == nil {
+		return false
 	}
 	ok := true
 	for _, c := range oldKids {
@@ -203,13 +203,35 @@ func (t *Tree) PatchRegion(path []int32, oldKids, newKids []*dom.Node) bool {
 			ok = ok && sok
 		}
 	}
-	if *texts < 0 {
+	return ok && *texts >= 0
+}
+
+// AddRegion adds the contributions of the child list newKids under
+// path, reporting false when path does not exist.
+func (t *Tree) AddRegion(path []int32, newKids []*dom.Node) bool {
+	kids, texts := t.region(path)
+	if kids == nil {
 		return false
 	}
 	var add int64
 	*kids, add = addLevel(*kids, newKids)
 	*texts += add
-	return ok
+	return true
+}
+
+// region resolves path to the kid list and text count it addresses, or
+// nil when a label on the path is missing.
+func (t *Tree) region(path []int32) (*[]*Node, *int64) {
+	kids, texts := &t.Kids, &t.Texts
+	for _, sym := range path {
+		i := findKid(*kids, sym)
+		if i < 0 {
+			return nil, nil
+		}
+		p := (*kids)[i]
+		kids, texts = &p.Kids, &p.Texts
+	}
+	return kids, texts
 }
 
 // Equal reports whether two synopses are field-for-field identical.

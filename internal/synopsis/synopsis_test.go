@@ -145,8 +145,8 @@ func TestPatchRegionMatchesRebuild(t *testing.T) {
 		}
 
 		patched := s.Clone()
-		if !patched.PatchRegion(path, oldKids, newKids) {
-			t.Fatalf("seed %d: PatchRegion reported inconsistency", seed)
+		if !patchRegion(patched, path, oldKids, newKids) {
+			t.Fatalf("seed %d: region patch reported inconsistency", seed)
 		}
 		target.Children = nil
 		for _, k := range newKids {
@@ -161,30 +161,47 @@ func TestPatchRegionMatchesRebuild(t *testing.T) {
 	}
 }
 
+// patchRegion is one whole region replacement: subtract, then add.
+func patchRegion(t *Tree, path []int32, oldKids, newKids []*dom.Node) bool {
+	return t.SubRegion(path, oldKids) && t.AddRegion(path, newKids)
+}
+
 func TestPatchRegionDetectsInconsistency(t *testing.T) {
 	s := Build([]*dom.Node{elem(1, elem(2))})
 	// Subtracting a child that was never there must fail, not panic.
-	if s.Clone().PatchRegion([]int32{1}, []*dom.Node{elem(3)}, nil) {
-		t.Fatal("PatchRegion accepted subtraction of an absent path")
+	if s.Clone().SubRegion([]int32{1}, []*dom.Node{elem(3)}) {
+		t.Fatal("SubRegion accepted subtraction of an absent path")
 	}
-	// A path that does not exist must fail.
-	if s.Clone().PatchRegion([]int32{7}, nil, nil) {
-		t.Fatal("PatchRegion accepted a missing path")
+	// A path that does not exist must fail in either phase.
+	if s.Clone().SubRegion([]int32{7}, nil) || s.Clone().AddRegion([]int32{7}, nil) {
+		t.Fatal("a missing path was accepted")
 	}
 	// An empty path addresses the tree level: replacing the whole top
 	// list with itself is a no-op, and a full replacement rebuilds.
 	tops := []*dom.Node{elem(1, elem(2))}
 	c := s.Clone()
-	if !c.PatchRegion(nil, tops, tops) || !c.Equal(s) {
+	if !patchRegion(c, nil, tops, tops) || !c.Equal(s) {
 		t.Fatal("tree-level identity patch changed the synopsis")
 	}
 	c = s.Clone()
-	if !c.PatchRegion(nil, tops, []*dom.Node{elem(4), text()}) ||
+	if !patchRegion(c, nil, tops, []*dom.Node{elem(4), text()}) ||
 		!c.Equal(Build([]*dom.Node{elem(4), text()})) {
 		t.Fatal("tree-level replacement patch wrong")
 	}
 	// Subtracting more texts than recorded must fail.
-	if s.Clone().PatchRegion([]int32{1}, []*dom.Node{text()}, nil) {
-		t.Fatal("PatchRegion accepted text undercount")
+	if s.Clone().SubRegion([]int32{1}, []*dom.Node{text()}) {
+		t.Fatal("SubRegion accepted text undercount")
+	}
+	// Two disjoint regions subtracted before either is added give the
+	// same tree as patching them one after the other.
+	two := []*dom.Node{elem(1, elem(2), text()), elem(3, elem(2))}
+	base := Build(two)
+	c = base.Clone()
+	if !c.SubRegion([]int32{1}, two[0].Children) || !c.SubRegion([]int32{3}, two[1].Children) ||
+		!c.AddRegion([]int32{1}, []*dom.Node{elem(5)}) || !c.AddRegion([]int32{3}, nil) {
+		t.Fatal("two-phase patch over disjoint regions failed")
+	}
+	if !c.Equal(Build([]*dom.Node{elem(1, elem(5)), elem(3)})) {
+		t.Fatal("two-phase patch over disjoint regions diverged from a rebuild")
 	}
 }

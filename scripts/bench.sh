@@ -9,7 +9,8 @@
 # update fixtures, the P13 durable-update fixtures, WAL vs
 # write-through, the P14 morsel-parallel scan fixtures at
 # 1/2/4/GOMAXPROCS workers, the P16 cost-based plan-choice
-# fixtures, and the P17 query-after-update fixtures) with -count
+# fixtures, the P17 query-after-update fixtures, and the P18
+# recovery fixtures) with -count
 # repetitions, prints the raw `go test -bench` output, and writes the
 # best (minimum ns/op) run per benchmark to a JSON file so the perf
 # trajectory is diffable in git.
@@ -23,7 +24,7 @@
 set -eu
 
 COUNT=5
-BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkParallelScan|BenchmarkPlanChoice|BenchmarkQueryAfterUpdate'
+BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkParallelScan|BenchmarkPlanChoice|BenchmarkQueryAfterUpdate|BenchmarkRecovery'
 OUT=BENCH_eval.json
 while [ $# -gt 0 ]; do
 	case "$1" in
