@@ -22,7 +22,7 @@
 //	P8  BenchmarkCompileCache/*          — cold compile vs LRU cache hit
 //	P9  BenchmarkPathPipeline/*          — order-aware path pipeline at 1/10/100× scale
 //	P10 BenchmarkIndexedDescendant/*     — structural name index, //name steps at 1/10/100×
-//	P14 BenchmarkParallelScan/*          — morsel-parallel index scan, 1/2/4/GOMAXPROCS workers
+//	P14 BenchmarkPredicateScan/*         — full-drain predicate-filtered index scan at 1/10/100×
 //	P17 BenchmarkQueryAfterUpdate/*      — Query I.1 after every update, through the plan cache
 //	P18 BenchmarkRecovery/*              — Open replaying a 256-record log tail at 1/10/100×
 //
@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -896,28 +895,16 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 }
 
-// ---- P14: morsel-driven parallel intra-query execution -------------------------
+// ---- P14: predicate-filtered index scan ------------------------------------
 
-// parallelScanQuery is the heavy parallel-eligible workload: the
-// damaged-word selection filter (three extended-axis probes per word),
-// drained in full so the entire candidate stream is filtered. Its
-// predicate is position-independent, so the planner marks the fused
-// index scan parallel.
-const parallelScanQuery = `//w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]`
+// predicateScanQuery is the damaged-word selection filter (three
+// extended-axis probes per word), drained in full so the entire
+// candidate stream of the fused index scan is filtered.
+const predicateScanQuery = `//w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]`
 
-// BenchmarkParallelScan measures the same full-drain scan at 1×, 10×
-// and 100× scale with 1, 2, 4 and GOMAXPROCS intra-query workers.
-// Engagement is thresholded (parallelism only pays past a few hundred
-// candidates), so the 1× and 10× rows coincide across worker counts —
-// that is the point: small scans never pay scheduling overhead. The
-// speedup at 100× tracks physical core count; on a single-core host
-// all worker counts coincide there too.
-func BenchmarkParallelScan(b *testing.B) {
-	defer xquery.SetQueryWorkers(0)
-	workerSet := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n != 1 && n != 2 && n != 4 {
-		workerSet = append(workerSet, n)
-	}
+// BenchmarkPredicateScan measures the full-drain predicate scan at 1×,
+// 10× and 100× scale. Every query evaluates on the calling goroutine.
+func BenchmarkPredicateScan(b *testing.B) {
 	for _, scale := range []struct {
 		name  string
 		words int
@@ -927,30 +914,24 @@ func BenchmarkParallelScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cq := xquery.MustCompile(parallelScanQuery)
-		xquery.SetQueryWorkers(1)
+		cq := xquery.MustCompile(predicateScanQuery)
 		res, err := cq.Eval(d)
 		if err != nil {
 			b.Fatal(err)
 		}
 		want := xquery.Serialize(res)
-		for _, w := range workerSet {
-			b.Run(fmt.Sprintf("%s/w%d", scale.name, w), func(b *testing.B) {
-				xquery.SetQueryWorkers(w)
-				defer xquery.SetQueryWorkers(0)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := cq.Eval(d)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if got := xquery.Serialize(res); got != want {
-						b.Fatalf("got %q, want %q", got, want)
-					}
+		b.Run(scale.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := cq.Eval(d)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if got := xquery.Serialize(res); got != want {
+					b.Fatalf("got %q, want %q", got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -111,7 +111,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dir := flag.String("dir", "", "corpus directory (loaded at startup, written through on ingest; empty = memory-only)")
 	workers := flag.Int("workers", 0, "fan-out worker pool size (0 = GOMAXPROCS)")
-	queryWorkers := flag.Int("query-workers", 0, "per-query morsel-execution workers, drawn from the shared pool (0 = GOMAXPROCS, 1 = serial)")
 	cache := flag.Int("cache", 0, "compiled-query cache entries (0 = 128, negative = disabled)")
 	boethius := flag.Bool("boethius", false, "preload the paper's Figure 1 fixture as \"boethius\"")
 	pprofAddr := flag.String("pprof", "", "listen address for net/http/pprof (e.g. localhost:6060; empty = disabled)")
@@ -127,8 +126,6 @@ func main() {
 	flag.Parse()
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-
-	mhxquery.SetQueryWorkers(*queryWorkers)
 
 	opts := mhxquery.CollectionOptions{
 		Workers:       *workers,

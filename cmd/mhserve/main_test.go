@@ -526,10 +526,34 @@ func TestServerQueryTimeout(t *testing.T) {
 	}
 
 	// A timed-out collection fan-out is a 504, not a 200 with per-row
-	// error strings.
+	// error strings. Several documents make the fan-out hand jobs to
+	// pool helpers; once it has timed out, every fan-out and pool gauge
+	// must be back at zero.
+	for _, name := range []string{"b", "c", "d"} {
+		putHelloDoc(t, ts, name)
+	}
 	resp, body = rawQuery(t, ts, "/query", queryRequest{Query: `count(1 to 100000000000)`})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("fan-out: status %d (%s), want 504", resp.StatusCode, body)
+	}
+	gauges := []string{"mhx_fanout_queue_depth", "mhx_fanout_busy_workers",
+		"mhx_pool_busy_workers", "mhx_pool_queued_jobs"}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		m := scrape(t, ts.URL)
+		busy := map[string]float64{}
+		for _, g := range gauges {
+			if v, ok := m[g]; !ok {
+				t.Fatalf("/metrics lacks %s", g)
+			} else if v != 0 {
+				busy[g] = v
+			}
+		}
+		if len(busy) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("gauges nonzero after the timed-out fan-out: %v", busy)
+		}
 	}
 
 	// Mid-stream expiry ends the NDJSON stream with an error row.

@@ -174,9 +174,8 @@ func New(opts Options) *Collection {
 		docs:    map[string]*core.Document{},
 		fs:      wal.OS,
 	}
-	// Fan-out runs on the process-wide scheduler (shared with intra-query
-	// morsel execution); make sure it can grant this collection's
-	// parallelism.
+	// Fan-out runs on the process-wide scheduler shared by every
+	// collection; make sure it can grant this collection's parallelism.
 	sched.Default().Ensure(c.workers)
 	c.metrics = newCollMetrics(c)
 	return c

@@ -71,19 +71,17 @@ func (c *Collection) QueryAllLimit(ctx context.Context, src, pattern string, lim
 }
 
 // runPool runs jobs 0..n-1 with at most c.workers participants on the
-// process-wide scheduler (internal/sched) shared with intra-query
-// morsel execution; fan-out jobs carry the higher priority class, so
-// queued morsels never starve a collection fan-out. The whole job list
-// is accounted up front, so mhx_fanout_queue_depth reads as "accepted
-// but not yet started" and mhx_fanout_busy_workers as "currently
-// evaluating" — whichever goroutine (caller or pool helper) runs the
-// job, exactly one depth decrement and one busy increment/decrement
-// pair fires per job.
+// process-wide scheduler (internal/sched) shared by every collection.
+// The whole job list is accounted up front, so mhx_fanout_queue_depth
+// reads as "accepted but not yet started" and mhx_fanout_busy_workers
+// as "currently evaluating" — whichever goroutine (caller or pool
+// helper) runs the job, exactly one depth decrement and one busy
+// increment/decrement pair fires per job.
 func (c *Collection) runPool(n int, job func(int) Result) []Result {
 	results := make([]Result, n)
 	m := c.metrics
 	m.queueDepth.Add(int64(n))
-	sched.Default().ParallelFor(sched.Fanout, n, c.workers, func(i, slot int) {
+	sched.Default().ParallelFor(n, c.workers, func(i, slot int) {
 		m.queueDepth.Dec()
 		m.busyWorkers.Inc()
 		results[i] = job(i)

@@ -7,7 +7,6 @@ import (
 	"mhxquery/internal/core"
 	"mhxquery/internal/obs"
 	"mhxquery/internal/sched"
-	"mhxquery/internal/xquery"
 )
 
 // collMetrics holds the collection's metric handles, looked up once at
@@ -39,17 +38,14 @@ import (
 //	mhx_recovery_torn_bytes           gauge      torn tail truncated by the last Open
 //	mhx_recovery_replay_seconds       gauge      log load + replay time of the last Open
 //	mhx_recovery_checkpoint_seconds   gauge      checkpoint time of the last Open
-//	mhx_query_morsels_total           counter    morsels dispatched by parallel intra-query execution (process-wide)
-//	mhx_query_parallel_queries_total  counter    evaluations that engaged intra-query parallelism (process-wide)
-//	mhx_query_morsel_seconds          histogram  morsel execution latency (process-wide)
-//	mhx_pool_busy_workers             gauge      shared-scheduler workers currently running a job
-//	mhx_pool_queued_jobs              gauge      {class="fanout"|"morsel"} tickets waiting in the shared scheduler
+//	mhx_pool_busy_workers             gauge      shared-scheduler workers currently running a fan-out job
+//	mhx_pool_queued_jobs              gauge      helper tickets waiting in the shared scheduler
 //
 // The name-index and overlay families sample process-wide core
 // counters (builds happen lazily inside Hierarchy and Document methods
 // where no registry is in scope), so with several Collections in one
-// process each reports the same process totals; the morsel and pool
-// families likewise sample the process-wide query engine and scheduler.
+// process each reports the same process totals; the pool families
+// likewise sample the process-wide scheduler.
 type collMetrics struct {
 	reg           *obs.Registry
 	querySeconds  *obs.Histogram
@@ -140,24 +136,12 @@ func newCollMetrics(c *Collection) *collMetrics {
 	reg.GaugeFunc("mhx_recovery_checkpoint_seconds",
 		"Wall time the last recovery spent checkpointing replayed documents and starting a fresh log, in seconds.",
 		func() float64 { return c.recovery.CheckpointElapsed.Seconds() })
-	reg.CounterFunc("mhx_query_morsels_total",
-		"Morsels dispatched by parallel intra-query execution (process-wide).",
-		func() float64 { m, _ := xquery.ParallelStats(); return float64(m) })
-	reg.CounterFunc("mhx_query_parallel_queries_total",
-		"Query evaluations that engaged intra-query parallelism at least once (process-wide).",
-		func() float64 { _, q := xquery.ParallelStats(); return float64(q) })
-	reg.RegisterHistogram("mhx_query_morsel_seconds",
-		"Morsel execution latency in seconds (process-wide).", xquery.MorselSeconds())
 	reg.GaugeFunc("mhx_pool_busy_workers",
-		"Shared-scheduler workers currently running a job (fan-out or morsel).",
+		"Shared-scheduler workers currently running a fan-out job.",
 		func() float64 { return float64(sched.Default().Busy()) })
-	const queuedHelp = "Job tickets waiting in the shared scheduler, by priority class."
-	reg.GaugeFunc("mhx_pool_queued_jobs", queuedHelp,
-		func() float64 { return float64(sched.Default().Queued(sched.Fanout)) },
-		obs.L("class", "fanout"))
-	reg.GaugeFunc("mhx_pool_queued_jobs", queuedHelp,
-		func() float64 { return float64(sched.Default().Queued(sched.Morsel)) },
-		obs.L("class", "morsel"))
+	reg.GaugeFunc("mhx_pool_queued_jobs",
+		"Helper tickets waiting in the shared scheduler.",
+		func() float64 { return float64(sched.Default().Queued()) })
 	const maintHelp = "Name-index outcomes of document updates: patched incrementally or discarded for a lazy rebuild (process-wide)."
 	reg.CounterFunc("mhx_index_maintenance_total", maintHelp,
 		func() float64 { return float64(core.GlobalIndexStats().Patched) },

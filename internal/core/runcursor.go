@@ -46,47 +46,6 @@ func (rc *RunCursor) At(k int) *dom.Node {
 	panic("core: RunCursor.At out of range")
 }
 
-// Split partitions the cursor's candidates into contiguous morsels of
-// at most size candidates each, in document order: concatenating the
-// morsels' outputs reproduces exactly the cursor's own output. Morsel
-// boundaries are O(1) sub-slices of the per-hierarchy runs (the runs
-// are already materialized ordinal slices; a morsel aliases them, so
-// no ordinals are copied). The receiver must be unconsumed; it remains
-// usable afterwards. size < 1 or size >= Len yields one morsel.
-func (rc *RunCursor) Split(size int) []RunCursor {
-	if size < 1 || size >= rc.total {
-		if rc.total == 0 {
-			return nil
-		}
-		return []RunCursor{{hiers: rc.hiers, runs: rc.runs, total: rc.total}}
-	}
-	morsels := make([]RunCursor, 0, (rc.total+size-1)/size)
-	cur := RunCursor{}
-	room := size
-	for ri, run := range rc.runs {
-		for len(run) > 0 {
-			take := len(run)
-			if take > room {
-				take = room
-			}
-			cur.hiers = append(cur.hiers, rc.hiers[ri])
-			cur.runs = append(cur.runs, run[:take])
-			cur.total += take
-			run = run[take:]
-			room -= take
-			if room == 0 {
-				morsels = append(morsels, cur)
-				cur = RunCursor{}
-				room = size
-			}
-		}
-	}
-	if cur.total > 0 {
-		morsels = append(morsels, cur)
-	}
-	return morsels
-}
-
 // Next returns the next candidate in document order, or ok=false when
 // the runs are exhausted.
 func (rc *RunCursor) Next() (*dom.Node, bool) {

@@ -89,61 +89,6 @@ func TestRunCursorSubtreeRestriction(t *testing.T) {
 	}
 }
 
-// TestRunCursorSplit checks the morsel splitter: concatenating the
-// morsels' streams must reproduce the unsplit stream exactly, every
-// morsel but the last must hold exactly size candidates, and the
-// morsels must alias (not copy) the underlying runs.
-func TestRunCursorSplit(t *testing.T) {
-	d := nameIndexDoc(t)
-	for _, name := range []string{"pg", "w"} {
-		sym := d.NameSymOf(name)
-		var rc RunCursor
-		var want []*dom.Node
-		for _, h := range d.Hiers {
-			run := h.NameRun(sym)
-			rc.Add(h, run)
-			for _, ord := range run {
-				want = append(want, h.Nodes[ord])
-			}
-		}
-		for _, size := range []int{1, 2, 3, 100} {
-			morsels := rc.Split(size)
-			var got []*dom.Node
-			for mi := range morsels {
-				m := &morsels[mi]
-				if mi < len(morsels)-1 && m.Len() != size {
-					t.Fatalf("%s size=%d: morsel %d has %d candidates", name, size, mi, m.Len())
-				}
-				if m.Len() > size {
-					t.Fatalf("%s size=%d: morsel %d exceeds size (%d)", name, size, mi, m.Len())
-				}
-				for {
-					n, ok := m.Next()
-					if !ok {
-						break
-					}
-					got = append(got, n)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s size=%d: split streamed %d nodes, want %d", name, size, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s size=%d: node %d differs from unsplit stream", name, size, i)
-				}
-			}
-		}
-		if rc.Split(0) != nil && rc.Split(0)[0].Len() != rc.Len() {
-			t.Fatalf("%s: size<1 must yield one full morsel", name)
-		}
-	}
-	var empty RunCursor
-	if got := empty.Split(4); got != nil {
-		t.Fatalf("empty cursor split = %v, want nil", got)
-	}
-}
-
 // TestRunCursorEmpty checks the zero value and empty-run handling.
 func TestRunCursorEmpty(t *testing.T) {
 	var rc RunCursor

@@ -272,29 +272,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return ch.h
 }
 
-// NewHistogram returns a standalone histogram with the given upper
-// bounds (ascending; +Inf implicit), unattached to any registry. Use
-// it for process-wide distributions owned by a package with no
-// registry in scope (e.g. morsel execution times inside the query
-// engine), then attach it to each scraping registry with
-// RegisterHistogram.
-func NewHistogram(bounds []float64) *Histogram {
-	h := &Histogram{bounds: append([]float64(nil), bounds...)}
-	h.counts = make([]atomic.Uint64, len(h.bounds)+1)
-	return h
-}
-
-// RegisterHistogram attaches an existing histogram under (name,
-// labels), so several registries can expose one shared (typically
-// process-wide) distribution. Registering a second histogram under the
-// same name and labels replaces the first.
-func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...Label) {
-	ch := r.lookup(name, help, kindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ch.h = h
-}
-
 // renderLabels renders a label set in sorted-key order with Prometheus
 // escaping, without the surrounding braces.
 func renderLabels(labels []Label) string {

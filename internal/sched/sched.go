@@ -1,48 +1,29 @@
-// Package sched is the process-level bounded worker pool shared by
-// every parallel execution surface of the engine: collection query
-// fan-out (one job per document) and morsel-driven intra-query
-// parallelism (one job per index-scan morsel). A single pool means a
-// single knob — fan-out jobs and morsels draw from the same worker
-// budget, so stacking both kinds of parallelism cannot explode the
-// goroutine count past what the operator sized.
+// Package sched is the process-level bounded worker pool behind
+// collection query fan-out: one job per member document. Every
+// collection in the process draws helpers from the same pool, so
+// concurrent fan-outs cannot grow the goroutine count past what the
+// largest collection asked for. A single query always evaluates on the
+// goroutine that runs its job; the pool only spreads documents.
 //
 // The core primitive is ParallelFor, a caller-helping parallel loop:
 // the submitting goroutine always participates in executing its own
 // items, and pool workers join only as capacity frees up. Two
 // properties follow:
 //
-//   - No deadlock under nesting. A fan-out job running on a pool
-//     worker may itself submit morsel work; even when every other
-//     worker is busy, the submitter drives its own items to
-//     completion, so progress never depends on pool capacity.
+//   - No deadlock under nesting. An item running on a pool worker may
+//     itself submit a loop; even when every other worker is busy, the
+//     submitter drives its own items to completion, so progress never
+//     depends on pool capacity.
 //   - The pool bounds the EXTRA parallelism only. A ParallelFor from
 //     an application goroutine uses that goroutine plus at most
 //     (par-1) helpers, so total concurrency stays within what the
 //     caller and the pool size together allow.
-//
-// Fan-out tickets queue ahead of morsel tickets (class priority), so
-// cross-document throughput never starves behind a single heavy
-// query's morsels — a heavy query still progresses through its own
-// submitter.
 package sched
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-)
-
-// Class is the scheduling class of submitted work. Lower values are
-// served first when workers pick up tickets.
-type Class int
-
-const (
-	// Fanout is collection query fan-out: one job per document.
-	Fanout Class = iota
-	// Morsel is intra-query morsel work: one job per candidate slice.
-	Morsel
-
-	numClasses
 )
 
 // task is one ParallelFor invocation: a work-stealing counter over n
@@ -74,15 +55,15 @@ func (t *task) run(slot int) {
 	}
 }
 
-// Pool is a fixed set of worker goroutines serving tickets from
-// per-class FIFO queues. The zero value is not usable; construct with
-// New. A nil *Pool is valid everywhere and means "no helpers": every
-// ParallelFor runs serially on the caller.
+// Pool is a fixed set of worker goroutines serving tickets from one
+// FIFO queue. The zero value is not usable; construct with New. A nil
+// *Pool is valid everywhere and means "no helpers": every ParallelFor
+// runs serially on the caller.
 type Pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	workers int
-	queues  [numClasses][]*task
+	queue   []*task
 	busy    atomic.Int64
 }
 
@@ -100,7 +81,7 @@ func New(n int) *Pool {
 }
 
 // Ensure grows the pool to at least n workers; it never shrinks.
-// Growing is how every subsystem states its budget — the pool ends up
+// Growing is how every collection states its budget — the pool ends up
 // sized max(all requests), the shared ceiling.
 func (p *Pool) Ensure(n int) {
 	if p == nil {
@@ -134,33 +115,27 @@ func (p *Pool) Busy() int64 {
 	return p.busy.Load()
 }
 
-// Queued returns the number of not-yet-claimed helper tickets of one
-// class.
-func (p *Pool) Queued(cl Class) int {
+// Queued returns the number of not-yet-claimed helper tickets.
+func (p *Pool) Queued() int {
 	if p == nil {
 		return 0
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.queues[cl])
+	return len(p.queue)
 }
 
 func (p *Pool) worker() {
 	p.mu.Lock()
 	for {
-		var t *task
-		for cl := Class(0); cl < numClasses; cl++ {
-			if q := p.queues[cl]; len(q) > 0 {
-				t = q[0]
-				copy(q, q[1:])
-				p.queues[cl] = q[:len(q)-1]
-				break
-			}
-		}
-		if t == nil {
+		if len(p.queue) == 0 {
 			p.cond.Wait()
 			continue
 		}
+		t := p.queue[0]
+		n := copy(p.queue, p.queue[1:])
+		p.queue[n] = nil // the backing array must not keep a finished loop's closure alive
+		p.queue = p.queue[:n]
 		p.mu.Unlock()
 		if t.next.Load() < t.n { // skip tickets of already-finished loops
 			slot := int(t.slots.Add(1))
@@ -181,9 +156,8 @@ func (p *Pool) worker() {
 // (have f consult a context and make the remaining items cheap).
 //
 // With par <= 1, n <= 1 or a nil pool the loop degenerates to a plain
-// serial for-loop on the caller — the recommended "parallelism off"
-// path, with zero scheduling overhead.
-func (p *Pool) ParallelFor(cl Class, n, par int, f func(i, slot int)) {
+// serial for-loop on the caller, with zero scheduling overhead.
+func (p *Pool) ParallelFor(n, par int, f func(i, slot int)) {
 	if n <= 0 {
 		return
 	}
@@ -203,7 +177,7 @@ func (p *Pool) ParallelFor(cl Class, n, par int, f func(i, slot int)) {
 		helpers = p.workers
 	}
 	for i := 0; i < helpers; i++ {
-		p.queues[cl] = append(p.queues[cl], t)
+		p.queue = append(p.queue, t)
 	}
 	p.mu.Unlock()
 	if helpers == 1 {
@@ -217,7 +191,7 @@ func (p *Pool) ParallelFor(cl Class, n, par int, f func(i, slot int)) {
 	// complete, so they would only be popped and discarded later, and
 	// until then they inflate Queued and wake workers for nothing.
 	p.mu.Lock()
-	q := p.queues[cl]
+	q := p.queue
 	w := 0
 	for _, qt := range q {
 		if qt != t {
@@ -228,7 +202,7 @@ func (p *Pool) ParallelFor(cl Class, n, par int, f func(i, slot int)) {
 	for i := w; i < len(q); i++ {
 		q[i] = nil
 	}
-	p.queues[cl] = q[:w]
+	p.queue = q[:w]
 	p.mu.Unlock()
 }
 

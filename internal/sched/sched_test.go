@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ func TestParallelForCoversAllItems(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
 		for _, par := range []int{1, 2, 4, 16} {
 			counts := make([]atomic.Int32, n)
-			p.ParallelFor(Morsel, n, par, func(i, slot int) {
+			p.ParallelFor(n, par, func(i, slot int) {
 				counts[i].Add(1)
 			})
 			for i := range counts {
@@ -30,7 +31,7 @@ func TestParallelForCoversAllItems(t *testing.T) {
 func TestParallelForSerialFallback(t *testing.T) {
 	var order []int
 	var nilPool *Pool
-	nilPool.ParallelFor(Fanout, 5, 8, func(i, slot int) {
+	nilPool.ParallelFor(5, 8, func(i, slot int) {
 		if slot != 0 {
 			t.Fatalf("serial fallback used slot %d", slot)
 		}
@@ -43,7 +44,7 @@ func TestParallelForSerialFallback(t *testing.T) {
 	}
 	p := New(4)
 	ran := 0
-	p.ParallelFor(Morsel, 3, 1, func(i, slot int) { ran++ })
+	p.ParallelFor(3, 1, func(i, slot int) { ran++ })
 	if ran != 3 {
 		t.Fatalf("par=1 ran %d of 3 items", ran)
 	}
@@ -55,7 +56,7 @@ func TestParallelForSlotExclusivity(t *testing.T) {
 	p := New(8)
 	const n, par = 200, 4
 	inSlot := make([]atomic.Int32, par)
-	p.ParallelFor(Morsel, n, par, func(i, slot int) {
+	p.ParallelFor(n, par, func(i, slot int) {
 		if slot < 0 || slot >= par {
 			t.Errorf("slot %d out of range [0,%d)", slot, par)
 			return
@@ -73,7 +74,7 @@ func TestParallelForBoundsConcurrency(t *testing.T) {
 	p := New(16)
 	const n, par = 64, 3
 	var cur, max atomic.Int64
-	p.ParallelFor(Morsel, n, par, func(i, slot int) {
+	p.ParallelFor(n, par, func(i, slot int) {
 		c := cur.Add(1)
 		for {
 			m := max.Load()
@@ -93,13 +94,13 @@ func TestParallelForBoundsConcurrency(t *testing.T) {
 // even when every other worker is blocked: the submitter helps itself.
 func TestParallelForNestedNoDeadlock(t *testing.T) {
 	p := New(2)
-	// Saturate the pool: two long-running morsel loops whose items block
+	// Saturate the pool: two long-running loops whose items block
 	// until released.
 	release := make(chan struct{})
 	var blockers sync.WaitGroup
 	blockers.Add(2)
 	go func() {
-		p.ParallelFor(Morsel, 2, 2, func(i, slot int) {
+		p.ParallelFor(2, 2, func(i, slot int) {
 			blockers.Done()
 			<-release
 		})
@@ -110,9 +111,9 @@ func TestParallelForNestedNoDeadlock(t *testing.T) {
 		// Nested shape: an outer loop whose items run inner loops. With
 		// the pool saturated, every item must run on the submitting
 		// goroutines alone.
-		p.ParallelFor(Fanout, 3, 4, func(i, slot int) {
+		p.ParallelFor(3, 4, func(i, slot int) {
 			var sum atomic.Int64
-			p.ParallelFor(Morsel, 8, 4, func(j, s int) { sum.Add(int64(j)) })
+			p.ParallelFor(8, 4, func(j, s int) { sum.Add(int64(j)) })
 			if sum.Load() != 28 {
 				t.Errorf("inner loop incomplete: %d", sum.Load())
 			}
@@ -127,51 +128,6 @@ func TestParallelForNestedNoDeadlock(t *testing.T) {
 	close(release)
 }
 
-// Fan-out tickets must be served before morsel tickets when both wait.
-func TestClassPriority(t *testing.T) {
-	p := New(1)
-	// Park the single worker inside a blocked item. With n=2 and two
-	// participants (submitter + the worker) each claims one item, so
-	// whichever goroutine gets slot != 0 is the pool worker.
-	hold := make(chan struct{})
-	started := make(chan struct{})
-	go p.ParallelFor(Morsel, 2, 2, func(i, slot int) {
-		if slot != 0 {
-			close(started)
-		}
-		<-hold
-	})
-	<-started // the lone worker is now parked in a morsel item
-	// Queue one morsel ticket, then one fan-out ticket, each from a
-	// submitter that parks on its first item long enough for the
-	// released worker to claim the second.
-	var order []string
-	var mu sync.Mutex
-	record := func(s string) { mu.Lock(); order = append(order, s); mu.Unlock() }
-	var wg sync.WaitGroup
-	wg.Add(2)
-	slow := func(kind string) func(i, slot int) {
-		return func(i, slot int) {
-			if slot == 0 {
-				time.Sleep(100 * time.Millisecond)
-				return
-			}
-			record(kind)
-		}
-	}
-	go func() { defer wg.Done(); p.ParallelFor(Morsel, 2, 2, slow("morsel")) }()
-	time.Sleep(5 * time.Millisecond)
-	go func() { defer wg.Done(); p.ParallelFor(Fanout, 2, 2, slow("fanout")) }()
-	time.Sleep(5 * time.Millisecond)
-	close(hold) // free the worker; it must drain the fan-out ticket first
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) == 2 && order[0] == "morsel" {
-		t.Fatalf("morsel ticket served before queued fan-out ticket: %v", order)
-	}
-}
-
 // Ensure only grows and Workers reports the size; gauges return to
 // zero when idle.
 func TestEnsureAndStats(t *testing.T) {
@@ -181,7 +137,7 @@ func TestEnsureAndStats(t *testing.T) {
 	if got := p.Workers(); got != 4 {
 		t.Fatalf("Workers() = %d, want 4", got)
 	}
-	p.ParallelFor(Fanout, 32, 4, func(i, slot int) { time.Sleep(10 * time.Microsecond) })
+	p.ParallelFor(32, 4, func(i, slot int) { time.Sleep(10 * time.Microsecond) })
 	// Helpers have finished their items once ParallelFor returns
 	// (completion counts every item); busy may need a beat to settle as
 	// workers decrement after run returns.
@@ -192,7 +148,38 @@ func TestEnsureAndStats(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if q := p.Queued(Fanout) + p.Queued(Morsel); q != 0 {
+	if q := p.Queued(); q != 0 {
 		t.Fatalf("Queued() = %d after completion", q)
 	}
+}
+
+// A finished loop must not stay reachable from the pool: once a worker
+// has popped its ticket, nothing f captured may be kept alive by the
+// queue, so it is collectable as soon as ParallelFor returns.
+func TestParallelForReleasesFinishedLoop(t *testing.T) {
+	p := New(1)
+	collected := make(chan struct{})
+	func() {
+		obj := new([1024]byte)
+		runtime.SetFinalizer(obj, func(*[1024]byte) { close(collected) })
+		helped := make(chan struct{})
+		var once sync.Once
+		p.ParallelFor(2, 2, func(i, slot int) {
+			obj[i] = 1
+			if slot == 0 {
+				<-helped // hold the caller until the pool worker has run an item
+				return
+			}
+			once.Do(func() { close(helped) })
+		})
+	}()
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the pool still references a finished loop's closure")
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mhxquery/internal/core"
-	"mhxquery/internal/sched"
 )
 
 // Query is a compiled extended-XQuery expression. A Query is immutable
@@ -129,15 +128,6 @@ func (pl *Plan) newEvalContext(ctx stdctx.Context, d *core.Document, vars map[st
 	if !debugNaiveSteps {
 		st.plan = pl
 		st.explain = counts
-	}
-	// Intra-query parallelism (parallel.go): strict-only plans
-	// (analyze-string) must evaluate in interpreter order, so they never
-	// get a pool.
-	if !pl.strictOnly {
-		if par := QueryWorkers(); par > 1 {
-			st.par = par
-			st.pool = sched.Default()
-		}
 	}
 	c := &context{st: st, item: d.Root, pos: 1, size: 1}
 	for name, val := range vars {

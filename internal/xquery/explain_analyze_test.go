@@ -1,7 +1,6 @@
 package xquery
 
 import (
-	"strings"
 	"testing"
 
 	"mhxquery/internal/corpus"
@@ -37,12 +36,8 @@ func TestExplainAnalyzeMatchesExplain(t *testing.T) {
 		var compare func(a, b *ExplainOp, path string)
 		compare = func(a, b *ExplainOp, path string) {
 			p := path + "/" + a.Op
-			// The plan shape must match; the runtime "workers=N morsels=M"
-			// suffix records which pool slots happened to claim morsels in
-			// each run, so it is stripped before comparing.
-			if a.Op != b.Op || planDetail(a) != planDetail(b) || a.Parallel != b.Parallel {
-				t.Fatalf("%s: tree shape diverged at %s: %q parallel=%v vs %q parallel=%v",
-					src, p, a.Detail, a.Parallel, b.Detail, b.Parallel)
+			if a.Op != b.Op || a.Detail != b.Detail {
+				t.Fatalf("%s: tree shape diverged at %s: %q vs %q", src, p, a.Detail, b.Detail)
 			}
 			if a.Calls != b.Calls || a.InRows != b.InRows || a.OutRows != b.OutRows {
 				t.Errorf("%s: cardinalities diverged at %s: explain {%d %d %d} analyze {%d %d %d}",
@@ -81,16 +76,6 @@ func TestExplainAnalyzeMatchesExplain(t *testing.T) {
 			t.Errorf("%s: no operator below the root recorded wall time", src)
 		}
 	}
-}
-
-// planDetail is an operator's detail line without the runtime
-// "workers=N morsels=M" suffix renderExplain appends when the operator
-// actually ran in parallel.
-func planDetail(op *ExplainOp) string {
-	if i := strings.Index(op.Detail, " workers="); i >= 0 {
-		return op.Detail[:i]
-	}
-	return op.Detail
 }
 
 // TestExplainAnalyzeInclusiveTimes checks the documented inclusion

@@ -112,13 +112,6 @@ type pathOp struct {
 	chn      []*step // chain-scan: the consumed child:: steps
 	id       int     // cardinality counter slot
 	primLast bool    // primary step: last op of its path
-	// parallel marks the operator eligible for morsel-driven execution
-	// (parallel.go): index scans whose predicates are provably
-	// position-independent and never numeric, and chain scans (their
-	// per-candidate ancestor check is position-independent by
-	// construction). Order-observable shapes — positional shortcuts,
-	// strict-only plans — are never marked.
-	parallel bool
 }
 
 // indexBinding is an index-scan node test resolved against the
@@ -715,11 +708,10 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 		}
 		if k >= 2 && pn.useChainScan(steps[:k]) {
 			op := &pathOp{kind: opChainScan, chn: steps[:k], id: pn.newOpID()}
-			op.parallel = !pn.pl.strictOnly
 			ctx = est.chainEst(op.chn)
 			node.kids = append(node.kids, &explainNode{
 				op: "chain-scan", detail: describeChain(op.chn), index: true,
-				parallel: op.parallel, id: op.id, est: ctx.estInt(),
+				id: op.id, est: ctx.estInt(),
 			})
 			pp.ops = append(pp.ops, op)
 			i = k
@@ -754,15 +746,8 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 			continue
 		case indexableStep(s) && forcePlan != "noindex":
 			op = &pathOp{kind: opIndexScan, id: pn.newOpID()}
-			// Eligible for morsel-parallel predicate filtering when every
-			// predicate is provably position-independent (the fusablePreds
-			// criterion, applied to the AST predicates) and no positional
-			// shortcut reorders the work. Without predicates there is no
-			// per-candidate work worth parallelizing.
-			op.parallel = !pn.pl.strictOnly && s.posSel == 0 &&
-				len(s.preds) > 0 && fusablePreds(s.preds)
 			en = &explainNode{op: "index-scan", detail: describeStep(s), index: true,
-				parallel: op.parallel, id: op.id, est: -1}
+				id: op.id, est: -1}
 		default:
 			op = &pathOp{kind: opAxisStep, id: pn.newOpID()}
 			en = &explainNode{op: "axis-step", detail: describeStep(s), id: op.id, est: -1}
@@ -888,11 +873,6 @@ func visitChildren(e expr, visit func(expr)) {
 type opCard struct {
 	calls, in, out int64
 	nanos          int64
-	// Morsel-execution stats (parallel.go): morsels dispatched by this
-	// operator and candidate rows examined per worker slot (slot 0 is
-	// the evaluating goroutine). Zero/nil when the operator ran serially.
-	morsels    int64
-	workerRows []int64
 }
 
 // pPath is the lowered path expression: the operator list plus the
@@ -1003,7 +983,7 @@ func evalIndexScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 		}
 		segStart := len(out)
 		var err error
-		out, err = appendIndexSeg(c, out, d, n, s, &bind, inclSelf, op)
+		out, err = appendIndexSeg(c, out, d, n, s, &bind, inclSelf)
 		if err != nil {
 			return nil, err
 		}
@@ -1023,7 +1003,7 @@ func evalIndexScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 // candidates (every one already passes the node test), the positional
 // shortcut, then the remaining predicates — filterStep with the
 // per-candidate test replaced by run selection.
-func appendIndexSeg(c *context, out Seq, d *core.Document, n *dom.Node, s *step, bind *indexBinding, inclSelf bool, op *pathOp) (Seq, error) {
+func appendIndexSeg(c *context, out Seq, d *core.Document, n *dom.Node, s *step, bind *indexBinding, inclSelf bool) (Seq, error) {
 	if bind.hierErr != nil {
 		// Unknown hierarchy in the test: the reference raises the error
 		// only when a candidate reaches the hierarchy check, i.e. when
@@ -1054,14 +1034,7 @@ func appendIndexSeg(c *context, out Seq, d *core.Document, n *dom.Node, s *step,
 		preds = preds[1:]
 	}
 	if len(preds) > 0 {
-		seg := out[segStart:]
-		var kept Seq
-		var err error
-		if op != nil && parWorthwhile(c.st, op, len(seg)) {
-			kept, err = parFilterPreds(c, seg, preds, 0, len(seg), op.id)
-		} else {
-			kept, err = applyPredicatesInPlace(c, seg, preds)
-		}
+		kept, err := applyPredicatesInPlace(c, out[segStart:], preds)
 		if err != nil {
 			return nil, err
 		}
@@ -1162,30 +1135,11 @@ func evalChainScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 			continue // some chain name occurs nowhere in the document
 		}
 		last := bind.syms[len(bind.syms)-1]
-		total := 0
-		for _, h := range d.Hiers {
-			total += len(h.NameRun(last))
-		}
-		if parWorthwhile(st, op, total) {
-			// Morsel-parallel ancestor verification over the materialized
-			// candidate list (already in document order).
-			cand := make([]*dom.Node, 0, total)
-			for _, h := range d.Hiers {
-				for _, ord := range h.NameRun(last) {
-					cand = append(cand, h.Nodes[ord])
-				}
-			}
-			kept, err := parFilterChain(c, cand, d, bind.syms, op.id)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range kept {
-				out = append(out, m)
-			}
-			continue
-		}
 		for _, h := range d.Hiers {
 			for _, ord := range h.NameRun(last) {
+				if err := st.checkCancel(); err != nil {
+					return nil, err
+				}
 				m := h.Nodes[ord]
 				if chainAncestorsMatch(d, m, bind.syms) {
 					out = append(out, m)
@@ -1247,18 +1201,8 @@ type ExplainOp struct {
 	// (zero under plain EXPLAIN). Times are inclusive: an operator's
 	// Nanos contains the time of the operators it pulled from. At the
 	// root it is the total query wall time.
-	Nanos int64 `json:"nanos,omitempty"`
-	// Parallel marks operators the planner deemed eligible for
-	// morsel-driven execution. When an instrumented evaluation actually
-	// engaged it, Morsels counts the morsels dispatched, WorkerRows the
-	// candidate rows examined per worker slot (slot 0 is the evaluating
-	// goroutine) and Workers the slots that did any work; the detail line
-	// gains a "workers=N morsels=M" suffix.
-	Parallel   bool         `json:"parallel,omitempty"`
-	Workers    int          `json:"workers,omitempty"`
-	Morsels    int64        `json:"morsels,omitempty"`
-	WorkerRows []int64      `json:"worker_rows,omitempty"`
-	Children   []*ExplainOp `json:"children,omitempty"`
+	Nanos    int64        `json:"nanos,omitempty"`
+	Children []*ExplainOp `json:"children,omitempty"`
 }
 
 // explainNode is the plan-time skeleton of the operator tree; id indexes
@@ -1267,7 +1211,6 @@ type ExplainOp struct {
 type explainNode struct {
 	op, detail string
 	index      bool
-	parallel   bool
 	id         int
 	est        int64
 	kids       []*explainNode
@@ -1280,7 +1223,7 @@ func (pl *Plan) Describe() *ExplainOp { return pl.render(nil) }
 func (pl *Plan) render(counts []opCard) *ExplainOp { return renderExplain(pl.root, counts) }
 
 func renderExplain(n *explainNode, counts []opCard) *ExplainOp {
-	out := &ExplainOp{Op: n.op, Detail: n.detail, Index: n.index, Parallel: n.parallel}
+	out := &ExplainOp{Op: n.op, Detail: n.detail, Index: n.index}
 	if n.est >= 0 {
 		est := n.est
 		out.EstRows = &est
@@ -1290,17 +1233,6 @@ func renderExplain(n *explainNode, counts []opCard) *ExplainOp {
 		cd := counts[n.id]
 		out.Calls, out.InRows, out.OutRows = cd.calls, cd.in, cd.out
 		out.Nanos = cd.nanos
-		if cd.morsels > 0 {
-			out.Morsels = cd.morsels
-			for _, r := range cd.workerRows {
-				if r > 0 {
-					out.Workers++
-				}
-			}
-			out.WorkerRows = append([]int64(nil), cd.workerRows...)
-			out.Detail += " workers=" + strconv.Itoa(out.Workers) +
-				" morsels=" + strconv.FormatInt(cd.morsels, 10)
-		}
 	}
 	for _, k := range n.kids {
 		out.Children = append(out.Children, renderExplain(k, counts))

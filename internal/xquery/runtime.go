@@ -7,7 +7,6 @@ import (
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/dom"
-	"mhxquery/internal/sched"
 )
 
 // This file holds the runtime shared by the two execution engines: the
@@ -48,16 +47,6 @@ type evalState struct {
 	ctx  stdctx.Context
 	tick uint
 
-	// pool/par enable morsel-driven intra-query parallelism
-	// (parallel.go): the shared scheduler and the maximum participant
-	// count of one parallel pass. pool is nil in worker states (nested
-	// parallelism is structurally impossible) and in strict-only
-	// evaluations. parEngaged tracks whether this evaluation has gone
-	// parallel at least once, for the parallel-queries counter.
-	pool       *sched.Pool
-	par        int
-	parEngaged bool
-
 	// axisBuf is the reusable axis-candidate buffer of the step pipeline
 	// (AppendAxis destination), shared across context nodes and steps —
 	// candidates are consumed into the step output before any nested
@@ -86,55 +75,6 @@ func (st *evalState) checkCancel() error {
 		return errf("MHXQ0002", "evaluation canceled: %v", err)
 	}
 	return nil
-}
-
-// parallelism returns how many goroutines (caller included) one
-// parallel pass of this evaluation may use; 1 means serial.
-func (st *evalState) parallelism() int {
-	if st.pool == nil || st.par <= 1 {
-		return 1
-	}
-	return st.par
-}
-
-// workerState clones the evaluation state for one pool helper of a
-// parallel pass: shared immutable pieces (document, plan, resolver,
-// cancellation context), private scratch (buffers, cancellation tick,
-// explain counters — merged back by mergeWorker) and pool=nil so a
-// worker can never go parallel itself. extra is copied because docFor
-// move-to-fronts it.
-func (st *evalState) workerState() *evalState {
-	ws := &evalState{
-		doc:      st.doc,
-		tempSeq:  st.tempSeq,
-		resolver: st.resolver,
-		plan:     st.plan,
-		timed:    st.timed,
-		ctx:      st.ctx,
-	}
-	if len(st.extra) > 0 {
-		ws.extra = append([]*core.Document(nil), st.extra...)
-	}
-	if st.explain != nil {
-		ws.explain = make([]opCard, len(st.explain))
-	}
-	return ws
-}
-
-// mergeWorker folds a helper's explain counters into the parent's
-// after its parallel pass (single-threaded: the pass has completed).
-func (st *evalState) mergeWorker(ws *evalState) {
-	if st.explain == nil || ws.explain == nil {
-		return
-	}
-	for id := range ws.explain {
-		wd := &ws.explain[id]
-		cd := &st.explain[id]
-		cd.calls += wd.calls
-		cd.in += wd.in
-		cd.out += wd.out
-		cd.nanos += wd.nanos
-	}
 }
 
 // addExtra records a document loaded by doc()/collection().
@@ -375,6 +315,9 @@ func applyPredicatesInPlace(c *context, items Seq, preds []expr) (Seq, error) {
 		w := 0
 		c2 := *c // one scratch context per predicate, mutated per item
 		for i, it := range items {
+			if err := c.st.checkCancel(); err != nil {
+				return nil, err
+			}
 			c2.item, c2.pos, c2.size = it, i+1, size
 			v, err := evalMaybeLowered(&c2, pr)
 			if err != nil {

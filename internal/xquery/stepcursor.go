@@ -412,15 +412,8 @@ func (sc *stepCursor) indexSegment(n *dom.Node, d *core.Document) (cursor, error
 	case 1:
 		// Single predicate: stream candidates with exact (pos, size) —
 		// the candidate count is known from the run lengths, so even
-		// last() works without materializing. Large eligible segments
-		// engage adaptively parallel filtering (parallel.go), which
-		// serves the first morsel just as lazily.
-		total := rs.total()
-		if parWorthwhile(c.st, sc.op, total) {
-			return &parPredCursor{c: c, op: sc.op, rs: rs, pr: preds[0], total: total,
-				phaseA: morselSizeFor(total, c.st.parallelism())}, nil
-		}
-		return &predCursor{inner: rs, pr: preds[0], c: c, size: total}, nil
+		// last() works without materializing.
+		return &predCursor{inner: rs, pr: preds[0], c: c, size: rs.total()}, nil
 	}
 	// Multiple predicates chain position semantics through the
 	// survivors of each stage; materialize the segment.
@@ -428,11 +421,7 @@ func (sc *stepCursor) indexSegment(n *dom.Node, d *core.Document) (cursor, error
 	if err != nil {
 		return nil, err
 	}
-	if parWorthwhile(c.st, sc.op, len(items)) {
-		items, err = parFilterPreds(c, items, preds, 0, len(items), sc.op.id)
-	} else {
-		items, err = applyPredicatesInPlace(c, items, preds)
-	}
+	items, err = applyPredicatesInPlace(c, items, preds)
 	if err != nil {
 		return nil, err
 	}
@@ -492,13 +481,6 @@ type chainCursor struct {
 	run    []int32
 	tail   cursor
 	done   bool
-
-	// Adaptive parallel engagement (parallel.go): candidates examined so
-	// far and the serial-phase budget — one morsel's worth, after which a
-	// still-pulling consumer triggers a parallel verify of the remainder.
-	// phaseA < 0 disables engagement.
-	examined int
-	phaseA   int
 }
 
 func (cc *chainCursor) next() (Item, bool, error) {
@@ -562,45 +544,11 @@ func (cc *chainCursor) next() (Item, bool, error) {
 			cc.done = true
 			return nil, false, nil
 		}
-		cc.phaseA = -1
-		lastSym := cc.bind.syms[len(cc.bind.syms)-1]
-		total := 0
-		for _, h := range d.Hiers {
-			total += len(h.NameRun(lastSym))
-		}
-		if parWorthwhile(c.st, cc.op, total) {
-			cc.phaseA = morselSizeFor(total, c.st.parallelism())
-		}
 	}
 	last := cc.bind.syms[len(cc.bind.syms)-1]
 	for {
 		if err := c.st.checkCancel(); err != nil {
 			return nil, false, err
-		}
-		if cc.phaseA >= 0 && cc.examined >= cc.phaseA {
-			// The consumer drained past the serial phase: verify every
-			// remaining candidate in parallel and stream the survivors.
-			var rest []*dom.Node
-			hi, i := cc.hi, cc.i
-			if cc.run == nil {
-				i = 0
-			}
-			for ; hi < len(cc.d.Hiers); hi++ {
-				run := cc.d.Hiers[hi].NameRun(last)
-				for ; i < len(run); i++ {
-					rest = append(rest, cc.d.Hiers[hi].Nodes[run[i]])
-				}
-				i = 0
-			}
-			kept, err := parFilterChain(c, rest, cc.d, cc.bind.syms, cc.op.id)
-			if err != nil {
-				return nil, false, err
-			}
-			if ex := c.st.explain; ex != nil {
-				ex[cc.op.id].out += int64(len(kept))
-			}
-			cc.tail = seqCur(nodesToSeq(kept))
-			return cc.tail.next()
 		}
 		if cc.run == nil {
 			if cc.hi >= len(cc.d.Hiers) {
@@ -622,7 +570,6 @@ func (cc *chainCursor) next() (Item, bool, error) {
 		}
 		m := cc.d.Hiers[cc.hi].Nodes[cc.run[cc.i]]
 		cc.i++
-		cc.examined++
 		if chainAncestorsMatch(cc.d, m, cc.bind.syms) {
 			if ex := c.st.explain; ex != nil {
 				ex[cc.op.id].out++

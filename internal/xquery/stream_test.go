@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mhxquery/internal/core"
 	"mhxquery/internal/corpus"
 )
 
@@ -70,75 +71,165 @@ func TestExplainFLWORGolden(t *testing.T) {
 }
 
 // TestStreamLimitStopsScan is the cardinality-observing proof of
-// early exit: pulling 3 items from //w over a large document must
-// leave the index scan having produced only those 3 items, not the
-// whole run.
+// early exit: taking 3 items from //w — bare, or through a predicate
+// every word passes — over a large document must leave the index scan
+// having produced only those 3 items, not the whole run.
 func TestStreamLimitStopsScan(t *testing.T) {
 	d, err := corpus.Generate(corpus.Params{Seed: 5, Words: 600}).Document()
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := MustCompile(`//w`)
+	for _, src := range []string{`//w`, `//w[string-length(string(.)) > 0]`} {
+		q := MustCompile(src)
+		total, err := q.Eval(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(total) < 100 {
+			t.Fatalf("%s: fixture too small: %d words", src, len(total))
+		}
+
+		s, render := q.StreamExplain(nil, d, nil, nil)
+		if got, err := s.Take(3); err != nil || len(got) != 3 {
+			t.Fatalf("%s: Take(3) = %d items, err=%v", src, len(got), err)
+		}
+		var scan *ExplainOp
+		var walk func(op *ExplainOp)
+		walk = func(op *ExplainOp) {
+			if op.Op == "index-scan" {
+				scan = op
+			}
+			for _, k := range op.Children {
+				walk(k)
+			}
+		}
+		walk(render())
+		if scan == nil {
+			t.Fatalf("%s: no index-scan operator in the plan", src)
+		}
+		if scan.OutRows != 3 {
+			t.Fatalf("%s: index scan produced %d rows after a 3-item pull; early exit is broken (total %d)", src, scan.OutRows, len(total))
+		}
+		// Draining the rest must still deliver the full result.
+		rest, err := drainStream(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if 3+len(rest) != len(total) {
+			t.Fatalf("%s: stream delivered %d items, want %d", src, 3+len(rest), len(total))
+		}
+	}
+}
+
+// TestStreamCancel checks context cancellation: a runaway query, and a
+// predicate scan over a large document, stop with MHXQ0002 within a
+// bounded number of items.
+func TestStreamCancel(t *testing.T) {
+	big, err := corpus.Generate(corpus.Params{Seed: 23, Words: 2000, DamageRate: 0.2, RestoreRate: 0.2}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := stdctx.WithCancel(stdctx.Background())
+	cancel()
+	for _, tc := range []struct {
+		src string
+		d   *core.Document
+	}{
+		{`count(1 to 100000000000)`, corpus.MustBoethius()},
+		{`//w[string-length(string(.)) >= 0]`, big},
+	} {
+		q := MustCompile(tc.src)
+		_, err := q.EvalContext(ctx, tc.d, nil, nil)
+		if err == nil {
+			t.Fatalf("%s: canceled evaluation returned no error", tc.src)
+		}
+		xe, ok := err.(*Error)
+		if !ok || xe.Code != "MHXQ0002" {
+			t.Fatalf("%s: err = %v, want MHXQ0002", tc.src, err)
+		}
+
+		if _, err := drainStream(q.Stream(ctx, tc.d, nil, nil)); err == nil {
+			t.Fatalf("%s: canceled stream drained without error", tc.src)
+		}
+	}
+}
+
+// scanOp returns the first index-scan operator of an EXPLAIN tree.
+func scanOp(op *ExplainOp) *ExplainOp {
+	if op.Op == "index-scan" {
+		return op
+	}
+	for _, k := range op.Children {
+		if f := scanOp(k); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
+// TestParallelCancellation checks cancellation that arrives in the
+// middle of a predicate scan over a large document: the stream already
+// delivering items stops with MHXQ0002 before the scan finishes.
+func TestParallelCancellation(t *testing.T) {
+	d, err := corpus.Generate(corpus.Params{Seed: 23, Words: 2000, DamageRate: 0.2, RestoreRate: 0.2}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustCompile(`//w[string-length(string(.)) >= 0]`)
 	total, err := q.Eval(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(total) < 100 {
-		t.Fatalf("fixture too small: %d words", len(total))
+	ctx, cancel := stdctx.WithCancel(stdctx.Background())
+	defer cancel()
+	s := q.Stream(ctx, d, nil, nil)
+	if got, err := s.Take(5); err != nil || len(got) != 5 {
+		t.Fatalf("Take(5) = %d items, err=%v", len(got), err)
 	}
-
-	s, render := q.StreamExplain(nil, d, nil, nil)
-	for i := 0; i < 3; i++ {
-		if _, ok, err := s.Next(); err != nil || !ok {
-			t.Fatalf("pull %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	var scan *ExplainOp
-	var walk func(op *ExplainOp)
-	walk = func(op *ExplainOp) {
-		if op.Op == "index-scan" {
-			scan = op
-		}
-		for _, k := range op.Children {
-			walk(k)
-		}
-	}
-	walk(render())
-	if scan == nil {
-		t.Fatal("no index-scan operator in the plan")
-	}
-	if scan.OutRows != 3 {
-		t.Fatalf("index scan produced %d rows after a 3-item pull; early exit is broken (total %d)", scan.OutRows, len(total))
-	}
-	// Draining the rest must still deliver the full result.
+	cancel()
 	rest, err := drainStream(s)
-	if err != nil {
-		t.Fatal(err)
+	xe, ok := err.(*Error)
+	if !ok || xe.Code != "MHXQ0002" {
+		t.Fatalf("stream canceled mid-scan returned %v, want MHXQ0002", err)
 	}
-	if 3+len(rest) != len(total) {
-		t.Fatalf("stream delivered %d items, want %d", 3+len(rest), len(total))
+	if 5+len(rest) >= len(total) {
+		t.Fatalf("stream canceled mid-scan delivered all %d items", len(total))
 	}
 }
 
-// TestStreamCancel checks context cancellation: a runaway query stops
-// with MHXQ0002 within a bounded number of items.
-func TestStreamCancel(t *testing.T) {
-	d := corpus.MustBoethius()
-	ctx, cancel := stdctx.WithCancel(stdctx.Background())
-	cancel()
-	q := MustCompile(`count(1 to 100000000000)`)
-	_, err := q.EvalContext(ctx, d, nil, nil)
-	if err == nil {
-		t.Fatal("canceled evaluation returned no error")
+// TestParallelEarlyExitStaysLazy proves the predicate scan stays lazy
+// under an early-exit consumer: Take(1) leaves the index scan having
+// produced one row, while a full drain of the same shape produces every
+// word.
+func TestParallelEarlyExitStaysLazy(t *testing.T) {
+	d, err := corpus.Generate(corpus.Params{Seed: 31, Words: 120, DamageRate: 0.2, RestoreRate: 0.2}).Document()
+	if err != nil {
+		t.Fatal(err)
 	}
-	xe, ok := err.(*Error)
-	if !ok || xe.Code != "MHXQ0002" {
-		t.Fatalf("err = %v, want MHXQ0002", err)
+	q := MustCompile(`//w[string-length(string(.)) > 0]`)
+	total, err := q.Eval(d)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	s := q.Stream(ctx, d, nil, nil)
-	if _, _, err := s.Next(); err == nil {
-		t.Fatal("canceled stream yielded an item")
+	s, render := q.StreamExplain(nil, d, nil, nil)
+	if _, err := s.Take(1); err != nil {
+		t.Fatal(err)
+	}
+	scan := scanOp(render())
+	if scan == nil {
+		t.Fatal("no index-scan in plan")
+	}
+	if scan.OutRows != 1 {
+		t.Fatalf("early-exit consumer drained %d rows, want 1", scan.OutRows)
+	}
+
+	s2, render2 := q.StreamExplain(nil, d, nil, nil)
+	if _, err := s2.Take(0); err != nil {
+		t.Fatal(err)
+	}
+	if scan2 := scanOp(render2()); scan2.OutRows != int64(len(total)) {
+		t.Fatalf("full drain produced %d scan rows, want %d", scan2.OutRows, len(total))
 	}
 }
 

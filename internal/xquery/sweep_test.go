@@ -208,50 +208,76 @@ func TestSweepFLWORPredicatesQuantifiers(t *testing.T) {
 	docs := sweepDocs(t)
 	g := &qgen{r: rand.New(rand.NewSource(20260729))}
 	const cases = 300
-	compiled := 0
 	for i := 0; i < cases; i++ {
-		src := g.query()
-		q, err := Compile(src)
-		if err != nil {
-			t.Fatalf("case %d: generated query does not parse: %q: %v", i, src, err)
-		}
-		compiled++
-		for name, d := range docs {
-			fast, fastErr := q.Eval(d)
-			streamed, streamErr := drainStream(q.Stream(nil, d, nil, nil))
-
-			debugNaiveSteps = true
-			ref, refErr := q.Eval(d)
-			debugNaiveSteps = false
-
-			if (fastErr == nil) != (refErr == nil) {
-				t.Errorf("case %d (%s): %q\n  cursor err=%v\n  oracle err=%v", i, name, src, fastErr, refErr)
-				continue
-			}
-			if fastErr != nil {
-				fe, fok := fastErr.(*Error)
-				re, rok := refErr.(*Error)
-				if !fok || !rok || fe.Code != re.Code {
-					t.Errorf("case %d (%s): %q: error codes differ: %v vs %v", i, name, src, fastErr, refErr)
-				}
-				if (streamErr == nil) || streamErr.(*Error).Code != fe.Code {
-					t.Errorf("case %d (%s): %q: stream error %v, eval error %v", i, name, src, streamErr, fastErr)
-				}
-				continue
-			}
-			if streamErr != nil {
-				t.Errorf("case %d (%s): %q: stream err=%v, eval ok", i, name, src, streamErr)
-				continue
-			}
-			if !sameItems(fast, ref) {
-				t.Errorf("case %d (%s): %q\n  cursor: %s\n  oracle: %s", i, name, src, Serialize(fast), Serialize(ref))
-			}
-			if !sameItems(fast, streamed) {
-				t.Errorf("case %d (%s): %q\n  eval:   %s\n  stream: %s", i, name, src, Serialize(fast), Serialize(streamed))
-			}
-		}
+		checkAgainstOracle(t, i, g.query(), docs)
 	}
-	if compiled < 200 {
-		t.Fatalf("only %d cases compiled; the sweep needs at least 200", compiled)
+}
+
+// TestSweepPathShapes sweeps 220 seeded path and (path)[pred] shapes over the sweep documents and a 120-word manuscript
+// whose index scans run long candidate lists through their predicates.
+func TestSweepPathShapes(t *testing.T) {
+	docs := sweepDocs(t)
+	big, err := corpus.Generate(corpus.Params{Seed: 11, Words: 120, DamageRate: 0.2, RestoreRate: 0.2}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs["big"] = big
+
+	var srcs []string
+	g := &qgen{r: rand.New(rand.NewSource(20260808))}
+	for i := 0; i < 160; i++ {
+		srcs = append(srcs, g.path(2, ""))
+	}
+	for i := 0; i < 60; i++ {
+		srcs = append(srcs, "("+g.path(2, "")+")["+g.pred(1)+"]")
+	}
+	for i, src := range srcs {
+		checkAgainstOracle(t, i, src, docs)
+	}
+}
+
+// checkAgainstOracle evaluates one generated query on every document
+// through the cursor engine's strict route, its full-drain stream route
+// and the AST interpreter oracle (debugNaiveSteps): results must be
+// identical, and an error must carry the same code on all three.
+func checkAgainstOracle(t *testing.T, i int, src string, docs map[string]*core.Document) {
+	t.Helper()
+	q, err := Compile(src)
+	if err != nil {
+		t.Fatalf("case %d: generated query does not parse: %q: %v", i, src, err)
+	}
+	for name, d := range docs {
+		fast, fastErr := q.Eval(d)
+		streamed, streamErr := drainStream(q.Stream(nil, d, nil, nil))
+
+		debugNaiveSteps = true
+		ref, refErr := q.Eval(d)
+		debugNaiveSteps = false
+
+		if (fastErr == nil) != (refErr == nil) {
+			t.Errorf("case %d (%s): %q\n  cursor err=%v\n  oracle err=%v", i, name, src, fastErr, refErr)
+			continue
+		}
+		if fastErr != nil {
+			fe, fok := fastErr.(*Error)
+			re, rok := refErr.(*Error)
+			if !fok || !rok || fe.Code != re.Code {
+				t.Errorf("case %d (%s): %q: error codes differ: %v vs %v", i, name, src, fastErr, refErr)
+			}
+			if se, sok := streamErr.(*Error); !sok || !fok || se.Code != fe.Code {
+				t.Errorf("case %d (%s): %q: stream error %v, eval error %v", i, name, src, streamErr, fastErr)
+			}
+			continue
+		}
+		if streamErr != nil {
+			t.Errorf("case %d (%s): %q: stream err=%v, eval ok", i, name, src, streamErr)
+			continue
+		}
+		if !sameItems(fast, ref) {
+			t.Errorf("case %d (%s): %q\n  cursor: %s\n  oracle: %s", i, name, src, Serialize(fast), Serialize(ref))
+		}
+		if !sameItems(fast, streamed) {
+			t.Errorf("case %d (%s): %q\n  eval:   %s\n  stream: %s", i, name, src, Serialize(fast), Serialize(streamed))
+		}
 	}
 }

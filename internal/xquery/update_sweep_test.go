@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"mhxquery/internal/core"
@@ -272,4 +273,64 @@ func TestUpdateDifferentialSweep(t *testing.T) {
 		t.Fatalf("only %d/%d sequences applied (%d failed); generator too conflict-happy", applied, sequences, failed)
 	}
 	t.Logf("applied %d/%d sequences (%d legitimately failed)", applied, sequences, failed)
+}
+
+// TestPinnedVersionEvalUnderUpdates races evaluations of one pinned
+// version against a writer publishing copy-on-write successors (and
+// querying each fresh version, so its name indexes build lazily while
+// the readers run): every pinned-version result must stay identical to
+// the one taken before the writer started. Run with -race.
+func TestPinnedVersionEvalUnderUpdates(t *testing.T) {
+	base, err := corpus.Generate(corpus.Params{Seed: 5, Words: 60, DamageRate: 0.2, RestoreRate: 0.2}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustCompile(`//w[xancestor::dmg or string-length(string(.)) > 2]`)
+	want, err := q.Eval(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				got, err := q.Eval(base)
+				if err != nil {
+					t.Errorf("pinned-version eval: %v", err)
+					return
+				}
+				if !nodeIdentical(got, want) {
+					t.Error("pinned-version eval diverged under concurrent updates")
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		d := base
+		r := rand.New(rand.NewSource(99))
+		for k := 0; k < 24; k++ {
+			src := fmt.Sprintf(`rename node (//w)[%d] as "u%d"`, 1+r.Intn(8), k)
+			u, err := CompileUpdate(src)
+			if err != nil {
+				t.Errorf("update %q: %v", src, err)
+				return
+			}
+			nd, _, err := u.Apply(d)
+			if err != nil {
+				continue // conflicting random edit; atomic failure is fine
+			}
+			d = nd
+			if _, err := q.Eval(d); err != nil {
+				t.Errorf("fresh-version eval: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }

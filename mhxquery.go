@@ -375,19 +375,9 @@ type PlanOp struct {
 	// operator, derived from the document's path synopsis (nil when the
 	// planner had no estimate). Compare against OutRows to judge
 	// estimate accuracy; the Detail line carries an "est=N" suffix.
-	EstRows *int64 `json:"est_rows,omitempty"`
-	Nanos   int64  `json:"nanos,omitempty"`
-	// Parallel marks operators eligible for morsel-driven parallel
-	// execution; when an analyzed evaluation engaged it, Morsels counts
-	// the dispatched morsels, WorkerRows the candidate rows examined per
-	// worker slot (slot 0 is the evaluating goroutine) and Workers the
-	// slots that did any work. The Detail line then carries a
-	// "workers=N morsels=M" suffix.
-	Parallel   bool      `json:"parallel,omitempty"`
-	Workers    int       `json:"workers,omitempty"`
-	Morsels    int64     `json:"morsels,omitempty"`
-	WorkerRows []int64   `json:"worker_rows,omitempty"`
-	Children   []*PlanOp `json:"children,omitempty"`
+	EstRows  *int64    `json:"est_rows,omitempty"`
+	Nanos    int64     `json:"nanos,omitempty"`
+	Children []*PlanOp `json:"children,omitempty"`
 }
 
 func planOpFrom(e *xquery.ExplainOp) *PlanOp {
@@ -398,25 +388,12 @@ func planOpFrom(e *xquery.ExplainOp) *PlanOp {
 		Op: e.Op, Detail: e.Detail, Index: e.Index,
 		Calls: e.Calls, InRows: e.InRows, OutRows: e.OutRows,
 		EstRows: e.EstRows, Nanos: e.Nanos,
-		Parallel: e.Parallel, Workers: e.Workers,
-		Morsels: e.Morsels, WorkerRows: e.WorkerRows,
 	}
 	for _, k := range e.Children {
 		out.Children = append(out.Children, planOpFrom(k))
 	}
 	return out
 }
-
-// SetQueryWorkers sets the process-wide maximum number of workers
-// (including the evaluating goroutine) a single query evaluation may
-// use for morsel-driven parallel execution. 1 disables intra-query
-// parallelism; 0 restores the GOMAXPROCS default. Workers are drawn
-// from the same bounded scheduler as collection fan-out, so raising
-// this never multiplies total process concurrency.
-func SetQueryWorkers(n int) { xquery.SetQueryWorkers(n) }
-
-// QueryWorkers reports the effective intra-query parallelism.
-func QueryWorkers() int { return xquery.QueryWorkers() }
 
 // Query is a compiled extended-XQuery expression, reusable across
 // documents and safe for concurrent evaluation.

@@ -7,10 +7,9 @@
 # fixtures, the P10 indexed-descendant fixtures, the
 # P11 early-exit/FLWOR cursor fixtures, the P12 copy-on-write
 # update fixtures, the P13 durable-update fixtures, WAL vs
-# write-through, the P14 morsel-parallel scan fixtures at
-# 1/2/4/GOMAXPROCS workers, the P16 cost-based plan-choice
-# fixtures, the P17 query-after-update fixtures, and the P18
-# recovery fixtures) with -count
+# write-through, the P14 predicate-scan fixtures, the P16
+# cost-based plan-choice fixtures, the P17 query-after-update
+# fixtures, and the P18 recovery fixtures) with -count
 # repetitions, prints the raw `go test -bench` output, and writes the
 # best (minimum ns/op) run per benchmark to a JSON file so the perf
 # trajectory is diffable in git.
@@ -24,7 +23,7 @@
 set -eu
 
 COUNT=5
-BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkParallelScan|BenchmarkPlanChoice|BenchmarkQueryAfterUpdate|BenchmarkRecovery'
+BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkPredicateScan|BenchmarkPlanChoice|BenchmarkQueryAfterUpdate|BenchmarkRecovery'
 OUT=BENCH_eval.json
 while [ $# -gt 0 ]; do
 	case "$1" in

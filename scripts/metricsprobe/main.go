@@ -84,57 +84,12 @@ func main() {
 	for k, v := range walProbe() {
 		out[k] = v
 	}
-	for k, v := range morselProbe() {
-		out[k] = v
-	}
 	if rss, ok := rssBytes(); ok {
 		out["rss_bytes"] = rss
 	}
 	enc := json.NewEncoder(os.Stdout)
 	if err := enc.Encode(out); err != nil {
 		log.Fatal(err)
-	}
-}
-
-// morselProbe drives a full-drain scan over a document big enough to
-// cross the parallel-engagement threshold and reports the intra-query
-// parallelism health numbers: morsels dispatched, queries that
-// engaged, and the morsel latency p99, so a regression that silently
-// stops engaging (or inflates morsel cost) is diffable in git.
-func morselProbe() map[string]any {
-	mhxquery.SetQueryWorkers(4)
-	defer mhxquery.SetQueryWorkers(0)
-	coll := mhxquery.NewCollection(mhxquery.CollectionOptions{Workers: 2})
-	g := corpus.Generate(corpus.Params{Seed: 21, Words: 400, DamageRate: 0.12})
-	names := make([]string, 0, len(g.XML))
-	for name := range g.XML {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	hs := make([]mhxquery.Hierarchy, len(names))
-	for i, name := range names {
-		hs[i] = mhxquery.Hierarchy{Name: name, XML: g.XML[name]}
-	}
-	doc, err := mhxquery.Parse(hs...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := coll.Put("generated", doc); err != nil {
-		log.Fatal(err)
-	}
-	before := coll.Metrics().Snapshot()
-	for r := 0; r < rounds; r++ {
-		if _, err := coll.QueryAll(`//w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]`); err != nil {
-			log.Fatal(err)
-		}
-	}
-	snap := coll.Metrics().Snapshot()
-	p99, _ := coll.Metrics().Quantile("mhx_query_morsel_seconds", 0.99)
-	// The morsel counters are process-wide; report only this burst.
-	return map[string]any{
-		"morsels_dispatched": snap["mhx_query_morsels_total"] - before["mhx_query_morsels_total"],
-		"parallel_queries":   snap["mhx_query_parallel_queries_total"] - before["mhx_query_parallel_queries_total"],
-		"morsel_p99_seconds": p99,
 	}
 }
 
