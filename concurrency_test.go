@@ -288,8 +288,8 @@ func TestSnapshotIsolationUnderUpdates(t *testing.T) {
 }
 
 // TestCollectionSnapshotIsolationUnderUpdates is the collection-level
-// half: writers commit versions through Collection.Update (publish +
-// write-through) while fan-out and streaming readers run; every
+// half: writers commit versions through Collection.Update (WAL commit
+// + publish) while fan-out and streaming readers run; every
 // per-document result must be generation-uniform and no evaluation may
 // fail.
 func TestCollectionSnapshotIsolationUnderUpdates(t *testing.T) {
@@ -386,7 +386,7 @@ func TestCollectionSnapshotIsolationUnderUpdates(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// The last committed versions survived write-through persistence.
+	// The last committed versions survived through the write-ahead log.
 	c2, err := mhxquery.OpenCollection(dir, mhxquery.CollectionOptions{})
 	if err != nil {
 		t.Fatal(err)

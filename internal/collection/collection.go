@@ -55,11 +55,6 @@ type Options struct {
 	// entries. 0 means a default of 128; negative disables caching.
 	CacheSize int
 
-	// WriteThrough reverts a persistent collection to the pre-WAL write
-	// path: every update re-encodes and renames the whole image before
-	// acknowledging. Durable but O(document) per commit; kept for
-	// comparison benchmarks and as an escape hatch.
-	WriteThrough bool
 	// FlushWindow is the WAL group-commit window: how long the log
 	// writer waits after the first commit of a batch for more to pile
 	// in. 0 fsyncs immediately (concurrent commits still batch).
@@ -75,12 +70,6 @@ type Options struct {
 	// means the real OS; tests inject wal.CrashFS for fault injection
 	// and power-loss simulation.
 	FS wal.FS
-
-	// NoMmap disables memory-mapping of v3 snapshot images on open and
-	// forces the read-into-memory path. Mapping is also skipped when the
-	// platform lacks support, when MHX_NO_MMAP=1, or when FS is not the
-	// real OS (an injected filesystem's bytes are not the disk's).
-	NoMmap bool
 }
 
 func (o Options) withDefaults() Options {
@@ -137,8 +126,8 @@ type Collection struct {
 	// Readers are never blocked — they keep their snapshot.
 	updateMu sync.Mutex
 
-	// Durable write path (nil/zero for memory-only and write-through
-	// collections; see durable.go).
+	// Durable write path (nil/zero for memory-only collections; see
+	// durable.go).
 	fs        wal.FS
 	wal       *wal.Log
 	snapEvery int
@@ -182,11 +171,11 @@ func New(opts Options) *Collection {
 }
 
 // Open returns a collection persisted under dir, creating the directory
-// if needed and loading every *.mhxg image found there. Unless
-// Options.WriteThrough is set, updates are made durable through a
-// write-ahead log (durable.go): Open replays any log records not yet
-// covered by the document snapshots — crash recovery — and Recovery
-// reports what that took. Subsequent Put calls write through to dir.
+// if needed and loading every *.mhxg image found there. Updates are
+// made durable through a write-ahead log (durable.go): Open replays any
+// log records not yet covered by the document snapshots — crash
+// recovery — and Recovery reports what that took. Subsequent Put calls
+// persist the whole image to dir before publishing it.
 func Open(dir string, opts Options) (*Collection, error) {
 	opts = opts.withDefaults()
 	fs := opts.FS
@@ -218,7 +207,7 @@ func Open(dir string, opts Options) (*Collection, error) {
 		if !nameRE.MatchString(name) {
 			continue
 		}
-		d, snapSeq, err := c.openSnapshot(opts, filepath.Join(dir, fname))
+		d, snapSeq, err := c.openSnapshot(filepath.Join(dir, fname))
 		if err != nil {
 			// Snapshot corruption is not recoverable from here (the log
 			// only holds deltas against it): fail loudly, never serve a
@@ -228,25 +217,17 @@ func Open(dir string, opts Options) (*Collection, error) {
 		c.docs[name] = d
 		c.logState[name] = &docState{lastSeq: snapSeq, snapSeq: snapSeq}
 	}
-	if opts.WriteThrough {
-		return c, nil
-	}
 	if err := c.recover(opts); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// openSnapshot loads one image. A v3 image opens in O(validation):
-// memory-mapped off the real OS filesystem when allowed (the mapping
-// then backs the document for the life of the process, sharing the
-// page cache across processes), read into memory otherwise — either
-// way node storage materializes lazily on first structural access.
-// Legacy v1/v2 images decode eagerly through the same call.
-func (c *Collection) openSnapshot(opts Options, path string) (*core.Document, uint64, error) {
-	if _, osFS := c.fs.(wal.OSFS); osFS && !opts.NoMmap && store.MmapAvailable() {
-		return store.OpenSnapshotFile(path)
-	}
+// openSnapshot reads one image into memory and opens it in
+// O(validation); node storage materializes lazily on first structural
+// access. The document owns its private copy of the bytes, so nothing
+// done to the file afterwards can reach it.
+func (c *Collection) openSnapshot(path string) (*core.Document, uint64, error) {
 	f, err := c.fs.Open(path)
 	if err != nil {
 		return nil, 0, err
@@ -271,12 +252,9 @@ func (c *Collection) Len() int {
 // Put registers d under name and reports whether it replaced a
 // previous document of that name (decided under the same lock that
 // publishes, so HTTP created-vs-replaced answers cannot race). With a
-// backing directory the image is written through atomically: it is
-// encoded and fsynced to a temp file outside the registry lock
-// (queries are never blocked by disk I/O), then published with rename
-// + map update under the lock, so a crash never leaves the directory
-// with a torn image and a racing Delete cannot remove a freshly
-// published one.
+// backing directory the image is persisted atomically before it is
+// published (putDurable), so a crash never leaves the directory with a
+// torn image.
 func (c *Collection) Put(name string, d *core.Document) (replaced bool, err error) {
 	if !nameRE.MatchString(name) {
 		return false, fmt.Errorf("collection: invalid document name %q", name)
@@ -287,30 +265,10 @@ func (c *Collection) Put(name string, d *core.Document) (replaced bool, err erro
 	if c.wal != nil {
 		return c.putDurable(name, d)
 	}
-	tmpName := ""
-	if c.dir != "" {
-		if tmpName, err = c.encodeTemp(name, d, 0); err != nil {
-			return false, err
-		}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		if tmpName != "" {
-			c.fs.Remove(tmpName)
-		}
 		return false, fmt.Errorf("collection: closed")
-	}
-	if tmpName != "" {
-		if err := c.fs.Rename(tmpName, filepath.Join(c.dir, name+imageExt)); err != nil {
-			c.fs.Remove(tmpName)
-			return false, fmt.Errorf("collection: %w", err)
-		}
-		// The rename orders data, but only a directory fsync makes the
-		// published entry itself survive power loss on ext4.
-		if err := c.fs.SyncDir(c.dir); err != nil {
-			return false, fmt.Errorf("collection: %w", err)
-		}
 	}
 	_, replaced = c.docs[name]
 	c.docs[name] = d
@@ -360,26 +318,15 @@ func (c *Collection) Get(name string) (*core.Document, bool) {
 }
 
 // Delete removes the named document from the registry and, for a
-// persistent collection, from the backing directory. Deleting an
-// unknown name is a no-op.
+// persistent collection, from the backing directory (deleteDurable).
+// Deleting an unknown name is a no-op.
 func (c *Collection) Delete(name string) error {
 	if c.wal != nil {
 		return c.deleteDurable(name)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.docs[name]
 	delete(c.docs, name)
-	// The image is removed under the same lock Put writes under, so a
-	// racing Put(name) cannot have its fresh image deleted.
-	if ok && c.dir != "" {
-		if err := c.fs.Remove(filepath.Join(c.dir, name+imageExt)); err != nil {
-			return fmt.Errorf("collection: %w", err)
-		}
-		if err := c.fs.SyncDir(c.dir); err != nil {
-			return fmt.Errorf("collection: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -413,12 +360,12 @@ func (c *Collection) Close() error {
 }
 
 // Update applies an update expression to the named document and
-// publishes the resulting new version in the registry (writing through
-// to the backing directory, like Put). The pre-update version stays
-// valid for readers that already hold it: they observe a consistent
-// pre- or post-update document, never a mix. Updates are serialized;
-// doc()/collection() inside target expressions resolve against the
-// registry epoch at the start of the update.
+// publishes the resulting new version in the registry (committing it
+// to the write-ahead log first, for a persistent collection). The
+// pre-update version stays valid for readers that already hold it:
+// they observe a consistent pre- or post-update document, never a mix.
+// Updates are serialized; doc()/collection() inside target expressions
+// resolve against the registry epoch at the start of the update.
 func (c *Collection) Update(name, src string) (*core.Document, *xquery.UpdateReport, error) {
 	return c.UpdateContext(context.Background(), name, src)
 }
@@ -432,10 +379,11 @@ func (c *Collection) UpdateContext(ctx context.Context, name, src string) (*core
 	if c.wal != nil {
 		return c.updateDurable(ctx, name, src, u)
 	}
+	// Memory-only collection: apply and publish, nothing to persist.
 	c.updateMu.Lock()
 	defer c.updateMu.Unlock()
-	// Commit latency covers apply + persist + publish, i.e. everything
-	// after the writer lock is held — queueing behind other writers is
+	// Commit latency covers apply + publish, i.e. everything after the
+	// writer lock is held — queueing behind other writers is
 	// deliberately excluded.
 	start := time.Now()
 	v := c.view()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -97,7 +98,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(t, c, 3)
-	// Images land in dir immediately (write-through).
+	// Put persists each image to dir before publishing it.
 	for _, name := range c.Names() {
 		if _, err := os.Stat(filepath.Join(dir, name+imageExt)); err != nil {
 			t.Fatalf("image for %s: %v", name, err)
@@ -441,8 +442,8 @@ func TestUpdatePublishesNewVersion(t *testing.T) {
 		t.Fatal("failed update must not publish")
 	}
 
-	// Write-through: a fresh collection over the directory has the
-	// updated content.
+	// Durable: a fresh collection over the directory has the updated
+	// content.
 	c.Close()
 	c2, err := Open(dir, Options{})
 	if err != nil {
@@ -458,44 +459,129 @@ func TestUpdatePublishesNewVersion(t *testing.T) {
 	}
 }
 
-// TestOpenServesIndexQueriesWithoutBuilds: v3 snapshot images persist
-// the per-hierarchy name-index runs, so a fresh Open followed by
-// index-served queries performs zero index builds — in both the mmap
-// and the read-into-memory open paths.
+// TestOpenServesIndexQueriesWithoutBuilds: snapshot images persist the
+// per-hierarchy name-index runs, so a fresh Open followed by
+// index-served queries performs zero index builds. The "fallback" leg is
+// the read-into-memory open path, which is now the only one.
 func TestOpenServesIndexQueriesWithoutBuilds(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		noMmap bool
-	}{{"mmap", false}, {"fallback", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			c, err := Open(dir, Options{NoMmap: tc.noMmap})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fill(t, c, 3)
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("fallback", func(t *testing.T) {
+		dir := t.TempDir()
+		c, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(t, c, 3)
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			before := core.GlobalIndexStats().Builds
-			c2, err := Open(dir, Options{NoMmap: tc.noMmap})
+		before := core.GlobalIndexStats().Builds
+		c2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c2.Close()
+		for _, name := range c2.Names() {
+			res, err := c2.Query(name, `count(//w)`)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer c2.Close()
-			for _, name := range c2.Names() {
-				res, err := c2.Query(name, `count(//w)`)
-				if err != nil {
-					t.Fatal(err)
+			if xquery.Serialize(res) == "0" {
+				t.Fatalf("%s: no words found", name)
+			}
+		}
+		if builds := core.GlobalIndexStats().Builds - before; builds != 0 {
+			t.Fatalf("open + index queries performed %d index builds, want 0", builds)
+		}
+	})
+}
+
+// TestSnapshotFilesTruncatedUnderOpenCollection: an open collection
+// serves its documents from private in-memory copies of the snapshot
+// images. Another process truncating the files underneath it therefore
+// cannot fault a read, and no image file stays mapped into the process
+// once the collection is closed.
+func TestSnapshotFilesTruncatedUnderOpenCollection(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(t, c, 3)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	images, err := filepath.Glob(filepath.Join(dir, "*"+imageExt))
+	if err != nil || len(images) != 3 {
+		t.Fatalf("images = %v (%v), want 3", images, err)
+	}
+	for _, p := range images {
+		if err := os.Truncate(p, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A read of bytes that vanished from under a mapping raises SIGBUS;
+	// with panic-on-fault it surfaces here as a recoverable panic.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	for _, name := range c2.Names() {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: read faulted after the image was truncated: %v", name, r)
 				}
-				if xquery.Serialize(res) == "0" {
-					t.Fatalf("%s: no words found", name)
+			}()
+			res, err := c2.Query(name, `string((//w)[1])`)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				return
+			}
+			if xquery.Serialize(res) == "" {
+				t.Errorf("%s: first word is empty", name)
+			}
+			d, _ := c2.Get(name)
+			for _, h := range d.HierarchyNames() {
+				if _, err := d.Serialize(h); err != nil {
+					t.Errorf("%s: serialize %s: %v", name, h, err)
 				}
 			}
-			if builds := core.GlobalIndexStats().Builds - before; builds != 0 {
-				t.Fatalf("open + index queries performed %d index builds, want 0", builds)
-			}
-		})
+		}()
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// An Open/Close/Open cycle over an intact directory leaves no image
+	// file in the process's address space.
+	dir2 := t.TempDir()
+	for i := 0; i < 2; i++ {
+		c3, err := Open(dir2, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			fill(t, c3, 2)
+		}
+		if err := c3.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c4, err := Open(dir2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c4.Close()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	for _, line := range strings.Split(string(maps), "\n") {
+		if strings.Contains(line, imageExt) {
+			t.Errorf("image file mapped into the process: %s", line)
+		}
 	}
 }

@@ -57,7 +57,7 @@ type RecoveryStats struct {
 }
 
 // Recovery returns what Open had to replay (zero value for memory-only
-// and write-through collections).
+// collections).
 func (c *Collection) Recovery() RecoveryStats { return c.recovery }
 
 // WALStats exposes the log's lifetime counters (zero value when the

@@ -12,11 +12,11 @@ import (
 // backing bytes are sufficiently aligned; every helper falls back to a
 // decoded copy otherwise, so the format works on any platform.
 //
-// Lifetime: a mapped image is never unmapped once a document aliases
-// it (documents — and the strings/slices handed to queries — have
-// unbounded lifetime). Heap-backed images are kept alive by the
-// aliases themselves: Go's GC tracks interior pointers from string and
-// slice headers.
+// Lifetime: images are ordinary heap byte slices, and the GC owns them
+// through the aliases themselves — it tracks interior pointers from
+// string and slice headers, so an image lives exactly as long as some
+// document, string or slice handed to a query still points into it,
+// and is reclaimed with the last of them.
 
 var hostLittleEndian = func() bool {
 	var x uint16 = 1

@@ -9,10 +9,10 @@ import (
 )
 
 // FuzzSlabDecode feeds arbitrary bytes to the slab opener. The
-// contract under test is the one the mmap path depends on: hostile or
-// damaged images either fail with the coded corruption error or open
-// into a document whose every accessor — including full lazy
-// materialization and the leaf layer — works without panics or
+// contract under test is the one lazy materialization depends on:
+// hostile or damaged images either fail with the coded corruption
+// error or open into a document whose every accessor — including full
+// lazy materialization and the leaf layer — works without panics or
 // out-of-range reads.
 func FuzzSlabDecode(f *testing.F) {
 	if blob, err := Encode(corpus.MustBoethius(), 7); err == nil {

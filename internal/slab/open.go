@@ -61,13 +61,14 @@ func (s *Slab) symStr(sym uint32) string {
 
 // Open validates data as a slab image and returns the frozen view.
 // Every checksum and structural invariant is verified here — the
-// bytes are untrusted (they come off a mapped file) — so the lazy
+// bytes are untrusted (they were read off disk) — so the lazy
 // materialization that follows can never fail or read out of range.
 // Malformed input yields an error wrapping ErrCorrupt, never a panic.
 //
-// data must stay immutable and live for as long as the returned Slab
-// and any document opened from it: text slices, the boundary array and
-// index runs alias it directly.
+// data is the caller's private heap copy of the image and must never
+// be modified afterwards: text slices, the boundary array and index
+// runs alias it directly, which also keeps it alive for as long as the
+// returned Slab or any document opened from it is reachable.
 func Open(data []byte) (*Slab, error) {
 	if len(data) < headerLen || string(data[:8]) != magic {
 		return nil, corrupt("bad magic")

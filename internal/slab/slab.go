@@ -1,6 +1,6 @@
 // Package slab implements the frozen columnar document layout behind
 // store format v3: one contiguous, offset-based binary image of a
-// document version that a process maps (or reads) and serves without
+// document version that a process reads into memory and serves without
 // reparsing.
 //
 // Layout. The image is little-endian throughout and starts with a

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -118,28 +119,6 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func TestImageSmallerThanXML(t *testing.T) {
-	c := corpus.Generate(corpus.Params{Seed: 3, Words: 1000})
-	d, err := c.Document()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The compactness guarantee belongs to the varint tree encoding; the
-	// v3 slab deliberately trades bytes (fixed-width columns, persisted
-	// indexes) for O(1) open and zero-copy serving.
-	var buf bytes.Buffer
-	if err := EncodeSnapshotV2(&buf, d, 0); err != nil {
-		t.Fatal(err)
-	}
-	xmlSize := 0
-	for _, x := range c.XML {
-		xmlSize += len(x)
-	}
-	if buf.Len() >= xmlSize {
-		t.Errorf("image %d bytes >= XML %d bytes (text should be stored once)", buf.Len(), xmlSize)
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
 	d := corpus.MustBoethius()
 	var buf bytes.Buffer
@@ -188,50 +167,37 @@ func TestDecodeFlagsCorruption(t *testing.T) {
 	}
 	img := buf.Bytes()
 	// Every single-byte flip anywhere in the image must surface as the
-	// coded corruption error — that is what the trailer buys.
-	for _, off := range []int{0, 10, len(img) / 2, len(img) - 10, len(img) - 1} {
+	// coded corruption error (the slab checksums every section), or —
+	// for the version byte — as the newer-version error.
+	for _, off := range []int{0, 4, 5, 10, len(img) / 2, len(img) - 10, len(img) - 1} {
 		bad := append([]byte(nil), img...)
 		bad[off] ^= 0x01
 		_, err := Decode(bytes.NewReader(bad))
 		if err == nil {
 			t.Fatalf("flip at %d accepted", off)
 		}
-		if off != 4 && !errors.Is(err, ErrCorrupt) {
-			// (offset 4 is the version byte, which may read as a
-			// different-version image instead)
-			t.Fatalf("flip at %d: err = %v, want ErrCorrupt", off, err)
+		if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "newer") {
+			t.Fatalf("flip at %d: err = %v, want ErrCorrupt or a newer-version error", off, err)
 		}
 	}
 }
 
-func TestDecodeLegacyV1Image(t *testing.T) {
-	d := corpus.MustBoethius()
-	var buf bytes.Buffer
-	if err := EncodeSnapshotV2(&buf, d, 3); err != nil {
-		t.Fatal(err)
-	}
-	v2 := buf.Bytes()
-	// Rebuild the version-1 layout from the v2 image: same body, but no
-	// rev/snapSeq uvarints (1 byte each here, both < 128) after the
-	// version and no 4-byte trailer.
-	v1 := append([]byte(nil), v2[:len(magic)]...)
-	v1 = append(v1, version1)
-	v1 = append(v1, v2[len(magic)+3:len(v2)-4]...)
-	d2, seq, err := DecodeSnapshot(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 image: %v", err)
-	}
-	if seq != 0 || d2.Rev != 0 {
-		t.Fatalf("v1 image: rev = %d, seq = %d; want 0, 0", d2.Rev, seq)
-	}
-	if d2.Text != d.Text {
-		t.Fatal("v1 image: text differs")
-	}
-	for _, name := range d.HierarchyNames() {
-		a, _ := d.Serialize(name)
-		b, _ := d2.Serialize(name)
-		if a != b {
-			t.Fatalf("v1 image: hierarchy %s differs", name)
+// TestDecodeRejectsLegacyVersions: images of the retired varint tree
+// formats (versions 1 and 2, whose version uvarint sits where v3 keeps
+// its version byte) are refused as corrupt, with a message saying how
+// to get the document back.
+func TestDecodeRejectsLegacyVersions(t *testing.T) {
+	for _, v := range []uint64{1, 2} {
+		img := binary.AppendUvarint([]byte(magic), v)
+		// The rest of a legacy header: revision, snapshot sequence, a
+		// string table and a trailer's worth of bytes.
+		img = append(img, 0, 3, 1, 1, 'w', 0, 0, 0, 0)
+		_, err := Decode(bytes.NewReader(img))
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("v%d image: err = %v, want ErrCorrupt", v, err)
+		}
+		if !strings.Contains(err.Error(), "re-create the document from its XML") {
+			t.Fatalf("v%d image: error %q lacks the re-create hint", v, err)
 		}
 	}
 }
@@ -243,7 +209,7 @@ func TestDecodeRejectsNewerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := append([]byte(nil), buf.Bytes()...)
-	img[4] = version + 1 // version uvarint follows the 4-byte magic
+	img[4] = version + 1 // the version byte follows the 4-byte magic
 	_, err := Decode(bytes.NewReader(img))
 	if err == nil {
 		t.Fatal("image with a newer version accepted")
@@ -256,39 +222,31 @@ func TestDecodeRejectsNewerVersion(t *testing.T) {
 	}
 }
 
-// TestV3MatchesHeapDecode: opening a v3 slab image yields a document
-// that is observably identical to the heap decode of the same document
-// from a v2 image — same serialization per hierarchy, same stats, same
-// leaf table, same name-index runs.
+// TestV3MatchesHeapDecode: opening an image yields a slab-backed
+// document that is observably identical to the core.Build document it
+// was encoded from — same serialization per hierarchy, same stats,
+// same leaf table, same name-index runs.
 func TestV3MatchesHeapDecode(t *testing.T) {
 	for _, seed := range []uint64{2, 9, 31} {
 		c := corpus.Generate(corpus.Params{Seed: seed, Words: 30, DamageRate: 0.2, RestoreRate: 0.2})
-		d, err := c.Document()
+		heapDoc, err := c.Document()
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Rev = 4
-		var v3, v2 bytes.Buffer
-		if err := EncodeSnapshot(&v3, d, 8); err != nil {
+		heapDoc.Rev = 4
+		var img bytes.Buffer
+		if err := EncodeSnapshot(&img, heapDoc, 8); err != nil {
 			t.Fatal(err)
 		}
-		if err := EncodeSnapshotV2(&v2, d, 8); err != nil {
-			t.Fatal(err)
-		}
-		slabDoc, slabSeq, err := DecodeSnapshot(bytes.NewReader(v3.Bytes()))
+		slabDoc, slabSeq, err := DecodeSnapshot(bytes.NewReader(img.Bytes()))
 		if err != nil {
-			t.Fatalf("seed %d: v3 decode: %v", seed, err)
+			t.Fatalf("seed %d: decode: %v", seed, err)
 		}
-		heapDoc, heapSeq, err := DecodeSnapshot(bytes.NewReader(v2.Bytes()))
-		if err != nil {
-			t.Fatalf("seed %d: v2 decode: %v", seed, err)
-		}
-		if slabSeq != heapSeq || slabDoc.Rev != heapDoc.Rev {
-			t.Fatalf("seed %d: rev/seq diverged: %d/%d vs %d/%d",
-				seed, slabDoc.Rev, slabSeq, heapDoc.Rev, heapSeq)
+		if slabSeq != 8 || slabDoc.Rev != heapDoc.Rev {
+			t.Fatalf("seed %d: rev/seq = %d/%d, want %d/8", seed, slabDoc.Rev, slabSeq, heapDoc.Rev)
 		}
 		if slabDoc.Stats() != heapDoc.Stats() {
-			t.Fatalf("seed %d: stats diverged:\n v3 %+v\n v2 %+v",
+			t.Fatalf("seed %d: stats diverged:\n slab %+v\n heap %+v",
 				seed, slabDoc.Stats(), heapDoc.Stats())
 		}
 		if slabDoc.LeafTable() != heapDoc.LeafTable() {
@@ -304,7 +262,7 @@ func TestV3MatchesHeapDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 			if a != b {
-				t.Fatalf("seed %d: hierarchy %s diverged:\n v3 %s\n v2 %s", seed, name, a, b)
+				t.Fatalf("seed %d: hierarchy %s diverged:\n slab %s\n heap %s", seed, name, a, b)
 			}
 			sh, hh := slabDoc.HierarchyByName(name), heapDoc.HierarchyByName(name)
 			for sym, want := range hh.RebuildIndexRuns() {

@@ -11,8 +11,8 @@
 // The synopsis mirrors the structural name index's lifecycle: built
 // lazily from the node storage on first use, patched incrementally
 // across copy-on-write update versions (package core), and persisted in
-// the columnar slab image (package slab) so memory-mapped opens get
-// statistics without touching node storage.
+// the columnar slab image (package slab) so a freshly opened snapshot
+// gets statistics without touching node storage.
 package synopsis
 
 import (

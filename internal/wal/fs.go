@@ -13,7 +13,7 @@ import (
 )
 
 // FS is the filesystem surface the durable write path runs on. The
-// production implementation is OSFS; CrashFS (crashfs.go) is an
+// production implementation is osFS; CrashFS (crashfs.go) is an
 // in-memory model with syscall-level fault injection and power-loss
 // simulation. Everything the collection persists — the WAL, document
 // images, temp files, directory fsyncs — goes through one FS so a
@@ -52,15 +52,15 @@ type File interface {
 	Name() string
 }
 
-// OSFS is the real operating-system implementation of FS.
-type OSFS struct{}
+// osFS is the real operating-system implementation of FS.
+type osFS struct{}
 
-// OS is the shared OSFS instance.
-var OS FS = OSFS{}
+// OS is the shared osFS instance.
+var OS FS = osFS{}
 
-func (OSFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
+func (osFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 
-func (OSFS) ReadDir(dir string) ([]string, error) {
+func (osFS) ReadDir(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -75,19 +75,19 @@ func (OSFS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-func (OSFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
+func (osFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
 
-func (OSFS) Create(name string) (File, error) {
+func (osFS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 }
 
-func (OSFS) OpenAppend(name string) (File, error) {
+func (osFS) OpenAppend(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 }
 
-func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
+func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 
-func (OSFS) Remove(name string) error {
+func (osFS) Remove(name string) error {
 	err := os.Remove(name)
 	if err != nil && os.IsNotExist(err) {
 		return nil
@@ -95,7 +95,7 @@ func (OSFS) Remove(name string) error {
 	return err
 }
 
-func (OSFS) SyncDir(dir string) error {
+func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(filepath.Clean(dir))
 	if err != nil {
 		return err

@@ -134,7 +134,8 @@ func (d *Document) SerializeHierarchy(name string) (string, error) {
 func (d *Document) Save(w io.Writer) error { return store.Encode(w, d.g) }
 
 // ReadDocument loads a document from a binary image produced by Save.
-// The document is revalidated and fully re-indexed.
+// The whole image is validated up front; node storage is then built
+// lazily, per hierarchy, on first structural access.
 func ReadDocument(r io.Reader) (*Document, error) {
 	g, err := store.Decode(r)
 	if err != nil {

@@ -6,8 +6,8 @@
 # analyze-string overlay scaling fixtures, the P9 path-pipeline
 # fixtures, the P10 indexed-descendant fixtures, the
 # P11 early-exit/FLWOR cursor fixtures, the P12 copy-on-write
-# update fixtures, the P13 durable-update fixtures, WAL vs
-# write-through, the P14 predicate-scan fixtures, the P16
+# update fixtures, the P13 durable-update fixtures, the WAL
+# durable-update path, the P14 predicate-scan fixtures, the P16
 # cost-based plan-choice fixtures, the P17 query-after-update
 # fixtures, and the P18 recovery fixtures) with -count
 # repetitions, prints the raw `go test -bench` output, and writes the

@@ -179,8 +179,8 @@ func walProbe() map[string]any {
 
 // rssBytes reads the process's resident set size from /proc (Linux
 // only; ok=false elsewhere). Recorded next to the latency numbers so
-// the memory cost of the query burst — and of the mmap'd snapshot
-// serving path — is diffable in git.
+// the memory cost of the query burst — and of the in-memory snapshot
+// images it serves from — is diffable in git.
 func rssBytes() (int64, bool) {
 	status, err := os.ReadFile("/proc/self/status")
 	if err != nil {
