@@ -6,10 +6,15 @@ import (
 	"mhxquery/internal/dom"
 )
 
-// This file implements the indexed evaluation of the extended axes — the
-// "efficient implementation of extended XQuery over multihierarchical
-// document structures" the paper's Section 5 names as future work. Three
-// observations make every axis cheap:
+// This file implements the per-node indexed evaluation of the extended
+// axes. Together with the set-at-a-time semi-join sweep (semijoin.go)
+// it is the "efficient implementation of extended XQuery over
+// multihierarchical document structures" the paper's Section 5 names as
+// future work: an existence predicate over a candidate run sweeps the
+// candidates against the targets in one merge, and everything else —
+// axis steps that return their nodes, single candidates, what the sweep
+// leaves undecided — asks one candidate at a time here. Three
+// observations make every axis cheap for one node:
 //
 //  1. Within one hierarchy the nodes containing a text position p form a
 //     chain; binary-search descent over sibling spans finds it in
@@ -23,33 +28,12 @@ import (
 //
 // The unindexed O(N) interval scan is kept (EvalScan) as the ablation
 // baseline, and the literal Definition 1 transcription (EvalRef) as the
-// semantic reference; property tests require all three to agree exactly.
-
-// chainAt returns the nodes of hierarchy h whose span contains position p
-// (outermost first): the containment chain. The axis implementations
-// below inline this descent (appendChain) to keep the hot path
-// allocation-free; chainAt remains for diagnostic callers.
-func chainAt(h *Hierarchy, p int) []*dom.Node {
-	var out []*dom.Node
-	kids := h.Top
-	for len(kids) > 0 {
-		i := coveringIndex(kids, p)
-		if i < 0 {
-			break
-		}
-		n := kids[i]
-		out = append(out, n)
-		if n.Kind != dom.Element {
-			break
-		}
-		kids = n.Children
-	}
-	return out
-}
+// semantic reference; property tests require all of them, and the
+// sweep, to agree exactly.
 
 // appendChain appends the containment chain of hierarchy h at position p
-// (outermost first) to dst, keeping only nodes passing keep — the
-// allocation-free form of "filter chainAt".
+// (the nodes whose span contains p, outermost first) to dst, keeping
+// only nodes passing keep.
 func appendChain(dst []*dom.Node, h *Hierarchy, p int, keep func(*dom.Node) bool) []*dom.Node {
 	kids := h.Top
 	for len(kids) > 0 {

@@ -20,7 +20,10 @@ func parseXML(s string) (*dom.Node, error) {
 // buildRandom builds a small random multihierarchical document:
 // hierarchy A tiles the text with <seg> elements, B wraps random spans in
 // <mark>, C wraps random spans in <note>. Spans are arbitrary, so every
-// overlap configuration occurs.
+// overlap configuration occurs, and so do the degenerate shapes the
+// axes special-case: nested same-name elements, empty elements, an
+// equal-span parent/child pair within one hierarchy, and <note> spans
+// equal to a <seg> span of another hierarchy.
 func buildRandom(seed int64) (*core.Document, error) {
 	r := rand.New(rand.NewSource(seed))
 	textLen := 8 + r.Intn(24)
@@ -30,6 +33,7 @@ func buildRandom(seed int64) (*core.Document, error) {
 	}
 	text := sb.String()
 
+	segEnd := map[int]int{} // <seg> start → end
 	tile := func(tag string) string {
 		var b strings.Builder
 		b.WriteString("<r>")
@@ -39,33 +43,53 @@ func buildRandom(seed int64) (*core.Document, error) {
 			if end > len(text) {
 				end = len(text)
 			}
+			segEnd[pos] = end
 			fmt.Fprintf(&b, "<%s>%s</%s>", tag, text[pos:end], tag)
 			pos = end
 		}
 		b.WriteString("</r>")
 		return b.String()
 	}
+	var wrap func(b *strings.Builder, tag string, lo, hi, depth int)
+	wrap = func(b *strings.Builder, tag string, lo, hi, depth int) {
+		pos := lo
+		for pos < hi {
+			switch k := r.Intn(12); {
+			case k == 0:
+				fmt.Fprintf(b, "<%s/>", tag) // empty element
+			case k <= 4:
+				end := pos + 1 + r.Intn(7)
+				if e, ok := segEnd[pos]; ok && tag == "note" && r.Intn(2) == 0 {
+					end = e // the span of a <seg>
+				}
+				if end > hi {
+					end = hi
+				}
+				fmt.Fprintf(b, "<%s>", tag)
+				switch {
+				case k == 1 && depth < 2:
+					wrap(b, tag, pos, end, depth+1) // nested same-name
+				case k == 2:
+					fmt.Fprintf(b, "<%s>%s</%s>", tag, text[pos:end], tag) // equal-span child
+				default:
+					b.WriteString(text[pos:end])
+				}
+				fmt.Fprintf(b, "</%s>", tag)
+				pos = end
+			default:
+				end := pos + 1 + r.Intn(4)
+				if end > hi {
+					end = hi
+				}
+				b.WriteString(text[pos:end])
+				pos = end
+			}
+		}
+	}
 	spans := func(tag string) string {
 		var b strings.Builder
 		b.WriteString("<r>")
-		pos := 0
-		for pos < len(text) {
-			if r.Intn(3) == 0 {
-				end := pos + 1 + r.Intn(7)
-				if end > len(text) {
-					end = len(text)
-				}
-				fmt.Fprintf(&b, "<%s>%s</%s>", tag, text[pos:end], tag)
-				pos = end
-				continue
-			}
-			end := pos + 1 + r.Intn(4)
-			if end > len(text) {
-				end = len(text)
-			}
-			b.WriteString(text[pos:end])
-			pos = end
-		}
+		wrap(&b, tag, 0, len(text), 0)
 		b.WriteString("</r>")
 		return b.String()
 	}

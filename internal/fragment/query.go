@@ -163,41 +163,48 @@ func DamagedWordIndices(words, damages []Logical) []int {
 
 // NativeDamagedWordIndices answers the same workload with the KyGODDAG's
 // extended axes, for the head-to-head benchmark. It evaluates the query
-// the way an engine would plan it: drive from the (few) <dmg> elements
-// and collect the words related to each by xancestor, xdescendant or
-// overlapping — each an indexed O(depth + answer) axis call — rather
-// than testing every word.
+// the way the engine plans //w[xancestor::dmg or xdescendant::dmg or
+// overlapping::dmg]: one structural semi-join sweep per axis
+// (core.SemiJoin) over the words in document order against the <dmg>
+// spans, O(words + damages), with a per-word axis call only for a word
+// the sweep leaves undecided.
 func NativeDamagedWordIndices(d *core.Document, wordTag, dmgTag string) []int {
-	d.Materialize() // walks every hierarchy's node storage directly
-	wordIdx := make(map[*dom.Node]int)
+	wordSym, dmgSym := d.NameSymOf(wordTag), d.NameSymOf(dmgTag)
+	axes := [...]core.Axis{core.AxisXAncestor, core.AxisXDescendant, core.AxisOverlapping}
+	var sjs [len(axes)]core.SemiJoin
+	for k, a := range axes {
+		sjs[k].Reset(d, a)
+		for _, h := range d.Hiers {
+			sjs[k].AddRun(h, h.NameRun(dmgSym))
+		}
+	}
+	var out []int
 	idx := 0
 	for _, h := range d.Hiers {
-		for _, n := range h.Nodes {
-			if n.Kind == dom.Element && n.Name == wordTag {
-				wordIdx[n] = idx
-				idx++
-			}
-		}
-	}
-	damaged := make(map[int]bool)
-	for _, h := range d.Hiers {
-		for _, n := range h.Nodes {
-			if n.Kind != dom.Element || n.Name != dmgTag {
-				continue
-			}
-			for _, ax := range []core.Axis{core.AxisXAncestor, core.AxisXDescendant, core.AxisOverlapping} {
-				for _, m := range d.Eval(ax, n) {
-					if i, ok := wordIdx[m]; ok {
-						damaged[i] = true
-					}
+		for _, ord := range h.NameRun(wordSym) {
+			w := h.Nodes[ord]
+			for k, a := range axes {
+				found, ok := sjs[k].Exists(w)
+				if !ok {
+					found = hasNamed(d.Eval(a, w), dmgSym)
+				}
+				if found {
+					out = append(out, idx)
+					break
 				}
 			}
+			idx++
 		}
 	}
-	out := make([]int, 0, len(damaged))
-	for i := range damaged {
-		out = append(out, i)
-	}
-	sort.Ints(out)
 	return out
+}
+
+// hasNamed reports whether nodes holds a hierarchy element named sym.
+func hasNamed(nodes []*dom.Node, sym int32) bool {
+	for _, m := range nodes {
+		if m.Kind == dom.Element && m.NameSym == sym && m.HierIndex >= 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -478,14 +478,40 @@ func predInfallible(e expr) bool {
 		case bExists, bEmpty, bNot, bBoolean:
 			return len(x.args) == 1 && predInfallible(x.args[0])
 		}
+	case *cmpExpr:
+		// string(.) against a string literal: both sides are single
+		// strings, so neither the comparison nor its operands can fail.
+		switch x.op {
+		case "=", "!=", "eq", "ne":
+			return isStringOfContext(x.a) && isStringLiteral(x.b)
+		}
 	}
 	return false
 }
 
-// referencesVars reports whether e reads any of the given variables.
+func isStringOfContext(e expr) bool {
+	call, ok := e.(*callExpr)
+	if !ok || call.name != "string" || len(call.args) != 1 {
+		return false
+	}
+	_, ok = call.args[0].(*contextItemExpr)
+	return ok
+}
+
+func isStringLiteral(e expr) bool {
+	lit, ok := e.(*literalExpr)
+	if !ok {
+		return false
+	}
+	_, ok = lit.v.(string)
+	return ok
+}
+
+// referencesVars reports whether e reads any of the given variables,
+// or any variable at all when names is nil.
 func referencesVars(e expr, names map[string]bool) bool {
 	if v, ok := e.(*varExpr); ok {
-		return names[v.name]
+		return names == nil || names[v.name]
 	}
 	found := false
 	visitChildren(e, func(ch expr) {

@@ -754,13 +754,25 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 		}
 		node.kids = append(node.kids, en)
 		preds := pn.orderPreds(ctx, s)
+		// base estimates the candidates each predicate filters; only the
+		// semi-join operators report it.
+		base := estUnknown
+		for _, pr := range preds {
+			if semiJoinable(pr) {
+				base = est.stepBase(ctx, s)
+				break
+			}
+		}
 		ctx = est.estStep(ctx, s)
 		en.est = ctx.estInt()
 		// Plan copy of the step: the same axis/test/positional shortcut,
 		// with predicates lowered into the physical engine.
 		cs := &step{axis: s.axis, test: s.test, posSel: s.posSel}
-		for _, pr := range preds {
-			cs.preds = append(cs.preds, pn.lower(pr, en))
+		for i, pr := range preds {
+			cs.preds = append(cs.preds, pn.lowerPred(pr, en, base))
+			if base.known && (i > 0 || s.posSel == 0) {
+				base = base.scale(est.predSel(base, pr))
+			}
 		}
 		op.s = cs
 		pp.ops = append(pp.ops, op)

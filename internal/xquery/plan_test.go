@@ -62,7 +62,8 @@ func TestExplainIndexScanSelected(t *testing.T) {
 }
 
 // TestExplainPaperQueryI1 checks the paper's Query I.1 runs its leading
-// step as an index scan and nests the predicate's axis steps under it.
+// step as an index scan and nests the predicate under it, lowered to a
+// semi-join that filters the scanned lines in one sweep.
 func TestExplainPaperQueryI1(t *testing.T) {
 	d := corpus.MustBoethius()
 	q := MustCompile(`for $l in /descendant::line
@@ -76,8 +77,12 @@ return string($l)`)
 	if len(scans) != 1 || !strings.HasPrefix(scans[0].Detail, "descendant::line") {
 		t.Fatalf("index-scan ops = %+v", scans)
 	}
-	if len(findOps(scans[0], "axis-step")) == 0 {
-		t.Error("predicate axis steps not nested under the index scan")
+	sjs := findOps(scans[0], "semi-join")
+	if len(sjs) != 1 {
+		t.Fatalf("semi-join ops under the index scan = %+v", sjs)
+	}
+	if sjs[0].Calls != 1 || sjs[0].InRows != 2 || sjs[0].OutRows != 2 {
+		t.Errorf("semi-join calls/in/out = %d/%d/%d, want 1/2/2", sjs[0].Calls, sjs[0].InRows, sjs[0].OutRows)
 	}
 	if scans[0].OutRows != 2 {
 		t.Errorf("index scan out_rows = %d, want 2 (both lines pass)", scans[0].OutRows)

@@ -55,6 +55,12 @@ type evalState struct {
 	// ordSet is the reusable ordinal scatter buffer that restores
 	// document order over interleaved step results.
 	ordSet core.OrdinalSet
+
+	// sweeps is the free list of semi-join sweep states and targets the
+	// memoized filtered semi-join target runs per (term, document)
+	// (semijoin.go); both live only as long as the evaluation.
+	sweeps  []*sjSweep
+	targets map[sjKey][][]int32
 }
 
 // cancelStride is how many checkCancel ticks pass between ctx.Err()
@@ -309,6 +315,13 @@ func applyPredicatesInPlace(c *context, items Seq, preds []expr) (Seq, error) {
 	for _, pr := range preds {
 		if f, ok := constNumPred(pr); ok {
 			items = selectByConstPos(items, f)
+			continue
+		}
+		if sj, ok := pr.(*pSemiJoin); ok {
+			var err error
+			if items, err = sj.filter(c, items); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		size := len(items)

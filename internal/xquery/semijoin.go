@@ -1,0 +1,461 @@
+package xquery
+
+import (
+	"reflect"
+	"slices"
+	"strings"
+	"time"
+
+	"mhxquery/internal/core"
+	"mhxquery/internal/dom"
+)
+
+// This file lowers extended-axis existence predicates to structural
+// semi-joins. A step predicate that is an or/and tree of relative
+// one-step paths axis::name — axis one of xancestor, xdescendant,
+// overlapping, preceding-overlapping, following-overlapping — asks of
+// each candidate only whether one target exists. Per candidate, that is
+// a containment-chain descent per hierarchy plus a name filter over its
+// result; per candidate RUN, it is one merge sweep of the candidates'
+// spans against the targets' spans (core.SemiJoin), O(candidates +
+// targets) with no allocation per candidate.
+//
+// The lowered predicate (pSemiJoin) keeps the per-node expression, and
+// every evaluation site that sees a single item — $w[…], a one-candidate
+// segment, the positional shortcut's survivor — evaluates that
+// expression exactly as before. Whole segments take the sweep: the
+// strict index-scan and axis-step segments (applyPredicatesInPlace) and,
+// lazily, the streamed index-scan segments (semiJoinCursor), whose sweep
+// advances as candidates are pulled, so early exit stays early. A
+// candidate the sweep cannot decide (core.SemiJoin.Exists) and a term
+// whose targets cannot be bound without raising — a hierarchy qualifier
+// that does not resolve, the shared root under a filtered target —
+// evaluate the per-node expression for that candidate, so results and
+// error points are the per-node engine's.
+//
+// A target step may carry predicates (axis::name[string(.) = 'x'],
+// axis::name[xancestor::dmg …]) when they are focus-independent,
+// variable-free and infallible: their value then depends on the target
+// alone, so they run once per target, per (evaluation, document) —
+// themselves a semi-join where eligible — and the surviving ordinals are
+// memoized in evalState for the rest of the evaluation.
+
+// semiJoinable reports whether a step predicate lowers to a semi-join.
+func semiJoinable(e expr) bool {
+	switch x := e.(type) {
+	case *orExpr:
+		return semiJoinable(x.a) && semiJoinable(x.b)
+	case *andExpr:
+		return semiJoinable(x.a) && semiJoinable(x.b)
+	case *pathExpr:
+		if x.absolute || x.start != nil || len(x.steps) != 1 {
+			return false
+		}
+		s := x.steps[0]
+		switch s.axis {
+		case core.AxisXAncestor, core.AxisXDescendant, core.AxisOverlapping,
+			core.AxisPrecedingOverlapping, core.AxisFollowingOverlapping:
+		default:
+			return false
+		}
+		if s.prim != nil || s.test.kind != testName || s.posSel != 0 || !fusablePreds(s.preds) {
+			return false
+		}
+		for _, pr := range s.preds {
+			if referencesVars(pr, nil) || !predInfallible(pr) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// sjShape is the boolean shape of a semi-join predicate over its terms:
+// a leaf names a term, an inner node joins two shapes by and/or.
+type sjShape struct {
+	and  bool
+	a, b *sjShape
+	term int
+}
+
+// pSemiJoin is a lowered semi-join predicate. Each term is a plan copy
+// of its target step (axis, name test, lowered target predicates);
+// perNode is the predicate lowered for one-candidate evaluation, built
+// over the same term steps.
+type pSemiJoin struct {
+	pbase
+	shape   *sjShape
+	terms   []*step
+	perNode pnode
+}
+
+func (e *pSemiJoin) eval(c *context) (Seq, error) { return pEval(e.perNode, c) }
+func (e *pSemiJoin) open(c *context) cursor       { return scalarOpen(e, c) }
+
+// lowerPred lowers one step predicate, as a semi-join when eligible.
+// base is the estimated candidate context the predicate filters.
+func (pn *planner) lowerPred(pr expr, parent *explainNode, base estCtx) pnode {
+	if !semiJoinable(pr) {
+		return pn.lower(pr, parent)
+	}
+	en, pb := pn.enode(parent, "semi-join", describeSemiJoin(pr))
+	en.est = base.scale(pn.estimate().predSel(base, pr)).estInt()
+	sj := &pSemiJoin{pbase: pb}
+	var src []*step // the AST target step of each term
+	// lowerTerms records e's terms in sj and returns its shape and its
+	// per-node form: the or/and tree of one-step relative paths that
+	// lowerPath would build, sharing the term steps.
+	var lowerTerms func(e expr) (*sjShape, pnode)
+	lowerTerms = func(e expr) (*sjShape, pnode) {
+		switch x := e.(type) {
+		case *orExpr:
+			a, pa := lowerTerms(x.a)
+			b, pb := lowerTerms(x.b)
+			return &sjShape{a: a, b: b}, &pOr{pbase: pbase{id: pn.newOpID()}, a: pa, b: pb}
+		case *andExpr:
+			a, pa := lowerTerms(x.a)
+			b, pb := lowerTerms(x.b)
+			return &sjShape{and: true, a: a, b: b}, &pAnd{pbase: pbase{id: pn.newOpID()}, a: pa, b: pb}
+		}
+		s := e.(*pathExpr).steps[0]
+		ts := &step{axis: s.axis, test: s.test}
+		if len(s.preds) > 0 {
+			// Terms whose filtered targets are equal share one lowered
+			// filter, and with it one memoized target set.
+			for k, prev := range src {
+				if sameTargets(prev, s) {
+					ts.preds = sj.terms[k].preds
+					break
+				}
+			}
+			if ts.preds == nil {
+				g := pn.group(en, "target", describeTest(&s.test)+strings.Repeat("[…]", len(s.preds)))
+				est := pn.estimate()
+				targets := est.stepBase(est.rootCtx(), &step{axis: core.AxisDescendant, test: s.test})
+				for _, tp := range s.preds {
+					ts.preds = append(ts.preds, pn.lowerPred(tp, g, targets))
+					targets = targets.scale(est.predSel(targets, tp))
+				}
+			}
+		}
+		src = append(src, s)
+		sj.terms = append(sj.terms, ts)
+		path := &pPath{pbase: pbase{id: pn.newOpID()}, ops: []*pathOp{{kind: opAxisStep, s: ts, id: pn.newOpID()}}}
+		return &sjShape{term: len(sj.terms) - 1}, path
+	}
+	sj.shape, sj.perNode = lowerTerms(pr)
+	return sj
+}
+
+// sameTargets reports whether two target steps select the same
+// elements: equal name tests and equal predicate trees.
+func sameTargets(a, b *step) bool {
+	return a.test.kind == b.test.kind && a.test.name == b.test.name &&
+		slices.Equal(a.test.hiers, b.test.hiers) && reflect.DeepEqual(a.preds, b.preds)
+}
+
+// describeSemiJoin renders the predicate for EXPLAIN; and binds tighter
+// than or, so only an or operand of and needs parentheses.
+func describeSemiJoin(pr expr) string {
+	switch x := pr.(type) {
+	case *orExpr:
+		return describeSemiJoin(x.a) + " or " + describeSemiJoin(x.b)
+	case *andExpr:
+		operand := func(e expr) string {
+			if _, isOr := e.(*orExpr); isOr {
+				return "(" + describeSemiJoin(e) + ")"
+			}
+			return describeSemiJoin(e)
+		}
+		return operand(x.a) + " and " + operand(x.b)
+	}
+	return describeStep(pr.(*pathExpr).steps[0])
+}
+
+// ---- execution -------------------------------------------------------------
+
+// sjAnswer is a three-valued answer for one candidate.
+type sjAnswer int8
+
+const (
+	sjNo sjAnswer = iota
+	sjYes
+	sjUndecided
+)
+
+// sjSweep is one semi-join's state over the candidates of one document:
+// a core sweep per term, or perNode when the term's targets cannot be
+// bound without raising. evalState keeps a free list of them.
+type sjSweep struct {
+	terms []sjTermState
+}
+
+type sjTermState struct {
+	perNode bool
+	sj      core.SemiJoin
+}
+
+// sjKey identifies a memoized filtered target set: the lowered target
+// filter (shared by the terms with equal targets) and the document.
+type sjKey struct {
+	filter *expr
+	d      *core.Document
+}
+
+// getSweep returns a sweep state bound to e's terms over document d.
+func (st *evalState) getSweep(c *context, e *pSemiJoin, d *core.Document) (*sjSweep, error) {
+	var sw *sjSweep
+	if k := len(st.sweeps); k > 0 {
+		sw, st.sweeps = st.sweeps[k-1], st.sweeps[:k-1]
+	} else {
+		sw = &sjSweep{}
+	}
+	if err := sw.bind(c, e, d); err != nil {
+		st.putSweep(sw)
+		return nil, err
+	}
+	return sw, nil
+}
+
+func (st *evalState) putSweep(sw *sjSweep) {
+	st.sweeps = append(st.sweeps, sw)
+}
+
+// bind resolves every term against d and loads its targets: the name
+// runs of the hierarchies the test allows, or their filtered subsets.
+func (sw *sjSweep) bind(c *context, e *pSemiJoin, d *core.Document) error {
+	if n := len(e.terms); cap(sw.terms) < n {
+		sw.terms = make([]sjTermState, n)
+	} else {
+		sw.terms = sw.terms[:n]
+	}
+	for i, s := range e.terms {
+		ts := &sw.terms[i]
+		sj := &ts.sj
+		sj.Reset(d, s.axis)
+		b := resolveIndexBinding(d, s)
+		// A name no element bears leaves no targets, and no candidate
+		// then reaches the hierarchy check that could raise.
+		rootTarget := b.nameSym != 0 && d.Root.NameSym == b.nameSym
+		ts.perNode = b.nameSym != 0 && (b.hierErr != nil || rootTarget && len(s.preds) > 0)
+		if ts.perNode || b.nameSym == 0 {
+			continue
+		}
+		if rootTarget {
+			sj.AddRoot()
+		}
+		if len(s.preds) == 0 {
+			for hi, h := range d.Hiers {
+				if b.allows(hi) {
+					sj.AddRun(h, h.NameRun(b.nameSym))
+				}
+			}
+			continue
+		}
+		runs, err := c.st.filteredTargets(c, s, d, &b)
+		if err != nil {
+			return err
+		}
+		for hi, run := range runs {
+			sj.AddRun(d.Hiers[hi], run)
+		}
+	}
+	return nil
+}
+
+// filteredTargets returns, per hierarchy of d, the ordinals of the
+// target step's name matches that pass its predicates, evaluated once
+// per (term, document) in this evaluation.
+func (st *evalState) filteredTargets(c *context, s *step, d *core.Document, b *indexBinding) ([][]int32, error) {
+	key := sjKey{&s.preds[0], d}
+	if runs, ok := st.targets[key]; ok {
+		return runs, nil
+	}
+	runs := make([][]int32, len(d.Hiers))
+	for hi, h := range d.Hiers {
+		if !b.allows(hi) {
+			continue
+		}
+		run := h.NameRun(b.nameSym)
+		if len(run) == 0 {
+			continue
+		}
+		items := make(Seq, len(run))
+		for k, ord := range run {
+			items[k] = h.Nodes[ord]
+		}
+		kept, err := applyPredicatesInPlace(c, items, s.preds)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]int32, len(kept))
+		for k, it := range kept {
+			out[k] = int32(it.(*dom.Node).Ord)
+		}
+		runs[hi] = out
+	}
+	if st.targets == nil {
+		st.targets = make(map[sjKey][][]int32)
+	}
+	st.targets[key] = runs
+	return runs, nil
+}
+
+// decide answers the shape for candidate n with the per-node
+// short-circuit order: or stops at the first yes, and at the first
+// undecided term, which the per-node expression must then evaluate (it
+// might raise); and likewise stops at the first no.
+func (sw *sjSweep) decide(x *sjShape, n *dom.Node) sjAnswer {
+	if x.a == nil {
+		ts := &sw.terms[x.term]
+		if ts.perNode {
+			return sjUndecided
+		}
+		found, ok := ts.sj.Exists(n)
+		switch {
+		case !ok:
+			return sjUndecided
+		case found:
+			return sjYes
+		}
+		return sjNo
+	}
+	a := sw.decide(x.a, n)
+	if (x.and && a != sjYes) || (!x.and && a != sjNo) {
+		return a
+	}
+	return sw.decide(x.b, n)
+}
+
+// perNodeKeep evaluates the predicate for one candidate the sweep did
+// not decide (c2 carries its focus).
+func (e *pSemiJoin) perNodeKeep(c2 *context) (bool, error) {
+	v, err := pEval(e.perNode, c2)
+	if err != nil {
+		return false, err
+	}
+	return ebv(v)
+}
+
+// filter applies the predicate to a whole segment in place: one sweep
+// over the candidates, per-node evaluation for what it leaves
+// undecided (every candidate of a one-item segment).
+func (e *pSemiJoin) filter(c *context, items Seq) (Seq, error) {
+	st := c.st
+	var start time.Time
+	if st.explain != nil && st.timed {
+		start = time.Now()
+	}
+	var sw *sjSweep
+	if len(items) > 1 {
+		if n, ok := items[0].(*dom.Node); ok {
+			var err error
+			if sw, err = st.getSweep(c, e, st.docFor(n)); err != nil {
+				return nil, err
+			}
+			defer st.putSweep(sw)
+		}
+	}
+	c2 := *c
+	w := 0
+	for i, it := range items {
+		if err := st.checkCancel(); err != nil {
+			return nil, err
+		}
+		ans := sjUndecided
+		if n, ok := it.(*dom.Node); ok && sw != nil {
+			ans = sw.decide(e.shape, n)
+		}
+		keep := ans == sjYes
+		if ans == sjUndecided {
+			c2.item, c2.pos, c2.size = it, i+1, len(items)
+			var err error
+			if keep, err = e.perNodeKeep(&c2); err != nil {
+				return nil, err
+			}
+		}
+		if keep {
+			items[w] = it
+			w++
+		}
+	}
+	if ex := st.explain; ex != nil {
+		ex[e.id].calls++
+		ex[e.id].in += int64(len(items))
+		ex[e.id].out += int64(w)
+		if st.timed {
+			ex[e.id].nanos += int64(time.Since(start))
+		}
+	}
+	return items[:w], nil
+}
+
+// semiJoinCursor filters a streamed index segment of size candidates
+// by a semi-join predicate, advancing the sweep as candidates are
+// pulled. sw is the step cursor's sweep state, reused across segments.
+type semiJoinCursor struct {
+	inner   cursor
+	e       *pSemiJoin
+	c       *context
+	c2      context
+	sw      *sjSweep
+	started bool
+	bound   bool
+	pos     int
+	size    int
+}
+
+func (sc *semiJoinCursor) next() (Item, bool, error) {
+	st := sc.c.st
+	ex := st.explain
+	if ex != nil && st.timed {
+		start := time.Now()
+		defer func() { ex[sc.e.id].nanos += int64(time.Since(start)) }()
+	}
+	if !sc.started {
+		sc.started = true
+		sc.c2 = *sc.c
+		sc.c2.size = sc.size
+		if ex != nil {
+			ex[sc.e.id].calls++
+		}
+	}
+	for {
+		if err := st.checkCancel(); err != nil {
+			return nil, false, err
+		}
+		it, ok, err := sc.inner.next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		sc.pos++
+		n := it.(*dom.Node) // index segments yield document nodes only
+		if !sc.bound && sc.size > 1 {
+			sc.bound = true
+			if err := sc.sw.bind(sc.c, sc.e, st.docFor(n)); err != nil {
+				return nil, false, err
+			}
+		}
+		ans := sjUndecided
+		if sc.bound {
+			ans = sc.sw.decide(sc.e.shape, n)
+		}
+		keep := ans == sjYes
+		if ans == sjUndecided {
+			sc.c2.item, sc.c2.pos = it, sc.pos
+			if keep, err = sc.e.perNodeKeep(&sc.c2); err != nil {
+				return nil, false, err
+			}
+		}
+		if ex != nil {
+			ex[sc.e.id].in++
+		}
+		if keep {
+			if ex != nil {
+				ex[sc.e.id].out++
+			}
+			return it, true, nil
+		}
+	}
+}

@@ -149,6 +149,9 @@ type stepCursor struct {
 	// evalState-shared buffers cannot be used here.
 	segBuf  Seq
 	axisBuf []*dom.Node
+	// sweep is the semi-join state of a lone semi-join predicate,
+	// rebound per index segment.
+	sweep sjSweep
 }
 
 func (sc *stepCursor) next() (Item, bool, error) {
@@ -410,6 +413,9 @@ func (sc *stepCursor) indexSegment(n *dom.Node, d *core.Document) (cursor, error
 	case 0:
 		return rs, nil
 	case 1:
+		if sj, ok := preds[0].(*pSemiJoin); ok {
+			return &semiJoinCursor{inner: rs, e: sj, c: c, sw: &sc.sweep, size: rs.total()}, nil
+		}
 		// Single predicate: stream candidates with exact (pos, size) —
 		// the candidate count is known from the run lengths, so even
 		// last() works without materializing.

@@ -119,6 +119,37 @@ func TestStreamLimitStopsScan(t *testing.T) {
 			t.Fatalf("%s: stream delivered %d items, want %d", src, 3+len(rest), len(total))
 		}
 	}
+
+	// A semi-join predicate sweeps lazily: three matches cost the words
+	// up to the third damaged one, not the whole run.
+	dd, err := corpus.Generate(corpus.Params{Seed: 5, Words: 600, DamageRate: 0.2}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustCompile(`//w[overlapping::dmg]`)
+	total, err := q.Eval(dd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := len(dd.HierarchyByName("structure").NameRun(dd.NameSymOf("w")))
+	if len(total) < 10 || words < 500 {
+		t.Fatalf("fixture too small: %d of %d words overlap damage", len(total), words)
+	}
+	s, render := q.StreamExplain(nil, dd, nil, nil)
+	if got, err := s.Take(3); err != nil || len(got) != 3 {
+		t.Fatalf("semi-join: Take(3) = %d items, err=%v", len(got), err)
+	}
+	scan := scanOp(render())
+	if scan == nil || scan.OutRows >= int64(words/4) {
+		t.Fatalf("semi-join: index scan = %+v after a 3-item pull over %d words; early exit is broken", scan, words)
+	}
+	rest, err := drainStream(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 3+len(rest) != len(total) {
+		t.Fatalf("semi-join: stream delivered %d items, want %d", 3+len(rest), len(total))
+	}
 }
 
 // TestStreamCancel checks context cancellation: a runaway query, and a
@@ -137,6 +168,8 @@ func TestStreamCancel(t *testing.T) {
 	}{
 		{`count(1 to 100000000000)`, corpus.MustBoethius()},
 		{`//w[string-length(string(.)) >= 0]`, big},
+		{`//w[overlapping::dmg]`, big},
+		{`count(//line[xdescendant::w[overlapping::dmg]])`, big},
 	} {
 		q := MustCompile(tc.src)
 		_, err := q.EvalContext(ctx, tc.d, nil, nil)
@@ -150,6 +183,8 @@ func TestStreamCancel(t *testing.T) {
 
 		if _, err := drainStream(q.Stream(ctx, tc.d, nil, nil)); err == nil {
 			t.Fatalf("%s: canceled stream drained without error", tc.src)
+		} else if xe, ok := err.(*Error); !ok || xe.Code != "MHXQ0002" {
+			t.Fatalf("%s: stream err = %v, want MHXQ0002", tc.src, err)
 		}
 	}
 }

@@ -84,9 +84,37 @@ func (g *qgen) path(depth int, varName string) string {
 	return p
 }
 
+// sjStep emits an extended-axis existence step of the semi-join shape:
+// a plain, hierarchy-qualified or shared-root name, optionally with a
+// string filter.
+func (g *qgen) sjStep() string {
+	s := g.pick("xancestor", "xdescendant", "overlapping", "preceding-overlapping", "following-overlapping") + "::"
+	switch g.r.Intn(6) {
+	case 0:
+		s += g.name() + "('" + g.hier() + "')"
+	case 1:
+		s += "r"
+	default:
+		s += g.name()
+	}
+	switch g.r.Intn(6) {
+	case 0, 1:
+		s += fmt.Sprintf("[string(.) = '%s']", g.pick("singallice", "folc", "a", ""))
+	case 2:
+		s += "[" + g.pick("xancestor", "xdescendant", "overlapping") + "::" + g.name() + "]"
+	}
+	return s
+}
+
 // pred emits one predicate expression.
 func (g *qgen) pred(depth int) string {
-	switch g.r.Intn(8) {
+	switch g.r.Intn(11) {
+	case 8:
+		return g.sjStep()
+	case 9:
+		return g.sjStep() + g.pick(" or ", " and ") + g.sjStep()
+	case 10:
+		return g.sjStep() + " or " + g.sjStep() + " or " + g.sjStep()
 	case 0:
 		return fmt.Sprint(1 + g.r.Intn(4))
 	case 1:
@@ -213,8 +241,10 @@ func TestSweepFLWORPredicatesQuantifiers(t *testing.T) {
 	}
 }
 
-// TestSweepPathShapes sweeps 220 seeded path and (path)[pred] shapes over the sweep documents and a 120-word manuscript
-// whose index scans run long candidate lists through their predicates.
+// TestSweepPathShapes sweeps 220 seeded path and (path)[pred] shapes,
+// plus the semi-join shapes, over the sweep documents and a 120-word
+// manuscript whose index scans run long candidate lists through their
+// predicates.
 func TestSweepPathShapes(t *testing.T) {
 	docs := sweepDocs(t)
 	big, err := corpus.Generate(corpus.Params{Seed: 11, Words: 120, DamageRate: 0.2, RestoreRate: 0.2}).Document()
@@ -231,6 +261,7 @@ func TestSweepPathShapes(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		srcs = append(srcs, "("+g.path(2, "")+")["+g.pred(1)+"]")
 	}
+	srcs = append(srcs, semiJoinShapes...)
 	for i, src := range srcs {
 		checkAgainstOracle(t, i, src, docs)
 	}
@@ -280,4 +311,47 @@ func checkAgainstOracle(t *testing.T, i int, src string, docs map[string]*core.D
 			t.Errorf("case %d (%s): %q\n  eval:   %s\n  stream: %s", i, name, src, Serialize(fast), Serialize(streamed))
 		}
 	}
+}
+
+// semiJoinShapes are the extended-axis existence predicates the planner
+// lowers to semi-joins: the paper's predicates, every axis, and/or
+// trees, filtered and nested-filtered targets, nested and
+// cross-hierarchy candidate segments, the shared root and unresolvable
+// hierarchies as targets, and the single-item shapes that stay per node.
+var semiJoinShapes = []string{
+	`//w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]`,
+	`//w[overlapping::line]`,
+	`//w[overlapping::dmg]`,
+	`count(//w[overlapping::line])`,
+	`/descendant::line[xdescendant::w[string(.) = 'singallice'] or overlapping::w[string(.) = 'singallice']]`,
+	`/descendant::line[xdescendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]]`,
+	`//res[preceding-overlapping::line]`,
+	`//res[following-overlapping::line and xancestor::vline]`,
+	`//line[xdescendant::w and not(overlapping::dmg)]`,
+	`//line[(xdescendant::res or overlapping::res) and xdescendant::dmg]`,
+	`//dmg[xancestor::w or xancestor::res]`,
+	`//w[xancestor::r]`,
+	`//w[overlapping::r or xdescendant::r]`,
+	`//w[overlapping::dmg('damage')]`,
+	`//w[overlapping::dmg('nope')]`,
+	`//w[xancestor::vline('nope') or overlapping::line]`,
+	`//w[overlapping::line or xancestor::vline('nope')]`,
+	`//w[overlapping::zzz]`,
+	`//vline/w[overlapping::dmg]`,
+	`//vline/descendant::w[xdescendant::dmg or overlapping::res]`,
+	`//node()[overlapping::dmg]`,
+	`//*[xancestor::line]`,
+	`//text()[xancestor::dmg]`,
+	`/descendant::line/xdescendant::w[overlapping::dmg]`,
+	`//line/xdescendant::*[overlapping::res]`,
+	`//w/ancestor::*[overlapping::dmg]`,
+	`(//w)[3][overlapping::dmg]`,
+	`//w[2][overlapping::line]`,
+	`//w[overlapping::line][2]`,
+	`//w[overlapping::dmg][last()]`,
+	`//w[overlapping::dmg[string(.) != 'a']][string-length(string(.)) > 3]`,
+	`for $w in //w[overlapping::line] return string($w)`,
+	`for $v in /descendant::vline for $w in $v/child::w where exists($w/overlapping::dmg) return string($w)`,
+	`some $l in //line satisfies exists($l/xdescendant::w[overlapping::dmg])`,
+	`count(//line[xdescendant::w[overlapping::dmg]])`,
 }
