@@ -320,13 +320,6 @@ func (c *Collection) CacheStats() CollectionCacheStats {
 	return CollectionCacheStats{Hits: s.Hits, Misses: s.Misses, Entries: s.Entries, Capacity: s.Capacity}
 }
 
-// PlanCacheStats returns a snapshot of the physical-plan cache, whose
-// entries are keyed by query source + document hierarchy signature.
-func (c *Collection) PlanCacheStats() CollectionCacheStats {
-	s := c.c.PlanCacheStats()
-	return CollectionCacheStats{Hits: s.Hits, Misses: s.Misses, Entries: s.Entries, Capacity: s.Capacity}
-}
-
 // Close marks the collection closed: pending queries finish, further
 // Put calls fail. Nothing is buffered (Put writes through), so Close
 // never loses data.

@@ -104,13 +104,6 @@ type Collection struct {
 	dir     string // "" = memory-only
 	workers int
 	cache   *lruCache
-	// plans caches physical plans keyed by query source + document
-	// hierarchy signature (core.Document.Signature): documents with the
-	// same hierarchy layout — including every updated version of one
-	// document — share one plan, while adding or removing a hierarchy
-	// keys a new one. Plans hold no document, so an entry never keeps a
-	// replaced version alive.
-	plans *lruCache
 
 	// metrics is the collection's observability registry (metrics.go);
 	// always non-nil, so hot paths update it unconditionally.
@@ -149,17 +142,13 @@ type Collection struct {
 // New returns an empty memory-only collection.
 func New(opts Options) *Collection {
 	opts = opts.withDefaults()
-	var cache, plans *lruCache
+	var cache *lruCache
 	if opts.CacheSize > 0 {
 		cache = newLRU(opts.CacheSize)
-		// Plans are per (query, layout); give them headroom over the
-		// query cache so one extra corpus layout does not thrash it.
-		plans = newLRU(4 * opts.CacheSize)
 	}
 	c := &Collection{
 		workers: opts.Workers,
 		cache:   cache,
-		plans:   plans,
 		docs:    map[string]*core.Document{},
 		fs:      wal.OS,
 	}
@@ -507,22 +496,17 @@ func (c *Collection) Compile(src string) (*xquery.Query, error) {
 	return q, nil
 }
 
-// planFor returns the physical plan of q for d's hierarchy layout,
-// reusing the plan cache. A cached plan belonging to an evicted,
-// since-recompiled Query is detected by identity and replanned, so a
-// stale plan never evaluates a different AST than the caller compiled.
-func (c *Collection) planFor(src string, q *xquery.Query, d *core.Document) *xquery.Plan {
-	if c.plans == nil {
-		return q.PlanFor(d)
+// planFor returns the physical plan of q for d's hierarchy layout from
+// q's own plan cache (keyed by core.Document.Signature: every version
+// of a document shares one plan, and plans hold no document), counting
+// a plan served from the cache as a hit and a new plan as a miss.
+func (c *Collection) planFor(q *xquery.Query, d *core.Document) *xquery.Plan {
+	pl, cached := q.CachedPlan(d)
+	if cached {
+		c.metrics.planHits.Inc()
+	} else {
+		c.metrics.planMisses.Inc()
 	}
-	key := src + "\x00" + d.Signature()
-	if v, ok := c.plans.get(key); ok {
-		if pl := v.(*xquery.Plan); pl.Query() == q {
-			return pl
-		}
-	}
-	pl := q.PlanFor(d)
-	c.plans.add(key, pl)
 	return pl
 }
 
@@ -540,16 +524,6 @@ func (c *Collection) CacheStats() CacheStats {
 	}
 	hits, misses, entries := c.cache.stats()
 	return CacheStats{Hits: hits, Misses: misses, Entries: entries, Capacity: c.cache.capacity}
-}
-
-// PlanCacheStats returns a snapshot of the physical-plan cache counters
-// (entries are keyed by query source + document hierarchy signature).
-func (c *Collection) PlanCacheStats() CacheStats {
-	if c.plans == nil {
-		return CacheStats{}
-	}
-	hits, misses, entries := c.plans.stats()
-	return CacheStats{Hits: hits, Misses: misses, Entries: entries, Capacity: c.plans.capacity}
 }
 
 // ---- query entry points ------------------------------------------------------
@@ -584,7 +558,7 @@ func (c *Collection) QueryDocContext(ctx context.Context, name, src string) (xqu
 		return nil, nil, fmt.Errorf("collection: %w", err)
 	}
 	start := time.Now()
-	seq, err := c.planFor(src, q, d).EvalContext(ctx, d, nil, v)
+	seq, err := c.planFor(q, d).EvalContext(ctx, d, nil, v)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -607,7 +581,7 @@ func (c *Collection) StreamDoc(ctx context.Context, name, src string) (*xquery.S
 	if err != nil {
 		return nil, nil, fmt.Errorf("collection: %w", err)
 	}
-	return c.planFor(src, q, d).Stream(ctx, d, nil, v), d, nil
+	return c.planFor(q, d).Stream(ctx, d, nil, v), d, nil
 }
 
 // ExplainDoc is QueryDoc with per-operator instrumentation: it returns
@@ -623,7 +597,7 @@ func (c *Collection) ExplainDoc(name, src string) (xquery.Seq, *xquery.ExplainOp
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("collection: %w", err)
 	}
-	c.planFor(src, q, d) // warm the plan cache like the non-explain path
+	c.planFor(q, d) // warm the plan cache like the non-explain path
 	seq, plan, err := q.Explain(d, nil, v)
 	if err != nil {
 		return nil, nil, nil, err
@@ -646,7 +620,7 @@ func (c *Collection) ExplainAnalyzeDoc(ctx context.Context, name, src string) (x
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("collection: %w", err)
 	}
-	pl := c.planFor(src, q, d)
+	pl := c.planFor(q, d)
 	start := time.Now()
 	seq, plan, err := pl.ExplainAnalyze(ctx, d, nil, v)
 	if err != nil {

@@ -351,11 +351,10 @@ func TestPlanCacheKeyedBySignature(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.PlanCacheStats()
 	// One layout signature shared by both documents: one miss (the
 	// first evaluation plans), three hits.
-	if st.Misses != 1 || st.Hits != 3 || st.Entries != 1 {
-		t.Fatalf("plan cache stats = %+v, want 1 miss / 3 hits / 1 entry", st)
+	if hits, misses := planCacheCounts(c); misses != 1 || hits != 3 {
+		t.Fatalf("plan cache hits/misses = %v/%v, want 3/1", hits, misses)
 	}
 
 	// ExplainDoc reports the index-scan decision and shares the cache.
@@ -367,29 +366,39 @@ func TestPlanCacheKeyedBySignature(t *testing.T) {
 		t.Fatalf("ExplainDoc plan lacks an index-scan operator: %+v", plan)
 	}
 
-	// A different hierarchy layout keys a second plan entry.
+	// A different hierarchy layout plans anew.
 	if _, err := c.Put("c", otherLayoutDoc(t)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Query("c", src); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.PlanCacheStats(); st.Entries != 2 {
-		t.Fatalf("plan cache entries = %d, want 2 (one per layout)", st.Entries)
+	if _, misses := planCacheCounts(c); misses != 2 {
+		t.Fatalf("plan misses = %v, want 2 (one per layout)", misses)
 	}
 
-	// A disabled cache still evaluates (plans come from the per-query
-	// cache instead).
+	// A disabled compile cache still evaluates: every query is compiled
+	// afresh, so every plan is new.
 	c2 := New(Options{CacheSize: -1})
 	if _, err := c2.Put("a", genDoc(t, 1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.Query("a", src); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := c2.Query("a", src); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st := c2.PlanCacheStats(); st.Capacity != 0 {
-		t.Fatalf("disabled plan cache stats = %+v", st)
+	if hits, misses := planCacheCounts(c2); hits != 0 || misses != 2 {
+		t.Fatalf("compile cache off: plan hits/misses = %v/%v, want 0/2", hits, misses)
 	}
+}
+
+// planCacheCounts reads the plan-cache hit and miss counters from the
+// collection's metrics registry.
+func planCacheCounts(c *Collection) (hits, misses float64) {
+	snap := c.Metrics().Snapshot()
+	return snap[`mhx_cache_requests_total{cache="plan",result="hit"}`],
+		snap[`mhx_cache_requests_total{cache="plan",result="miss"}`]
 }
 
 func TestUpdatePublishesNewVersion(t *testing.T) {

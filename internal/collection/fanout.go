@@ -53,7 +53,7 @@ func (c *Collection) QueryAllLimit(ctx context.Context, src, pattern string, lim
 		return nil, err
 	}
 	results := c.runPool(len(docs), func(i int) Result {
-		return c.evalOne(ctx, q, src, v, names[i], docs[i], limit)
+		return c.evalOne(ctx, q, v, names[i], docs[i], limit)
 	})
 	if limit > 0 {
 		remaining := limit
@@ -90,11 +90,11 @@ func (c *Collection) runPool(n int, job func(int) Result) []Result {
 	return results
 }
 
-// evalOne evaluates one fan-out row through the shared plan cache.
+// evalOne evaluates one fan-out row through the query's plan cache.
 // With a limit the evaluation streams and stops at the cap instead of
 // draining the document.
-func (c *Collection) evalOne(ctx context.Context, q *xquery.Query, src string, v *view, name string, d *core.Document, limit int) Result {
-	pl := c.planFor(src, q, d)
+func (c *Collection) evalOne(ctx context.Context, q *xquery.Query, v *view, name string, d *core.Document, limit int) Result {
+	pl := c.planFor(q, d)
 	start := time.Now()
 	if limit <= 0 {
 		seq, err := pl.EvalContext(ctx, d, nil, v)
@@ -134,7 +134,6 @@ type Event struct {
 type Rows struct {
 	ctx   context.Context
 	coll  *Collection
-	src   string
 	q     *xquery.Query
 	v     *view
 	names []string
@@ -158,7 +157,7 @@ func (c *Collection) StreamAll(ctx context.Context, src, pattern string) (*Rows,
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{ctx: ctx, coll: c, src: src, q: q, v: v, names: names, docs: docs}, nil
+	return &Rows{ctx: ctx, coll: c, q: q, v: v, names: names, docs: docs}, nil
 }
 
 // Next returns the next event, or ok=false when every document is
@@ -170,7 +169,7 @@ func (r *Rows) Next() (Event, bool) {
 				return Event{}, false
 			}
 			d := r.docs[r.i]
-			r.cur = r.coll.planFor(r.src, r.q, d).Stream(r.ctx, d, nil, r.v)
+			r.cur = r.coll.planFor(r.q, d).Stream(r.ctx, d, nil, r.v)
 		}
 		it, ok, err := r.cur.Next()
 		name, d := r.names[r.i], r.docs[r.i]

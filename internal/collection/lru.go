@@ -8,9 +8,9 @@ import (
 )
 
 // lruCache is a fixed-capacity least-recently-used cache keyed by
-// string. It holds immutable values (compiled queries, physical plans),
-// so one entry can be shared by any number of concurrent evaluations;
-// the lock only guards the recency list and map.
+// string. It holds immutable values (compiled queries), so one entry
+// can be shared by any number of concurrent evaluations; the lock only
+// guards the recency list and map.
 type lruCache struct {
 	capacity int
 

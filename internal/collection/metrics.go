@@ -52,6 +52,8 @@ type collMetrics struct {
 	updateSeconds *obs.Histogram
 	queueDepth    *obs.Gauge
 	busyWorkers   *obs.Gauge
+	planHits      *obs.Counter
+	planMisses    *obs.Counter
 
 	fsyncSeconds *obs.Histogram
 	commitBatch  *obs.Histogram
@@ -73,19 +75,17 @@ func newCollMetrics(c *Collection) *collMetrics {
 		busyWorkers: reg.Gauge("mhx_fanout_busy_workers",
 			"Fan-out workers currently evaluating a document."),
 	}
-	const cacheHelp = "Cache lookups by cache (compile = source->Query, plan = source+signature->Plan) and result."
+	const cacheHelp = "Cache lookups by cache (compile = source->Query, plan = Query+signature->Plan) and result."
 	if c.cache != nil {
 		c.cache.hitC = reg.Counter("mhx_cache_requests_total", cacheHelp,
 			obs.L("cache", "compile"), obs.L("result", "hit"))
 		c.cache.missC = reg.Counter("mhx_cache_requests_total", cacheHelp,
 			obs.L("cache", "compile"), obs.L("result", "miss"))
 	}
-	if c.plans != nil {
-		c.plans.hitC = reg.Counter("mhx_cache_requests_total", cacheHelp,
-			obs.L("cache", "plan"), obs.L("result", "hit"))
-		c.plans.missC = reg.Counter("mhx_cache_requests_total", cacheHelp,
-			obs.L("cache", "plan"), obs.L("result", "miss"))
-	}
+	m.planHits = reg.Counter("mhx_cache_requests_total", cacheHelp,
+		obs.L("cache", "plan"), obs.L("result", "hit"))
+	m.planMisses = reg.Counter("mhx_cache_requests_total", cacheHelp,
+		obs.L("cache", "plan"), obs.L("result", "miss"))
 	reg.GaugeFunc("mhx_documents",
 		"Member documents in the registry.",
 		func() float64 { return float64(c.Len()) })

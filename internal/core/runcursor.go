@@ -12,10 +12,16 @@ import "mhxquery/internal/dom"
 // The zero value is an empty cursor. RunCursor is not safe for
 // concurrent use; each evaluation owns its own.
 type RunCursor struct {
-	hiers []*Hierarchy
-	runs  [][]int32
+	runs  []Run
 	total int
 	hi, i int
+}
+
+// Run is one hierarchy's ordinal run: the ascending preorder ordinals
+// of nodes in H.Nodes.
+type Run struct {
+	H    *Hierarchy
+	Ords []int32
 }
 
 // Add appends one hierarchy's ordinal run.
@@ -23,10 +29,22 @@ func (rc *RunCursor) Add(h *Hierarchy, run []int32) {
 	if len(run) == 0 {
 		return
 	}
-	rc.hiers = append(rc.hiers, h)
-	rc.runs = append(rc.runs, run)
+	rc.runs = append(rc.runs, Run{H: h, Ords: run})
 	rc.total += len(run)
 }
+
+// Reset empties the cursor for a new set of runs, keeping its storage,
+// so one cursor serves every context of a step without allocating.
+func (rc *RunCursor) Reset() {
+	rc.runs = rc.runs[:0]
+	rc.total, rc.hi, rc.i = 0, 0, 0
+}
+
+// Runs returns the added runs in document order, for consumers that
+// take every candidate in bulk instead of one Next at a time. The slice
+// is the cursor's own: read it only, and not after the next Add or
+// Reset.
+func (rc *RunCursor) Runs() []Run { return rc.runs }
 
 // Len returns the total number of candidates across all runs,
 // regardless of how many have been consumed.
@@ -37,11 +55,11 @@ func (rc *RunCursor) Len() int { return rc.total }
 // caller bounds k by Len). This is the O(1) positional shortcut behind
 // run-level [k] and [last()] predicates.
 func (rc *RunCursor) At(k int) *dom.Node {
-	for i, run := range rc.runs {
-		if k < len(run) {
-			return rc.hiers[i].Nodes[run[k]]
+	for _, r := range rc.runs {
+		if k < len(r.Ords) {
+			return r.H.Nodes[r.Ords[k]]
 		}
-		k -= len(run)
+		k -= len(r.Ords)
 	}
 	panic("core: RunCursor.At out of range")
 }
@@ -50,9 +68,9 @@ func (rc *RunCursor) At(k int) *dom.Node {
 // the runs are exhausted.
 func (rc *RunCursor) Next() (*dom.Node, bool) {
 	for rc.hi < len(rc.runs) {
-		run := rc.runs[rc.hi]
-		if rc.i < len(run) {
-			n := rc.hiers[rc.hi].Nodes[run[rc.i]]
+		r := &rc.runs[rc.hi]
+		if rc.i < len(r.Ords) {
+			n := r.H.Nodes[r.Ords[rc.i]]
 			rc.i++
 			return n, true
 		}

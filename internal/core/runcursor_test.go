@@ -55,6 +55,29 @@ func TestRunCursorMatchesAppend(t *testing.T) {
 				t.Fatalf("%s: not ascending at %d", name, i)
 			}
 		}
+		// Bulk access sees the same candidates, and Reset empties the
+		// cursor for reuse.
+		var bulk []*dom.Node
+		for _, r := range rc.Runs() {
+			for _, ord := range r.Ords {
+				bulk = append(bulk, r.H.Nodes[ord])
+			}
+		}
+		if len(bulk) != len(want) {
+			t.Fatalf("%s: Runs holds %d nodes, want %d", name, len(bulk), len(want))
+		}
+		for i := range bulk {
+			if bulk[i] != want[i] {
+				t.Fatalf("%s: bulk node %d differs", name, i)
+			}
+		}
+		rc.Reset()
+		if rc.Len() != 0 || len(rc.Runs()) != 0 {
+			t.Fatalf("%s: Reset left %d candidates in %d runs", name, rc.Len(), len(rc.Runs()))
+		}
+		if _, ok := rc.Next(); ok {
+			t.Fatalf("%s: Reset cursor yielded a node", name)
+		}
 	}
 }
 

@@ -92,11 +92,18 @@ func (q *Query) EvalContext(ctx stdctx.Context, d *core.Document, vars map[strin
 // evaluates correctly against any document (scan operators bind names
 // to the document they run on).
 func (q *Query) PlanFor(d *core.Document) *Plan {
+	pl, _ := q.CachedPlan(d)
+	return pl
+}
+
+// CachedPlan is PlanFor that also reports whether the plan came from the
+// cache (false: this call planned it).
+func (q *Query) CachedPlan(d *core.Document) (pl *Plan, cached bool) {
 	sig := d.Signature()
 	if pl := q.plans.get(sig); pl != nil {
-		return pl
+		return pl, true
 	}
-	return q.plans.put(sig, newPlan(q, d))
+	return q.plans.put(sig, newPlan(q, d, planForce{})), false
 }
 
 // Eval evaluates the plan's query against d with externally bound
@@ -116,19 +123,11 @@ func (pl *Plan) EvalContext(ctx stdctx.Context, d *core.Document, vars map[strin
 // exists/empty/count, quantifiers). Stream is the item-at-a-time entry
 // point.
 func (pl *Plan) eval(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) (Seq, error) {
-	c := pl.newEvalContext(ctx, d, vars, r, counts)
-	if debugNaiveSteps {
-		return pl.q.body.eval(c)
-	}
-	return pEval(pl.prog, c)
+	return pEval(pl.prog, pl.newEvalContext(ctx, d, vars, r, counts))
 }
 
 func (pl *Plan) newEvalContext(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) *context {
-	st := &evalState{doc: d, resolver: r, ctx: ctx}
-	if !debugNaiveSteps {
-		st.plan = pl
-		st.explain = counts
-	}
+	st := &evalState{doc: d, resolver: r, ctx: ctx, plan: pl, explain: counts}
 	c := &context{st: st, item: d.Root, pos: 1, size: 1}
 	for name, val := range vars {
 		c = c.bind(name, val)
@@ -161,20 +160,7 @@ func (q *Query) Stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq
 
 func (pl *Plan) stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) *Stream {
 	c := pl.newEvalContext(ctx, d, vars, r, counts)
-	var cur cursor
-	if debugNaiveSteps {
-		body := pl.q.body
-		cur = &thunkCursor{f: func() (cursor, error) {
-			s, err := body.eval(c)
-			if err != nil {
-				return nil, err
-			}
-			return seqCur(s), nil
-		}}
-	} else {
-		cur = popen(pl.prog, c)
-	}
-	return &Stream{c: c, cur: cur}
+	return &Stream{c: c, cur: popen(pl.prog, c)}
 }
 
 // Next returns the next result item. After an error or exhaustion it
@@ -246,13 +232,7 @@ func (pl *Plan) evalAnalyze(ctx stdctx.Context, d *core.Document, vars map[strin
 	c := pl.newEvalContext(ctx, d, vars, r, counts)
 	c.st.timed = true
 	start := time.Now()
-	var seq Seq
-	var err error
-	if debugNaiveSteps {
-		seq, err = pl.q.body.eval(c)
-	} else {
-		seq, err = pEval(pl.prog, c)
-	}
+	seq, err := pEval(pl.prog, c)
 	return seq, time.Since(start), err
 }
 

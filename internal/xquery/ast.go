@@ -2,10 +2,10 @@ package xquery
 
 import "mhxquery/internal/core"
 
-// expr is a compiled expression node.
-type expr interface {
-	eval(c *context) (Seq, error)
-}
+// expr is a node of the parsed syntax tree. The planner lowers it to a
+// pnode, which is what evaluates; a lowered step or constructor keeps
+// its pnodes in the expr-typed fields of the shapes below.
+type expr any
 
 // literalExpr is a string or number literal; seq is the precomputed
 // singleton so evaluation allocates nothing.

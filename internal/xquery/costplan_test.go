@@ -17,8 +17,8 @@ import (
 // This file proves the cost-based planner correct and calibrated:
 //
 //   - TestPlanChoiceDifferential forces every physical alternative the
-//     cost model chooses among (chain-scan / no chain / no index scans,
-//     reorder disabled) and requires the cost-chosen plan to produce
+//     cost model chooses among (no index scans, reorder disabled) and
+//     requires the cost-chosen plan to produce
 //     node- and error-code-identical results over both cursor routes —
 //     for the paper queries and hundreds of seeded random path, FLWOR
 //     and quantifier shapes. Whatever the estimates say, they may only
@@ -33,34 +33,29 @@ import (
 
 // planKnob is one forced planner configuration of the differential.
 type planKnob struct {
-	name      string
-	force     string
-	noReorder bool
+	name  string
+	force planForce
 }
 
 var planKnobs = []planKnob{
 	{name: "cost"}, // the cost-based choice, the baseline
-	{name: "chain", force: "chain"},
-	{name: "nochain", force: "nochain"},
-	{name: "noindex", force: "noindex"},
-	{name: "noreorder", noReorder: true},
-	{name: "noindex-noreorder", force: "noindex", noReorder: true},
+	{name: "noindex", force: planForce{noIndex: true}},
+	{name: "noreorder", force: planForce{noReorder: true}},
+	{name: "noindex-noreorder", force: planForce{noIndex: true, noReorder: true}},
 }
 
-// evalForced compiles src fresh under one forced configuration (plans
-// are cached per query and signature, so every knob needs its own
-// Query) and evaluates it over both cursor routes, which must agree
-// exactly before the caller compares configurations.
+// evalForced plans src under one forced configuration and evaluates it
+// over both cursor routes, which must agree exactly before the caller
+// compares configurations.
 func evalForced(t *testing.T, d *core.Document, src string, k planKnob) (Seq, error) {
 	t.Helper()
-	forcePlan, forceNoReorder = k.force, k.noReorder
-	defer func() { forcePlan, forceNoReorder = "", false }()
 	q, err := Compile(src)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	fast, fastErr := q.Eval(d)
-	streamed, streamErr := drainStream(q.Stream(nil, d, nil, nil))
+	pl := newPlan(q, d, k.force)
+	fast, fastErr := pl.Eval(d, nil, nil)
+	streamed, streamErr := drainStream(pl.Stream(nil, d, nil, nil))
 	switch {
 	case (fastErr == nil) != (streamErr == nil):
 		t.Errorf("[%s] %q: eval err=%v, stream err=%v", k.name, src, fastErr, streamErr)
@@ -97,7 +92,7 @@ var orderableQueries = []string{
 	`exists(for $a in /descendant::line for $b in /descendant::w return $b)`,
 	`empty(for $a in /descendant::zzz for $b in /descendant::w return $a)`,
 	`count(for $a in /descendant::vline for $b in /descendant::line for $c in /descendant::dmg return ($a, $c))`,
-	// Chain cost choice.
+	// Leading child chains.
 	`/child::vline/child::w`,
 	`/child::line/child::w/child::zzz`,
 	// Reorder gates must hold back: dependent, fallible or positional.
@@ -109,7 +104,8 @@ var orderableQueries = []string{
 
 // planChoiceDocs is the differential corpus: the Boethius fixture, a
 // generated manuscript with heavy markup overlap, and the chain-test
-// document (whose tiny uniform shape exercises the chain cost bound).
+// document, whose nested uniform markup gives leading child chains
+// matches at several depths.
 func planChoiceDocs(t *testing.T) map[string]*core.Document {
 	t.Helper()
 	gen, err := corpus.Generate(corpus.Params{Seed: 9, Words: 25, DamageRate: 0.3, RestoreRate: 0.3}).Document()
@@ -128,6 +124,7 @@ func planChoiceDocs(t *testing.T) map[string]*core.Document {
 // cost-chosen plan — same nodes (by identity where the query yields
 // nodes) or the same error code.
 func TestPlanChoiceDifferential(t *testing.T) {
+	t.Parallel()
 	docs := planChoiceDocs(t)
 
 	queries := append([]string{}, orderableQueries...)
@@ -182,13 +179,12 @@ func TestPlanChoiceDifferential(t *testing.T) {
 // interpreter: for the orderable shapes, every forced configuration
 // must also match the naive oracle, not just each other.
 func TestPlanChoiceAgainstOracle(t *testing.T) {
+	t.Parallel()
 	docs := planChoiceDocs(t)
 	for _, src := range orderableQueries {
 		q := MustCompile(src)
 		for name, d := range docs {
-			debugNaiveSteps = true
-			ref, refErr := q.Eval(d)
-			debugNaiveSteps = false
+			ref, refErr := oracleEval(q, d, nil, nil)
 			for _, k := range planKnobs {
 				got, err := evalForced(t, d, src, k)
 				if (err == nil) != (refErr == nil) {
@@ -217,6 +213,7 @@ func TestPlanChoiceAgainstOracle(t *testing.T) {
 // cost-based ordering would still pass the differential (all orders are
 // correct) but fail here.
 func TestCostChoicesFire(t *testing.T) {
+	t.Parallel()
 	d := corpus.MustBoethius()
 
 	// FLWOR under count(): line (2 rows) must bind before w (6 rows).
@@ -242,15 +239,18 @@ func TestCostChoicesFire(t *testing.T) {
 		t.Errorf("predicates not reordered by selectivity: %+v", scans)
 	}
 
-	// forceNoReorder restores the canonical order (the differential
-	// depends on the knob actually forcing the alternative).
-	forceNoReorder = true
-	canonical := MustCompile(`count(for $a in /descendant::w for $b in /descendant::line return 1)`).
-		PlanFor(d).Describe()
-	forceNoReorder = false
+	// noReorder restores the canonical order (the differential depends
+	// on the knob actually forcing the alternative).
+	canonical := newPlan(MustCompile(`count(for $a in /descendant::w for $b in /descendant::line return 1)`),
+		d, planForce{noReorder: true}).Describe()
 	fors = findOps(canonical, "for")
 	if len(fors) != 2 || fors[0].Detail != "$a" || fors[1].Detail != "$b" {
-		t.Errorf("forceNoReorder did not restore canonical binding order: %+v", fors)
+		t.Errorf("noReorder did not restore canonical binding order: %+v", fors)
+	}
+
+	// noIndex runs every step on the axis pipeline.
+	if tree := newPlan(MustCompile(`//w[1]`), d, planForce{noIndex: true}).Describe(); len(findOps(tree, "index-scan")) != 0 {
+		t.Errorf("noIndex plan still scans the index: %+v", tree)
 	}
 
 	// Exact estimates annotate the operators.

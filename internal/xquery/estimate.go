@@ -12,12 +12,12 @@ package xquery
 // enter.
 //
 // Everything here runs at plan time against the planned document; the
-// resulting numbers steer three plan choices — chain-scan versus axis
-// stepping, predicate application order, quantifier/FLWOR binding
-// order — and are recorded per operator (explainNode.est) so EXPLAIN
-// and EXPLAIN ANALYZE print estimated next to observed rows. A plan
-// evaluated against a different document than it was planned for keeps
-// its estimates (they are advisory); correctness never depends on them.
+// resulting numbers steer two plan choices — predicate application
+// order and quantifier/FLWOR binding order — and are recorded per
+// operator (explainNode.est) so EXPLAIN and EXPLAIN ANALYZE print
+// estimated next to observed rows. A plan evaluated against a different
+// document than it was planned for keeps its estimates (they are
+// advisory); correctness never depends on them.
 
 import (
 	"math"
@@ -375,71 +375,6 @@ func (e *estimator) exprRows(x expr) (float64, bool) {
 		return e.estPath(v)
 	}
 	return 0, false
-}
-
-// totalOf is the document-wide instance count of a name symbol, summed
-// over every hierarchy's synopsis.
-func (e *estimator) totalOf(sym int32) (float64, bool) {
-	if !e.ok {
-		return 0, false
-	}
-	total := 0.0
-	for _, h := range e.hiers {
-		h.tree.Walk(func(n *synopsis.Node, _ int) {
-			if n.Sym == sym {
-				total += float64(n.Count)
-			}
-		})
-	}
-	return total, true
-}
-
-// chainCosts prices the two physical routes for a leading child chain
-// of an absolute path. The chain-scan reads the full index run of the
-// chain's LAST name — every instance anywhere in the document — and
-// verifies each candidate's ancestor chain (len(chain) symbol
-// comparisons); the axis route walks level by level, scanning the
-// children of every node actually on the chain prefix. The chain-scan
-// wins except when the last name is globally common but the prefix is
-// selective.
-func (e *estimator) chainCosts(chain []*step) (axisCost, chainCost float64, ok bool) {
-	ctx := e.rootCtx()
-	for _, s := range chain {
-		if !ctx.known || !ctx.posOK {
-			return 0, 0, false
-		}
-		for _, p := range ctx.pos {
-			kids, texts := e.level(p)
-			scanned := texts * p.frac
-			for _, k := range kids {
-				scanned += float64(k.Count) * p.frac
-			}
-			axisCost += scanned
-		}
-		ctx = e.stepBase(ctx, s)
-	}
-	if !ctx.known {
-		return 0, 0, false
-	}
-	lastSym := e.d.NameSymOf(chain[len(chain)-1].test.name)
-	if lastSym == 0 {
-		return axisCost, 0, true // empty run: the chain-scan exits immediately
-	}
-	total, ok := e.totalOf(lastSym)
-	if !ok {
-		return 0, 0, false
-	}
-	return axisCost, total * float64(len(chain)), true
-}
-
-// chainEst estimates the rows a leading child chain emits, and the
-// estimated context after it.
-func (e *estimator) chainEst(chain []*step) estCtx {
-	ctx := e.rootCtx()
-	for _, s := range chain {
-		ctx = e.estStep(ctx, s)
-	}
-	return ctx
 }
 
 // ---- reorder gates ---------------------------------------------------------

@@ -2,113 +2,17 @@ package xquery
 
 import (
 	"math"
-	"sort"
 	"strings"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/dom"
 )
 
-// This file is the AST interpreter: the recursive eval methods that
-// define the semantics of every expression kind directly over the
-// syntax tree. Production evaluation runs through the cursor engine
-// (plan.go lowers the AST to physical operators, lower.go/stepcursor.go
-// execute them); the interpreter is retained as the differential oracle
-// the cursor engine is property-tested against — with debugNaiveSteps
-// set it evaluates every query with the reference step evaluator
-// (evalStepRef) and no physical plan, and the differential suites
-// require node-identical results between the two engines.
-
-// ---- leaf expressions ----------------------------------------------------
-
-func (e *literalExpr) eval(*context) (Seq, error) { return e.seq, nil }
-
-func (e *rawTextExpr) eval(*context) (Seq, error) { return singleton(e.s), nil }
-
-func (e *varExpr) eval(c *context) (Seq, error) {
-	v, ok := c.lookup(e.name)
-	if !ok {
-		return nil, errf("XPST0008", "undefined variable $%s", e.name)
-	}
-	return v, nil
-}
-
-func (e *contextItemExpr) eval(c *context) (Seq, error) {
-	if c.item == nil {
-		return nil, errf("XPDY0002", "context item is undefined")
-	}
-	return singleton(c.item), nil
-}
-
-func (e *rootExpr) eval(c *context) (Seq, error) {
-	return singleton(c.st.rootFor(c.item)), nil
-}
-
-func (e *seqExpr) eval(c *context) (Seq, error) {
-	var out Seq
-	for _, it := range e.items {
-		v, err := it.eval(c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v...)
-	}
-	return out, nil
-}
-
-func (e *rangeExpr) eval(c *context) (Seq, error) {
-	lo, empty, err := evalNumber(c, e.lo, "range")
-	if err != nil || empty {
-		return nil, err
-	}
-	hi, empty, err := evalNumber(c, e.hi, "range")
-	if err != nil || empty {
-		return nil, err
-	}
-	return rangeSeq(c, lo, hi)
-}
-
-// ---- boolean and comparison ------------------------------------------------
-
-func (e *orExpr) eval(c *context) (Seq, error) {
-	va, err := e.a.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	ba, err := ebv(va)
-	if err != nil {
-		return nil, err
-	}
-	if ba {
-		return seqTrue, nil
-	}
-	vb, err := e.b.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	bb, err := ebv(vb)
-	return singletonBool(bb), err
-}
-
-func (e *andExpr) eval(c *context) (Seq, error) {
-	va, err := e.a.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	ba, err := ebv(va)
-	if err != nil {
-		return nil, err
-	}
-	if !ba {
-		return seqFalse, nil
-	}
-	vb, err := e.b.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	bb, err := ebv(vb)
-	return singletonBool(bb), err
-}
+// This file holds the evaluation helpers of the operators whose
+// semantics do not depend on how their operands were produced:
+// comparisons, arithmetic, node-set operators and constructors. The
+// lowered operators (lower.go) call them, as does the reference
+// interpreter of the package tests.
 
 // evalCmp implements every comparison kind over two materialized
 // operands (shared with the lowered comparison operator).
@@ -156,20 +60,6 @@ func evalCmp(c *context, op string, kind cmpKind, va, vb Seq) (Seq, error) {
 	return seqFalse, nil
 }
 
-func (e *cmpExpr) eval(c *context) (Seq, error) {
-	va, err := e.a.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	vb, err := e.b.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	return evalCmp(c, e.op, e.kind, va, vb)
-}
-
-// ---- arithmetic ------------------------------------------------------------
-
 // evalArith applies one arithmetic operator (shared with the lowered
 // arithmetic operator).
 func evalArith(op string, x, y float64) (Seq, error) {
@@ -193,28 +83,6 @@ func evalArith(op string, x, y float64) (Seq, error) {
 	return nil, errf("XPST0003", "unknown arithmetic operator %q", op)
 }
 
-func (e *arithExpr) eval(c *context) (Seq, error) {
-	x, empty, err := evalNumber(c, e.a, "arithmetic")
-	if err != nil || empty {
-		return nil, err
-	}
-	y, empty, err := evalNumber(c, e.b, "arithmetic")
-	if err != nil || empty {
-		return nil, err
-	}
-	return evalArith(e.op, x, y)
-}
-
-func (e *unaryExpr) eval(c *context) (Seq, error) {
-	x, empty, err := evalNumber(c, e.x, "unary minus")
-	if err != nil || empty {
-		return nil, err
-	}
-	return singleton(-x), nil
-}
-
-// ---- node-set operators ------------------------------------------------------
-
 // evalUnion merges two node sequences in document order (shared with
 // the lowered union operator).
 func evalUnion(va, vb Seq) (Seq, error) {
@@ -227,18 +95,6 @@ func evalUnion(va, vb Seq) (Seq, error) {
 		return nil, err
 	}
 	return nodesToSeq(core.SortDoc(append(na, nb...))), nil
-}
-
-func (e *unionExpr) eval(c *context) (Seq, error) {
-	va, err := e.a.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	vb, err := e.b.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	return evalUnion(va, vb)
 }
 
 // evalIntersect implements intersect/except (shared with the lowered
@@ -269,342 +125,6 @@ func evalIntersect(va, vb Seq, except bool) (Seq, error) {
 	return nodesToSeq(core.SortDoc(out)), nil
 }
 
-func (e *intersectExpr) eval(c *context) (Seq, error) {
-	va, err := e.a.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	vb, err := e.b.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	return evalIntersect(va, vb, e.except)
-}
-
-// ---- control flow -------------------------------------------------------------
-
-func (e *ifExpr) eval(c *context) (Seq, error) {
-	v, err := e.cond.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	b, err := ebv(v)
-	if err != nil {
-		return nil, err
-	}
-	if b {
-		return e.then.eval(c)
-	}
-	return e.els.eval(c)
-}
-
-func (q *quantExpr) eval(c *context) (Seq, error) {
-	b, err := q.walk(c, 0)
-	if err != nil {
-		return nil, err
-	}
-	return singletonBool(b), nil
-}
-
-func (q *quantExpr) walk(c *context, i int) (bool, error) {
-	if i == len(q.names) {
-		v, err := q.sat.eval(c)
-		if err != nil {
-			return false, err
-		}
-		return ebv(v)
-	}
-	src, err := q.srcs[i].eval(c)
-	if err != nil {
-		return false, err
-	}
-	for _, it := range src {
-		b, err := q.walk(c.bind(q.names[i], singleton(it)), i+1)
-		if err != nil {
-			return false, err
-		}
-		if q.every && !b {
-			return false, nil
-		}
-		if !q.every && b {
-			return true, nil
-		}
-	}
-	return q.every, nil
-}
-
-// ---- FLWOR ----------------------------------------------------------------------
-
-func (f *flworExpr) eval(c *context) (Seq, error) {
-	if len(f.order) == 0 {
-		var out Seq
-		err := f.run(c, 0, func(c2 *context) error {
-			v, err := f.ret.eval(c2)
-			if err != nil {
-				return err
-			}
-			out = append(out, v...)
-			return nil
-		})
-		return out, err
-	}
-	type tup struct {
-		c    *context
-		keys []Seq
-	}
-	var tups []tup
-	err := f.run(c, 0, func(c2 *context) error {
-		keys := make([]Seq, len(f.order))
-		for i, o := range f.order {
-			v, err := o.key.eval(c2)
-			if err != nil {
-				return err
-			}
-			keys[i] = c2.atomizeSeq(v)
-		}
-		tups = append(tups, tup{c: c2, keys: keys})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(tups, func(i, j int) bool {
-		for k, o := range f.order {
-			cres, ok := compareOrderKeys(o, tups[i].keys[k], tups[j].keys[k])
-			if !ok || cres == 0 {
-				continue
-			}
-			if o.descending {
-				return cres > 0
-			}
-			return cres < 0
-		}
-		return false
-	})
-	var out Seq
-	for _, t := range tups {
-		v, err := f.ret.eval(t.c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v...)
-	}
-	return out, nil
-}
-
-func (f *flworExpr) run(c *context, idx int, emit func(*context) error) error {
-	if idx == len(f.clauses) {
-		return emit(c)
-	}
-	cl := f.clauses[idx]
-	switch cl.kind {
-	case clauseLet:
-		v, err := cl.src.eval(c)
-		if err != nil {
-			return err
-		}
-		return f.run(c.bind(cl.name, v), idx+1, emit)
-	case clauseWhere:
-		v, err := cl.src.eval(c)
-		if err != nil {
-			return err
-		}
-		b, err := ebv(v)
-		if err != nil {
-			return err
-		}
-		if !b {
-			return nil
-		}
-		return f.run(c, idx+1, emit)
-	}
-	// for clause
-	v, err := cl.src.eval(c)
-	if err != nil {
-		return err
-	}
-	for i, it := range v {
-		c2 := c.bind(cl.name, singleton(it))
-		if cl.posName != "" {
-			c2 = c2.bind(cl.posName, singleton(float64(i+1)))
-		}
-		if err := f.run(c2, idx+1, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ---- function calls ---------------------------------------------------------------
-
-func (e *callExpr) eval(c *context) (Seq, error) {
-	if len(e.args) == 0 { // position(), last(), true(), …: no arg slice
-		return e.fn.fn(c, nil)
-	}
-	args := make([]Seq, len(e.args))
-	for i, a := range e.args {
-		v, err := a.eval(c)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return e.fn.fn(c, args)
-}
-
-// ---- filters and paths --------------------------------------------------------------
-
-func (e *filterExpr) eval(c *context) (Seq, error) {
-	v, err := e.base.eval(c)
-	if err != nil {
-		return nil, err
-	}
-	return applyPredicates(c, v, e.preds)
-}
-
-func (p *pathExpr) eval(c *context) (Seq, error) {
-	var cur Seq
-	switch {
-	case p.start != nil:
-		v, err := p.start.eval(c)
-		if err != nil {
-			return nil, err
-		}
-		cur = v
-	case p.absolute:
-		cur = Seq{c.st.rootFor(c.item)}
-	default:
-		if c.item == nil {
-			return nil, errf("XPDY0002", "context item undefined at start of relative path")
-		}
-		cur = Seq{c.item}
-	}
-	for si, s := range p.steps {
-		var err error
-		switch {
-		case s.prim != nil:
-			cur, err = evalPrimStep(c, cur, s, si == len(p.steps)-1)
-		case debugNaiveSteps:
-			cur, err = evalStepRef(c, cur, s)
-		default:
-			cur, err = evalStep(c, cur, s)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return cur, nil
-}
-
-// evalStepRef is the reference axis-step evaluator: filter every
-// candidate with matchTest, apply predicates, and restore document order
-// with a full comparison sort after the step. It is the semantic oracle
-// the pipeline (evalStep) and the streaming step cursors are
-// differential-tested against.
-func evalStepRef(c *context, cur Seq, s *step) (Seq, error) {
-	var out Seq
-	for _, it := range cur {
-		n, ok := it.(*dom.Node)
-		if !ok {
-			return nil, errf("XPTY0019", "%s:: step applied to an atomic value", s.axis)
-		}
-		nodes := c.st.docFor(n).Eval(s.axis, n)
-		filtered := make(Seq, 0, len(nodes))
-		for _, m := range nodes {
-			match, err := matchTest(c, s.axis, m, s.test)
-			if err != nil {
-				return nil, err
-			}
-			if match {
-				filtered = append(filtered, m)
-			}
-		}
-		filtered, err := applyPredicates(c, filtered, s.preds)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, filtered...)
-	}
-	return sortDedupe(out), nil
-}
-
-// matchTest applies a node test (Definition 2, plus hierarchy-qualified
-// name tests) to a candidate node.
-func matchTest(c *context, ax core.Axis, n *dom.Node, t nodeTest) (bool, error) {
-	principal := dom.Element
-	if ax == core.AxisAttribute {
-		principal = dom.Attribute
-	}
-	switch t.kind {
-	case testName:
-		if n.Kind != principal || n.Name != t.name {
-			return false, nil
-		}
-		return hierOK(c, n, t.hiers)
-	case testStar:
-		if n.Kind != principal {
-			return false, nil
-		}
-		return hierOK(c, n, t.hiers)
-	case testText:
-		if n.Kind != dom.Text {
-			return false, nil
-		}
-		return hierOK(c, n, t.hiers)
-	case testNode:
-		if len(t.hiers) == 0 {
-			return true, nil
-		}
-		return hierOK(c, n, t.hiers)
-	case testComment:
-		return n.Kind == dom.Comment, nil
-	case testPI:
-		return n.Kind == dom.ProcInst && (t.name == "" || n.Name == t.name), nil
-	case testLeaf:
-		if n.Kind != dom.Leaf {
-			return false, nil
-		}
-		return hierOK(c, n, t.hiers)
-	}
-	return false, nil
-}
-
-// hierOK implements the hierarchy restriction of Definition 2: the node
-// must belong to one of the named hierarchies. The shared root belongs to
-// all hierarchies; a leaf belongs to every hierarchy covering it.
-func hierOK(c *context, n *dom.Node, hiers []string) (bool, error) {
-	if len(hiers) == 0 {
-		return true, nil
-	}
-	d := c.st.docFor(n)
-	for _, h := range hiers {
-		if d.HierarchyByName(h) == nil {
-			return false, errf("MHXQ0001", "unknown hierarchy %q in node test", h)
-		}
-	}
-	if n == d.Root {
-		return true, nil
-	}
-	if n.Kind == dom.Leaf {
-		for _, p := range d.LeafParents(n) {
-			for _, h := range hiers {
-				if p.Hier == h {
-					return true, nil
-				}
-			}
-		}
-		return false, nil
-	}
-	for _, h := range hiers {
-		if n.Hier == h {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// ---- constructors ---------------------------------------------------------------------
-
 // buildElement constructs a direct element: attribute value templates,
 // then content items (shared with the lowered constructor operator —
 // the attrs/content expressions may be AST or lowered nodes).
@@ -617,7 +137,7 @@ func buildElement(c *context, name string, attrs []attrTpl, content []expr) (Seq
 				b.WriteString(rt)
 				continue
 			}
-			v, err := part.eval(c)
+			v, err := part.(evaluable).eval(c)
 			if err != nil {
 				return nil, err
 			}
@@ -635,7 +155,7 @@ func buildElement(c *context, name string, attrs []attrTpl, content []expr) (Seq
 			addTextTo(el, rt)
 			continue
 		}
-		v, err := ce.eval(c)
+		v, err := ce.(evaluable).eval(c)
 		if err != nil {
 			return nil, err
 		}
@@ -654,10 +174,6 @@ func rawText(e expr) (string, bool) {
 		return rt.s, true
 	}
 	return "", false
-}
-
-func (e *elemExpr) eval(c *context) (Seq, error) {
-	return buildElement(c, e.name, e.attrs, e.content)
 }
 
 // buildComputed constructs a computed element/attribute/text/comment
@@ -685,7 +201,7 @@ func resolveCtorName(c *context, name string, nameExpr expr) (string, error) {
 	if nameExpr == nil {
 		return name, nil
 	}
-	v, err := nameExpr.eval(c)
+	v, err := nameExpr.(evaluable).eval(c)
 	if err != nil {
 		return "", err
 	}
@@ -694,20 +210,4 @@ func resolveCtorName(c *context, name string, nameExpr expr) (string, error) {
 		return "", errf("XPTY0004", "computed constructor name must be a single value")
 	}
 	return stringValue(v[0]), nil
-}
-
-func (e *compCtorExpr) eval(c *context) (Seq, error) {
-	name, err := resolveCtorName(c, e.name, e.nameExpr)
-	if err != nil {
-		return nil, err
-	}
-	var content Seq
-	if e.content != nil {
-		v, err := e.content.eval(c)
-		if err != nil {
-			return nil, err
-		}
-		content = v
-	}
-	return buildComputed(e.kind, name, content)
 }

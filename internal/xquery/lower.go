@@ -8,18 +8,18 @@ import (
 
 // This file is the physical expression layer of the cursor engine.
 // Every AST expression kind is lowered (plan.go) into a pnode — a
-// physical operator that can evaluate strictly (eval, the expr
-// interface) and stream its result through a pull cursor (open).
-// Streaming is what makes early-exit queries O(answer): FLWOR bindings,
-// quantifier sources, filter bases and function arguments are pulled
-// item by item, so a consumer that needs one item ((//w)[1], exists,
-// some $x in …) stops the whole upstream pipeline after one pull.
+// physical operator that can evaluate strictly (eval) and stream its
+// result through a pull cursor (open). Streaming is what makes
+// early-exit queries O(answer): FLWOR bindings, quantifier sources,
+// filter bases and function arguments are pulled item by item, so a
+// consumer that needs one item ((//w)[1], exists, some $x in …) stops
+// the whole upstream pipeline after one pull.
 //
 // Two invariants keep the two evaluation routes equivalent:
 //
 //   - a fully drained cursor yields exactly the strict result (the
-//     differential suites enforce node identity against the AST
-//     interpreter oracle in eval.go);
+//     differential suites enforce node identity against the reference
+//     interpreter of the package tests);
 //   - queries containing analyze-string run in strict mode
 //     (Plan.strictOnly): analyze-string advances the evaluation's
 //     active document to an overlay with a finer leaf partition, so
@@ -28,11 +28,11 @@ import (
 //     on first pull in that mode, which restores the interpreter's
 //     evaluation order exactly.
 
-// pnode is a lowered physical expression: an expr (strict evaluation,
-// so lowered predicates plug into the shared predicate machinery) that
-// can also stream.
+// pnode is a lowered physical expression: it evaluates strictly (so
+// lowered predicates plug into the shared predicate machinery) and can
+// also stream.
 type pnode interface {
-	expr
+	evaluable
 	open(c *context) cursor
 	pid() int
 }
@@ -117,7 +117,7 @@ func scalarOpen(n pnode, c *context) cursor { return &lazyCursor{n: n, c: c} }
 
 // streamWorthy reports whether opening n as a cursor can actually
 // short-circuit work: its producing end is an operator that emits
-// lazily (index/chain scans, downward axis steps, FLWOR pipelines,
+// lazily (index scans, downward axis steps, FLWOR pipelines,
 // filters, ranges). For anything else the strict eval is both exact
 // and cheaper than building a cursor chain.
 func streamWorthy(n pnode) bool {
@@ -129,7 +129,7 @@ func streamWorthy(n pnode) bool {
 			return false
 		}
 		switch last := x.ops[len(x.ops)-1]; last.kind {
-		case opIndexScan, opChainScan:
+		case opIndexScan:
 			return true
 		case opAxisStep:
 			return streamableStepAxis(last.s.axis)

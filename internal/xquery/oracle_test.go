@@ -1,0 +1,509 @@
+package xquery
+
+import (
+	"sort"
+
+	"mhxquery/internal/core"
+	"mhxquery/internal/dom"
+)
+
+// This file is the reference interpreter the cursor engine is
+// differential-tested against: recursive eval methods that define the
+// semantics of every expression kind directly over the syntax tree,
+// with no physical plan, and the reference step evaluator (evalStepRef)
+// that filters every axis candidate with matchTest and restores
+// document order with a full comparison sort after each step. Tests
+// reach it through oracleEval.
+
+// oracleEval evaluates q's syntax tree against d with externally bound
+// variables and an optional resolver, the way Query.EvalWithResolver
+// does through the plan.
+func oracleEval(q *Query, d *core.Document, vars map[string]Seq, r Resolver) (Seq, error) {
+	c := &context{st: &evalState{doc: d, resolver: r}, item: d.Root, pos: 1, size: 1}
+	for name, val := range vars {
+		c = c.bind(name, val)
+	}
+	return evalMaybeLowered(c, q.body)
+}
+
+func (e *literalExpr) eval(*context) (Seq, error) { return e.seq, nil }
+
+func (e *rawTextExpr) eval(*context) (Seq, error) { return singleton(e.s), nil }
+
+func (e *varExpr) eval(c *context) (Seq, error) {
+	v, ok := c.lookup(e.name)
+	if !ok {
+		return nil, errf("XPST0008", "undefined variable $%s", e.name)
+	}
+	return v, nil
+}
+
+func (e *contextItemExpr) eval(c *context) (Seq, error) {
+	if c.item == nil {
+		return nil, errf("XPDY0002", "context item is undefined")
+	}
+	return singleton(c.item), nil
+}
+
+func (e *rootExpr) eval(c *context) (Seq, error) {
+	return singleton(c.st.rootFor(c.item)), nil
+}
+
+func (e *seqExpr) eval(c *context) (Seq, error) {
+	var out Seq
+	for _, it := range e.items {
+		v, err := evalMaybeLowered(c, it)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v...)
+	}
+	return out, nil
+}
+
+func (e *rangeExpr) eval(c *context) (Seq, error) {
+	lo, empty, err := evalNumber(c, e.lo, "range")
+	if err != nil || empty {
+		return nil, err
+	}
+	hi, empty, err := evalNumber(c, e.hi, "range")
+	if err != nil || empty {
+		return nil, err
+	}
+	return rangeSeq(c, lo, hi)
+}
+
+func (e *orExpr) eval(c *context) (Seq, error) {
+	va, err := evalMaybeLowered(c, e.a)
+	if err != nil {
+		return nil, err
+	}
+	ba, err := ebv(va)
+	if err != nil {
+		return nil, err
+	}
+	if ba {
+		return seqTrue, nil
+	}
+	vb, err := evalMaybeLowered(c, e.b)
+	if err != nil {
+		return nil, err
+	}
+	bb, err := ebv(vb)
+	return singletonBool(bb), err
+}
+
+func (e *andExpr) eval(c *context) (Seq, error) {
+	va, err := evalMaybeLowered(c, e.a)
+	if err != nil {
+		return nil, err
+	}
+	ba, err := ebv(va)
+	if err != nil {
+		return nil, err
+	}
+	if !ba {
+		return seqFalse, nil
+	}
+	vb, err := evalMaybeLowered(c, e.b)
+	if err != nil {
+		return nil, err
+	}
+	bb, err := ebv(vb)
+	return singletonBool(bb), err
+}
+
+func (e *cmpExpr) eval(c *context) (Seq, error) {
+	va, err := evalMaybeLowered(c, e.a)
+	if err != nil {
+		return nil, err
+	}
+	vb, err := evalMaybeLowered(c, e.b)
+	if err != nil {
+		return nil, err
+	}
+	return evalCmp(c, e.op, e.kind, va, vb)
+}
+
+func (e *arithExpr) eval(c *context) (Seq, error) {
+	x, empty, err := evalNumber(c, e.a, "arithmetic")
+	if err != nil || empty {
+		return nil, err
+	}
+	y, empty, err := evalNumber(c, e.b, "arithmetic")
+	if err != nil || empty {
+		return nil, err
+	}
+	return evalArith(e.op, x, y)
+}
+
+func (e *unaryExpr) eval(c *context) (Seq, error) {
+	x, empty, err := evalNumber(c, e.x, "unary minus")
+	if err != nil || empty {
+		return nil, err
+	}
+	return singleton(-x), nil
+}
+
+func (e *unionExpr) eval(c *context) (Seq, error) {
+	va, err := evalMaybeLowered(c, e.a)
+	if err != nil {
+		return nil, err
+	}
+	vb, err := evalMaybeLowered(c, e.b)
+	if err != nil {
+		return nil, err
+	}
+	return evalUnion(va, vb)
+}
+
+func (e *intersectExpr) eval(c *context) (Seq, error) {
+	va, err := evalMaybeLowered(c, e.a)
+	if err != nil {
+		return nil, err
+	}
+	vb, err := evalMaybeLowered(c, e.b)
+	if err != nil {
+		return nil, err
+	}
+	return evalIntersect(va, vb, e.except)
+}
+
+func (e *ifExpr) eval(c *context) (Seq, error) {
+	v, err := evalMaybeLowered(c, e.cond)
+	if err != nil {
+		return nil, err
+	}
+	b, err := ebv(v)
+	if err != nil {
+		return nil, err
+	}
+	if b {
+		return evalMaybeLowered(c, e.then)
+	}
+	return evalMaybeLowered(c, e.els)
+}
+
+func (q *quantExpr) eval(c *context) (Seq, error) {
+	b, err := q.walk(c, 0)
+	if err != nil {
+		return nil, err
+	}
+	return singletonBool(b), nil
+}
+
+func (q *quantExpr) walk(c *context, i int) (bool, error) {
+	if i == len(q.names) {
+		v, err := evalMaybeLowered(c, q.sat)
+		if err != nil {
+			return false, err
+		}
+		return ebv(v)
+	}
+	src, err := evalMaybeLowered(c, q.srcs[i])
+	if err != nil {
+		return false, err
+	}
+	for _, it := range src {
+		b, err := q.walk(c.bind(q.names[i], singleton(it)), i+1)
+		if err != nil {
+			return false, err
+		}
+		if q.every && !b {
+			return false, nil
+		}
+		if !q.every && b {
+			return true, nil
+		}
+	}
+	return q.every, nil
+}
+
+func (f *flworExpr) eval(c *context) (Seq, error) {
+	if len(f.order) == 0 {
+		var out Seq
+		err := f.run(c, 0, func(c2 *context) error {
+			v, err := evalMaybeLowered(c2, f.ret)
+			if err != nil {
+				return err
+			}
+			out = append(out, v...)
+			return nil
+		})
+		return out, err
+	}
+	type tup struct {
+		c    *context
+		keys []Seq
+	}
+	var tups []tup
+	err := f.run(c, 0, func(c2 *context) error {
+		keys := make([]Seq, len(f.order))
+		for i, o := range f.order {
+			v, err := evalMaybeLowered(c2, o.key)
+			if err != nil {
+				return err
+			}
+			keys[i] = c2.atomizeSeq(v)
+		}
+		tups = append(tups, tup{c: c2, keys: keys})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.SliceStable(tups, func(i, j int) bool {
+		for k, o := range f.order {
+			cres, ok := compareOrderKeys(o, tups[i].keys[k], tups[j].keys[k])
+			if !ok || cres == 0 {
+				continue
+			}
+			if o.descending {
+				return cres > 0
+			}
+			return cres < 0
+		}
+		return false
+	})
+	var out Seq
+	for _, t := range tups {
+		v, err := evalMaybeLowered(t.c, f.ret)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v...)
+	}
+	return out, nil
+}
+
+func (f *flworExpr) run(c *context, idx int, emit func(*context) error) error {
+	if idx == len(f.clauses) {
+		return emit(c)
+	}
+	cl := f.clauses[idx]
+	switch cl.kind {
+	case clauseLet:
+		v, err := evalMaybeLowered(c, cl.src)
+		if err != nil {
+			return err
+		}
+		return f.run(c.bind(cl.name, v), idx+1, emit)
+	case clauseWhere:
+		v, err := evalMaybeLowered(c, cl.src)
+		if err != nil {
+			return err
+		}
+		b, err := ebv(v)
+		if err != nil {
+			return err
+		}
+		if !b {
+			return nil
+		}
+		return f.run(c, idx+1, emit)
+	}
+	// for clause
+	v, err := evalMaybeLowered(c, cl.src)
+	if err != nil {
+		return err
+	}
+	for i, it := range v {
+		c2 := c.bind(cl.name, singleton(it))
+		if cl.posName != "" {
+			c2 = c2.bind(cl.posName, singleton(float64(i+1)))
+		}
+		if err := f.run(c2, idx+1, emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (e *callExpr) eval(c *context) (Seq, error) {
+	if len(e.args) == 0 { // position(), last(), true(), …: no arg slice
+		return e.fn.fn(c, nil)
+	}
+	args := make([]Seq, len(e.args))
+	for i, a := range e.args {
+		v, err := evalMaybeLowered(c, a)
+		if err != nil {
+			return nil, err
+		}
+		args[i] = v
+	}
+	return e.fn.fn(c, args)
+}
+
+func (e *filterExpr) eval(c *context) (Seq, error) {
+	v, err := evalMaybeLowered(c, e.base)
+	if err != nil {
+		return nil, err
+	}
+	return applyPredicates(c, v, e.preds)
+}
+
+func (p *pathExpr) eval(c *context) (Seq, error) {
+	var cur Seq
+	switch {
+	case p.start != nil:
+		v, err := evalMaybeLowered(c, p.start)
+		if err != nil {
+			return nil, err
+		}
+		cur = v
+	case p.absolute:
+		cur = Seq{c.st.rootFor(c.item)}
+	default:
+		if c.item == nil {
+			return nil, errf("XPDY0002", "context item undefined at start of relative path")
+		}
+		cur = Seq{c.item}
+	}
+	for si, s := range p.steps {
+		var err error
+		if s.prim != nil {
+			cur, err = evalPrimStep(c, cur, s, si == len(p.steps)-1)
+		} else {
+			cur, err = evalStepRef(c, cur, s)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return cur, nil
+}
+
+// evalStepRef is the reference axis-step evaluator: filter every
+// candidate with matchTest, apply predicates, and restore document order
+// with a full comparison sort after the step. It is the semantic oracle
+// the pipeline (evalStep) and the streaming step cursors are
+// differential-tested against.
+func evalStepRef(c *context, cur Seq, s *step) (Seq, error) {
+	var out Seq
+	for _, it := range cur {
+		n, ok := it.(*dom.Node)
+		if !ok {
+			return nil, errf("XPTY0019", "%s:: step applied to an atomic value", s.axis)
+		}
+		nodes := c.st.docFor(n).Eval(s.axis, n)
+		filtered := make(Seq, 0, len(nodes))
+		for _, m := range nodes {
+			match, err := matchTest(c, s.axis, m, s.test)
+			if err != nil {
+				return nil, err
+			}
+			if match {
+				filtered = append(filtered, m)
+			}
+		}
+		filtered, err := applyPredicates(c, filtered, s.preds)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, filtered...)
+	}
+	return sortDedupe(out), nil
+}
+
+// matchTest applies a node test (Definition 2, plus hierarchy-qualified
+// name tests) to a candidate node.
+func matchTest(c *context, ax core.Axis, n *dom.Node, t nodeTest) (bool, error) {
+	principal := dom.Element
+	if ax == core.AxisAttribute {
+		principal = dom.Attribute
+	}
+	switch t.kind {
+	case testName:
+		if n.Kind != principal || n.Name != t.name {
+			return false, nil
+		}
+		return hierOK(c, n, t.hiers)
+	case testStar:
+		if n.Kind != principal {
+			return false, nil
+		}
+		return hierOK(c, n, t.hiers)
+	case testText:
+		if n.Kind != dom.Text {
+			return false, nil
+		}
+		return hierOK(c, n, t.hiers)
+	case testNode:
+		if len(t.hiers) == 0 {
+			return true, nil
+		}
+		return hierOK(c, n, t.hiers)
+	case testComment:
+		return n.Kind == dom.Comment, nil
+	case testPI:
+		return n.Kind == dom.ProcInst && (t.name == "" || n.Name == t.name), nil
+	case testLeaf:
+		if n.Kind != dom.Leaf {
+			return false, nil
+		}
+		return hierOK(c, n, t.hiers)
+	}
+	return false, nil
+}
+
+// hierOK implements the hierarchy restriction of Definition 2: the node
+// must belong to one of the named hierarchies. The shared root belongs to
+// all hierarchies; a leaf belongs to every hierarchy covering it.
+func hierOK(c *context, n *dom.Node, hiers []string) (bool, error) {
+	if len(hiers) == 0 {
+		return true, nil
+	}
+	d := c.st.docFor(n)
+	for _, h := range hiers {
+		if d.HierarchyByName(h) == nil {
+			return false, errf("MHXQ0001", "unknown hierarchy %q in node test", h)
+		}
+	}
+	if n == d.Root {
+		return true, nil
+	}
+	if n.Kind == dom.Leaf {
+		for _, p := range d.LeafParents(n) {
+			for _, h := range hiers {
+				if p.Hier == h {
+					return true, nil
+				}
+			}
+		}
+		return false, nil
+	}
+	for _, h := range hiers {
+		if n.Hier == h {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+func (e *elemExpr) eval(c *context) (Seq, error) {
+	return buildElement(c, e.name, e.attrs, e.content)
+}
+
+func (e *compCtorExpr) eval(c *context) (Seq, error) {
+	name, err := resolveCtorName(c, e.name, e.nameExpr)
+	if err != nil {
+		return nil, err
+	}
+	var content Seq
+	if e.content != nil {
+		v, err := evalMaybeLowered(c, e.content)
+		if err != nil {
+			return nil, err
+		}
+		content = v
+	}
+	return buildComputed(e.kind, name, content)
+}
+
+// applyPredicates is applyPredicatesInPlace on a copy of items.
+func applyPredicates(c *context, items Seq, preds []expr) (Seq, error) {
+	if len(preds) == 0 {
+		return items, nil
+	}
+	return applyPredicatesInPlace(c, append(Seq(nil), items...), preds)
+}

@@ -6,9 +6,10 @@ import (
 )
 
 // This file is the order-aware step-evaluation pipeline. The reference
-// evaluator (evalStepRef) re-sorts and re-dedupes the whole intermediate
-// node set after every step — an O(k log k) comparison sort even when
-// the axis already emitted document order. The pipeline instead:
+// step evaluator of the package tests (oracle_test.go) re-sorts and
+// re-dedupes the whole intermediate node set after every step — an
+// O(k log k) comparison sort even when the axis already emitted document
+// order. The pipeline instead:
 //
 //   - relies on the axis order contracts (core.Axis.Order): every axis
 //     emits a duplicate-free run that is either ascending or descending
@@ -28,23 +29,21 @@ import (
 //     constructed trees), where it reproduces the reference evaluator's
 //     stable-sort semantics exactly;
 //   - resolves node tests once per (step, document) into interned name
-//     symbols and hierarchy indices (resolvedTest), replacing the
-//     per-candidate string comparisons and hierarchy map lookups of
-//     matchTest;
+//     symbols and hierarchy indices (resolvedTest), replacing
+//     per-candidate string comparisons and hierarchy map lookups;
 //   - shortcuts constant positional predicates ([k], [last()]) by
 //     stopping candidate iteration at the selected node; and
 //   - reuses the axis candidate buffer across context nodes
 //     (evalState.axisBuf) and filters predicate results in place, so a
 //     steady-state step allocates only its output.
 //
-// debugNaiveSteps forces the reference evaluator; the differential
-// property tests flip it and require byte-identical results.
-var debugNaiveSteps = false
+// One context's segment is built by axisSegment, for strict execution
+// (evalStep) and streamed execution (stepCursor) alike.
 
 // resolvedTest is a node test resolved against one document: the name as
 // an interned symbol, hierarchy restrictions as indices. Hierarchy
 // resolution stays lazy so that the unknown-hierarchy error is raised at
-// exactly the same evaluation point as the reference matchTest (only
+// exactly the same evaluation point as the reference evaluator's (only
 // when a candidate actually reaches the hierarchy check).
 type resolvedTest struct {
 	doc       *core.Document
@@ -73,8 +72,8 @@ func (rt *resolvedTest) init(d *core.Document, s *step) {
 }
 
 // match reports whether candidate n passes the test; the check order
-// (kind, name, hierarchy) mirrors matchTest so errors surface at the
-// same point.
+// (kind, name, hierarchy) is the reference evaluator's, so errors
+// surface at the same point.
 func (rt *resolvedTest) match(n *dom.Node) (bool, error) {
 	t := rt.t
 	switch t.kind {
@@ -122,7 +121,7 @@ func (rt *resolvedTest) match(n *dom.Node) (bool, error) {
 
 // candidates is the axis candidate set the test can accept. Name, *,
 // text(), comment() and processing-instruction() tests reject every leaf
-// on its kind before any hierarchy check (match, matchTest), so the axes
+// on its kind before any hierarchy check (match), so the axes
 // may drop leaf candidates for them without changing results, positions
 // or error points — and without building an overlay's lazy leaf layer.
 func (t *nodeTest) candidates() core.Candidates {
@@ -133,9 +132,10 @@ func (t *nodeTest) candidates() core.Candidates {
 	return core.NoLeaves
 }
 
-// hierOK is hierOK of the reference evaluator with the per-candidate
-// string comparisons and map lookups replaced by integer hierarchy
-// indices resolved once per (step, document).
+// hierOK implements the hierarchy restriction of Definition 2 — the
+// shared root belongs to every hierarchy, a leaf to every hierarchy
+// covering it — over integer hierarchy indices resolved once per
+// (step, document).
 func (rt *resolvedTest) hierOK(n *dom.Node) (bool, error) {
 	hiers := rt.t.hiers
 	if len(hiers) == 0 {
@@ -210,61 +210,30 @@ func segOrder(seg Seq) int {
 }
 
 // evalStep evaluates one axis step over the context sequence cur,
-// returning the result in document order without duplicates (the same
-// output as evalStepRef, without its per-step comparison sort).
+// returning the result in document order without duplicates (the
+// reference evaluator's output, without its per-step comparison sort).
 func evalStep(c *context, cur Seq, s *step) (Seq, error) {
 	st := c.st
 	var out Seq
 	sorted := true      // out is strictly ascending across segment junctions
 	degenerate := false // saw an order-degenerate segment: finish with sortDedupe
 	var rt resolvedTest
-	cands := s.test.candidates()
 	for _, it := range cur {
 		n, ok := it.(*dom.Node)
 		if !ok {
 			return nil, errf("XPTY0019", "%s:: step applied to an atomic value", s.axis)
 		}
-		d := st.docFor(n)
-		if rt.doc != d {
-			rt.init(d, s)
-		}
-		// Axis candidates: a shared view of the document's internal
-		// arrays when one exists, else the reusable evalState buffer.
-		nodes, shared := d.SharedAxis(s.axis, n, cands)
-		if !shared {
-			if cap(st.axisBuf) == 0 {
-				// Start modestly and let append grow: descendant name
-				// steps run as index scans now, so most axis fans are
-				// small and a full OrdinalSpace buffer per evaluation
-				// would dominate short queries.
-				st.axisBuf = make([]*dom.Node, 0, min(d.OrdinalSpace(), 512))
-			}
-			st.axisBuf = d.AppendAxis(st.axisBuf[:0], s.axis, n, cands)
-			nodes = st.axisBuf
-		}
-		if out == nil && len(nodes) > 0 {
-			out = make(Seq, 0, min(len(nodes), 32))
-		}
 		segStart := len(out)
+		var ordered bool
 		var err error
-		if out, err = filterStep(c, out, nodes, s, &rt); err != nil {
+		if out, ordered, err = axisSegment(c, out, st.docFor(n), n, s, &rt); err != nil {
 			return nil, err
 		}
-		if degenerate {
+		if degenerate = degenerate || !ordered; degenerate {
 			continue
 		}
-		// Normalize the segment to ascending document order and check
-		// the junction with the previous segment.
-		seg := out[segStart:]
-		switch segOrder(seg) {
-		case segDescending:
-			reverseSeq(seg)
-		case segUnordered:
-			degenerate = true
-			continue
-		}
-		if sorted && len(seg) > 0 && segStart > 0 &&
-			dom.Compare(out[segStart-1].(*dom.Node), seg[0].(*dom.Node)) >= 0 {
+		if sorted && len(out) > segStart && segStart > 0 &&
+			dom.Compare(out[segStart-1].(*dom.Node), out[segStart].(*dom.Node)) >= 0 {
 			sorted = false
 		}
 	}
@@ -278,6 +247,44 @@ func evalStep(c *context, cur Seq, s *step) (Seq, error) {
 		return st.mergeDocOrder(out), nil
 	}
 	return out, nil
+}
+
+// axisSegment appends context n's segment of axis step s to out: the
+// axis candidates — a shared view of d's arrays, else gathered into
+// evalState.axisBuf — filtered by the node test, the positional
+// shortcut and the predicates (filterStep), then put in ascending
+// document order. ordered is false for an order-degenerate segment
+// (constructed trees), which only sortDedupe can order.
+func axisSegment(c *context, out Seq, d *core.Document, n *dom.Node, s *step, rt *resolvedTest) (Seq, bool, error) {
+	if rt.doc != d {
+		rt.init(d, s)
+	}
+	st := c.st
+	cands := s.test.candidates()
+	nodes, shared := d.SharedAxis(s.axis, n, cands)
+	if !shared {
+		if cap(st.axisBuf) == 0 {
+			// Start modestly and let append grow: descendant name steps
+			// run as index scans, so most axis fans are small and a full
+			// OrdinalSpace buffer per evaluation would dominate short
+			// queries.
+			st.axisBuf = make([]*dom.Node, 0, min(d.OrdinalSpace(), 512))
+		}
+		st.axisBuf = d.AppendAxis(st.axisBuf[:0], s.axis, n, cands)
+		nodes = st.axisBuf
+	}
+	segStart := len(out)
+	out, err := filterStep(c, out, nodes, s, rt)
+	if err != nil {
+		return nil, false, err
+	}
+	switch segOrder(out[segStart:]) {
+	case segDescending:
+		reverseSeq(out[segStart:])
+	case segUnordered:
+		return out, false, nil
+	}
+	return out, true, nil
 }
 
 // filterStep appends the candidates passing the step's node test and
@@ -326,6 +333,9 @@ func filterStep(c *context, out Seq, nodes []*dom.Node, s *step, rt *resolvedTes
 				return nil, err
 			}
 			if ok {
+				if out == nil {
+					out = make(Seq, 0, min(len(nodes), 32))
+				}
 				out = append(out, m)
 			}
 		}

@@ -11,8 +11,8 @@ import (
 
 // The differential property test of the order-aware pipeline: every
 // query must produce byte-for-byte (in fact node-for-node) the result of
-// the reference evaluator (debugNaiveSteps), which sortDedupes after
-// every step, on realistic four-hierarchy documents.
+// the reference interpreter (oracleEval), which sortDedupes after every
+// step, on realistic four-hierarchy documents.
 
 // diffQueries exercises every axis, hierarchy-qualified tests, constant
 // positional predicates, reverse axes, multi-context merging, unions and
@@ -120,9 +120,7 @@ func evalBothWith(t *testing.T, d *core.Document, src string, r Resolver) (fast,
 		t.Errorf("%q: eval and stream disagree:\n  eval:   %s\n  stream: %s",
 			src, Serialize(fast), Serialize(streamed))
 	}
-	debugNaiveSteps = true
-	defer func() { debugNaiveSteps = false }()
-	ref, refErr = q.EvalWithResolver(d, nil, r)
+	ref, refErr = oracleEval(q, d, nil, r)
 	return
 }
 
@@ -173,6 +171,7 @@ func sameItems(a, b Seq) bool {
 }
 
 func TestPipelineMatchesReference(t *testing.T) {
+	t.Parallel()
 	for name, d := range diffDocs(t) {
 		for _, src := range diffQueries {
 			fast, ref, fastErr, refErr := evalBoth(t, d, src)
@@ -195,6 +194,7 @@ func TestPipelineMatchesReference(t *testing.T) {
 // unknown hierarchies in node tests must surface (or not) at the same
 // evaluation points.
 func TestPipelineMatchesReferenceErrors(t *testing.T) {
+	t.Parallel()
 	d := corpus.MustBoethius()
 	for _, src := range []string{
 		`/descendant::w('nope')`,                   // unknown hierarchy, candidates exist
@@ -230,6 +230,7 @@ func TestPipelineMatchesReferenceErrors(t *testing.T) {
 // paths over constructed result trees (no document ordinals) must match
 // the reference stable-sort behavior exactly.
 func TestPipelineConstructedTrees(t *testing.T) {
+	t.Parallel()
 	d := corpus.MustBoethius()
 	for _, src := range []string{
 		`let $x := <a><b>1</b><c><b>2</b></c></a> return $x/descendant::b`,
@@ -238,6 +239,9 @@ func TestPipelineConstructedTrees(t *testing.T) {
 		`let $x := <a><b>1</b><b>2</b><b>3</b></a> return $x/child::b[last()]`,
 		`let $x := <a f="1" g="2"><b/></a> return $x/attribute::*`,
 		`let $x := <a><b>1</b></a> return ($x/child::b, /descendant::w)/child::node()`,
+		`let $x := <a><w>1</w><c><w>2</w></c></a> return ($x, /descendant::vline)/descendant::w`,
+		`let $x := <a><w>1</w><w>2</w></a> return (/descendant::vline, $x)/descendant-or-self::w[2]`,
+		`let $x := <a><w>1</w></a> return ($x/child::w, /)/descendant::w[overlapping::dmg]`,
 	} {
 		fast, ref, fastErr, refErr := evalBoth(t, d, src)
 		if fastErr != nil || refErr != nil {
@@ -254,6 +258,7 @@ func TestPipelineConstructedTrees(t *testing.T) {
 // TestPipelineOverlayQueries runs the differential check across
 // analyze-string overlays (temporary hierarchies, document switching).
 func TestPipelineOverlayQueries(t *testing.T) {
+	t.Parallel()
 	d := corpus.MustBoethius()
 	for _, src := range []string{
 		`for $w in /descendant::w[string(.) = 'unawendendne']

@@ -21,8 +21,7 @@ import (
 // predicates, FLWOR bindings and aggregation, so early-exit consumers
 // stop the pipeline after the items they need.
 //
-// Within a path, three physical operators exist beyond the generic
-// pipeline step:
+// Within a path, each step lowers to one of three operators:
 //
 //   - index-scan: descendant::name and descendant-or-self::name steps
 //     (including the //name abbreviation, whose descendant-or-self::
@@ -31,12 +30,13 @@ import (
 //     GODDAG: per hierarchy, the ascending ordinal run of elements
 //     bearing the name, restricted to the context subtree by binary
 //     search, emitted in document order with no per-candidate test.
-//   - chain-scan: a leading /child::a/child::b/… chain over an
-//     absolute path scans the index run of the last name and verifies
-//     each candidate's ancestor chain upward to the shared root —
-//     O(matches · chain length) instead of a level-by-level walk.
-//   - axis-step: everything else runs through the order-aware pipeline
-//     (evalStep), streamed per context segment for the downward axes.
+//   - axis-step: every other axis step runs through the order-aware
+//     pipeline (pipeline.go).
+//   - primary: a primary-expression step ("$x/string(.)").
+//
+// Each index-scan and axis-step context contributes one segment, built
+// by indexSegment or axisSegment; strict execution (pPath.eval) appends
+// the segments in bulk, streamed execution (stepcursor.go) pulls them.
 //
 // Plans are immutable and shared, and hold no document: all mutable
 // evaluation state lives in evalState, and each scan operator resolves
@@ -48,26 +48,13 @@ import (
 // document reachable. Explain runs a plan with per-operator cardinality
 // counters and renders the full operator tree.
 //
-// Physical choice among those operators is cost-based (estimate.go):
-// the planner estimates per-operator cardinality from the planned
-// document's path synopses, prices chain-scan against level-by-level
-// stepping, orders position-independent infallible predicates by
-// estimated selectivity, and orders independent quantifier/FLWOR
-// bindings by estimated input size. Every reorder is gated so the plan
-// stays result- and error-identical to the canonical order; estimates
-// annotate the explain tree as "est=N" next to observed rows.
-
-// Plan-forcing knobs for the differential test harness: forcePlan
-// overrides the chain-scan/index-scan choice ("" cost-based, "chain"
-// always chain when shape-eligible, "nochain" never chain, "noindex"
-// neither chain nor index scans), forceNoReorder disables every
-// cost-based reorder. Package-private and test-only: production code
-// never sets them, and plans are cached per query, so tests compile a
-// fresh Query per setting.
-var (
-	forcePlan      = ""
-	forceNoReorder = false
-)
+// The planner is cost-based (estimate.go): it estimates per-operator
+// cardinality from the planned document's path synopses, orders
+// position-independent infallible predicates by estimated selectivity,
+// and orders independent quantifier/FLWOR bindings by estimated input
+// size. Every reorder is gated so the plan stays result- and
+// error-identical to the canonical order; estimates annotate the
+// explain tree as "est=N" next to observed rows.
 
 // ---- plan structure --------------------------------------------------------
 
@@ -76,7 +63,6 @@ var (
 // evaluation, and references no document: the planned document only
 // feeds the estimates that chose its operators.
 type Plan struct {
-	q    *Query
 	sig  string
 	prog pnode
 	nOps int
@@ -87,9 +73,6 @@ type Plan struct {
 	strictOnly bool
 }
 
-// Query returns the compiled query this plan lowers.
-func (pl *Plan) Query() *Query { return pl.q }
-
 // Signature returns the document hierarchy signature the plan was built
 // for.
 func (pl *Plan) Signature() string { return pl.sig }
@@ -98,7 +81,6 @@ func (pl *Plan) Signature() string { return pl.sig }
 const (
 	opAxisStep  = iota // generic pipeline step (evalStep)
 	opIndexScan        // structural name index scan
-	opChainScan        // leading child:: chain via index + ancestor check
 	opPrimStep         // primary-expression step (evalPrimStep)
 )
 
@@ -108,10 +90,9 @@ const (
 // operator runs through the physical engine too.
 type pathOp struct {
 	kind     int
-	s        *step   // axis/index/primary operator: the lowered step
-	chn      []*step // chain-scan: the consumed child:: steps
-	id       int     // cardinality counter slot
-	primLast bool    // primary step: last op of its path
+	s        *step // the lowered step
+	id       int   // cardinality counter slot
+	primLast bool  // primary step: last op of its path
 }
 
 // indexBinding is an index-scan node test resolved against the
@@ -165,25 +146,6 @@ func (b *indexBinding) allows(hierIndex int) bool {
 	return false
 }
 
-// chainBinding is a child:: chain resolved against the document being
-// evaluated, like indexBinding: the interned symbol of every chain
-// name. ok is false when any name occurs nowhere in that document (the
-// chain selects nothing).
-type chainBinding struct {
-	syms []int32
-	ok   bool
-}
-
-func resolveChainBinding(d *core.Document, chain []*step) chainBinding {
-	b := chainBinding{syms: make([]int32, len(chain)), ok: true}
-	for i, s := range chain {
-		if b.syms[i] = d.NameSymOf(s.test.name); b.syms[i] == 0 {
-			b.ok = false
-		}
-	}
-	return b
-}
-
 // ---- planner ---------------------------------------------------------------
 
 type planner struct {
@@ -196,14 +158,24 @@ type planner struct {
 	// order-insensitive consumer (exists/empty/count); it licenses
 	// for-binding reorder inside that FLWOR only.
 	orderFree bool
+	planForce
+}
+
+// planForce forces the canonical side of the planner's choices: noIndex
+// runs every step on the axis pipeline, noReorder keeps every predicate
+// and binding in source order. Query.PlanFor passes the zero value; the
+// package tests set the fields to check that every alternative returns
+// the cost-chosen plan's answer.
+type planForce struct {
+	noIndex, noReorder bool
 }
 
 // newPlan lowers q's whole expression tree against d's hierarchy
 // layout. d informs the cost-based choices and EXPLAIN estimates; the
 // plan keeps no reference to it.
-func newPlan(q *Query, d *core.Document) *Plan {
-	pl := &Plan{q: q, sig: d.Signature(), strictOnly: q.strictOnly}
-	pn := &planner{pl: pl, doc: d}
+func newPlan(q *Query, d *core.Document, force planForce) *Plan {
+	pl := &Plan{sig: d.Signature(), strictOnly: q.strictOnly}
+	pn := &planner{pl: pl, doc: d, planForce: force}
 	root := &explainNode{op: "query", id: -1, est: -1}
 	pl.prog = pn.lower(q.body, root)
 	pl.root = root
@@ -385,7 +357,7 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 // product whose quantified truth is order-insensitive; putting the
 // smallest source outermost minimizes inner re-evaluations.
 func (pn *planner) quantOrder(x *quantExpr) ([]string, []expr) {
-	if forceNoReorder || len(x.srcs) < 2 || !predInfallible(x.sat) {
+	if pn.noReorder || len(x.srcs) < 2 || !predInfallible(x.sat) {
 		return x.names, x.srcs
 	}
 	bound := make(map[string]bool, len(x.names))
@@ -426,7 +398,7 @@ func (pn *planner) quantOrder(x *quantExpr) ([]string, []expr) {
 // return clause is infallible — so neither the result set nor any error
 // can observe the changed tuple enumeration order.
 func (pn *planner) flworClauseOrder(x *flworExpr, orderFree bool) []flworClause {
-	if !orderFree || forceNoReorder || len(x.order) > 0 {
+	if !orderFree || pn.noReorder || len(x.order) > 0 {
 		return x.clauses
 	}
 	run := 0
@@ -529,13 +501,6 @@ func indexableStep(s *step) bool {
 		(s.axis == core.AxisDescendant || s.axis == core.AxisDescendantOrSelf)
 }
 
-// chainableStep reports whether the step can join a leading child::
-// chain: child axis, plain unqualified name test, no predicates.
-func chainableStep(s *step) bool {
-	return s.prim == nil && s.axis == core.AxisChild && s.test.kind == testName &&
-		len(s.test.hiers) == 0 && len(s.preds) == 0
-}
-
 // fusibleDOS reports whether the step is the bare descendant-or-self::
 // node() that the // abbreviation expands to, with nothing attached.
 func fusibleDOS(s *step) bool {
@@ -631,24 +596,6 @@ func usesFocusPosition(e expr) bool {
 	return found
 }
 
-// useChainScan decides chain-scan versus level-by-level stepping for a
-// leading child chain, by estimated cost. The chain-scan touches every
-// document-wide instance of the chain's last name; the axis route
-// touches the children of every node actually on the chain prefix. The
-// chain-scan keeps its historical edge except when the synopsis proves
-// the last name globally common but the prefix selective; without a
-// synopsis the historical default (chain) stands.
-func (pn *planner) useChainScan(chain []*step) bool {
-	switch forcePlan {
-	case "chain":
-		return true
-	case "nochain", "noindex":
-		return false
-	}
-	axisCost, chainCost, ok := pn.estimate().chainCosts(chain)
-	return !ok || chainCost <= 3*axisCost+64
-}
-
 // orderPreds returns the step's predicates ordered ascending by
 // estimated selectivity, so the cheapest-to-fail filter runs first.
 // Licensed only when reordering is provably unobservable: no positional
@@ -657,7 +604,7 @@ func (pn *planner) useChainScan(chain []*step) bool {
 // predicate's input positions) and infallible (so no error order can
 // diverge). The AST slice is never mutated; callers get a copy.
 func (pn *planner) orderPreds(ctx estCtx, s *step) []expr {
-	if forceNoReorder || len(s.preds) < 2 || s.posSel != 0 || !fusablePreds(s.preds) {
+	if pn.noReorder || len(s.preds) < 2 || s.posSel != 0 || !fusablePreds(s.preds) {
 		return s.preds
 	}
 	for _, pr := range s.preds {
@@ -698,26 +645,7 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 		ctx = est.rootCtx()
 	}
 	steps := p.steps
-	i := 0
-	// A leading chain of child::name steps over an absolute path. A
-	// single child step stays on the (already cheap) axis pipeline.
-	if p.absolute && p.start == nil {
-		k := 0
-		for k < len(steps) && chainableStep(steps[k]) {
-			k++
-		}
-		if k >= 2 && pn.useChainScan(steps[:k]) {
-			op := &pathOp{kind: opChainScan, chn: steps[:k], id: pn.newOpID()}
-			ctx = est.chainEst(op.chn)
-			node.kids = append(node.kids, &explainNode{
-				op: "chain-scan", detail: describeChain(op.chn), index: true,
-				id: op.id, est: ctx.estInt(),
-			})
-			pp.ops = append(pp.ops, op)
-			i = k
-		}
-	}
-	for ; i < len(steps); i++ {
+	for i := 0; i < len(steps); i++ {
 		s := steps[i]
 		// Fuse the // abbreviation (descendant-or-self::node()/
 		// child::name) into one descendant::name index scan: the two
@@ -744,7 +672,7 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 			pp.ops = append(pp.ops, op)
 			ctx = estUnknown
 			continue
-		case indexableStep(s) && forcePlan != "noindex":
+		case indexableStep(s) && !pn.noIndex:
 			op = &pathOp{kind: opIndexScan, id: pn.newOpID()}
 			en = &explainNode{op: "index-scan", detail: describeStep(s), index: true,
 				id: op.id, est: -1}
@@ -947,19 +875,16 @@ func evalOpStrict(c *context, cur Seq, op *pathOp) (Seq, error) {
 		return evalPrimStep(c, cur, op.s, op.primLast)
 	case opIndexScan:
 		return evalIndexScan(c, cur, op)
-	case opChainScan:
-		return evalChainScan(c, cur, op)
 	default:
 		return evalStep(c, cur, op.s)
 	}
 }
 
 // evalIndexScan evaluates a descendant(-or-self)::name step through the
-// structural name index: per context node, the ascending ordinal run of
-// matching elements (restricted to the context subtree), then the same
-// positional shortcut, predicate filtering and segment merging as the
-// generic pipeline. Atomic items and constructed (unindexed) context
-// nodes delegate the whole step to the pipeline, which reproduces the
+// structural name index: per context node, one index segment appended
+// in bulk and filtered in place, then the segments merged into document
+// order. Atomic items and constructed (unindexed) context nodes
+// delegate the whole step to the pipeline, which reproduces the
 // reference semantics for them.
 func evalIndexScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 	st := c.st
@@ -976,7 +901,6 @@ func evalIndexScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 			return evalStep(c, cur, s) // constructed tree: no index
 		}
 	}
-	inclSelf := s.axis == core.AxisDescendantOrSelf
 	var out Seq
 	sorted := true
 	var bind indexBinding
@@ -987,21 +911,26 @@ func evalIndexScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 		if bindDoc != d {
 			bind, bindDoc = resolveIndexBinding(d, s), d
 		}
-		if bind.nameSym == 0 {
-			// The name occurs nowhere in this document: no candidate
-			// matches, so not even an unknown-hierarchy error can
-			// surface (the reference checks kind and name first).
-			continue
-		}
-		segStart := len(out)
-		var err error
-		out, err = appendIndexSeg(c, out, d, n, s, &bind, inclSelf)
+		// The segment is copied out before any predicate runs, so the
+		// nested evaluations the predicates start may reuse st.idxSeg.
+		preds, ok, err := indexSegment(&st.idxSeg, d, n, s, &bind)
 		if err != nil {
 			return nil, err
 		}
-		seg := out[segStart:]
-		if sorted && len(seg) > 0 && segStart > 0 &&
-			dom.Compare(out[segStart-1].(*dom.Node), seg[0].(*dom.Node)) >= 0 {
+		if !ok {
+			continue
+		}
+		segStart := len(out)
+		out = st.idxSeg.appendTo(out)
+		if len(preds) > 0 {
+			kept, err := applyPredicatesInPlace(c, out[segStart:], preds)
+			if err != nil {
+				return nil, err
+			}
+			out = out[:segStart+len(kept)]
+		}
+		if sorted && len(out) > segStart && segStart > 0 &&
+			dom.Compare(out[segStart-1].(*dom.Node), out[segStart].(*dom.Node)) >= 0 {
 			sorted = false
 		}
 	}
@@ -1011,182 +940,124 @@ func evalIndexScan(c *context, cur Seq, op *pathOp) (Seq, error) {
 	return out, nil
 }
 
-// appendIndexSeg appends one context node's result segment: index
-// candidates (every one already passes the node test), the positional
-// shortcut, then the remaining predicates — filterStep with the
-// per-candidate test replaced by run selection.
-func appendIndexSeg(c *context, out Seq, d *core.Document, n *dom.Node, s *step, bind *indexBinding, inclSelf bool) (Seq, error) {
-	if bind.hierErr != nil {
-		// Unknown hierarchy in the test: the reference raises the error
-		// only when a candidate reaches the hierarchy check, i.e. when
-		// a kind+name match exists among this context's candidates.
-		if indexCandidateExists(d, n, bind.nameSym, inclSelf) {
-			return nil, bind.hierErr
-		}
-		return out, nil
-	}
-	segStart := len(out)
-	out = appendIndexCandidates(out, d, n, bind, inclSelf)
-	preds := s.preds
-	if s.posSel != 0 {
-		seg := out[segStart:]
-		var sel Item
-		if s.posSel > 0 {
-			if len(seg) >= s.posSel {
-				sel = seg[s.posSel-1]
-			}
-		} else if len(seg) > 0 { // [last()]
-			sel = seg[len(seg)-1]
-		}
-		out = out[:segStart]
-		if sel == nil {
-			return out, nil
-		}
-		out = append(out, sel)
-		preds = preds[1:]
-	}
-	if len(preds) > 0 {
-		kept, err := applyPredicatesInPlace(c, out[segStart:], preds)
-		if err != nil {
-			return nil, err
-		}
-		out = out[:segStart+len(kept)]
-	}
-	return out, nil
+// indexSeg is one context node's index-scan segment in ascending
+// document order: the context itself when a descendant-or-self step
+// selects it, then the per-hierarchy name runs restricted to its
+// subtree. Strict execution appends it in bulk (appendTo); streamed
+// execution pulls it as a cursor (next).
+type indexSeg struct {
+	self *dom.Node
+	rc   core.RunCursor
 }
 
-// appendIndexCandidates appends the index-selected candidates for one
-// context node in ascending document order. Only the shared root and
-// hierarchy elements can have element descendants; text, leaf and
-// attribute contexts contribute nothing to a name test.
-func appendIndexCandidates(out Seq, d *core.Document, n *dom.Node, bind *indexBinding, inclSelf bool) Seq {
+// indexSegment positions seg on context n's candidates for the
+// index-scan step s, whose name test bind resolved against d: root or
+// element context, hierarchy restriction, the context itself for
+// descendant-or-self, then the [k]/[last()] shortcut. It returns the
+// predicates left to apply, and ok=false for an empty segment. Only the
+// shared root and hierarchy elements have element descendants; text,
+// leaf and attribute contexts contribute nothing to a name test.
+func indexSegment(seg *indexSeg, d *core.Document, n *dom.Node, s *step, bind *indexBinding) (preds []expr, ok bool, err error) {
+	seg.self = nil
+	seg.rc.Reset()
+	if bind.nameSym == 0 {
+		// The name occurs nowhere in this document: no candidate
+		// matches, so not even an unknown-hierarchy error can surface
+		// (the reference checks kind and name first).
+		return nil, false, nil
+	}
+	inclSelf := s.axis == core.AxisDescendantOrSelf
+	// An unknown hierarchy in the test leaves the restriction unresolved:
+	// gather the unrestricted candidates, because the reference raises
+	// the error only when a kind+name match reaches the hierarchy check.
+	restrict := bind.hierErr == nil
 	switch {
 	case n == d.Root:
 		if inclSelf && n.NameSym == bind.nameSym {
-			out = append(out, n) // the root belongs to every hierarchy
+			seg.self = n // the root belongs to every hierarchy
 		}
-		if len(bind.hierIdx) > 0 {
-			for _, hi := range bind.hierIdx {
-				out = appendRun(out, d.Hiers[hi], d.Hiers[hi].NameRun(bind.nameSym))
-			}
-		} else {
-			for _, h := range d.Hiers {
-				out = appendRun(out, h, h.NameRun(bind.nameSym))
+		for hi, h := range d.Hiers {
+			if !restrict || bind.allows(hi) {
+				seg.rc.Add(h, h.NameRun(bind.nameSym))
 			}
 		}
 	case n.Kind == dom.Element && n.HierIndex >= 0 && n.HierIndex < len(d.Hiers):
-		if !bind.allows(n.HierIndex) {
-			return out // descendants stay in the context's hierarchy
+		if restrict && !bind.allows(n.HierIndex) {
+			return nil, false, nil // descendants stay in the context's hierarchy
 		}
 		h := d.Hiers[n.HierIndex]
 		if inclSelf && n.NameSym == bind.nameSym {
-			out = append(out, n)
+			seg.self = n
 		}
-		out = appendRun(out, h, core.SubRun(h.NameRun(bind.nameSym), n.Ord, n.Last))
+		seg.rc.Add(h, core.SubRun(h.NameRun(bind.nameSym), n.Ord, n.Last))
+	default:
+		return nil, false, nil
+	}
+	if !restrict {
+		if seg.total() > 0 {
+			return nil, false, bind.hierErr
+		}
+		return nil, false, nil
+	}
+	preds = s.preds
+	if s.posSel != 0 {
+		// Run-level positional shortcut: [k]/[last()] index directly
+		// into the runs, O(1) instead of O(matches).
+		k, total := s.posSel-1, seg.total()
+		if s.posSel == posLast {
+			k = total - 1
+		}
+		if k < 0 || k >= total {
+			return nil, false, nil
+		}
+		seg.self = seg.at(k)
+		seg.rc.Reset()
+		preds = preds[1:]
+	}
+	return preds, seg.total() > 0, nil
+}
+
+func (seg *indexSeg) total() int {
+	if seg.self != nil {
+		return seg.rc.Len() + 1
+	}
+	return seg.rc.Len()
+}
+
+func (seg *indexSeg) at(k int) *dom.Node {
+	if seg.self != nil {
+		if k == 0 {
+			return seg.self
+		}
+		k--
+	}
+	return seg.rc.At(k)
+}
+
+// appendTo appends the whole segment to out.
+func (seg *indexSeg) appendTo(out Seq) Seq {
+	if seg.self != nil {
+		out = append(out, seg.self)
+	}
+	for _, r := range seg.rc.Runs() {
+		nodes := r.H.Nodes
+		for _, ord := range r.Ords {
+			out = append(out, nodes[ord])
+		}
 	}
 	return out
 }
 
-func appendRun(out Seq, h *core.Hierarchy, run []int32) Seq {
-	for _, ord := range run {
-		out = append(out, h.Nodes[ord])
+func (seg *indexSeg) next() (Item, bool, error) {
+	if seg.self != nil {
+		n := seg.self
+		seg.self = nil
+		return n, true, nil
 	}
-	return out
-}
-
-// indexCandidateExists probes whether any kind+name match exists among
-// the context's descendant(-or-self) candidates, across all hierarchies
-// (the hierarchy restriction is what failed to resolve).
-func indexCandidateExists(d *core.Document, n *dom.Node, sym int32, inclSelf bool) bool {
-	switch {
-	case n == d.Root:
-		if inclSelf && n.NameSym == sym {
-			return true
-		}
-		for _, h := range d.Hiers {
-			if len(h.NameRun(sym)) > 0 {
-				return true
-			}
-		}
-	case n.Kind == dom.Element && n.HierIndex >= 0 && n.HierIndex < len(d.Hiers):
-		if inclSelf && n.NameSym == sym {
-			return true
-		}
-		if len(core.SubRun(d.Hiers[n.HierIndex].NameRun(sym), n.Ord, n.Last)) > 0 {
-			return true
-		}
+	if n, ok := seg.rc.Next(); ok {
+		return n, true, nil
 	}
-	return false
-}
-
-// evalChainScan evaluates a leading /child::a/child::b/… chain: scan
-// the index run of the chain's last name in every hierarchy (ascending
-// ordinals per hierarchy in hierarchy order — document order) and keep
-// the candidates whose ancestor chain matches the remaining names up to
-// the shared root.
-func evalChainScan(c *context, cur Seq, op *pathOp) (Seq, error) {
-	st := c.st
-	var out Seq
-	var bind chainBinding
-	var bindDoc *core.Document
-	for _, it := range cur {
-		n, ok := it.(*dom.Node)
-		if !ok {
-			return nil, errf("XPTY0019", "%s:: step applied to an atomic value", core.AxisChild)
-		}
-		d := st.docFor(n)
-		if n != d.Root {
-			// Only the shared root reaches a leading chain of an
-			// absolute path; be safe and evaluate stepwise otherwise.
-			return evalChainSteps(c, cur, op.chn)
-		}
-		if bindDoc != d {
-			bind, bindDoc = resolveChainBinding(d, op.chn), d
-		}
-		if !bind.ok {
-			continue // some chain name occurs nowhere in the document
-		}
-		last := bind.syms[len(bind.syms)-1]
-		for _, h := range d.Hiers {
-			for _, ord := range h.NameRun(last) {
-				if err := st.checkCancel(); err != nil {
-					return nil, err
-				}
-				m := h.Nodes[ord]
-				if chainAncestorsMatch(d, m, bind.syms) {
-					out = append(out, m)
-				}
-			}
-		}
-	}
-	if len(cur) > 1 {
-		return sortDedupe(out), nil // multiple (identical) roots: restore the set property
-	}
-	return out, nil
-}
-
-// chainAncestorsMatch verifies one chain-scan candidate: its ancestor
-// names must match the chain bottom-up, ending exactly at the shared
-// root.
-func chainAncestorsMatch(d *core.Document, m *dom.Node, syms []int32) bool {
-	q := m.Parent
-	for i := len(syms) - 2; i >= 0; i-- {
-		if q == nil || q == d.Root || q.Kind != dom.Element || q.NameSym != syms[i] {
-			return false
-		}
-		q = q.Parent
-	}
-	return q == d.Root
-}
-
-func evalChainSteps(c *context, cur Seq, chain []*step) (Seq, error) {
-	var err error
-	for _, s := range chain {
-		if cur, err = evalStep(c, cur, s); err != nil {
-			return nil, err
-		}
-	}
-	return cur, nil
+	return nil, false, nil
 }
 
 // ---- EXPLAIN ---------------------------------------------------------------
@@ -1288,16 +1159,6 @@ func describeStep(s *step) string {
 		d += strings.Repeat("[…]", n)
 	}
 	return d
-}
-
-func describeChain(chain []*step) string {
-	var b strings.Builder
-	for _, s := range chain {
-		b.WriteByte('/')
-		b.WriteString("child::")
-		b.WriteString(s.test.name)
-	}
-	return b.String()
 }
 
 func describePath(p *pathExpr) string {

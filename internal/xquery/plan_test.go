@@ -90,7 +90,7 @@ return string($l)`)
 }
 
 // chainDoc builds a two-hierarchy document with nested uniform markup
-// for chain-scan tests.
+// for leading child:: chain tests.
 func chainDoc(t testing.TB) *core.Document {
 	t.Helper()
 	trees := make([]core.NamedTree, 0, 2)
@@ -112,7 +112,8 @@ func chainDoc(t testing.TB) *core.Document {
 }
 
 // TestExplainChainScan checks a leading child:: chain is lowered to one
-// chain-scan operator and selects the right nodes.
+// axis-step operator per step, with no index scan, and selects the right
+// nodes; the last step's row count is the result's.
 func TestExplainChainScan(t *testing.T) {
 	d := chainDoc(t)
 	for _, tc := range []struct {
@@ -120,20 +121,19 @@ func TestExplainChainScan(t *testing.T) {
 		rows int64
 	}{
 		{`/child::s/child::p`, 3},
-		{`/child::s/child::s`, 0},  // wrong nesting: parent check fails
-		{`/child::p/child::ab`, 0}, // absent name: empty without scanning
+		{`/child::s/child::s`, 0},  // wrong nesting
+		{`/child::p/child::ab`, 0}, // absent name
 	} {
-		q := MustCompile(tc.src)
-		seq, tree, err := q.Explain(d, nil, nil)
+		seq, tree, err := MustCompile(tc.src).Explain(d, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.src, err)
 		}
-		chains := findOps(tree, "chain-scan")
-		if len(chains) != 1 || !chains[0].Index {
-			t.Fatalf("%s: chain-scan ops = %+v", tc.src, chains)
+		steps := findOps(tree, "axis-step")
+		if len(steps) != 2 || len(findOps(tree, "index-scan")) != 0 {
+			t.Fatalf("%s: want two axis-step ops and no index scan: %+v", tc.src, tree)
 		}
-		if int64(len(seq)) != tc.rows || chains[0].OutRows != tc.rows {
-			t.Errorf("%s: len=%d out_rows=%d, want %d", tc.src, len(seq), chains[0].OutRows, tc.rows)
+		if int64(len(seq)) != tc.rows || steps[1].OutRows != tc.rows {
+			t.Errorf("%s: len=%d out_rows=%d, want %d", tc.src, len(seq), steps[1].OutRows, tc.rows)
 		}
 	}
 }
@@ -229,6 +229,7 @@ return (
 // comparison is serialization (pure path queries are additionally
 // node-identity-checked by the fuzz sweep below).
 func TestPlanDifferentialPaperQueries(t *testing.T) {
+	t.Parallel()
 	for name, d := range diffDocs(t) {
 		for _, src := range planPaperQueries {
 			fast, ref, fastErr, refErr := evalBoth(t, d, src)
@@ -292,7 +293,7 @@ func randomPath(r *rand.Rand) string {
 	return b.String()
 }
 
-// randomChain generates a leading child:: chain (the chain-scan shape).
+// randomChain generates a leading child:: chain of an absolute path.
 func randomChain(r *rand.Rand) string {
 	names := []string{"cotext", "text", "line", "vline", "w", "dmg", "res", "zzz"}
 	var b strings.Builder
@@ -310,6 +311,7 @@ func randomChain(r *rand.Rand) string {
 // TestPlanDifferentialRandomPaths is the fuzz-style sweep: hundreds of
 // seeded random path expressions, planner vs oracle, node-identical.
 func TestPlanDifferentialRandomPaths(t *testing.T) {
+	t.Parallel()
 	r := rand.New(rand.NewSource(20260729))
 	docs := diffDocs(t)
 	queries := make([]string, 0, 260)

@@ -9,11 +9,11 @@ import (
 	"mhxquery/internal/dom"
 )
 
-// This file holds the runtime shared by the two execution engines: the
-// cursor engine (lower.go, stepcursor.go — the production path) and the
-// AST interpreter (eval.go — the differential oracle). It owns the
-// per-evaluation mutable state, the dynamic context, predicate
-// application and the constructor content rules.
+// This file holds the runtime of the cursor engine (lower.go,
+// stepcursor.go): the per-evaluation mutable state, the dynamic context,
+// predicate application and the constructor content rules. The
+// reference interpreter of the package tests evaluates through the same
+// runtime.
 
 // evalState is the per-evaluation mutable state. The active document
 // pointer advances to overlay documents as analyze-string materializes
@@ -31,12 +31,12 @@ type evalState struct {
 	// owning document rather than the active one.
 	extra []*core.Document
 
-	// plan is the physical plan driving this evaluation (nil under
-	// debugNaiveSteps); explain, when non-nil, collects per-operator
-	// cardinalities for EXPLAIN output. timed additionally records
-	// per-operator wall time (EXPLAIN ANALYZE); it is only consulted
-	// when explain is non-nil, so uninstrumented evaluations pay
-	// nothing for it.
+	// plan is the physical plan driving this evaluation (nil under the
+	// tests' reference interpreter); explain, when non-nil, collects
+	// per-operator cardinalities for EXPLAIN output. timed additionally
+	// records per-operator wall time (EXPLAIN ANALYZE); it is only
+	// consulted when explain is non-nil, so uninstrumented evaluations
+	// pay nothing for it.
 	plan    *Plan
 	explain []opCard
 	timed   bool
@@ -48,10 +48,14 @@ type evalState struct {
 	tick uint
 
 	// axisBuf is the reusable axis-candidate buffer of the step pipeline
-	// (AppendAxis destination), shared across context nodes and steps —
-	// candidates are consumed into the step output before any nested
-	// evaluation can run.
+	// (AppendAxis destination), shared across context nodes, steps and
+	// step cursors — axisSegment consumes the candidates into the step
+	// output before any nested evaluation can run.
 	axisBuf []*dom.Node
+	// idxSeg is the reusable index-scan segment of strict execution
+	// (evalIndexScan), likewise consumed into the step output before any
+	// nested evaluation can run.
+	idxSeg indexSeg
 	// ordSet is the reusable ordinal scatter buffer that restores
 	// document order over interleaved step results.
 	ordSet core.OrdinalSet
@@ -199,15 +203,20 @@ func stringItem(c *context, it Item) string {
 	return stringValue(it)
 }
 
+// evaluable is an expression that evaluates strictly: every pnode, and
+// in the package tests the AST nodes of the reference interpreter.
+type evaluable interface {
+	eval(c *context) (Seq, error)
+}
+
 // evalMaybeLowered evaluates e, routing lowered operators through the
 // explain-accounting entry point so EXPLAIN counters cover predicates
-// and operands evaluated outside the cursor routes; AST expressions
-// (the interpreter oracle) evaluate directly.
+// and operands evaluated outside the cursor routes.
 func evalMaybeLowered(c *context, e expr) (Seq, error) {
 	if pn, ok := e.(pnode); ok {
 		return pEval(pn, c)
 	}
-	return e.eval(c)
+	return e.(evaluable).eval(c)
 }
 
 // evalNumber evaluates an operand to a single number; empty reports the
@@ -269,7 +278,7 @@ func allNodes(items Seq) bool {
 // ---- predicates ------------------------------------------------------------
 
 // constNumPred recognizes a predicate that is a bare numeric literal —
-// in AST form (the interpreter oracle) or lowered form (the cursor
+// in AST form (the reference interpreter) or lowered form (the cursor
 // engine). Such a predicate selects at most one item by position, so
 // the per-item evaluation loop can be short-circuited entirely — in
 // particular an out-of-range [7] no longer evaluates anything per item.
@@ -297,20 +306,11 @@ func selectByConstPos(items Seq, f float64) Seq {
 	return items[:1]
 }
 
-// applyPredicates filters items by each predicate in turn; a predicate
-// evaluating to a single number selects by position, anything else by
-// effective boolean value. The input sequence is left untouched (the
-// filtering itself is delegated to the in-place variant on a copy).
-func applyPredicates(c *context, items Seq, preds []expr) (Seq, error) {
-	if len(preds) == 0 {
-		return items, nil
-	}
-	return applyPredicatesInPlace(c, append(Seq(nil), items...), preds)
-}
-
-// applyPredicatesInPlace is applyPredicates compacting into the items
-// slice itself (callers own the storage), so the step pipeline filters
-// without a per-context-node allocation.
+// applyPredicatesInPlace filters items by each predicate in turn,
+// compacting into the items slice itself (callers own the storage), so
+// the step pipeline filters without a per-context-node allocation. A
+// predicate evaluating to a single number selects by position, anything
+// else by effective boolean value.
 func applyPredicatesInPlace(c *context, items Seq, preds []expr) (Seq, error) {
 	for _, pr := range preds {
 		if f, ok := constNumPred(pr); ok {

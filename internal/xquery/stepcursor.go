@@ -7,11 +7,12 @@ import (
 
 // This file streams path execution: each path operator becomes a cursor
 // that pulls context nodes from the operator upstream of it one at a
-// time and emits its own result items lazily. Index-scan segments are
-// never materialized (they iterate name-index runs through
-// core.RunCursor), so a consumer that stops after one item — (//w)[1],
-// exists(//dmg), a FLWOR binding under a quantifier — does O(answer)
-// work instead of O(document).
+// time and emits its own result items lazily. Segments come from the
+// same builders strict execution uses (indexSegment, axisSegment);
+// index-scan segments are never materialized (they iterate name-index
+// runs through core.RunCursor), so a consumer that stops after one item
+// — (//w)[1], exists(//dmg), a FLWOR binding under a quantifier — does
+// O(answer) work instead of O(document).
 //
 // # Order and duplicate discipline
 //
@@ -88,8 +89,6 @@ func (p *pPath) open(c *context) cursor {
 // newOpCursor wraps one path operator around its upstream cursor.
 func newOpCursor(c *context, up cursor, op *pathOp) cursor {
 	switch op.kind {
-	case opChainScan:
-		return &chainCursor{c: c, up: up, op: op}
 	case opIndexScan:
 		return &stepCursor{c: c, up: up, op: op}
 	case opAxisStep:
@@ -140,15 +139,15 @@ type stepCursor struct {
 
 	// Per-(step, document) bindings, reused across segments.
 	rt      resolvedTest
-	rtDoc   *core.Document
 	bind    indexBinding
 	bindDoc *core.Document
 
-	// Per-cursor buffers: segments stay valid while being emitted, and
-	// nested evaluation (predicates) may run between pulls, so the
-	// evalState-shared buffers cannot be used here.
-	segBuf  Seq
-	axisBuf []*dom.Node
+	// Per-cursor segment storage: segments stay valid while being
+	// emitted, and nested evaluation (predicates) may run between pulls,
+	// so the evalState-shared segment buffers cannot be used here. (The
+	// axis candidates can: axisSegment consumes them before it returns.)
+	idx    indexSeg
+	segBuf Seq
 	// sweep is the semi-join state of a lone semi-join predicate,
 	// rebound per index segment.
 	sweep sjSweep
@@ -297,290 +296,60 @@ func (sc *stepCursor) verifyPair(a, b *dom.Node) bool {
 	return false
 }
 
-// openSeg opens the segment cursor for one verified context node.
+// openSeg opens the segment cursor for one verified context node: a
+// lazy index segment, or a materialized axis-step segment (bounded by
+// the axis fan-out; descendant name tests run as index scans instead).
 func (sc *stepCursor) openSeg(n *dom.Node, d *core.Document) (cursor, error) {
 	if sc.op.kind == opIndexScan {
 		return sc.indexSegment(n, d)
 	}
-	seg, err := sc.axisSegment(n, d)
-	if err != nil {
-		return nil, err
-	}
-	return seqCur(seg), nil
-}
-
-// axisSegment materializes one context's axis-step segment (bounded by
-// the axis fan-out; descendant name tests run as index scans instead)
-// in ascending document order.
-func (sc *stepCursor) axisSegment(n *dom.Node, d *core.Document) (Seq, error) {
-	s := sc.op.s
-	if sc.rtDoc != d {
-		sc.rt.init(d, s)
-		sc.rtDoc = d
-	}
-	cands := s.test.candidates()
-	nodes, shared := d.SharedAxis(s.axis, n, cands)
-	if !shared {
-		sc.axisBuf = d.AppendAxis(sc.axisBuf[:0], s.axis, n, cands)
-		nodes = sc.axisBuf
-	}
-	out, err := filterStep(sc.c, sc.segBuf[:0], nodes, s, &sc.rt)
+	out, ordered, err := axisSegment(sc.c, sc.segBuf[:0], d, n, sc.op.s, &sc.rt)
 	if err != nil {
 		return nil, err
 	}
 	sc.segBuf = out // keep the grown buffer for the next segment
-	switch segOrder(out) {
-	case segDescending:
-		reverseSeq(out)
-	case segUnordered:
+	if !ordered {
 		// Unreachable for document nodes on the downward axes; keep the
 		// strict engine's stable order as a safety net.
-		return sortDedupe(out), nil
+		out = sortDedupe(out)
 	}
-	return out, nil
+	return seqCur(out), nil
 }
 
 // indexSegment opens one context's index-scan segment as a lazy run
 // cursor: candidates stream straight out of the structural name index.
+// The segment cursor is the step cursor's own, reused per context: it
+// is exhausted before the next context's segment is opened.
 func (sc *stepCursor) indexSegment(n *dom.Node, d *core.Document) (cursor, error) {
 	c, s := sc.c, sc.op.s
 	if sc.bindDoc != d {
 		sc.bind, sc.bindDoc = resolveIndexBinding(d, s), d
 	}
-	bind := &sc.bind
-	if bind.nameSym == 0 {
+	preds, ok, err := indexSegment(&sc.idx, d, n, s, &sc.bind)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
 		return emptyCur, nil
 	}
-	inclSelf := s.axis == core.AxisDescendantOrSelf
-	if bind.hierErr != nil {
-		// Unknown hierarchy in the test: raised only when a kind+name
-		// candidate exists (the reference evaluation point).
-		if indexCandidateExists(d, n, bind.nameSym, inclSelf) {
-			return nil, bind.hierErr
-		}
-		return emptyCur, nil
-	}
-	rs := &runSegCursor{}
-	switch {
-	case n == d.Root:
-		if inclSelf && n.NameSym == bind.nameSym {
-			rs.self = n
-		}
-		if len(bind.hierIdx) > 0 {
-			for _, hi := range bind.hierIdx {
-				rs.rc.Add(d.Hiers[hi], d.Hiers[hi].NameRun(bind.nameSym))
-			}
-		} else {
-			for _, h := range d.Hiers {
-				rs.rc.Add(h, h.NameRun(bind.nameSym))
-			}
-		}
-	case n.HierIndex >= 0 && n.HierIndex < len(d.Hiers):
-		if !bind.allows(n.HierIndex) {
-			return emptyCur, nil
-		}
-		h := d.Hiers[n.HierIndex]
-		if inclSelf && n.NameSym == bind.nameSym {
-			rs.self = n
-		}
-		rs.rc.Add(h, core.SubRun(h.NameRun(bind.nameSym), n.Ord, n.Last))
-	default:
-		return emptyCur, nil
-	}
-	preds := s.preds
-	if s.posSel != 0 {
-		// Run-level positional shortcut: [k]/[last()] index directly
-		// into the runs, O(1) instead of O(matches).
-		var sel Item
-		total := rs.total()
-		if s.posSel > 0 {
-			if total >= s.posSel {
-				sel = rs.at(s.posSel - 1)
-			}
-		} else if total > 0 {
-			sel = rs.at(total - 1)
-		}
-		if sel == nil {
-			return emptyCur, nil
-		}
-		items, err := applyPredicates(c, Seq{sel}, preds[1:])
-		if err != nil {
-			return nil, err
-		}
-		return seqCur(items), nil
-	}
+	size := sc.idx.total()
 	switch len(preds) {
 	case 0:
-		return rs, nil
+		return &sc.idx, nil
 	case 1:
 		if sj, ok := preds[0].(*pSemiJoin); ok {
-			return &semiJoinCursor{inner: rs, e: sj, c: c, sw: &sc.sweep, size: rs.total()}, nil
+			return &semiJoinCursor{inner: &sc.idx, e: sj, c: c, sw: &sc.sweep, size: size}, nil
 		}
 		// Single predicate: stream candidates with exact (pos, size) —
 		// the candidate count is known from the run lengths, so even
 		// last() works without materializing.
-		return &predCursor{inner: rs, pr: preds[0], c: c, size: rs.total()}, nil
+		return &predCursor{inner: &sc.idx, pr: preds[0], c: c, size: size}, nil
 	}
 	// Multiple predicates chain position semantics through the
 	// survivors of each stage; materialize the segment.
-	items, err := drain(c, rs)
-	if err != nil {
-		return nil, err
-	}
-	items, err = applyPredicatesInPlace(c, items, preds)
+	items, err := applyPredicatesInPlace(c, sc.idx.appendTo(nil), preds)
 	if err != nil {
 		return nil, err
 	}
 	return seqCur(items), nil
-}
-
-// runSegCursor streams one index segment: the optional self match
-// followed by the per-hierarchy subtree-restricted runs.
-type runSegCursor struct {
-	self *dom.Node
-	rc   core.RunCursor
-}
-
-func (rs *runSegCursor) total() int {
-	if rs.self != nil {
-		return rs.rc.Len() + 1
-	}
-	return rs.rc.Len()
-}
-
-func (rs *runSegCursor) at(k int) *dom.Node {
-	if rs.self != nil {
-		if k == 0 {
-			return rs.self
-		}
-		k--
-	}
-	return rs.rc.At(k)
-}
-
-func (rs *runSegCursor) next() (Item, bool, error) {
-	if rs.self != nil {
-		n := rs.self
-		rs.self = nil
-		return n, true, nil
-	}
-	if n, ok := rs.rc.Next(); ok {
-		return n, true, nil
-	}
-	return nil, false, nil
-}
-
-// chainCursor streams a leading child:: chain: with the single shared
-// root as context (the only shape the planner emits it for), candidates
-// stream from the last name's index runs with lazy upward ancestor
-// verification. Anything else falls back to the strict executor.
-type chainCursor struct {
-	c  *context
-	up cursor
-	op *pathOp
-
-	opened bool
-	d      *core.Document
-	bind   chainBinding
-	hi     int // current hierarchy
-	i      int // position in current run
-	run    []int32
-	tail   cursor
-	done   bool
-}
-
-func (cc *chainCursor) next() (Item, bool, error) {
-	c := cc.c
-	if cc.tail != nil {
-		return cc.tail.next()
-	}
-	if cc.done {
-		return nil, false, nil
-	}
-	if !cc.opened {
-		cc.opened = true
-		if ex := c.st.explain; ex != nil {
-			ex[cc.op.id].calls++
-		}
-		it, ok, err := cc.up.next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			cc.done = true
-			return nil, false, nil
-		}
-		n, isNode := it.(*dom.Node)
-		if !isNode {
-			return nil, false, errf("XPTY0019", "%s:: step applied to an atomic value", core.AxisChild)
-		}
-		if ex := c.st.explain; ex != nil {
-			ex[cc.op.id].in++
-		}
-		d := c.st.docFor(n)
-		it2, more, err := cc.up.next()
-		if err != nil {
-			return nil, false, err
-		}
-		if more || n != d.Root {
-			// Multiple contexts or a non-root context: strict route.
-			lead := Seq{n}
-			if more {
-				lead = append(lead, it2)
-			}
-			rest, err := drain(c, cc.up)
-			if err != nil {
-				return nil, false, err
-			}
-			all := append(lead, rest...)
-			out, err := evalChainScan(c, all, cc.op)
-			if err != nil {
-				return nil, false, err
-			}
-			if ex := c.st.explain; ex != nil {
-				ex[cc.op.id].in += int64(len(all) - 1)
-				ex[cc.op.id].out += int64(len(out))
-			}
-			cc.tail = seqCur(out)
-			return cc.tail.next()
-		}
-		cc.d = d
-		cc.bind = resolveChainBinding(d, cc.op.chn)
-		if !cc.bind.ok {
-			cc.done = true
-			return nil, false, nil
-		}
-	}
-	last := cc.bind.syms[len(cc.bind.syms)-1]
-	for {
-		if err := c.st.checkCancel(); err != nil {
-			return nil, false, err
-		}
-		if cc.run == nil {
-			if cc.hi >= len(cc.d.Hiers) {
-				cc.done = true
-				return nil, false, nil
-			}
-			cc.run = cc.d.Hiers[cc.hi].NameRun(last)
-			cc.i = 0
-			if len(cc.run) == 0 {
-				cc.run = nil
-				cc.hi++
-				continue
-			}
-		}
-		if cc.i >= len(cc.run) {
-			cc.run = nil
-			cc.hi++
-			continue
-		}
-		m := cc.d.Hiers[cc.hi].Nodes[cc.run[cc.i]]
-		cc.i++
-		if chainAncestorsMatch(cc.d, m, cc.bind.syms) {
-			if ex := c.st.explain; ex != nil {
-				ex[cc.op.id].out++
-			}
-			return m, true, nil
-		}
-	}
 }

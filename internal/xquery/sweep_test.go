@@ -12,8 +12,8 @@ import (
 // The seeded random differential sweep: generated FLWOR, predicate and
 // quantifier queries must evaluate node-identically — with identical
 // error points — through the cursor engine (both its strict eval and
-// full-drain stream routes) and the AST interpreter oracle
-// (debugNaiveSteps). Together with TestPlanDifferentialRandomPaths
+// full-drain stream routes) and the reference interpreter
+// (oracleEval). Together with TestPlanDifferentialRandomPaths
 // (plan_test.go, random path shapes) this is the property suite the
 // whole-query lowering rests on.
 
@@ -233,6 +233,7 @@ func sweepDocs(t *testing.T) map[string]*core.Document {
 
 // TestSweepFLWORPredicatesQuantifiers is the ≥200-case seeded sweep.
 func TestSweepFLWORPredicatesQuantifiers(t *testing.T) {
+	t.Parallel()
 	docs := sweepDocs(t)
 	g := &qgen{r: rand.New(rand.NewSource(20260729))}
 	const cases = 300
@@ -242,10 +243,11 @@ func TestSweepFLWORPredicatesQuantifiers(t *testing.T) {
 }
 
 // TestSweepPathShapes sweeps 220 seeded path and (path)[pred] shapes,
-// plus the semi-join shapes, over the sweep documents and a 120-word
+// plus the semi-join and unverified-context shapes, over the sweep documents and a 120-word
 // manuscript whose index scans run long candidate lists through their
 // predicates.
 func TestSweepPathShapes(t *testing.T) {
+	t.Parallel()
 	docs := sweepDocs(t)
 	big, err := corpus.Generate(corpus.Params{Seed: 11, Words: 120, DamageRate: 0.2, RestoreRate: 0.2}).Document()
 	if err != nil {
@@ -262,6 +264,7 @@ func TestSweepPathShapes(t *testing.T) {
 		srcs = append(srcs, "("+g.path(2, "")+")["+g.pred(1)+"]")
 	}
 	srcs = append(srcs, semiJoinShapes...)
+	srcs = append(srcs, unverifiedContextShapes...)
 	for i, src := range srcs {
 		checkAgainstOracle(t, i, src, docs)
 	}
@@ -269,7 +272,7 @@ func TestSweepPathShapes(t *testing.T) {
 
 // checkAgainstOracle evaluates one generated query on every document
 // through the cursor engine's strict route, its full-drain stream route
-// and the AST interpreter oracle (debugNaiveSteps): results must be
+// and the reference interpreter (oracleEval): results must be
 // identical, and an error must carry the same code on all three.
 func checkAgainstOracle(t *testing.T, i int, src string, docs map[string]*core.Document) {
 	t.Helper()
@@ -281,9 +284,7 @@ func checkAgainstOracle(t *testing.T, i int, src string, docs map[string]*core.D
 		fast, fastErr := q.Eval(d)
 		streamed, streamErr := drainStream(q.Stream(nil, d, nil, nil))
 
-		debugNaiveSteps = true
-		ref, refErr := q.Eval(d)
-		debugNaiveSteps = false
+		ref, refErr := oracleEval(q, d, nil, nil)
 
 		if (fastErr == nil) != (refErr == nil) {
 			t.Errorf("case %d (%s): %q\n  cursor err=%v\n  oracle err=%v", i, name, src, fastErr, refErr)
@@ -354,4 +355,36 @@ var semiJoinShapes = []string{
 	`for $v in /descendant::vline for $w in $v/child::w where exists($w/overlapping::dmg) return string($w)`,
 	`some $l in //line satisfies exists($l/xdescendant::w[overlapping::dmg])`,
 	`count(//line[xdescendant::w[overlapping::dmg]])`,
+}
+
+// unverifiedContextShapes feed index-scan and downward axis steps
+// context sequences the streamed route cannot verify — out of order,
+// duplicated, nested, attribute or atomic contexts — so its strict
+// fallback and the strict route build the same segments and both meet
+// the oracle. (Constructed contexts are in TestPipelineConstructedTrees,
+// which compares serializations.)
+var unverifiedContextShapes = []string{
+	`(/descendant::w, /descendant::vline)/descendant::w`,
+	`(/descendant::line[2], /descendant::line[1])/descendant::w`,
+	`(/descendant::vline, /descendant::vline)/descendant-or-self::w`,
+	`(/descendant::vline[last()], /descendant::vline[1])/descendant::w[1]`,
+	`(/descendant::line, /descendant::vline)/descendant::w[last()]`,
+	`/descendant::node()/descendant::w`,
+	`//*/descendant-or-self::w[2]`,
+	`/descendant::vline/descendant-or-self::node()/descendant::w[last()]`,
+	`(/descendant::res/attribute::*, /descendant::vline)/descendant::w`,
+	`(/descendant::vline, /descendant::res/attribute::*)/descendant-or-self::res`,
+	`(/descendant::vline, /)/descendant::w`,
+	`(1, /descendant::vline)/descendant::w`,
+	`(/descendant::vline, "x")/descendant::w`,
+	`(/descendant::vline, /descendant::line)/descendant::w[overlapping::dmg]`,
+	`/descendant::node()/descendant::w[xancestor::dmg or overlapping::res]`,
+	`(/descendant::line[2], /descendant::line[1])/descendant::w[string-length(string(.)) > 2][1]`,
+	`(/descendant::line, /descendant::vline)/descendant::w('nope')`,
+	`count((/descendant::vline, /descendant::w)/descendant-or-self::w)`,
+	`exists((/descendant::line[2], /descendant::line[1])/descendant::dmg)`,
+	`(/descendant::vline[2], /descendant::vline[1])/child::w`,
+	`(/descendant::line, /descendant::vline)/child::node()`,
+	`/descendant::node()/child::w[1]`,
+	`(/descendant::vline, /descendant::line)/self::vline`,
 }
