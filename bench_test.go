@@ -923,6 +923,51 @@ func BenchmarkPredicateScan(b *testing.B) {
 	}
 }
 
+// leafPredicateQuery holds the per-node structural tests of the
+// paper-read workload: Query I.2's leaf condition, asked once per leaf,
+// and the verse-line join's where exists($w/overlapping::dmg), asked
+// once per word. Each is an existence probe that stops at its first
+// match.
+const leafPredicateQuery = `(count(for $leaf in /descendant::leaf()
+        return if ($leaf[ancestor::w and ancestor::dmg]) then 1 else ()),
+ count(for $v in /descendant::vline
+       for $w in $v/child::w
+       where exists($w/overlapping::dmg)
+       return $w))`
+
+// BenchmarkLeafPredicate measures the per-node existence tests at 1×,
+// 10× and 100× scale.
+func BenchmarkLeafPredicate(b *testing.B) {
+	for _, scale := range []struct {
+		name  string
+		words int
+	}{{"1x", 6}, {"10x", 60}, {"100x", 600}} {
+		c := corpus.Generate(corpus.Params{Seed: 14, Words: scale.words, DamageRate: 0.12})
+		d, err := c.Document()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cq := xquery.MustCompile(leafPredicateQuery)
+		res, err := cq.Eval(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want := xquery.Serialize(res)
+		b.Run(scale.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := cq.Eval(d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := xquery.Serialize(res); got != want {
+					b.Fatalf("got %q, want %q", got, want)
+				}
+			}
+		})
+	}
+}
+
 // ---- public API end-to-end ----------------------------------------------------
 
 func BenchmarkPublicAPIEndToEnd(b *testing.B) {

@@ -223,6 +223,70 @@ func (d *Document) AppendAxis(dst []*dom.Node, a Axis, n *dom.Node, c Candidates
 	return d.extendedAxis(dst, a, n, c)
 }
 
+// FindAxis visits the axis result for (a, n), restricted to c, in axis
+// order and stops at the first node match accepts, reporting whether one
+// did: the existence test of a path asked only whether it is empty. It
+// visits what AppendAxis would return, in the same order, without
+// building the result where the structure can be walked directly —
+// parent, ancestor and ancestor-or-self follow the leaf's parent chains
+// or the Parent links, xancestor and the overlap axes the per-hierarchy
+// containment chains, self is the node itself. The other axes read a
+// shared view (SharedAxis) or gather into buf, which FindAxis returns,
+// possibly grown, for reuse. match may run nested evaluations: buf is
+// not reused until FindAxis returns.
+//
+// A nonzero name promises that match accepts no element without that
+// name symbol, and no text node: the walks then skip the hierarchies
+// whose built name index has no element of that name (the shared root
+// is still visited), visiting only a subsequence of the axis.
+func (d *Document) FindAxis(buf []*dom.Node, a Axis, n *dom.Node, c Candidates, name int32, match func(*dom.Node) bool) (bool, []*dom.Node) {
+	d.ensureLayout()
+	switch a {
+	case AxisSelf:
+		return match(n), buf
+	case AxisParent:
+		if n == d.Root {
+			return false, buf
+		}
+		if n.Kind == dom.Leaf {
+			for _, p := range d.LeafParents(n) {
+				if match(p) {
+					return true, buf
+				}
+			}
+			return false, buf
+		}
+		return n.Parent != nil && match(n.Parent), buf
+	case AxisAncestorOrSelf:
+		if match(n) {
+			return true, buf
+		}
+		fallthrough
+	case AxisAncestor:
+		return d.walkAncestors(n, name, match), buf
+	case AxisXAncestor:
+		if d.spanNode(n) && (n == d.Root || !emptySpan(n)) {
+			return d.walkXAncestors(n, name, match), buf
+		}
+	case AxisPrecedingOverlapping, AxisFollowingOverlapping, AxisOverlapping:
+		if !d.spanNode(n) || emptySpan(n) {
+			return false, buf
+		}
+		return d.walkOverlaps(a, n, name, match), buf
+	}
+	nodes, shared := d.SharedAxis(a, n, c)
+	if !shared {
+		buf = d.AppendAxis(buf[:0], a, n, c)
+		nodes = buf
+	}
+	for _, m := range nodes {
+		if match(m) {
+			return true, buf
+		}
+	}
+	return false, buf
+}
+
 func (d *Document) children(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.Node {
 	switch {
 	case n == d.Root:
@@ -287,30 +351,41 @@ func (d *Document) ancestors(dst []*dom.Node, n *dom.Node, self bool) []*dom.Nod
 	if self {
 		dst = append(dst, n)
 	}
-	if n.Kind == dom.Leaf {
-		base := len(dst)
-		seen := map[*dom.Node]bool{}
-		for _, p := range d.LeafParents(n) {
-			for q := p; q != nil; q = q.Parent {
-				if !seen[q] {
-					seen[q] = true
-					dst = append(dst, q)
-				}
+	d.walkAncestors(n, 0, func(m *dom.Node) bool {
+		dst = append(dst, m)
+		return false
+	})
+	return dst
+}
+
+// walkAncestors visits n's ancestors in axis order, nearest first, and
+// stops at the first node visit returns true for, reporting whether it
+// did. A leaf's ancestors are the parent chains of its covering text
+// nodes: chains of different hierarchies share only the shared root, so
+// reverse document order is the chains in reverse hierarchy order, each
+// nearest first, then the root. A nonzero name skips the chains of
+// hierarchies without an element of that name (FindAxis).
+func (d *Document) walkAncestors(n *dom.Node, name int32, visit func(*dom.Node) bool) bool {
+	if n.Kind != dom.Leaf {
+		for p := n.Parent; p != nil; p = p.Parent {
+			if visit(p) {
+				return true
 			}
 		}
-		// Nearest-first across hierarchies: sort by depth is ambiguous;
-		// we use reverse document order, which puts the shared root last.
-		tail := dst[base:]
-		SortDoc(tail)
-		for i, j := 0, len(tail)-1; i < j; i, j = i+1, j-1 {
-			tail[i], tail[j] = tail[j], tail[i]
+		return false
+	}
+	ps := d.LeafParents(n)
+	for i := len(ps) - 1; i >= 0; i-- {
+		if name != 0 && !d.Hiers[ps[i].HierIndex].mayHold(name) {
+			continue
 		}
-		return dst
+		for q := ps[i]; q != nil && q != d.Root; q = q.Parent {
+			if visit(q) {
+				return true
+			}
+		}
 	}
-	for p := n.Parent; p != nil; p = p.Parent {
-		dst = append(dst, p)
-	}
-	return dst
+	return len(ps) > 0 && visit(d.Root)
 }
 
 func (d *Document) following(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.Node {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"mhxquery/internal/dom"
@@ -26,15 +27,25 @@ import (
 //     xfollowing.
 //  3. A per-hierarchy array sorted by span End serves xpreceding.
 //
+// The chain axes are walks (walkChain, walkXAncestors, walkOverlaps)
+// that visit their result in axis order and stop when the visitor says
+// so: AppendAxis appends every visited node, and an existence probe
+// (FindAxis) stops at its first match without building the result.
+//
 // The unindexed O(N) interval scan is kept (EvalScan) as the ablation
 // baseline, and the literal Definition 1 transcription (EvalRef) as the
-// semantic reference; property tests require all of them, and the
-// sweep, to agree exactly.
+// semantic reference; property tests require all of them, the sweep
+// and the walks to agree exactly.
 
-// appendChain appends the containment chain of hierarchy h at position p
-// (the nodes whose span contains p, outermost first) to dst, keeping
-// only nodes passing keep.
-func appendChain(dst []*dom.Node, h *Hierarchy, p int, keep func(*dom.Node) bool) []*dom.Node {
+// walkChain visits the containment chain of hierarchy h at position p —
+// the nodes whose span contains p — outermost first, or innermost first
+// when outward is set, and stops at the first node visit returns true
+// for, reporting whether it did. The chain is one binary-searched
+// descent over sibling spans; innermost first descends without visiting
+// and climbs back through the Parent links, which retrace the descent.
+func walkChain(h *Hierarchy, p int, outward bool, visit func(*dom.Node) bool) bool {
+	var deepest *dom.Node
+	depth := 0
 	kids := h.Top
 	for len(kids) > 0 {
 		i := coveringIndex(kids, p)
@@ -42,15 +53,21 @@ func appendChain(dst []*dom.Node, h *Hierarchy, p int, keep func(*dom.Node) bool
 			break
 		}
 		n := kids[i]
-		if keep(n) {
-			dst = append(dst, n)
+		if !outward && visit(n) {
+			return true
 		}
+		deepest, depth = n, depth+1
 		if n.Kind != dom.Element {
 			break
 		}
 		kids = n.Children
 	}
-	return dst
+	for n := deepest; outward && depth > 0; n, depth = n.Parent, depth-1 {
+		if visit(n) {
+			return true
+		}
+	}
+	return false
 }
 
 // coveringIndex finds the sibling whose span contains p. Sibling spans
@@ -87,27 +104,38 @@ func (d *Document) leafCountEndingBy(p int) int {
 	return min(max(sort.SearchInts(d.Bounds, p+1)-1, 0), d.numLeaves())
 }
 
-func reverseNodes(out []*dom.Node) {
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-}
-
 // The idx implementations append into a caller-owned buffer (AppendAxis
-// contract): reversals and sorts operate on the appended tail only.
+// contract): reversals and sorts operate on the appended tail only. The
+// chain-based axes are visitors over the walks FindAxis uses.
 
 func (d *Document) xancestorIdx(dst []*dom.Node, n *dom.Node) []*dom.Node {
-	if n == d.Root {
-		return dst
-	}
-	base := len(dst)
-	dst = append(dst, d.Root)
-	keep := func(m *dom.Node) bool { return m.End >= n.End && !d.inDescendantOrSelf(n, m) }
-	for _, h := range d.Hiers {
-		dst = appendChain(dst, h, n.Start, keep)
-	}
-	reverseNodes(dst[base:]) // reverse axis: nearest first
+	d.walkXAncestors(n, 0, func(m *dom.Node) bool {
+		dst = append(dst, m)
+		return false
+	})
 	return dst
+}
+
+// walkXAncestors visits n's xancestors in axis order and stops at the
+// first node visit returns true for. An xancestor contains n's whole
+// span, so it lies on the containment chain at n.Start and ends at or
+// after n.End; reverse document order is the hierarchies in reverse,
+// each chain innermost first, then the shared root. n must carry a
+// non-empty span (or be the root, which has no xancestor). A nonzero
+// name skips the hierarchies without an element of that name.
+func (d *Document) walkXAncestors(n *dom.Node, name int32, visit func(*dom.Node) bool) bool {
+	if n == d.Root {
+		return false
+	}
+	keep := func(m *dom.Node) bool {
+		return m.End >= n.End && !d.inDescendantOrSelf(n, m) && visit(m)
+	}
+	for i := len(d.Hiers) - 1; i >= 0; i-- {
+		if h := d.Hiers[i]; h.mayHold(name) && walkChain(h, n.Start, true, keep) {
+			return true
+		}
+	}
+	return visit(d.Root)
 }
 
 func (d *Document) xdescendantIdx(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.Node {
@@ -173,30 +201,53 @@ func (d *Document) xprecedingIdx(dst []*dom.Node, n *dom.Node, c Candidates) []*
 	}
 	dst = append(dst, d.leafAxis(c, 0, d.leafCountEndingBy(n.Start))...)
 	dst = dst[:base+len(SortDoc(dst[base:]))]
-	reverseNodes(dst[base:])
+	slices.Reverse(dst[base:])
 	return dst
 }
 
 // overlapIdx serves preceding-overlapping, following-overlapping and
-// their union. A preceding-overlapping node contains position n.Start
-// but ends inside n; a following-overlapping node contains position
-// n.End but starts inside n — both live on containment chains. Leaves
-// are atomic and the shared root spans everything, so neither ever
-// overlaps partially.
+// their union.
 func (d *Document) overlapIdx(dst []*dom.Node, a Axis, n *dom.Node) []*dom.Node {
-	base := len(dst)
-	keepPre := func(m *dom.Node) bool { return m.Start < n.Start && m.End < n.End }
-	keepPost := func(m *dom.Node) bool { return m.Start > n.Start && m.Start < n.End && m.End > n.End }
-	for _, h := range d.Hiers {
-		if a != AxisFollowingOverlapping {
-			dst = appendChain(dst, h, n.Start, keepPre)
-		}
-		if a != AxisPrecedingOverlapping {
-			dst = appendChain(dst, h, n.End, keepPost)
-		}
-	}
-	if a.Reverse() {
-		reverseNodes(dst[base:])
-	}
+	d.walkOverlaps(a, n, 0, func(m *dom.Node) bool {
+		dst = append(dst, m)
+		return false
+	})
 	return dst
+}
+
+// walkOverlaps visits the overlap axis a of n in axis order and stops at
+// the first node visit returns true for. A preceding-overlapping node
+// contains position n.Start but ends inside n; a following-overlapping
+// node contains position n.End but starts inside n — both live on
+// containment chains. Leaves are atomic and the shared root spans
+// everything, so neither ever overlaps partially. Within a hierarchy
+// the preceding half precedes the following half in document order;
+// the reverse axis preceding-overlapping walks the hierarchies in
+// reverse, each chain innermost first. n must carry a non-empty span. A
+// nonzero name skips the hierarchies without an element of that name.
+func (d *Document) walkOverlaps(a Axis, n *dom.Node, name int32, visit func(*dom.Node) bool) bool {
+	pre := func(m *dom.Node) bool { return m.Start < n.Start && m.End < n.End && visit(m) }
+	post := func(m *dom.Node) bool {
+		return m.Start > n.Start && m.Start < n.End && m.End > n.End && visit(m)
+	}
+	if a == AxisPrecedingOverlapping {
+		for i := len(d.Hiers) - 1; i >= 0; i-- {
+			if h := d.Hiers[i]; h.mayHold(name) && walkChain(h, n.Start, true, pre) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, h := range d.Hiers {
+		if !h.mayHold(name) {
+			continue
+		}
+		if a == AxisOverlapping && walkChain(h, n.Start, false, pre) {
+			return true
+		}
+		if walkChain(h, n.End, false, post) {
+			return true
+		}
+	}
+	return false
 }

@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -761,7 +762,7 @@ func SortDoc(nodes []*dom.Node) []*dom.Node {
 	if ascending {
 		return nodes
 	}
-	sort.SliceStable(nodes, func(i, j int) bool { return dom.Compare(nodes[i], nodes[j]) < 0 })
+	slices.SortStableFunc(nodes, dom.Compare)
 	out := nodes[:0]
 	var prev *dom.Node
 	for _, n := range nodes {

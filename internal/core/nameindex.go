@@ -98,6 +98,17 @@ func (h *Hierarchy) RebuildIndexRuns() map[int32][]int32 {
 	return rebuildRuns(h)
 }
 
+// mayHold reports whether h may have an element with name symbol sym:
+// false only when h's name index is built and has no run for sym. It
+// never builds the index, and symbol 0 asks nothing.
+func (h *Hierarchy) mayHold(sym int32) bool {
+	if sym == 0 {
+		return true
+	}
+	runs := h.idx.snapshot()
+	return runs == nil || len(runs[sym]) > 0
+}
+
 // NameRun returns the ascending preorder ordinals of the hierarchy's
 // elements whose interned name symbol is sym, building the index on
 // first use. The returned slice is shared and must not be mutated. A

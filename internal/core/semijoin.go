@@ -42,7 +42,8 @@ import (
 // an overlap, always an xdescendant). The sweep leaves undecided only
 // candidates outside its model — the shared root, leaves, attributes,
 // nodes of other documents, and empty-span nodes — which the caller
-// evaluates through AppendAxis.
+// answers one at a time with an existence probe (FindAxis), stopping at
+// the first target.
 
 // SemiJoin answers "has candidate n at least one target on axis a" for
 // a run of candidates. The zero value is unusable; Reset binds it to a
@@ -231,16 +232,18 @@ func (t *sjHier) firstFrom(p int) int {
 }
 
 // appendOpen appends the targets open at position p — starting before
-// p and ending after it, outermost first — by descending the
-// hierarchy's containment chain at p.
+// p and ending after it, outermost first — by walking the hierarchy's
+// containment chain at p.
 func (t *sjHier) appendOpen(dst []*dom.Node, p int) []*dom.Node {
-	return appendChain(dst, t.h, p, func(m *dom.Node) bool {
-		if m.Kind != dom.Element || m.Start >= p {
-			return false
+	walkChain(t.h, p, false, func(m *dom.Node) bool {
+		if m.Kind == dom.Element && m.Start < p {
+			if _, found := slices.BinarySearch(t.run, int32(m.Ord)); found {
+				dst = append(dst, m)
+			}
 		}
-		_, found := slices.BinarySearch(t.run, int32(m.Ord))
-		return found
+		return false
 	})
+	return dst
 }
 
 // push adds target m to a stack of open targets, first closing those

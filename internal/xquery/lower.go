@@ -15,6 +15,13 @@ import (
 // consumer that needs one item ((//w)[1], exists, some $x in …) stops
 // the whole upstream pipeline after one pull.
 //
+// An expression whose effective boolean value alone is used — a
+// predicate, an and/or operand, an if, where or satisfies condition, the
+// argument of exists/empty/not/boolean — is lowered by lowerTruth: a
+// relative one-step path there becomes an existence probe (pProbe,
+// semijoin.go) that stops at the first node on its axis, and pEbv and
+// the exists/empty calls ask it for its truth value directly.
+//
 // Two invariants keep the two evaluation routes equivalent:
 //
 //   - a fully drained cursor yields exactly the strict result (the
@@ -151,6 +158,9 @@ func strictMode(c *context) bool {
 // (two pulls decide the ebv); everything else evaluates directly,
 // avoiding the cursor wrappers on the hot predicate/where paths.
 func pEbv(n pnode, c *context) (bool, error) {
+	if p, ok := n.(*pProbe); ok {
+		return p.truth(c)
+	}
 	if streamWorthy(n) && !strictMode(c) {
 		return drainBool(popen(n, c))
 	}
@@ -780,6 +790,13 @@ func (e *pCall) eval(c *context) (Seq, error) {
 	// below them stop as soon as the answer is determined.
 	switch e.fn {
 	case bExists, bEmpty:
+		if p, ok := e.args[0].(*pProbe); ok {
+			b, err := p.truth(c)
+			if err != nil {
+				return nil, err
+			}
+			return singletonBool(b == (e.fn == bExists)), nil
+		}
 		if streamWorthy(e.args[0]) && !strictMode(c) {
 			_, ok, err := popen(e.args[0], c).next()
 			if err != nil {

@@ -66,7 +66,10 @@ type Plan struct {
 	sig  string
 	prog pnode
 	nOps int
-	root *explainNode
+	// nProbes counts the existence probes (semijoin.go), each with a
+	// slot for its per-evaluation state.
+	nProbes int
+	root    *explainNode
 	// strictOnly forces materialized (interpreter-order) evaluation:
 	// set for queries containing analyze-string, whose overlay side
 	// effects make deferred evaluation observable (lower.go).
@@ -245,10 +248,10 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 		return &pRange{pbase: pb, lo: pn.lower(x.lo, en), hi: pn.lower(x.hi, en)}
 	case *orExpr:
 		en, pb := pn.enode(parent, "or", "")
-		return &pOr{pbase: pb, a: pn.lower(x.a, en), b: pn.lower(x.b, en)}
+		return &pOr{pbase: pb, a: pn.lowerTruth(x.a, en), b: pn.lowerTruth(x.b, en)}
 	case *andExpr:
 		en, pb := pn.enode(parent, "and", "")
-		return &pAnd{pbase: pb, a: pn.lower(x.a, en), b: pn.lower(x.b, en)}
+		return &pAnd{pbase: pb, a: pn.lowerTruth(x.a, en), b: pn.lowerTruth(x.b, en)}
 	case *cmpExpr:
 		en, pb := pn.enode(parent, "compare", x.op)
 		return &pCmp{pbase: pb, op: x.op, kind: x.kind, a: pn.lower(x.a, en), b: pn.lower(x.b, en)}
@@ -272,7 +275,7 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 		en, pb := pn.enode(parent, "if", "")
 		return &pIf{
 			pbase: pb,
-			cond:  pn.lower(x.cond, pn.group(en, "condition", "")),
+			cond:  pn.lowerTruth(x.cond, pn.group(en, "condition", "")),
 			then:  pn.lower(x.then, pn.group(en, "then", "")),
 			els:   pn.lower(x.els, pn.group(en, "else", "")),
 		}
@@ -287,7 +290,7 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 		for _, s := range srcs {
 			q.srcs = append(q.srcs, pn.lower(s, en))
 		}
-		q.sat = pn.lower(x.sat, pn.group(en, "satisfies", ""))
+		q.sat = pn.lowerTruth(x.sat, pn.group(en, "satisfies", ""))
 		return q
 	case *flworExpr:
 		of := pn.orderFree
@@ -297,21 +300,26 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 		en, pb := pn.enode(parent, "call", x.name+"()")
 		call := &pCall{pbase: pb, name: x.name, fn: x.fn}
 		for _, a := range x.args {
-			// A FLWOR feeding exists/empty/count is consumed
-			// order-insensitively: license for-binding reorder inside it.
-			if len(x.args) == 1 && (x.fn == bExists || x.fn == bEmpty || x.fn == bCount) {
-				if _, isFLWOR := a.(*flworExpr); isFLWOR {
+			lower := pn.lower
+			if len(x.args) == 1 {
+				// A FLWOR feeding exists/empty/count is consumed
+				// order-insensitively: license for-binding reorder inside it.
+				if _, isFLWOR := a.(*flworExpr); isFLWOR && (x.fn == bExists || x.fn == bEmpty || x.fn == bCount) {
 					pn.orderFree = true
 				}
+				switch x.fn {
+				case bExists, bEmpty, bNot, bBoolean:
+					lower = pn.lowerTruth
+				}
 			}
-			call.args = append(call.args, pn.lower(a, en))
+			call.args = append(call.args, lower(a, en))
 		}
 		return call
 	case *filterExpr:
 		en, pb := pn.enode(parent, "filter", strings.Repeat("[…]", len(x.preds)))
 		f := &pFilter{pbase: pb, base: pn.lower(x.base, en)}
 		for _, pr := range x.preds {
-			f.preds = append(f.preds, pn.lower(pr, pn.group(en, "predicate", "")))
+			f.preds = append(f.preds, pn.lowerTruth(pr, pn.group(en, "predicate", "")))
 			f.sized = append(f.sized, usesLast(pr))
 		}
 		return f
@@ -456,6 +464,7 @@ func (pn *planner) lowerFLWOR(x *flworExpr, parent *explainNode, orderFree bool)
 	f := &pFLWOR{pbase: pb}
 	for _, cl := range pn.flworClauseOrder(x, orderFree) {
 		var g *explainNode
+		lower := pn.lower
 		switch cl.kind {
 		case clauseFor:
 			detail := "$" + cl.name
@@ -467,12 +476,13 @@ func (pn *planner) lowerFLWOR(x *flworExpr, parent *explainNode, orderFree bool)
 			g = pn.group(en, "let", "$"+cl.name)
 		default:
 			g = pn.group(en, "where", "")
+			lower = pn.lowerTruth
 		}
 		f.clauses = append(f.clauses, pClause{
 			kind:    cl.kind,
 			name:    cl.name,
 			posName: cl.posName,
-			src:     pn.lower(cl.src, g),
+			src:     lower(cl.src, g),
 		})
 	}
 	for _, o := range x.order {

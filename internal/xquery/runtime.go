@@ -65,6 +65,8 @@ type evalState struct {
 	// (semijoin.go); both live only as long as the evaluation.
 	sweeps  []*sjSweep
 	targets map[sjKey][][]int32
+	// probes holds each existence probe's state by its plan slot.
+	probes []probeState
 }
 
 // cancelStride is how many checkCancel ticks pass between ctx.Err()

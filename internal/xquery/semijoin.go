@@ -10,35 +10,51 @@ import (
 	"mhxquery/internal/dom"
 )
 
-// This file lowers extended-axis existence predicates to structural
-// semi-joins. A step predicate that is an or/and tree of relative
-// one-step paths axis::name — axis one of xancestor, xdescendant,
-// overlapping, preceding-overlapping, following-overlapping — asks of
-// each candidate only whether one target exists. Per candidate, that is
-// a containment-chain descent per hierarchy plus a name filter over its
-// result; per candidate RUN, it is one merge sweep of the candidates'
-// spans against the targets' spans (core.SemiJoin), O(candidates +
-// targets) with no allocation per candidate.
+// This file lowers the structural tests that are asked only whether
+// they are empty: per candidate run, to structural semi-joins; per
+// node, to existence probes.
 //
-// The lowered predicate (pSemiJoin) keeps the per-node expression, and
-// every evaluation site that sees a single item — $w[…], a one-candidate
-// segment, the positional shortcut's survivor — evaluates that
-// expression exactly as before. Whole segments take the sweep: the
-// strict index-scan and axis-step segments (applyPredicatesInPlace) and,
-// lazily, the streamed index-scan segments (semiJoinCursor), whose sweep
-// advances as candidates are pulled, so early exit stays early. A
-// candidate the sweep cannot decide (core.SemiJoin.Exists) and a term
-// whose targets cannot be bound without raising — a hierarchy qualifier
-// that does not resolve, the shared root under a filtered target —
-// evaluate the per-node expression for that candidate, so results and
-// error points are the per-node engine's.
+// A step predicate that is an or/and tree of relative one-step paths
+// axis::name — axis one of xancestor, xdescendant, overlapping,
+// preceding-overlapping, following-overlapping — asks of each candidate
+// only whether one target exists. Per candidate RUN, that is one merge
+// sweep of the candidates' spans against the targets' spans
+// (core.SemiJoin), O(candidates + targets) with no allocation per
+// candidate. The lowered predicate (pSemiJoin) sweeps whole segments:
+// the strict index-scan and axis-step segments (applyPredicatesInPlace)
+// and, lazily, the streamed index-scan segments (semiJoinCursor), whose
+// sweep advances as candidates are pulled, so early exit stays early.
+//
+// Everything that sees one node at a time takes an existence probe
+// (pProbe): a relative one-step path axis::test, starting at the
+// context item or at a variable, lowered where only its truth value is
+// used — a step or filter predicate, an and/or operand, an if
+// condition, a where clause, a satisfies clause, the argument of
+// exists/empty/not/boolean. The probe walks the axis in axis order
+// (core.Document.FindAxis) and stops at the first node passing the
+// test and the step's predicates, building no axis result: Query I.2's
+// $leaf[ancestor::w and ancestor::dmg] and the join's
+// where exists($w/overlapping::dmg). pSemiJoin's per-node form is built
+// from the same probes, so a lone candidate (a one-candidate segment,
+// the positional shortcut's survivor) and a candidate the sweep leaves
+// undecided are probed too. Contexts a probe does not cover — atomic
+// items, an undefined focus, a variable not bound to exactly one node,
+// constructed nodes — evaluate the path itself, and
+// the probe tests candidates in axis order with the path's node test,
+// so results and error points are the per-node engine's (XPTY0019 for
+// an atomic context, MHXQ0001 at the first name-matched candidate
+// under an unknown hierarchy). A term whose targets cannot be bound
+// without raising — a hierarchy qualifier that does not resolve, the
+// shared root under a filtered target — is probed for every candidate.
 //
 // A target step may carry predicates (axis::name[string(.) = 'x'],
-// axis::name[xancestor::dmg …]) when they are focus-independent,
-// variable-free and infallible: their value then depends on the target
-// alone, so they run once per target, per (evaluation, document) —
-// themselves a semi-join where eligible — and the surviving ordinals are
-// memoized in evalState for the rest of the evaluation.
+// axis::name[xancestor::dmg …]) when they are position-independent and
+// infallible: a probe evaluates them per candidate after the node test,
+// in any order, with the same answer and no error to reorder. The
+// semi-join also needs them variable-free: their value then depends on
+// the target alone, so they run once per target, per (evaluation,
+// document) — themselves a semi-join where eligible — and the surviving
+// ordinals are memoized in evalState for the rest of the evaluation.
 
 // semiJoinable reports whether a step predicate lowers to a semi-join.
 func semiJoinable(e expr) bool {
@@ -58,17 +74,68 @@ func semiJoinable(e expr) bool {
 		default:
 			return false
 		}
-		if s.prim != nil || s.test.kind != testName || s.posSel != 0 || !fusablePreds(s.preds) {
+		if s.test.kind != testName || !probeStep(s) {
 			return false
 		}
 		for _, pr := range s.preds {
-			if referencesVars(pr, nil) || !predInfallible(pr) {
+			if referencesVars(pr, nil) {
 				return false
 			}
 		}
 		return true
 	}
 	return false
+}
+
+// probeable reports whether a path whose truth value alone is used
+// lowers to an existence probe: a relative one-step path from the
+// context item or a variable.
+func probeable(p *pathExpr) bool {
+	if p.absolute || len(p.steps) != 1 {
+		return false
+	}
+	if _, isVar := p.start.(*varExpr); p.start != nil && !isVar {
+		return false
+	}
+	return probeStep(p.steps[0])
+}
+
+// probeStep reports whether an axis step's emptiness can be decided at
+// its first match: its predicates are position-independent and
+// infallible, so no later candidate can change the answer or raise.
+// Descendant name steps stay index scans, whose streamed first pull
+// already stops early.
+func probeStep(s *step) bool {
+	if s.prim != nil || s.posSel != 0 || indexableStep(s) || !fusablePreds(s.preds) {
+		return false
+	}
+	for _, pr := range s.preds {
+		if !predInfallible(pr) {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerTruth lowers an expression whose effective boolean value alone
+// is used: as an existence probe when eligible.
+func (pn *planner) lowerTruth(e expr, parent *explainNode) pnode {
+	p, ok := e.(*pathExpr)
+	if !ok || !probeable(p) {
+		return pn.lower(e, parent)
+	}
+	detail := describeStep(p.steps[0])
+	if v, isVar := p.start.(*varExpr); isVar {
+		detail = "$" + v.name + "/" + detail
+	}
+	en, pb := pn.enode(parent, "exists-probe", detail)
+	return pn.newProbe(pb, pn.lowerPath(p, en).(*pPath))
+}
+
+func (pn *planner) newProbe(pb pbase, path *pPath) *pProbe {
+	pr := &pProbe{pbase: pb, path: path, slot: pn.pl.nProbes}
+	pn.pl.nProbes++
+	return pr
 }
 
 // sjShape is the boolean shape of a semi-join predicate over its terms:
@@ -81,8 +148,8 @@ type sjShape struct {
 
 // pSemiJoin is a lowered semi-join predicate. Each term is a plan copy
 // of its target step (axis, name test, lowered target predicates);
-// perNode is the predicate lowered for one-candidate evaluation, built
-// over the same term steps.
+// perNode is the predicate lowered for one-candidate evaluation: the
+// or/and tree of the terms' existence probes.
 type pSemiJoin struct {
 	pbase
 	shape   *sjShape
@@ -97,7 +164,7 @@ func (e *pSemiJoin) open(c *context) cursor       { return scalarOpen(e, c) }
 // base is the estimated candidate context the predicate filters.
 func (pn *planner) lowerPred(pr expr, parent *explainNode, base estCtx) pnode {
 	if !semiJoinable(pr) {
-		return pn.lower(pr, parent)
+		return pn.lowerTruth(pr, parent)
 	}
 	en, pb := pn.enode(parent, "semi-join", describeSemiJoin(pr))
 	en.est = base.scale(pn.estimate().predSel(base, pr)).estInt()
@@ -142,7 +209,7 @@ func (pn *planner) lowerPred(pr expr, parent *explainNode, base estCtx) pnode {
 		src = append(src, s)
 		sj.terms = append(sj.terms, ts)
 		path := &pPath{pbase: pbase{id: pn.newOpID()}, ops: []*pathOp{{kind: opAxisStep, s: ts, id: pn.newOpID()}}}
-		return &sjShape{term: len(sj.terms) - 1}, path
+		return &sjShape{term: len(sj.terms) - 1}, pn.newProbe(pbase{id: pn.newOpID()}, path)
 	}
 	sj.shape, sj.perNode = lowerTerms(pr)
 	return sj
@@ -331,11 +398,7 @@ func (sw *sjSweep) decide(x *sjShape, n *dom.Node) sjAnswer {
 // perNodeKeep evaluates the predicate for one candidate the sweep did
 // not decide (c2 carries its focus).
 func (e *pSemiJoin) perNodeKeep(c2 *context) (bool, error) {
-	v, err := pEval(e.perNode, c2)
-	if err != nil {
-		return false, err
-	}
-	return ebv(v)
+	return pEbv(e.perNode, c2)
 }
 
 // filter applies the predicate to a whole segment in place: one sweep
@@ -458,4 +521,167 @@ func (sc *semiJoinCursor) next() (Item, bool, error) {
 			return it, true, nil
 		}
 	}
+}
+
+// ---- existence probes ------------------------------------------------------
+
+// pProbe is a one-step path lowered for its truth value (EXPLAIN
+// exists-probe). Its explain slot counts probes (calls) and the probes
+// that found a node (out_rows); the probed path below it counts only
+// the evaluations delegated to it.
+type pProbe struct {
+	pbase
+	// path is the probed path: its start (nil or a variable) and its one
+	// axis-step operator, whose lowered step the probe tests candidates
+	// with; it also evaluates the contexts the probe does not cover.
+	path *pPath
+	// slot indexes the probe's state in evalState.probes.
+	slot int
+}
+
+// pid hides the probe's slot from pEval and popen: truth does its own
+// accounting, so a probe counts once however it is reached.
+func (e *pProbe) pid() int { return -1 }
+
+// eval returns the truth value as a boolean singleton, which every
+// truth-value position reads exactly as it reads the path's nodes.
+func (e *pProbe) eval(c *context) (Seq, error) {
+	b, err := e.truth(c)
+	if err != nil {
+		return nil, err
+	}
+	return singletonBool(b), nil
+}
+func (e *pProbe) open(c *context) cursor { return scalarOpen(e, c) }
+
+// truth reports whether the path is non-empty.
+func (e *pProbe) truth(c *context) (bool, error) {
+	st := c.st
+	ex := st.explain
+	if ex == nil {
+		return e.probe(c)
+	}
+	var start time.Time
+	if st.timed {
+		start = time.Now()
+	}
+	found, err := e.probe(c)
+	ex[e.id].calls++
+	if found {
+		ex[e.id].out++
+	}
+	if st.timed {
+		ex[e.id].nanos += int64(time.Since(start))
+	}
+	return found, err
+}
+
+func (e *pProbe) probe(c *context) (bool, error) {
+	item := c.item
+	if e.path.start != nil {
+		v, err := pEval(e.path.start, c)
+		if err != nil {
+			return false, err
+		}
+		if len(v) != 1 {
+			return e.delegate(c)
+		}
+		item = v[0]
+	}
+	n, ok := item.(*dom.Node)
+	if !ok {
+		return e.delegate(c)
+	}
+	st := c.st
+	d := st.docFor(n)
+	owner := n
+	if n.Kind == dom.Attribute && n.Parent != nil {
+		owner = n.Parent
+	}
+	if _, owned := d.OrdinalOf(owner); !owned {
+		return e.delegate(c) // constructed tree
+	}
+	s := e.path.ops[0].s
+	ps := st.probeState(e.slot, d, s)
+	rt := &ps.rt
+	var name int32
+	if s.test.kind == testName {
+		if rt.nameSym == 0 {
+			return false, nil // no node of this document bears the name
+		}
+		name = rt.nameSym
+	}
+	var found bool
+	var err error
+	if len(s.preds) == 0 {
+		found, ps.buf = d.FindAxis(ps.buf, s.axis, n, s.test.candidates(), name, func(m *dom.Node) bool {
+			ok, merr := rt.match(m)
+			if merr != nil {
+				err = merr
+				return true
+			}
+			return ok
+		})
+	} else {
+		found, ps.buf, err = probeFiltered(c, d, ps.buf, n, s, rt, name)
+	}
+	return found && err == nil, err
+}
+
+// probeFiltered is the probe of a step with predicates: the first
+// candidate passing the node test and every predicate. The predicates
+// are position-independent, so their focus position is immaterial.
+func probeFiltered(c *context, d *core.Document, buf []*dom.Node, n *dom.Node, s *step, rt *resolvedTest, name int32) (bool, []*dom.Node, error) {
+	var err error
+	c2 := *c
+	c2.pos, c2.size = 1, 1
+	found, buf := d.FindAxis(buf, s.axis, n, s.test.candidates(), name, func(m *dom.Node) bool {
+		ok, merr := rt.match(m)
+		for _, pr := range s.preds {
+			if !ok || merr != nil {
+				break
+			}
+			c2.item = m
+			var v Seq
+			if v, merr = evalMaybeLowered(&c2, pr); merr == nil {
+				ok, merr = ebv(v)
+			}
+		}
+		if merr != nil {
+			err = merr
+			return true
+		}
+		return ok
+	})
+	return found, buf, err
+}
+
+// delegate answers through the probed path itself.
+func (e *pProbe) delegate(c *context) (bool, error) {
+	v, err := pEval(e.path, c)
+	return len(v) > 0, err
+}
+
+// probeState is one probe's per-evaluation state: its node test
+// resolved against the document it last ran on, and the scratch buffer
+// of the axes FindAxis gathers. A probe's predicates are its own
+// subexpressions, so no evaluation re-enters a probe while it runs and
+// its buffer is never reused while in use.
+type probeState struct {
+	rt  resolvedTest
+	buf []*dom.Node
+}
+
+// probeState returns the state of probe slot with its node test
+// resolved against d, reusing the binding while the document stays the
+// same.
+func (st *evalState) probeState(slot int, d *core.Document, s *step) *probeState {
+	if slot >= len(st.probes) {
+		st.probes = make([]probeState, max(slot+1, st.plan.nProbes))
+	}
+	ps := &st.probes[slot]
+	if ps.rt.doc != d {
+		ps.rt.init(d, s)
+	}
+	return ps
 }

@@ -56,7 +56,7 @@ func TestExplainFLWORGolden(t *testing.T) {
 		}
 	}
 	walk(pl.Describe())
-	for _, want := range []string{"flwor", "for", "where", "order-by", "return", "index-scan", "call", "compare", "element"} {
+	for _, want := range []string{"flwor", "for", "where", "order-by", "return", "index-scan", "call", "compare", "element", "exists-probe"} {
 		found := false
 		for _, op := range ops {
 			if op == want {

@@ -358,7 +358,8 @@ func (d *Document) ExplainAnalyze(src string) (Sequence, *PlanOp, error) {
 
 // PlanOp is one node of the physical operator tree Explain returns.
 // Op is the operator ("query", "path", "index-scan", "axis-step",
-// "primary"), Detail the rendered step, Index whether the operator
+// "primary", "semi-join", "exists-probe", and one per other expression
+// kind), Detail the rendered step, Index whether the operator
 // reads the structural name index. Calls, InRows and OutRows are the
 // cardinalities observed during the instrumented evaluation:
 // how often the operator ran, and how many context items it consumed

@@ -7,7 +7,8 @@
 # fixtures, the P10 indexed-descendant fixtures, the
 # P11 early-exit/FLWOR cursor fixtures, the P12 copy-on-write
 # update fixtures, the P13 durable-update fixtures, the WAL
-# durable-update path, the P14 predicate-scan fixtures, the P16
+# durable-update path, the P14 predicate-scan fixtures, the per-node
+# existence-probe fixtures (BenchmarkLeafPredicate), the P16
 # cost-based plan-choice fixtures, the P17 query-after-update
 # fixtures, and the P18 recovery fixtures) with -count
 # repetitions, prints the raw `go test -bench` output, and writes the
@@ -23,7 +24,7 @@
 set -eu
 
 COUNT=5
-BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkPredicateScan|BenchmarkPlanChoice|BenchmarkQueryAfterUpdate|BenchmarkRecovery'
+BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkPredicateScan|BenchmarkLeafPredicate|BenchmarkPlanChoice|BenchmarkQueryAfterUpdate|BenchmarkRecovery'
 OUT=BENCH_eval.json
 while [ $# -gt 0 ]; do
 	case "$1" in
