@@ -13,6 +13,7 @@
 //	E6  BenchmarkQueryII1                — Query II.1 (substring highlight)
 //	E7  BenchmarkQueryIII1               — Query III.1 (match + restoration)
 //	E8  BenchmarkOverlayQueries/*        — Queries II.1/III.1 at 10×/100× scale
+//	E9  BenchmarkPaperRead/*             — the load benchmark's paper-read mix, per request
 //	P1  BenchmarkBuildScaling/*          — KyGODDAG construction scaling
 //	P2  BenchmarkAxes*/Reference         — interval vs Definition-1-literal axes
 //	P3  BenchmarkDamagedWords*           — KyGODDAG vs fragmentation vs milestones
@@ -35,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -106,11 +108,15 @@ func BenchmarkQueryI1(b *testing.B) {
 	benchQuery(b, queryI1Src, "gesceaftum unawendendne sin gallice sibbe gecynde þa")
 }
 
-func BenchmarkQueryI2(b *testing.B) {
-	benchQuery(b, `for $l in /descendant::line[xdescendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]]
+// queryI2Src is the paper's Query I.2: each line holding a damaged
+// word, its leaves printed with the damaged word parts in bold.
+const queryI2Src = `for $l in /descendant::line[xdescendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]]
 return ( for $leaf in $l/descendant::leaf() return
    if ($leaf[ancestor::w and ancestor::dmg]) then <b>{$leaf}</b> else $leaf
- , <br/> )`,
+ , <br/> )`
+
+func BenchmarkQueryI2(b *testing.B) {
+	benchQuery(b, queryI2Src,
 		"gesceaftum una<b>w</b>endendne sin<br/>gallice sibbe gecyn<b>de</b> <b>þa</b><br/>")
 }
 
@@ -184,6 +190,110 @@ func BenchmarkOverlayQueries(b *testing.B) {
 			})
 		}
 	}
+}
+
+// paperReadQueries is the paper-read request mix of the repository
+// load benchmark (bench/mhload): the paper's Queries I.1, I.2, II.1 and
+// III.1, the damaged-word count, the overlapping-word strings, a nested
+// FLWOR join and the cold query.
+var paperReadQueries = []struct{ name, src string }{
+	{"I1", queryI1Src},
+	{"I2", queryI2Src},
+	{"II1", queryII1},
+	{"III1", queryIII1},
+	{"damaged", `count(/descendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg])`},
+	{"overlapping", `for $w in //w[overlapping::line] return string($w)`},
+	{"join", `for $v in /descendant::vline
+for $w in $v/child::w
+where exists($w/overlapping::dmg)
+return string($w)`},
+	{"cold", `count(//w[overlapping::line])`},
+}
+
+// paperReadCollection builds the load benchmark's corpus in memory: 16
+// generated documents of 300 to 1200 words, each drawn from successive
+// generator seeds until it holds words/50 occurrences of
+// "unawendendne", so Queries II.1 and III.1 build the same number of
+// analyze-string overlays as under the load benchmark.
+func paperReadCollection(b *testing.B) (*mhxquery.Collection, []string) {
+	b.Helper()
+	coll := mhxquery.NewCollection(mhxquery.CollectionOptions{})
+	var names []string
+	for i := 0; i < 16; i++ {
+		words := 300 + 60*i
+		var g *corpus.Corpus
+		for s := uint64(5000 + i); ; s += 16 {
+			g = corpus.Generate(corpus.Params{Seed: s, Words: words, DamageRate: 0.12})
+			n := 0
+			for _, w := range g.Truth.WordSpans {
+				if g.Text[w.Start:w.End] == "unawendendne" {
+					n++
+				}
+			}
+			if n == (words+25)/50 {
+				break
+			}
+		}
+		var hs []mhxquery.Hierarchy
+		for _, h := range corpus.BoethiusHierarchies() {
+			hs = append(hs, mhxquery.Hierarchy{Name: h, XML: g.XML[h]})
+		}
+		d, err := mhxquery.Parse(hs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("doc%02d", i)
+		if _, err := coll.Put(name, d); err != nil {
+			b.Fatal(err)
+		}
+		names = append(names, name)
+	}
+	return coll, names
+}
+
+// BenchmarkPaperRead measures what one paper-read request of the load
+// benchmark costs in process: Collection.Query plus serialization of
+// the result, for each query of the mix over every document (one op is
+// one pass over the 16 documents). B/req and allocs/req divide the
+// pass's heap allocation by its 16 requests; "mix" runs all eight
+// queries, so its B/req is the mean over the whole request mix.
+func BenchmarkPaperRead(b *testing.B) {
+	coll, names := paperReadCollection(b)
+	defer coll.Close()
+	run := func(b *testing.B, srcs []string) {
+		for _, src := range srcs {
+			for _, name := range names {
+				if _, err := coll.Query(name, src); err != nil {
+					b.Fatal(err) // warm the compile and plan caches
+				}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < b.N; i++ {
+			for _, src := range srcs {
+				for _, name := range names {
+					res, err := coll.Query(name, src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					_ = res.String()
+				}
+			}
+		}
+		runtime.ReadMemStats(&after)
+		reqs := float64(b.N * len(srcs) * len(names))
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/reqs, "B/req")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/reqs, "allocs/req")
+	}
+	var all []string
+	for _, q := range paperReadQueries {
+		all = append(all, q.src)
+		b.Run(q.name, func(b *testing.B) { run(b, []string{q.src}) })
+	}
+	b.Run("mix", func(b *testing.B) { run(b, all) })
 }
 
 // ---- P1: construction scaling ----------------------------------------------

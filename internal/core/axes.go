@@ -166,7 +166,7 @@ func (d *Document) SharedAxis(a Axis, n *dom.Node, c Candidates) (nodes []*dom.N
 	case AxisChild:
 		switch {
 		case n == d.Root:
-			return d.rootKids, true
+			return d.rootChildList(), true
 		case n.Kind == dom.Text:
 			return d.leavesOf(n, c), true
 		case n.Kind == dom.Element:
@@ -290,7 +290,7 @@ func (d *Document) FindAxis(buf []*dom.Node, a Axis, n *dom.Node, c Candidates, 
 func (d *Document) children(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.Node {
 	switch {
 	case n == d.Root:
-		return append(dst, d.rootKids...)
+		return append(dst, d.rootChildList()...)
 	case n.Kind == dom.Text:
 		return append(dst, d.leavesOf(n, c)...)
 	case n.Kind == dom.Element:
@@ -312,7 +312,7 @@ func (d *Document) descendants(dst []*dom.Node, n *dom.Node, self bool, c Candid
 	case n.Kind == dom.Text:
 		dst = append(dst, d.leavesOf(n, c)...)
 	case n.Kind == dom.Element && n.Hier != "":
-		h := d.byName[n.Hier]
+		h := d.hierFor(n)
 		if h == nil || n.Ord >= len(h.Nodes) || h.Nodes[n.Ord] != n {
 			// Constructed tree: plain recursive walk.
 			return d.constructedDescendants(n, dst)
@@ -400,7 +400,7 @@ func (d *Document) following(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.
 		}
 		return dst
 	case n.Hier != "":
-		if h := d.byName[n.Hier]; h != nil && n.Last+1 <= len(h.Nodes) {
+		if h := d.hierFor(n); h != nil && n.Last+1 <= len(h.Nodes) {
 			return append(dst, h.Nodes[n.Last+1:]...)
 		}
 	}
@@ -423,7 +423,7 @@ func (d *Document) preceding(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.
 		}
 		return dst
 	case n.Hier != "":
-		h := d.byName[n.Hier]
+		h := d.hierFor(n)
 		if h == nil {
 			return dst
 		}
@@ -450,7 +450,7 @@ func (d *Document) siblings(dst []*dom.Node, n *dom.Node, forward bool, c Candid
 	}
 	var sibs []*dom.Node
 	if n.Parent == d.Root {
-		if h := d.byName[n.Hier]; h != nil {
+		if h := d.hierFor(n); h != nil {
 			sibs = h.Top
 		}
 	} else if n.Parent != nil {

@@ -96,12 +96,12 @@ func (h *Hierarchy) startIndex(p int) int {
 
 // leafLow returns the index of the first leaf with Start >= p.
 func (d *Document) leafLow(p int) int {
-	return min(sort.SearchInts(d.Bounds, p), d.numLeaves())
+	return min(d.boundIndex(p), d.numLeaves())
 }
 
 // leafCountEndingBy returns how many leaves have End <= p.
 func (d *Document) leafCountEndingBy(p int) int {
-	return min(max(sort.SearchInts(d.Bounds, p+1)-1, 0), d.numLeaves())
+	return min(max(d.boundIndex(p+1)-1, 0), d.numLeaves())
 }
 
 // The idx implementations append into a caller-owned buffer (AppendAxis

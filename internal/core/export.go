@@ -118,7 +118,7 @@ func (d *Document) LeafTable() string {
 // rebuilding a root element wrapper around the hierarchy's top nodes.
 func (d *Document) Serialize(hier string) (string, error) {
 	d.ensureLayout()
-	h := d.byName[hier]
+	h := d.hierNamed(hier)
 	if h == nil {
 		return "", fmt.Errorf("core: unknown hierarchy %q", hier)
 	}

@@ -165,6 +165,9 @@ func (d *Document) Materialize() {
 // slab encoder persists it so a reopened document keeps identical
 // symbols.
 func (d *Document) NameTable() []string {
+	if d.flat != nil {
+		return append(d.flat.NameTable(), d.addNames...)
+	}
 	out := make([]string, len(d.names))
 	for s, sym := range d.names {
 		out[sym-1] = s

@@ -84,6 +84,9 @@ type Document struct {
 	Hiers []*Hierarchy
 	// Bounds is the sorted array of all markup boundary offsets,
 	// including 0 and len(Text); leaf i spans [Bounds[i], Bounds[i+1]).
+	// An analyze-string overlay stores only the offsets its stack adds
+	// (addBounds) and builds Bounds with its leaf layer: read it
+	// directly only after Materialize, like Leaves.
 	Bounds []int
 	// Leaves is the leaf layer, in text order. Frozen documents and
 	// analyze-string overlays build it on first use: read it directly
@@ -98,6 +101,8 @@ type Document struct {
 	// document shares its plans.
 	Rev uint64
 
+	// byName maps hierarchy names to hierarchies; overlays leave it nil
+	// and resolve names through flat (hierNamed).
 	byName map[string]*Hierarchy
 	// leafPar is the per-version text→leaf edge table: leafPar[i] holds,
 	// for leaf i, the text node that contains it in each covering
@@ -113,8 +118,9 @@ type Document struct {
 
 	// names interns element and attribute names to dense symbols
 	// (dom.Node.NameSym); symbols start at 1, 0 means "not interned".
-	// Overlay documents copy the base table so symbols stay comparable
-	// across the lineage.
+	// An overlay leaves it nil: flat's table plus addNames (symbol
+	// len(flat.names)+i+1 for addNames[i]) keeps symbols comparable
+	// across the lineage without copying the base table.
 	names map[string]int32
 	// ordBase[i] is the document-order ordinal of Hiers[i].Nodes[0]; a
 	// hierarchy node's ordinal is ordBase[HierIndex]+Ord. The shared root
@@ -123,8 +129,21 @@ type Document struct {
 	// excepted — they share their owner's Ord and have no ordinal).
 	ordBase  []int
 	leafBase int
-	// rootKids caches RootChildren for axis evaluation.
+	// rootKids caches RootChildren for axis evaluation; an overlay
+	// builds it on first use, under rootOnce (rootChildList).
 	rootKids []*dom.Node
+	rootOnce sync.Once
+
+	// flat, on an analyze-string overlay, is the nearest non-overlay
+	// document below it; other documents leave it nil. The overlay's
+	// boundary array is flat.Bounds merged with addBounds, the sorted
+	// offsets the overlay stack adds, so a boundary read is at most two
+	// binary searches whatever the stack depth (boundIndex). addNames
+	// and the hierarchies past len(flat.Hiers) likewise hold only what
+	// the stack adds to flat's name table and hierarchy map.
+	flat      *Document
+	addBounds []int
+	addNames  []string
 
 	// layoutOnce, when non-nil, guards the lazy materialization of a
 	// frozen document's hierarchies and leaf layer (frozen.go). Eagerly
@@ -148,12 +167,24 @@ type Document struct {
 
 // numLeaves is the leaf count implied by the boundary array — equal to
 // len(Leaves) once the leaf layer is built, but available before a lazy
-// leaf layer exists (Bounds is always eager).
+// leaf layer exists.
 func (d *Document) numLeaves() int {
-	if n := len(d.Bounds) - 1; n > 0 {
-		return n
+	n := len(d.Bounds) - 1
+	if d.flat != nil {
+		n = len(d.flat.Bounds) + len(d.addBounds) - 1
 	}
-	return 0
+	return max(n, 0)
+}
+
+// boundIndex returns how many boundary offsets are below p: p's index
+// in the boundary array when p is a boundary, its insertion point
+// otherwise. An overlay answers from flat's array and its own added
+// offsets, which are disjoint, without building the merged array.
+func (d *Document) boundIndex(p int) int {
+	if d.flat == nil {
+		return sort.SearchInts(d.Bounds, p)
+	}
+	return sort.SearchInts(d.flat.Bounds, p) + sort.SearchInts(d.addBounds, p)
 }
 
 // ensureLeaves builds the leaf layer (Leaves and leafPar) if it is lazy
@@ -176,8 +207,12 @@ func (d *Document) ownsLeaf(n *dom.Node) bool {
 // intern returns the symbol for name in the document's name table,
 // assigning the next free symbol on first sight.
 func (d *Document) intern(name string) int32 {
-	if s, ok := d.names[name]; ok {
+	if s := d.NameSymOf(name); s != 0 {
 		return s
+	}
+	if d.flat != nil {
+		d.addNames = append(d.addNames, name)
+		return int32(len(d.flat.names) + len(d.addNames))
 	}
 	s := int32(len(d.names)) + 1
 	d.names[name] = s
@@ -186,7 +221,46 @@ func (d *Document) intern(name string) int32 {
 
 // NameSymOf returns the document's interned symbol for name, or 0 when
 // the name occurs nowhere in the document's markup.
-func (d *Document) NameSymOf(name string) int32 { return d.names[name] }
+func (d *Document) NameSymOf(name string) int32 {
+	if d.flat == nil {
+		return d.names[name]
+	}
+	if s := d.flat.names[name]; s != 0 {
+		return s
+	}
+	for i, n := range d.addNames {
+		if n == name {
+			return int32(len(d.flat.names) + i + 1)
+		}
+	}
+	return 0
+}
+
+// hierNamed returns the hierarchy registered under name, or nil. An
+// overlay looks past flat's map at the few hierarchies its stack added.
+func (d *Document) hierNamed(name string) *Hierarchy {
+	if d.flat == nil {
+		return d.byName[name]
+	}
+	if h := d.flat.byName[name]; h != nil {
+		return h
+	}
+	for _, h := range d.Hiers[len(d.flat.Hiers):] {
+		if h.Name == name {
+			return h
+		}
+	}
+	return nil
+}
+
+// hierFor returns the hierarchy of this document that n's hierarchy name
+// resolves to (hierNamed(n.Hier)), trying n's own hierarchy index first.
+func (d *Document) hierFor(n *dom.Node) *Hierarchy {
+	if i := n.HierIndex; i >= 0 && i < len(d.Hiers) && d.Hiers[i].Name == n.Hier {
+		return d.Hiers[i]
+	}
+	return d.hierNamed(n.Hier)
+}
 
 // OrdinalOf returns n's position in the Definition 3 document order as a
 // dense integer in [0, OrdinalSpace()), or ok=false when n has no
@@ -453,18 +527,19 @@ func (d *Document) finishLayout() {
 }
 
 // partitionFrom computes the overlay's pointer-free layout eagerly from
-// the base document: the merged boundary array, the empty-span list,
-// the ordinal layout and the root's children. The leaf layer is left to
-// buildOverlayLeaves, which runs only when a query first reads a leaf,
-// so an analyze-string overlay that is navigated through its elements
-// alone — the paper's Queries II.1 and III.1 — costs the new hierarchy
-// plus one integer merge, with no leaf nodes and no parent links. The
-// result, once the leaves are built, is field-for-field what partition
-// would compute.
+// the base document: the empty-span list, the ordinal layout and the
+// boundary offsets the overlay stack adds — the new hierarchy's offsets
+// that flat.Bounds lacks, merged into those the base overlay added (a
+// span-sized merge; the document's boundary array is not copied). The
+// leaf layer and the flattened Bounds are left to buildOverlayLeaves,
+// which runs only when a query first reads a leaf, and the root's child
+// list to rootChildList, so an analyze-string overlay navigated through
+// its elements alone — the paper's Queries II.1 and III.1 — costs the
+// new hierarchy plus a few span-sized slices. The result, once the
+// leaves are built, is field-for-field what partition would compute.
 func (d *Document) partitionFrom(base *Document, h *Hierarchy) {
-	// Sorted, deduplicated boundary offsets contributed by the new
-	// hierarchy, merged with the base bounds (which already contain 0
-	// and len(Text)).
+	// Sorted, deduplicated boundary offsets of the new hierarchy that
+	// flat.Bounds (which contains 0 and len(Text)) lacks.
 	add := make([]int, 0, 2*len(h.Nodes))
 	for _, n := range h.Nodes {
 		add = append(add, n.Start, n.End)
@@ -472,29 +547,23 @@ func (d *Document) partitionFrom(base *Document, h *Hierarchy) {
 	sort.Ints(add)
 	w := 0
 	for i, b := range add {
-		if i == 0 || b != add[w-1] {
-			add[w] = b
-			w++
+		if i > 0 && b == add[i-1] {
+			continue
 		}
+		if k := sort.SearchInts(d.flat.Bounds, b); k < len(d.flat.Bounds) && d.flat.Bounds[k] == b {
+			continue
+		}
+		add[w] = b
+		w++
 	}
 	add = add[:w]
 
-	bounds := make([]int, 0, len(base.Bounds)+len(add))
-	i, j := 0, 0
-	for i < len(base.Bounds) || j < len(add) {
-		switch {
-		case j == len(add) || (i < len(base.Bounds) && base.Bounds[i] < add[j]):
-			bounds = append(bounds, base.Bounds[i])
-			i++
-		case i == len(base.Bounds) || add[j] < base.Bounds[i]:
-			bounds = append(bounds, add[j])
-			j++
-		default:
-			bounds = append(bounds, base.Bounds[i])
-			i, j = i+1, j+1
-		}
+	// Merge with the offsets the base overlay already added; an overlay
+	// adding nothing new shares the base's (immutable) slice.
+	d.addBounds = base.addBounds
+	if len(add) > 0 {
+		d.addBounds = unionSorted(base.addBounds, add)
 	}
-	d.Bounds = bounds
 
 	// Empty-span nodes: the base's plus the new hierarchy's, in the
 	// same hierarchy-scan order partition produces.
@@ -511,20 +580,41 @@ func (d *Document) partitionFrom(base *Document, h *Hierarchy) {
 	}
 
 	d.finishLayout()
-	d.rootKids = make([]*dom.Node, 0, len(base.rootKids)+len(h.Top))
-	d.rootKids = append(append(d.rootKids, base.rootKids...), h.Top...)
 	d.leafOnce = new(sync.Once)
 }
 
+// unionSorted merges two ascending, duplicate-free integer slices into
+// a new one, keeping one copy of values present in both.
+func unionSorted(a, b []int) []int {
+	out := make([]int, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || (i < len(a) && a[i] < b[j]):
+			out = append(out, a[i])
+			i++
+		case i == len(a) || b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i, j = i+1, j+1
+		}
+	}
+	return out
+}
+
 // buildOverlayLeaves builds an overlay's leaf layer from its base's,
-// which it builds first (the base may itself be a lazy overlay): the new
-// hierarchy's boundaries split the base leaves, each fragment inherits
+// which it builds first (the base may itself be a lazy overlay), and
+// flattens its boundary array into Bounds: the new hierarchy's
+// boundaries split the base leaves, each fragment inherits
 // the covering base leaf's parent links, and the new hierarchy's text
 // nodes adopt the fragments they cover. It runs once, under leafOnce.
 func (d *Document) buildOverlayLeaves() {
 	base := d.Base
 	base.ensureLeaves()
 	h := d.Hiers[len(d.Hiers)-1] // AddHierarchy registers the new one last
+	d.Bounds = unionSorted(d.flat.Bounds, d.addBounds)
 	bounds := d.Bounds
 	nLeaves := d.numLeaves()
 
@@ -588,9 +678,7 @@ func (d *Document) LeafRange(n *dom.Node) (lo, hi int) {
 		if n.Hier == "" { // constructed node: no span in S
 			return 0, 0
 		}
-		lo = sort.SearchInts(d.Bounds, n.Start)
-		hi = sort.SearchInts(d.Bounds, n.End)
-		return lo, hi
+		return d.boundIndex(n.Start), d.boundIndex(n.End)
 	}
 	return 0, 0
 }
@@ -606,7 +694,7 @@ func (d *Document) leavesOf(n *dom.Node, c Candidates) []*dom.Node {
 
 // HierarchyByName returns the named hierarchy, or nil.
 func (d *Document) HierarchyByName(name string) *Hierarchy {
-	h := d.byName[name]
+	h := d.hierNamed(name)
 	if h != nil {
 		// Callers walk h.Nodes directly; a frozen hierarchy materializes
 		// here. (Existence probes on absent names stay free.)
@@ -642,6 +730,16 @@ func (d *Document) rootChildren() []*dom.Node {
 	return out
 }
 
+// rootChildList returns the cached root child list (read-only). An
+// overlay assembles its list on the first read, so an overlay whose
+// root children are never asked for copies none of its base's.
+func (d *Document) rootChildList() []*dom.Node {
+	if d.flat != nil {
+		d.rootOnce.Do(func() { d.rootKids = d.rootChildren() })
+	}
+	return d.rootKids
+}
+
 // IsRoot reports whether n is the shared KyGODDAG root of this document.
 func (d *Document) IsRoot(n *dom.Node) bool { return n == d.Root }
 
@@ -654,22 +752,23 @@ func (d *Document) Owns(n *dom.Node) bool {
 	if n.Kind == dom.Leaf {
 		return d.ownsLeaf(n)
 	}
-	h, ok := d.byName[n.Hier]
-	return ok && n.Ord < len(h.Nodes) && h.Nodes[n.Ord] == n
+	h := d.hierFor(n)
+	return h != nil && n.Ord < len(h.Nodes) && h.Nodes[n.Ord] == n
 }
 
 // AddHierarchy returns a new overlay Document extending d with one more
 // hierarchy whose top-level element is top. The tree's Start/End spans
 // must already be expressed in d.Text coordinates (it may cover only a
 // sub-span of S, as the temporary hierarchies of analyze-string do). The
-// base document is never mutated: hierarchies are shared, the boundary
-// array is merged for the overlay, and the overlay's leaf layer is built
-// from the base's only when first read (partitionFrom).
+// base document is never mutated: hierarchies, the name table and the
+// boundary array are shared, the overlay records only what it adds, and
+// its leaf layer is built from the base's only when first read
+// (partitionFrom).
 func (d *Document) AddHierarchy(name string, top *dom.Node, temp bool) (*Document, error) {
 	if name == "" {
 		return nil, fmt.Errorf("core: empty hierarchy name")
 	}
-	if _, exists := d.byName[name]; exists {
+	if d.hierNamed(name) != nil {
 		return nil, fmt.Errorf("core: hierarchy %q already registered", name)
 	}
 	if top == nil || top.Kind != dom.Element {
@@ -682,27 +781,24 @@ func (d *Document) AddHierarchy(name string, top *dom.Node, temp bool) (*Documen
 	// empty-span list, which a frozen base materializes here.
 	d.ensureLayout()
 	nd := &Document{
-		Text:   d.Text,
-		Root:   d.Root,
-		Base:   d,
-		Rev:    d.Rev,
-		byName: make(map[string]*Hierarchy, len(d.Hiers)+1),
-		names:  make(map[string]int32, len(d.names)+4),
+		Text: d.Text,
+		Root: d.Root,
+		Base: d,
+		Rev:  d.Rev,
+		flat: d.flat,
+		// Clipped, so interning a new name copies rather than appending
+		// into storage the base overlay shares.
+		addNames: slices.Clip(d.addNames),
 	}
-	// Copy the base name table (never mutate it: the base document stays
-	// live and may be queried concurrently) so shared nodes keep
-	// consistent symbols in the overlay.
-	for s, sym := range d.names {
-		nd.names[s] = sym
+	if nd.flat == nil {
+		nd.flat = d
 	}
-	nd.Hiers = append(nd.Hiers, d.Hiers...)
+	nd.Hiers = make([]*Hierarchy, len(d.Hiers), len(d.Hiers)+1)
+	copy(nd.Hiers, d.Hiers)
 	h := &Hierarchy{Name: name, Index: len(nd.Hiers), Temp: temp, Top: []*dom.Node{top}}
 	top.Parent = d.Root
 	nd.indexHierarchy(h, h.Index)
 	nd.Hiers = append(nd.Hiers, h)
-	for _, hh := range nd.Hiers {
-		nd.byName[hh.Name] = hh
-	}
 	nd.partitionFrom(d, h)
 	overlays.Add(1)
 	return nd, nil

@@ -234,7 +234,10 @@ func (d *Document) Private() *Document {
 		names:     d.names,
 		ordBase:   d.ordBase,
 		leafBase:  d.leafBase,
-		rootKids:  d.rootKids,
+		rootKids:  d.rootChildList(),
+		flat:      d.flat,
+		addBounds: d.addBounds,
+		addNames:  d.addNames,
 		lineage:   new(lineage),
 		leafOwner: d.leafOwner,
 	}

@@ -221,10 +221,18 @@ func fnAnalyzeString(c *context, args []Seq) (Seq, error) {
 	}
 	addText(res, cursor, len(content))
 
-	c.st.tempSeq++
-	hname := "rest"
-	if c.st.tempSeq > 1 {
-		hname = fmt.Sprintf("rest%d", c.st.tempSeq)
+	// Temporaries are named rest, rest2, rest3, …, skipping names the
+	// document already registers (a user hierarchy may be called rest).
+	var hname string
+	for {
+		c.st.tempSeq++
+		hname = "rest"
+		if c.st.tempSeq > 1 {
+			hname = fmt.Sprintf("rest%d", c.st.tempSeq)
+		}
+		if d.HierarchyByName(hname) == nil {
+			break
+		}
 	}
 	nd, err := d.AddHierarchy(hname, res, true)
 	if err != nil {

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mhxquery/internal/core"
+	"mhxquery/internal/xmlparse"
 )
 
 func TestStripOuterDotStar(t *testing.T) {
@@ -118,5 +121,49 @@ func TestQuickTranslateBalanced(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAnalyzeStringSkipsRegisteredNames is the regression test for
+// temporaries colliding with user hierarchies: a document whose own
+// hierarchies are called rest and rest2 must still run analyze-string,
+// twice in one evaluation, with the temporaries taking the next free
+// names (rest3, rest4).
+func TestAnalyzeStringSkipsRegisteredNames(t *testing.T) {
+	var trees []core.NamedTree
+	for _, h := range []struct{ name, xml string }{
+		{"rest", `<r><w>hello</w> <w>world</w></r>`},
+		{"rest2", `<r><p>hello world</p></r>`},
+	} {
+		root, err := xmlparse.Parse(h.xml, xmlparse.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, core.NamedTree{Name: h.name, Root: root})
+	}
+	d, err := core.Build(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ src, want string }{
+		{`for $w in //w return string(analyze-string($w, "o")/descendant::m[1])`, "o o"},
+		{`let $a := analyze-string((//w)[1], "l") let $b := analyze-string((//w)[2], "o")
+return (count(//m('rest3')), count(//m('rest4')), count(//w('rest')), count(//p('rest2')))`, "2 1 2 1"},
+	} {
+		for _, route := range []string{"strict", "stream"} {
+			q := MustCompile(tc.src)
+			var got Seq
+			if route == "strict" {
+				got, err = q.Eval(d)
+			} else {
+				got, err = drainStream(q.Stream(nil, d, nil, nil))
+			}
+			if err != nil {
+				t.Fatalf("%s (%s): %v", tc.src, route, err)
+			}
+			if s := SerializeText(got); s != tc.want {
+				t.Errorf("%s (%s) = %q, want %q", tc.src, route, s, tc.want)
+			}
+		}
 	}
 }

@@ -17,6 +17,11 @@ type builtin struct {
 	name     string
 	min, max int // max = -1: variadic
 	fn       func(c *context, args []Seq) (Seq, error)
+	// strArgs marks builtins that read every argument through
+	// oneString and never return an argument sequence, so a node may
+	// stand for its string value and argument storage is reused after
+	// the call (pCall.eval).
+	strArgs bool
 }
 
 var builtins = map[string]*builtin{}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"mhxquery/internal/dom"
 )
 
 // This file is the physical expression layer of the cursor engine.
@@ -160,6 +162,11 @@ func strictMode(c *context) bool {
 func pEbv(n pnode, c *context) (bool, error) {
 	if p, ok := n.(*pProbe); ok {
 		return p.truth(c)
+	}
+	if f, ok := n.(*pFilter); ok {
+		if b, ok, err := f.boundTruth(c); ok {
+			return b, err
+		}
 	}
 	if streamWorthy(n) && !strictMode(c) {
 		return drainBool(popen(n, c))
@@ -346,15 +353,29 @@ type pCmp struct {
 }
 
 func (e *pCmp) eval(c *context) (Seq, error) {
-	va, err := pEval(e.a, c)
+	var ia, ib [1]Item
+	va, err := e.operand(c, e.a, &ia)
 	if err != nil {
 		return nil, err
 	}
-	vb, err := pEval(e.b, c)
+	vb, err := e.operand(c, e.b, &ib)
 	if err != nil {
 		return nil, err
 	}
 	return evalCmp(c, e.op, e.kind, va, vb)
+}
+
+// operand evaluates one side of the comparison; "." and "string(.)"
+// (operandItem) are read into buf instead. Node comparisons need real
+// nodes, so they take only ".".
+func (e *pCmp) operand(c *context, n pnode, buf *[1]Item) (Seq, error) {
+	if _, isCall := n.(*pCall); !isCall || e.kind != cmpNode {
+		if it, ok := operandItem(c, n); ok {
+			buf[0] = it
+			return buf[:], nil
+		}
+	}
+	return pEval(n, c)
 }
 func (e *pCmp) open(c *context) cursor { return scalarOpen(e, c) }
 
@@ -491,8 +512,8 @@ func (e *pQuant) truth(c *context, i int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		for _, it := range v {
-			b, err := e.truth(c.bind(e.names[i], singleton(it)), i+1)
+		for k := range v {
+			b, err := e.truth(c.bind(e.names[i], v[k:k+1:k+1]), i+1)
 			if err != nil {
 				return false, err
 			}
@@ -575,7 +596,7 @@ func (f *pFLWOR) eval(c *context) (Seq, error) {
 		return out, nil
 	}
 	var out Seq
-	err := f.runBindings(c, 0, func(c2 *context) error {
+	err := f.tuples(c, func(c2 *context) error {
 		v, err := pEval(f.ret, c2)
 		if err != nil {
 			return err
@@ -668,21 +689,68 @@ func (fc *forCursor) next() (Item, bool, error) {
 	}
 }
 
-// runBindings walks the tuple pipeline strictly: binding sequences are
+// tupleSlot is one clause's binding storage on the strict route: its
+// context and frames are rebound for every tuple instead of allocated
+// per tuple (context.bind), because the consumer is done with a tuple
+// before the next one is bound. A consumer that keeps tuples (order
+// by) copies them (keepTuple).
+type tupleSlot struct {
+	c     context
+	f, pf frame
+}
+
+// bind points the slot at c extended by name (and, when posName is
+// set, a positional variable over it) and returns the slot's context;
+// the frames' values are set per tuple.
+func (s *tupleSlot) bind(c *context, name, posName string) *context {
+	s.c = *c
+	s.f = frame{name: name, next: c.vars}
+	s.c.vars = &s.f
+	if posName != "" {
+		s.pf = frame{name: posName, next: &s.f}
+		s.c.vars = &s.pf
+	}
+	return &s.c
+}
+
+// keepTuple copies the tuple context c2 of a FLWOR evaluated in outer,
+// frames included, so it outlives the tuple slots.
+func keepTuple(outer, c2 *context) *context {
+	nc := *c2
+	link := &nc.vars
+	for f := c2.vars; f != outer.vars; f = f.next {
+		nf := &frame{name: f.name, val: f.val}
+		*link = nf
+		link = &nf.next
+	}
+	*link = outer.vars
+	return &nc
+}
+
+// tuples walks the tuple pipeline strictly, calling emit once per
+// tuple with the tuple's context, which is only valid during the call.
+func (f *pFLWOR) tuples(c *context, emit func(*context) error) error {
+	return f.runBindings(c, 0, make([]tupleSlot, len(f.clauses)), emit)
+}
+
+// runBindings binds clause idx onward: binding sequences are
 // materialized before iteration (the strict consumer needs every tuple
-// anyway).
-func (f *pFLWOR) runBindings(c *context, idx int, emit func(*context) error) error {
+// anyway), and a for variable binds the one-item subslice of its
+// materialized source.
+func (f *pFLWOR) runBindings(c *context, idx int, slots []tupleSlot, emit func(*context) error) error {
 	if idx == len(f.clauses) {
 		return emit(c)
 	}
-	cl := &f.clauses[idx]
+	cl, s := &f.clauses[idx], &slots[idx]
 	switch cl.kind {
 	case clauseLet:
 		v, err := pEval(cl.src, c)
 		if err != nil {
 			return err
 		}
-		return f.runBindings(c.bind(cl.name, v), idx+1, emit)
+		c2 := s.bind(c, cl.name, "")
+		s.f.val = v
+		return f.runBindings(c2, idx+1, slots, emit)
 	case clauseWhere:
 		b, err := pEbv(cl.src, c)
 		if err != nil {
@@ -691,21 +759,22 @@ func (f *pFLWOR) runBindings(c *context, idx int, emit func(*context) error) err
 		if !b {
 			return nil
 		}
-		return f.runBindings(c, idx+1, emit)
+		return f.runBindings(c, idx+1, slots, emit)
 	}
 	v, err := pEval(cl.src, c)
 	if err != nil {
 		return err
 	}
-	for i, it := range v {
+	c2 := s.bind(c, cl.name, cl.posName)
+	for i := range v {
 		if err := c.st.checkCancel(); err != nil {
 			return err
 		}
-		c2 := c.bind(cl.name, singleton(it))
+		s.f.val = v[i : i+1 : i+1]
 		if cl.posName != "" {
-			c2 = c2.bind(cl.posName, singleton(float64(i+1)))
+			s.pf.val = singleton(float64(i + 1))
 		}
-		if err := f.runBindings(c2, idx+1, emit); err != nil {
+		if err := f.runBindings(c2, idx+1, slots, emit); err != nil {
 			return err
 		}
 	}
@@ -723,7 +792,7 @@ type flworTup struct {
 // keys (order-by needs every tuple before the first return evaluation).
 func (f *pFLWOR) sortedTuples(c *context) ([]flworTup, error) {
 	var tups []flworTup
-	err := f.runBindings(c, 0, func(c2 *context) error {
+	err := f.tuples(c, func(c2 *context) error {
 		keys := make([]Seq, len(f.order))
 		for i := range f.order {
 			v, err := pEval(f.order[i].key, c2)
@@ -732,7 +801,7 @@ func (f *pFLWOR) sortedTuples(c *context) ([]flworTup, error) {
 			}
 			keys[i] = c2.atomizeSeq(v)
 		}
-		tups = append(tups, flworTup{c: c2, keys: keys})
+		tups = append(tups, flworTup{c: keepTuple(c, c2), keys: keys})
 		return nil
 	})
 	if err != nil {
@@ -832,22 +901,89 @@ func (e *pCall) eval(c *context) (Seq, error) {
 	if len(e.args) == 0 {
 		return e.fn.fn(c, nil)
 	}
-	args := make([]Seq, len(e.args))
-	for i, a := range e.args {
-		v, err := pEval(a, c)
-		if err != nil {
-			return nil, err
+	// The arguments go on the evaluation's argument stack above the
+	// caller's; nested calls push and pop above them. A builtin that
+	// reads every argument as a string (strArgs) takes "." and
+	// "string(.)" arguments as one-item sequences on the item stack.
+	st := c.st
+	mark, imark := len(st.args), len(st.items)
+	var err error
+	for _, a := range e.args {
+		if e.fn.strArgs {
+			if it, ok := operandItem(c, a); ok {
+				st.items = append(st.items, it)
+				n := len(st.items)
+				st.args = append(st.args, st.items[n-1:n:n])
+				continue
+			}
 		}
-		args[i] = v
+		var v Seq
+		if v, err = pEval(a, c); err != nil {
+			break
+		}
+		st.args = append(st.args, v)
 	}
-	return e.fn.fn(c, args)
+	var out Seq
+	if err == nil {
+		out, err = e.fn.fn(c, st.args[mark:len(st.args):len(st.args)])
+	}
+	clear(st.args[mark:])
+	clear(st.items[imark:])
+	st.args, st.items = st.args[:mark], st.items[:imark]
+	return out, err
+}
+
+// operandItem returns the one item an operand denotes when it can be
+// read off the context without evaluation: the context item for ".",
+// and the context node itself for "string(.)" over a node. A node
+// stands for its string value only where every item is atomized to a
+// string first (c.atomize, stringItem), so it is used by general and
+// value comparisons and by strArgs builtins alone. Under EXPLAIN the
+// skipped operators are counted as if evaluated.
+func operandItem(c *context, n pnode) (Item, bool) {
+	if c.item == nil {
+		return nil, false
+	}
+	switch x := n.(type) {
+	case *pContextItem:
+		noteEval(c.st, x)
+		return c.item, true
+	case *pCall:
+		if x.fn != bString || len(x.args) > 1 {
+			return nil, false
+		}
+		if len(x.args) == 1 {
+			if _, ok := x.args[0].(*pContextItem); !ok {
+				return nil, false
+			}
+		}
+		nd, ok := c.item.(*dom.Node)
+		if !ok {
+			return nil, false
+		}
+		noteEval(c.st, x)
+		for _, a := range x.args {
+			noteEval(c.st, a)
+		}
+		return nd, true
+	}
+	return nil, false
+}
+
+// noteEval records one evaluation of n yielding one item in the explain
+// counters, as pEval would have.
+func noteEval(st *evalState, n pnode) {
+	if st.explain != nil && n.pid() >= 0 {
+		st.explain[n.pid()].calls++
+		st.explain[n.pid()].out++
+	}
 }
 func (e *pCall) open(c *context) cursor { return scalarOpen(e, c) }
 
 // Streaming-special builtins, resolved by identity after funcs.go has
 // registered them (package init functions run in file order, and a
 // package-level var would capture the still-empty map).
-var bExists, bEmpty, bNot, bBoolean, bCount, bAnalyze *builtin
+var bExists, bEmpty, bNot, bBoolean, bCount, bAnalyze, bString *builtin
 
 func init() {
 	bExists = builtins["exists"]
@@ -856,6 +992,10 @@ func init() {
 	bBoolean = builtins["boolean"]
 	bCount = builtins["count"]
 	bAnalyze = builtins["analyze-string"]
+	bString = builtins["string"]
+	for _, name := range []string{"matches", "replace", "tokenize", "contains", "starts-with", "ends-with"} {
+		builtins[name].strArgs = true
+	}
 }
 
 // ---- filters ---------------------------------------------------------------
@@ -901,6 +1041,49 @@ func (e *pFilter) stream(c *context) cursor {
 		cur = &predCursor{inner: cur, pr: pr, c: c}
 	}
 	return cur
+}
+
+// boundTruth decides the effective boolean value of a filter over a
+// variable bound to at most one item ($leaf[…], $n[self::m]) without
+// opening its cursor pipeline: each predicate is evaluated once, at
+// position 1 of 1, in a scratch context. ok=false leaves every other
+// shape to the stream route.
+func (e *pFilter) boundTruth(c *context) (b, ok bool, err error) {
+	x, isVar := e.base.(*pVar)
+	if !isVar {
+		return false, false, nil
+	}
+	if v, bound := c.lookup(x.name); !bound || len(v) > 1 {
+		return false, false, nil
+	}
+	v, err := pEval(e.base, c)
+	if err != nil {
+		return false, true, err
+	}
+	st := c.st
+	if st.explain != nil && e.id >= 0 {
+		st.explain[e.id].calls++
+	}
+	if len(v) == 0 {
+		return false, true, nil
+	}
+	c2 := st.scratchContext(c)
+	defer st.releaseContext(c2)
+	c2.item, c2.pos, c2.size = v[0], 1, 1
+	for _, pr := range e.preds {
+		r, err := evalMaybeLowered(c2, pr)
+		if err != nil {
+			return false, true, err
+		}
+		if keep, err := predicateKeeps(r, 1); !keep || err != nil {
+			return false, true, err
+		}
+	}
+	if st.explain != nil && e.id >= 0 {
+		st.explain[e.id].out++
+	}
+	b, err = ebv(v)
+	return b, true, err
 }
 
 // constPosCursor implements a constant numeric predicate [k]: skip k-1
@@ -972,14 +1155,8 @@ func (pc *predCursor) next() (Item, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		keep := false
-		if len(v) == 1 {
-			if f, ok := v[0].(float64); ok {
-				keep = float64(pc.pos) == f
-			} else if keep, err = ebv(v); err != nil {
-				return nil, false, err
-			}
-		} else if keep, err = ebv(v); err != nil {
+		keep, err := predicateKeeps(v, pc.pos)
+		if err != nil {
 			return nil, false, err
 		}
 		if keep {

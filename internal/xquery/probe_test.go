@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -320,6 +321,45 @@ func TestProbesAllocateNothing(t *testing.T) {
 		run()
 		if got := testing.AllocsPerRun(100, run); got != 0 {
 			t.Errorf("%s: %v allocs per evaluation, want 0", tc.src, got)
+		}
+	}
+}
+
+// TestForLoopAllocatesNothingPerTuple holds the strict for loop to no
+// allocation per tuple: the variable binds a one-item subslice of the
+// materialized source and the clause's frame and context are rebound,
+// not allocated. The loops are a bare `for $x in $s return $x` and
+// Query I.2's inner leaf loop without its constructed <b> output. Each
+// evaluation may allocate a fixed amount plus the result slice's
+// O(log n) growth, so going from 16 tuples to every leaf of a 200-word
+// manuscript may add at most log2(leaves) allocations.
+func TestForLoopAllocatesNothingPerTuple(t *testing.T) {
+	d, err := corpus.Generate(corpus.Params{Seed: 5, Words: 200, DamageRate: 0.3}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Materialize()
+	leaves := nodesToSeq(d.Leaves)
+	for _, src := range []string{
+		`for $x in $s return $x`,
+		`for $leaf in $s return if ($leaf[ancestor::w and ancestor::dmg]) then $leaf else ()`,
+	} {
+		pl := MustCompile(src).PlanFor(d)
+		allocs := func(n int) float64 {
+			st := &evalState{doc: d, plan: pl}
+			c := (&context{st: st, item: d.Root, pos: 1, size: 1}).bind("s", leaves[:n])
+			run := func() {
+				if _, err := pl.prog.eval(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			return testing.AllocsPerRun(50, run)
+		}
+		few, all := allocs(16), allocs(len(leaves))
+		if extra := all - few; extra > math.Log2(float64(len(leaves))) {
+			t.Errorf("%s: %v allocs over 16 tuples, %v over %d: %v per extra tuple", src, few, all, len(leaves),
+				extra/float64(len(leaves)-16))
 		}
 	}
 }

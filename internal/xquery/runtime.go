@@ -67,6 +67,36 @@ type evalState struct {
 	targets map[sjKey][][]int32
 	// probes holds each existence probe's state by its plan slot.
 	probes []probeState
+
+	// args and items are the stacks pCall takes its argument sequences
+	// from: a call pushes its arguments above its caller's and pops them
+	// when the builtin returns, so calls allocate no argument storage.
+	// items backs the one-item arguments passed without evaluation
+	// (operandItem). ctxs is the free list of scratch contexts
+	// (scratchContext).
+	args  []Seq
+	items []Item
+	ctxs  []*context
+}
+
+// scratchContext returns a context equal to *c from the evaluation's
+// free list, for a strict sub-evaluation the caller finishes before
+// releaseContext hands the context back.
+func (st *evalState) scratchContext(c *context) *context {
+	if n := len(st.ctxs); n > 0 {
+		x := st.ctxs[n-1]
+		st.ctxs = st.ctxs[:n-1]
+		*x = *c
+		return x
+	}
+	x := new(context)
+	*x = *c
+	return x
+}
+
+func (st *evalState) releaseContext(x *context) {
+	*x = context{}
+	st.ctxs = append(st.ctxs, x)
 }
 
 // cancelStride is how many checkCancel ticks pass between ctx.Err()
@@ -338,14 +368,8 @@ func applyPredicatesInPlace(c *context, items Seq, preds []expr) (Seq, error) {
 			if err != nil {
 				return nil, err
 			}
-			keep := false
-			if len(v) == 1 {
-				if f, ok := v[0].(float64); ok {
-					keep = float64(i+1) == f
-				} else if keep, err = ebv(v); err != nil {
-					return nil, err
-				}
-			} else if keep, err = ebv(v); err != nil {
+			keep, err := predicateKeeps(v, i+1)
+			if err != nil {
 				return nil, err
 			}
 			if keep {
@@ -356,6 +380,18 @@ func applyPredicatesInPlace(c *context, items Seq, preds []expr) (Seq, error) {
 		items = items[:w]
 	}
 	return items, nil
+}
+
+// predicateKeeps applies the predicate rule to the value v of a
+// predicate at position pos: a single number selects by position,
+// anything else by effective boolean value.
+func predicateKeeps(v Seq, pos int) (bool, error) {
+	if len(v) == 1 {
+		if f, ok := v[0].(float64); ok {
+			return float64(pos) == f, nil
+		}
+	}
+	return ebv(v)
 }
 
 // evalPrimStep evaluates a primary-expression step ("$x/string(.)") once

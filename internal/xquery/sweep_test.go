@@ -399,3 +399,97 @@ var unverifiedContextShapes = []string{
 	`/descendant::node()/child::w[1]`,
 	`(/descendant::vline, /descendant::line)/self::vline`,
 }
+
+// overlayStackShapes call analyze-string at least three times in one
+// evaluation, so each call stacks an overlay on the previous one, and
+// then read the newest overlay's leaves and the shared root's children:
+// the boundary reads and root-child lists an overlay answers from its
+// delta layout (core.AddHierarchy) before and after its leaf layer
+// exists. Patterns include whole-word matches, whose boundaries
+// coincide with the base's, and single letters, which split leaves.
+var overlayStackShapes = []string{
+	`let $a := analyze-string((//w)[1], "e") let $b := analyze-string((//w)[2], "a") let $c := analyze-string((//w)[3], "n")
+return (count(/child::node()), count(/descendant::leaf()), for $l in $c/descendant::leaf() return string($l))`,
+	`for $w in (//w)[position() <= 4] let $r := analyze-string($w, "[aeiou]")
+return ($r/child::m/descendant::leaf(), count(/child::*), "|")`,
+	`for $w in (//w)[position() <= 5] return count(analyze-string($w, "n")/descendant::m/xancestor::node())`,
+	`(for $w in (//w)[position() <= 3] return analyze-string($w, string($w)), /child::node(), count(/descendant::leaf()))`,
+	`for $w in (//w)[position() <= 3] let $r := analyze-string($w, "e") return ($r/descendant::leaf()[1]/following::leaf()[1], /child::*[last()])`,
+	`for $w in (//w)[position() <= 4] let $r := analyze-string($w, "[^aeiou]+") return $r/child::m[1]/xancestor::*`,
+	`let $a := analyze-string((//w)[2], "a") let $b := analyze-string(($a/child::node())[1], "a")
+let $c := analyze-string((//w)[4], ".") return (count(/descendant::leaf()), $c/child::m[2]/preceding::leaf()[1], /child::node()[self::res])`,
+	`for $w in (//w)[position() <= 3] return for $l in analyze-string($w, "g|n")/descendant::leaf() return count($l/ancestor::node())`,
+	`for $w in (//w)[position() <= 6] return (analyze-string($w, "e")/child::m[overlapping::dmg or xancestor::line], "|")`,
+	`(for $w in //w[position() <= 3] return analyze-string($w, "zq"), count(/child::node()), /descendant::leaf()[3])`,
+}
+
+// boundItemShapes are FLWORs, filters and quantifiers whose return
+// clause or condition yields the bound variable itself — with and
+// without order by, positional variables and nested loops — and
+// comparisons and string functions over "." and "string(.)", for atomic
+// as well as node context items. They pin that a for variable bound to
+// a one-item subslice of its source, a strict-route frame reused across
+// tuples, and operands read off the context without evaluation are
+// invisible in results.
+var boundItemShapes = []string{
+	`for $x in //w return $x`,
+	`for $x at $i in //w return $x`,
+	`for $x at $i in //w return ($x, $i)`,
+	`for $x in //w order by string($x) return $x`,
+	`for $x at $i in //w order by string($x) descending return ($i, $x)`,
+	`for $x in //w order by string-length(string($x)) return ($x, $x/child::node())`,
+	`for $x in //w for $y in $x/child::node() return ($y, $x)`,
+	`for $x at $i in //line for $y at $j in $x/xdescendant::w return ($i, $j, $y)`,
+	`for $x in //line let $y := $x return $y`,
+	`for $x in //line let $y := $x/xdescendant::w where count($y) > 1 return ($y, $x)`,
+	`for $x in (1, 2, 3) return $x`,
+	`for $x at $i in ("a", "b") return ($x, $i)`,
+	`for $x in (3, 1, 2) order by $x return $x`,
+	`for $x in //w return for $y in $x/descendant::leaf() return $y`,
+	`for $x in //w where $x[overlapping::line] return $x`,
+	`for $x in //w return if ($x[xancestor::dmg]) then $x else ()`,
+	`for $leaf in //line[1]/descendant::leaf() return if ($leaf[ancestor::w and ancestor::dmg]) then $leaf else ()`,
+	`for $x in //w return $x[1]`,
+	`for $x in //w return $x[2]`,
+	`for $x in //w return $x[last()]`,
+	`for $x in //w return if ($x[position() = 1][xancestor::line]) then $x else "-"`,
+	`for $x in //w let $n := $x/child::node() return ($n, $x)`,
+	`for $x in //w return $x[string(.) = 'singallice']`,
+	`for $x in (0, 1, "", "a") return if ($x[true()]) then "t" else "f"`,
+	`for $x in (1, 2) return if ($x[. = 1]) then $x else ()`,
+	`for $x in (1, 2, 3) return if ($x[2]) then "y" else "n"`,
+	`for $x in //w return if ($x[nope]) then 1 else 0`,
+	`some $x in //w satisfies $x[overlapping::dmg]`,
+	`every $x in //w satisfies $x[xancestor::vline]`,
+	`//w[matches(string(.), "n")]`,
+	`//w[matches(., "^s")]`,
+	`//w[string(.) = 'singallice']`,
+	`//w[. = 'singallice']`,
+	`//w[contains(string(.), "a")][starts-with(string(.), "s") or ends-with(., "e")]`,
+	`for $w in //w return replace(string($w), "a", "A")`,
+	`for $w in //w return tokenize(string($w), "a")`,
+	`(1, 2, 3)[string(.) = "2"]`,
+	`(1, 2, 3)[. = 2]`,
+	`("10", "9")[string(.) < "9"]`,
+	`(1, 10)[matches(string(.), "1")]`,
+	`//w[string(.) is .]`,
+	`//w[. is .]`,
+	`//w[string() = 'singallice']`,
+	`//w[string(.) eq 'singallice']`,
+	`//w[string(.) = ('a', 'singallice')]`,
+}
+
+// TestSweepOverlayStacksAndBoundItems runs the overlay-stack shapes
+// (compared by serialization: each evaluation builds its temporaries
+// anew) and the bound-item shapes through the strict and stream routes
+// against the reference interpreter.
+func TestSweepOverlayStacksAndBoundItems(t *testing.T) {
+	t.Parallel()
+	docs := sweepDocs(t)
+	for i, src := range overlayStackShapes {
+		checkAgainstOracleBy(t, i, src, docs, sameSerialization)
+	}
+	for i, src := range boundItemShapes {
+		checkAgainstOracle(t, len(overlayStackShapes)+i, src, docs)
+	}
+}

@@ -10,7 +10,8 @@
 # durable-update path, the P14 predicate-scan fixtures, the per-node
 # existence-probe fixtures (BenchmarkLeafPredicate), the P16
 # cost-based plan-choice fixtures, the P17 query-after-update
-# fixtures, and the P18 recovery fixtures) with -count
+# fixtures, the P18 recovery fixtures, and the E9 paper-read request
+# mix of the load benchmark, per request) with -count
 # repetitions, prints the raw `go test -bench` output, and writes the
 # best (minimum ns/op) run per benchmark to a JSON file so the perf
 # trajectory is diffable in git.
@@ -24,7 +25,7 @@
 set -eu
 
 COUNT=5
-BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkPredicateScan|BenchmarkLeafPredicate|BenchmarkPlanChoice|BenchmarkQueryAfterUpdate|BenchmarkRecovery'
+BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkPredicateScan|BenchmarkLeafPredicate|BenchmarkPlanChoice|BenchmarkQueryAfterUpdate|BenchmarkRecovery|BenchmarkPaperRead'
 OUT=BENCH_eval.json
 while [ $# -gt 0 ]; do
 	case "$1" in
@@ -39,7 +40,13 @@ cd "$(dirname "$0")/.."
 TMP=$(mktemp)
 trap 'rm -f "$TMP"' EXIT
 
-go test -run '^$' -bench "$BENCH" -benchmem -count "$COUNT" . | tee "$TMP"
+go test -run '^$' -bench "$BENCH" -benchmem -count "$COUNT" -timeout 0 . | tee "$TMP"
+# sh has no pipefail: a failed or killed run shows up as a FAIL line,
+# and must not overwrite the record with a partial result.
+if grep -q '^FAIL' "$TMP"; then
+	echo "benchmarks failed; $OUT left unchanged" >&2
+	exit 1
+fi
 
 GOVER=$(go version | awk '{print $3}')
 NPROC=$(getconf _NPROCESSORS_ONLN)
