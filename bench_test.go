@@ -1,9 +1,10 @@
 // Benchmarks regenerating every figure/example of the paper plus the
-// quantitative tables P1–P5 of EXPERIMENTS.md. Run:
+// quantitative tables P1–P5 (cmd/mhbench prints the paper-vs-measured
+// side). Run:
 //
 //	go test -bench=. -benchmem
 //
-// Experiment index (EXPERIMENTS.md / DESIGN.md §5):
+// Experiment index (the IDs README's Performance section uses):
 //
 //	E1  BenchmarkFig1ParseEncodings      — parse the four Fig. 1 encodings
 //	E2  BenchmarkFig2BuildKyGODDAG       — build the Fig. 2 KyGODDAG
@@ -24,7 +25,7 @@
 //	P9  BenchmarkPathPipeline/*          — order-aware path pipeline at 1/10/100× scale
 //	P10 BenchmarkIndexedDescendant/*     — structural name index, //name steps at 1/10/100×
 //	P14 BenchmarkPredicateScan/*         — full-drain predicate-filtered index scan at 1/10/100×
-//	P17 BenchmarkQueryAfterUpdate/*      — Query I.1 after every update, through the plan cache
+//	P17 BenchmarkQueryAfterUpdate/*      — Query I.1 after every update, through the compile cache
 //	P18 BenchmarkRecovery/*              — Open replaying a 256-record log tail at 1/10/100×
 //
 // scripts/bench.sh runs the evaluator-level subset (E3–E7, P9, P10)
@@ -264,7 +265,7 @@ func BenchmarkPaperRead(b *testing.B) {
 		for _, src := range srcs {
 			for _, name := range names {
 				if _, err := coll.Query(name, src); err != nil {
-					b.Fatal(err) // warm the compile and plan caches
+					b.Fatal(err) // warm the compile cache
 				}
 			}
 		}
@@ -841,9 +842,8 @@ func BenchmarkUpdateDurable(b *testing.B) {
 // the annotation workload's shape: each iteration commits one update
 // that keeps the hierarchy layout (a rename to the same name) to a
 // memory-only collection, then runs Query I.1 through Collection.Query
-// at 1×/10×/100× the Boethius scale. Plans are keyed by layout, so the
-// read reuses its cached plan on every new version instead of
-// replanning.
+// at 1×/10×/100× the Boethius scale. A query has one plan, so the read
+// reuses the compiled query's plan on every new version.
 func BenchmarkQueryAfterUpdate(b *testing.B) {
 	for _, scale := range []struct {
 		name  string
@@ -1343,13 +1343,13 @@ func BenchmarkOpenFirstQuery(b *testing.B) {
 	}
 }
 
-// ---- P16: cost-based plan choice ----------------------------------------------
+// ---- P16: multi-predicate steps and binding runs --------------------------------
 
-// BenchmarkPlanChoice measures the query shapes the synopsis-driven
-// cost model steers — selectivity-ordered predicates, size-ordered
-// FLWOR/quantifier bindings — at 1/10/100× scale, plus the cold
-// compile+plan path itself (parse, lowering, synopsis-based estimation)
-// so planning overhead stays on the recorded perf trajectory.
+// BenchmarkPlanChoice measures multi-predicate steps and multi-binding
+// FLWOR/quantifier shapes, all run in source order, at 1/10/100×
+// scale, plus the cold compile path itself (parse and lowering to the
+// query's one plan) so planning overhead stays on the recorded perf
+// trajectory.
 func BenchmarkPlanChoice(b *testing.B) {
 	for _, scale := range []struct {
 		name  string

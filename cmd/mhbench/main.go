@@ -1,7 +1,7 @@
-// Command mhbench regenerates every experiment recorded in
-// EXPERIMENTS.md: the qualitative reproductions of the paper's figures,
-// example and queries (E1–E7, printed as paper-vs-measured) and the
-// quantitative tables (P1–P5).
+// Command mhbench regenerates the paper experiments: the qualitative
+// reproductions of the paper's figures, example and queries (E1–E7,
+// printed as paper-vs-measured) and the quantitative tables (P1–P5;
+// bench_test.go holds the matching Go benchmarks).
 //
 // Usage:
 //
@@ -84,7 +84,7 @@ func checkQuery(label, src, paper string) error {
 	fmt.Printf("  measured: %s\n", got)
 	verdict := "MATCH (byte-exact)"
 	if got != paper {
-		verdict = "DIFFERS (see EXPERIMENTS.md for the analysis)"
+		verdict = "DIFFERS (see internal/xquery/paper_test.go for the readings of the printed queries)"
 	}
 	fmt.Printf("  verdict:  %s\n", verdict)
 	return nil

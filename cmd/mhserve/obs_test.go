@@ -82,7 +82,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"mhx_query_seconds_count",
 		`mhx_cache_requests_total{cache="compile",result="hit"}`,
-		`mhx_cache_requests_total{cache="plan",result="hit"}`,
 		"mhx_nameindex_builds_total",
 		"mhx_fanout_queue_depth",
 		"mhx_update_commit_seconds_count",
@@ -90,6 +89,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if _, ok := first[want]; !ok {
 			t.Errorf("scrape missing %s", want)
+		}
+	}
+	for series := range first {
+		if strings.Contains(series, `cache="plan"`) {
+			t.Errorf("scrape has %s: a query has one plan, so there is no plan cache", series)
 		}
 	}
 	if first["mhx_query_seconds_count"] < 3 {

@@ -157,8 +157,8 @@ func (c *Collection) QueryContext(ctx context.Context, name, src string) (Sequen
 
 // Explain is Query with per-operator instrumentation: it returns the
 // result together with the physical operator tree of the evaluation
-// (index-vs-scan decisions and observed cardinalities). The underlying
-// plan is cached keyed by query source + document hierarchy signature.
+// (index-vs-scan decisions and observed cardinalities). The compiled
+// query, and with it its one plan, is cached keyed by query source.
 func (c *Collection) Explain(name, src string) (Sequence, *PlanOp, error) {
 	seq, tree, d, err := c.c.ExplainDoc(name, src)
 	if err != nil {

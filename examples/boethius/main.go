@@ -16,8 +16,8 @@ import (
 	"mhxquery"
 )
 
-// The four Figure 1 encodings of the same manuscript text (see DESIGN.md
-// §5 for the canonical whitespace).
+// The four Figure 1 encodings of the same manuscript text, with the
+// canonical single-space base text of internal/corpus/boethius.go.
 const (
 	physical    = `<r><line>gesceaftum unawendendne sin</line><line>gallice sibbe gecynde þa</line></r>`
 	structure   = `<r><vline><w>gesceaftum</w> <w>unawendendne</w> </vline><vline><w>singallice</w> <w>sibbe</w> <w>gecynde</w> </vline><vline><w>þa</w></vline></r>`

@@ -1,7 +1,7 @@
 // Observability: metrics scrape and EXPLAIN ANALYZE from the API.
 //
 // A small corpus is built, a query burst (with repeats, so the
-// compiled-query and plan caches see both misses and hits) and one
+// compiled-query cache sees both misses and hits) and one
 // update drive the engine's instrumentation, then two views of the
 // same run are printed: the Prometheus text scrape a monitoring
 // system would collect from mhserve's GET /metrics, and the timed
@@ -72,11 +72,11 @@ func main() {
 
 	// The same registry, as a flat snapshot for programmatic checks.
 	snap := coll.Metrics().Snapshot()
-	fmt.Printf("\nplan cache hit rate: %.0f%%\n",
-		100*snap[`mhx_cache_requests_total{cache="plan",result="hit"}`]/
-			(snap[`mhx_cache_requests_total{cache="plan",result="hit"}`]+
-				snap[`mhx_cache_requests_total{cache="plan",result="miss"}`]))
-	fmt.Printf("name-index builds:   %.0f\n", snap["mhx_nameindex_builds_total"])
+	fmt.Printf("\ncompile cache hit rate: %.0f%%\n",
+		100*snap[`mhx_cache_requests_total{cache="compile",result="hit"}`]/
+			(snap[`mhx_cache_requests_total{cache="compile",result="hit"}`]+
+				snap[`mhx_cache_requests_total{cache="compile",result="miss"}`]))
+	fmt.Printf("name-index builds:      %.0f\n", snap["mhx_nameindex_builds_total"])
 }
 
 func printPlan(op *mhxquery.PlanOp, depth int) {

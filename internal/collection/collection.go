@@ -496,20 +496,6 @@ func (c *Collection) Compile(src string) (*xquery.Query, error) {
 	return q, nil
 }
 
-// planFor returns the physical plan of q for d's hierarchy layout from
-// q's own plan cache (keyed by core.Document.Signature: every version
-// of a document shares one plan, and plans hold no document), counting
-// a plan served from the cache as a hit and a new plan as a miss.
-func (c *Collection) planFor(q *xquery.Query, d *core.Document) *xquery.Plan {
-	pl, cached := q.CachedPlan(d)
-	if cached {
-		c.metrics.planHits.Inc()
-	} else {
-		c.metrics.planMisses.Inc()
-	}
-	return pl
-}
-
 // CacheStats reports compiled-query cache effectiveness.
 type CacheStats struct {
 	Hits, Misses uint64
@@ -558,7 +544,7 @@ func (c *Collection) QueryDocContext(ctx context.Context, name, src string) (xqu
 		return nil, nil, fmt.Errorf("collection: %w", err)
 	}
 	start := time.Now()
-	seq, err := c.planFor(q, d).EvalContext(ctx, d, nil, v)
+	seq, err := q.EvalContext(ctx, d, nil, v)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -581,7 +567,7 @@ func (c *Collection) StreamDoc(ctx context.Context, name, src string) (*xquery.S
 	if err != nil {
 		return nil, nil, fmt.Errorf("collection: %w", err)
 	}
-	return c.planFor(q, d).Stream(ctx, d, nil, v), d, nil
+	return q.Stream(ctx, d, nil, v), d, nil
 }
 
 // ExplainDoc is QueryDoc with per-operator instrumentation: it returns
@@ -597,7 +583,6 @@ func (c *Collection) ExplainDoc(name, src string) (xquery.Seq, *xquery.ExplainOp
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("collection: %w", err)
 	}
-	c.planFor(q, d) // warm the plan cache like the non-explain path
 	seq, plan, err := q.Explain(d, nil, v)
 	if err != nil {
 		return nil, nil, nil, err
@@ -620,9 +605,8 @@ func (c *Collection) ExplainAnalyzeDoc(ctx context.Context, name, src string) (x
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("collection: %w", err)
 	}
-	pl := c.planFor(q, d)
 	start := time.Now()
-	seq, plan, err := pl.ExplainAnalyze(ctx, d, nil, v)
+	seq, plan, err := q.ExplainAnalyzeContext(ctx, d, nil, v)
 	if err != nil {
 		return nil, nil, nil, err
 	}

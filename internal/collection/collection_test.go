@@ -334,71 +334,74 @@ func otherLayoutDoc(t testing.TB) *core.Document {
 	return d
 }
 
-func TestPlanCacheKeyedBySignature(t *testing.T) {
+// TestOnePlanAcrossDocuments checks that a cached query runs one plan
+// on every member document, whatever its hierarchy layout, and that a
+// disabled compile cache still evaluates.
+func TestOnePlanAcrossDocuments(t *testing.T) {
 	c := New(Options{CacheSize: 4})
 	// Two documents with the same hierarchy layout (the generated
-	// corpus always registers the same hierarchy names).
+	// corpus always registers the same hierarchy names) and one with
+	// another.
 	if _, err := c.Put("a", genDoc(t, 1, 20)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Put("b", genDoc(t, 2, 30)); err != nil {
 		t.Fatal(err)
 	}
-
-	const src = `count(/descendant::w)`
-	for _, name := range []string{"a", "b", "a", "b"} {
-		if _, err := c.Query(name, src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One layout signature shared by both documents: one miss (the
-	// first evaluation plans), three hits.
-	if hits, misses := planCacheCounts(c); misses != 1 || hits != 3 {
-		t.Fatalf("plan cache hits/misses = %v/%v, want 3/1", hits, misses)
-	}
-
-	// ExplainDoc reports the index-scan decision and shares the cache.
-	_, plan, _, err := c.ExplainDoc("a", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasOp(plan, "index-scan") {
-		t.Fatalf("ExplainDoc plan lacks an index-scan operator: %+v", plan)
-	}
-
-	// A different hierarchy layout plans anew.
 	if _, err := c.Put("c", otherLayoutDoc(t)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Query("c", src); err != nil {
+
+	const src = `count(/descendant::w)`
+	q, err := c.Compile(src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := planCacheCounts(c); misses != 2 {
-		t.Fatalf("plan misses = %v, want 2 (one per layout)", misses)
+	da, _ := c.Get("a")
+	plan := q.PlanFor(da)
+	for _, name := range []string{"a", "b", "c", "a"} {
+		if _, err := c.Query(name, src); err != nil {
+			t.Fatal(err)
+		}
+		again, err := c.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, _ := c.Get(name); again != q || again.PlanFor(d) != plan {
+			t.Fatalf("%s: the compile cache served another query or plan", name)
+		}
 	}
 
-	// A disabled compile cache still evaluates: every query is compiled
-	// afresh, so every plan is new.
+	// ExplainDoc reports the index-scan decision.
+	_, tree, _, err := c.ExplainDoc("a", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasOp(tree, "index-scan") {
+		t.Fatalf("ExplainDoc plan lacks an index-scan operator: %+v", tree)
+	}
+
+	// A disabled compile cache still evaluates: every query is compiled,
+	// and so lowered, afresh.
 	c2 := New(Options{CacheSize: -1})
 	if _, err := c2.Put("a", genDoc(t, 1, 10)); err != nil {
 		t.Fatal(err)
 	}
+	var plans []*xquery.Plan
 	for i := 0; i < 2; i++ {
 		if _, err := c2.Query("a", src); err != nil {
 			t.Fatal(err)
 		}
+		q, err := c2.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ := c2.Get("a")
+		plans = append(plans, q.PlanFor(d))
 	}
-	if hits, misses := planCacheCounts(c2); hits != 0 || misses != 2 {
-		t.Fatalf("compile cache off: plan hits/misses = %v/%v, want 0/2", hits, misses)
+	if plans[0] == plans[1] {
+		t.Fatal("compile cache off: two compilations share a plan")
 	}
-}
-
-// planCacheCounts reads the plan-cache hit and miss counters from the
-// collection's metrics registry.
-func planCacheCounts(c *Collection) (hits, misses float64) {
-	snap := c.Metrics().Snapshot()
-	return snap[`mhx_cache_requests_total{cache="plan",result="hit"}`],
-		snap[`mhx_cache_requests_total{cache="plan",result="miss"}`]
 }
 
 func TestUpdatePublishesNewVersion(t *testing.T) {

@@ -90,21 +90,20 @@ func (c *Collection) runPool(n int, job func(int) Result) []Result {
 	return results
 }
 
-// evalOne evaluates one fan-out row through the query's plan cache.
-// With a limit the evaluation streams and stops at the cap instead of
+// evalOne evaluates one fan-out row through the query's plan. With a
+// limit the evaluation streams and stops at the cap instead of
 // draining the document.
 func (c *Collection) evalOne(ctx context.Context, q *xquery.Query, v *view, name string, d *core.Document, limit int) Result {
-	pl := c.planFor(q, d)
 	start := time.Now()
 	if limit <= 0 {
-		seq, err := pl.EvalContext(ctx, d, nil, v)
+		seq, err := q.EvalContext(ctx, d, nil, v)
 		if err != nil {
 			return Result{Name: name, Doc: d, Err: err}
 		}
 		c.metrics.observeQuery(start)
 		return Result{Name: name, Doc: d, Seq: seq}
 	}
-	seq, err := pl.Stream(ctx, d, nil, v).Take(limit)
+	seq, err := q.Stream(ctx, d, nil, v).Take(limit)
 	if err != nil {
 		return Result{Name: name, Doc: d, Err: err}
 	}
@@ -169,7 +168,7 @@ func (r *Rows) Next() (Event, bool) {
 				return Event{}, false
 			}
 			d := r.docs[r.i]
-			r.cur = r.coll.planFor(r.q, d).Stream(r.ctx, d, nil, r.v)
+			r.cur = r.q.Stream(r.ctx, d, nil, r.v)
 		}
 		it, ok, err := r.cur.Next()
 		name, d := r.names[r.i], r.docs[r.i]

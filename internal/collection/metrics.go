@@ -17,7 +17,7 @@ import (
 //
 //	mhx_query_seconds                 histogram  per-document query evaluation latency
 //	mhx_update_commit_seconds         histogram  update apply+persist+publish latency
-//	mhx_cache_requests_total          counter    {cache="compile"|"plan", result="hit"|"miss"}
+//	mhx_cache_requests_total          counter    {cache="compile", result="hit"|"miss"}
 //	mhx_fanout_queue_depth            gauge      fan-out jobs accepted but not yet started
 //	mhx_fanout_busy_workers           gauge      fan-out workers currently evaluating
 //	mhx_documents                     gauge      member documents in the registry
@@ -52,8 +52,6 @@ type collMetrics struct {
 	updateSeconds *obs.Histogram
 	queueDepth    *obs.Gauge
 	busyWorkers   *obs.Gauge
-	planHits      *obs.Counter
-	planMisses    *obs.Counter
 
 	fsyncSeconds *obs.Histogram
 	commitBatch  *obs.Histogram
@@ -75,17 +73,13 @@ func newCollMetrics(c *Collection) *collMetrics {
 		busyWorkers: reg.Gauge("mhx_fanout_busy_workers",
 			"Fan-out workers currently evaluating a document."),
 	}
-	const cacheHelp = "Cache lookups by cache (compile = source->Query, plan = Query+signature->Plan) and result."
+	const cacheHelp = "Cache lookups by cache (compile = source->Query) and result."
 	if c.cache != nil {
 		c.cache.hitC = reg.Counter("mhx_cache_requests_total", cacheHelp,
 			obs.L("cache", "compile"), obs.L("result", "hit"))
 		c.cache.missC = reg.Counter("mhx_cache_requests_total", cacheHelp,
 			obs.L("cache", "compile"), obs.L("result", "miss"))
 	}
-	m.planHits = reg.Counter("mhx_cache_requests_total", cacheHelp,
-		obs.L("cache", "plan"), obs.L("result", "hit"))
-	m.planMisses = reg.Counter("mhx_cache_requests_total", cacheHelp,
-		obs.L("cache", "plan"), obs.L("result", "miss"))
 	reg.GaugeFunc("mhx_documents",
 		"Member documents in the registry.",
 		func() float64 { return float64(c.Len()) })

@@ -18,7 +18,7 @@ func TestMetricsCatalog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Same query twice: first compile+plan miss, then hits.
+	// Same query twice: first a compile miss, then hits.
 	for i := 0; i < 2; i++ {
 		if _, err := c.QueryAll(`count(//w)`, ""); err != nil {
 			t.Fatal(err)
@@ -42,9 +42,10 @@ func TestMetricsCatalog(t *testing.T) {
 		snap[`mhx_cache_requests_total{cache="compile",result="miss"}`] < 1 {
 		t.Errorf("compile cache counters not populated: %v", snap)
 	}
-	if snap[`mhx_cache_requests_total{cache="plan",result="hit"}`] < 1 ||
-		snap[`mhx_cache_requests_total{cache="plan",result="miss"}`] < 1 {
-		t.Errorf("plan cache counters not populated: %v", snap)
+	for series := range snap {
+		if strings.Contains(series, `cache="plan"`) {
+			t.Errorf("series %s: a query has one plan, so there is no plan cache to count", series)
+		}
 	}
 	if snap["mhx_documents"] != 4 {
 		t.Errorf("mhx_documents = %v, want 4", snap["mhx_documents"])

@@ -10,13 +10,13 @@ import (
 	"mhxquery/internal/xquery"
 )
 
-// TestUpdatesReleaseSupersededVersions checks that the query caches keep
-// no superseded document version alive. It warms the compile and plan
-// caches with an index-scan and an analyze-string query, then commits a
-// long run of edits that keep the hierarchy layout, each followed by
-// the same queries. Every version but the current one must
-// become unreachable: a cached plan that referenced the document it was
-// planned against would pin one version per plan entry.
+// TestUpdatesReleaseSupersededVersions checks that the compile cache
+// keeps no superseded document version alive. It warms the cache with
+// an index-scan and an analyze-string query, then commits a long run of
+// edits that keep the hierarchy layout, each followed by the same
+// queries. Every version but the current one must become unreachable: a
+// cached query or plan that referenced a document it ran against would
+// pin that version. Every version runs the same plan.
 func TestUpdatesReleaseSupersededVersions(t *testing.T) {
 	const updates = 300
 	c := New(Options{})
@@ -27,7 +27,14 @@ func TestUpdatesReleaseSupersededVersions(t *testing.T) {
 		{`count(//w[overlapping::line])`, "index-scan"},
 		{`count(analyze-string((//w)[2], "e")/child::m)`, "analyze-string()"},
 	}
-	for _, q := range queries {
+	plans := make([]*xquery.Plan, len(queries))
+	for i, q := range queries {
+		cq, err := c.Compile(q.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ := c.Get("doc")
+		plans[i] = cq.PlanFor(d)
 		_, plan, _, err := c.ExplainDoc("doc", q.src)
 		if err != nil {
 			t.Fatalf("%s: %v", q.src, err)
@@ -70,8 +77,14 @@ func TestUpdatesReleaseSupersededVersions(t *testing.T) {
 	if n := live.Load(); n > 1 {
 		t.Fatalf("%d of %d document versions still reachable after GC, want only the current one", n, updates+1)
 	}
-	if _, misses := planCacheCounts(c); misses != float64(len(queries)) {
-		t.Errorf("%v plan misses, want one per query (%d): versions must share plans", misses, len(queries))
+	for i, q := range queries {
+		cq, err := c.Compile(q.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, _ := c.Get("doc"); cq.PlanFor(d) != plans[i] {
+			t.Errorf("%s: the current version runs a different plan than the first: versions must share plans", q.src)
+		}
 	}
 }
 

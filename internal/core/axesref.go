@@ -8,7 +8,7 @@ import "mhxquery/internal/dom"
 // is materialized as a map by graph traversal, subset/intersection tests
 // are element-wise — and exists for two purposes: (i) property-based
 // tests validate the fast interval implementation in axes.go against it,
-// and (ii) the ablation benchmarks (EXPERIMENTS.md table P2) quantify
+// and (ii) the ablation benchmarks (bench_test.go, table P2) quantify
 // what the interval representation buys.
 
 // LeafSetRef computes leaves(x) by traversal: the leaves reachable from x

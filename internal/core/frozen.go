@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"mhxquery/internal/dom"
-	"mhxquery/internal/synopsis"
 )
 
 // This file is the core half of the frozen-document protocol: a
@@ -15,8 +14,8 @@ import (
 // A frozen document is fully usable before any hierarchy is
 // materialized: Text, Bounds, Rev, the interned name table, the
 // ordinal layout and the persisted name-index runs are all installed
-// eagerly by NewFrozenDocument, so plan compilation (Signature,
-// NameSymOf) and index-run reads (NameRun length probes) touch no
+// eagerly by NewFrozenDocument, so name binding (NameSymOf,
+// HierarchyByName) and index-run reads (NameRun length probes) touch no
 // node storage. The first operation that needs actual nodes — an axis
 // step, the leaf layer, an update, serialization — runs the fill
 // callbacks behind sync.Once, exactly the discipline the name index
@@ -41,11 +40,6 @@ type FrozenHier struct {
 	// preorder ordinals). It is installed into the hierarchy's index
 	// slot eagerly, so opening + querying performs zero index builds.
 	Runs map[int32][]int32
-	// Synopsis is the persisted path synopsis, installed eagerly when
-	// non-nil so plan-time cardinality estimation works without
-	// materializing node storage. Images from before the synopsis
-	// section leave it nil (the synopsis stays lazily buildable).
-	Synopsis *synopsis.Tree
 	// Fill populates h.Top and h.Nodes (exactly NumNodes entries, in
 	// preorder, with Ord/Last/Hier/HierIndex/NameSym assigned) and
 	// parents top-level nodes at root. It must not fail: callers
@@ -104,9 +98,6 @@ func NewFrozenDocument(f FrozenDoc) *Document {
 			fillRoot: root,
 		}
 		h.idx.install(fh.Runs)
-		if fh.Synopsis != nil {
-			h.syn.install(fh.Synopsis)
-		}
 		d.ordBase[i] = ord
 		ord += fh.NumNodes
 		d.Hiers = append(d.Hiers, h)

@@ -57,9 +57,6 @@ type Hierarchy struct {
 	// is shared by every overlay document reusing this hierarchy, so the
 	// lazy build is synchronized.
 	idx nameIndex
-	// syn is the lazily built path synopsis (synopsis.go), with the same
-	// sharing and synchronization discipline as idx.
-	syn synIndex
 
 	// owner is the private lineage whose Apply copied this hierarchy, or
 	// nil. Only that lineage may edit its nodes in place (update.go).
@@ -96,9 +93,8 @@ type Document struct {
 	Base *Document
 	// Rev is the document's update revision: 0 for a freshly built
 	// document, incremented by every Apply (update.go). The WAL records
-	// it as each update's base version. It is not part of Signature:
-	// plans bind names per document at run time, so every version of a
-	// document shares its plans.
+	// it as each update's base version. Plans bind names per document at
+	// run time, so every version of a document shares them.
 	Rev uint64
 
 	// byName maps hierarchy names to hierarchies; overlays leave it nil

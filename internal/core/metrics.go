@@ -17,13 +17,6 @@ var (
 	indexPatched    atomic.Uint64 // update runs that patched an index incrementally
 	indexLazyReset  atomic.Uint64 // update runs that deferred to a fresh lazy build
 
-	// The path synopsis (synopsis.go) mirrors the name index's
-	// lifecycle, so it gets the same four counters.
-	synopsisBuilds     atomic.Uint64
-	synopsisBuildNanos atomic.Int64
-	synopsisPatched    atomic.Uint64
-	synopsisLazyReset  atomic.Uint64
-
 	// Overlay documents created by AddHierarchy, and the lazy overlay
 	// leaf layers a query actually forced (buildOverlayLeaves): the gap
 	// between the two is the leaf work analyze-string no longer does.
@@ -32,7 +25,7 @@ var (
 )
 
 // IndexStats is a snapshot of the process-wide name-index counters and
-// their synopsis and overlay siblings.
+// their overlay siblings.
 type IndexStats struct {
 	// Builds counts from-scratch index builds (lazy first-touch builds
 	// and oracle rebuilds alike).
@@ -45,32 +38,22 @@ type IndexStats struct {
 	// LazyReset counts hierarchies whose index an update discarded,
 	// deferring to a fresh lazy build on next query.
 	LazyReset uint64
-	// SynopsisBuilds/SynopsisBuildNanos/SynopsisPatched/SynopsisLazyReset
-	// are the same four counters for the path synopsis.
-	SynopsisBuilds     uint64
-	SynopsisBuildNanos int64
-	SynopsisPatched    uint64
-	SynopsisLazyReset  uint64
 	// Overlays counts overlay documents (analyze-string hierarchies);
 	// OverlayLeafBuilds counts the overlay leaf layers built on demand.
 	Overlays          uint64
 	OverlayLeafBuilds uint64
 }
 
-// GlobalIndexStats returns the current process-wide name-index,
-// synopsis and overlay counters. Values are monotonic for the life of
+// GlobalIndexStats returns the current process-wide name-index and
+// overlay counters. Values are monotonic for the life of
 // the process.
 func GlobalIndexStats() IndexStats {
 	return IndexStats{
-		Builds:             indexBuilds.Load(),
-		BuildNanos:         indexBuildNanos.Load(),
-		Patched:            indexPatched.Load(),
-		LazyReset:          indexLazyReset.Load(),
-		SynopsisBuilds:     synopsisBuilds.Load(),
-		SynopsisBuildNanos: synopsisBuildNanos.Load(),
-		SynopsisPatched:    synopsisPatched.Load(),
-		SynopsisLazyReset:  synopsisLazyReset.Load(),
-		Overlays:           overlays.Load(),
-		OverlayLeafBuilds:  overlayLeafBuilds.Load(),
+		Builds:            indexBuilds.Load(),
+		BuildNanos:        indexBuildNanos.Load(),
+		Patched:           indexPatched.Load(),
+		LazyReset:         indexLazyReset.Load(),
+		Overlays:          overlays.Load(),
+		OverlayLeafBuilds: overlayLeafBuilds.Load(),
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,29 +137,4 @@ func SubRun(run []int32, after, upTo int) []int32 {
 	lo := sort.Search(len(run), func(i int) bool { return int(run[i]) > after })
 	hi := sort.Search(len(run), func(i int) bool { return int(run[i]) > upTo })
 	return run[lo:hi]
-}
-
-// Signature identifies the document's hierarchy layout: the registered
-// hierarchy names in order, with temporary (analyze-string overlay)
-// hierarchies marked. Query plans are keyed by (query source,
-// signature). A plan holds no document and resolves names against the
-// document it runs on, so the signature only groups documents whose
-// plan choices are worth sharing. An overlay document extends its
-// base's signature, and adding or removing a hierarchy changes it.
-// Edits within the hierarchies — renames, inserts, deletes, text
-// replacements — keep it: the revision is deliberately left out, so
-// every version of a document shares one plan and no cached plan keeps
-// a superseded version reachable.
-func (d *Document) Signature() string {
-	var b strings.Builder
-	for i, h := range d.Hiers {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
-		b.WriteString(h.Name)
-		if h.Temp {
-			b.WriteByte('\x01')
-		}
-	}
-	return b.String()
 }

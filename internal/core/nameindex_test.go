@@ -121,19 +121,3 @@ func TestNameRunConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestSignature(t *testing.T) {
-	d := nameIndexDoc(t)
-	if got, want := d.Signature(), "phys\x1fstr"; got != want {
-		t.Fatalf("Signature = %q, want %q", got, want)
-	}
-	top := dom.NewElement("res")
-	top.Start, top.End = 0, len(d.Text)
-	od, err := d.AddHierarchy("rest", top, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := od.Signature(), "phys\x1fstr\x1frest\x01"; got != want {
-		t.Fatalf("overlay Signature = %q, want %q", got, want)
-	}
-}

@@ -117,11 +117,6 @@ type UpdateStats struct {
 	// from-scratch path.
 	IndexesPatched int
 	IndexesLazy    int
-	// SynopsesPatched / SynopsesLazy are the same accounting for the
-	// path synopsis (synopsis.go): carried incrementally from the
-	// previous version versus deferred to a fresh lazy build.
-	SynopsesPatched int
-	SynopsesLazy    int
 	// BoundsRecomputed reports whether the boundary array needed the
 	// full recomputation pass (boundary-retiring edits) instead of the
 	// incremental merge.
@@ -522,8 +517,6 @@ func (d *Document) Apply(edits []Edit) (*Document, *UpdateStats, error) {
 		st.HierarchiesAdded++
 		st.IndexesLazy++
 		indexLazyReset.Add(1)
-		st.SynopsesLazy++
-		synopsisLazyReset.Add(1)
 	}
 
 	for _, h := range d2.Hiers {
@@ -687,13 +680,13 @@ func mergeBounds(old []int, remap func(int) int, pts []int, textLen int) []int {
 
 // applyToHierarchy produces the next version of h for d2 at
 // registration index newIdx with hEdits applied, maintaining the name
-// index and the synopsis incrementally. It runs in two steps: a copy
-// step (copyHierarchy) and an edit step on the copy. inPlace skips the
-// copy step and edits h's own storage: the caller guarantees that h is
-// owned by d2's private lineage and that the batch keeps every ordinal
-// and boundary. It returns the new hierarchy, the positional
-// old-ordinal → new-node mapping, and any boundary offsets contributed
-// by inserted nodes.
+// index incrementally. It runs in two steps: a copy step
+// (copyHierarchy) and an edit step on the copy. inPlace skips the copy
+// step and edits h's own storage: the caller guarantees that h is owned
+// by d2's private lineage and that the batch keeps every ordinal and
+// boundary. It returns the new hierarchy, the positional old-ordinal →
+// new-node mapping, and any boundary offsets contributed by inserted
+// nodes.
 func (d2 *Document) applyToHierarchy(d *Document, h *Hierarchy, newIdx int, hEdits []Edit, remap func(int) int, reslice, inPlace bool, st *UpdateStats) (*Hierarchy, []*dom.Node, []int, error) {
 	var h2 *Hierarchy
 	var nodes []*dom.Node
@@ -707,12 +700,6 @@ func (d2 *Document) applyToHierarchy(d *Document, h *Hierarchy, newIdx int, hEdi
 		st.NodesCopied += len(nodes)
 	}
 	h2.owner = d2.lineage
-
-	// The synopsis subtraction reads the old child lists and names, so it
-	// runs before the first write (in place, the old state is overwritten).
-	dirty := make(map[int]bool)
-	rootDirty := markRegions(d, h, hEdits, emptied, dirty)
-	syn := subtractSynopsis(h, dirty, rootDirty)
 
 	// ---- re-slice text, drop text nodes a splice emptied -----------------
 	// A text node whose replacement left it with an empty span would
@@ -876,9 +863,6 @@ func (d2 *Document) applyToHierarchy(d *Document, h *Hierarchy, newIdx int, hEdi
 		st.IndexesPatched++
 		indexPatched.Add(1)
 	}
-
-	// ---- incremental synopsis maintenance ---------------------------------
-	syn.finish(h2, nodes, st)
 	return h2, nodes, boundPts, nil
 }
 
@@ -945,40 +929,6 @@ func (d2 *Document) copyHierarchy(d *Document, h *Hierarchy, newIdx int, remap f
 		top[i] = nodes[t.Ord]
 	}
 	return &Hierarchy{Name: h.Name, Index: newIdx, Top: top}, nodes, emptied
-}
-
-// markRegions adds to dirty the OLD ordinal of every element of h whose
-// child list the batch changes — the regions the synopsis is patched
-// over — and reports whether the shared root's child list changes
-// instead. It reads only the previous version, so it runs before the
-// first write.
-func markRegions(d *Document, h *Hierarchy, hEdits []Edit, emptied []int, dirty map[int]bool) (rootDirty bool) {
-	mark := func(parent *dom.Node) {
-		if parent == nil || parent == d.Root {
-			rootDirty = true
-			return
-		}
-		dirty[parent.Ord] = true
-	}
-	for _, i := range emptied {
-		mark(h.Nodes[i].Parent)
-	}
-	for _, e := range hEdits {
-		switch e.Kind {
-		case EditRename:
-			// The edit step skips a rename to the node's current name, so
-			// a node's renames change something iff one of them names it
-			// other than its name before the batch.
-			if e.Name != e.Target.Name {
-				mark(e.Target.Parent)
-			}
-		case EditWrap:
-			mark(e.Target)
-		default: // delete, insert before/after
-			mark(e.Target.Parent)
-		}
-	}
-	return rootDirty
 }
 
 // spliceOut removes t from its parent's child list (or the hierarchy's

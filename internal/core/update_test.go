@@ -157,26 +157,21 @@ func TestApplyRename(t *testing.T) {
 	if st.HierarchiesCopied != 1 || st.HierarchiesShared != 2 || st.IndexesPatched != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// The signature names the hierarchy layout only: a rename keeps it,
-	// so every version shares its plans.
-	if nd.Signature() != d.Signature() {
-		t.Fatalf("signature changed across a rename: %q -> %q", d.Signature(), nd.Signature())
-	}
-	// Adding or removing a hierarchy changes it.
+	// Adding or removing a hierarchy changes the layout.
 	added, _, err := nd.Apply([]core.Edit{{Kind: core.EditAddHierarchy, Name: "hits",
 		Tops: []*dom.Node{{Kind: dom.Element, Name: "hit", Start: 1, End: 3}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added.Signature() == nd.Signature() {
-		t.Fatal("signature did not change when a hierarchy was added")
+	if len(added.Hiers) != len(nd.Hiers)+1 || added.HierarchyByName("hits") == nil {
+		t.Fatal("hierarchy not added")
 	}
 	removed, _, err := nd.Apply([]core.Edit{{Kind: core.EditRemoveHierarchy, Name: "C"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed.Signature() == nd.Signature() {
-		t.Fatal("signature did not change when a hierarchy was removed")
+	if len(removed.Hiers) != len(nd.Hiers)-1 || removed.HierarchyByName("C") != nil {
+		t.Fatal("hierarchy not removed")
 	}
 	// Old version untouched.
 	if target.Name != "mark" {
@@ -467,12 +462,11 @@ func randomBatch(r *rand.Rand, d *core.Document, tag string, layoutKept bool) []
 
 // docDump renders every field of a document version that an update can
 // touch — text, bounds, leaves with their parent edges, each node in
-// preorder with its links, and each hierarchy's name index and
-// synopsis — so two versions are field-, index- and synopsis-identical
-// iff their dumps are equal.
+// preorder with its links, and each hierarchy's name index — so two
+// versions are field- and index-identical iff their dumps are equal.
 func docDump(d *core.Document) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "rev %d sig %q text %q bounds %v\n", d.Rev, d.Signature(), d.Text, d.Bounds)
+	fmt.Fprintf(&b, "rev %d text %q bounds %v\n", d.Rev, d.Text, d.Bounds)
 	for i, l := range d.Leaves {
 		fmt.Fprintf(&b, "leaf %d %q [%d,%d) parents", i, l.Data, l.Start, l.End)
 		for _, p := range d.LeafParents(l) {
@@ -495,7 +489,6 @@ func docDump(d *core.Document) string {
 			b.WriteByte('\n')
 		}
 		fmt.Fprintf(&b, "  runs %v\n", h.IndexRuns())
-		b.WriteString(h.Synopsis().Dump(func(sym int32) string { return fmt.Sprint(sym) }))
 	}
 	return b.String()
 }
@@ -506,7 +499,7 @@ func docDump(d *core.Document) string {
 // text replacements) with structural ones. Each lineage runs twice —
 // on published versions (copy-on-write) and on a private working
 // version (Private), which edits its own copies in place. After each
-// batch both versions must be field-, index- and synopsis-identical
+// batch both versions must be field- and index-identical
 // and agree with their serialize→reparse reference, and the private
 // one may never copy more. At the end the document the lineage started
 // from must be untouched.
@@ -522,10 +515,9 @@ func TestApplyDifferentialSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Warm indexes and synopses so the incremental patch paths run.
+		// Warm indexes so the incremental patch paths run.
 		for _, h := range d.Hiers {
 			h.IndexRuns()
-			h.Synopsis()
 		}
 		origin := docDump(d)
 		pub, priv := d, d.Private()
@@ -553,9 +545,6 @@ func TestApplyDifferentialSweep(t *testing.T) {
 			if got, want := docDump(nv), docDump(np); got != want {
 				t.Fatalf("seq %d step %d: private version diverged from copy-on-write:\n got %s\nwant %s", seq, step, got, want)
 			}
-			label := fmt.Sprintf("seq %d step %d", seq, step)
-			checkSynopses(t, np, label+" copy-on-write")
-			checkSynopses(t, nv, label+" private")
 			if vst.HierarchiesCopied > pst.HierarchiesCopied {
 				t.Fatalf("seq %d step %d: private version copied %d hierarchies, copy-on-write %d", seq, step, vst.HierarchiesCopied, pst.HierarchiesCopied)
 			}
@@ -593,7 +582,6 @@ func TestPrivateAppliesInPlace(t *testing.T) {
 	d := buildUpdateDoc(t)
 	for _, h := range d.Hiers {
 		h.IndexRuns()
-		h.Synopsis()
 	}
 	origin := docDump(d)
 	step := func(v *core.Document, copies int, edits ...core.Edit) *core.Document {
@@ -606,7 +594,6 @@ func TestPrivateAppliesInPlace(t *testing.T) {
 			t.Fatalf("copied %d hierarchies, want %d (stats %+v)", st.HierarchiesCopied, copies, st)
 		}
 		checkAgainstReference(t, nv)
-		checkSynopses(t, nv, "private")
 		return nv
 	}
 	rename := func(v *core.Document, hier, name string, i int, to string) core.Edit {

@@ -8,22 +8,14 @@ import (
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/dom"
-	"mhxquery/internal/synopsis"
 )
 
 // Encode freezes a document version into one slab image. The document
 // is materialized first (a frozen document re-encodes fine), and the
-// structural name indexes and path synopses are built if they have not
-// been yet — the snapshot is precisely where that one-time cost
-// belongs, so every future open skips it.
+// structural name indexes are built if they have not been yet — the
+// snapshot is precisely where that one-time cost belongs, so every
+// future open skips it.
 func Encode(d *core.Document, snapSeq uint64) ([]byte, error) {
-	return encode(d, snapSeq, true)
-}
-
-// encode does the work; withSynopsis=false reproduces the pre-synopsis
-// image layout (5+3×h sections) so compatibility tests can prove such
-// images still open.
-func encode(d *core.Document, snapSeq uint64, withSynopsis bool) ([]byte, error) {
 	d.Materialize()
 	if uint64(len(d.Text)) >= 1<<32 {
 		return nil, fmt.Errorf("slab: base text of %d bytes exceeds the u32 span limit", len(d.Text))
@@ -80,7 +72,6 @@ func encode(d *core.Document, snapSeq uint64, withSynopsis bool) ([]byte, error)
 		attrs    []uint32
 		runSyms  []uint32
 		runOrds  [][]int32
-		syn      []byte
 	}
 	hiers := make([]hierCols, len(d.Hiers))
 	for hi, h := range d.Hiers {
@@ -135,9 +126,6 @@ func encode(d *core.Document, snapSeq uint64, withSynopsis bool) ([]byte, error)
 		hc.runOrds = make([][]int32, len(hc.runSyms))
 		for i, sym := range hc.runSyms {
 			hc.runOrds[i] = runs[int32(sym)]
-		}
-		if withSynopsis {
-			hc.syn = encodeSynopsis(h.Synopsis())
 		}
 	}
 
@@ -228,10 +216,6 @@ func encode(d *core.Document, snapSeq uint64, withSynopsis bool) ([]byte, error)
 			}
 		}
 		add(kindRuns, uint32(hi), rn)
-
-		if withSynopsis {
-			add(kindSynopsis, uint32(hi), hc.syn)
-		}
 	}
 
 	return layoutImage(d.Rev, snapSeq, uint32(len(d.Hiers)), sections), nil
@@ -275,33 +259,6 @@ func layoutImage(rev, snapSeq uint64, nHiers uint32, sections []section) []byte 
 	sum = crc32.Update(sum, crcTable, buf[headerLen:headerLen+tocLen])
 	binary.LittleEndian.PutUint32(buf[40:], sum)
 	return buf
-}
-
-// encodeSynopsis serializes a path synopsis: u32 path-node count, u32
-// top-level text count, then one 16-byte record per path node in
-// preorder (name symbol, element count, text-child count, child count).
-// Kids are ascending by symbol in the tree, so the byte stream is
-// deterministic — a decoded tree re-encodes byte-identically.
-func encodeSynopsis(t *synopsis.Tree) []byte {
-	cnt := 0
-	t.Walk(func(*synopsis.Node, int) { cnt++ })
-	b := make([]byte, 8+16*cnt)
-	binary.LittleEndian.PutUint32(b[0:], uint32(cnt))
-	binary.LittleEndian.PutUint32(b[4:], uint32(t.Texts))
-	cur := 8
-	var rec func(kids []*synopsis.Node)
-	rec = func(kids []*synopsis.Node) {
-		for _, k := range kids {
-			binary.LittleEndian.PutUint32(b[cur+0:], uint32(k.Sym))
-			binary.LittleEndian.PutUint32(b[cur+4:], uint32(k.Count))
-			binary.LittleEndian.PutUint32(b[cur+8:], uint32(k.Texts))
-			binary.LittleEndian.PutUint32(b[cur+12:], uint32(len(k.Kids)))
-			cur += 16
-			rec(k.Kids)
-		}
-	}
-	rec(t.Kids)
-	return b
 }
 
 func putU32s(dst []byte, vals []uint32) {

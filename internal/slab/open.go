@@ -6,7 +6,6 @@ import (
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/dom"
-	"mhxquery/internal/synopsis"
 )
 
 // Slab is a validated, opened image. All accessors serve zero-copy
@@ -43,7 +42,6 @@ type slabHier struct {
 	attrIdx        []uint32
 	attrs          []uint32          // (name, value) symbol pairs
 	runs           map[int32][]int32 // aliased ordinal runs
-	syn            *synopsis.Tree    // nil for pre-synopsis images
 }
 
 // Rev returns the document revision recorded in the image.
@@ -86,14 +84,15 @@ func Open(data []byte) (*Slab, error) {
 	if nHiers >= dom.LeafHier {
 		return nil, corrupt("implausible hierarchy count %d", nHiers)
 	}
-	// Current images carry a synopsis section per hierarchy (stride 4);
-	// pre-synopsis images (stride 3) still open — their synopses simply
-	// stay lazily buildable.
-	stride := uint32(4)
+	// Current images carry three sections per hierarchy (stride 3).
+	// Images written while the planner estimated from path synopses
+	// carry a fourth (stride 4); they still open, and that section is
+	// checksummed and skipped, never decoded.
+	stride := uint32(3)
 	switch nSections {
-	case 5 + 4*nHiers:
 	case 5 + 3*nHiers:
-		stride = 3
+	case 5 + 4*nHiers:
+		stride = 4
 	default:
 		return nil, corrupt("section count %d does not match %d hierarchies", nSections, nHiers)
 	}
@@ -119,7 +118,7 @@ func Open(data []byte) (*Slab, error) {
 	for hi := uint32(0); hi < nHiers; hi++ {
 		wants = append(wants, want{kindNodes, hi}, want{kindAttrs, hi}, want{kindRuns, hi})
 		if stride == 4 {
-			wants = append(wants, want{kindSynopsis, hi})
+			wants = append(wants, want{kindRetiredSynopsis, hi})
 		}
 	}
 	secs := make([][]byte, len(wants))
@@ -293,11 +292,6 @@ func (s *Slab) parseHiers(dir []byte, secs [][]byte, nHiers, stride int) error {
 		if err := s.parseRuns(sh, secs[stride*hi+2], int(nRuns), name); err != nil {
 			return err
 		}
-		if stride == 4 {
-			if err := s.parseSynopsis(sh, secs[stride*hi+3], name); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -439,93 +433,6 @@ func (s *Slab) parseRuns(sh *slabHier, b []byte, nRuns int, name string) error {
 	return nil
 }
 
-// parseSynopsis decodes and validates a persisted path synopsis. The
-// preorder record stream is rebuilt with an explicit stack (no
-// recursion on hostile input) and cross-checked against the already
-// validated columns: sibling symbols strictly ascending, per-symbol
-// instance totals equal to the persisted index-run lengths, and
-// tree-wide element and text totals equal to the node-column counts.
-// Those checks pin the synopsis to this hierarchy's true cardinalities;
-// the per-path split itself only steers the planner's estimates and can
-// never change query results.
-func (s *Slab) parseSynopsis(sh *slabHier, b []byte, name string) error {
-	if len(b) < 8 {
-		return corrupt("hierarchy %q synopsis section truncated", name)
-	}
-	cnt := binary.LittleEndian.Uint32(b[0:])
-	topTexts := binary.LittleEndian.Uint32(b[4:])
-	if uint64(len(b)) != 8+16*uint64(cnt) {
-		return corrupt("hierarchy %q synopsis section of %d bytes for %d path nodes", name, len(b), cnt)
-	}
-	recs := u32view(b[8:])
-	tree := &synopsis.Tree{Texts: int64(topTexts)}
-	type frame struct {
-		n    *synopsis.Node
-		left uint32 // kids not yet consumed from the record stream
-	}
-	var stack []frame
-	var elems, texts int64
-	perSym := make(map[uint32]int64)
-	for i := uint32(0); i < cnt; i++ {
-		sym := recs[4*i]
-		count := recs[4*i+1]
-		tx := recs[4*i+2]
-		nk := recs[4*i+3]
-		if sym < 1 || sym > uint32(s.numDocNames) || count == 0 || nk > cnt {
-			return corrupt("hierarchy %q synopsis path node %d malformed", name, i)
-		}
-		k := &synopsis.Node{Sym: int32(sym), Count: int64(count), Texts: int64(tx)}
-		kids := &tree.Kids
-		if len(stack) > 0 {
-			kids = &stack[len(stack)-1].n.Kids
-		}
-		if n := len(*kids); n > 0 && (*kids)[n-1].Sym >= k.Sym {
-			return corrupt("hierarchy %q synopsis kids out of symbol order", name)
-		}
-		*kids = append(*kids, k)
-		if len(stack) > 0 {
-			stack[len(stack)-1].left--
-		}
-		elems += int64(count)
-		texts += int64(tx)
-		perSym[sym] += int64(count)
-		if nk > 0 {
-			stack = append(stack, frame{k, nk})
-		} else {
-			for len(stack) > 0 && stack[len(stack)-1].left == 0 {
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	if len(stack) != 0 {
-		return corrupt("hierarchy %q synopsis child counts overrun the record list", name)
-	}
-	var nElems, nTexts int64
-	for i := 0; i < sh.nNodes; i++ {
-		switch dom.Kind(sh.kinds[i]) {
-		case dom.Element:
-			nElems++
-		case dom.Text:
-			nTexts++
-		}
-	}
-	if elems != nElems || texts+int64(topTexts) != nTexts {
-		return corrupt("hierarchy %q synopsis totals (%d elements, %d texts) disagree with the node columns (%d, %d)",
-			name, elems, texts+int64(topTexts), nElems, nTexts)
-	}
-	if len(perSym) != len(sh.runs) {
-		return corrupt("hierarchy %q synopsis covers %d distinct names, index has %d", name, len(perSym), len(sh.runs))
-	}
-	for sym, c := range perSym {
-		if int64(len(sh.runs[int32(sym)])) != c {
-			return corrupt("hierarchy %q synopsis counts %d instances of symbol %d, index run has %d",
-				name, c, sym, len(sh.runs[int32(sym)]))
-		}
-	}
-	sh.syn = tree
-	return nil
-}
-
 // Document assembles a lazily materializing core.Document over the
 // slab. The eager layers — base text, bounds, name table, ordinal
 // layout, persisted index runs — alias the image; dom.Node storage is
@@ -547,7 +454,6 @@ func (s *Slab) Document() *core.Document {
 			Name:     s.symStr(s.hiers[hi].nameSym),
 			NumNodes: s.hiers[hi].nNodes,
 			Runs:     s.hiers[hi].runs,
-			Synopsis: s.hiers[hi].syn,
 			Fill:     s.makeFill(hi),
 		}
 	}

@@ -10,8 +10,9 @@
 //	off 8   u64 document revision
 //	off 16  u64 WAL sequence the snapshot covers
 //	off 24  u32 hierarchy count
-//	off 28  u32 section count (= 5 + 4×hierarchies; images from before
-//	        the synopsis section carry 5 + 3×hierarchies and still open)
+//	off 28  u32 section count (= 5 + 3×hierarchies; older images with a
+//	        fourth, retired section per hierarchy carry 5 + 4×hierarchies
+//	        and still open)
 //	off 32  u64 total image length
 //	off 40  u32 CRC32C over header bytes [0,40) and the section table
 //	off 44  u32 zero
@@ -45,12 +46,9 @@
 //	          directory sorted by symbol, then the concatenated
 //	          ascending preorder ordinal runs, u32 each — aliased as
 //	          []int32 and installed without any rebuild.
-//	synopsis  the persisted path synopsis (internal/synopsis): u32 path
-//	          node count, u32 top-level text count, then one 16-byte
-//	          record per path node in preorder — name symbol, element
-//	          count, text-child count, child count, u32 each, children
-//	          ascending by symbol. Optional: pre-synopsis images omit
-//	          the section and the synopsis stays lazily buildable.
+//	(kind 9)  retired: a per-hierarchy path synopsis that fed a
+//	          cost-based planner since removed. Images that carry it
+//	          still open; the reader checks its checksum and skips it.
 //
 // Open validates everything eagerly — checksums, offsets, column
 // invariants (preorder nesting, span bounds, symbol ranges, index-run
@@ -84,7 +82,10 @@ const (
 	kindNodes    = 6
 	kindAttrs    = 7
 	kindRuns     = 8
-	kindSynopsis = 9
+
+	// kindRetiredSynopsis is the fourth per-hierarchy section of older
+	// images; Open skips it without decoding.
+	kindRetiredSynopsis = 9
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -1,13 +1,17 @@
 package slab
 
 import (
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/corpus"
 	"mhxquery/internal/dom"
+	"mhxquery/internal/xquery"
 )
 
 // requireDocsEqual asserts got (a slab-opened document) is
@@ -231,63 +235,104 @@ func TestLazyMaterialization(t *testing.T) {
 	}
 }
 
-// TestSynopsisInstalledOnOpen: the persisted path synopsis is installed
-// at open — no build, no node materialization — and agrees
-// field-for-field with a from-scratch rebuild.
-func TestSynopsisInstalledOnOpen(t *testing.T) {
-	for name, d := range testDocs(t) {
-		blob, err := Encode(d, 0) // builds the synopses on the source document
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		s, err := Open(blob)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		before := core.GlobalIndexStats().SynopsisBuilds
-		d2 := s.Document()
-		for _, h := range d2.Hiers {
-			if h.SynopsisSnapshot() == nil {
-				t.Fatalf("%s: hierarchy %q has no installed synopsis", name, h.Name)
-			}
-			if h.Nodes != nil {
-				t.Fatalf("%s: synopsis read materialized hierarchy %q", name, h.Name)
-			}
-		}
-		if builds := core.GlobalIndexStats().SynopsisBuilds - before; builds != 0 {
-			t.Fatalf("%s: open + snapshot reads performed %d synopsis builds, want 0", name, builds)
-		}
-		for _, h := range d2.Hiers {
-			if got, want := h.SynopsisSnapshot(), h.RebuildSynopsis(); !got.Equal(want) {
-				t.Fatalf("%s: hierarchy %q installed synopsis diverges from rebuild", name, h.Name)
-			}
-		}
-	}
+// retiredImages are images written before the path synopsis section
+// (kind 9) was retired: stride-4 v3 images of the Boethius fixture and
+// one generated document, each with snapshot sequence 1, as the writer
+// of that time produced them; build rebuilds the document each holds.
+var retiredImages = []struct {
+	file  string
+	build func() (*core.Document, error)
+}{
+	{"boethius.v3s4.slab", func() (*core.Document, error) { return corpus.MustBoethius(), nil }},
+	{"gen7.v3s4.slab", func() (*core.Document, error) {
+		return corpus.Generate(corpus.Params{Seed: 7, Words: 40, DamageRate: 0.2, RestoreRate: 0.2}).Document()
+	}},
 }
 
-// TestPreSynopsisImageOpens: images written before the synopsis section
-// existed (5+3×h sections) still open and serve identical documents;
-// their synopses stay lazily buildable.
-func TestPreSynopsisImageOpens(t *testing.T) {
-	d := corpus.MustBoethius()
-	blob, err := encode(d, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := s.Document()
-	for _, h := range d2.Hiers {
-		if h.SynopsisSnapshot() != nil {
-			t.Fatalf("hierarchy %q has an installed synopsis in a pre-synopsis image", h.Name)
+// paperQueries are the paper's Queries I.1, I.2, II.1 and III.1.
+var paperQueries = []string{
+	`for $l in /descendant::line
+  [xdescendant::w[string(.) = 'singallice'] or overlapping::w[string(.) = 'singallice']]
+return string($l)`,
+	`for $l in /descendant::line[xdescendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]]
+return ( for $leaf in $l/descendant::leaf() return
+   if ($leaf[ancestor::w and ancestor::dmg]) then <b>{$leaf}</b> else $leaf
+ , <br/> )`,
+	`for $w in /descendant::w[matches(string(.), ".*unawe.*")]
+return (
+  let $res := analyze-string($w, ".*unawe.*")
+  for $n in $res/child::node()
+  return if ($n[self::m]) then <b>{string($n)}</b> else string($n)
+  ,
+  <br/>
+)`,
+	`for $w in /descendant::w[matches(string(.), ".*unawe.*")]
+return (
+  let $res := analyze-string($w, ".*unawe.*")
+  for $n in $res/child::node()
+  return
+    if ($n[self::m][xancestor::res('restoration') or xdescendant::res('restoration') or overlapping::res('restoration')])
+    then <i><b>{string($n)}</b></i>
+    else <b>{string($n)}</b>
+  ,
+  <br/>
+)`,
+}
+
+// TestRetiredSectionImagesOpen: images that still carry the retired
+// synopsis section open, skip it, and serve the same document as a
+// fresh encode of it — field for field and in every paper query's
+// answer.
+func TestRetiredSectionImagesOpen(t *testing.T) {
+	for _, img := range retiredImages {
+		file := img.file
+		blob, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	requireDocsEqual(t, d2, d)
-	for hi, h := range d2.Hiers {
-		if !h.Synopsis().Equal(d.Hiers[hi].Synopsis()) {
-			t.Fatalf("hierarchy %q lazily built synopsis diverges", h.Name)
+		nHiers := binary.LittleEndian.Uint32(blob[24:])
+		if n := binary.LittleEndian.Uint32(blob[28:]); n != 5+4*nHiers {
+			t.Fatalf("%s: %d sections for %d hierarchies, want the stride-4 layout", file, n, nHiers)
+		}
+		old, err := Open(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		d, err := img.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Encode(d, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := Open(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if old.Rev() != cur.Rev() || old.SnapSeq() != cur.SnapSeq() {
+			t.Fatalf("%s: rev/seq %d/%d, fresh encode %d/%d", file, old.Rev(), old.SnapSeq(), cur.Rev(), cur.SnapSeq())
+		}
+		oldDoc, curDoc := old.Document(), cur.Document()
+		requireDocsEqual(t, oldDoc, curDoc)
+		for _, src := range paperQueries {
+			q := xquery.MustCompile(src)
+			got, err := q.Eval(oldDoc)
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			want, err := q.Eval(curDoc)
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			if xquery.Serialize(got) != xquery.Serialize(want) {
+				t.Errorf("%s: %q:\n  old image: %s\n  fresh:     %s", file, src, xquery.Serialize(got), xquery.Serialize(want))
+			}
+		}
+		// The writer no longer emits the section: re-encoding the old
+		// image's document yields the fresh image.
+		if re, err := Encode(oldDoc, 1); err != nil || string(re) != string(fresh) {
+			t.Fatalf("%s: re-encoding the old image's document differs from a fresh encode (err %v)", file, err)
 		}
 	}
 }

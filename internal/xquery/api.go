@@ -9,11 +9,11 @@ import (
 
 // Query is a compiled extended-XQuery expression. A Query is immutable
 // and safe for concurrent evaluation against any number of documents.
-// Evaluation is plan-driven: the first evaluation against a document
-// hierarchy layout lowers the whole AST to physical operators (plan.go)
-// and caches the plan by layout signature; execution pulls results
-// through cursors, so early-exit consumers (and Stream with a limit)
-// stop the pipeline after the items they need.
+// Evaluation is plan-driven: Compile lowers the whole AST to physical
+// operators (plan.go) once, and every document, version and layout the
+// query meets shares that one plan; execution pulls results through
+// cursors, so early-exit consumers (and Stream with a limit) stop the
+// pipeline after the items they need.
 type Query struct {
 	src  string
 	body expr
@@ -21,7 +21,7 @@ type Query struct {
 	// evaluate in interpreter order (lower.go).
 	strictOnly bool
 
-	plans planCache
+	plan *Plan
 }
 
 // Resolver supplies the documents named by the doc() and collection()
@@ -42,7 +42,15 @@ func Compile(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{src: src, body: body, strictOnly: hasAnalyzeString(body)}, nil
+	return newQuery(src, body), nil
+}
+
+// newQuery wraps a parsed expression as a compiled query and lowers its
+// one plan.
+func newQuery(src string, body expr) *Query {
+	q := &Query{src: src, body: body, strictOnly: hasAnalyzeString(body)}
+	q.plan = newPlan(q, planForce{})
+	return q
 }
 
 // MustCompile is Compile panicking on error; for fixtures and tests.
@@ -75,36 +83,22 @@ func (q *Query) EvalWithVars(d *core.Document, vars map[string]Seq) (Seq, error)
 // and a document resolver backing the doc() and collection() functions.
 // With a nil resolver those functions raise FODC0002/FODC0004.
 func (q *Query) EvalWithResolver(d *core.Document, vars map[string]Seq, r Resolver) (Seq, error) {
-	return q.PlanFor(d).eval(nil, d, vars, r, nil)
+	return q.plan.eval(nil, d, vars, r, nil)
 }
 
 // EvalContext is EvalWithResolver under a cancellation context: when
 // ctx is canceled (deadline, client disconnect) the evaluation stops
 // within a bounded number of items and returns an MHXQ0002 error.
 func (q *Query) EvalContext(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver) (Seq, error) {
-	return q.PlanFor(d).eval(ctx, d, vars, r, nil)
+	return q.plan.eval(ctx, d, vars, r, nil)
 }
 
-// PlanFor returns the query lowered to physical operators for d's
-// hierarchy layout, reusing the per-query plan cache. Plans are
-// immutable, safe for concurrent evaluation and hold no document: every
-// version of d shares one plan, and a plan built for one layout still
-// evaluates correctly against any document (scan operators bind names
-// to the document they run on).
-func (q *Query) PlanFor(d *core.Document) *Plan {
-	pl, _ := q.CachedPlan(d)
-	return pl
-}
-
-// CachedPlan is PlanFor that also reports whether the plan came from the
-// cache (false: this call planned it).
-func (q *Query) CachedPlan(d *core.Document) (pl *Plan, cached bool) {
-	sig := d.Signature()
-	if pl := q.plans.get(sig); pl != nil {
-		return pl, true
-	}
-	return q.plans.put(sig, newPlan(q, d, planForce{})), false
-}
+// PlanFor returns the query's physical plan, the one Compile lowered.
+// The plan does not depend on d: it is immutable, safe for concurrent
+// evaluation and holds no document, and its scan operators bind names
+// to whichever document they run on, so every document, version and
+// analyze-string overlay shares it.
+func (q *Query) PlanFor(d *core.Document) *Plan { return q.plan }
 
 // Eval evaluates the plan's query against d with externally bound
 // variables and an optional resolver.
@@ -153,9 +147,9 @@ func (pl *Plan) Stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq
 	return pl.stream(ctx, d, vars, r, nil)
 }
 
-// Stream starts a streaming evaluation through the cached plan for d.
+// Stream starts a streaming evaluation through the query's plan.
 func (q *Query) Stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver) *Stream {
-	return q.PlanFor(d).Stream(ctx, d, vars, r)
+	return q.plan.Stream(ctx, d, vars, r)
 }
 
 func (pl *Plan) stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) *Stream {
@@ -215,7 +209,7 @@ func (s *Stream) Take(limit int) (Seq, error) {
 // tree (index-vs-scan decisions plus observed cardinalities) covering
 // the whole lowered query.
 func (q *Query) Explain(d *core.Document, vars map[string]Seq, r Resolver) (Seq, *ExplainOp, error) {
-	pl := q.PlanFor(d)
+	pl := q.plan
 	counts := make([]opCard, pl.nOps)
 	seq, err := pl.eval(nil, d, vars, r, counts)
 	if err != nil {
@@ -247,8 +241,7 @@ func (q *Query) ExplainAnalyze(d *core.Document, vars map[string]Seq, r Resolver
 
 // ExplainAnalyzeContext is ExplainAnalyze under a cancellation context.
 func (q *Query) ExplainAnalyzeContext(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver) (Seq, *ExplainOp, error) {
-	pl := q.PlanFor(d)
-	return pl.ExplainAnalyze(ctx, d, vars, r)
+	return q.plan.ExplainAnalyze(ctx, d, vars, r)
 }
 
 // ExplainAnalyze runs the plan with timing instrumentation and returns
@@ -270,7 +263,7 @@ func (pl *Plan) ExplainAnalyze(ctx stdctx.Context, d *core.Document, vars map[st
 // observable proof that a limited stream stopped the upstream operators
 // early.
 func (q *Query) StreamExplain(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver) (*Stream, func() *ExplainOp) {
-	pl := q.PlanFor(d)
+	pl := q.plan
 	counts := make([]opCard, pl.nOps)
 	s := pl.stream(ctx, d, vars, r, counts)
 	return s, func() *ExplainOp { return pl.render(counts) }

@@ -78,8 +78,8 @@ func oneNode(args []Seq, i int) (*dom.Node, error) {
 
 // maxCachedRegexps bounds the process-wide regex cache. Ad-hoc queries
 // can send any number of distinct patterns, so the table is cleared when
-// full, as planCache is at maxCachedPlans: the working set of a steady
-// workload is small and refills after one recompile per pattern.
+// full: the working set of a steady workload is small and refills after
+// one recompile per pattern.
 const maxCachedRegexps = 256
 
 var (

@@ -2,9 +2,7 @@ package xquery
 
 import (
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"mhxquery/internal/core"
@@ -12,14 +10,13 @@ import (
 )
 
 // This file is the compile→plan→execute layer. Compile parses a query
-// into an AST once; PlanFor lowers the ENTIRE AST — every expression
-// kind, not just paths — into physical operators (pnode, lower.go) for
-// one document hierarchy layout (core.Document.Signature). Node tests
-// bind to interned name symbols and hierarchy indices at run time, per
-// (operator, document). Execution is cursor-based (stepcursor.go):
-// results stream from name-index runs and axis steps through
-// predicates, FLWOR bindings and aggregation, so early-exit consumers
-// stop the pipeline after the items they need.
+// into an AST and lowers the ENTIRE AST — every expression kind, not
+// just paths — into physical operators (pnode, lower.go), once per
+// query. Node tests bind to interned name symbols and hierarchy indices
+// at run time, per (operator, document). Execution is cursor-based
+// (stepcursor.go): results stream from name-index runs and axis steps
+// through predicates, FLWOR bindings and aggregation, so early-exit
+// consumers stop the pipeline after the items they need.
 //
 // Within a path, each step lowers to one of three operators:
 //
@@ -38,32 +35,23 @@ import (
 // by indexSegment or axisSegment; strict execution (pPath.eval) appends
 // the segments in bulk, streamed execution (stepcursor.go) pulls them.
 //
-// Plans are immutable and shared, and hold no document: all mutable
-// evaluation state lives in evalState, and each scan operator resolves
-// its name binding against the document it is evaluating, reusing it
-// while that document stays the same. A plan built against one document
-// therefore evaluates correctly against any other (later versions and
-// analyze-string overlay documents included) — it is merely fastest on
-// the layout it was planned for — and a cached plan never keeps a
-// document reachable. Explain runs a plan with per-operator cardinality
-// counters and renders the full operator tree.
-//
-// The planner is cost-based (estimate.go): it estimates per-operator
-// cardinality from the planned document's path synopses, orders
-// position-independent infallible predicates by estimated selectivity,
-// and orders independent quantifier/FLWOR bindings by estimated input
-// size. Every reorder is gated so the plan stays result- and
-// error-identical to the canonical order; estimates annotate the
-// explain tree as "est=N" next to observed rows.
+// Every lowering choice is syntactic — index scan, semi-join
+// (semijoin.go), existence probe — and nothing in a plan depends on a
+// document, so a query has exactly one plan. Predicates and bindings run
+// in source order. Plans are immutable and shared, and hold no document:
+// all mutable evaluation state lives in evalState, and each scan
+// operator resolves its name binding against the document it is
+// evaluating, reusing it while that document stays the same. One plan
+// therefore serves every document, later versions and analyze-string
+// overlay documents included, and never keeps a document reachable.
+// Explain runs a plan with per-operator cardinality counters and
+// renders the full operator tree.
 
 // ---- plan structure --------------------------------------------------------
 
-// Plan is a query lowered to physical operators for one document
-// hierarchy signature. A Plan is immutable, safe for concurrent
-// evaluation, and references no document: the planned document only
-// feeds the estimates that chose its operators.
+// Plan is a query lowered to physical operators. A Plan is immutable,
+// safe for concurrent evaluation, and references no document.
 type Plan struct {
-	sig  string
 	prog pnode
 	nOps int
 	// nProbes counts the existence probes (semijoin.go), each with a
@@ -75,10 +63,6 @@ type Plan struct {
 	// effects make deferred evaluation observable (lower.go).
 	strictOnly bool
 }
-
-// Signature returns the document hierarchy signature the plan was built
-// for.
-func (pl *Plan) Signature() string { return pl.sig }
 
 // Operator kinds.
 const (
@@ -153,45 +137,25 @@ func (b *indexBinding) allows(hierIndex int) bool {
 
 type planner struct {
 	pl *Plan
-	// doc is the document being planned for; it feeds the estimator
-	// only and is dropped with the planner.
-	doc *core.Document
-	est *estimator
-	// orderFree is set while lowering a FLWOR that feeds an
-	// order-insensitive consumer (exists/empty/count); it licenses
-	// for-binding reorder inside that FLWOR only.
-	orderFree bool
 	planForce
 }
 
 // planForce forces the canonical side of the planner's choices: noIndex
-// runs every step on the axis pipeline, noReorder keeps every predicate
-// and binding in source order. Query.PlanFor passes the zero value; the
-// package tests set the fields to check that every alternative returns
-// the cost-chosen plan's answer.
+// runs every step on the axis pipeline. Compile passes the zero value;
+// the package tests set it to check that the index-scan plan returns
+// the axis pipeline's answer.
 type planForce struct {
-	noIndex, noReorder bool
+	noIndex bool
 }
 
-// newPlan lowers q's whole expression tree against d's hierarchy
-// layout. d informs the cost-based choices and EXPLAIN estimates; the
-// plan keeps no reference to it.
-func newPlan(q *Query, d *core.Document, force planForce) *Plan {
-	pl := &Plan{sig: d.Signature(), strictOnly: q.strictOnly}
-	pn := &planner{pl: pl, doc: d, planForce: force}
-	root := &explainNode{op: "query", id: -1, est: -1}
+// newPlan lowers q's whole expression tree.
+func newPlan(q *Query, force planForce) *Plan {
+	pl := &Plan{strictOnly: q.strictOnly}
+	pn := &planner{pl: pl, planForce: force}
+	root := &explainNode{op: "query", id: -1}
 	pl.prog = pn.lower(q.body, root)
 	pl.root = root
 	return pl
-}
-
-// estimate returns the planner's cardinality estimator, built once per
-// plan from the planned document's path synopses.
-func (pn *planner) estimate() *estimator {
-	if pn.est == nil {
-		pn.est = newEstimator(pn.doc)
-	}
-	return pn.est
 }
 
 func (pn *planner) newOpID() int {
@@ -204,7 +168,7 @@ func (pn *planner) newOpID() int {
 // ties a pnode to its cardinality slot.
 func (pn *planner) enode(parent *explainNode, op, detail string) (*explainNode, pbase) {
 	id := pn.newOpID()
-	en := &explainNode{op: op, detail: detail, id: id, est: -1}
+	en := &explainNode{op: op, detail: detail, id: id}
 	parent.kids = append(parent.kids, en)
 	return en, pbase{id: id}
 }
@@ -212,7 +176,7 @@ func (pn *planner) enode(parent *explainNode, op, detail string) (*explainNode, 
 // group creates a structural explain node (no cardinality slot of its
 // own) under parent.
 func (pn *planner) group(parent *explainNode, op, detail string) *explainNode {
-	en := &explainNode{op: op, detail: detail, id: -1, est: -1}
+	en := &explainNode{op: op, detail: detail, id: -1}
 	parent.kids = append(parent.kids, en)
 	return en
 }
@@ -284,29 +248,21 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 		if x.every {
 			kw = "every"
 		}
-		names, srcs := pn.quantOrder(x)
-		en, pb := pn.enode(parent, "quantified", kw+" $"+strings.Join(names, ", $"))
-		q := &pQuant{pbase: pb, every: x.every, names: names}
-		for _, s := range srcs {
+		en, pb := pn.enode(parent, "quantified", kw+" $"+strings.Join(x.names, ", $"))
+		q := &pQuant{pbase: pb, every: x.every, names: x.names}
+		for _, s := range x.srcs {
 			q.srcs = append(q.srcs, pn.lower(s, en))
 		}
 		q.sat = pn.lowerTruth(x.sat, pn.group(en, "satisfies", ""))
 		return q
 	case *flworExpr:
-		of := pn.orderFree
-		pn.orderFree = false
-		return pn.lowerFLWOR(x, parent, of)
+		return pn.lowerFLWOR(x, parent)
 	case *callExpr:
 		en, pb := pn.enode(parent, "call", x.name+"()")
 		call := &pCall{pbase: pb, name: x.name, fn: x.fn}
 		for _, a := range x.args {
 			lower := pn.lower
 			if len(x.args) == 1 {
-				// A FLWOR feeding exists/empty/count is consumed
-				// order-insensitively: license for-binding reorder inside it.
-				if _, isFLWOR := a.(*flworExpr); isFLWOR && (x.fn == bExists || x.fn == bEmpty || x.fn == bCount) {
-					pn.orderFree = true
-				}
 				switch x.fn {
 				case bExists, bEmpty, bNot, bBoolean:
 					lower = pn.lowerTruth
@@ -356,113 +312,10 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 	return &pLiteral{pbase: pb, seq: Seq{}}
 }
 
-// quantOrder returns the quantifier's binding lists, reordered
-// ascending by estimated source cardinality when that is provably
-// unobservable: every source must be independently evaluable (no
-// references to the quantifier's own variables), both sources and the
-// satisfies clause must be infallible (so no error order can diverge),
-// and every source must be estimable. The tuple set is then a cartesian
-// product whose quantified truth is order-insensitive; putting the
-// smallest source outermost minimizes inner re-evaluations.
-func (pn *planner) quantOrder(x *quantExpr) ([]string, []expr) {
-	if pn.noReorder || len(x.srcs) < 2 || !predInfallible(x.sat) {
-		return x.names, x.srcs
-	}
-	bound := make(map[string]bool, len(x.names))
-	for _, n := range x.names {
-		bound[n] = true
-	}
-	est := pn.estimate()
-	rows := make([]float64, len(x.srcs))
-	for i, s := range x.srcs {
-		if !predInfallible(s) || referencesVars(s, bound) {
-			return x.names, x.srcs
-		}
-		r, ok := est.exprRows(s)
-		if !ok {
-			return x.names, x.srcs
-		}
-		rows[i] = r
-	}
-	idx := make([]int, len(x.srcs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return rows[idx[a]] < rows[idx[b]] })
-	names := make([]string, len(idx))
-	srcs := make([]expr, len(idx))
-	for i, j := range idx {
-		names[i], srcs[i] = x.names[j], x.srcs[j]
-	}
-	return names, srcs
-}
-
-// flworClauseOrder returns the FLWOR's clause list with the leading run
-// of for-clauses reordered ascending by estimated source cardinality.
-// Licensed only when the whole FLWOR feeds an order-insensitive
-// consumer (orderFree), carries no order-by, the run's clauses bind no
-// position variables, the run's sources are independent (reference no
-// name bound by any clause), and every source downstream plus the
-// return clause is infallible — so neither the result set nor any error
-// can observe the changed tuple enumeration order.
-func (pn *planner) flworClauseOrder(x *flworExpr, orderFree bool) []flworClause {
-	if !orderFree || pn.noReorder || len(x.order) > 0 {
-		return x.clauses
-	}
-	run := 0
-	for run < len(x.clauses) && x.clauses[run].kind == clauseFor && x.clauses[run].posName == "" {
-		run++
-	}
-	if run < 2 {
-		return x.clauses
-	}
-	bound := make(map[string]bool, len(x.clauses))
-	for _, cl := range x.clauses {
-		if cl.name != "" {
-			bound[cl.name] = true
-		}
-		if cl.posName != "" {
-			bound[cl.posName] = true
-		}
-	}
-	est := pn.estimate()
-	rows := make([]float64, run)
-	for i := 0; i < run; i++ {
-		src := x.clauses[i].src
-		if !predInfallible(src) || referencesVars(src, bound) {
-			return x.clauses
-		}
-		r, ok := est.exprRows(src)
-		if !ok {
-			return x.clauses
-		}
-		rows[i] = r
-	}
-	for _, cl := range x.clauses[run:] {
-		if !predInfallible(cl.src) {
-			return x.clauses
-		}
-	}
-	if !predInfallible(x.ret) {
-		return x.clauses
-	}
-	idx := make([]int, run)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return rows[idx[a]] < rows[idx[b]] })
-	out := make([]flworClause, len(x.clauses))
-	for i, j := range idx {
-		out[i] = x.clauses[j]
-	}
-	copy(out[run:], x.clauses[run:])
-	return out
-}
-
-func (pn *planner) lowerFLWOR(x *flworExpr, parent *explainNode, orderFree bool) pnode {
+func (pn *planner) lowerFLWOR(x *flworExpr, parent *explainNode) pnode {
 	en, pb := pn.enode(parent, "flwor", "")
 	f := &pFLWOR{pbase: pb}
-	for _, cl := range pn.flworClauseOrder(x, orderFree) {
+	for _, cl := range x.clauses {
 		var g *explainNode
 		lower := pn.lower
 		switch cl.kind {
@@ -606,53 +459,11 @@ func usesFocusPosition(e expr) bool {
 	return found
 }
 
-// orderPreds returns the step's predicates ordered ascending by
-// estimated selectivity, so the cheapest-to-fail filter runs first.
-// Licensed only when reordering is provably unobservable: no positional
-// shortcut consumes preds[0], every predicate is position-independent
-// (the fusablePreds criterion — predicate order changes each
-// predicate's input positions) and infallible (so no error order can
-// diverge). The AST slice is never mutated; callers get a copy.
-func (pn *planner) orderPreds(ctx estCtx, s *step) []expr {
-	if pn.noReorder || len(s.preds) < 2 || s.posSel != 0 || !fusablePreds(s.preds) {
-		return s.preds
-	}
-	for _, pr := range s.preds {
-		if !predInfallible(pr) {
-			return s.preds
-		}
-	}
-	base := pn.estimate().stepBase(ctx, s)
-	if !base.known {
-		return s.preds
-	}
-	sels := make([]float64, len(s.preds))
-	for i, pr := range s.preds {
-		sels[i] = pn.estimate().predSel(base, pr)
-	}
-	idx := make([]int, len(s.preds))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return sels[idx[a]] < sels[idx[b]] })
-	out := make([]expr, len(idx))
-	for i, j := range idx {
-		out[i] = s.preds[j]
-	}
-	return out
-}
-
 func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 	node, pb := pn.enode(parent, "path", describePath(p))
 	pp := &pPath{pbase: pb, absolute: p.absolute}
-	est := pn.estimate()
-	// ctx is the estimated context flowing between operators; only an
-	// absolute path from the shared root starts known.
-	ctx := estUnknown
 	if p.start != nil {
 		pp.start = pn.lower(p.start, node)
-	} else if p.absolute {
-		ctx = est.rootCtx()
 	}
 	steps := p.steps
 	for i := 0; i < len(steps); i++ {
@@ -676,46 +487,28 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 		switch {
 		case s.prim != nil:
 			op = &pathOp{kind: opPrimStep, id: pn.newOpID()}
-			en = &explainNode{op: "primary", detail: "expr()", id: op.id, est: -1}
+			en = &explainNode{op: "primary", detail: "expr()", id: op.id}
 			node.kids = append(node.kids, en)
 			op.s = &step{axis: s.axis, test: s.test, posSel: s.posSel, prim: pn.lower(s.prim, en)}
 			pp.ops = append(pp.ops, op)
-			ctx = estUnknown
 			continue
 		case indexableStep(s) && !pn.noIndex:
 			op = &pathOp{kind: opIndexScan, id: pn.newOpID()}
-			en = &explainNode{op: "index-scan", detail: describeStep(s), index: true,
-				id: op.id, est: -1}
+			en = &explainNode{op: "index-scan", detail: describeStep(s), index: true, id: op.id}
 		default:
 			op = &pathOp{kind: opAxisStep, id: pn.newOpID()}
-			en = &explainNode{op: "axis-step", detail: describeStep(s), id: op.id, est: -1}
+			en = &explainNode{op: "axis-step", detail: describeStep(s), id: op.id}
 		}
 		node.kids = append(node.kids, en)
-		preds := pn.orderPreds(ctx, s)
-		// base estimates the candidates each predicate filters; only the
-		// semi-join operators report it.
-		base := estUnknown
-		for _, pr := range preds {
-			if semiJoinable(pr) {
-				base = est.stepBase(ctx, s)
-				break
-			}
-		}
-		ctx = est.estStep(ctx, s)
-		en.est = ctx.estInt()
 		// Plan copy of the step: the same axis/test/positional shortcut,
 		// with predicates lowered into the physical engine.
 		cs := &step{axis: s.axis, test: s.test, posSel: s.posSel}
-		for i, pr := range preds {
-			cs.preds = append(cs.preds, pn.lowerPred(pr, en, base))
-			if base.known && (i > 0 || s.posSel == 0) {
-				base = base.scale(est.predSel(base, pr))
-			}
+		for _, pr := range s.preds {
+			cs.preds = append(cs.preds, pn.lowerPred(pr, en))
 		}
 		op.s = cs
 		pp.ops = append(pp.ops, op)
 	}
-	node.est = ctx.estInt()
 	for oi, op := range pp.ops {
 		if op.kind == opPrimStep {
 			op.primLast = oi == len(pp.ops)-1
@@ -1085,11 +878,6 @@ type ExplainOp struct {
 	Calls   int64  `json:"calls,omitempty"`
 	InRows  int64  `json:"in_rows,omitempty"`
 	OutRows int64  `json:"out_rows,omitempty"`
-	// EstRows is the planner's synopsis-based output-cardinality
-	// estimate (nil: the planner had no estimate for this operator); the
-	// detail line gains an "est=N" suffix. Compare against OutRows from
-	// an instrumented run to judge estimate accuracy.
-	EstRows *int64 `json:"est_rows,omitempty"`
 	// Nanos is the operator's observed wall time under EXPLAIN ANALYZE
 	// (zero under plain EXPLAIN). Times are inclusive: an operator's
 	// Nanos contains the time of the operators it pulled from. At the
@@ -1099,13 +887,11 @@ type ExplainOp struct {
 }
 
 // explainNode is the plan-time skeleton of the operator tree; id indexes
-// the cardinality counter slot (-1 for structural nodes) and est is the
-// planner's estimated output cardinality (-1: no estimate).
+// the cardinality counter slot (-1 for structural nodes).
 type explainNode struct {
 	op, detail string
 	index      bool
 	id         int
-	est        int64
 	kids       []*explainNode
 }
 
@@ -1117,11 +903,6 @@ func (pl *Plan) render(counts []opCard) *ExplainOp { return renderExplain(pl.roo
 
 func renderExplain(n *explainNode, counts []opCard) *ExplainOp {
 	out := &ExplainOp{Op: n.op, Detail: n.detail, Index: n.index}
-	if n.est >= 0 {
-		est := n.est
-		out.EstRows = &est
-		out.Detail += " est=" + strconv.FormatInt(est, 10)
-	}
 	if n.id >= 0 && n.id < len(counts) {
 		cd := counts[n.id]
 		out.Calls, out.InRows, out.OutRows = cd.calls, cd.in, cd.out
@@ -1183,41 +964,4 @@ func describePath(p *pathExpr) string {
 		b.WriteString(describeStep(s))
 	}
 	return b.String()
-}
-
-// ---- plan cache ------------------------------------------------------------
-
-// maxCachedPlans bounds the per-query plan cache; the distinct
-// hierarchy signatures one query meets are few (the corpus layouts plus
-// analyze-string overlay layouts).
-const maxCachedPlans = 16
-
-// planCache is the per-query plan table keyed by document hierarchy
-// signature.
-type planCache struct {
-	mu    sync.RWMutex
-	plans map[string]*Plan
-}
-
-func (pc *planCache) get(sig string) *Plan {
-	pc.mu.RLock()
-	pl := pc.plans[sig]
-	pc.mu.RUnlock()
-	return pl
-}
-
-func (pc *planCache) put(sig string, pl *Plan) *Plan {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if prev, ok := pc.plans[sig]; ok {
-		return prev // a concurrent planner won the race; share its plan
-	}
-	if pc.plans == nil {
-		pc.plans = make(map[string]*Plan, 4)
-	}
-	if len(pc.plans) >= maxCachedPlans {
-		clear(pc.plans)
-	}
-	pc.plans[sig] = pl
-	return pl
 }

@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/corpus"
+	"mhxquery/internal/dom"
 	"mhxquery/internal/xmlparse"
 )
 
@@ -138,20 +140,82 @@ func TestExplainChainScan(t *testing.T) {
 	}
 }
 
-// TestPlanCache checks plans are cached per hierarchy signature and not
-// shared across different layouts.
-func TestPlanCache(t *testing.T) {
-	q := MustCompile(`/descendant::w`)
+// TestOnePlanPerQuery checks a query has exactly one plan: PlanFor
+// returns the same plan for two versions of a document, for documents
+// of different hierarchy layouts, for an analyze-string overlay
+// document, and to goroutines planning and evaluating concurrently
+// (run with -race, as CI does).
+func TestOnePlanPerQuery(t *testing.T) {
+	q := MustCompile(`count(/descendant::w), count(/descendant::p)`)
+	plan := q.PlanFor(corpus.MustBoethius())
+
 	b := corpus.MustBoethius()
-	if q.PlanFor(b) != q.PlanFor(b) {
-		t.Error("same document: plan not reused")
+	u, err := CompileUpdate(`rename node (//w)[1] as "word"`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	other := chainDoc(t)
-	if q.PlanFor(b) == q.PlanFor(other) {
-		t.Error("different hierarchy layouts share one plan")
+	next, _, err := u.Apply(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if q.PlanFor(b).Signature() == q.PlanFor(other).Signature() {
-		t.Error("signatures collide")
+	top := dom.NewElement("res")
+	top.Start, top.End = 0, len(b.Text)
+	overlay, err := b.AddHierarchy("rest", top, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		d    *core.Document
+		want string
+	}{
+		{"boethius", b, "6 0"},
+		{"next version", next, "5 0"},
+		{"chain", chainDoc(t), "0 3"},
+		{"overlay", overlay, "6 0"},
+	}
+	for _, tc := range cases {
+		if q.PlanFor(tc.d) != plan {
+			t.Errorf("%s: PlanFor returned another plan", tc.name)
+		}
+		seq, err := q.Eval(tc.d)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := Serialize(seq); got != tc.want {
+			t.Errorf("%s: %q, want %q", tc.name, got, tc.want)
+		}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		tc := cases[i%len(cases)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				pl := q.PlanFor(tc.d)
+				if pl != plan {
+					errs <- fmt.Errorf("%s: goroutine got another plan", tc.name)
+					return
+				}
+				seq, err := pl.Eval(tc.d, nil, nil)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := Serialize(seq); got != tc.want {
+					errs <- fmt.Errorf("%s: concurrent eval = %q, want %q", tc.name, got, tc.want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

@@ -1,0 +1,229 @@
+package xquery
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"mhxquery/internal/core"
+	"mhxquery/internal/corpus"
+)
+
+// This file is the index rule's oracle: TestPlanChoiceDifferential
+// forces the axis pipeline where the planner would scan the name index
+// (planForce.noIndex) and requires both plans to produce node- and
+// error-code-identical results over both cursor routes, for the paper
+// queries, the load benchmark's query shapes and hundreds of seeded
+// random path, FLWOR and quantifier shapes. The hand-picked shapes are
+// also held against the AST oracle.
+
+// planKnob is one forced planner configuration of the differential.
+type planKnob struct {
+	name  string
+	force planForce
+}
+
+var planKnobs = []planKnob{
+	{name: "default"}, // Compile's plan, the baseline
+	{name: "noindex", force: planForce{noIndex: true}},
+}
+
+// evalForced plans src under one forced configuration and evaluates it
+// over both cursor routes, which must agree exactly before the caller
+// compares configurations.
+func evalForced(t *testing.T, d *core.Document, src string, k planKnob) (Seq, error) {
+	t.Helper()
+	q, err := Compile(src)
+	if err != nil {
+		t.Fatalf("compile %q: %v", src, err)
+	}
+	pl := newPlan(q, k.force)
+	fast, fastErr := pl.Eval(d, nil, nil)
+	streamed, streamErr := drainStream(pl.Stream(nil, d, nil, nil))
+	switch {
+	case (fastErr == nil) != (streamErr == nil):
+		t.Errorf("[%s] %q: eval err=%v, stream err=%v", k.name, src, fastErr, streamErr)
+	case fastErr != nil:
+		fe, fok := fastErr.(*Error)
+		se, sok := streamErr.(*Error)
+		if !fok || !sok || fe.Code != se.Code {
+			t.Errorf("[%s] %q: eval and stream error codes differ: %v vs %v", k.name, src, fastErr, streamErr)
+		}
+	case !sameItems(fast, streamed) && Serialize(fast) != Serialize(streamed):
+		t.Errorf("[%s] %q: eval and stream disagree:\n  eval:   %s\n  stream: %s",
+			k.name, src, Serialize(fast), Serialize(streamed))
+	}
+	return fast, fastErr
+}
+
+// sameOutcome reports a difference between got/err and want/wantErr:
+// the same nodes (by identity where the query yields nodes, else the
+// same serialization) or the same error code.
+func sameOutcome(t *testing.T, label string, got Seq, err error, want Seq, wantErr error) {
+	t.Helper()
+	if (err == nil) != (wantErr == nil) {
+		t.Errorf("%s: err=%v, want err=%v", label, err, wantErr)
+		return
+	}
+	if err != nil {
+		fe, fok := err.(*Error)
+		we, wok := wantErr.(*Error)
+		if !fok || !wok || fe.Code != we.Code {
+			t.Errorf("%s: error %v, want error %v", label, err, wantErr)
+		}
+		return
+	}
+	if !sameItems(got, want) && Serialize(got) != Serialize(want) {
+		t.Errorf("%s:\n  got:  %s\n  want: %s", label, Serialize(got), Serialize(want))
+	}
+}
+
+// workloadShapes are the query shapes the load benchmark (bench/mhload)
+// sends, with its literals filled in: the paper-read set, the
+// adhoc-small templates and the fan-out scan.
+var workloadShapes = []string{
+	// paper-read: Queries I.1, I.2, II.1, III.1, the damaged-word count,
+	// overlapping-word strings, a nested FLWOR join and the cold query.
+	planPaperQueries[0],
+	planPaperQueries[1],
+	queryII1Src,
+	queryIII1Src,
+	`count(/descendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg])`,
+	`for $w in //w[overlapping::line] return string($w)`,
+	`for $v in /descendant::vline
+for $w in $v/child::w
+where exists($w/overlapping::dmg)
+return string($w)`,
+	`count(//w[overlapping::line])`,
+	// adhoc-small
+	`(//w[string(.)='unawendendne'])[1]`,
+	`count(//line[2]/overlapping::w)`,
+	`string((//vline)[1])`,
+	`exists((//w)[3][overlapping::dmg])`,
+	`count((//res)[1]/overlapping::w)`,
+	`//w[string(.)='singallice' or string(.)='unawendendne']`,
+	`for $w in (//vline)[1]/w return string($w)`,
+	`(//line)[1]/overlapping::w`,
+	// fanout-scan
+	`//w[overlapping::dmg]`,
+}
+
+// multiShapeQueries are hand-picked shapes with several predicates on
+// one step, several quantifier bindings, or runs of FLWOR bindings.
+var multiShapeQueries = []string{
+	// Multi-predicate steps.
+	`/descendant::line[descendant::text()][descendant::zzz]`,
+	`/descendant::vline[child::w][child::zzz]`,
+	`/descendant::w[child::node()][descendant::text()][self::w]`,
+	`//vline[child::w][descendant::text()]`,
+	// Multi-binding quantifiers.
+	`some $a in /descendant::w, $b in /descendant::line satisfies exists($a/child::node())`,
+	`every $a in /descendant::zzz, $b in /descendant::w satisfies exists($b/child::node())`,
+	`some $a in /descendant::line, $b in /descendant::vline, $c in /descendant::w satisfies $c/child::text()`,
+	`some $a in /descendant::w, $b in /descendant::line satisfies exists(child::zzz)`,
+	`every $a in /descendant::w, $b in /descendant::zzz satisfies descendant::text()`,
+	// FLWOR for-binding runs under exists/empty/count.
+	`count(for $a in /descendant::w for $b in /descendant::line return 1)`,
+	`exists(for $a in /descendant::line for $b in /descendant::w return $b)`,
+	`empty(for $a in /descendant::zzz for $b in /descendant::w return $a)`,
+	`count(for $a in /descendant::vline for $b in /descendant::line for $c in /descendant::dmg return ($a, $c))`,
+	// Leading child chains.
+	`/child::vline/child::w`,
+	`/child::line/child::w/child::zzz`,
+	// Dependent, fallible or positional shapes.
+	`some $a in /descendant::vline, $b in $a/child::w satisfies exists($b/child::node())`,
+	`count(for $a in /descendant::line for $b in /descendant::w return string($a))`,
+	`/descendant::vline[child::w][1]`,
+	`/descendant::line[child::w('nope')][descendant::text()]`,
+}
+
+// planChoiceDocs is the differential corpus: the Boethius fixture, a
+// generated manuscript with heavy markup overlap, and the chain-test
+// document, whose nested uniform markup gives leading child chains
+// matches at several depths.
+func planChoiceDocs(t *testing.T) map[string]*core.Document {
+	t.Helper()
+	gen, err := corpus.Generate(corpus.Params{Seed: 9, Words: 25, DamageRate: 0.3, RestoreRate: 0.3}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*core.Document{
+		"boethius": corpus.MustBoethius(),
+		"gen":      gen,
+		"chain":    chainDoc(t),
+	}
+}
+
+// TestPlanChoiceDifferential is the plan-forcing sweep: for every query
+// and document, the noIndex plan must agree with Compile's plan — same
+// nodes (by identity where the query yields nodes) or the same error
+// code — and on the load benchmark's shapes both must agree with the
+// AST oracle.
+func TestPlanChoiceDifferential(t *testing.T) {
+	t.Parallel()
+	docs := planChoiceDocs(t)
+	// The knob must actually force the alternative.
+	if tree := newPlan(MustCompile(`//w[1]`), planForce{noIndex: true}).Describe(); len(findOps(tree, "index-scan")) != 0 {
+		t.Fatalf("noIndex plan still scans the index: %+v", tree)
+	}
+
+	queries := append([]string{}, multiShapeQueries...)
+	queries = append(queries, planPaperQueries...)
+	r := rand.New(rand.NewSource(20260808))
+	for i := 0; i < 130; i++ {
+		queries = append(queries, randomPath(r))
+	}
+	for i := 0; i < 30; i++ {
+		queries = append(queries, randomChain(r))
+	}
+	g := &qgen{r: rand.New(rand.NewSource(20260808))}
+	for i := 0; i < 90; i++ {
+		queries = append(queries, g.query())
+	}
+	if len(queries) < 200+len(multiShapeQueries)+len(planPaperQueries) {
+		t.Fatalf("only %d queries; the sweep needs at least 200 random shapes", len(queries))
+	}
+
+	for _, src := range queries {
+		for name, d := range docs {
+			var base Seq
+			var baseErr error
+			for ki, k := range planKnobs {
+				got, err := evalForced(t, d, src, k)
+				if ki == 0 {
+					base, baseErr = got, err
+					continue
+				}
+				sameOutcome(t, fmt.Sprintf("%s: %q: [%s] vs [default]", name, src, k.name), got, err, base, baseErr)
+			}
+		}
+	}
+	for _, src := range workloadShapes {
+		q := MustCompile(src)
+		for name, d := range docs {
+			ref, refErr := oracleEval(q, d, nil, nil)
+			for _, k := range planKnobs {
+				got, err := evalForced(t, d, src, k)
+				sameOutcome(t, fmt.Sprintf("%s: %q: [%s] vs oracle", name, src, k.name), got, err, ref, refErr)
+			}
+		}
+	}
+}
+
+// TestPlanChoiceAgainstOracle anchors the forced-plan sweep to the AST
+// interpreter: for the multi-predicate, multi-binding and FLWOR-run
+// shapes, both plans must also match the oracle, not just each other.
+func TestPlanChoiceAgainstOracle(t *testing.T) {
+	t.Parallel()
+	docs := planChoiceDocs(t)
+	for _, src := range multiShapeQueries {
+		q := MustCompile(src)
+		for name, d := range docs {
+			ref, refErr := oracleEval(q, d, nil, nil)
+			for _, k := range planKnobs {
+				got, err := evalForced(t, d, src, k)
+				sameOutcome(t, fmt.Sprintf("%s: %q: [%s] vs oracle", name, src, k.name), got, err, ref, refErr)
+			}
+		}
+	}
+}

@@ -78,7 +78,7 @@ func semiJoinable(e expr) bool {
 			return false
 		}
 		for _, pr := range s.preds {
-			if referencesVars(pr, nil) {
+			if referencesVars(pr) {
 				return false
 			}
 		}
@@ -115,6 +115,84 @@ func probeStep(s *step) bool {
 		}
 	}
 	return true
+}
+
+// predInfallible reports (conservatively) that evaluating e over a node
+// context can never raise an error: literal values, plain axis paths
+// without hierarchy qualifiers or primary steps, boolean connectives of
+// such, and the boolean builtins over such. A probe or semi-join may
+// then test an infallible, position-independent predicate on any
+// candidate, in any order, without changing which error a query raises
+// — there is none to raise.
+func predInfallible(e expr) bool {
+	switch x := e.(type) {
+	case *literalExpr:
+		return true
+	case *orExpr:
+		return predInfallible(x.a) && predInfallible(x.b)
+	case *andExpr:
+		return predInfallible(x.a) && predInfallible(x.b)
+	case *pathExpr:
+		if x.start != nil {
+			return false
+		}
+		for _, s := range x.steps {
+			if s.prim != nil || len(s.test.hiers) > 0 {
+				return false
+			}
+			for _, pr := range s.preds {
+				if !predInfallible(pr) {
+					return false
+				}
+			}
+		}
+		return true
+	case *callExpr:
+		switch x.fn {
+		case bExists, bEmpty, bNot, bBoolean:
+			return len(x.args) == 1 && predInfallible(x.args[0])
+		}
+	case *cmpExpr:
+		// string(.) against a string literal: both sides are single
+		// strings, so neither the comparison nor its operands can fail.
+		switch x.op {
+		case "=", "!=", "eq", "ne":
+			return isStringOfContext(x.a) && isStringLiteral(x.b)
+		}
+	}
+	return false
+}
+
+func isStringOfContext(e expr) bool {
+	call, ok := e.(*callExpr)
+	if !ok || call.name != "string" || len(call.args) != 1 {
+		return false
+	}
+	_, ok = call.args[0].(*contextItemExpr)
+	return ok
+}
+
+func isStringLiteral(e expr) bool {
+	lit, ok := e.(*literalExpr)
+	if !ok {
+		return false
+	}
+	_, ok = lit.v.(string)
+	return ok
+}
+
+// referencesVars reports whether e reads any variable.
+func referencesVars(e expr) bool {
+	if _, ok := e.(*varExpr); ok {
+		return true
+	}
+	found := false
+	visitChildren(e, func(ch expr) {
+		if !found && referencesVars(ch) {
+			found = true
+		}
+	})
+	return found
 }
 
 // lowerTruth lowers an expression whose effective boolean value alone
@@ -161,13 +239,11 @@ func (e *pSemiJoin) eval(c *context) (Seq, error) { return pEval(e.perNode, c) }
 func (e *pSemiJoin) open(c *context) cursor       { return scalarOpen(e, c) }
 
 // lowerPred lowers one step predicate, as a semi-join when eligible.
-// base is the estimated candidate context the predicate filters.
-func (pn *planner) lowerPred(pr expr, parent *explainNode, base estCtx) pnode {
+func (pn *planner) lowerPred(pr expr, parent *explainNode) pnode {
 	if !semiJoinable(pr) {
 		return pn.lowerTruth(pr, parent)
 	}
 	en, pb := pn.enode(parent, "semi-join", describeSemiJoin(pr))
-	en.est = base.scale(pn.estimate().predSel(base, pr)).estInt()
 	sj := &pSemiJoin{pbase: pb}
 	var src []*step // the AST target step of each term
 	// lowerTerms records e's terms in sj and returns its shape and its
@@ -198,11 +274,8 @@ func (pn *planner) lowerPred(pr expr, parent *explainNode, base estCtx) pnode {
 			}
 			if ts.preds == nil {
 				g := pn.group(en, "target", describeTest(&s.test)+strings.Repeat("[…]", len(s.preds)))
-				est := pn.estimate()
-				targets := est.stepBase(est.rootCtx(), &step{axis: core.AxisDescendant, test: s.test})
 				for _, tp := range s.preds {
-					ts.preds = append(ts.preds, pn.lowerPred(tp, g, targets))
-					targets = targets.scale(est.predSel(targets, tp))
+					ts.preds = append(ts.preds, pn.lowerPred(tp, g))
 				}
 			}
 		}

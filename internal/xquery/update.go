@@ -50,7 +50,7 @@ const (
 )
 
 // updOp is one compiled update primitive. Target and with are compiled
-// as self-contained queries so they reuse the plan cache, cursors and
+// as self-contained queries so they reuse the plans, cursors and
 // EXPLAIN machinery of the read side.
 type updOp struct {
 	kind   updKind
@@ -98,12 +98,6 @@ func CompileUpdate(src string) (u *Update, err error) {
 	return u, nil
 }
 
-// subQuery wraps a parsed sub-expression as a standalone compiled
-// query (plan-cached, cursor-executed like any read query).
-func subQuery(src string, e expr) *Query {
-	return &Query{src: src, body: e, strictOnly: hasAnalyzeString(e)}
-}
-
 // parseUpdatePrim parses one update primitive at the current token.
 func (p *parser) parseUpdatePrim(src string) *updOp {
 	switch {
@@ -121,20 +115,20 @@ func (p *parser) parseUpdatePrim(src string) *updOp {
 			default:
 				p.fail(`expected "into", "before" or "after"`)
 			}
-			op.target = subQuery(src, p.parseExprSingle())
+			op.target = newQuery(src, p.parseExprSingle())
 			return op
 		}
 		if p.eatName("hierarchy") {
 			op := &updOp{kind: updAddHier}
 			op.name = p.expect(tString).text
 			p.expectName("from")
-			op.with = subQuery(src, p.parseExprSingle())
+			op.with = newQuery(src, p.parseExprSingle())
 			return op
 		}
 		p.fail(`expected "node" or "hierarchy" after "insert"`)
 	case p.eatName("delete"):
 		if p.eatName("node") {
-			return &updOp{kind: updDeleteNode, target: subQuery(src, p.parseExprSingle())}
+			return &updOp{kind: updDeleteNode, target: newQuery(src, p.parseExprSingle())}
 		}
 		if p.eatName("hierarchy") {
 			return &updOp{kind: updRemoveHier, name: p.expect(tString).text}
@@ -143,18 +137,18 @@ func (p *parser) parseUpdatePrim(src string) *updOp {
 	case p.eatName("rename"):
 		p.expectName("node")
 		op := &updOp{kind: updRenameNode}
-		op.target = subQuery(src, p.parseExprSingle())
+		op.target = newQuery(src, p.parseExprSingle())
 		p.expectName("as")
-		op.with = subQuery(src, p.parseExprSingle())
+		op.with = newQuery(src, p.parseExprSingle())
 		return op
 	case p.eatName("replace"):
 		p.expectName("value")
 		p.expectName("of")
 		p.expectName("node")
 		op := &updOp{kind: updReplaceValue}
-		op.target = subQuery(src, p.parseExprSingle())
+		op.target = newQuery(src, p.parseExprSingle())
 		p.expectName("with")
-		op.with = subQuery(src, p.parseExprSingle())
+		op.with = newQuery(src, p.parseExprSingle())
 		return op
 	}
 	p.fail("expected an update expression (insert/delete/rename/replace)")
@@ -314,9 +308,10 @@ func (op *updOp) resolve(ctx stdctx.Context, d *core.Document, r Resolver) ([]co
 	return nil, errf("MHXQ0101", "unknown update primitive")
 }
 
-// Describe returns the update's physical operator tree for d: one node
-// per primitive, with the lowered plan of each target/source expression
-// beneath it — the EXPLAIN surface of the write path.
+// Describe returns the update's physical operator tree: one node per
+// primitive, with the lowered plan of each target/source expression
+// beneath it — the EXPLAIN surface of the write path. The plans do not
+// depend on d.
 func (u *Update) Describe(d *core.Document) *ExplainOp {
 	root := &ExplainOp{Op: "update"}
 	for _, op := range u.ops {
@@ -337,10 +332,10 @@ func (u *Update) Describe(d *core.Document) *ExplainOp {
 		}
 		en := &ExplainOp{Op: "update-prim", Detail: detail}
 		if op.target != nil {
-			en.Children = append(en.Children, op.target.PlanFor(d).Describe())
+			en.Children = append(en.Children, op.target.plan.Describe())
 		}
 		if op.with != nil {
-			en.Children = append(en.Children, op.with.PlanFor(d).Describe())
+			en.Children = append(en.Children, op.with.plan.Describe())
 		}
 		root.Children = append(root.Children, en)
 	}

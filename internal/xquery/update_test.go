@@ -80,9 +80,8 @@ func TestUpdateDeleteRenameInsert(t *testing.T) {
 		t.Fatalf("Rev = %d, want 2", nd2.Rev)
 	}
 
-	// A single compiled query shares one plan across versions: the
-	// signature names the hierarchy layout only, and scan operators bind
-	// names to the document they run on. The name "damage-span" did not
+	// A single compiled query shares one plan across versions: scan
+	// operators bind names to the document they run on. The name "damage-span" did not
 	// exist in nd, which the plan is built against, so a binding made at
 	// plan time would hard-code an empty run for the later version.
 	for _, tc := range []struct {

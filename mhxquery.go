@@ -176,9 +176,6 @@ type UpdateStats struct {
 	// incrementally from the previous version; IndexesLazy those left
 	// to the lazy from-scratch build.
 	IndexesPatched, IndexesLazy int
-	// SynopsesPatched / SynopsesLazy are the same accounting for the
-	// path synopses the cost-based planner estimates from.
-	SynopsesPatched, SynopsesLazy int
 	// BoundsRecomputed reports whether the leaf partition's boundary
 	// array needed full recomputation (boundary-retiring edits) rather
 	// than an incremental merge.
@@ -196,8 +193,6 @@ func updateStatsFrom(rep *xquery.UpdateReport) UpdateStats {
 		HierarchiesRemoved: rep.Stats.HierarchiesRemoved,
 		IndexesPatched:     rep.Stats.IndexesPatched,
 		IndexesLazy:        rep.Stats.IndexesLazy,
-		SynopsesPatched:    rep.Stats.SynopsesPatched,
-		SynopsesLazy:       rep.Stats.SynopsesLazy,
 		BoundsRecomputed:   rep.Stats.BoundsRecomputed,
 	}
 }
@@ -367,17 +362,12 @@ func (d *Document) ExplainAnalyze(src string) (Sequence, *PlanOp, error) {
 // time under ExplainAnalyze (zero under plain Explain), inclusive of
 // the operator's children.
 type PlanOp struct {
-	Op      string `json:"op"`
-	Detail  string `json:"detail,omitempty"`
-	Index   bool   `json:"index"`
-	Calls   int64  `json:"calls,omitempty"`
-	InRows  int64  `json:"in_rows,omitempty"`
-	OutRows int64  `json:"out_rows,omitempty"`
-	// EstRows is the planner's estimated output cardinality for the
-	// operator, derived from the document's path synopsis (nil when the
-	// planner had no estimate). Compare against OutRows to judge
-	// estimate accuracy; the Detail line carries an "est=N" suffix.
-	EstRows  *int64    `json:"est_rows,omitempty"`
+	Op       string    `json:"op"`
+	Detail   string    `json:"detail,omitempty"`
+	Index    bool      `json:"index"`
+	Calls    int64     `json:"calls,omitempty"`
+	InRows   int64     `json:"in_rows,omitempty"`
+	OutRows  int64     `json:"out_rows,omitempty"`
 	Nanos    int64     `json:"nanos,omitempty"`
 	Children []*PlanOp `json:"children,omitempty"`
 }
@@ -389,7 +379,7 @@ func planOpFrom(e *xquery.ExplainOp) *PlanOp {
 	out := &PlanOp{
 		Op: e.Op, Detail: e.Detail, Index: e.Index,
 		Calls: e.Calls, InRows: e.InRows, OutRows: e.OutRows,
-		EstRows: e.EstRows, Nanos: e.Nanos,
+		Nanos: e.Nanos,
 	}
 	for _, k := range e.Children {
 		out.Children = append(out.Children, planOpFrom(k))

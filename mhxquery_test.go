@@ -298,8 +298,8 @@ func TestExplainPublicAPI(t *testing.T) {
 	if res.String() != "2" || plan == nil {
 		t.Fatalf("collection Explain: res=%q plan=%v", res.String(), plan)
 	}
-	if misses := c.Metrics().Snapshot()[`mhx_cache_requests_total{cache="plan",result="miss"}`]; misses == 0 {
-		t.Fatal("plan cache untouched: no plan miss recorded")
+	if misses := c.Metrics().Snapshot()[`mhx_cache_requests_total{cache="compile",result="miss"}`]; misses == 0 {
+		t.Fatal("compile cache untouched: no compile miss recorded")
 	}
 }
 

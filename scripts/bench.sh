@@ -9,7 +9,7 @@
 # update fixtures, the P13 durable-update fixtures, the WAL
 # durable-update path, the P14 predicate-scan fixtures, the per-node
 # existence-probe fixtures (BenchmarkLeafPredicate), the P16
-# cost-based plan-choice fixtures, the P17 query-after-update
+# multi-predicate and binding-run fixtures, the P17 query-after-update
 # fixtures, the P18 recovery fixtures, and the E9 paper-read request
 # mix of the load benchmark, per request) with -count
 # repetitions, prints the raw `go test -bench` output, and writes the
@@ -81,7 +81,7 @@ END {
 }' "$TMP" >"$OUT"
 
 # Engine-health numbers next to the latency numbers: a fixed query
-# burst (scripts/metricsprobe) reports plan/compile cache hit rates and
+# burst (scripts/metricsprobe) reports the compile cache hit rate and
 # name-index build counts from the metrics registry, merged into the
 # JSON under "_metrics" so cache regressions are diffable in git too.
 METRICS=$(go run ./scripts/metricsprobe)

@@ -1,11 +1,10 @@
 // Command metricsprobe drives a fixed query burst against a small
 // collection and prints one JSON object of engine-health numbers —
-// plan/compile cache hit rates and structural name-index build counts
-// — read from the collection's metrics registry. scripts/bench.sh
-// merges the object into BENCH_eval.json (under "_metrics") so cache
-// effectiveness is tracked in git next to the latency numbers: a
-// planner or cache regression shows up as a hit-rate drop even when
-// ns/op stays flat.
+// the compile cache hit rate and structural name-index build counts —
+// read from the collection's metrics registry. scripts/bench.sh merges
+// the object into BENCH_eval.json (under "_metrics") so cache
+// effectiveness is tracked in git next to the latency numbers: a cache
+// regression shows up as a hit-rate drop even when ns/op stays flat.
 package main
 
 import (
@@ -76,7 +75,6 @@ func main() {
 		return hit / (hit + miss)
 	}
 	out := map[string]any{
-		"plan_cache_hit_rate":    rate("plan"),
 		"compile_cache_hit_rate": rate("compile"),
 		"nameindex_builds":       snap["mhx_nameindex_builds_total"],
 		"queries_evaluated":      snap["mhx_query_seconds_count"],
