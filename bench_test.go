@@ -577,7 +577,7 @@ func BenchmarkIndexedDescendant(b *testing.B) {
 	}
 }
 
-// ---- P11: early exit and FLWOR joins through the cursor engine ---------------
+// ---- P11: early exit and FLWOR joins -----------------------------------------
 
 // earlyExitQueries are the O(answer) workloads: the consumer needs one
 // item (or one existence bit) out of a result the strict engine would
@@ -591,7 +591,7 @@ var earlyExitQueries = []struct{ name, src string }{
 }
 
 // BenchmarkEarlyExit measures early-exit query shapes at 1×, 10× and
-// 100× the Boethius scale. Under cursor execution these stay O(answer):
+// 100× the Boethius scale. Pushed execution keeps these O(answer):
 // the 100× cost should track the 1× cost, not the document size.
 func BenchmarkEarlyExit(b *testing.B) {
 	for _, scale := range []struct {

@@ -46,8 +46,8 @@
 //	POST   /update       {"doc":"name", "update":".."} — body-addressed
 //	                     form of PATCH /docs/{name}
 //
-// POST /query accepts two query parameters that expose the cursor
-// engine's streaming execution:
+// POST /query accepts two query parameters that expose the engine's
+// early exit:
 //
 //   - ?limit=N bounds the result to N items. Evaluation stops once the
 //     limit is produced (O(answer), not O(document)): single-document
@@ -251,8 +251,8 @@ func openCollection(dir string, opts mhxquery.CollectionOptions, boethius bool) 
 type server struct {
 	coll *mhxquery.Collection
 	// timeout caps query evaluation wall-clock time per request
-	// (0 = unlimited); the cursor engine polls the deadline between
-	// items, so even pathological queries stop promptly.
+	// (0 = unlimited); the engine polls the deadline between items, so
+	// even pathological queries stop promptly.
 	timeout time.Duration
 	// maxBody caps request bodies (MaxBytesReader).
 	maxBody int64
@@ -691,9 +691,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // queryOneDoc answers a non-streaming single-document query. With a
-// limit the evaluation runs through the document's cursor stream and
-// stops at the limit; without one (and for EXPLAIN / EXPLAIN ANALYZE)
-// it materializes.
+// limit the evaluation stops at the limit; without one (and for
+// EXPLAIN / EXPLAIN ANALYZE) it collects the whole result.
 func (s *server) queryOneDoc(ctx context.Context, w http.ResponseWriter, req *queryRequest, p queryParams, render func(mhxquery.Sequence) string) {
 	if p.explain && !p.analyze {
 		res, plan, err := s.coll.Explain(req.Doc, req.Query)
@@ -732,19 +731,9 @@ func (s *server) queryOneDoc(ctx context.Context, w http.ResponseWriter, req *qu
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	// Without a limit the strict evaluator is the faster full drain;
-	// with one, the stream stops document evaluation at the limit.
+	// A limit stops document evaluation once it is met.
 	start := time.Now()
-	var res mhxquery.Sequence
-	var err error
-	if p.limit == 0 {
-		res, err = s.coll.QueryContext(ctx, req.Doc, req.Query)
-	} else {
-		var st *mhxquery.Stream
-		if st, err = s.coll.StreamDoc(ctx, req.Doc, req.Query); err == nil {
-			res, err = st.Take(p.limit)
-		}
-	}
+	res, err := s.coll.QueryLimit(ctx, req.Doc, req.Query, p.limit)
 	if err != nil {
 		writeError(w, queryStatus(err), "%v", err)
 		return
@@ -767,9 +756,9 @@ type streamRow struct {
 }
 
 // streamQuery writes the result as NDJSON, one row per item, flushed
-// as produced. Evaluation stops as soon as the limit is reached (the
-// cursor engine does no further document work) or the client goes
-// away.
+// as produced: the evaluation pushes each item into the response on
+// this goroutine. Evaluation stops as soon as the limit is reached (the
+// engine does no further document work) or the client goes away.
 func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, req *queryRequest, p queryParams, render func(mhxquery.Sequence) string) {
 	// Open the stream before committing a status: compile errors and
 	// unknown documents surface synchronously here and deserve the same
@@ -802,31 +791,25 @@ func (s *server) streamQuery(ctx context.Context, w http.ResponseWriter, req *qu
 		}
 	}
 	n := 0
+	more := func() bool { return p.limit == 0 || n < p.limit }
 	if st != nil {
-		for p.limit == 0 || n < p.limit {
-			item, ok, err := st.Next()
-			if err != nil {
-				emit(streamRow{Doc: req.Doc, Error: err.Error()})
-				return
-			}
-			if !ok {
-				return
-			}
+		err := st.Each(func(item mhxquery.Sequence) bool {
 			n++
 			emit(streamRow{Doc: req.Doc, Item: render(item)})
+			return more()
+		})
+		if err != nil {
+			emit(streamRow{Doc: req.Doc, Error: err.Error()})
 		}
 		return
 	}
-	for p.limit == 0 || n < p.limit {
-		row, ok := cs.Next()
-		if !ok {
-			return
-		}
+	cs.Each(func(row mhxquery.CollectionRow) bool {
 		if row.Err != nil {
 			emit(streamRow{Doc: row.Doc, Error: row.Err.Error()})
-			continue
+			return true
 		}
 		n++
 		emit(streamRow{Doc: row.Doc, Item: render(row.Item)})
-	}
+		return more()
+	})
 }

@@ -20,9 +20,8 @@
 // predicates and calls included, with index-vs-scan decisions and
 // cardinalities. -analyze upgrades that to EXPLAIN ANALYZE: each
 // operator additionally reports its observed wall time ("nanos",
-// inclusive of children; the root is the total query time). With -limit N the query evaluates through the
-// streaming cursor engine and stops after N result items (O(answer)
-// work, not O(document)). With -update the update expression (see
+// inclusive of children; the root is the total query time). With -limit N the query stops after
+// N result items (O(answer) work, not O(document)). With -update the update expression (see
 // Document.Update) is applied first — copy-on-write, producing a new
 // in-process version — and -q then queries the updated document; with
 // no -q the new version number and update statistics are printed as

@@ -148,7 +148,13 @@ func (c *Collection) Query(name, src string) (Sequence, error) {
 // QueryContext is Query under a cancellation context: when ctx expires
 // the evaluation stops within a bounded number of items.
 func (c *Collection) QueryContext(ctx context.Context, name, src string) (Sequence, error) {
-	seq, d, err := c.c.QueryDocContext(ctx, name, src)
+	return c.QueryLimit(ctx, name, src, 0)
+}
+
+// QueryLimit is QueryContext returning at most limit items (all when
+// limit <= 0): the evaluation stops once it has them.
+func (c *Collection) QueryLimit(ctx context.Context, name, src string, limit int) (Sequence, error) {
+	seq, d, err := c.c.QueryDocContext(ctx, name, src, limit)
 	if err != nil {
 		return Sequence{}, err
 	}
@@ -251,8 +257,8 @@ func (c *Collection) QueryMatchingLimit(ctx context.Context, pattern, src string
 }
 
 // StreamDoc starts a lazy evaluation of src against the named member
-// document: items are produced on demand, so a limit (or an abandoned
-// stream) stops document evaluation early. doc()/collection() inside
+// document: items are produced on demand (Next) or pushed (Each), so a
+// limit (or an abandoned stream) stops document evaluation early. doc()/collection() inside
 // src resolve against this collection's registry epoch at the start.
 func (c *Collection) StreamDoc(ctx context.Context, name, src string) (*Stream, error) {
 	s, d, err := c.c.StreamDoc(ctx, name, src)
@@ -300,11 +306,21 @@ func (s *CollectionStream) Next() (CollectionRow, bool) {
 	if !ok {
 		return CollectionRow{}, false
 	}
+	return collectionRow(ev), true
+}
+
+// Each pushes the remaining rows to yield in order until yield returns
+// false; it evaluates on the caller's goroutine.
+func (s *CollectionStream) Each(yield func(CollectionRow) bool) {
+	s.rows.Each(func(ev collection.Event) bool { return yield(collectionRow(ev)) })
+}
+
+func collectionRow(ev collection.Event) CollectionRow {
 	row := CollectionRow{Doc: ev.Name, Err: ev.Err}
 	if ev.Err == nil {
 		row.Item = Sequence{s: xquery.Seq{ev.Item}, d: ev.Doc}
 	}
-	return row, true
+	return row
 }
 
 // CollectionCacheStats reports compiled-query cache effectiveness.

@@ -527,13 +527,12 @@ func (c *Collection) Query(name, src string) (xquery.Seq, error) {
 // the evaluation — including doc()/collection() inside the query —
 // sees one registry epoch, captured at the start.
 func (c *Collection) QueryDoc(name, src string) (xquery.Seq, *core.Document, error) {
-	return c.QueryDocContext(context.Background(), name, src)
+	return c.QueryDocContext(context.Background(), name, src, 0)
 }
 
-// QueryDocContext is QueryDoc under a cancellation context: the strict
-// (fully materializing) evaluation route, preferred over draining a
-// stream when no limit applies.
-func (c *Collection) QueryDocContext(ctx context.Context, name, src string) (xquery.Seq, *core.Document, error) {
+// QueryDocContext is QueryDoc under a cancellation context and a
+// result limit: limit > 0 stops the evaluation after limit items.
+func (c *Collection) QueryDocContext(ctx context.Context, name, src string, limit int) (xquery.Seq, *core.Document, error) {
 	q, err := c.Compile(src)
 	if err != nil {
 		return nil, nil, err
@@ -544,7 +543,7 @@ func (c *Collection) QueryDocContext(ctx context.Context, name, src string) (xqu
 		return nil, nil, fmt.Errorf("collection: %w", err)
 	}
 	start := time.Now()
-	seq, err := q.EvalContext(ctx, d, nil, v)
+	seq, err := evalLimit(ctx, q, d, v, limit)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -552,10 +551,25 @@ func (c *Collection) QueryDocContext(ctx context.Context, name, src string) (xqu
 	return seq, d, nil
 }
 
-// StreamDoc starts a lazy, cursor-driven evaluation of src against the
-// named document: items are produced on demand, so a caller applying a
-// limit (or a disconnecting HTTP client) stops document evaluation
-// after the items it consumed. ctx cancels the evaluation mid-stream.
+// evalLimit evaluates q against d, stopping after limit items when
+// limit > 0: the evaluation pushes into the result on the caller's
+// goroutine and does no work past the limit.
+func evalLimit(ctx context.Context, q *xquery.Query, d *core.Document, v *view, limit int) (xquery.Seq, error) {
+	if limit <= 0 {
+		return q.EvalContext(ctx, d, nil, v)
+	}
+	var seq xquery.Seq
+	err := q.Each(ctx, d, nil, v, func(it xquery.Item) bool {
+		seq = append(seq, it)
+		return len(seq) < limit
+	})
+	return seq, err
+}
+
+// StreamDoc starts a lazy evaluation of src against the named
+// document: items are produced on demand (Stream.Next) or pushed
+// (Stream.Each), so a caller applying a limit (or a disconnecting HTTP
+// client) stops document evaluation after the items it consumed. ctx cancels the evaluation mid-stream.
 // Like QueryDoc, the evaluation sees one registry epoch.
 func (c *Collection) StreamDoc(ctx context.Context, name, src string) (*xquery.Stream, *core.Document, error) {
 	q, err := c.Compile(src)

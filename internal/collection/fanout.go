@@ -38,9 +38,8 @@ func (c *Collection) QueryAll(src, pattern string) ([]Result, error) {
 // QueryAllLimit is QueryAll under a cancellation context and a global
 // result budget: limit > 0 bounds the TOTAL number of items across the
 // fan-out in document name order. Each worker evaluates its document
-// through a cursor capped at limit items (an upper bound for any single
-// row), so no document is drained past what the budget can possibly
-// use; a final name-order pass truncates to the global budget, leaving
+// capped at limit items (an upper bound for any single row), so no
+// document is evaluated past what the budget can possibly use; a final name-order pass truncates to the global budget, leaving
 // later rows empty once it is spent.
 func (c *Collection) QueryAllLimit(ctx context.Context, src, pattern string, limit int) ([]Result, error) {
 	q, err := c.Compile(src)
@@ -91,19 +90,11 @@ func (c *Collection) runPool(n int, job func(int) Result) []Result {
 }
 
 // evalOne evaluates one fan-out row through the query's plan. With a
-// limit the evaluation streams and stops at the cap instead of
-// draining the document.
+// limit the evaluation stops at the cap instead of running over the
+// whole document.
 func (c *Collection) evalOne(ctx context.Context, q *xquery.Query, v *view, name string, d *core.Document, limit int) Result {
 	start := time.Now()
-	if limit <= 0 {
-		seq, err := q.EvalContext(ctx, d, nil, v)
-		if err != nil {
-			return Result{Name: name, Doc: d, Err: err}
-		}
-		c.metrics.observeQuery(start)
-		return Result{Name: name, Doc: d, Seq: seq}
-	}
-	seq, err := q.Stream(ctx, d, nil, v).Take(limit)
+	seq, err := evalLimit(ctx, q, d, v, limit)
 	if err != nil {
 		return Result{Name: name, Doc: d, Err: err}
 	}
@@ -125,11 +116,12 @@ type Event struct {
 	Err error
 }
 
-// Rows is a lazy cursor over one query evaluated across member
+// Rows is a lazy iterator over one query evaluated across member
 // documents in name order: document k+1's evaluation does not start
-// until document k's stream is exhausted, and abandoning the cursor
-// (a satisfied limit, a disconnected client) stops all remaining work.
-// Rows is single-use and not safe for concurrent use.
+// until document k's is exhausted, and abandoning the iterator (a
+// satisfied limit, a disconnected client) stops all remaining work.
+// Next pulls (through each document's Stream); Each pushes and starts
+// no goroutine. Rows is single-use and not safe for concurrent use.
 type Rows struct {
 	ctx   context.Context
 	coll  *Collection
@@ -183,5 +175,26 @@ func (r *Rows) Next() (Event, bool) {
 			continue
 		}
 		return Event{Name: name, Doc: d, Item: it}, true
+	}
+}
+
+// Each pushes the remaining events to yield in order until yield
+// returns false; the document it stops in is consumed.
+func (r *Rows) Each(yield func(Event) bool) {
+	for ; r.i < len(r.docs); r.i++ {
+		name, d := r.names[r.i], r.docs[r.i]
+		if r.cur == nil {
+			r.cur = r.q.Stream(r.ctx, d, nil, r.v)
+		}
+		stopped := false
+		err := r.cur.Each(func(it xquery.Item) bool {
+			stopped = !yield(Event{Name: name, Doc: d, Item: it})
+			return !stopped
+		})
+		r.cur = nil
+		if stopped || err != nil && !yield(Event{Name: name, Doc: d, Err: err}) {
+			r.i++
+			return
+		}
 	}
 }

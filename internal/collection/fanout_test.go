@@ -132,6 +132,39 @@ func TestStreamAllNameOrder(t *testing.T) {
 	if errs != 3 || docs != 3 {
 		t.Fatalf("errs=%d docs=%d, want 3/3", errs, docs)
 	}
+
+	// Each pushes the same events: the rest of a document Next began,
+	// then whole documents, per-document errors included, stopping where
+	// yield stops.
+	pulled := func(src string) []Event {
+		rows, err := c.StreamAll(context.Background(), src, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evs []Event
+		for ev, ok := rows.Next(); ok; ev, ok = rows.Next() {
+			evs = append(evs, ev)
+		}
+		return evs
+	}
+	for _, src := range []string{`/descendant::w`, `/descendant::w('nope')`} {
+		want := pulled(src)
+		rows, err := c.StreamAll(context.Background(), src, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]Event, 0, len(want))
+		if ev, ok := rows.Next(); ok {
+			got = append(got, ev)
+		}
+		rows.Each(func(ev Event) bool {
+			got = append(got, ev)
+			return len(got) < len(want)-1
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want[:len(want)-1]) {
+			t.Fatalf("%s: Each pushed %v, want %v", src, got, want[:len(want)-1])
+		}
+	}
 }
 
 // TestQueryAllLimit checks the global fan-out budget: name-order

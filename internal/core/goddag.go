@@ -165,9 +165,14 @@ type Document struct {
 // len(Leaves) once the leaf layer is built, but available before a lazy
 // leaf layer exists.
 func (d *Document) numLeaves() int {
-	n := len(d.Bounds) - 1
+	// An overlay's Bounds is written when its leaf layer is built
+	// (buildOverlayLeaves), possibly concurrently: read it only on a
+	// document without flat.
+	var n int
 	if d.flat != nil {
 		n = len(d.flat.Bounds) + len(d.addBounds) - 1
+	} else {
+		n = len(d.Bounds) - 1
 	}
 	return max(n, 0)
 }

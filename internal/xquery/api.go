@@ -2,6 +2,7 @@ package xquery
 
 import (
 	stdctx "context"
+	"runtime"
 	"time"
 
 	"mhxquery/internal/core"
@@ -11,16 +12,13 @@ import (
 // and safe for concurrent evaluation against any number of documents.
 // Evaluation is plan-driven: Compile lowers the whole AST to physical
 // operators (plan.go) once, and every document, version and layout the
-// query meets shares that one plan; execution pulls results through
-// cursors, so early-exit consumers (and Stream with a limit) stop the
-// pipeline after the items they need.
+// query meets shares that one plan. Every operator pushes its result
+// into its consumer (push.go), so early-exit consumers (Each with a
+// yield that stops, Stream's Next and Take) stop the pipeline after the
+// items they need.
 type Query struct {
 	src  string
 	body expr
-	// strictOnly marks queries containing analyze-string, which must
-	// evaluate in interpreter order (lower.go).
-	strictOnly bool
-
 	plan *Plan
 }
 
@@ -48,7 +46,7 @@ func Compile(src string) (*Query, error) {
 // newQuery wraps a parsed expression as a compiled query and lowers its
 // one plan.
 func newQuery(src string, body expr) *Query {
-	q := &Query{src: src, body: body, strictOnly: hasAnalyzeString(body)}
+	q := &Query{src: src, body: body}
 	q.plan = newPlan(q, planForce{})
 	return q
 }
@@ -111,11 +109,34 @@ func (pl *Plan) EvalContext(ctx stdctx.Context, d *core.Document, vars map[strin
 	return pl.eval(ctx, d, vars, r, nil)
 }
 
-// eval is the strict (fully materializing) entry point: the lowered
-// program evaluates through the pnode eval route, which engages
-// streaming only where an early exit exists to exploit (filters,
-// exists/empty/count, quantifiers). Stream is the item-at-a-time entry
-// point.
+// Each evaluates the query against d and pushes the result items to
+// yield in order, stopping the evaluation once yield returns false:
+// the work done is only what the items pushed so far required. It
+// evaluates on the caller's goroutine. ctx may be nil (uncancellable).
+func (q *Query) Each(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, yield func(Item) bool) error {
+	return q.plan.run(q.plan.newEvalContext(ctx, d, vars, r, nil), yield)
+}
+
+// run pushes the program's result into yield, polling cancellation per
+// item, and reads a stop by yield as success.
+func (pl *Plan) run(c *context, yield func(Item) bool) error {
+	var cerr error
+	err := pEach(pl.prog, c, func(it Item) bool {
+		if cerr = c.st.checkCancel(); cerr != nil {
+			return false
+		}
+		return yield(it)
+	})
+	if cerr != nil {
+		return cerr
+	}
+	if err == errStop {
+		err = nil
+	}
+	return err
+}
+
+// eval is the collecting entry point.
 func (pl *Plan) eval(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) (Seq, error) {
 	return pEval(pl.prog, pl.newEvalContext(ctx, d, vars, r, counts))
 }
@@ -130,16 +151,39 @@ func (pl *Plan) newEvalContext(ctx stdctx.Context, d *core.Document, vars map[st
 }
 
 // Stream is a lazy, pull-based result iterator over one evaluation.
-// Items are produced on demand: abandoning a Stream after n items does
-// only the work those n items required (no Close is needed — cursors
-// own no resources). A Stream is single-use and not safe for concurrent
-// use.
+// Items are produced on demand: the first Next starts the evaluation on
+// a goroutine of its own, which computes item k+1 only when Next asks
+// for it (like iter.Pull, which go 1.22 lacks), so abandoning a Stream
+// after n items does only the work those n items required. The
+// goroutine ends when the evaluation is exhausted, fails or is
+// canceled, or once the Stream is garbage-collected; no Close is
+// needed. A panic in the evaluation is raised again in Next. Each
+// pushes instead and starts no goroutine when called first. A Stream is
+// single-use and not safe for concurrent use.
 type Stream struct {
-	c    *context
-	cur  cursor
+	ctx  stdctx.Context
+	run  func(yield func(Item) bool) error
+	p    *puller
 	err  error
 	done bool
 	n    int
+}
+
+// puller is a started Stream's side of its evaluation goroutine. It
+// holds no reference to the Stream, whose finalizer closes next.
+type puller struct {
+	ctx  stdctx.Context
+	next chan bool   // Next's request for one more item
+	out  chan pulled // one answer per request
+}
+
+// pulled is one answer: an item (ok), or the end with its error or
+// panic value.
+type pulled struct {
+	it    Item
+	ok    bool
+	err   error
+	panic any
 }
 
 // Stream starts a streaming evaluation. ctx may be nil (uncancellable).
@@ -154,33 +198,87 @@ func (q *Query) Stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq
 
 func (pl *Plan) stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) *Stream {
 	c := pl.newEvalContext(ctx, d, vars, r, counts)
-	return &Stream{c: c, cur: popen(pl.prog, c)}
+	return &Stream{ctx: ctx, run: func(yield func(Item) bool) error { return pl.run(c, yield) }}
+}
+
+// produce runs the evaluation, handing over one item per request.
+func (p *puller) produce(run func(yield func(Item) bool) error) {
+	var end pulled
+	defer func() {
+		if v := recover(); v != nil {
+			end = pulled{panic: v}
+		}
+		p.out <- end
+	}()
+	var done <-chan struct{}
+	if p.ctx != nil {
+		done = p.ctx.Done()
+	}
+	end.err = run(func(it Item) bool {
+		p.out <- pulled{it: it, ok: true}
+		select {
+		case more := <-p.next:
+			return more
+		case <-done:
+			return false
+		}
+	})
+	if end.err == nil && p.ctx != nil && p.ctx.Err() != nil {
+		end.err = errf("MHXQ0002", "evaluation canceled: %v", p.ctx.Err())
+	}
 }
 
 // Next returns the next result item. After an error or exhaustion it
 // keeps returning (nil, false, err).
 func (s *Stream) Next() (Item, bool, error) {
-	if s.err != nil || s.done {
+	if s.done {
 		return nil, false, s.err
 	}
-	// Poll cancellation here too: producers whose next() never loops
-	// (range cursors, literal sequences) would otherwise let a
-	// top-level drain outrun the deadline.
-	if err := s.c.st.checkCancel(); err != nil {
-		s.err = err
-		return nil, false, err
+	if s.p == nil {
+		s.p = &puller{ctx: s.ctx, next: make(chan bool, 1), out: make(chan pulled, 1)}
+		go s.p.produce(s.run)
+		runtime.SetFinalizer(s, func(s *Stream) { close(s.p.next) })
+	} else {
+		s.p.next <- true
 	}
-	it, ok, err := s.cur.next()
-	if err != nil {
-		s.err = err
-		return nil, false, err
-	}
-	if !ok {
-		s.done = true
-		return nil, false, nil
+	m := <-s.p.out
+	if !m.ok {
+		s.done, s.err = true, m.err
+		if m.panic != nil {
+			panic(m.panic)
+		}
+		return nil, false, m.err
 	}
 	s.n++
-	return it, true, nil
+	return m.it, true, nil
+}
+
+// Each pushes the remaining items to yield in order until yield returns
+// false, and consumes the stream. Called before Next, it evaluates on
+// the caller's goroutine.
+func (s *Stream) Each(yield func(Item) bool) error {
+	if s.p != nil || s.done {
+		for {
+			it, ok, err := s.Next()
+			if err != nil || !ok {
+				return err
+			}
+			if !yield(it) {
+				// Stop the parked evaluation now rather than at
+				// collection.
+				s.done = true
+				runtime.SetFinalizer(s, nil)
+				close(s.p.next)
+				return nil
+			}
+		}
+	}
+	s.done = true
+	s.err = s.run(func(it Item) bool {
+		s.n++
+		return yield(it)
+	})
+	return s.err
 }
 
 // Count returns how many items Next has produced so far.
@@ -188,7 +286,7 @@ func (s *Stream) Count() int { return s.n }
 
 // Take drains up to limit items (all remaining when limit <= 0).
 // Evaluation stops once the limit is produced — the upstream operators
-// do no further work.
+// do no further work — and Next resumes after them.
 func (s *Stream) Take(limit int) (Seq, error) {
 	var out Seq
 	for limit <= 0 || len(out) < limit {
@@ -218,18 +316,6 @@ func (q *Query) Explain(d *core.Document, vars map[string]Seq, r Resolver) (Seq,
 	return seq, pl.render(counts), nil
 }
 
-// evalAnalyze is eval with per-operator wall-time instrumentation
-// enabled; it returns the result alongside the total evaluation wall
-// time. Timing rides on the same explain slots as cardinality
-// accounting, so the uninstrumented hot path stays untouched.
-func (pl *Plan) evalAnalyze(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) (Seq, time.Duration, error) {
-	c := pl.newEvalContext(ctx, d, vars, r, counts)
-	c.st.timed = true
-	start := time.Now()
-	seq, err := pEval(pl.prog, c)
-	return seq, time.Since(start), err
-}
-
 // ExplainAnalyze is Explain upgraded to a true EXPLAIN ANALYZE: the
 // query actually runs, and the returned operator tree carries observed
 // per-operator wall time (ExplainOp.Nanos, inclusive of children) in
@@ -248,12 +334,15 @@ func (q *Query) ExplainAnalyzeContext(ctx stdctx.Context, d *core.Document, vars
 // the result plus the analyzed operator tree. See Query.ExplainAnalyze.
 func (pl *Plan) ExplainAnalyze(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver) (Seq, *ExplainOp, error) {
 	counts := make([]opCard, pl.nOps)
-	seq, total, err := pl.evalAnalyze(ctx, d, vars, r, counts)
+	c := pl.newEvalContext(ctx, d, vars, r, counts)
+	c.st.timed = true
+	start := time.Now()
+	seq, err := pEval(pl.prog, c)
 	if err != nil {
 		return nil, nil, err
 	}
 	root := pl.render(counts)
-	root.Nanos = int64(total)
+	root.Nanos = int64(time.Since(start))
 	return seq, root, nil
 }
 

@@ -62,25 +62,25 @@ func evalCmp(c *context, op string, kind cmpKind, va, vb Seq) (Seq, error) {
 
 // evalArith applies one arithmetic operator (shared with the lowered
 // arithmetic operator).
-func evalArith(op string, x, y float64) (Seq, error) {
+func evalArith(op string, x, y float64) (float64, error) {
 	switch op {
 	case "+":
-		return singleton(x + y), nil
+		return x + y, nil
 	case "-":
-		return singleton(x - y), nil
+		return x - y, nil
 	case "*":
-		return singleton(x * y), nil
+		return x * y, nil
 	case "div":
-		return singleton(x / y), nil
+		return x / y, nil
 	case "idiv":
 		if y == 0 {
-			return nil, errf("FOAR0001", "integer division by zero")
+			return 0, errf("FOAR0001", "integer division by zero")
 		}
-		return singleton(math.Trunc(x / y)), nil
+		return math.Trunc(x / y), nil
 	case "mod":
-		return singleton(math.Mod(x, y)), nil
+		return math.Mod(x, y), nil
 	}
-	return nil, errf("XPST0003", "unknown arithmetic operator %q", op)
+	return 0, errf("XPST0003", "unknown arithmetic operator %q", op)
 }
 
 // evalUnion merges two node sequences in document order (shared with
@@ -128,16 +128,12 @@ func evalIntersect(va, vb Seq, except bool) (Seq, error) {
 // buildElement constructs a direct element: attribute value templates,
 // then content items (shared with the lowered constructor operator —
 // the attrs/content expressions may be AST or lowered nodes).
-func buildElement(c *context, name string, attrs []attrTpl, content []expr) (Seq, error) {
+func buildElement(c *context, name string, attrs []attrTpl, content []expr) (Item, error) {
 	el := dom.NewElement(name)
 	for _, a := range attrs {
 		var b strings.Builder
 		for _, part := range a.parts {
-			if rt, ok := rawText(part); ok {
-				b.WriteString(rt)
-				continue
-			}
-			v, err := part.(evaluable).eval(c)
+			v, err := evalMaybeLowered(c, part)
 			if err != nil {
 				return nil, err
 			}
@@ -151,35 +147,19 @@ func buildElement(c *context, name string, attrs []attrTpl, content []expr) (Seq
 		el.SetAttr(a.name, b.String())
 	}
 	for _, ce := range content {
-		if rt, ok := rawText(ce); ok {
-			addTextTo(el, rt)
-			continue
-		}
-		v, err := ce.(evaluable).eval(c)
+		v, err := evalMaybeLowered(c, ce)
 		if err != nil {
 			return nil, err
 		}
 		appendContent(el, v)
 	}
-	return singleton(el), nil
-}
-
-// rawText recognizes literal character data inside a constructor, in
-// AST or lowered form.
-func rawText(e expr) (string, bool) {
-	switch rt := e.(type) {
-	case *rawTextExpr:
-		return rt.s, true
-	case *pRawText:
-		return rt.s, true
-	}
-	return "", false
+	return el, nil
 }
 
 // buildComputed constructs a computed element/attribute/text/comment
 // node from an already-resolved name and content (shared with the
 // lowered constructor operator).
-func buildComputed(kind byte, name string, content Seq) (Seq, error) {
+func buildComputed(kind byte, name string, content Seq) (Item, error) {
 	if (kind == 'e' || kind == 'a') && !validXMLName(name) {
 		return nil, errf("XQDY0074", "computed constructor: invalid name %q", name)
 	}
@@ -187,13 +167,13 @@ func buildComputed(kind byte, name string, content Seq) (Seq, error) {
 	case 'e':
 		el := dom.NewElement(name)
 		appendContent(el, content)
-		return singleton(el), nil
+		return el, nil
 	case 'a':
-		return singleton(&dom.Node{Kind: dom.Attribute, Name: name, Data: joinAtomics(content)}), nil
+		return &dom.Node{Kind: dom.Attribute, Name: name, Data: joinAtomics(content)}, nil
 	case 't':
-		return singleton(dom.NewText(joinAtomics(content))), nil
+		return dom.NewText(joinAtomics(content)), nil
 	}
-	return singleton(&dom.Node{Kind: dom.Comment, Data: joinAtomics(content)}), nil
+	return &dom.Node{Kind: dom.Comment, Data: joinAtomics(content)}, nil
 }
 
 // resolveCtorName evaluates a computed constructor's name expression.
@@ -201,7 +181,7 @@ func resolveCtorName(c *context, name string, nameExpr expr) (string, error) {
 	if nameExpr == nil {
 		return name, nil
 	}
-	v, err := nameExpr.(evaluable).eval(c)
+	v, err := evalMaybeLowered(c, nameExpr)
 	if err != nil {
 		return "", err
 	}

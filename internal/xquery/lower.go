@@ -3,19 +3,17 @@ package xquery
 import (
 	"math"
 	"sort"
-	"time"
 
 	"mhxquery/internal/dom"
 )
 
-// This file is the physical expression layer of the cursor engine.
-// Every AST expression kind is lowered (plan.go) into a pnode — a
-// physical operator that can evaluate strictly (eval) and stream its
-// result through a pull cursor (open). Streaming is what makes
-// early-exit queries O(answer): FLWOR bindings, quantifier sources,
-// filter bases and function arguments are pulled item by item, so a
-// consumer that needs one item ((//w)[1], exists, some $x in …) stops
-// the whole upstream pipeline after one pull.
+// This file is the physical expression layer. Every AST expression kind
+// is lowered (plan.go) into a pnode, a physical operator with one
+// evaluation method, each, which pushes its result item by item into a
+// consumer (push.go). FLWOR bindings, quantifier sources, filter bases
+// and the last step of a path push lazily, so a consumer that needs one
+// item ((//w)[1], exists, some $x in …) stops the whole upstream
+// pipeline after one item.
 //
 // An expression whose effective boolean value alone is used — a
 // predicate, an and/or operand, an if, where or satisfies condition, the
@@ -24,159 +22,33 @@ import (
 // semijoin.go) that stops at the first node on its axis, and pEbv and
 // the exists/empty calls ask it for its truth value directly.
 //
-// Two invariants keep the two evaluation routes equivalent:
-//
-//   - a fully drained cursor yields exactly the strict result (the
-//     differential suites enforce node identity against the reference
-//     interpreter of the package tests);
-//   - queries containing analyze-string run in strict mode
-//     (Plan.strictOnly): analyze-string advances the evaluation's
-//     active document to an overlay with a finer leaf partition, so
-//     deferring a sibling expression past an analyze-string call could
-//     change what it sees. popen makes every child boundary materialize
-//     on first pull in that mode, which restores the interpreter's
-//     evaluation order exactly.
+// analyze-string advances the evaluation's active document to an
+// overlay with a finer leaf partition, so the interpreter's evaluation
+// order is observable around it. Lowering marks every operator whose
+// subtree calls it (overlays), and two rules keep that order: a for
+// clause, quantifier binding or filter whose source or per-item body
+// (the later clauses and return, the later bindings and satisfies, the
+// predicates) overlays collects its source before running the body, and
+// an early-exit consumer drains an operand that overlays. Every other
+// part of such a query keeps its early exit.
 
-// pnode is a lowered physical expression: it evaluates strictly (so
-// lowered predicates plug into the shared predicate machinery) and can
-// also stream.
+// pnode is a lowered physical expression.
 type pnode interface {
-	evaluable
-	open(c *context) cursor
+	each(c *context, yield func(Item) bool) error
 	pid() int
+	overlays() bool
 }
 
-// pbase carries the explain/cardinality slot shared by all pnodes.
-type pbase struct{ id int }
-
-func (b *pbase) pid() int { return b.id }
-
-// popen opens a child pnode for streaming. In strict-only mode
-// (analyze-string present) the child instead materializes completely on
-// its first pull, preserving interpreter evaluation order. Explain
-// accounting wraps either route.
-func popen(n pnode, c *context) cursor {
-	if pl := c.st.plan; pl != nil && pl.strictOnly {
-		return counted(c.st, n.pid(), &lazyCursor{n: n, c: c})
-	}
-	return counted(c.st, n.pid(), n.open(c))
+// pbase carries the explain slot shared by all pnodes and the overlay
+// mark.
+type pbase struct {
+	id  int
+	ovl bool
 }
 
-// pEval materializes a child pnode (strict evaluation with explain
-// accounting).
-func pEval(n pnode, c *context) (Seq, error) {
-	if c.st.explain != nil && n.pid() >= 0 {
-		c.st.explain[n.pid()].calls++
-		var start time.Time
-		if c.st.timed {
-			start = time.Now()
-		}
-		s, err := n.eval(c)
-		if c.st.timed {
-			c.st.explain[n.pid()].nanos += int64(time.Since(start))
-		}
-		if err == nil {
-			c.st.explain[n.pid()].out += int64(len(s))
-		}
-		return s, err
-	}
-	return n.eval(c)
-}
-
-// lazyCursor evaluates a pnode strictly on first pull and streams the
-// materialized result.
-type lazyCursor struct {
-	n   pnode
-	c   *context
-	cur cursor
-}
-
-func (lc *lazyCursor) next() (Item, bool, error) {
-	if lc.cur == nil {
-		s, err := lc.n.eval(lc.c)
-		if err != nil {
-			lc.cur = errCur(err)
-		} else {
-			lc.cur = seqCur(s)
-		}
-	}
-	return lc.cur.next()
-}
-
-// thunkCursor defers cursor construction to the first pull.
-type thunkCursor struct {
-	f   func() (cursor, error)
-	cur cursor
-}
-
-func (tc *thunkCursor) next() (Item, bool, error) {
-	if tc.cur == nil {
-		cur, err := tc.f()
-		if err != nil {
-			cur = errCur(err)
-		}
-		tc.cur = cur
-	}
-	return tc.cur.next()
-}
-
-// scalarOpen is the open implementation of operators whose results are
-// single items or tiny sequences: stream the strict result lazily.
-func scalarOpen(n pnode, c *context) cursor { return &lazyCursor{n: n, c: c} }
-
-// streamWorthy reports whether opening n as a cursor can actually
-// short-circuit work: its producing end is an operator that emits
-// lazily (index scans, downward axis steps, FLWOR pipelines,
-// filters, ranges). For anything else the strict eval is both exact
-// and cheaper than building a cursor chain.
-func streamWorthy(n pnode) bool {
-	switch x := n.(type) {
-	case *pFLWOR, *pFilter, *pRange, *pSeq:
-		return true
-	case *pPath:
-		if len(x.ops) == 0 {
-			return false
-		}
-		switch last := x.ops[len(x.ops)-1]; last.kind {
-		case opIndexScan:
-			return true
-		case opAxisStep:
-			return streamableStepAxis(last.s.axis)
-		}
-	}
-	return false
-}
-
-// strictMode reports whether the evaluation runs in interpreter order
-// (analyze-string present): streaming shortcuts then only add cursor
-// overhead on top of the materialization popen forces anyway.
-func strictMode(c *context) bool {
-	pl := c.st.plan
-	return pl != nil && pl.strictOnly
-}
-
-// pEbv computes the effective boolean value of a child. Operators that
-// can produce large sequences lazily are consumed through their streams
-// (two pulls decide the ebv); everything else evaluates directly,
-// avoiding the cursor wrappers on the hot predicate/where paths.
-func pEbv(n pnode, c *context) (bool, error) {
-	if p, ok := n.(*pProbe); ok {
-		return p.truth(c)
-	}
-	if f, ok := n.(*pFilter); ok {
-		if b, ok, err := f.boundTruth(c); ok {
-			return b, err
-		}
-	}
-	if streamWorthy(n) && !strictMode(c) {
-		return drainBool(popen(n, c))
-	}
-	v, err := pEval(n, c)
-	if err != nil {
-		return false, err
-	}
-	return ebv(v)
-}
+func (b *pbase) pid() int       { return b.id }
+func (b *pbase) overlays() bool { return b.ovl }
+func (b *pbase) markOverlays()  { b.ovl = true }
 
 // ---- leaves ----------------------------------------------------------------
 
@@ -186,47 +58,43 @@ type pLiteral struct {
 	seq Seq
 }
 
-func (e *pLiteral) eval(*context) (Seq, error) { return e.seq, nil }
-func (e *pLiteral) open(c *context) cursor     { return seqCur(e.seq) }
-
-type pRawText struct {
-	pbase
-	s string
-}
-
-func (e *pRawText) eval(*context) (Seq, error) { return singleton(e.s), nil }
-func (e *pRawText) open(c *context) cursor     { return scalarOpen(e, c) }
+func (e *pLiteral) each(c *context, yield func(Item) bool) error { return pushSeq(e.seq, yield) }
 
 type pVar struct {
 	pbase
 	name string
 }
 
-func (e *pVar) eval(c *context) (Seq, error) {
-	v, ok := c.lookup(e.name)
+func (e *pVar) each(c *context, yield func(Item) bool) error {
+	v, err := lookupVar(c, e.name)
+	if err != nil {
+		return err
+	}
+	return pushSeq(v, yield)
+}
+
+func lookupVar(c *context, name string) (Seq, error) {
+	v, ok := c.lookup(name)
 	if !ok {
-		return nil, errf("XPST0008", "undefined variable $%s", e.name)
+		return nil, errf("XPST0008", "undefined variable $%s", name)
 	}
 	return v, nil
 }
-func (e *pVar) open(c *context) cursor { return scalarOpen(e, c) }
 
 type pContextItem struct{ pbase }
 
-func (e *pContextItem) eval(c *context) (Seq, error) {
+func (e *pContextItem) each(c *context, yield func(Item) bool) error {
 	if c.item == nil {
-		return nil, errf("XPDY0002", "context item is undefined")
+		return errf("XPDY0002", "context item is undefined")
 	}
-	return singleton(c.item), nil
+	return push1(c.item, yield)
 }
-func (e *pContextItem) open(c *context) cursor { return scalarOpen(e, c) }
 
 type pRoot struct{ pbase }
 
-func (e *pRoot) eval(c *context) (Seq, error) {
-	return singleton(c.st.rootFor(c.item)), nil
+func (e *pRoot) each(c *context, yield func(Item) bool) error {
+	return push1(c.st.rootFor(c.item), yield)
 }
-func (e *pRoot) open(c *context) cursor { return scalarOpen(e, c) }
 
 // ---- sequences -------------------------------------------------------------
 
@@ -235,26 +103,13 @@ type pSeq struct {
 	items []pnode
 }
 
-func (e *pSeq) eval(c *context) (Seq, error) {
-	var out Seq
+func (e *pSeq) each(c *context, yield func(Item) bool) error {
 	for _, it := range e.items {
-		v, err := pEval(it, c)
-		if err != nil {
-			return nil, err
+		if err := pEach(it, c, yield); err != nil {
+			return err
 		}
-		out = append(out, v...)
 	}
-	return out, nil
-}
-func (e *pSeq) open(c *context) cursor { return e.stream(c) }
-
-func (e *pSeq) stream(c *context) cursor {
-	return &concatCursor{open: func(i int) (cursor, bool) {
-		if i >= len(e.items) {
-			return nil, false
-		}
-		return popen(e.items[i], c), true
-	}}
+	return nil
 }
 
 type pRange struct {
@@ -262,86 +117,49 @@ type pRange struct {
 	lo, hi pnode
 }
 
-func (e *pRange) eval(c *context) (Seq, error) {
+func (e *pRange) each(c *context, yield func(Item) bool) error {
 	lo, empty, err := evalNumber(c, e.lo, "range")
 	if err != nil || empty {
-		return nil, err
+		return err
 	}
 	hi, empty, err := evalNumber(c, e.hi, "range")
 	if err != nil || empty {
-		return nil, err
+		return err
 	}
-	return rangeSeq(c, lo, hi)
-}
-func (e *pRange) open(c *context) cursor { return e.stream(c) }
-
-func (e *pRange) stream(c *context) cursor {
-	rc := &rangeCursor{}
-	return &thunkCursor{f: func() (cursor, error) {
-		lo, empty, err := evalNumber(c, e.lo, "range")
-		if err != nil || empty {
-			return emptyCur, err
-		}
-		hi, empty, err := evalNumber(c, e.hi, "range")
-		if err != nil || empty {
-			return emptyCur, err
-		}
-		if lo != math.Trunc(lo) || hi != math.Trunc(hi) {
-			return nil, errf("FORG0006", "range bounds must be integers")
-		}
-		rc.v, rc.hi = lo, hi
-		return rc, nil
-	}}
-}
-
-type rangeCursor struct{ v, hi float64 }
-
-func (rc *rangeCursor) next() (Item, bool, error) {
-	if rc.v > rc.hi {
-		return nil, false, nil
+	if lo != math.Trunc(lo) || hi != math.Trunc(hi) {
+		return errf("FORG0006", "range bounds must be integers")
 	}
-	v := rc.v
-	rc.v++
-	return v, true, nil
+	for v := lo; v <= hi; v++ {
+		if err := c.st.checkCancel(); err != nil {
+			return err
+		}
+		if !yield(v) {
+			return errStop
+		}
+	}
+	return nil
 }
 
 // ---- boolean connectives ---------------------------------------------------
 
-type pOr struct {
+// pLogic is and (all) or or: the second operand runs only when the
+// first leaves the answer open.
+type pLogic struct {
 	pbase
+	and  bool
 	a, b pnode
 }
 
-func (e *pOr) eval(c *context) (Seq, error) {
-	ba, err := pEbv(e.a, c)
+func (e *pLogic) each(c *context, yield func(Item) bool) error {
+	b, err := pEbv(e.a, c)
+	if err == nil && b == e.and {
+		b, err = pEbv(e.b, c)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if ba {
-		return seqTrue, nil
-	}
-	bb, err := pEbv(e.b, c)
-	return singletonBool(bb), err
+	return push1(b, yield)
 }
-func (e *pOr) open(c *context) cursor { return scalarOpen(e, c) }
-
-type pAnd struct {
-	pbase
-	a, b pnode
-}
-
-func (e *pAnd) eval(c *context) (Seq, error) {
-	ba, err := pEbv(e.a, c)
-	if err != nil {
-		return nil, err
-	}
-	if !ba {
-		return seqFalse, nil
-	}
-	bb, err := pEbv(e.b, c)
-	return singletonBool(bb), err
-}
-func (e *pAnd) open(c *context) cursor { return scalarOpen(e, c) }
 
 // ---- comparisons and arithmetic --------------------------------------------
 
@@ -352,17 +170,21 @@ type pCmp struct {
 	a, b pnode
 }
 
-func (e *pCmp) eval(c *context) (Seq, error) {
+func (e *pCmp) each(c *context, yield func(Item) bool) error {
 	var ia, ib [1]Item
 	va, err := e.operand(c, e.a, &ia)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	vb, err := e.operand(c, e.b, &ib)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return evalCmp(c, e.op, e.kind, va, vb)
+	v, err := evalCmp(c, e.op, e.kind, va, vb)
+	if err != nil {
+		return err
+	}
+	return pushSeq(v, yield)
 }
 
 // operand evaluates one side of the comparison; "." and "string(.)"
@@ -377,7 +199,6 @@ func (e *pCmp) operand(c *context, n pnode, buf *[1]Item) (Seq, error) {
 	}
 	return pEval(n, c)
 }
-func (e *pCmp) open(c *context) cursor { return scalarOpen(e, c) }
 
 type pArith struct {
 	pbase
@@ -385,71 +206,64 @@ type pArith struct {
 	a, b pnode
 }
 
-func (e *pArith) eval(c *context) (Seq, error) {
+func (e *pArith) each(c *context, yield func(Item) bool) error {
 	x, empty, err := evalNumber(c, e.a, "arithmetic")
 	if err != nil || empty {
-		return nil, err
+		return err
 	}
 	y, empty, err := evalNumber(c, e.b, "arithmetic")
 	if err != nil || empty {
-		return nil, err
+		return err
 	}
-	return evalArith(e.op, x, y)
+	v, err := evalArith(e.op, x, y)
+	if err != nil {
+		return err
+	}
+	return push1(v, yield)
 }
-func (e *pArith) open(c *context) cursor { return scalarOpen(e, c) }
 
 type pUnary struct {
 	pbase
 	x pnode
 }
 
-func (e *pUnary) eval(c *context) (Seq, error) {
+func (e *pUnary) each(c *context, yield func(Item) bool) error {
 	x, empty, err := evalNumber(c, e.x, "unary minus")
 	if err != nil || empty {
-		return nil, err
+		return err
 	}
-	return singleton(-x), nil
+	return push1(-x, yield)
 }
-func (e *pUnary) open(c *context) cursor { return scalarOpen(e, c) }
 
 // ---- node-set operators ----------------------------------------------------
 
-type pUnion struct {
+// pSetOp is union (|), intersect or except.
+type pSetOp struct {
 	pbase
+	op   string
 	a, b pnode
 }
 
-func (e *pUnion) eval(c *context) (Seq, error) {
+func (e *pSetOp) each(c *context, yield func(Item) bool) error {
 	va, err := pEval(e.a, c)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	vb, err := pEval(e.b, c)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return evalUnion(va, vb)
-}
-func (e *pUnion) open(c *context) cursor { return scalarOpen(e, c) }
-
-type pIntersect struct {
-	pbase
-	except bool
-	a, b   pnode
-}
-
-func (e *pIntersect) eval(c *context) (Seq, error) {
-	va, err := pEval(e.a, c)
+	var v Seq
+	if e.op == "union" {
+		v, err = evalUnion(va, vb)
+	} else {
+		v, err = evalIntersect(va, vb, e.op == "except")
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	vb, err := pEval(e.b, c)
-	if err != nil {
-		return nil, err
-	}
-	return evalIntersect(va, vb, e.except)
+	return pushSeq(v, yield)
 }
-func (e *pIntersect) open(c *context) cursor { return scalarOpen(e, c) }
 
 // ---- control flow ----------------------------------------------------------
 
@@ -458,245 +272,29 @@ type pIf struct {
 	cond, then, els pnode
 }
 
-func (e *pIf) eval(c *context) (Seq, error) {
+func (e *pIf) each(c *context, yield func(Item) bool) error {
 	b, err := pEbv(e.cond, c)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if b {
-		return pEval(e.then, c)
+		return pEach(e.then, c, yield)
 	}
-	return pEval(e.els, c)
+	return pEach(e.els, c, yield)
 }
 
-func (e *pIf) open(c *context) cursor {
-	return &thunkCursor{f: func() (cursor, error) {
-		b, err := pEbv(e.cond, c)
-		if err != nil {
-			return nil, err
-		}
-		if b {
-			return popen(e.then, c), nil
-		}
-		return popen(e.els, c), nil
-	}}
-}
-
-type pQuant struct {
-	pbase
-	every bool
-	names []string
-	srcs  []pnode
-	sat   pnode
-}
-
-func (e *pQuant) eval(c *context) (Seq, error) {
-	b, err := e.truth(c, 0)
-	if err != nil {
-		return nil, err
-	}
-	return singletonBool(b), nil
-}
-func (e *pQuant) open(c *context) cursor { return scalarOpen(e, c) }
-
-// truth walks the quantifier bindings with streaming sources: "some"
-// stops at the first satisfying tuple, "every" at the first failing
-// one, so the source pipelines are pulled no further than the answer
-// requires.
-func (e *pQuant) truth(c *context, i int) (bool, error) {
-	if i == len(e.names) {
-		return pEbv(e.sat, c)
-	}
-	if !streamWorthy(e.srcs[i]) || strictMode(c) {
-		v, err := pEval(e.srcs[i], c)
-		if err != nil {
-			return false, err
-		}
-		for k := range v {
-			b, err := e.truth(c.bind(e.names[i], v[k:k+1:k+1]), i+1)
-			if err != nil {
-				return false, err
-			}
-			if e.every && !b {
-				return false, nil
-			}
-			if !e.every && b {
-				return true, nil
-			}
-		}
-		return e.every, nil
-	}
-	src := popen(e.srcs[i], c)
-	for {
-		if err := c.st.checkCancel(); err != nil {
-			return false, err
-		}
-		it, ok, err := src.next()
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return e.every, nil
-		}
-		b, err := e.truth(c.bind(e.names[i], singleton(it)), i+1)
-		if err != nil {
-			return false, err
-		}
-		if e.every && !b {
-			return false, nil
-		}
-		if !e.every && b {
-			return true, nil
-		}
-	}
-}
-
-// ---- FLWOR -----------------------------------------------------------------
-
-type pClause struct {
-	kind    clauseKind
-	name    string
-	posName string
-	src     pnode
-}
-
-type pOrderSpec struct {
-	key           pnode
-	descending    bool
-	emptyGreatest bool
-	spec          orderSpec // for compareOrderKeys
-}
-
-type pFLWOR struct {
-	pbase
-	clauses []pClause
-	order   []pOrderSpec
-	ret     pnode
-}
-
-// eval is the strict route: the recursive tuple walk of the
-// interpreter, with streaming engaged only below (inside the lowered
-// clause sources and return). Full materialization has no early exit
-// to exploit, and the plain recursion beats the cursor machine on
-// per-tuple overhead.
-func (f *pFLWOR) eval(c *context) (Seq, error) {
-	if len(f.order) > 0 {
-		tups, err := f.sortedTuples(c)
-		if err != nil {
-			return nil, err
-		}
-		var out Seq
-		for _, t := range tups {
-			v, err := pEval(f.ret, t.c)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, v...)
-		}
-		return out, nil
-	}
-	var out Seq
-	err := f.tuples(c, func(c2 *context) error {
-		v, err := pEval(f.ret, c2)
-		if err != nil {
-			return err
-		}
-		out = append(out, v...)
-		return nil
-	})
-	return out, err
-}
-
-func (f *pFLWOR) open(c *context) cursor { return f.stream(c) }
-
-func (f *pFLWOR) stream(c *context) cursor {
-	if len(f.order) > 0 {
-		return f.streamOrdered(c)
-	}
-	return f.clauseCursor(c, 0)
-}
-
-// clauseCursor streams the tuple pipeline from clause idx onward: let
-// and where clauses resolve immediately (they are per-tuple scalars),
-// for clauses pull their binding sequences lazily, so the return clause
-// of the first tuple runs before the second binding is even computed.
-func (f *pFLWOR) clauseCursor(c *context, idx int) cursor {
-	for idx < len(f.clauses) {
-		cl := &f.clauses[idx]
-		switch cl.kind {
-		case clauseLet:
-			v, err := pEval(cl.src, c)
-			if err != nil {
-				return errCur(err)
-			}
-			c = c.bind(cl.name, v)
-		case clauseWhere:
-			b, err := pEbv(cl.src, c)
-			if err != nil {
-				return errCur(err)
-			}
-			if !b {
-				return emptyCur
-			}
-		default:
-			return &forCursor{f: f, c: c, cl: cl, idx: idx}
-		}
-		idx++
-	}
-	return popen(f.ret, c)
-}
-
-// forCursor streams one for clause: a lazily opened binding source, one
-// inner tuple cursor at a time.
-type forCursor struct {
-	f     *pFLWOR
-	c     *context
-	cl    *pClause
-	idx   int
-	src   cursor
-	inner cursor
-	i     int
-}
-
-func (fc *forCursor) next() (Item, bool, error) {
-	for {
-		if err := fc.c.st.checkCancel(); err != nil {
-			return nil, false, err
-		}
-		if fc.inner != nil {
-			it, ok, err := fc.inner.next()
-			if err != nil || ok {
-				return it, ok, err
-			}
-			fc.inner = nil
-		}
-		if fc.src == nil {
-			fc.src = popen(fc.cl.src, fc.c)
-		}
-		it, ok, err := fc.src.next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-		fc.i++
-		c2 := fc.c.bind(fc.cl.name, singleton(it))
-		if fc.cl.posName != "" {
-			c2 = c2.bind(fc.cl.posName, singleton(float64(fc.i)))
-		}
-		fc.inner = fc.f.clauseCursor(c2, fc.idx+1)
-	}
-}
-
-// tupleSlot is one clause's binding storage on the strict route: its
-// context and frames are rebound for every tuple instead of allocated
-// per tuple (context.bind), because the consumer is done with a tuple
-// before the next one is bound. A consumer that keeps tuples (order
-// by) copies them (keepTuple).
+// tupleSlot is one FLWOR clause's binding storage: its context and
+// frames are rebound for every tuple instead of allocated per tuple
+// (context.bind), because the consumer is done with a tuple before the
+// next one is bound. A pushed item is bound through the slot's own
+// one-item array, so a tuple's frame is dead once its yield returns. A
+// consumer that keeps tuples (order by) collects its sources and copies
+// the tuples (keepTuple).
 type tupleSlot struct {
 	c     context
 	f, pf frame
+	one   [1]Item
+	i     int // the tuple's position in its binding sequence
 }
 
 // bind points the slot at c extended by name (and, when posName is
@@ -706,11 +304,221 @@ func (s *tupleSlot) bind(c *context, name, posName string) *context {
 	s.c = *c
 	s.f = frame{name: name, next: c.vars}
 	s.c.vars = &s.f
+	s.pf = frame{}
 	if posName != "" {
 		s.pf = frame{name: posName, next: &s.f}
 		s.c.vars = &s.pf
 	}
+	s.i = 0
 	return &s.c
+}
+
+// set binds the slot's next tuple to v; a pushed item is bound through
+// the slot's own one-item array.
+func (s *tupleSlot) set(v Seq, it Item) {
+	if v == nil {
+		s.one[0] = it
+		v = s.one[:]
+	}
+	s.i++
+	s.f.val = v
+	if s.pf.name != "" {
+		s.pf.val = singleton(float64(s.i))
+	}
+}
+
+// pQuant is a quantifier over its tuples: a FLWOR of its bindings
+// whose where clause is the satisfies condition ("some") or its
+// negation ("every"), returning one item per deciding tuple.
+type pQuant struct {
+	pbase
+	every  bool
+	tuples *pFLWOR
+}
+
+// each stops at the first deciding tuple, so the sources are pushed no
+// further than the answer requires — also under analyze-string, whose
+// sources the tuples collect, as the interpreter does.
+func (e *pQuant) each(c *context, yield func(Item) bool) error {
+	s, err := c.st.sinkRun(e.tuples, c, false, 1, false)
+	found := s.n > 0
+	c.st.putSink(s)
+	if err != nil {
+		return err
+	}
+	return push1(found != e.every, yield)
+}
+
+// ---- FLWOR -----------------------------------------------------------------
+
+type pClause struct {
+	kind    clauseKind
+	name    string
+	posName string
+	src     pnode
+	collect bool // for clause: source or the rest overlays, or order by
+}
+
+type pOrderSpec struct {
+	key  pnode
+	spec orderSpec
+}
+
+type pFLWOR struct {
+	pbase
+	clauses []pClause
+	order   []pOrderSpec
+	ret     pnode
+}
+
+// setCollect marks the for clauses that collect their source: all
+// under order by (the kept tuples bind subslices of it), and those
+// where the source or the rest of the FLWOR overlays.
+func (f *pFLWOR) setCollect() {
+	rest := len(f.order) > 0 || f.ret.overlays()
+	for _, o := range f.order {
+		rest = rest || o.key.overlays()
+	}
+	for i := len(f.clauses) - 1; i >= 0; i-- {
+		rest = rest || f.clauses[i].src.overlays()
+		f.clauses[i].collect = rest
+	}
+}
+
+// flworRun is a FLWOR's tuple walk state (one per evaluation, kept in
+// the operator's slot): the clause slots, and each for clause's push
+// method, bound once.
+type flworRun struct {
+	f     *pFLWOR
+	slots []tupleSlot
+	binds []func(Item) bool
+	outer *context
+	down  func(Item) bool
+	tups  []flworTup
+	err   error // an error, or errStop when the consumer stopped
+}
+
+// flworTup is one order-by tuple: the bound context and its atomized
+// sort keys.
+type flworTup struct {
+	c    *context
+	keys []Seq
+}
+
+func newFlworRun(f *pFLWOR) *flworRun {
+	r := &flworRun{f: f, slots: make([]tupleSlot, len(f.clauses)), binds: make([]func(Item) bool, len(f.clauses))}
+	for i := range r.binds {
+		r.binds[i] = func(it Item) bool {
+			if r.err = r.slots[i].c.st.checkCancel(); r.err != nil {
+				return false
+			}
+			r.slots[i].set(nil, it)
+			return r.walk(&r.slots[i].c, i+1)
+		}
+	}
+	return r
+}
+
+func (f *pFLWOR) each(c *context, yield func(Item) bool) error {
+	cell := c.st.slot(f.id)
+	r, _ := (*cell).(*flworRun)
+	if r == nil {
+		r = newFlworRun(f)
+		*cell = r
+	}
+	r.outer, r.down, r.err, r.tups = c, yield, nil, nil
+	r.walk(c, 0)
+	if r.err != nil || len(f.order) == 0 {
+		return r.err
+	}
+	tups := r.tups
+	r.tups = nil
+	sort.SliceStable(tups, func(i, j int) bool {
+		for k := range f.order {
+			o := &f.order[k].spec
+			cres, ok := compareOrderKeys(*o, tups[i].keys[k], tups[j].keys[k])
+			if !ok || cres == 0 {
+				continue
+			}
+			if o.descending {
+				return cres > 0
+			}
+			return cres < 0
+		}
+		return false
+	})
+	for _, t := range tups {
+		if err := pEach(f.ret, t.c, yield); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walk binds clause idx onward and emits each complete tuple: its
+// return pushed into the consumer, or, under order by, the tuple kept.
+// It reports whether the walk goes on.
+func (r *flworRun) walk(c *context, idx int) bool {
+	f := r.f
+	for ; idx < len(f.clauses); idx++ {
+		cl, s := &f.clauses[idx], &r.slots[idx]
+		switch cl.kind {
+		case clauseLet:
+			v, err := pEval(cl.src, c)
+			if err != nil {
+				return r.fail(err)
+			}
+			c = s.bind(c, cl.name, "")
+			s.f.val = v
+		case clauseWhere:
+			b, err := pEbv(cl.src, c)
+			if err != nil || !b {
+				return r.fail(err)
+			}
+		default:
+			c2 := s.bind(c, cl.name, cl.posName)
+			if !cl.collect {
+				err := pEach(cl.src, c, r.binds[idx])
+				return r.err == nil && r.fail(err)
+			}
+			v, err := pEval(cl.src, c)
+			if err != nil {
+				return r.fail(err)
+			}
+			for k := range v {
+				if r.err = c.st.checkCancel(); r.err != nil {
+					return false
+				}
+				s.set(v[k:k+1:k+1], nil)
+				if !r.walk(c2, idx+1) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	if len(f.order) == 0 {
+		return r.fail(pEach(f.ret, c, r.down))
+	}
+	keys := make([]Seq, len(f.order))
+	for i := range f.order {
+		v, err := pEval(f.order[i].key, c)
+		if err != nil {
+			return r.fail(err)
+		}
+		keys[i] = c.atomizeSeq(v)
+	}
+	r.tups = append(r.tups, flworTup{c: keepTuple(r.outer, c), keys: keys})
+	return true
+}
+
+// fail records err and reports whether the walk goes on.
+func (r *flworRun) fail(err error) bool {
+	if err != nil {
+		r.err = err
+		return false
+	}
+	return true
 }
 
 // keepTuple copies the tuple context c2 of a FLWOR evaluated in outer,
@@ -727,121 +535,6 @@ func keepTuple(outer, c2 *context) *context {
 	return &nc
 }
 
-// tuples walks the tuple pipeline strictly, calling emit once per
-// tuple with the tuple's context, which is only valid during the call.
-func (f *pFLWOR) tuples(c *context, emit func(*context) error) error {
-	return f.runBindings(c, 0, make([]tupleSlot, len(f.clauses)), emit)
-}
-
-// runBindings binds clause idx onward: binding sequences are
-// materialized before iteration (the strict consumer needs every tuple
-// anyway), and a for variable binds the one-item subslice of its
-// materialized source.
-func (f *pFLWOR) runBindings(c *context, idx int, slots []tupleSlot, emit func(*context) error) error {
-	if idx == len(f.clauses) {
-		return emit(c)
-	}
-	cl, s := &f.clauses[idx], &slots[idx]
-	switch cl.kind {
-	case clauseLet:
-		v, err := pEval(cl.src, c)
-		if err != nil {
-			return err
-		}
-		c2 := s.bind(c, cl.name, "")
-		s.f.val = v
-		return f.runBindings(c2, idx+1, slots, emit)
-	case clauseWhere:
-		b, err := pEbv(cl.src, c)
-		if err != nil {
-			return err
-		}
-		if !b {
-			return nil
-		}
-		return f.runBindings(c, idx+1, slots, emit)
-	}
-	v, err := pEval(cl.src, c)
-	if err != nil {
-		return err
-	}
-	c2 := s.bind(c, cl.name, cl.posName)
-	for i := range v {
-		if err := c.st.checkCancel(); err != nil {
-			return err
-		}
-		s.f.val = v[i : i+1 : i+1]
-		if cl.posName != "" {
-			s.pf.val = singleton(float64(i + 1))
-		}
-		if err := f.runBindings(c2, idx+1, slots, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flworTup is one order-by tuple: the bound context and its atomized
-// sort keys.
-type flworTup struct {
-	c    *context
-	keys []Seq
-}
-
-// sortedTuples materializes and sorts the tuple stream by the order-by
-// keys (order-by needs every tuple before the first return evaluation).
-func (f *pFLWOR) sortedTuples(c *context) ([]flworTup, error) {
-	var tups []flworTup
-	err := f.tuples(c, func(c2 *context) error {
-		keys := make([]Seq, len(f.order))
-		for i := range f.order {
-			v, err := pEval(f.order[i].key, c2)
-			if err != nil {
-				return err
-			}
-			keys[i] = c2.atomizeSeq(v)
-		}
-		tups = append(tups, flworTup{c: keepTuple(c, c2), keys: keys})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(tups, func(i, j int) bool {
-		for k := range f.order {
-			o := &f.order[k]
-			cres, ok := compareOrderKeys(o.spec, tups[i].keys[k], tups[j].keys[k])
-			if !ok || cres == 0 {
-				continue
-			}
-			if o.descending {
-				return cres > 0
-			}
-			return cres < 0
-		}
-		return false
-	})
-	return tups, nil
-}
-
-// streamOrdered sorts the tuples, then streams the return clause tuple
-// by tuple (the returns stay lazy; only the binding tuples are
-// materialized).
-func (f *pFLWOR) streamOrdered(c *context) cursor {
-	return &thunkCursor{f: func() (cursor, error) {
-		tups, err := f.sortedTuples(c)
-		if err != nil {
-			return nil, err
-		}
-		return &concatCursor{open: func(i int) (cursor, bool) {
-			if i >= len(tups) {
-				return nil, false
-			}
-			return popen(f.ret, tups[i].c), true
-		}}, nil
-	}}
-}
-
 // ---- function calls --------------------------------------------------------
 
 type pCall struct {
@@ -851,60 +544,48 @@ type pCall struct {
 	args []pnode
 }
 
-func (e *pCall) eval(c *context) (Seq, error) {
-	// Streaming special cases: the aggregate-style builtins whose
-	// results depend on at most the first item or two (exists, empty,
-	// boolean, not) or only on the item count (count) consume their
-	// argument through a cursor, so index scans and FLWOR pipelines
-	// below them stop as soon as the answer is determined.
+func (e *pCall) each(c *context, yield func(Item) bool) error {
+	// The builtins whose results depend on at most the first item or
+	// two (exists, empty, boolean, not) or only on the item count
+	// (count) consume their argument through a sink, so index scans and
+	// FLWOR pipelines below them stop as soon as the answer is decided.
+	var b bool
+	var err error
 	switch e.fn {
 	case bExists, bEmpty:
-		if p, ok := e.args[0].(*pProbe); ok {
-			b, err := p.truth(c)
-			if err != nil {
-				return nil, err
-			}
-			return singletonBool(b == (e.fn == bExists)), nil
-		}
-		if streamWorthy(e.args[0]) && !strictMode(c) {
-			_, ok, err := popen(e.args[0], c).next()
-			if err != nil {
-				return nil, err
-			}
-			return singletonBool(ok == (e.fn == bExists)), nil
-		}
+		b, err = pExists(e.args[0], c)
+		b = b == (e.fn == bExists)
 	case bNot, bBoolean:
-		b, err := pEbv(e.args[0], c)
-		if err != nil {
-			return nil, err
-		}
-		return singletonBool(b == (e.fn == bBoolean)), nil
+		b, err = pEbv(e.args[0], c)
+		b = b == (e.fn == bBoolean)
 	case bCount:
-		if streamWorthy(e.args[0]) && !strictMode(c) {
-			cur := popen(e.args[0], c)
-			n := 0
-			for {
-				if err := c.st.checkCancel(); err != nil {
-					return nil, err
-				}
-				_, ok, err := cur.next()
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					return singleton(float64(n)), nil
-				}
-				n++
-			}
+		n, err := pCount(e.args[0], c)
+		if err != nil {
+			return err
 		}
+		return push1(float64(n), yield)
+	default:
+		out, err := e.call(c)
+		if err != nil {
+			return err
+		}
+		return pushSeq(out, yield)
 	}
+	if err != nil {
+		return err
+	}
+	return push1(b, yield)
+}
+
+// call evaluates the arguments onto the evaluation's argument stack
+// above the caller's (nested calls push and pop above them) and applies
+// the builtin. A builtin that reads every argument as a string
+// (strArgs) takes "." and "string(.)" arguments as one-item sequences
+// on the item stack.
+func (e *pCall) call(c *context) (Seq, error) {
 	if len(e.args) == 0 {
 		return e.fn.fn(c, nil)
 	}
-	// The arguments go on the evaluation's argument stack above the
-	// caller's; nested calls push and pop above them. A builtin that
-	// reads every argument as a string (strArgs) takes "." and
-	// "string(.)" arguments as one-item sequences on the item stack.
 	st := c.st
 	mark, imark := len(st.args), len(st.items)
 	var err error
@@ -946,7 +627,7 @@ func operandItem(c *context, n pnode) (Item, bool) {
 	}
 	switch x := n.(type) {
 	case *pContextItem:
-		noteEval(c.st, x)
+		noteEval(c.st, x, 1)
 		return c.item, true
 	case *pCall:
 		if x.fn != bString || len(x.args) > 1 {
@@ -961,28 +642,27 @@ func operandItem(c *context, n pnode) (Item, bool) {
 		if !ok {
 			return nil, false
 		}
-		noteEval(c.st, x)
+		noteEval(c.st, x, 1)
 		for _, a := range x.args {
-			noteEval(c.st, a)
+			noteEval(c.st, a, 1)
 		}
 		return nd, true
 	}
 	return nil, false
 }
 
-// noteEval records one evaluation of n yielding one item in the explain
-// counters, as pEval would have.
-func noteEval(st *evalState, n pnode) {
+// noteEval records one evaluation of n yielding k items in the explain
+// counters, as pEach would have.
+func noteEval(st *evalState, n pnode, k int) {
 	if st.explain != nil && n.pid() >= 0 {
 		st.explain[n.pid()].calls++
-		st.explain[n.pid()].out++
+		st.explain[n.pid()].out += int64(k)
 	}
 }
-func (e *pCall) open(c *context) cursor { return scalarOpen(e, c) }
 
-// Streaming-special builtins, resolved by identity after funcs.go has
-// registered them (package init functions run in file order, and a
-// package-level var would capture the still-empty map).
+// Builtins the engine special-cases, resolved by identity after
+// funcs.go has registered them (package init functions run in file
+// order, and a package-level var would capture the still-empty map).
 var bExists, bEmpty, bNot, bBoolean, bCount, bAnalyze, bString *builtin
 
 func init() {
@@ -1003,166 +683,98 @@ func init() {
 type pFilter struct {
 	pbase
 	base  pnode
-	preds []pnode
-	// sized marks predicates that call last(): their position semantics
-	// need the full base cardinality, so the stream materializes there.
-	sized []bool
+	preds []expr // lowered pnodes
+	// collect marks a filter that finishes strictly over its collected
+	// base: a predicate calls last(), which needs the base's size, or
+	// the filter overlays.
+	collect bool
 }
 
-func (e *pFilter) eval(c *context) (Seq, error) { return drain(c, e.stream(c)) }
-func (e *pFilter) open(c *context) cursor       { return e.stream(c) }
-
-func (e *pFilter) stream(c *context) cursor {
-	cur := popen(e.base, c)
-	for i, pr := range e.preds {
-		if f, ok := constNumPred(pr); ok {
-			cur = &constPosCursor{inner: cur, c: c, want: f}
-			continue
-		}
-		if e.sized[i] {
-			// last() ahead: materialize here and finish strictly.
-			rest := make([]expr, len(e.preds)-i)
-			for k, p := range e.preds[i:] {
-				rest[k] = p
-			}
-			inner := cur
-			return &thunkCursor{f: func() (cursor, error) {
-				items, err := drain(c, inner)
-				if err != nil {
-					return nil, err
-				}
-				items, err = applyPredicatesInPlace(c, append(Seq(nil), items...), rest)
-				if err != nil {
-					return nil, err
-				}
-				return seqCur(items), nil
-			}}
-		}
-		cur = &predCursor{inner: cur, pr: pr, c: c}
-	}
-	return cur
+// filterRun is a filter's stage chain state (one per evaluation, kept
+// in the operator's slot): stage i keeps its focus in c2[i], counting
+// positions, and passes survivors to stage i+1, the last to down.
+type filterRun struct {
+	f      *pFilter
+	c2     []context
+	stages []func(Item) bool
+	down   func(Item) bool
+	err    error // a predicate's error, or errStop when down stopped
 }
 
-// boundTruth decides the effective boolean value of a filter over a
-// variable bound to at most one item ($leaf[…], $n[self::m]) without
-// opening its cursor pipeline: each predicate is evaluated once, at
-// position 1 of 1, in a scratch context. ok=false leaves every other
-// shape to the stream route.
-func (e *pFilter) boundTruth(c *context) (b, ok bool, err error) {
-	x, isVar := e.base.(*pVar)
-	if !isVar {
-		return false, false, nil
+func (e *pFilter) each(c *context, yield func(Item) bool) error {
+	if e.collect {
+		items, err := pEval(e.base, c)
+		if err != nil {
+			return err
+		}
+		if items, err = applyPredicatesInPlace(c, append(Seq(nil), items...), e.preds); err != nil {
+			return err
+		}
+		return pushSeq(items, yield)
 	}
-	if v, bound := c.lookup(x.name); !bound || len(v) > 1 {
-		return false, false, nil
+	cell := c.st.slot(e.id)
+	r, _ := (*cell).(*filterRun)
+	if r == nil {
+		r = newFilterRun(e)
+		*cell = r
 	}
-	v, err := pEval(e.base, c)
+	for i := range r.c2 {
+		r.c2[i] = *c
+		r.c2[i].pos, r.c2[i].size = 0, 0
+	}
+	r.down, r.err = yield, nil
+	err := pEach(e.base, c, r.stages[0])
+	switch {
+	case r.err != nil:
+		return r.err
+	case err == errStop: // a [k] stage has its item
+		return nil
+	}
+	return err
+}
+
+func newFilterRun(e *pFilter) *filterRun {
+	r := &filterRun{f: e, c2: make([]context, len(e.preds)), stages: make([]func(Item) bool, len(e.preds))}
+	for i := range r.stages {
+		r.stages[i] = func(it Item) bool { return r.stage(i, it) }
+	}
+	return r
+}
+
+// stage runs predicate i on it. A constant [k] passes its k-th item and
+// stops the stages upstream: the early-exit shape of (//w)[1].
+func (r *filterRun) stage(i int, it Item) bool {
+	c2 := &r.c2[i]
+	if r.err = c2.st.checkCancel(); r.err != nil {
+		return false
+	}
+	c2.item = it
+	c2.pos++
+	pr := r.f.preds[i]
+	if k, ok := constNumPred(pr); ok {
+		if float64(c2.pos) != k {
+			return float64(c2.pos) < k
+		}
+		r.forward(i, it)
+		return false
+	}
+	keep, err := predKeep(c2, pr)
 	if err != nil {
-		return false, true, err
+		r.err = err
+		return false
 	}
-	st := c.st
-	if st.explain != nil && e.id >= 0 {
-		st.explain[e.id].calls++
-	}
-	if len(v) == 0 {
-		return false, true, nil
-	}
-	c2 := st.scratchContext(c)
-	defer st.releaseContext(c2)
-	c2.item, c2.pos, c2.size = v[0], 1, 1
-	for _, pr := range e.preds {
-		r, err := evalMaybeLowered(c2, pr)
-		if err != nil {
-			return false, true, err
-		}
-		if keep, err := predicateKeeps(r, 1); !keep || err != nil {
-			return false, true, err
-		}
-	}
-	if st.explain != nil && e.id >= 0 {
-		st.explain[e.id].out++
-	}
-	b, err = ebv(v)
-	return b, true, err
+	return !keep || r.forward(i, it)
 }
 
-// constPosCursor implements a constant numeric predicate [k]: skip k-1
-// items, emit the k-th, and stop pulling — the early-exit shape of
-// (//w)[1].
-type constPosCursor struct {
-	inner cursor
-	c     *context
-	want  float64
-	done  bool
-}
-
-func (pc *constPosCursor) next() (Item, bool, error) {
-	if pc.done {
-		return nil, false, nil
+func (r *filterRun) forward(i int, it Item) bool {
+	if i+1 < len(r.stages) {
+		return r.stages[i+1](it)
 	}
-	pc.done = true
-	k := int(pc.want)
-	if float64(k) != pc.want || k < 1 {
-		return nil, false, nil
+	if r.down(it) {
+		return true
 	}
-	for i := 1; ; i++ {
-		if err := pc.c.st.checkCancel(); err != nil {
-			return nil, false, err
-		}
-		it, ok, err := pc.inner.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if i == k {
-			return it, true, nil
-		}
-	}
-}
-
-// predCursor filters a stream by one predicate with incremental
-// positions. size is the known candidate count (index segments, where
-// run lengths fix it upfront) or 0 for position-only predicates whose
-// base cardinality is never consulted (pFilter rejects last() here).
-// The scratch context is embedded so per-item evaluation allocates
-// nothing.
-type predCursor struct {
-	inner  cursor
-	pr     expr
-	c      *context
-	c2     context
-	inited bool
-	pos    int
-	size   int
-}
-
-func (pc *predCursor) next() (Item, bool, error) {
-	if !pc.inited {
-		pc.c2 = *pc.c
-		pc.c2.size = pc.size
-		pc.inited = true
-	}
-	for {
-		if err := pc.c.st.checkCancel(); err != nil {
-			return nil, false, err
-		}
-		it, ok, err := pc.inner.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		pc.pos++
-		pc.c2.item, pc.c2.pos = it, pc.pos
-		v, err := evalMaybeLowered(&pc.c2, pc.pr)
-		if err != nil {
-			return nil, false, err
-		}
-		keep, err := predicateKeeps(v, pc.pos)
-		if err != nil {
-			return nil, false, err
-		}
-		if keep {
-			return it, true, nil
-		}
-	}
+	r.err = errStop
+	return false
 }
 
 // ---- constructors ----------------------------------------------------------
@@ -1171,13 +783,16 @@ type pElem struct {
 	pbase
 	name    string
 	attrs   []attrTpl // parts hold lowered pnodes
-	content []expr    // lowered pnodes (or pRawText)
+	content []expr    // lowered pnodes
 }
 
-func (e *pElem) eval(c *context) (Seq, error) {
-	return buildElement(c, e.name, e.attrs, e.content)
+func (e *pElem) each(c *context, yield func(Item) bool) error {
+	el, err := buildElement(c, e.name, e.attrs, e.content)
+	if err != nil {
+		return err
+	}
+	return push1(el, yield)
 }
-func (e *pElem) open(c *context) cursor { return scalarOpen(e, c) }
 
 type pCompCtor struct {
 	pbase
@@ -1187,57 +802,48 @@ type pCompCtor struct {
 	content  pnode // nil for empty content
 }
 
-func (e *pCompCtor) eval(c *context) (Seq, error) {
+func (e *pCompCtor) each(c *context, yield func(Item) bool) error {
 	var nameExpr expr
 	if e.nameExpr != nil {
 		nameExpr = e.nameExpr
 	}
 	name, err := resolveCtorName(c, e.name, nameExpr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var content Seq
 	if e.content != nil {
 		if content, err = pEval(e.content, c); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return buildComputed(e.kind, name, content)
+	n, err := buildComputed(e.kind, name, content)
+	if err != nil {
+		return err
+	}
+	return push1(n, yield)
 }
-func (e *pCompCtor) open(c *context) cursor { return scalarOpen(e, c) }
 
 // ---- small local helpers ---------------------------------------------------
 
-// usesLast reports whether the expression subtree contains a last()
-// call (conservatively including nested scopes, which merely disables a
-// streaming shortcut).
-func usesLast(e expr) bool {
-	if call, ok := e.(*callExpr); ok && call.name == "last" && len(call.args) == 0 {
-		return true
-	}
-	found := false
+// anyExpr reports whether e or an expression in its subtree (nested
+// scopes included) satisfies is.
+func anyExpr(e expr, is func(expr) bool) bool {
+	found := is(e)
 	visitChildren(e, func(ch expr) {
-		if !found && usesLast(ch) {
-			found = true
-		}
+		found = found || anyExpr(ch, is)
 	})
 	return found
 }
 
-// hasAnalyzeString reports whether the expression subtree calls
-// analyze-string (which forces strict evaluation order, see the file
-// comment).
-func hasAnalyzeString(e expr) bool {
-	if call, ok := e.(*callExpr); ok && call.fn == bAnalyze {
-		return true
-	}
-	found := false
-	visitChildren(e, func(ch expr) {
-		if !found && hasAnalyzeString(ch) {
-			found = true
-		}
-	})
-	return found
+func isLastCall(e expr) bool {
+	call, ok := e.(*callExpr)
+	return ok && call.name == "last" && len(call.args) == 0
+}
+
+func isAnalyzeCall(e expr) bool {
+	call, ok := e.(*callExpr)
+	return ok && call.fn == bAnalyze
 }
 
 // describeLiteral renders a literal for EXPLAIN output.

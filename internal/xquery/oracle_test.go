@@ -1,13 +1,14 @@
 package xquery
 
 import (
+	"math"
 	"sort"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/dom"
 )
 
-// This file is the reference interpreter the cursor engine is
+// This file is the reference interpreter the engine is
 // differential-tested against: recursive eval methods that define the
 // semantics of every expression kind directly over the syntax tree,
 // with no physical plan, and the reference step evaluator (evalStepRef)
@@ -134,7 +135,11 @@ func (e *arithExpr) eval(c *context) (Seq, error) {
 	if err != nil || empty {
 		return nil, err
 	}
-	return evalArith(e.op, x, y)
+	v, err := evalArith(e.op, x, y)
+	if err != nil {
+		return nil, err
+	}
+	return singleton(v), nil
 }
 
 func (e *unaryExpr) eval(c *context) (Seq, error) {
@@ -376,7 +381,7 @@ func (p *pathExpr) eval(c *context) (Seq, error) {
 // evalStepRef is the reference axis-step evaluator: filter every
 // candidate with matchTest, apply predicates, and restore document order
 // with a full comparison sort after the step. It is the semantic oracle
-// the pipeline (evalStep) and the streaming step cursors are
+// the pipeline (evalStep) and the pushed path steps are
 // differential-tested against.
 func evalStepRef(c *context, cur Seq, s *step) (Seq, error) {
 	var out Seq
@@ -481,7 +486,7 @@ func hierOK(c *context, n *dom.Node, hiers []string) (bool, error) {
 }
 
 func (e *elemExpr) eval(c *context) (Seq, error) {
-	return buildElement(c, e.name, e.attrs, e.content)
+	return oneOrErr(buildElement(c, e.name, e.attrs, e.content))
 }
 
 func (e *compCtorExpr) eval(c *context) (Seq, error) {
@@ -497,7 +502,7 @@ func (e *compCtorExpr) eval(c *context) (Seq, error) {
 		}
 		content = v
 	}
-	return buildComputed(e.kind, name, content)
+	return oneOrErr(buildComputed(e.kind, name, content))
 }
 
 // applyPredicates is applyPredicatesInPlace on a copy of items.
@@ -506,4 +511,28 @@ func applyPredicates(c *context, items Seq, preds []expr) (Seq, error) {
 		return items, nil
 	}
 	return applyPredicatesInPlace(c, append(Seq(nil), items...), preds)
+}
+
+// oneOrErr wraps a constructed item as a singleton.
+func oneOrErr(it Item, err error) (Seq, error) {
+	if err != nil {
+		return nil, err
+	}
+	return singleton(it), nil
+}
+
+// rangeSeq materializes lo..hi with cancellation polls (a pathological
+// range is the canonical runaway query).
+func rangeSeq(c *context, lo, hi float64) (Seq, error) {
+	if lo != math.Trunc(lo) || hi != math.Trunc(hi) {
+		return nil, errf("FORG0006", "range bounds must be integers")
+	}
+	var out Seq
+	for v := lo; v <= hi; v++ {
+		if err := c.st.checkCancel(); err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }

@@ -15,8 +15,8 @@ import (
 // leaves only on first read) and the leaf-free axis candidates the step
 // evaluators request (nodeTest.candidates) must be invisible in results:
 // these tests drive analyze-string shapes that reach the leaf layer after
-// overlays exist, on the strict and stream routes, against the
-// interpreter oracle, and pin how many leaf layers the paper's queries
+// overlays exist, collected, drained and cut short by Take(k), against
+// the interpreter oracle, and pin how many leaf layers the paper's queries
 // build.
 
 // overlayResolver backs doc() with a fixed document map; the shapes
@@ -98,8 +98,8 @@ return (let $r := analyze-string($w, "%s") return %s, "|")`, 1+r.Intn(3), pat, b
 }
 
 // TestLazyOverlayDifferential runs 120 seeded analyze-string shapes on
-// three documents: the cursor engine's strict and stream routes must
-// match the interpreter oracle (full axis candidates) in results and
+// three documents: the engine, collected, drained and cut short by
+// Take(k), must match the interpreter oracle (full axis candidates) in results and
 // error codes. It also checks the shapes really built lazy leaf layers.
 func TestLazyOverlayDifferential(t *testing.T) {
 	docs := map[string]*core.Document{"boethius": corpus.MustBoethius()}
@@ -181,10 +181,10 @@ return count(analyze-string($w, ".*unawe.*")/descendant::leaf())`
 		{"per-word leaves", perWordLeaves, matches},
 	} {
 		q := MustCompile(tc.src)
-		for _, route := range []string{"strict", "stream"} {
+		for _, route := range []string{"collected", "drained"} {
 			before := core.GlobalIndexStats()
 			var err error
-			if route == "strict" {
+			if route == "collected" {
 				_, err = q.Eval(d)
 			} else {
 				_, err = drainStream(q.Stream(nil, d, nil, nil))
@@ -200,5 +200,111 @@ return count(analyze-string($w, ".*unawe.*")/descendant::leaf())`
 				t.Errorf("%s (%s): %d overlay leaf layers built, want %d", tc.name, route, got, tc.builds)
 			}
 		}
+	}
+}
+
+// TestAnalyzeStringKeepsEarlyExit: only the operators whose source or
+// per-item body calls analyze-string collect their sources; every other
+// part of such a query keeps its early exit. Taking three items of
+// (analyze-string((//w)[1], "o"), //w) scans one word for the first
+// operand and two for the second.
+func TestAnalyzeStringKeepsEarlyExit(t *testing.T) {
+	d, err := corpus.Generate(corpus.Params{Seed: 5, Words: 600}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustCompile(`(analyze-string((//w)[1], "o"), //w)`)
+	s, render := q.StreamExplain(nil, d, nil, nil)
+	if got, err := s.Take(3); err != nil || len(got) != 3 {
+		t.Fatalf("Take(3) = %d items, err=%v", len(got), err)
+	}
+	var rows []int64
+	var walk func(op *ExplainOp)
+	walk = func(op *ExplainOp) {
+		if op.Op == "index-scan" {
+			rows = append(rows, op.OutRows)
+		}
+		for _, k := range op.Children {
+			walk(k)
+		}
+	}
+	walk(render())
+	if len(rows) != 2 || rows[0] != 1 || rows[1] != 2 {
+		t.Fatalf("index scans produced %v rows after a 3-item pull, want [1 2] (3 in all)", rows)
+	}
+}
+
+// TestAnalyzeStringOrderSweep holds seeded for, quantifier and filter
+// shapes whose per-item bodies call analyze-string over leaf()- and
+// word-sourced bindings (//vline/w, //line/xdescendant::w) to the
+// interpreter's evaluation order. Each
+// call refines the leaves of the node it analyzes, which may lie ahead
+// of the binding ($x/following::w, the fifth word), so a source pushed
+// item by item past a call would see leaves the interpreter's
+// materialized source does not, and a trailing count(/descendant::leaf())
+// sees every overlay built before it, as does a source whose items are
+// read off the document's leaves. The engine's drained result and
+// every Take(k) prefix must match the oracle in results and error
+// codes.
+func TestAnalyzeStringOrderSweep(t *testing.T) {
+	docs := map[string]*core.Document{"boethius": corpus.MustBoethius()}
+	for _, p := range []corpus.Params{
+		{Seed: 3, Words: 10, DamageRate: 0.3},
+		{Seed: 8, Words: 25, DamageRate: 0.2, RestoreRate: 0.2},
+	} {
+		d, err := corpus.Generate(p).Document()
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[fmt.Sprintf("gen-seed%d", p.Seed)] = d
+	}
+	sources := []string{
+		`//line/descendant::leaf()`, `/descendant::leaf()[position() <= K]`,
+		`//vline/w`, `(//vline/w)[position() > J]`, `//line/xdescendant::w`,
+		// Items read off the active document's leaves as they are
+		// pushed.
+		`(for $y in //vline/w return (/descendant::leaf())[J + 4])`,
+	}
+	targets := []string{`$x`, `($x/following::w)[1]`, `(/descendant::w)[5]`}
+	shapes := []string{
+		`for $x in SRC return (count(analyze-string(T, "P")/child::m), count(/descendant::leaf()))`,
+		`for $x in SRC where exists(analyze-string(T, "P")/child::m) return ($x, /descendant::leaf()[J])`,
+		`(some $x in SRC satisfies count(analyze-string(T, "P")/child::m) > K, count(/descendant::leaf()))`,
+		`(every $x in SRC satisfies exists(analyze-string(T, "P")/child::node()), /descendant::leaf()[K])`,
+		`((SRC)[let $x := . return exists(analyze-string(T, "P")/child::m)], count(/descendant::leaf()))`,
+		`((SRC)[let $x := . return count(analyze-string(T, "P")/descendant::leaf()) > 1][J], /descendant::leaf())`,
+		`(exists((SRC)[let $x := . return analyze-string(T, "P")/child::m]), count(/descendant::leaf()))`,
+		`(SRC)[let $x := . return exists(analyze-string(T, "P")/child::m('nope'))]`,
+		`(exists(for $x in SRC return analyze-string(T, "P")/child::node()), count(/descendant::leaf()))`,
+		`(boolean(for $x in SRC return analyze-string(T, "P")), /descendant::leaf()[K])`,
+	}
+	r := rand.New(rand.NewSource(28))
+	errorsSeen := 0
+	for i := 0; i < 300; i++ {
+		src := strings.NewReplacer(
+			"SRC", sources[r.Intn(len(sources))],
+			"T", targets[r.Intn(len(targets))],
+			"P", overlayPatterns[r.Intn(len(overlayPatterns))],
+		).Replace(shapes[r.Intn(len(shapes))])
+		src = strings.NewReplacer("K", fmt.Sprint(1+r.Intn(6)), "J", fmt.Sprint(1+r.Intn(3))).Replace(src)
+		q := MustCompile(src)
+		for name, d := range docs {
+			label := fmt.Sprintf("shape %d (%s): %q", i, name, src)
+			ref, refErr := oracleEval(q, d, nil, nil)
+			got, err := drainStream(q.Stream(nil, d, nil, nil))
+			switch {
+			case (err == nil) != (refErr == nil) || errCode(err) != errCode(refErr):
+				t.Errorf("%s: engine err=%v, oracle err=%v", label, err, refErr)
+			case err == nil && Serialize(got) != Serialize(ref):
+				t.Errorf("%s:\n  engine: %s\n  oracle: %s", label, Serialize(got), Serialize(ref))
+			}
+			if refErr != nil {
+				errorsSeen++
+			}
+			checkTakes(t, label, func() *Stream { return q.Stream(nil, d, nil, nil) }, ref, refErr, sameSerialization)
+		}
+	}
+	if errorsSeen == 0 {
+		t.Error("no shape raised an error: the error-code half of the sweep is untested")
 	}
 }

@@ -37,8 +37,8 @@ import (
 //     (evalState.axisBuf) and filters predicate results in place, so a
 //     steady-state step allocates only its output.
 //
-// One context's segment is built by axisSegment, for strict execution
-// (evalStep) and streamed execution (stepCursor) alike.
+// One context's segment is built by axisSegment, for a materialized
+// step (evalStep) and a pushed one (segRun) alike.
 
 // resolvedTest is a node test resolved against one document: the name as
 // an interned symbol, hierarchy restrictions as indices. Hierarchy
@@ -134,16 +134,35 @@ func (t *nodeTest) candidates() core.Candidates {
 
 // hierOK implements the hierarchy restriction of Definition 2 — the
 // shared root belongs to every hierarchy, a leaf to every hierarchy
-// covering it — over integer hierarchy indices resolved once per
-// (step, document).
+// covering it.
 func (rt *resolvedTest) hierOK(n *dom.Node) (bool, error) {
-	hiers := rt.t.hiers
-	if len(hiers) == 0 {
+	if len(rt.t.hiers) == 0 {
 		return true, nil
 	}
+	if err := rt.hiers(); err != nil {
+		return false, err
+	}
+	if n == rt.doc.Root {
+		return true, nil
+	}
+	if n.Kind == dom.Leaf {
+		for _, p := range rt.doc.LeafParents(n) {
+			if rt.allows(p.HierIndex) {
+				return true, nil
+			}
+		}
+		return false, nil
+	}
+	// A constructed node belongs to no hierarchy.
+	return n.Hier != "" && rt.allows(n.HierIndex), nil
+}
+
+// hiers resolves the hierarchy restriction to integer indices, once per
+// (step, document); an unknown hierarchy is its error.
+func (rt *resolvedTest) hiers() error {
 	if !rt.hierDone {
 		rt.hierDone = true
-		for _, name := range hiers {
+		for _, name := range rt.t.hiers {
 			h := rt.doc.HierarchyByName(name)
 			if h == nil {
 				rt.hierErr = errf("MHXQ0001", "unknown hierarchy %q in node test", name)
@@ -152,31 +171,21 @@ func (rt *resolvedTest) hierOK(n *dom.Node) (bool, error) {
 			rt.hierIdx = append(rt.hierIdx, h.Index)
 		}
 	}
-	if rt.hierErr != nil {
-		return false, rt.hierErr
+	return rt.hierErr
+}
+
+// allows reports whether the resolved restriction admits hierarchy
+// index hi.
+func (rt *resolvedTest) allows(hi int) bool {
+	if len(rt.t.hiers) == 0 {
+		return true
 	}
-	if n == rt.doc.Root {
-		return true, nil
-	}
-	if n.Kind == dom.Leaf {
-		for _, p := range rt.doc.LeafParents(n) {
-			for _, hi := range rt.hierIdx {
-				if p.HierIndex == hi {
-					return true, nil
-				}
-			}
-		}
-		return false, nil
-	}
-	if n.Hier == "" { // constructed node: belongs to no hierarchy
-		return false, nil
-	}
-	for _, hi := range rt.hierIdx {
-		if n.HierIndex == hi {
-			return true, nil
+	for _, x := range rt.hierIdx {
+		if x == hi {
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 // Segment order classification (one O(k) pass of dom.Compare).

@@ -94,11 +94,12 @@ func diffDocs(t *testing.T) map[string]*core.Document {
 	return docs
 }
 
-// evalBoth evaluates src against d with the cursor engine and the
-// reference evaluator, returning both results (and their errors). The
-// cursor engine is exercised over BOTH of its routes — the strict eval
-// entry point and a full drain of the streaming entry point — and the
-// two must agree exactly before either is compared to the reference.
+// evalBoth evaluates src against d with the engine and the reference
+// evaluator, returning both results (and their errors). The engine runs
+// collected (Eval), drained through a Stream, and cut short by
+// Take(k): the drain must agree with Eval exactly, and every Take(k)
+// prefix with the reference (checkTakes), before the caller compares
+// the results.
 func evalBoth(t *testing.T, d *core.Document, src string) (fast, ref Seq, fastErr, refErr error) {
 	t.Helper()
 	return evalBothWith(t, d, src, nil)
@@ -121,7 +122,36 @@ func evalBothWith(t *testing.T, d *core.Document, src string, r Resolver) (fast,
 			src, Serialize(fast), Serialize(streamed))
 	}
 	ref, refErr = oracleEval(q, d, nil, r)
+	checkTakes(t, src, func() *Stream { return q.Stream(nil, d, nil, r) }, ref, refErr, sameOrSerialized)
 	return
+}
+
+// sameOrSerialized compares results by node identity, or by
+// serialization when they hold nodes each evaluation constructs anew.
+func sameOrSerialized(a, b Seq) bool { return sameItems(a, b) || Serialize(a) == Serialize(b) }
+
+// checkTakes holds the prefixes Take(k), k = 1..3, of fresh streams to
+// want (wantErr): the first k items of want, or want's error code when
+// the evaluation fails before k items. When want is an error a prefix
+// may still succeed — the evaluation stopped before the error — but
+// then it holds k items.
+func checkTakes(t *testing.T, label string, stream func() *Stream, want Seq, wantErr error, same func(a, b Seq) bool) {
+	t.Helper()
+	for k := 1; k <= 3; k++ {
+		got, err := stream().Take(k)
+		switch {
+		case err != nil:
+			if wantErr == nil || errCode(err) != errCode(wantErr) {
+				t.Errorf("%s: Take(%d) err=%v, want err=%v", label, k, err, wantErr)
+			}
+		case wantErr != nil:
+			if len(got) != k {
+				t.Errorf("%s: Take(%d) = %d items without error, want err=%v", label, k, len(got), wantErr)
+			}
+		case !same(got, want[:min(k, len(want))]):
+			t.Errorf("%s: Take(%d) = %s, want the prefix of %s", label, k, Serialize(got), Serialize(want))
+		}
+	}
 }
 
 // errCode is an evaluation error's code, "" for nil or uncoded errors.

@@ -1,9 +1,7 @@
 package xquery
 
 import (
-	"sort"
 	"strings"
-	"time"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/dom"
@@ -13,9 +11,9 @@ import (
 // into an AST and lowers the ENTIRE AST — every expression kind, not
 // just paths — into physical operators (pnode, lower.go), once per
 // query. Node tests bind to interned name symbols and hierarchy indices
-// at run time, per (operator, document). Execution is cursor-based
-// (stepcursor.go): results stream from name-index runs and axis steps
-// through predicates, FLWOR bindings and aggregation, so early-exit
+// at run time, per (operator, document). Execution pushes (push.go):
+// results flow from name-index runs and axis steps through predicates,
+// FLWOR bindings and aggregation into a consumer, so early-exit
 // consumers stop the pipeline after the items they need.
 //
 // Within a path, each step lowers to one of three operators:
@@ -32,8 +30,9 @@ import (
 //   - primary: a primary-expression step ("$x/string(.)").
 //
 // Each index-scan and axis-step context contributes one segment, built
-// by indexSegment or axisSegment; strict execution (pPath.eval) appends
-// the segments in bulk, streamed execution (stepcursor.go) pulls them.
+// by indexSegment or axisSegment; a materialized step (evalOpStrict)
+// appends the segments in bulk, a path's last step pushes them one by
+// one (pushStep).
 //
 // Every lowering choice is syntactic — index scan, semi-join
 // (semijoin.go), existence probe — and nothing in a plan depends on a
@@ -54,14 +53,7 @@ import (
 type Plan struct {
 	prog pnode
 	nOps int
-	// nProbes counts the existence probes (semijoin.go), each with a
-	// slot for its per-evaluation state.
-	nProbes int
-	root    *explainNode
-	// strictOnly forces materialized (interpreter-order) evaluation:
-	// set for queries containing analyze-string, whose overlay side
-	// effects make deferred evaluation observable (lower.go).
-	strictOnly bool
+	root *explainNode
 }
 
 // Operator kinds.
@@ -82,62 +74,14 @@ type pathOp struct {
 	primLast bool  // primary step: last op of its path
 }
 
-// indexBinding is an index-scan node test resolved against the
-// document being evaluated: the interned name symbol and the hierarchy
-// restriction as sorted, deduplicated indices. Evaluation sites keep
-// one per (operator, document) and re-resolve when the document
-// changes, so a binding is never older than the document it runs on.
-type indexBinding struct {
-	nameSym int32
-	hierIdx []int
-	hierErr error
-}
-
-// resolveIndexBinding binds a name-test step to d. The unknown-
-// hierarchy error is recorded, not raised: the reference evaluator
-// raises it only when a candidate actually reaches the hierarchy check.
-func resolveIndexBinding(d *core.Document, s *step) indexBinding {
-	b := indexBinding{nameSym: d.NameSymOf(s.test.name)}
-	for _, name := range s.test.hiers {
-		h := d.HierarchyByName(name)
-		if h == nil {
-			b.hierErr = errf("MHXQ0001", "unknown hierarchy %q in node test", name)
-			return b
-		}
-		b.hierIdx = append(b.hierIdx, h.Index)
-	}
-	if len(b.hierIdx) > 1 {
-		// Scan runs in index order (document order) and only once each.
-		sort.Ints(b.hierIdx)
-		w := 1
-		for _, hi := range b.hierIdx[1:] {
-			if hi != b.hierIdx[w-1] {
-				b.hierIdx[w] = hi
-				w++
-			}
-		}
-		b.hierIdx = b.hierIdx[:w]
-	}
-	return b
-}
-
-func (b *indexBinding) allows(hierIndex int) bool {
-	if len(b.hierIdx) == 0 {
-		return true
-	}
-	for _, hi := range b.hierIdx {
-		if hi == hierIndex {
-			return true
-		}
-	}
-	return false
-}
-
 // ---- planner ---------------------------------------------------------------
 
 type planner struct {
 	pl *Plan
 	planForce
+	// analyze is set when the query calls analyze-string: lowering then
+	// marks the operators whose subtree does (lower.go).
+	analyze bool
 }
 
 // planForce forces the canonical side of the planner's choices: noIndex
@@ -150,8 +94,8 @@ type planForce struct {
 
 // newPlan lowers q's whole expression tree.
 func newPlan(q *Query, force planForce) *Plan {
-	pl := &Plan{strictOnly: q.strictOnly}
-	pn := &planner{pl: pl, planForce: force}
+	pl := &Plan{}
+	pn := &planner{pl: pl, planForce: force, analyze: anyExpr(q.body, isAnalyzeCall)}
 	root := &explainNode{op: "query", id: -1}
 	pl.prog = pn.lower(q.body, root)
 	pl.root = root
@@ -185,12 +129,20 @@ func (pn *planner) group(parent *explainNode, op, detail string) *explainNode {
 // recording the operator (and its lowered children) in the explain
 // tree.
 func (pn *planner) lower(e expr, parent *explainNode) pnode {
+	n := pn.lowerExpr(e, parent)
+	if pn.analyze && anyExpr(e, isAnalyzeCall) {
+		n.(interface{ markOverlays() }).markOverlays()
+	}
+	return n
+}
+
+func (pn *planner) lowerExpr(e expr, parent *explainNode) pnode {
 	switch x := e.(type) {
 	case *literalExpr:
 		_, pb := pn.enode(parent, "literal", describeLiteral(x.v))
 		return &pLiteral{pbase: pb, v: x.v, seq: x.seq}
 	case *rawTextExpr:
-		return &pRawText{pbase: pbase{id: -1}, s: x.s}
+		return &pLiteral{pbase: pbase{id: -1}, v: x.s, seq: singleton(x.s)}
 	case *varExpr:
 		_, pb := pn.enode(parent, "var", "$"+x.name)
 		return &pVar{pbase: pb, name: x.name}
@@ -212,10 +164,10 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 		return &pRange{pbase: pb, lo: pn.lower(x.lo, en), hi: pn.lower(x.hi, en)}
 	case *orExpr:
 		en, pb := pn.enode(parent, "or", "")
-		return &pOr{pbase: pb, a: pn.lowerTruth(x.a, en), b: pn.lowerTruth(x.b, en)}
+		return &pLogic{pbase: pb, a: pn.lowerTruth(x.a, en), b: pn.lowerTruth(x.b, en)}
 	case *andExpr:
 		en, pb := pn.enode(parent, "and", "")
-		return &pAnd{pbase: pb, a: pn.lowerTruth(x.a, en), b: pn.lowerTruth(x.b, en)}
+		return &pLogic{pbase: pb, and: true, a: pn.lowerTruth(x.a, en), b: pn.lowerTruth(x.b, en)}
 	case *cmpExpr:
 		en, pb := pn.enode(parent, "compare", x.op)
 		return &pCmp{pbase: pb, op: x.op, kind: x.kind, a: pn.lower(x.a, en), b: pn.lower(x.b, en)}
@@ -227,14 +179,14 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 		return &pUnary{pbase: pb, x: pn.lower(x.x, en)}
 	case *unionExpr:
 		en, pb := pn.enode(parent, "union", "|")
-		return &pUnion{pbase: pb, a: pn.lower(x.a, en), b: pn.lower(x.b, en)}
+		return &pSetOp{pbase: pb, op: "union", a: pn.lower(x.a, en), b: pn.lower(x.b, en)}
 	case *intersectExpr:
 		op := "intersect"
 		if x.except {
 			op = "except"
 		}
 		en, pb := pn.enode(parent, op, "")
-		return &pIntersect{pbase: pb, except: x.except, a: pn.lower(x.a, en), b: pn.lower(x.b, en)}
+		return &pSetOp{pbase: pb, op: op, a: pn.lower(x.a, en), b: pn.lower(x.b, en)}
 	case *ifExpr:
 		en, pb := pn.enode(parent, "if", "")
 		return &pIf{
@@ -249,12 +201,17 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 			kw = "every"
 		}
 		en, pb := pn.enode(parent, "quantified", kw+" $"+strings.Join(x.names, ", $"))
-		q := &pQuant{pbase: pb, every: x.every, names: x.names}
-		for _, s := range x.srcs {
-			q.srcs = append(q.srcs, pn.lower(s, en))
+		f := &pFLWOR{pbase: pbase{id: pn.newOpID()}, ret: &pLiteral{pbase: pbase{id: -1}, v: true, seq: seqTrue}}
+		for i, s := range x.srcs {
+			f.clauses = append(f.clauses, pClause{kind: clauseFor, name: x.names[i], src: pn.lower(s, en)})
 		}
-		q.sat = pn.lowerTruth(x.sat, pn.group(en, "satisfies", ""))
-		return q
+		sat := pn.lowerTruth(x.sat, pn.group(en, "satisfies", ""))
+		if x.every {
+			sat = &pCall{pbase: pbase{id: pn.newOpID(), ovl: sat.overlays()}, name: "not", fn: bNot, args: []pnode{sat}}
+		}
+		f.clauses = append(f.clauses, pClause{kind: clauseWhere, src: sat})
+		f.setCollect()
+		return &pQuant{pbase: pb, every: x.every, tuples: f}
 	case *flworExpr:
 		return pn.lowerFLWOR(x, parent)
 	case *callExpr:
@@ -274,9 +231,10 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 	case *filterExpr:
 		en, pb := pn.enode(parent, "filter", strings.Repeat("[…]", len(x.preds)))
 		f := &pFilter{pbase: pb, base: pn.lower(x.base, en)}
+		f.collect = pn.analyze && anyExpr(x, isAnalyzeCall)
 		for _, pr := range x.preds {
 			f.preds = append(f.preds, pn.lowerTruth(pr, pn.group(en, "predicate", "")))
-			f.sized = append(f.sized, usesLast(pr))
+			f.collect = f.collect || anyExpr(pr, isLastCall)
 		}
 		return f
 	case *pathExpr:
@@ -345,13 +303,12 @@ func (pn *planner) lowerFLWOR(x *flworExpr, parent *explainNode) pnode {
 		}
 		g := pn.group(en, "order-by", detail)
 		f.order = append(f.order, pOrderSpec{
-			key:           pn.lower(o.key, g),
-			descending:    o.descending,
-			emptyGreatest: o.emptyGreatest,
-			spec:          orderSpec{descending: o.descending, emptyGreatest: o.emptyGreatest},
+			key:  pn.lower(o.key, g),
+			spec: orderSpec{descending: o.descending, emptyGreatest: o.emptyGreatest},
 		})
 	}
 	f.ret = pn.lower(x.ret, pn.group(en, "return", ""))
+	f.setCollect()
 	return f
 }
 
@@ -606,22 +563,21 @@ func visitChildren(e expr, visit func(expr)) {
 	}
 }
 
-// ---- strict path execution -------------------------------------------------
+// ---- path execution --------------------------------------------------------
 
 // opCard is one operator's observed cardinalities during an
 // instrumented (Explain) evaluation. nanos accrues observed wall time
 // only under EXPLAIN ANALYZE (evalState.timed); it is inclusive — an
-// operator's time contains the time of the operators it pulled from —
-// matching the convention of PostgreSQL's "actual time".
+// operator's time contains the time of the operators it ran, less the
+// time its consumer spent on its items — matching the convention of
+// PostgreSQL's "actual time".
 type opCard struct {
 	calls, in, out int64
 	nanos          int64
 }
 
 // pPath is the lowered path expression: the operator list plus the
-// lowered start expression. Strict evaluation (eval) materializes step
-// by step; streaming (open, stepcursor.go) pipelines the operators as
-// cursors.
+// lowered start expression (each is in push.go).
 type pPath struct {
 	pbase
 	absolute bool
@@ -629,125 +585,11 @@ type pPath struct {
 	ops      []*pathOp
 }
 
-func (p *pPath) eval(c *context) (Seq, error) {
-	var cur Seq
-	switch {
-	case p.start != nil:
-		v, err := pEval(p.start, c)
-		if err != nil {
-			return nil, err
-		}
-		cur = v
-	case p.absolute:
-		cur = Seq{c.st.rootFor(c.item)}
-	default:
-		if c.item == nil {
-			return nil, errf("XPDY0002", "context item undefined at start of relative path")
-		}
-		cur = Seq{c.item}
-	}
-	for _, op := range p.ops {
-		in := int64(len(cur))
-		var start time.Time
-		if c.st.timed {
-			start = time.Now()
-		}
-		var err error
-		cur, err = evalOpStrict(c, cur, op)
-		if err != nil {
-			return nil, err
-		}
-		if ex := c.st.explain; ex != nil {
-			ex[op.id].calls++
-			ex[op.id].in += in
-			ex[op.id].out += int64(len(cur))
-			if c.st.timed {
-				ex[op.id].nanos += int64(time.Since(start))
-			}
-		}
-	}
-	return cur, nil
-}
-
-// evalOpStrict evaluates one path operator over a materialized context
-// sequence (shared by strict path evaluation and the step cursors'
-// fallback route).
-func evalOpStrict(c *context, cur Seq, op *pathOp) (Seq, error) {
-	switch op.kind {
-	case opPrimStep:
-		return evalPrimStep(c, cur, op.s, op.primLast)
-	case opIndexScan:
-		return evalIndexScan(c, cur, op)
-	default:
-		return evalStep(c, cur, op.s)
-	}
-}
-
-// evalIndexScan evaluates a descendant(-or-self)::name step through the
-// structural name index: per context node, one index segment appended
-// in bulk and filtered in place, then the segments merged into document
-// order. Atomic items and constructed (unindexed) context nodes
-// delegate the whole step to the pipeline, which reproduces the
-// reference semantics for them.
-func evalIndexScan(c *context, cur Seq, op *pathOp) (Seq, error) {
-	st := c.st
-	s := op.s
-	for _, it := range cur {
-		n, ok := it.(*dom.Node)
-		if !ok {
-			return evalStep(c, cur, s) // raises XPTY0019 at the reference point
-		}
-		if n.Kind == dom.Attribute {
-			continue // no descendants; indexable as an empty contribution
-		}
-		if _, ok := st.docFor(n).OrdinalOf(n); !ok {
-			return evalStep(c, cur, s) // constructed tree: no index
-		}
-	}
-	var out Seq
-	sorted := true
-	var bind indexBinding
-	var bindDoc *core.Document
-	for _, it := range cur {
-		n := it.(*dom.Node)
-		d := st.docFor(n)
-		if bindDoc != d {
-			bind, bindDoc = resolveIndexBinding(d, s), d
-		}
-		// The segment is copied out before any predicate runs, so the
-		// nested evaluations the predicates start may reuse st.idxSeg.
-		preds, ok, err := indexSegment(&st.idxSeg, d, n, s, &bind)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		segStart := len(out)
-		out = st.idxSeg.appendTo(out)
-		if len(preds) > 0 {
-			kept, err := applyPredicatesInPlace(c, out[segStart:], preds)
-			if err != nil {
-				return nil, err
-			}
-			out = out[:segStart+len(kept)]
-		}
-		if sorted && len(out) > segStart && segStart > 0 &&
-			dom.Compare(out[segStart-1].(*dom.Node), out[segStart].(*dom.Node)) >= 0 {
-			sorted = false
-		}
-	}
-	if !sorted {
-		return st.mergeDocOrder(out), nil
-	}
-	return out, nil
-}
-
 // indexSeg is one context node's index-scan segment in ascending
 // document order: the context itself when a descendant-or-self step
 // selects it, then the per-hierarchy name runs restricted to its
-// subtree. Strict execution appends it in bulk (appendTo); streamed
-// execution pulls it as a cursor (next).
+// subtree. A materialized step appends it in bulk (appendTo); a pushed
+// step walks it (next).
 type indexSeg struct {
 	self *dom.Node
 	rc   core.RunCursor
@@ -760,7 +602,7 @@ type indexSeg struct {
 // predicates left to apply, and ok=false for an empty segment. Only the
 // shared root and hierarchy elements have element descendants; text,
 // leaf and attribute contexts contribute nothing to a name test.
-func indexSegment(seg *indexSeg, d *core.Document, n *dom.Node, s *step, bind *indexBinding) (preds []expr, ok bool, err error) {
+func indexSegment(seg *indexSeg, d *core.Document, n *dom.Node, s *step, bind *resolvedTest) (preds []expr, ok bool, err error) {
 	seg.self = nil
 	seg.rc.Reset()
 	if bind.nameSym == 0 {
@@ -773,7 +615,7 @@ func indexSegment(seg *indexSeg, d *core.Document, n *dom.Node, s *step, bind *i
 	// An unknown hierarchy in the test leaves the restriction unresolved:
 	// gather the unrestricted candidates, because the reference raises
 	// the error only when a kind+name match reaches the hierarchy check.
-	restrict := bind.hierErr == nil
+	restrict := bind.hiers() == nil
 	switch {
 	case n == d.Root:
 		if inclSelf && n.NameSym == bind.nameSym {
@@ -851,16 +693,13 @@ func (seg *indexSeg) appendTo(out Seq) Seq {
 	return out
 }
 
-func (seg *indexSeg) next() (Item, bool, error) {
+func (seg *indexSeg) next() (*dom.Node, bool) {
 	if seg.self != nil {
 		n := seg.self
 		seg.self = nil
-		return n, true, nil
+		return n, true
 	}
-	if n, ok := seg.rc.Next(); ok {
-		return n, true, nil
-	}
-	return nil, false, nil
+	return seg.rc.Next()
 }
 
 // ---- EXPLAIN ---------------------------------------------------------------
@@ -880,8 +719,8 @@ type ExplainOp struct {
 	OutRows int64  `json:"out_rows,omitempty"`
 	// Nanos is the operator's observed wall time under EXPLAIN ANALYZE
 	// (zero under plain EXPLAIN). Times are inclusive: an operator's
-	// Nanos contains the time of the operators it pulled from. At the
-	// root it is the total query wall time.
+	// Nanos contains the time of the operators it ran. At the root it
+	// is the total query wall time.
 	Nanos    int64        `json:"nanos,omitempty"`
 	Children []*ExplainOp `json:"children,omitempty"`
 }

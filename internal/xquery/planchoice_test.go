@@ -12,7 +12,8 @@ import (
 // This file is the index rule's oracle: TestPlanChoiceDifferential
 // forces the axis pipeline where the planner would scan the name index
 // (planForce.noIndex) and requires both plans to produce node- and
-// error-code-identical results over both cursor routes, for the paper
+// error-code-identical results over every route (collected, drained and
+// cut short by Take(k)), for the paper
 // queries, the load benchmark's query shapes and hundreds of seeded
 // random path, FLWOR and quantifier shapes. The hand-picked shapes are
 // also held against the AST oracle.
@@ -29,8 +30,8 @@ var planKnobs = []planKnob{
 }
 
 // evalForced plans src under one forced configuration and evaluates it
-// over both cursor routes, which must agree exactly before the caller
-// compares configurations.
+// collected, drained and cut short by Take(k), which must agree exactly
+// before the caller compares configurations.
 func evalForced(t *testing.T, d *core.Document, src string, k planKnob) (Seq, error) {
 	t.Helper()
 	q, err := Compile(src)
@@ -53,6 +54,7 @@ func evalForced(t *testing.T, d *core.Document, src string, k planKnob) (Seq, er
 		t.Errorf("[%s] %q: eval and stream disagree:\n  eval:   %s\n  stream: %s",
 			k.name, src, Serialize(fast), Serialize(streamed))
 	}
+	checkTakes(t, "["+k.name+"] "+src, func() *Stream { return pl.Stream(nil, d, nil, nil) }, fast, fastErr, sameOrSerialized)
 	return fast, fastErr
 }
 

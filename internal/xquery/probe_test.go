@@ -113,7 +113,8 @@ var probeVarPositions = []string{
 // nodes — rotating the node test through names, kind tests, known and
 // unknown hierarchy qualifiers and filtered targets (and running every
 // test as a filter predicate over every context kind). Each query must
-// match the oracle in results and error codes on both routes.
+// match the oracle in results and error codes, collected, drained and
+// cut short by Take(k).
 func TestSweepProbeShapes(t *testing.T) {
 	t.Parallel()
 	docs := sweepDocs(t)
@@ -314,7 +315,7 @@ func TestProbesAllocateNothing(t *testing.T) {
 			c = c.bind(name, v)
 		}
 		run := func() {
-			if _, err := pl.prog.eval(c); err != nil {
+			if _, err := pEval(pl.prog, c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -325,14 +326,17 @@ func TestProbesAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestForLoopAllocatesNothingPerTuple holds the strict for loop to no
-// allocation per tuple: the variable binds a one-item subslice of the
-// materialized source and the clause's frame and context are rebound,
-// not allocated. The loops are a bare `for $x in $s return $x` and
-// Query I.2's inner leaf loop without its constructed <b> output. Each
-// evaluation may allocate a fixed amount plus the result slice's
-// O(log n) growth, so going from 16 tuples to every leaf of a 200-word
-// manuscript may add at most log2(leaves) allocations.
+// TestForLoopAllocatesNothingPerTuple holds the for loop to no
+// allocation per tuple: the variable binds the pushed item through the
+// clause's slot, whose frame and context are rebound, not allocated,
+// and the sinks counting or testing the tuples are recycled. The loops
+// are a bare `for $x in $s return $x`, Query I.2's inner leaf loop
+// without its constructed <b> output, and the LeafPredicate shapes:
+// the loop under count and exists, and the verse-line join's where
+// exists(…). Each evaluation may allocate a fixed amount plus the
+// result slice's O(log n) growth, so going from 16 tuples to every leaf
+// (or word) of a 200-word manuscript may add at most log2(n)
+// allocations.
 func TestForLoopAllocatesNothingPerTuple(t *testing.T) {
 	d, err := corpus.Generate(corpus.Params{Seed: 5, Words: 200, DamageRate: 0.3}).Document()
 	if err != nil {
@@ -340,26 +344,36 @@ func TestForLoopAllocatesNothingPerTuple(t *testing.T) {
 	}
 	d.Materialize()
 	leaves := nodesToSeq(d.Leaves)
-	for _, src := range []string{
-		`for $x in $s return $x`,
-		`for $leaf in $s return if ($leaf[ancestor::w and ancestor::dmg]) then $leaf else ()`,
+	words, err := MustCompile(`/descendant::w`).Eval(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		src string
+		s   Seq
+	}{
+		{`for $x in $s return $x`, leaves},
+		{`for $leaf in $s return if ($leaf[ancestor::w and ancestor::dmg]) then $leaf else ()`, leaves},
+		{`count(for $leaf in $s return if ($leaf[ancestor::w and ancestor::dmg]) then 1 else ())`, leaves},
+		{`exists(for $x in $s return $x[ancestor::zzz])`, leaves},
+		{`count(for $w in $s where exists($w/overlapping::dmg) return $w)`, words},
 	} {
-		pl := MustCompile(src).PlanFor(d)
+		pl := MustCompile(tc.src).PlanFor(d)
 		allocs := func(n int) float64 {
 			st := &evalState{doc: d, plan: pl}
-			c := (&context{st: st, item: d.Root, pos: 1, size: 1}).bind("s", leaves[:n])
+			c := (&context{st: st, item: d.Root, pos: 1, size: 1}).bind("s", tc.s[:n])
 			run := func() {
-				if _, err := pl.prog.eval(c); err != nil {
+				if _, err := pEval(pl.prog, c); err != nil {
 					t.Fatal(err)
 				}
 			}
 			run()
 			return testing.AllocsPerRun(50, run)
 		}
-		few, all := allocs(16), allocs(len(leaves))
-		if extra := all - few; extra > math.Log2(float64(len(leaves))) {
-			t.Errorf("%s: %v allocs over 16 tuples, %v over %d: %v per extra tuple", src, few, all, len(leaves),
-				extra/float64(len(leaves)-16))
+		few, all := allocs(16), allocs(len(tc.s))
+		if extra := all - few; extra > math.Log2(float64(len(tc.s))) {
+			t.Errorf("%s: %v allocs over 16 tuples, %v over %d: %v per extra tuple", tc.src, few, all, len(tc.s),
+				extra/float64(len(tc.s)-16))
 		}
 	}
 }

@@ -1,0 +1,561 @@
+package xquery
+
+import (
+	"errors"
+	"time"
+
+	"mhxquery/internal/core"
+	"mhxquery/internal/dom"
+)
+
+// This file is the push side of execution. Every lowered operator
+// produces its result through one method, each(c, yield), which calls
+// yield once per item in result order and stops as soon as yield
+// returns false. Every consumer is a sink over that method: a collected
+// result appends, count counts, exists/empty/boolean and the effective
+// boolean value stop at the first decisive item, [k] stops at the k-th
+// and the public Stream stops where its caller stops asking. A consumer
+// that needs one item ((//w)[1], exists(//dmg), some $x in … satisfies
+// …) therefore stops the whole upstream pipeline after one item.
+//
+// The hot sinks allocate nothing per call or per item: a sink's push
+// method is bound once and the sink is recycled through evalState, and
+// the operators that push into their own callbacks (for clauses, filter
+// stages, path steps, semi-joins) keep that state per evaluation in
+// their operator slot. One slot per operator suffices
+// because an operator never runs inside itself: what runs while it
+// pushes is its consumer, which lies outside its subtree.
+
+// errStop is what each returns when yield returned false: the consumer
+// has what it needs. Operators pass it up unchanged, and the sink that
+// stopped reads it as success.
+var errStop = errors.New("xquery: consumer stopped")
+
+// push1 pushes one item.
+func push1(it Item, yield func(Item) bool) error {
+	if !yield(it) {
+		return errStop
+	}
+	return nil
+}
+
+// pushSeq pushes a materialized sequence.
+func pushSeq(s Seq, yield func(Item) bool) error {
+	for _, it := range s {
+		if !yield(it) {
+			return errStop
+		}
+	}
+	return nil
+}
+
+// pEach runs n into yield. It is the engine's one dispatch point: under
+// EXPLAIN it counts n's call and every item n pushes, and under EXPLAIN
+// ANALYZE n's wall time less the time its consumer spent in yield.
+func pEach(n pnode, c *context, yield func(Item) bool) error {
+	st := c.st
+	if st.explain == nil {
+		return n.each(c, yield)
+	}
+	id := n.pid()
+	if id < 0 {
+		return n.each(c, yield)
+	}
+	y, done := st.instrument(id, yield)
+	err := n.each(c, y)
+	done()
+	return err
+}
+
+// instrument wraps yield for operator id's EXPLAIN slot (see pEach);
+// done records the time once the operator returns.
+func (st *evalState) instrument(id int, yield func(Item) bool) (func(Item) bool, func()) {
+	st.explain[id].calls++
+	start := time.Now()
+	var consumer time.Duration
+	y := func(it Item) bool {
+		st.explain[id].out++
+		if !st.timed {
+			return yield(it)
+		}
+		t := time.Now()
+		ok := yield(it)
+		consumer += time.Since(t)
+		return ok
+	}
+	return y, func() {
+		if st.timed {
+			st.explain[id].nanos += int64(time.Since(start) - consumer)
+		}
+	}
+}
+
+// sink is a reusable consumer: it counts the items pushed into it,
+// remembers the first, appends them when keep is set,
+// and stops after stop items (0: never) or, with nodeStop, at a first
+// item that is a node (which decides an effective boolean value).
+// yield is its push method, bound once.
+type sink struct {
+	keep, nodeStop bool
+	stop, n        int
+	first          Item
+	out            Seq
+	yield          func(Item) bool
+}
+
+func (s *sink) push(it Item) bool {
+	s.n++
+	if s.n == 1 {
+		s.first = it
+		if _, isNode := it.(*dom.Node); isNode && s.nodeStop {
+			return false
+		}
+	}
+	switch {
+	case !s.keep || s.n == 1: // a lone item needs no slice (pEval)
+	case s.n == 2:
+		s.out = append(s.out, s.first, it)
+	default:
+		s.out = append(s.out, it)
+	}
+	return s.n != s.stop
+}
+
+// getSink takes a sink from the evaluation's free list; putSink hands
+// it back.
+func (st *evalState) getSink(keep bool, stop int, nodeStop bool) *sink {
+	var s *sink
+	if k := len(st.sinks); k > 0 {
+		s, st.sinks = st.sinks[k-1], st.sinks[:k-1]
+	} else {
+		s = new(sink)
+		s.yield = s.push
+	}
+	s.keep, s.stop, s.nodeStop = keep, stop, nodeStop
+	return s
+}
+
+// sinkRun runs n into a sink; the caller reads it and hands it back
+// with putSink.
+func (st *evalState) sinkRun(n pnode, c *context, keep bool, stop int, nodeStop bool) (*sink, error) {
+	s := st.getSink(keep, stop, nodeStop)
+	err := pEach(n, c, s.yield)
+	if err == errStop {
+		err = nil
+	}
+	return s, err
+}
+
+// seq is a keeping sink's result.
+func (s *sink) seq() Seq {
+	if s.n != 1 {
+		return s.out
+	}
+	if b, isBool := s.first.(bool); isBool {
+		return singletonBool(b)
+	}
+	return singleton(s.first)
+}
+
+func (st *evalState) putSink(s *sink) {
+	*s = sink{yield: s.yield}
+	st.sinks = append(st.sinks, s)
+}
+
+// stopAt is the early-exit point k of an operand, or 0 (drain) when the
+// operand calls analyze-string: every overlay the interpreter would
+// build must exist before the rest of the query runs.
+func stopAt(n pnode, k int) int {
+	if n.overlays() {
+		return 0
+	}
+	return k
+}
+
+// pEval collects n's result. A variable's or literal's sequence comes
+// back as it is, without copying.
+func pEval(n pnode, c *context) (Seq, error) {
+	switch x := n.(type) {
+	case *pVar:
+		v, err := lookupVar(c, x.name)
+		noteEval(c.st, x, len(v))
+		return v, err
+	case *pLiteral:
+		noteEval(c.st, x, len(x.seq))
+		return x.seq, nil
+	}
+	s, err := c.st.sinkRun(n, c, true, 0, false)
+	out := s.seq()
+	c.st.putSink(s)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// pCount counts n's items.
+func pCount(n pnode, c *context) (int, error) {
+	s, err := c.st.sinkRun(n, c, false, 0, false)
+	k := s.n
+	c.st.putSink(s)
+	return k, err
+}
+
+// pExists reports whether n yields an item, stopping at the first.
+func pExists(n pnode, c *context) (bool, error) {
+	if p, ok := n.(*pProbe); ok {
+		return p.truth(c)
+	}
+	s, err := c.st.sinkRun(n, c, false, stopAt(n, 1), false)
+	k := s.n
+	c.st.putSink(s)
+	return k > 0, err
+}
+
+// pEbv computes the effective boolean value of n from at most two of
+// its items: none is false, a first node is true, and a second item
+// after an atomic first is the FORG0006 error. An error n would raise
+// only beyond them is not raised, as XQuery's errors-and-optimization
+// rules permit.
+func pEbv(n pnode, c *context) (bool, error) {
+	b, _, err := sinkTruth(n, c, 0)
+	return b, err
+}
+
+// sinkTruth runs n into an effective-boolean-value sink and applies the
+// predicate rule at position pos when pos > 0 (a single number selects
+// by position); keep is that rule's answer, b the effective boolean
+// value. A probe answers directly.
+func sinkTruth(n pnode, c *context, pos int) (b bool, keep bool, err error) {
+	if p, ok := n.(*pProbe); ok {
+		b, err = p.truth(c)
+		return b, b, err
+	}
+	stop, drain := 2, n.overlays()
+	if drain {
+		stop = 0
+	}
+	s, err := c.st.sinkRun(n, c, false, stop, !drain)
+	first, k := s.first, s.n
+	c.st.putSink(s)
+	if err != nil {
+		return false, false, err
+	}
+	if f, isNum := first.(float64); isNum && k == 1 && pos > 0 {
+		return false, float64(pos) == f, nil
+	}
+	b, err = ebvOf(first, k)
+	return b, b, err
+}
+
+// predKeep decides whether a predicate keeps its focus item c.item at
+// position c.pos.
+func predKeep(c *context, pr expr) (bool, error) {
+	pn, ok := pr.(pnode)
+	if !ok { // a syntax tree of the reference interpreter
+		v, err := pr.(evaluable).eval(c)
+		if err != nil {
+			return false, err
+		}
+		return predicateKeeps(v, c.pos)
+	}
+	_, keep, err := sinkTruth(pn, c, c.pos)
+	return keep, err
+}
+
+// ---- per-operator state ----------------------------------------------------
+
+// slot returns operator id's per-evaluation state cell.
+func (st *evalState) slot(id int) *any {
+	if st.slots == nil {
+		st.slots = make([]any, st.plan.nOps)
+	}
+	return &st.slots[id]
+}
+
+// ---- paths -----------------------------------------------------------------
+
+// each materializes every step but the last, each of which drains its
+// upstream anyway, and pushes the last (pushStep).
+func (p *pPath) each(c *context, yield func(Item) bool) error {
+	var one [1]Item
+	var cur Seq
+	switch {
+	case p.start != nil:
+		v, err := pEval(p.start, c)
+		if err != nil {
+			return err
+		}
+		cur = v
+	case p.absolute:
+		one[0] = c.st.rootFor(c.item)
+		cur = one[:]
+	default:
+		if c.item == nil {
+			return errf("XPDY0002", "context item undefined at start of relative path")
+		}
+		one[0] = c.item
+		cur = one[:]
+	}
+	last := len(p.ops) - 1
+	for _, op := range p.ops[:last] {
+		var err error
+		if cur, err = runOp(c, cur, op); err != nil {
+			return err
+		}
+	}
+	op := p.ops[last]
+	if ex := c.st.explain; ex != nil {
+		ex[op.id].in += int64(len(cur))
+		y, done := c.st.instrument(op.id, yield)
+		err := pushStep(c, cur, op, y)
+		done()
+		return err
+	}
+	return pushStep(c, cur, op, yield)
+}
+
+// runOp evaluates one non-last path operator over a materialized
+// context sequence, with EXPLAIN accounting.
+func runOp(c *context, cur Seq, op *pathOp) (Seq, error) {
+	ex := c.st.explain
+	if ex == nil {
+		return evalOpStrict(c, cur, op)
+	}
+	var start time.Time
+	if c.st.timed {
+		start = time.Now()
+	}
+	out, err := evalOpStrict(c, cur, op)
+	if err != nil {
+		return nil, err
+	}
+	ex[op.id].calls++
+	ex[op.id].in += int64(len(cur))
+	ex[op.id].out += int64(len(out))
+	if c.st.timed {
+		ex[op.id].nanos += int64(time.Since(start))
+	}
+	return out, nil
+}
+
+// evalOpStrict evaluates one path operator over a materialized context
+// sequence.
+func evalOpStrict(c *context, cur Seq, op *pathOp) (Seq, error) {
+	switch op.kind {
+	case opPrimStep:
+		return evalPrimStep(c, cur, op.s, op.primLast)
+	case opIndexScan:
+		if segmentsOrdered(c.st, cur, op) {
+			s := c.st.getSink(true, 0, false)
+			err := pushSegments(c, cur, op, s.yield)
+			out := s.seq()
+			c.st.putSink(s)
+			return out, err
+		}
+		// Atomic items (XPTY0019), nested or constructed contexts: the
+		// axis pipeline reproduces the reference semantics.
+		return evalStep(c, cur, op.s)
+	default:
+		return evalStep(c, cur, op.s)
+	}
+}
+
+// pushStep pushes a path's last step. A step's output is ascending
+// Definition 3 document order without duplicates; pushing context by
+// context keeps that only when no two contexts' segments can interleave
+// or share items, which segmentsOrdered proves for the whole context
+// list before anything is pushed. Otherwise the step runs strictly
+// (which also reproduces the reference errors for atomic items,
+// constructed nodes and nested contexts) and its result is pushed.
+func pushStep(c *context, cur Seq, op *pathOp, yield func(Item) bool) error {
+	if !segmentsOrdered(c.st, cur, op) {
+		out, err := evalOpStrict(c, cur, op)
+		if err != nil {
+			return err
+		}
+		return pushSeq(out, yield)
+	}
+	return pushSegments(c, cur, op, yield)
+}
+
+// pushSegments pushes op's segments over the contexts cur, context by
+// context.
+func pushSegments(c *context, cur Seq, op *pathOp, yield func(Item) bool) error {
+	cell := c.st.slot(op.id)
+	r, _ := (*cell).(*segRun)
+	if r == nil {
+		r = new(segRun)
+		*cell = r
+	}
+	for _, it := range cur {
+		n := it.(*dom.Node)
+		if err := r.push(c, n, c.st.docFor(n), op, yield); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// segmentsOrdered reports whether op's segments over the contexts cur
+// follow each other in document order. Index scans and the downward
+// axes qualify (their results lie within the context's subtree closure)
+// when every context is an ordinal-bearing element node (or the shared
+// root) of one document and every adjacent pair passes verifyPair.
+// Other axes' results can precede their context, so they never do.
+func segmentsOrdered(st *evalState, cur Seq, op *pathOp) bool {
+	if op.kind == opPrimStep {
+		return false
+	}
+	if op.kind == opAxisStep {
+		switch op.s.axis {
+		case core.AxisChild, core.AxisSelf, core.AxisDescendant, core.AxisDescendantOrSelf:
+		default:
+			return false
+		}
+	}
+	var prev *dom.Node
+	for _, it := range cur {
+		n, ok := it.(*dom.Node)
+		if !ok {
+			return false
+		}
+		d := st.docFor(n)
+		if n != d.Root {
+			if _, ok := d.OrdinalOf(n); !ok || n.Kind != dom.Element {
+				return false
+			}
+		}
+		if prev != nil && !verifyPair(st, op, prev, n) {
+			return false
+		}
+		prev = n
+	}
+	return true
+}
+
+// verifyPair proves segment a cannot interleave with (or duplicate
+// into) any segment at or after b:
+//
+//   - same hierarchy: b's preorder ordinal lies beyond a's subtree
+//     (disjoint subtrees: for the downward axes every item of one
+//     segment precedes every item of the next, shared leaves included,
+//     whose spans inherit the subtree order);
+//   - different hierarchies, in registration order: only for
+//     single-kind tests that cannot select shared leaves
+//     (name/*/text()), whose segments stay inside their hierarchy's
+//     document-order block;
+//   - self axis: the segments are the contexts, so context order alone.
+func verifyPair(st *evalState, op *pathOp, a, b *dom.Node) bool {
+	da, db := st.docFor(a), st.docFor(b)
+	if da != db || a == da.Root || b == da.Root {
+		return false
+	}
+	if op.s.axis == core.AxisSelf {
+		return dom.Compare(a, b) < 0
+	}
+	kind := op.s.test.kind
+	if op.kind == opIndexScan {
+		kind = testName
+	}
+	if a.HierIndex == b.HierIndex {
+		if b.Ord <= a.Last {
+			return false // nested or out of order
+		}
+		switch kind {
+		case testName, testStar, testText, testLeaf:
+			return true
+		}
+		return false // node(): element and leaf order blocks interleave
+	}
+	if a.HierIndex < b.HierIndex {
+		switch kind {
+		case testName, testStar, testText:
+			return true
+		}
+	}
+	return false
+}
+
+// segRun is a pushed path step's per-evaluation state: its per-document
+// bindings and the segment being pushed, which stays valid while the
+// consumer runs (nested evaluation may reuse the evaluation-wide
+// buffers, so these cannot be those), and the focus of its predicates.
+type segRun struct {
+	rt  resolvedTest
+	idx indexSeg
+	buf Seq
+	c2  context
+}
+
+// push pushes context n's segment: an axis segment is built whole (its
+// size is bounded by the axis fan-out; descendant name steps are index
+// scans), an index segment streams out of the name-index runs through
+// its predicate, so it stops where the consumer stops.
+func (r *segRun) push(c *context, n *dom.Node, d *core.Document, op *pathOp, yield func(Item) bool) error {
+	s := op.s
+	if op.kind == opAxisStep {
+		out, ordered, err := axisSegment(c, r.buf[:0], d, n, s, &r.rt)
+		if err != nil {
+			return err
+		}
+		r.buf = out
+		if !ordered {
+			out = sortDedupe(out)
+		}
+		return pushSeq(out, yield)
+	}
+	if r.rt.doc != d {
+		r.rt.init(d, s)
+	}
+	preds, ok, err := indexSegment(&r.idx, d, n, s, &r.rt)
+	if err != nil || !ok {
+		return err
+	}
+	if len(preds) > 1 {
+		// Position semantics chain through each stage's survivors:
+		// filter the segment whole.
+		items, err := applyPredicatesInPlace(c, r.idx.appendTo(r.buf[:0]), preds)
+		if err != nil {
+			return err
+		}
+		r.buf = items
+		return pushSeq(items, yield)
+	}
+	// The run lengths fix the segment's size: last() works.
+	var sj *sjRun
+	r.c2 = *c
+	r.c2.pos, r.c2.size = 0, r.idx.total()
+	if len(preds) == 1 {
+		if e, ok := preds[0].(*pSemiJoin); ok {
+			if sj, err = e.start(c, d, r.c2.size); err != nil {
+				return err
+			}
+		}
+	}
+	for m, ok := r.idx.next(); ok; m, ok = r.idx.next() {
+		if err := c.st.checkCancel(); err != nil {
+			return err
+		}
+		if len(preds) == 1 {
+			var keep bool
+			if sj != nil {
+				keep, err = sj.keep(m)
+			} else {
+				r.c2.item = m
+				r.c2.pos++
+				keep, err = predKeep(&r.c2, preds[0])
+			}
+			if err != nil {
+				return err
+			}
+			if !keep {
+				continue
+			}
+		}
+		if !yield(m) {
+			return errStop
+		}
+	}
+	return nil
+}

@@ -2,18 +2,16 @@ package xquery
 
 import (
 	stdctx "context"
-	"math"
 	"strings"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/dom"
 )
 
-// This file holds the runtime of the cursor engine (lower.go,
-// stepcursor.go): the per-evaluation mutable state, the dynamic context,
-// predicate application and the constructor content rules. The
-// reference interpreter of the package tests evaluates through the same
-// runtime.
+// This file holds the runtime of the engine (lower.go, push.go): the
+// per-evaluation mutable state, the dynamic context, predicate
+// application and the constructor content rules. The reference
+// interpreter of the package tests evaluates through the same runtime.
 
 // evalState is the per-evaluation mutable state. The active document
 // pointer advances to overlay documents as analyze-string materializes
@@ -48,25 +46,17 @@ type evalState struct {
 	tick uint
 
 	// axisBuf is the reusable axis-candidate buffer of the step pipeline
-	// (AppendAxis destination), shared across context nodes, steps and
-	// step cursors — axisSegment consumes the candidates into the step
-	// output before any nested evaluation can run.
+	// (AppendAxis destination), shared across context nodes and steps —
+	// axisSegment consumes the candidates into the step output before
+	// any nested evaluation can run.
 	axisBuf []*dom.Node
-	// idxSeg is the reusable index-scan segment of strict execution
-	// (evalIndexScan), likewise consumed into the step output before any
-	// nested evaluation can run.
-	idxSeg indexSeg
 	// ordSet is the reusable ordinal scatter buffer that restores
 	// document order over interleaved step results.
 	ordSet core.OrdinalSet
 
-	// sweeps is the free list of semi-join sweep states and targets the
-	// memoized filtered semi-join target runs per (term, document)
-	// (semijoin.go); both live only as long as the evaluation.
-	sweeps  []*sjSweep
+	// targets memoizes the filtered semi-join target runs per (term,
+	// document) (semijoin.go) for the evaluation.
 	targets map[sjKey][][]int32
-	// probes holds each existence probe's state by its plan slot.
-	probes []probeState
 
 	// args and items are the stacks pCall takes its argument sequences
 	// from: a call pushes its arguments above its caller's and pops them
@@ -77,6 +67,11 @@ type evalState struct {
 	args  []Seq
 	items []Item
 	ctxs  []*context
+
+	// sinks is the free list of sinks (push.go); slots holds each
+	// operator's per-evaluation state by its plan slot.
+	sinks []*sink
+	slots []any
 }
 
 // scratchContext returns a context equal to *c from the evaluation's
@@ -235,15 +230,15 @@ func stringItem(c *context, it Item) string {
 	return stringValue(it)
 }
 
-// evaluable is an expression that evaluates strictly: every pnode, and
-// in the package tests the AST nodes of the reference interpreter.
+// evaluable is a syntax-tree expression of the reference interpreter
+// of the package tests, which the shared runtime evaluates beside
+// lowered operators.
 type evaluable interface {
 	eval(c *context) (Seq, error)
 }
 
-// evalMaybeLowered evaluates e, routing lowered operators through the
-// explain-accounting entry point so EXPLAIN counters cover predicates
-// and operands evaluated outside the cursor routes.
+// evalMaybeLowered evaluates e: a lowered operator through pEval, a
+// syntax tree through the reference interpreter.
 func evalMaybeLowered(c *context, e expr) (Seq, error) {
 	if pn, ok := e.(pnode); ok {
 		return pEval(pn, c)
@@ -254,18 +249,31 @@ func evalMaybeLowered(c *context, e expr) (Seq, error) {
 // evalNumber evaluates an operand to a single number; empty reports the
 // empty sequence (which propagates as an empty result).
 func evalNumber(c *context, e expr, what string) (f float64, empty bool, err error) {
-	v, err := evalMaybeLowered(c, e)
-	if err != nil {
-		return 0, false, err
+	var first Item
+	var n int
+	if pn, ok := e.(pnode); ok {
+		s, err := c.st.sinkRun(pn, c, false, stopAt(pn, 2), false)
+		first, n = s.first, s.n
+		c.st.putSink(s)
+		if err != nil {
+			return 0, false, err
+		}
+	} else {
+		v, err := e.(evaluable).eval(c)
+		if err != nil {
+			return 0, false, err
+		}
+		if n = len(v); n > 0 {
+			first = v[0]
+		}
 	}
-	v = c.atomizeSeq(v)
-	switch len(v) {
+	switch n {
 	case 0:
 		return 0, true, nil
 	case 1:
-		return toNumber(v[0]), false, nil
+		return toNumber(c.atomize(first)), false, nil
 	}
-	return 0, false, errf("XPTY0004", "%s operand is a sequence of %d items", what, len(v))
+	return 0, false, errf("XPTY0004", "%s operand is a sequence of more than one item", what)
 }
 
 // ---- node sequences --------------------------------------------------------
@@ -310,8 +318,7 @@ func allNodes(items Seq) bool {
 // ---- predicates ------------------------------------------------------------
 
 // constNumPred recognizes a predicate that is a bare numeric literal —
-// in AST form (the reference interpreter) or lowered form (the cursor
-// engine). Such a predicate selects at most one item by position, so
+// in AST form (the reference interpreter) or lowered form. Such a predicate selects at most one item by position, so
 // the per-item evaluation loop can be short-circuited entirely — in
 // particular an out-of-range [7] no longer evaluates anything per item.
 func constNumPred(pr expr) (float64, bool) {
@@ -349,37 +356,41 @@ func applyPredicatesInPlace(c *context, items Seq, preds []expr) (Seq, error) {
 			items = selectByConstPos(items, f)
 			continue
 		}
-		if sj, ok := pr.(*pSemiJoin); ok {
+		if sj, ok := pr.(*pSemiJoin); ok && len(items) > 0 {
 			var err error
 			if items, err = sj.filter(c, items); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		size := len(items)
-		w := 0
-		c2 := *c // one scratch context per predicate, mutated per item
-		for i, it := range items {
-			if err := c.st.checkCancel(); err != nil {
-				return nil, err
-			}
-			c2.item, c2.pos, c2.size = it, i+1, size
-			v, err := evalMaybeLowered(&c2, pr)
-			if err != nil {
-				return nil, err
-			}
-			keep, err := predicateKeeps(v, i+1)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				items[w] = it
-				w++
-			}
+		var err error
+		if items, err = filterInPlace(c, items, pr); err != nil {
+			return nil, err
 		}
-		items = items[:w]
 	}
 	return items, nil
+}
+
+// filterInPlace keeps the items predicate pr keeps, compacting in place.
+func filterInPlace(c *context, items Seq, pr expr) (Seq, error) {
+	c2 := c.st.scratchContext(c) // one scratch context, mutated per item
+	defer c.st.releaseContext(c2)
+	w := 0
+	for i, it := range items {
+		if err := c.st.checkCancel(); err != nil {
+			return nil, err
+		}
+		c2.item, c2.pos, c2.size = it, i+1, len(items)
+		keep, err := predKeep(c2, pr)
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			items[w] = it
+			w++
+		}
+	}
+	return items[:w], nil
 }
 
 // predicateKeeps applies the predicate rule to the value v of a
@@ -398,11 +409,11 @@ func predicateKeeps(v Seq, pos int) (bool, error) {
 // per input item.
 func evalPrimStep(c *context, cur Seq, s *step, last bool) (Seq, error) {
 	var out Seq
-	size := len(cur)
-	c2 := *c // one scratch context, mutated per item
+	c2 := c.st.scratchContext(c) // one scratch context, mutated per item
+	defer c.st.releaseContext(c2)
 	for i, it := range cur {
-		c2.item, c2.pos, c2.size = it, i+1, size
-		v, err := evalMaybeLowered(&c2, s.prim)
+		c2.item, c2.pos, c2.size = it, i+1, len(cur)
+		v, err := evalMaybeLowered(c2, s.prim)
 		if err != nil {
 			return nil, err
 		}
@@ -496,20 +507,4 @@ func joinAtomics(v Seq) string {
 		b.WriteString(stringValue(atomize(it)))
 	}
 	return b.String()
-}
-
-// rangeSeq materializes lo..hi with cancellation polls (a pathological
-// range is the canonical runaway query).
-func rangeSeq(c *context, lo, hi float64) (Seq, error) {
-	if lo != math.Trunc(lo) || hi != math.Trunc(hi) {
-		return nil, errf("FORG0006", "range bounds must be integers")
-	}
-	var out Seq
-	for v := lo; v <= hi; v++ {
-		if err := c.st.checkCancel(); err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -21,9 +21,10 @@ import (
 // sweep of the candidates' spans against the targets' spans
 // (core.SemiJoin), O(candidates + targets) with no allocation per
 // candidate. The lowered predicate (pSemiJoin) sweeps whole segments:
-// the strict index-scan and axis-step segments (applyPredicatesInPlace)
-// and, lazily, the streamed index-scan segments (semiJoinCursor), whose
-// sweep advances as candidates are pulled, so early exit stays early.
+// the materialized index-scan and axis-step segments
+// (applyPredicatesInPlace) and, lazily, the pushed index-scan segments
+// (segRun), whose sweep advances as candidates are pushed, so early
+// exit stays early.
 //
 // Everything that sees one node at a time takes an existence probe
 // (pProbe): a relative one-step path axis::test, starting at the
@@ -78,7 +79,7 @@ func semiJoinable(e expr) bool {
 			return false
 		}
 		for _, pr := range s.preds {
-			if referencesVars(pr) {
+			if anyExpr(pr, isVarRef) {
 				return false
 			}
 		}
@@ -103,8 +104,8 @@ func probeable(p *pathExpr) bool {
 // probeStep reports whether an axis step's emptiness can be decided at
 // its first match: its predicates are position-independent and
 // infallible, so no later candidate can change the answer or raise.
-// Descendant name steps stay index scans, whose streamed first pull
-// already stops early.
+// Descendant name steps stay index scans, whose pushed segments
+// already stop at the first node.
 func probeStep(s *step) bool {
 	if s.prim != nil || s.posSel != 0 || indexableStep(s) || !fusablePreds(s.preds) {
 		return false
@@ -181,18 +182,9 @@ func isStringLiteral(e expr) bool {
 	return ok
 }
 
-// referencesVars reports whether e reads any variable.
-func referencesVars(e expr) bool {
-	if _, ok := e.(*varExpr); ok {
-		return true
-	}
-	found := false
-	visitChildren(e, func(ch expr) {
-		if !found && referencesVars(ch) {
-			found = true
-		}
-	})
-	return found
+func isVarRef(e expr) bool {
+	_, ok := e.(*varExpr)
+	return ok
 }
 
 // lowerTruth lowers an expression whose effective boolean value alone
@@ -211,9 +203,7 @@ func (pn *planner) lowerTruth(e expr, parent *explainNode) pnode {
 }
 
 func (pn *planner) newProbe(pb pbase, path *pPath) *pProbe {
-	pr := &pProbe{pbase: pb, path: path, slot: pn.pl.nProbes}
-	pn.pl.nProbes++
-	return pr
+	return &pProbe{pbase: pb, path: path}
 }
 
 // sjShape is the boolean shape of a semi-join predicate over its terms:
@@ -235,8 +225,9 @@ type pSemiJoin struct {
 	perNode pnode
 }
 
-func (e *pSemiJoin) eval(c *context) (Seq, error) { return pEval(e.perNode, c) }
-func (e *pSemiJoin) open(c *context) cursor       { return scalarOpen(e, c) }
+func (e *pSemiJoin) each(c *context, yield func(Item) bool) error {
+	return pEach(e.perNode, c, yield)
+}
 
 // lowerPred lowers one step predicate, as a semi-join when eligible.
 func (pn *planner) lowerPred(pr expr, parent *explainNode) pnode {
@@ -255,11 +246,11 @@ func (pn *planner) lowerPred(pr expr, parent *explainNode) pnode {
 		case *orExpr:
 			a, pa := lowerTerms(x.a)
 			b, pb := lowerTerms(x.b)
-			return &sjShape{a: a, b: b}, &pOr{pbase: pbase{id: pn.newOpID()}, a: pa, b: pb}
+			return &sjShape{a: a, b: b}, &pLogic{pbase: pbase{id: pn.newOpID()}, a: pa, b: pb}
 		case *andExpr:
 			a, pa := lowerTerms(x.a)
 			b, pb := lowerTerms(x.b)
-			return &sjShape{and: true, a: a, b: b}, &pAnd{pbase: pbase{id: pn.newOpID()}, a: pa, b: pb}
+			return &sjShape{and: true, a: a, b: b}, &pLogic{pbase: pbase{id: pn.newOpID()}, and: true, a: pa, b: pb}
 		}
 		s := e.(*pathExpr).steps[0]
 		ts := &step{axis: s.axis, test: s.test}
@@ -326,7 +317,7 @@ const (
 
 // sjSweep is one semi-join's state over the candidates of one document:
 // a core sweep per term, or perNode when the term's targets cannot be
-// bound without raising. evalState keeps a free list of them.
+// bound without raising.
 type sjSweep struct {
 	terms []sjTermState
 }
@@ -343,25 +334,6 @@ type sjKey struct {
 	d      *core.Document
 }
 
-// getSweep returns a sweep state bound to e's terms over document d.
-func (st *evalState) getSweep(c *context, e *pSemiJoin, d *core.Document) (*sjSweep, error) {
-	var sw *sjSweep
-	if k := len(st.sweeps); k > 0 {
-		sw, st.sweeps = st.sweeps[k-1], st.sweeps[:k-1]
-	} else {
-		sw = &sjSweep{}
-	}
-	if err := sw.bind(c, e, d); err != nil {
-		st.putSweep(sw)
-		return nil, err
-	}
-	return sw, nil
-}
-
-func (st *evalState) putSweep(sw *sjSweep) {
-	st.sweeps = append(st.sweeps, sw)
-}
-
 // bind resolves every term against d and loads its targets: the name
 // runs of the hierarchies the test allows, or their filtered subsets.
 func (sw *sjSweep) bind(c *context, e *pSemiJoin, d *core.Document) error {
@@ -374,11 +346,12 @@ func (sw *sjSweep) bind(c *context, e *pSemiJoin, d *core.Document) error {
 		ts := &sw.terms[i]
 		sj := &ts.sj
 		sj.Reset(d, s.axis)
-		b := resolveIndexBinding(d, s)
+		var b resolvedTest
+		b.init(d, s)
 		// A name no element bears leaves no targets, and no candidate
 		// then reaches the hierarchy check that could raise.
 		rootTarget := b.nameSym != 0 && d.Root.NameSym == b.nameSym
-		ts.perNode = b.nameSym != 0 && (b.hierErr != nil || rootTarget && len(s.preds) > 0)
+		ts.perNode = b.nameSym != 0 && (b.hiers() != nil || rootTarget && len(s.preds) > 0)
 		if ts.perNode || b.nameSym == 0 {
 			continue
 		}
@@ -407,7 +380,7 @@ func (sw *sjSweep) bind(c *context, e *pSemiJoin, d *core.Document) error {
 // filteredTargets returns, per hierarchy of d, the ordinals of the
 // target step's name matches that pass its predicates, evaluated once
 // per (term, document) in this evaluation.
-func (st *evalState) filteredTargets(c *context, s *step, d *core.Document, b *indexBinding) ([][]int32, error) {
+func (st *evalState) filteredTargets(c *context, s *step, d *core.Document, b *resolvedTest) ([][]int32, error) {
 	key := sjKey{&s.preds[0], d}
 	if runs, ok := st.targets[key]; ok {
 		return runs, nil
@@ -468,132 +441,95 @@ func (sw *sjSweep) decide(x *sjShape, n *dom.Node) sjAnswer {
 	return sw.decide(x.b, n)
 }
 
-// perNodeKeep evaluates the predicate for one candidate the sweep did
-// not decide (c2 carries its focus).
-func (e *pSemiJoin) perNodeKeep(c2 *context) (bool, error) {
-	return pEbv(e.perNode, c2)
+// sjRun is a semi-join's per-evaluation state (kept in its operator
+// slot): the sweep over the current segment, if any, and the focus of
+// the per-node predicate.
+type sjRun struct {
+	e     *pSemiJoin
+	sw    sjSweep
+	swept bool
+	c2    context
 }
 
-// filter applies the predicate to a whole segment in place: one sweep
-// over the candidates, per-node evaluation for what it leaves
-// undecided (every candidate of a one-item segment).
-func (e *pSemiJoin) filter(c *context, items Seq) (Seq, error) {
-	st := c.st
+// start prepares a segment of size candidates in document d: a sweep
+// when it has more than one candidate, per-node evaluation otherwise
+// (d nil: atomic candidates).
+func (e *pSemiJoin) start(c *context, d *core.Document, size int) (*sjRun, error) {
+	cell := c.st.slot(e.id)
+	r, _ := (*cell).(*sjRun)
+	if r == nil {
+		r = &sjRun{e: e}
+		*cell = r
+	}
+	if ex := c.st.explain; ex != nil {
+		ex[e.id].calls++
+	}
+	r.c2 = *c
+	r.c2.pos, r.c2.size = 0, size
+	r.swept = size > 1 && d != nil
+	if r.swept {
+		return r, r.sw.bind(c, e, d)
+	}
+	return r, nil
+}
+
+// keep answers the predicate for the segment's next candidate: the
+// sweep's answer, advancing it, or the per-node predicate's for what it
+// leaves undecided.
+func (r *sjRun) keep(it Item) (bool, error) {
+	st := r.c2.st
 	var start time.Time
-	if st.explain != nil && st.timed {
+	if st.timed {
 		start = time.Now()
 	}
-	var sw *sjSweep
-	if len(items) > 1 {
-		if n, ok := items[0].(*dom.Node); ok {
-			var err error
-			if sw, err = st.getSweep(c, e, st.docFor(n)); err != nil {
-				return nil, err
-			}
-			defer st.putSweep(sw)
+	r.c2.pos++
+	ans := sjUndecided
+	if n, ok := it.(*dom.Node); ok && r.swept {
+		ans = r.sw.decide(r.e.shape, n)
+	}
+	keep := ans == sjYes
+	var err error
+	if ans == sjUndecided {
+		r.c2.item = it
+		keep, err = pEbv(r.e.perNode, &r.c2)
+	}
+	if ex := st.explain; ex != nil {
+		ex[r.e.id].in++
+		if keep {
+			ex[r.e.id].out++
+		}
+		if st.timed {
+			ex[r.e.id].nanos += int64(time.Since(start))
 		}
 	}
-	c2 := *c
+	return keep, err
+}
+
+// filter applies the predicate to a whole segment in place.
+func (e *pSemiJoin) filter(c *context, items Seq) (Seq, error) {
+	var d *core.Document
+	if n, ok := items[0].(*dom.Node); ok {
+		d = c.st.docFor(n)
+	}
+	r, err := e.start(c, d, len(items))
+	if err != nil {
+		return nil, err
+	}
 	w := 0
-	for i, it := range items {
-		if err := st.checkCancel(); err != nil {
+	for _, it := range items {
+		if err := c.st.checkCancel(); err != nil {
 			return nil, err
 		}
-		ans := sjUndecided
-		if n, ok := it.(*dom.Node); ok && sw != nil {
-			ans = sw.decide(e.shape, n)
-		}
-		keep := ans == sjYes
-		if ans == sjUndecided {
-			c2.item, c2.pos, c2.size = it, i+1, len(items)
-			var err error
-			if keep, err = e.perNodeKeep(&c2); err != nil {
-				return nil, err
-			}
+		keep, err := r.keep(it)
+		if err != nil {
+			return nil, err
 		}
 		if keep {
 			items[w] = it
 			w++
 		}
 	}
-	if ex := st.explain; ex != nil {
-		ex[e.id].calls++
-		ex[e.id].in += int64(len(items))
-		ex[e.id].out += int64(w)
-		if st.timed {
-			ex[e.id].nanos += int64(time.Since(start))
-		}
-	}
 	return items[:w], nil
-}
-
-// semiJoinCursor filters a streamed index segment of size candidates
-// by a semi-join predicate, advancing the sweep as candidates are
-// pulled. sw is the step cursor's sweep state, reused across segments.
-type semiJoinCursor struct {
-	inner   cursor
-	e       *pSemiJoin
-	c       *context
-	c2      context
-	sw      *sjSweep
-	started bool
-	bound   bool
-	pos     int
-	size    int
-}
-
-func (sc *semiJoinCursor) next() (Item, bool, error) {
-	st := sc.c.st
-	ex := st.explain
-	if ex != nil && st.timed {
-		start := time.Now()
-		defer func() { ex[sc.e.id].nanos += int64(time.Since(start)) }()
-	}
-	if !sc.started {
-		sc.started = true
-		sc.c2 = *sc.c
-		sc.c2.size = sc.size
-		if ex != nil {
-			ex[sc.e.id].calls++
-		}
-	}
-	for {
-		if err := st.checkCancel(); err != nil {
-			return nil, false, err
-		}
-		it, ok, err := sc.inner.next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		sc.pos++
-		n := it.(*dom.Node) // index segments yield document nodes only
-		if !sc.bound && sc.size > 1 {
-			sc.bound = true
-			if err := sc.sw.bind(sc.c, sc.e, st.docFor(n)); err != nil {
-				return nil, false, err
-			}
-		}
-		ans := sjUndecided
-		if sc.bound {
-			ans = sc.sw.decide(sc.e.shape, n)
-		}
-		keep := ans == sjYes
-		if ans == sjUndecided {
-			sc.c2.item, sc.c2.pos = it, sc.pos
-			if keep, err = sc.e.perNodeKeep(&sc.c2); err != nil {
-				return nil, false, err
-			}
-		}
-		if ex != nil {
-			ex[sc.e.id].in++
-		}
-		if keep {
-			if ex != nil {
-				ex[sc.e.id].out++
-			}
-			return it, true, nil
-		}
-	}
 }
 
 // ---- existence probes ------------------------------------------------------
@@ -608,24 +544,21 @@ type pProbe struct {
 	// axis-step operator, whose lowered step the probe tests candidates
 	// with; it also evaluates the contexts the probe does not cover.
 	path *pPath
-	// slot indexes the probe's state in evalState.probes.
-	slot int
 }
 
-// pid hides the probe's slot from pEval and popen: truth does its own
-// accounting, so a probe counts once however it is reached.
+// pid hides the probe's slot from pEach: truth does its own accounting,
+// so a probe counts once however it is reached.
 func (e *pProbe) pid() int { return -1 }
 
-// eval returns the truth value as a boolean singleton, which every
-// truth-value position reads exactly as it reads the path's nodes.
-func (e *pProbe) eval(c *context) (Seq, error) {
+// each pushes the truth value, which every truth-value position reads
+// exactly as it reads the path's nodes.
+func (e *pProbe) each(c *context, yield func(Item) bool) error {
 	b, err := e.truth(c)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return singletonBool(b), nil
+	return push1(b, yield)
 }
-func (e *pProbe) open(c *context) cursor { return scalarOpen(e, c) }
 
 // truth reports whether the path is non-empty.
 func (e *pProbe) truth(c *context) (bool, error) {
@@ -675,7 +608,7 @@ func (e *pProbe) probe(c *context) (bool, error) {
 		return e.delegate(c) // constructed tree
 	}
 	s := e.path.ops[0].s
-	ps := st.probeState(e.slot, d, s)
+	ps := st.probeState(e.id, d, s)
 	rt := &ps.rt
 	var name int32
 	if s.test.kind == testName {
@@ -706,7 +639,8 @@ func (e *pProbe) probe(c *context) (bool, error) {
 // are position-independent, so their focus position is immaterial.
 func probeFiltered(c *context, d *core.Document, buf []*dom.Node, n *dom.Node, s *step, rt *resolvedTest, name int32) (bool, []*dom.Node, error) {
 	var err error
-	c2 := *c
+	c2 := c.st.scratchContext(c)
+	defer c.st.releaseContext(c2)
 	c2.pos, c2.size = 1, 1
 	found, buf := d.FindAxis(buf, s.axis, n, s.test.candidates(), name, func(m *dom.Node) bool {
 		ok, merr := rt.match(m)
@@ -715,10 +649,7 @@ func probeFiltered(c *context, d *core.Document, buf []*dom.Node, n *dom.Node, s
 				break
 			}
 			c2.item = m
-			var v Seq
-			if v, merr = evalMaybeLowered(&c2, pr); merr == nil {
-				ok, merr = ebv(v)
-			}
+			ok, merr = predKeep(c2, pr)
 		}
 		if merr != nil {
 			err = merr
@@ -731,8 +662,7 @@ func probeFiltered(c *context, d *core.Document, buf []*dom.Node, n *dom.Node, s
 
 // delegate answers through the probed path itself.
 func (e *pProbe) delegate(c *context) (bool, error) {
-	v, err := pEval(e.path, c)
-	return len(v) > 0, err
+	return pExists(e.path, c)
 }
 
 // probeState is one probe's per-evaluation state: its node test
@@ -745,14 +675,15 @@ type probeState struct {
 	buf []*dom.Node
 }
 
-// probeState returns the state of probe slot with its node test
-// resolved against d, reusing the binding while the document stays the
-// same.
-func (st *evalState) probeState(slot int, d *core.Document, s *step) *probeState {
-	if slot >= len(st.probes) {
-		st.probes = make([]probeState, max(slot+1, st.plan.nProbes))
+// probeState returns probe id's state with its node test resolved
+// against d, reusing the binding while the document stays the same.
+func (st *evalState) probeState(id int, d *core.Document, s *step) *probeState {
+	cell := st.slot(id)
+	ps, _ := (*cell).(*probeState)
+	if ps == nil {
+		ps = new(probeState)
+		*cell = ps
 	}
-	ps := &st.probes[slot]
 	if ps.rt.doc != d {
 		ps.rt.init(d, s)
 	}

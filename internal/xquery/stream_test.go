@@ -6,7 +6,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/corpus"
@@ -289,5 +292,94 @@ func TestStreamErrorParity(t *testing.T) {
 		default:
 			t.Errorf("%q: eval err=%v, stream err=%v", src, evalErr, streamErr)
 		}
+	}
+}
+
+// TestStreamPullAdapter checks the goroutine behind Stream.Next: an
+// abandoned stream's evaluation goroutine ends once the Stream is
+// garbage-collected, streams on separate goroutines do not share
+// state, Next resumes after Take, a panic in the evaluation is raised
+// in Next, and Each before Next evaluates on the caller's goroutine.
+func TestStreamPullAdapter(t *testing.T) {
+	d, err := corpus.Generate(corpus.Params{Seed: 5, Words: 300}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustCompile(`//w[string-length(string(.)) > 0]`)
+	total, err := q.Eval(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	settle := func(want int) int {
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+		}
+		return n
+	}
+	base := settle(runtime.NumGoroutine())
+	func() {
+		for i := 0; i < 100; i++ {
+			if got, err := q.Stream(nil, d, nil, nil).Take(1); err != nil || len(got) != 1 {
+				t.Fatalf("Take(1) = %d items, err=%v", len(got), err)
+			}
+		}
+	}()
+	if n := settle(base); n > base {
+		t.Errorf("%d goroutines after abandoning 100 streams, want the baseline %d", n, base)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := q.Stream(nil, d, nil, nil)
+			head, err := s.Take(3)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rest, err := drainStream(s)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := append(head, rest...); !sameItems(got, total) || s.Count() != len(total) {
+				t.Errorf("Take(3) then Next delivered %d items (Count %d), want %d", len(got), s.Count(), len(total))
+			}
+		}()
+	}
+	wg.Wait()
+
+	s := &Stream{run: func(yield func(Item) bool) error {
+		yield(1.0)
+		panic("boom")
+	}}
+	if it, ok, err := s.Next(); !ok || err != nil || it != 1.0 {
+		t.Fatalf("Next = %v, %v, %v", it, ok, err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("Next after the evaluation panicked: recovered %v, want boom", r)
+			}
+		}()
+		s.Next()
+	}()
+
+	before := runtime.NumGoroutine()
+	n := 0
+	err = q.Stream(nil, d, nil, nil).Each(func(Item) bool {
+		if runtime.NumGoroutine() > before {
+			t.Error("Each started a goroutine")
+		}
+		n++
+		return n < 5
+	})
+	if err != nil || n != 5 {
+		t.Errorf("Each stopped after %d items, err=%v, want 5", n, err)
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // The seeded random differential sweep: generated FLWOR, predicate and
 // quantifier queries must evaluate node-identically — with identical
-// error points — through the cursor engine (both its strict eval and
-// full-drain stream routes) and the reference interpreter
+// error points — through the engine (collected, drained through a
+// Stream and cut short by Take(k)) and the reference interpreter
 // (oracleEval). Together with TestPlanDifferentialRandomPaths
 // (plan_test.go, random path shapes) this is the property suite the
 // whole-query lowering rests on.
@@ -271,9 +271,10 @@ func TestSweepPathShapes(t *testing.T) {
 }
 
 // checkAgainstOracle evaluates one generated query on every document
-// through the cursor engine's strict route, its full-drain stream route
-// and the reference interpreter (oracleEval): results must be
-// identical, and an error must carry the same code on all three.
+// through the engine collected (Eval), drained through a Stream and cut
+// short by Take(k) (checkTakes), and through the reference interpreter
+// (oracleEval): results must be identical, and an error must carry the
+// same code on every route.
 func checkAgainstOracle(t *testing.T, i int, src string, docs map[string]*core.Document) {
 	t.Helper()
 	checkAgainstOracleBy(t, i, src, docs, sameItems)
@@ -296,9 +297,10 @@ func checkAgainstOracleBy(t *testing.T, i int, src string, docs map[string]*core
 		streamed, streamErr := drainStream(q.Stream(nil, d, nil, nil))
 
 		ref, refErr := oracleEval(q, d, nil, nil)
+		checkTakes(t, fmt.Sprintf("case %d (%s): %q", i, name, src), func() *Stream { return q.Stream(nil, d, nil, nil) }, ref, refErr, same)
 
 		if (fastErr == nil) != (refErr == nil) {
-			t.Errorf("case %d (%s): %q\n  cursor err=%v\n  oracle err=%v", i, name, src, fastErr, refErr)
+			t.Errorf("case %d (%s): %q\n  engine err=%v\n  oracle err=%v", i, name, src, fastErr, refErr)
 			continue
 		}
 		if fastErr != nil {
@@ -317,7 +319,7 @@ func checkAgainstOracleBy(t *testing.T, i int, src string, docs map[string]*core
 			continue
 		}
 		if !same(fast, ref) {
-			t.Errorf("case %d (%s): %q\n  cursor: %s\n  oracle: %s", i, name, src, Serialize(fast), Serialize(ref))
+			t.Errorf("case %d (%s): %q\n  engine: %s\n  oracle: %s", i, name, src, Serialize(fast), Serialize(ref))
 		}
 		if !same(fast, streamed) {
 			t.Errorf("case %d (%s): %q\n  eval:   %s\n  stream: %s", i, name, src, Serialize(fast), Serialize(streamed))
@@ -369,10 +371,9 @@ var semiJoinShapes = []string{
 }
 
 // unverifiedContextShapes feed index-scan and downward axis steps
-// context sequences the streamed route cannot verify — out of order,
-// duplicated, nested, attribute or atomic contexts — so its strict
-// fallback and the strict route build the same segments and both meet
-// the oracle. (Constructed contexts are in TestPipelineConstructedTrees,
+// context sequences a pushed step cannot verify — out of order,
+// duplicated, nested, attribute or atomic contexts — so it runs whole,
+// builds the same segments and meets the oracle. (Constructed contexts are in TestPipelineConstructedTrees,
 // which compares serializations.)
 var unverifiedContextShapes = []string{
 	`(/descendant::w, /descendant::vline)/descendant::w`,
@@ -481,8 +482,8 @@ var boundItemShapes = []string{
 
 // TestSweepOverlayStacksAndBoundItems runs the overlay-stack shapes
 // (compared by serialization: each evaluation builds its temporaries
-// anew) and the bound-item shapes through the strict and stream routes
-// against the reference interpreter.
+// anew) and the bound-item shapes, collected, drained and cut short by
+// Take(k), against the reference interpreter.
 func TestSweepOverlayStacksAndBoundItems(t *testing.T) {
 	t.Parallel()
 	docs := sweepDocs(t)

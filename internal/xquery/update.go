@@ -50,7 +50,7 @@ const (
 )
 
 // updOp is one compiled update primitive. Target and with are compiled
-// as self-contained queries so they reuse the plans, cursors and
+// as self-contained queries so they reuse the plans, execution and
 // EXPLAIN machinery of the read side.
 type updOp struct {
 	kind   updKind

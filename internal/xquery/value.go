@@ -76,15 +76,6 @@ func atomize(it Item) Item {
 	return it
 }
 
-// atomizeSeq atomizes every item.
-func atomizeSeq(s Seq) Seq {
-	out := make(Seq, len(s))
-	for i, it := range s {
-		out[i] = atomize(it)
-	}
-	return out
-}
-
 // stringValue renders an atomic or node item as a string per fn:string.
 func stringValue(it Item) string {
 	switch v := it.(type) {
@@ -146,13 +137,22 @@ func ebv(s Seq) (bool, error) {
 	if len(s) == 0 {
 		return false, nil
 	}
-	if _, ok := s[0].(*dom.Node); ok {
+	return ebvOf(s[0], len(s))
+}
+
+// ebvOf is the effective boolean value of a sequence of n items whose
+// first is first.
+func ebvOf(first Item, n int) (bool, error) {
+	if n == 0 {
+		return false, nil
+	}
+	if _, ok := first.(*dom.Node); ok {
 		return true, nil
 	}
-	if len(s) > 1 {
-		return false, errf("FORG0006", "effective boolean value of a sequence of %d atomic values", len(s))
+	if n > 1 {
+		return false, errf("FORG0006", "effective boolean value of a sequence of 2 or more atomic values")
 	}
-	switch v := s[0].(type) {
+	switch v := first.(type) {
 	case bool:
 		return v, nil
 	case string:
@@ -160,7 +160,7 @@ func ebv(s Seq) (bool, error) {
 	case float64:
 		return v != 0 && !math.IsNaN(v), nil
 	}
-	return false, errf("FORG0006", "effective boolean value of %T", s[0])
+	return false, errf("FORG0006", "effective boolean value of %T", first)
 }
 
 // compareAtomic compares two atomic values with XPath-1.0-style coercion:

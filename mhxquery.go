@@ -274,11 +274,11 @@ func (d *Document) QueryString(src string) (string, error) {
 	return res.String(), nil
 }
 
-// Stream compiles src and starts a lazy, cursor-driven evaluation:
-// result items are produced on demand, so taking n items does only the
-// work those n items required (the early-exit property of the cursor
-// engine). ctx may be nil; when it is canceled the stream's Next
-// returns an error within a bounded number of items.
+// Stream compiles src and starts a lazy evaluation: result items are
+// produced on demand, so taking n items does only the work those n
+// items required (the engine's early exit). ctx may be nil; when it is
+// canceled the stream's Next returns an error within a bounded number
+// of items.
 func (d *Document) Stream(ctx context.Context, src string) (*Stream, error) {
 	q, err := Compile(src)
 	if err != nil {
@@ -289,8 +289,11 @@ func (d *Document) Stream(ctx context.Context, src string) (*Stream, error) {
 
 // Stream is a lazy result stream. Next yields items one at a time,
 // each wrapped as a one-item Sequence (so callers render it with the
-// usual String/Text). A Stream needs no Close: abandoning it simply
-// stops the evaluation.
+// usual String/Text); Next runs the evaluation on a goroutine of its
+// own, which computes the next item only when asked for it. Each
+// pushes the items instead, on the caller's goroutine. A Stream needs
+// no Close: abandoning it stops the evaluation (its goroutine ends once
+// the Stream is garbage-collected).
 type Stream struct {
 	s *xquery.Stream
 	d *core.Document
@@ -308,6 +311,15 @@ func (s *Stream) Next() (item Sequence, ok bool, err error) {
 
 // Count reports how many items Next has produced so far.
 func (s *Stream) Count() int { return s.s.Count() }
+
+// Each pushes the remaining items, each as a one-item Sequence, to
+// yield in order until yield returns false, and consumes the stream.
+// Called before Next, it evaluates on the caller's goroutine.
+func (s *Stream) Each(yield func(Sequence) bool) error {
+	return s.s.Each(func(it xquery.Item) bool {
+		return yield(Sequence{s: xquery.Seq{it}, d: s.d})
+	})
+}
 
 // Take drains up to n items (all remaining when n <= 0) into a
 // Sequence. Evaluation stops once n items are produced — the upstream
