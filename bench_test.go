@@ -1,6 +1,6 @@
 // Benchmarks regenerating every figure/example of the paper plus the
-// quantitative tables P1–P5 (cmd/mhbench prints the paper-vs-measured
-// side). Run:
+// quantitative tables P1–P5 (internal/xquery/paper_test.go and
+// internal/core/goddag_test.go check the paper's stated answers). Run:
 //
 //	go test -bench=. -benchmem
 //

@@ -40,29 +40,9 @@ func (rc *RunCursor) Reset() {
 	rc.total, rc.hi, rc.i = 0, 0, 0
 }
 
-// Runs returns the added runs in document order, for consumers that
-// take every candidate in bulk instead of one Next at a time. The slice
-// is the cursor's own: read it only, and not after the next Add or
-// Reset.
-func (rc *RunCursor) Runs() []Run { return rc.runs }
-
 // Len returns the total number of candidates across all runs,
 // regardless of how many have been consumed.
 func (rc *RunCursor) Len() int { return rc.total }
-
-// At returns the k-th (0-based) candidate across the concatenated runs
-// without advancing the cursor; it panics when k is out of range (the
-// caller bounds k by Len). This is the O(1) positional shortcut behind
-// run-level [k] and [last()] predicates.
-func (rc *RunCursor) At(k int) *dom.Node {
-	for _, r := range rc.runs {
-		if k < len(r.Ords) {
-			return r.H.Nodes[r.Ords[k]]
-		}
-		k -= len(r.Ords)
-	}
-	panic("core: RunCursor.At out of range")
-}
 
 // Next returns the next candidate in document order, or ok=false when
 // the runs are exhausted.

@@ -8,7 +8,7 @@ import (
 
 // TestRunCursorMatchesAppend checks that lazy iteration over the name
 // runs yields exactly the nodes (and order) of materialized run
-// appends, and that Len/At agree with the stream.
+// appends, and that Len agrees with the stream.
 func TestRunCursorMatchesAppend(t *testing.T) {
 	d := nameIndexDoc(t)
 	for _, name := range []string{"pg", "w"} {
@@ -27,11 +27,6 @@ func TestRunCursorMatchesAppend(t *testing.T) {
 		}
 		if rc.Len() != len(want) {
 			t.Fatalf("%s: Len = %d, want %d", name, rc.Len(), len(want))
-		}
-		for i, w := range want {
-			if got := rc.At(i); got != w {
-				t.Fatalf("%s: At(%d) = %v, want %v", name, i, got, w)
-			}
 		}
 		var got []*dom.Node
 		for {
@@ -55,25 +50,10 @@ func TestRunCursorMatchesAppend(t *testing.T) {
 				t.Fatalf("%s: not ascending at %d", name, i)
 			}
 		}
-		// Bulk access sees the same candidates, and Reset empties the
-		// cursor for reuse.
-		var bulk []*dom.Node
-		for _, r := range rc.Runs() {
-			for _, ord := range r.Ords {
-				bulk = append(bulk, r.H.Nodes[ord])
-			}
-		}
-		if len(bulk) != len(want) {
-			t.Fatalf("%s: Runs holds %d nodes, want %d", name, len(bulk), len(want))
-		}
-		for i := range bulk {
-			if bulk[i] != want[i] {
-				t.Fatalf("%s: bulk node %d differs", name, i)
-			}
-		}
+		// Reset empties the cursor for reuse.
 		rc.Reset()
-		if rc.Len() != 0 || len(rc.Runs()) != 0 {
-			t.Fatalf("%s: Reset left %d candidates in %d runs", name, rc.Len(), len(rc.Runs()))
+		if rc.Len() != 0 {
+			t.Fatalf("%s: Reset left %d candidates", name, rc.Len())
 		}
 		if _, ok := rc.Next(); ok {
 			t.Fatalf("%s: Reset cursor yielded a node", name)

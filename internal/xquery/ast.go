@@ -143,37 +143,6 @@ type step struct {
 	test  nodeTest
 	preds []expr
 	prim  expr
-	// posSel is the compile-time classification of preds[0] when it is a
-	// constant positional selection: k > 0 for an integer literal [k],
-	// posLast for [last()], 0 otherwise. The pipeline then stops
-	// candidate iteration at the selected node instead of materializing
-	// and filtering the whole candidate set.
-	posSel int
-}
-
-// posLast marks a [last()] first predicate in step.posSel.
-const posLast = -1
-
-// classifyPosSel recognizes the positional first predicates the step
-// evaluator can shortcut: an integer literal ([1], [3], …) or a bare
-// last() call.
-func classifyPosSel(preds []expr) int {
-	if len(preds) == 0 {
-		return 0
-	}
-	switch p := preds[0].(type) {
-	case *literalExpr:
-		if f, ok := p.v.(float64); ok {
-			if k := int(f); float64(k) == f && k >= 1 {
-				return k
-			}
-		}
-	case *callExpr:
-		if p.name == "last" && len(p.args) == 0 {
-			return posLast
-		}
-	}
-	return 0
 }
 
 // pathExpr is a (possibly absolute) path. start is the initial-value

@@ -126,14 +126,13 @@ func evalIntersect(va, vb Seq, except bool) (Seq, error) {
 }
 
 // buildElement constructs a direct element: attribute value templates,
-// then content items (shared with the lowered constructor operator —
-// the attrs/content expressions may be AST or lowered nodes).
-func buildElement(c *context, name string, attrs []attrTpl, content []expr) (Item, error) {
+// then content items.
+func buildElement(c *context, name string, attrs []pAttr, content []pnode) (Item, error) {
 	el := dom.NewElement(name)
 	for _, a := range attrs {
 		var b strings.Builder
 		for _, part := range a.parts {
-			v, err := evalMaybeLowered(c, part)
+			v, err := pEval(part, c)
 			if err != nil {
 				return nil, err
 			}
@@ -147,7 +146,7 @@ func buildElement(c *context, name string, attrs []attrTpl, content []expr) (Ite
 		el.SetAttr(a.name, b.String())
 	}
 	for _, ce := range content {
-		v, err := evalMaybeLowered(c, ce)
+		v, err := pEval(ce, c)
 		if err != nil {
 			return nil, err
 		}
@@ -177,11 +176,11 @@ func buildComputed(kind byte, name string, content Seq) (Item, error) {
 }
 
 // resolveCtorName evaluates a computed constructor's name expression.
-func resolveCtorName(c *context, name string, nameExpr expr) (string, error) {
+func resolveCtorName(c *context, name string, nameExpr pnode) (string, error) {
 	if nameExpr == nil {
 		return name, nil
 	}
-	v, err := evalMaybeLowered(c, nameExpr)
+	v, err := pEval(nameExpr, c)
 	if err != nil {
 		return "", err
 	}

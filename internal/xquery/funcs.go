@@ -378,6 +378,13 @@ func registerStringFuncs() {
 		if err != nil {
 			return nil, err
 		}
+		// An unanchored outer .* cannot change whether the pattern
+		// matches somewhere, but costs a backtracking pass per match
+		// (Queries II.1/III.1 ask matches(string(.), ".*unawe.*")). A
+		// \Q…\E literal could end in ".*", so it keeps its pattern.
+		if !strings.Contains(pat, `\Q`) {
+			pat = stripOuterDotStar(pat)
+		}
 		re, err := compileRegex(pat, flags)
 		if err != nil {
 			return nil, err
@@ -585,13 +592,13 @@ func registerSequenceFuncs() {
 		if c.pos == 0 {
 			return nil, errf("XPDY0002", "position() outside of a predicate or iteration")
 		}
-		return singleton(float64(c.pos)), nil
+		return c.st.number(c.pos), nil
 	})
 	register("last", 0, 0, func(c *context, args []Seq) (Seq, error) {
 		if c.size == 0 {
 			return nil, errf("XPDY0002", "last() outside of a predicate or iteration")
 		}
-		return singleton(float64(c.size)), nil
+		return c.st.number(c.size), nil
 	})
 }
 

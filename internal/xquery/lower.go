@@ -25,30 +25,36 @@ import (
 // analyze-string advances the evaluation's active document to an
 // overlay with a finer leaf partition, so the interpreter's evaluation
 // order is observable around it. Lowering marks every operator whose
-// subtree calls it (overlays), and two rules keep that order: a for
+// subtree calls it (overlays), and three rules keep that order: a for
 // clause, quantifier binding or filter whose source or per-item body
 // (the later clauses and return, the later bindings and satisfies, the
-// predicates) overlays collects its source before running the body, and
-// an early-exit consumer drains an operand that overlays. Every other
-// part of such a query keeps its early exit.
+// predicates) overlays collects its source before running the body, an
+// early-exit consumer drains an operand that overlays, and a predicate
+// stage chain with a predicate that overlays runs its predicates one
+// after the other (chain, push.go). Every other part of such a query
+// keeps its early exit.
 
 // pnode is a lowered physical expression.
 type pnode interface {
 	each(c *context, yield func(Item) bool) error
 	pid() int
 	overlays() bool
+	readsLast() bool
 }
 
-// pbase carries the explain slot shared by all pnodes and the overlay
-// mark.
+// pbase carries the explain slot shared by all pnodes, the overlay
+// mark and, on a predicate, the mark that it reads last() in its own
+// focus (planner.stage).
 type pbase struct {
-	id  int
-	ovl bool
+	id        int
+	ovl, last bool
 }
 
-func (b *pbase) pid() int       { return b.id }
-func (b *pbase) overlays() bool { return b.ovl }
-func (b *pbase) markOverlays()  { b.ovl = true }
+func (b *pbase) pid() int        { return b.id }
+func (b *pbase) overlays() bool  { return b.ovl }
+func (b *pbase) markOverlays()   { b.ovl = true }
+func (b *pbase) readsLast() bool { return b.last }
+func (b *pbase) markReadsLast()  { b.last = true }
 
 // ---- leaves ----------------------------------------------------------------
 
@@ -289,7 +295,8 @@ func (e *pIf) each(c *context, yield func(Item) bool) error {
 // next one is bound. A pushed item is bound through the slot's own
 // one-item array, so a tuple's frame is dead once its yield returns. A
 // consumer that keeps tuples (order by) collects its sources and copies
-// the tuples (keepTuple).
+// the tuples (keepTuple). A position is bound through the evaluation's
+// table of numbers (evalState.number), which a kept tuple may share.
 type tupleSlot struct {
 	c     context
 	f, pf frame
@@ -313,17 +320,17 @@ func (s *tupleSlot) bind(c *context, name, posName string) *context {
 	return &s.c
 }
 
-// set binds the slot's next tuple to v; a pushed item is bound through
-// the slot's own one-item array.
+// set binds the slot's next tuple to v, or to the pushed item it
+// through the slot's own arrays.
 func (s *tupleSlot) set(v Seq, it Item) {
+	s.i++
 	if v == nil {
 		s.one[0] = it
 		v = s.one[:]
 	}
-	s.i++
 	s.f.val = v
 	if s.pf.name != "" {
-		s.pf.val = singleton(float64(s.i))
+		s.pf.val = s.c.st.number(s.i)
 	}
 }
 
@@ -680,101 +687,42 @@ func init() {
 
 // ---- filters ---------------------------------------------------------------
 
+// pFilter applies its predicates to its base through a stage chain:
+// pushed as the base streams, or, when the filter overlays, over the
+// base collected first.
 type pFilter struct {
 	pbase
 	base  pnode
 	preds []expr // lowered pnodes
-	// collect marks a filter that finishes strictly over its collected
-	// base: a predicate calls last(), which needs the base's size, or
-	// the filter overlays.
-	collect bool
 }
 
-// filterRun is a filter's stage chain state (one per evaluation, kept
-// in the operator's slot): stage i keeps its focus in c2[i], counting
-// positions, and passes survivors to stage i+1, the last to down.
+// filterRun is a filter's per-evaluation state, kept in its slot: the
+// stage chain and its push method, bound once.
 type filterRun struct {
-	f      *pFilter
-	c2     []context
-	stages []func(Item) bool
-	down   func(Item) bool
-	err    error // a predicate's error, or errStop when down stopped
+	ch   chain
+	push func(Item) bool
 }
 
 func (e *pFilter) each(c *context, yield func(Item) bool) error {
-	if e.collect {
+	cell := c.st.slot(e.id)
+	r, _ := (*cell).(*filterRun)
+	if r == nil {
+		r = new(filterRun)
+		r.push = r.ch.push
+		*cell = r
+	}
+	if e.overlays() {
 		items, err := pEval(e.base, c)
 		if err != nil {
 			return err
 		}
-		if items, err = applyPredicatesInPlace(c, append(Seq(nil), items...), e.preds); err != nil {
-			return err
-		}
-		return pushSeq(items, yield)
+		return r.ch.feed(c, e.preds, items, yield)
 	}
-	cell := c.st.slot(e.id)
-	r, _ := (*cell).(*filterRun)
-	if r == nil {
-		r = newFilterRun(e)
-		*cell = r
+	r.ch.begin(c, e.preds, 0, yield)
+	if err := pEach(e.base, c, r.push); err != nil && err != errStop {
+		return err
 	}
-	for i := range r.c2 {
-		r.c2[i] = *c
-		r.c2[i].pos, r.c2[i].size = 0, 0
-	}
-	r.down, r.err = yield, nil
-	err := pEach(e.base, c, r.stages[0])
-	switch {
-	case r.err != nil:
-		return r.err
-	case err == errStop: // a [k] stage has its item
-		return nil
-	}
-	return err
-}
-
-func newFilterRun(e *pFilter) *filterRun {
-	r := &filterRun{f: e, c2: make([]context, len(e.preds)), stages: make([]func(Item) bool, len(e.preds))}
-	for i := range r.stages {
-		r.stages[i] = func(it Item) bool { return r.stage(i, it) }
-	}
-	return r
-}
-
-// stage runs predicate i on it. A constant [k] passes its k-th item and
-// stops the stages upstream: the early-exit shape of (//w)[1].
-func (r *filterRun) stage(i int, it Item) bool {
-	c2 := &r.c2[i]
-	if r.err = c2.st.checkCancel(); r.err != nil {
-		return false
-	}
-	c2.item = it
-	c2.pos++
-	pr := r.f.preds[i]
-	if k, ok := constNumPred(pr); ok {
-		if float64(c2.pos) != k {
-			return float64(c2.pos) < k
-		}
-		r.forward(i, it)
-		return false
-	}
-	keep, err := predKeep(c2, pr)
-	if err != nil {
-		r.err = err
-		return false
-	}
-	return !keep || r.forward(i, it)
-}
-
-func (r *filterRun) forward(i int, it Item) bool {
-	if i+1 < len(r.stages) {
-		return r.stages[i+1](it)
-	}
-	if r.down(it) {
-		return true
-	}
-	r.err = errStop
-	return false
+	return r.ch.end()
 }
 
 // ---- constructors ----------------------------------------------------------
@@ -782,8 +730,14 @@ func (r *filterRun) forward(i int, it Item) bool {
 type pElem struct {
 	pbase
 	name    string
-	attrs   []attrTpl // parts hold lowered pnodes
-	content []expr    // lowered pnodes
+	attrs   []pAttr
+	content []pnode
+}
+
+// pAttr is a lowered attribute value template.
+type pAttr struct {
+	name  string
+	parts []pnode
 }
 
 func (e *pElem) each(c *context, yield func(Item) bool) error {
@@ -803,11 +757,7 @@ type pCompCtor struct {
 }
 
 func (e *pCompCtor) each(c *context, yield func(Item) bool) error {
-	var nameExpr expr
-	if e.nameExpr != nil {
-		nameExpr = e.nameExpr
-	}
-	name, err := resolveCtorName(c, e.name, nameExpr)
+	name, err := resolveCtorName(c, e.name, e.nameExpr)
 	if err != nil {
 		return err
 	}
@@ -834,11 +784,6 @@ func anyExpr(e expr, is func(expr) bool) bool {
 		found = found || anyExpr(ch, is)
 	})
 	return found
-}
-
-func isLastCall(e expr) bool {
-	call, ok := e.(*callExpr)
-	return ok && call.name == "last" && len(call.args) == 0
 }
 
 func isAnalyzeCall(e expr) bool {

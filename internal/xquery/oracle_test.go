@@ -3,6 +3,7 @@ package xquery
 import (
 	"math"
 	"sort"
+	"strings"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/dom"
@@ -11,10 +12,12 @@ import (
 // This file is the reference interpreter the engine is
 // differential-tested against: recursive eval methods that define the
 // semantics of every expression kind directly over the syntax tree,
-// with no physical plan, and the reference step evaluator (evalStepRef)
+// with no physical plan, the reference step evaluator (evalStepRef)
 // that filters every axis candidate with matchTest and restores
-// document order with a full comparison sort after each step. Tests
-// reach it through oracleEval.
+// document order with a full comparison sort after each step, and the
+// literal predicate rule (applyPredicates). It evaluates its own
+// operands and shares no predicate code with the engine's stage chain.
+// Tests reach it through oracleEval.
 
 // oracleEval evaluates q's syntax tree against d with externally bound
 // variables and an optional resolver, the way Query.EvalWithResolver
@@ -24,7 +27,31 @@ func oracleEval(q *Query, d *core.Document, vars map[string]Seq, r Resolver) (Se
 	for name, val := range vars {
 		c = c.bind(name, val)
 	}
-	return evalMaybeLowered(c, q.body)
+	return oeval(c, q.body)
+}
+
+// oracleExpr is a syntax-tree expression the reference interpreter
+// evaluates.
+type oracleExpr interface {
+	eval(c *context) (Seq, error)
+}
+
+// oeval evaluates a syntax-tree expression.
+func oeval(c *context, e expr) (Seq, error) { return e.(oracleExpr).eval(c) }
+
+// oracleNumber evaluates an operand to a single number; empty reports
+// the empty sequence.
+func oracleNumber(c *context, e expr, what string) (f float64, empty bool, err error) {
+	v, err := oeval(c, e)
+	switch {
+	case err != nil:
+		return 0, false, err
+	case len(v) == 0:
+		return 0, true, nil
+	case len(v) == 1:
+		return toNumber(c.atomize(v[0])), false, nil
+	}
+	return 0, false, errf("XPTY0004", "%s operand is a sequence of more than one item", what)
 }
 
 func (e *literalExpr) eval(*context) (Seq, error) { return e.seq, nil }
@@ -53,7 +80,7 @@ func (e *rootExpr) eval(c *context) (Seq, error) {
 func (e *seqExpr) eval(c *context) (Seq, error) {
 	var out Seq
 	for _, it := range e.items {
-		v, err := evalMaybeLowered(c, it)
+		v, err := oeval(c, it)
 		if err != nil {
 			return nil, err
 		}
@@ -63,11 +90,11 @@ func (e *seqExpr) eval(c *context) (Seq, error) {
 }
 
 func (e *rangeExpr) eval(c *context) (Seq, error) {
-	lo, empty, err := evalNumber(c, e.lo, "range")
+	lo, empty, err := oracleNumber(c, e.lo, "range")
 	if err != nil || empty {
 		return nil, err
 	}
-	hi, empty, err := evalNumber(c, e.hi, "range")
+	hi, empty, err := oracleNumber(c, e.hi, "range")
 	if err != nil || empty {
 		return nil, err
 	}
@@ -75,7 +102,7 @@ func (e *rangeExpr) eval(c *context) (Seq, error) {
 }
 
 func (e *orExpr) eval(c *context) (Seq, error) {
-	va, err := evalMaybeLowered(c, e.a)
+	va, err := oeval(c, e.a)
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +113,7 @@ func (e *orExpr) eval(c *context) (Seq, error) {
 	if ba {
 		return seqTrue, nil
 	}
-	vb, err := evalMaybeLowered(c, e.b)
+	vb, err := oeval(c, e.b)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +122,7 @@ func (e *orExpr) eval(c *context) (Seq, error) {
 }
 
 func (e *andExpr) eval(c *context) (Seq, error) {
-	va, err := evalMaybeLowered(c, e.a)
+	va, err := oeval(c, e.a)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +133,7 @@ func (e *andExpr) eval(c *context) (Seq, error) {
 	if !ba {
 		return seqFalse, nil
 	}
-	vb, err := evalMaybeLowered(c, e.b)
+	vb, err := oeval(c, e.b)
 	if err != nil {
 		return nil, err
 	}
@@ -115,11 +142,11 @@ func (e *andExpr) eval(c *context) (Seq, error) {
 }
 
 func (e *cmpExpr) eval(c *context) (Seq, error) {
-	va, err := evalMaybeLowered(c, e.a)
+	va, err := oeval(c, e.a)
 	if err != nil {
 		return nil, err
 	}
-	vb, err := evalMaybeLowered(c, e.b)
+	vb, err := oeval(c, e.b)
 	if err != nil {
 		return nil, err
 	}
@@ -127,11 +154,11 @@ func (e *cmpExpr) eval(c *context) (Seq, error) {
 }
 
 func (e *arithExpr) eval(c *context) (Seq, error) {
-	x, empty, err := evalNumber(c, e.a, "arithmetic")
+	x, empty, err := oracleNumber(c, e.a, "arithmetic")
 	if err != nil || empty {
 		return nil, err
 	}
-	y, empty, err := evalNumber(c, e.b, "arithmetic")
+	y, empty, err := oracleNumber(c, e.b, "arithmetic")
 	if err != nil || empty {
 		return nil, err
 	}
@@ -143,7 +170,7 @@ func (e *arithExpr) eval(c *context) (Seq, error) {
 }
 
 func (e *unaryExpr) eval(c *context) (Seq, error) {
-	x, empty, err := evalNumber(c, e.x, "unary minus")
+	x, empty, err := oracleNumber(c, e.x, "unary minus")
 	if err != nil || empty {
 		return nil, err
 	}
@@ -151,11 +178,11 @@ func (e *unaryExpr) eval(c *context) (Seq, error) {
 }
 
 func (e *unionExpr) eval(c *context) (Seq, error) {
-	va, err := evalMaybeLowered(c, e.a)
+	va, err := oeval(c, e.a)
 	if err != nil {
 		return nil, err
 	}
-	vb, err := evalMaybeLowered(c, e.b)
+	vb, err := oeval(c, e.b)
 	if err != nil {
 		return nil, err
 	}
@@ -163,11 +190,11 @@ func (e *unionExpr) eval(c *context) (Seq, error) {
 }
 
 func (e *intersectExpr) eval(c *context) (Seq, error) {
-	va, err := evalMaybeLowered(c, e.a)
+	va, err := oeval(c, e.a)
 	if err != nil {
 		return nil, err
 	}
-	vb, err := evalMaybeLowered(c, e.b)
+	vb, err := oeval(c, e.b)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +202,7 @@ func (e *intersectExpr) eval(c *context) (Seq, error) {
 }
 
 func (e *ifExpr) eval(c *context) (Seq, error) {
-	v, err := evalMaybeLowered(c, e.cond)
+	v, err := oeval(c, e.cond)
 	if err != nil {
 		return nil, err
 	}
@@ -184,9 +211,9 @@ func (e *ifExpr) eval(c *context) (Seq, error) {
 		return nil, err
 	}
 	if b {
-		return evalMaybeLowered(c, e.then)
+		return oeval(c, e.then)
 	}
-	return evalMaybeLowered(c, e.els)
+	return oeval(c, e.els)
 }
 
 func (q *quantExpr) eval(c *context) (Seq, error) {
@@ -199,13 +226,13 @@ func (q *quantExpr) eval(c *context) (Seq, error) {
 
 func (q *quantExpr) walk(c *context, i int) (bool, error) {
 	if i == len(q.names) {
-		v, err := evalMaybeLowered(c, q.sat)
+		v, err := oeval(c, q.sat)
 		if err != nil {
 			return false, err
 		}
 		return ebv(v)
 	}
-	src, err := evalMaybeLowered(c, q.srcs[i])
+	src, err := oeval(c, q.srcs[i])
 	if err != nil {
 		return false, err
 	}
@@ -228,7 +255,7 @@ func (f *flworExpr) eval(c *context) (Seq, error) {
 	if len(f.order) == 0 {
 		var out Seq
 		err := f.run(c, 0, func(c2 *context) error {
-			v, err := evalMaybeLowered(c2, f.ret)
+			v, err := oeval(c2, f.ret)
 			if err != nil {
 				return err
 			}
@@ -245,7 +272,7 @@ func (f *flworExpr) eval(c *context) (Seq, error) {
 	err := f.run(c, 0, func(c2 *context) error {
 		keys := make([]Seq, len(f.order))
 		for i, o := range f.order {
-			v, err := evalMaybeLowered(c2, o.key)
+			v, err := oeval(c2, o.key)
 			if err != nil {
 				return err
 			}
@@ -272,7 +299,7 @@ func (f *flworExpr) eval(c *context) (Seq, error) {
 	})
 	var out Seq
 	for _, t := range tups {
-		v, err := evalMaybeLowered(t.c, f.ret)
+		v, err := oeval(t.c, f.ret)
 		if err != nil {
 			return nil, err
 		}
@@ -288,13 +315,13 @@ func (f *flworExpr) run(c *context, idx int, emit func(*context) error) error {
 	cl := f.clauses[idx]
 	switch cl.kind {
 	case clauseLet:
-		v, err := evalMaybeLowered(c, cl.src)
+		v, err := oeval(c, cl.src)
 		if err != nil {
 			return err
 		}
 		return f.run(c.bind(cl.name, v), idx+1, emit)
 	case clauseWhere:
-		v, err := evalMaybeLowered(c, cl.src)
+		v, err := oeval(c, cl.src)
 		if err != nil {
 			return err
 		}
@@ -308,7 +335,7 @@ func (f *flworExpr) run(c *context, idx int, emit func(*context) error) error {
 		return f.run(c, idx+1, emit)
 	}
 	// for clause
-	v, err := evalMaybeLowered(c, cl.src)
+	v, err := oeval(c, cl.src)
 	if err != nil {
 		return err
 	}
@@ -330,7 +357,7 @@ func (e *callExpr) eval(c *context) (Seq, error) {
 	}
 	args := make([]Seq, len(e.args))
 	for i, a := range e.args {
-		v, err := evalMaybeLowered(c, a)
+		v, err := oeval(c, a)
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +367,7 @@ func (e *callExpr) eval(c *context) (Seq, error) {
 }
 
 func (e *filterExpr) eval(c *context) (Seq, error) {
-	v, err := evalMaybeLowered(c, e.base)
+	v, err := oeval(c, e.base)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +378,7 @@ func (p *pathExpr) eval(c *context) (Seq, error) {
 	var cur Seq
 	switch {
 	case p.start != nil:
-		v, err := evalMaybeLowered(c, p.start)
+		v, err := oeval(c, p.start)
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +394,7 @@ func (p *pathExpr) eval(c *context) (Seq, error) {
 	for si, s := range p.steps {
 		var err error
 		if s.prim != nil {
-			cur, err = evalPrimStep(c, cur, s, si == len(p.steps)-1)
+			cur, err = oraclePrimStep(c, cur, s.prim, si == len(p.steps)-1)
 		} else {
 			cur, err = evalStepRef(c, cur, s)
 		}
@@ -485,18 +512,70 @@ func hierOK(c *context, n *dom.Node, hiers []string) (bool, error) {
 	return false, nil
 }
 
+// oraclePrimStep evaluates a primary-expression step once per input
+// item, in that item's focus.
+func oraclePrimStep(c *context, cur Seq, prim expr, last bool) (Seq, error) {
+	var out Seq
+	for i, it := range cur {
+		c2 := *c
+		c2.item, c2.pos, c2.size = it, i+1, len(cur)
+		v, err := oeval(&c2, prim)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v...)
+	}
+	if allNodes(out) {
+		out = sortDedupe(out)
+	} else if !last {
+		return nil, errf("XPTY0019", "intermediate path step yields atomic values")
+	}
+	return out, nil
+}
+
 func (e *elemExpr) eval(c *context) (Seq, error) {
-	return oneOrErr(buildElement(c, e.name, e.attrs, e.content))
+	el := dom.NewElement(e.name)
+	for _, a := range e.attrs {
+		var vals []string
+		for _, part := range a.parts {
+			v, err := oeval(c, part)
+			if err != nil {
+				return nil, err
+			}
+			for i, it := range v {
+				if i > 0 {
+					vals = append(vals, " ")
+				}
+				vals = append(vals, stringItem(c, it))
+			}
+		}
+		el.SetAttr(a.name, strings.Join(vals, ""))
+	}
+	for _, ce := range e.content {
+		v, err := oeval(c, ce)
+		if err != nil {
+			return nil, err
+		}
+		appendContent(el, v)
+	}
+	return Seq{el}, nil
 }
 
 func (e *compCtorExpr) eval(c *context) (Seq, error) {
-	name, err := resolveCtorName(c, e.name, e.nameExpr)
-	if err != nil {
-		return nil, err
+	name := e.name
+	if e.nameExpr != nil {
+		v, err := oeval(c, e.nameExpr)
+		if err != nil {
+			return nil, err
+		}
+		if v = c.atomizeSeq(v); len(v) != 1 {
+			return nil, errf("XPTY0004", "computed constructor name must be a single value")
+		}
+		name = stringValue(v[0])
 	}
 	var content Seq
 	if e.content != nil {
-		v, err := evalMaybeLowered(c, e.content)
+		v, err := oeval(c, e.content)
 		if err != nil {
 			return nil, err
 		}
@@ -505,12 +584,43 @@ func (e *compCtorExpr) eval(c *context) (Seq, error) {
 	return oneOrErr(buildComputed(e.kind, name, content))
 }
 
-// applyPredicates is applyPredicatesInPlace on a copy of items.
+// applyPredicates is the XPath predicate rule, one predicate at a time:
+// each predicate runs over every item the previous one kept, with the
+// item's position among them and their count as its focus, and keeps
+// the item when its value is that position (a single number) or else
+// when its effective boolean value is true.
 func applyPredicates(c *context, items Seq, preds []expr) (Seq, error) {
-	if len(preds) == 0 {
-		return items, nil
+	for _, pr := range preds {
+		var kept Seq
+		for i, it := range items {
+			c2 := *c
+			c2.item, c2.pos, c2.size = it, i+1, len(items)
+			v, err := oeval(&c2, pr)
+			if err != nil {
+				return nil, err
+			}
+			keep := false
+			if f, isNum := oneNumber(v); isNum {
+				keep = float64(i+1) == f
+			} else if keep, err = ebv(v); err != nil {
+				return nil, err
+			}
+			if keep {
+				kept = append(kept, it)
+			}
+		}
+		items = kept
 	}
-	return applyPredicatesInPlace(c, append(Seq(nil), items...), preds)
+	return items, nil
+}
+
+// oneNumber returns the number v consists of, if it is one number.
+func oneNumber(v Seq) (float64, bool) {
+	if len(v) != 1 {
+		return 0, false
+	}
+	f, ok := v[0].(float64)
+	return f, ok
 }
 
 // oneOrErr wraps a constructed item as a singleton.

@@ -554,7 +554,6 @@ func (p *parser) finishStep(ax core.Axis, t nodeTest) *step {
 		s.preds = append(s.preds, p.parseExpr())
 		p.expect(tRBracket)
 	}
-	s.posSel = classifyPosSel(s.preds)
 	return s
 }
 

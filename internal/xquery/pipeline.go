@@ -30,12 +30,11 @@ import (
 //     stable-sort semantics exactly;
 //   - resolves node tests once per (step, document) into interned name
 //     symbols and hierarchy indices (resolvedTest), replacing
-//     per-candidate string comparisons and hierarchy map lookups;
-//   - shortcuts constant positional predicates ([k], [last()]) by
-//     stopping candidate iteration at the selected node; and
+//     per-candidate string comparisons and hierarchy map lookups; and
 //   - reuses the axis candidate buffer across context nodes
-//     (evalState.axisBuf) and filters predicate results in place, so a
-//     steady-state step allocates only its output.
+//     (evalState.axisBuf) and runs the predicates' stage chain over the
+//     tested candidates in place, so a steady-state step allocates only
+//     its output.
 //
 // One context's segment is built by axisSegment, for a materialized
 // step (evalStep) and a pushed one (segRun) alike.
@@ -221,21 +220,21 @@ func segOrder(seg Seq) int {
 // evalStep evaluates one axis step over the context sequence cur,
 // returning the result in document order without duplicates (the
 // reference evaluator's output, without its per-step comparison sort).
-func evalStep(c *context, cur Seq, s *step) (Seq, error) {
+func evalStep(c *context, cur Seq, op *pathOp) (Seq, error) {
 	st := c.st
+	r := st.segRun(op.id)
 	var out Seq
 	sorted := true      // out is strictly ascending across segment junctions
 	degenerate := false // saw an order-degenerate segment: finish with sortDedupe
-	var rt resolvedTest
 	for _, it := range cur {
 		n, ok := it.(*dom.Node)
 		if !ok {
-			return nil, errf("XPTY0019", "%s:: step applied to an atomic value", s.axis)
+			return nil, errf("XPTY0019", "%s:: step applied to an atomic value", op.s.axis)
 		}
 		segStart := len(out)
 		var ordered bool
 		var err error
-		if out, ordered, err = axisSegment(c, out, st.docFor(n), n, s, &rt); err != nil {
+		if out, ordered, err = axisSegment(c, r, out, st.docFor(n), n, op.s); err != nil {
 			return nil, err
 		}
 		if degenerate = degenerate || !ordered; degenerate {
@@ -260,11 +259,12 @@ func evalStep(c *context, cur Seq, s *step) (Seq, error) {
 
 // axisSegment appends context n's segment of axis step s to out: the
 // axis candidates — a shared view of d's arrays, else gathered into
-// evalState.axisBuf — filtered by the node test, the positional
-// shortcut and the predicates (filterStep), then put in ascending
-// document order. ordered is false for an order-degenerate segment
-// (constructed trees), which only sortDedupe can order.
-func axisSegment(c *context, out Seq, d *core.Document, n *dom.Node, s *step, rt *resolvedTest) (Seq, bool, error) {
+// evalState.axisBuf — that pass the node test, filtered in place by the
+// predicates' stage chain (which then knows its input's size), then put
+// in ascending document order. ordered is false for an order-degenerate
+// segment (constructed trees), which only sortDedupe can order.
+func axisSegment(c *context, r *segRun, out Seq, d *core.Document, n *dom.Node, s *step) (Seq, bool, error) {
+	rt := &r.rt
 	if rt.doc != d {
 		rt.init(d, s)
 	}
@@ -283,9 +283,26 @@ func axisSegment(c *context, out Seq, d *core.Document, n *dom.Node, s *step, rt
 		nodes = st.axisBuf
 	}
 	segStart := len(out)
-	out, err := filterStep(c, out, nodes, s, rt)
-	if err != nil {
-		return nil, false, err
+	for _, m := range nodes {
+		ok, err := rt.match(m)
+		if err != nil {
+			return nil, false, err
+		}
+		if ok {
+			if out == nil {
+				out = make(Seq, 0, min(len(nodes), 32))
+			}
+			out = append(out, m)
+		}
+	}
+	if len(s.preds) > 0 && len(out) > segStart {
+		// The chain appends what it keeps behind what it reads.
+		r.ch.out = out[:segStart]
+		err := r.ch.feed(c, s.preds, out[segStart:], nil)
+		out, r.ch.out = r.ch.out, nil
+		if err != nil {
+			return nil, false, err
+		}
 	}
 	switch segOrder(out[segStart:]) {
 	case segDescending:
@@ -294,69 +311,6 @@ func axisSegment(c *context, out Seq, d *core.Document, n *dom.Node, s *step, rt
 		return out, false, nil
 	}
 	return out, true, nil
-}
-
-// filterStep appends the candidates passing the step's node test and
-// predicates to out. Constant positional first predicates ([k],
-// [last()]) stop candidate iteration at the selected node.
-func filterStep(c *context, out Seq, nodes []*dom.Node, s *step, rt *resolvedTest) (Seq, error) {
-	segStart := len(out)
-	preds := s.preds
-	if s.posSel != 0 {
-		var sel *dom.Node
-		if s.posSel > 0 {
-			count := 0
-			for _, m := range nodes {
-				ok, err := rt.match(m)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					if count++; count == s.posSel {
-						sel = m
-						break
-					}
-				}
-			}
-		} else { // [last()]
-			for i := len(nodes) - 1; i >= 0; i-- {
-				ok, err := rt.match(nodes[i])
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					sel = nodes[i]
-					break
-				}
-			}
-		}
-		if sel == nil {
-			return out, nil
-		}
-		out = append(out, sel)
-		preds = preds[1:]
-	} else {
-		for _, m := range nodes {
-			ok, err := rt.match(m)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				if out == nil {
-					out = make(Seq, 0, min(len(nodes), 32))
-				}
-				out = append(out, m)
-			}
-		}
-	}
-	if len(preds) > 0 {
-		kept, err := applyPredicatesInPlace(c, out[segStart:], preds)
-		if err != nil {
-			return nil, err
-		}
-		out = out[:segStart+len(kept)]
-	}
-	return out, nil
 }
 
 // mergeDocOrder restores document order over an interleaved step result

@@ -64,12 +64,13 @@ const (
 )
 
 // pathOp is one physical operator of a path plan. Its step is a plan
-// copy of the AST step whose predicates and primary expression are
-// themselves lowered pnodes, so predicate evaluation inside the
-// operator runs through the physical engine too.
+// copy of the AST step whose predicates are themselves lowered pnodes,
+// so predicate evaluation inside the operator runs through the physical
+// engine too; a primary step holds its lowered expression instead.
 type pathOp struct {
 	kind     int
-	s        *step // the lowered step
+	s        *step // the lowered step (axis steps and index scans)
+	prim     pnode // the lowered primary expression (primary steps)
 	id       int   // cardinality counter slot
 	primLast bool  // primary step: last op of its path
 }
@@ -231,10 +232,8 @@ func (pn *planner) lowerExpr(e expr, parent *explainNode) pnode {
 	case *filterExpr:
 		en, pb := pn.enode(parent, "filter", strings.Repeat("[…]", len(x.preds)))
 		f := &pFilter{pbase: pb, base: pn.lower(x.base, en)}
-		f.collect = pn.analyze && anyExpr(x, isAnalyzeCall)
 		for _, pr := range x.preds {
-			f.preds = append(f.preds, pn.lowerTruth(pr, pn.group(en, "predicate", "")))
-			f.collect = f.collect || anyExpr(pr, isLastCall)
+			f.preds = append(f.preds, pn.stage(pr, pn.lowerTruth(pr, pn.group(en, "predicate", ""))))
 		}
 		return f
 	case *pathExpr:
@@ -243,7 +242,7 @@ func (pn *planner) lowerExpr(e expr, parent *explainNode) pnode {
 		en, pb := pn.enode(parent, "element", "<"+x.name+">")
 		pe := &pElem{pbase: pb, name: x.name}
 		for _, a := range x.attrs {
-			tpl := attrTpl{name: a.name}
+			tpl := pAttr{name: a.name}
 			for _, part := range a.parts {
 				tpl.parts = append(tpl.parts, pn.lower(part, en))
 			}
@@ -328,16 +327,25 @@ func fusibleDOS(s *step) bool {
 		s.test.kind == testNode && len(s.test.hiers) == 0 && len(s.preds) == 0
 }
 
+// stage marks the lowered predicate p of source pr when pr reads last()
+// in its own focus: its stage then needs its input's size (chain).
+func (pn *planner) stage(pr expr, p pnode) pnode {
+	if usesFocus(pr, true) {
+		p.(interface{ markReadsLast() }).markReadsLast()
+	}
+	return p
+}
+
 // fusablePreds reports whether a child::name step's predicates survive
 // the //name fusion: descendant-or-self::node()/child::name[p] equals
 // descendant::name[p] only when p is position-independent — predicate
 // positions are per parent before fusion and per subtree after. A
 // predicate is fusable when it cannot select by position: it never
 // evaluates to a single number (predNeverNumeric) and never consults
-// position()/last() in the step's own focus (usesFocusPosition).
+// position()/last() in the step's own focus (usesFocus).
 func fusablePreds(preds []expr) bool {
 	for _, pr := range preds {
-		if !predNeverNumeric(pr) || usesFocusPosition(pr) {
+		if !predNeverNumeric(pr) || usesFocus(pr, false) {
 			return false
 		}
 	}
@@ -364,54 +372,27 @@ func predNeverNumeric(e expr) bool {
 	return false
 }
 
-// usesFocusPosition reports whether e reads position() or last() in the
-// focus it is evaluated in. Nested step and filter predicates rebind
-// the focus, so their bodies do not count; everything else (function
-// arguments, quantifier satisfies clauses, FLWOR bodies, operands)
-// shares the outer focus.
-func usesFocusPosition(e expr) bool {
+// usesFocus reports whether e reads last() (or, unless lastOnly,
+// position()) in the focus it is evaluated in. Nested step and filter
+// predicates rebind the focus, so their bodies do not count; everything
+// else (function arguments, quantifier satisfies clauses, FLWOR bodies,
+// operands) shares the outer focus.
+func usesFocus(e expr, lastOnly bool) bool {
 	switch x := e.(type) {
 	case *callExpr:
-		if (x.name == "position" || x.name == "last") && len(x.args) == 0 {
+		if len(x.args) == 0 && (x.name == "last" || x.name == "position" && !lastOnly) {
 			return true
 		}
-		for _, a := range x.args {
-			if usesFocusPosition(a) {
-				return true
-			}
-		}
-		return false
 	case *pathExpr:
 		// Steps evaluate in their own focus; only the start expression
 		// sees ours.
-		return x.start != nil && usesFocusPosition(x.start)
+		return x.start != nil && usesFocus(x.start, lastOnly)
 	case *filterExpr:
-		return usesFocusPosition(x.base)
-	case *flworExpr:
-		for _, cl := range x.clauses {
-			if usesFocusPosition(cl.src) {
-				return true
-			}
-		}
-		for _, o := range x.order {
-			if usesFocusPosition(o.key) {
-				return true
-			}
-		}
-		return usesFocusPosition(x.ret)
-	case *quantExpr:
-		for _, s := range x.srcs {
-			if usesFocusPosition(s) {
-				return true
-			}
-		}
-		return usesFocusPosition(x.sat)
+		return usesFocus(x.base, lastOnly)
 	}
 	found := false
 	visitChildren(e, func(ch expr) {
-		if !found && usesFocusPosition(ch) {
-			found = true
-		}
+		found = found || usesFocus(ch, lastOnly)
 	})
 	return found
 }
@@ -446,7 +427,7 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 			op = &pathOp{kind: opPrimStep, id: pn.newOpID()}
 			en = &explainNode{op: "primary", detail: "expr()", id: op.id}
 			node.kids = append(node.kids, en)
-			op.s = &step{axis: s.axis, test: s.test, posSel: s.posSel, prim: pn.lower(s.prim, en)}
+			op.prim = pn.lower(s.prim, en)
 			pp.ops = append(pp.ops, op)
 			continue
 		case indexableStep(s) && !pn.noIndex:
@@ -457,11 +438,11 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 			en = &explainNode{op: "axis-step", detail: describeStep(s), id: op.id}
 		}
 		node.kids = append(node.kids, en)
-		// Plan copy of the step: the same axis/test/positional shortcut,
-		// with predicates lowered into the physical engine.
-		cs := &step{axis: s.axis, test: s.test, posSel: s.posSel}
+		// Plan copy of the step: the same axis and test, with predicates
+		// lowered into the physical engine.
+		cs := &step{axis: s.axis, test: s.test}
 		for _, pr := range s.preds {
-			cs.preds = append(cs.preds, pn.lowerPred(pr, en))
+			cs.preds = append(cs.preds, pn.stage(pr, pn.lowerPred(pr, en)))
 		}
 		op.s = cs
 		pp.ops = append(pp.ops, op)
@@ -588,8 +569,7 @@ type pPath struct {
 // indexSeg is one context node's index-scan segment in ascending
 // document order: the context itself when a descendant-or-self step
 // selects it, then the per-hierarchy name runs restricted to its
-// subtree. A materialized step appends it in bulk (appendTo); a pushed
-// step walks it (next).
+// subtree, walked by next.
 type indexSeg struct {
 	self *dom.Node
 	rc   core.RunCursor
@@ -597,19 +577,18 @@ type indexSeg struct {
 
 // indexSegment positions seg on context n's candidates for the
 // index-scan step s, whose name test bind resolved against d: root or
-// element context, hierarchy restriction, the context itself for
-// descendant-or-self, then the [k]/[last()] shortcut. It returns the
-// predicates left to apply, and ok=false for an empty segment. Only the
+// element context, hierarchy restriction, then the context itself for
+// descendant-or-self. ok=false reports an empty segment. Only the
 // shared root and hierarchy elements have element descendants; text,
 // leaf and attribute contexts contribute nothing to a name test.
-func indexSegment(seg *indexSeg, d *core.Document, n *dom.Node, s *step, bind *resolvedTest) (preds []expr, ok bool, err error) {
+func indexSegment(seg *indexSeg, d *core.Document, n *dom.Node, s *step, bind *resolvedTest) (ok bool, err error) {
 	seg.self = nil
 	seg.rc.Reset()
 	if bind.nameSym == 0 {
 		// The name occurs nowhere in this document: no candidate
 		// matches, so not even an unknown-hierarchy error can surface
 		// (the reference checks kind and name first).
-		return nil, false, nil
+		return false, nil
 	}
 	inclSelf := s.axis == core.AxisDescendantOrSelf
 	// An unknown hierarchy in the test leaves the restriction unresolved:
@@ -628,7 +607,7 @@ func indexSegment(seg *indexSeg, d *core.Document, n *dom.Node, s *step, bind *r
 		}
 	case n.Kind == dom.Element && n.HierIndex >= 0 && n.HierIndex < len(d.Hiers):
 		if restrict && !bind.allows(n.HierIndex) {
-			return nil, false, nil // descendants stay in the context's hierarchy
+			return false, nil // descendants stay in the context's hierarchy
 		}
 		h := d.Hiers[n.HierIndex]
 		if inclSelf && n.NameSym == bind.nameSym {
@@ -636,30 +615,15 @@ func indexSegment(seg *indexSeg, d *core.Document, n *dom.Node, s *step, bind *r
 		}
 		seg.rc.Add(h, core.SubRun(h.NameRun(bind.nameSym), n.Ord, n.Last))
 	default:
-		return nil, false, nil
+		return false, nil
 	}
 	if !restrict {
 		if seg.total() > 0 {
-			return nil, false, bind.hierErr
+			return false, bind.hierErr
 		}
-		return nil, false, nil
+		return false, nil
 	}
-	preds = s.preds
-	if s.posSel != 0 {
-		// Run-level positional shortcut: [k]/[last()] index directly
-		// into the runs, O(1) instead of O(matches).
-		k, total := s.posSel-1, seg.total()
-		if s.posSel == posLast {
-			k = total - 1
-		}
-		if k < 0 || k >= total {
-			return nil, false, nil
-		}
-		seg.self = seg.at(k)
-		seg.rc.Reset()
-		preds = preds[1:]
-	}
-	return preds, seg.total() > 0, nil
+	return seg.total() > 0, nil
 }
 
 func (seg *indexSeg) total() int {
@@ -667,30 +631,6 @@ func (seg *indexSeg) total() int {
 		return seg.rc.Len() + 1
 	}
 	return seg.rc.Len()
-}
-
-func (seg *indexSeg) at(k int) *dom.Node {
-	if seg.self != nil {
-		if k == 0 {
-			return seg.self
-		}
-		k--
-	}
-	return seg.rc.At(k)
-}
-
-// appendTo appends the whole segment to out.
-func (seg *indexSeg) appendTo(out Seq) Seq {
-	if seg.self != nil {
-		out = append(out, seg.self)
-	}
-	for _, r := range seg.rc.Runs() {
-		nodes := r.H.Nodes
-		for _, ord := range r.Ords {
-			out = append(out, nodes[ord])
-		}
-	}
-	return out
 }
 
 func (seg *indexSeg) next() (*dom.Node, bool) {

@@ -336,7 +336,7 @@ func TestProbesAllocateNothing(t *testing.T) {
 // exists(…). Each evaluation may allocate a fixed amount plus the
 // result slice's O(log n) growth, so going from 16 tuples to every leaf
 // (or word) of a 200-word manuscript may add at most log2(n)
-// allocations.
+// allocations. A positional variable binds through the slot too.
 func TestForLoopAllocatesNothingPerTuple(t *testing.T) {
 	d, err := corpus.Generate(corpus.Params{Seed: 5, Words: 200, DamageRate: 0.3}).Document()
 	if err != nil {
@@ -357,6 +357,7 @@ func TestForLoopAllocatesNothingPerTuple(t *testing.T) {
 		{`count(for $leaf in $s return if ($leaf[ancestor::w and ancestor::dmg]) then 1 else ())`, leaves},
 		{`exists(for $x in $s return $x[ancestor::zzz])`, leaves},
 		{`count(for $w in $s where exists($w/overlapping::dmg) return $w)`, words},
+		{`count(for $x at $p in $s return $p)`, leaves},
 	} {
 		pl := MustCompile(tc.src).PlanFor(d)
 		allocs := func(n int) float64 {

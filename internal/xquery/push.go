@@ -248,19 +248,170 @@ func sinkTruth(n pnode, c *context, pos int) (b bool, keep bool, err error) {
 	return b, b, err
 }
 
-// predKeep decides whether a predicate keeps its focus item c.item at
-// position c.pos.
-func predKeep(c *context, pr expr) (bool, error) {
-	pn, ok := pr.(pnode)
-	if !ok { // a syntax tree of the reference interpreter
-		v, err := pr.(evaluable).eval(c)
-		if err != nil {
-			return false, err
+// ---- predicate stages ------------------------------------------------------
+
+// chain is the engine's one way to apply predicates. Every operator
+// with predicates feeds one, a segment at a time (begin, push, end): a
+// filter its base, an axis step each context's tested candidates, an
+// index scan each context's name runs, a probe its axis walk and a
+// semi-join its target runs. Stage i keeps its focus in stages[i],
+// counting positions, and passes the items its predicate keeps to stage
+// i+1, the last stage to down (with down nil, to out). A predicate that
+// evaluates to a single number keeps by position, anything else by
+// effective boolean value, and three kinds of stage do more:
+//
+//   - a constant [k] ends the segment at its k-th item, so the
+//     upstream stops after it (the early exit of (//w)[1]);
+//   - a semi-join (pSemiJoin) sweeps when its input size is known and
+//     greater than 1, and probes per item otherwise;
+//   - a predicate that reads last() in its own focus runs with the
+//     segment's size when the feeder knows it (stage 0), and otherwise
+//     holds its input until the segment ends (end).
+//
+// When a predicate calls analyze-string, every stage after the first
+// holds its input, so each predicate runs over all of its input before
+// the next one starts, as in the interpreter, and builds the same
+// overlays in the same order.
+type chain struct {
+	st     *evalState
+	stages []stage
+	one    [1]stage // a one-predicate chain's stages: never copy a chain
+	ovl    bool     // a predicate overlays
+	down   func(Item) bool
+	out    Seq
+	err    error // a predicate's error, or errStop when down stopped
+}
+
+// stage is one predicate of a chain and its state in the segment.
+type stage struct {
+	pr      pnode
+	join    *pSemiJoin // pr, when it is a semi-join
+	k       float64    // pr's value, when it is a number literal ([k])
+	literal bool
+	c       context // the focus: item, position and, when known, size
+	hold    bool    // held collects the input until the segment ends
+	held    Seq
+	sj      *sjRun // the semi-join's state for this segment, once it has an item
+}
+
+// begin starts a segment of size items (0: not known) for preds.
+func (ch *chain) begin(c *context, preds []expr, size int, down func(Item) bool) {
+	if ch.stages == nil && len(preds) > 0 {
+		ch.stages = ch.one[:]
+		if len(preds) > 1 {
+			ch.stages = make([]stage, len(preds))
 		}
-		return predicateKeeps(v, c.pos)
+		for i, pr := range preds {
+			s := &ch.stages[i]
+			s.pr = pr.(pnode)
+			s.join, _ = pr.(*pSemiJoin)
+			if lit, ok := pr.(*pLiteral); ok {
+				s.k, s.literal = lit.v.(float64)
+			}
+			ch.ovl = ch.ovl || s.pr.overlays()
+		}
 	}
-	_, keep, err := sinkTruth(pn, c, c.pos)
-	return keep, err
+	ch.st, ch.down, ch.err = c.st, down, nil
+	for i := range ch.stages {
+		s := &ch.stages[i]
+		s.c = *c
+		s.c.pos, s.c.size = 0, 0
+		if i == 0 {
+			s.c.size = size
+		}
+		s.hold = s.c.size == 0 && (s.pr.readsLast() || i > 0 && ch.ovl)
+		s.held, s.sj = s.held[:0], nil
+	}
+}
+
+// push feeds the segment's next item; false ends the segment, by an
+// error or a stop in err, or because a [k] stage has its item.
+func (ch *chain) push(it Item) bool { return ch.pass(0, it) }
+
+// pass feeds it to stage i, and what stage i keeps on to the next
+// stages and the chain's output.
+func (ch *chain) pass(i int, it Item) bool {
+	if err := ch.st.checkCancel(); err != nil {
+		ch.err = err
+		return false
+	}
+	for ; i < len(ch.stages); i++ {
+		s := &ch.stages[i]
+		if s.sj == nil && s.hold {
+			s.held = append(s.held, it)
+			return true
+		}
+		s.c.pos++
+		var keep bool
+		var err error
+		switch {
+		case s.sj != nil: // a semi-join whose segment has started
+			keep, err = s.sj.keep(&s.c, it)
+		case s.literal:
+			if pos := float64(s.c.pos); pos != s.k {
+				return pos < s.k
+			}
+			ch.pass(i+1, it)
+			return false
+		case s.join != nil:
+			var d *core.Document
+			if n, ok := it.(*dom.Node); ok {
+				d = s.c.st.docFor(n)
+			}
+			if s.sj, err = s.join.start(&s.c, d, s.c.size); err == nil {
+				keep, err = s.sj.keep(&s.c, it)
+			}
+		default:
+			s.c.item = it
+			_, keep, err = sinkTruth(s.pr, &s.c, s.c.pos)
+		}
+		if err != nil {
+			ch.err = err
+			return false
+		}
+		if !keep {
+			return true
+		}
+	}
+	if ch.down == nil {
+		ch.out = append(ch.out, it)
+		return true
+	}
+	if ch.down(it) {
+		return true
+	}
+	ch.err = errStop
+	return false
+}
+
+// end finishes the segment: each holding stage in turn runs over its
+// input, whose size is now known, and it reports why the chain
+// stopped early, if it did.
+func (ch *chain) end() error {
+	for i := range ch.stages {
+		s := &ch.stages[i]
+		if !s.hold || ch.err != nil {
+			continue
+		}
+		s.hold, s.c.size = false, len(s.held)
+		for _, it := range s.held {
+			if !ch.pass(i, it) {
+				break
+			}
+		}
+	}
+	return ch.err
+}
+
+// feed runs preds over items as one segment of known size.
+func (ch *chain) feed(c *context, preds []expr, items Seq, down func(Item) bool) error {
+	ch.begin(c, preds, len(items), down)
+	for _, it := range items {
+		if !ch.push(it) {
+			break
+		}
+	}
+	return ch.end()
 }
 
 // ---- per-operator state ----------------------------------------------------
@@ -344,7 +495,7 @@ func runOp(c *context, cur Seq, op *pathOp) (Seq, error) {
 func evalOpStrict(c *context, cur Seq, op *pathOp) (Seq, error) {
 	switch op.kind {
 	case opPrimStep:
-		return evalPrimStep(c, cur, op.s, op.primLast)
+		return evalPrimStep(c, cur, op.prim, op.primLast)
 	case opIndexScan:
 		if segmentsOrdered(c.st, cur, op) {
 			s := c.st.getSink(true, 0, false)
@@ -353,12 +504,11 @@ func evalOpStrict(c *context, cur Seq, op *pathOp) (Seq, error) {
 			c.st.putSink(s)
 			return out, err
 		}
-		// Atomic items (XPTY0019), nested or constructed contexts: the
-		// axis pipeline reproduces the reference semantics.
-		return evalStep(c, cur, op.s)
-	default:
-		return evalStep(c, cur, op.s)
 	}
+	// Axis steps, and index scans over atomic items (XPTY0019), nested
+	// or constructed contexts: the axis pipeline reproduces the
+	// reference semantics.
+	return evalStep(c, cur, op)
 }
 
 // pushStep pushes a path's last step. A step's output is ascending
@@ -382,12 +532,7 @@ func pushStep(c *context, cur Seq, op *pathOp, yield func(Item) bool) error {
 // pushSegments pushes op's segments over the contexts cur, context by
 // context.
 func pushSegments(c *context, cur Seq, op *pathOp, yield func(Item) bool) error {
-	cell := c.st.slot(op.id)
-	r, _ := (*cell).(*segRun)
-	if r == nil {
-		r = new(segRun)
-		*cell = r
-	}
+	r := c.st.segRun(op.id)
 	for _, it := range cur {
 		n := it.(*dom.Node)
 		if err := r.push(c, n, c.st.docFor(n), op, yield); err != nil {
@@ -477,25 +622,37 @@ func verifyPair(st *evalState, op *pathOp, a, b *dom.Node) bool {
 	return false
 }
 
-// segRun is a pushed path step's per-evaluation state: its per-document
-// bindings and the segment being pushed, which stays valid while the
-// consumer runs (nested evaluation may reuse the evaluation-wide
-// buffers, so these cannot be those), and the focus of its predicates.
+// segRun is a path step's per-evaluation state: its per-document
+// bindings, its predicates' stage chain, and the segment being pushed,
+// which stays valid while the consumer runs (nested evaluation may
+// reuse the evaluation-wide buffers, so these cannot be those).
 type segRun struct {
 	rt  resolvedTest
 	idx indexSeg
 	buf Seq
-	c2  context
+	ch  chain
+}
+
+// segRun returns path operator id's state.
+func (st *evalState) segRun(id int) *segRun {
+	cell := st.slot(id)
+	r, _ := (*cell).(*segRun)
+	if r == nil {
+		r = new(segRun)
+		*cell = r
+	}
+	return r
 }
 
 // push pushes context n's segment: an axis segment is built whole (its
 // size is bounded by the axis fan-out; descendant name steps are index
 // scans), an index segment streams out of the name-index runs through
-// its predicate, so it stops where the consumer stops.
+// the stage chain, whose input size the run lengths fix, so it stops
+// where the consumer stops.
 func (r *segRun) push(c *context, n *dom.Node, d *core.Document, op *pathOp, yield func(Item) bool) error {
 	s := op.s
 	if op.kind == opAxisStep {
-		out, ordered, err := axisSegment(c, r.buf[:0], d, n, s, &r.rt)
+		out, ordered, err := axisSegment(c, r, r.buf[:0], d, n, s)
 		if err != nil {
 			return err
 		}
@@ -508,54 +665,14 @@ func (r *segRun) push(c *context, n *dom.Node, d *core.Document, op *pathOp, yie
 	if r.rt.doc != d {
 		r.rt.init(d, s)
 	}
-	preds, ok, err := indexSegment(&r.idx, d, n, s, &r.rt)
-	if err != nil || !ok {
+	if ok, err := indexSegment(&r.idx, d, n, s, &r.rt); err != nil || !ok {
 		return err
 	}
-	if len(preds) > 1 {
-		// Position semantics chain through each stage's survivors:
-		// filter the segment whole.
-		items, err := applyPredicatesInPlace(c, r.idx.appendTo(r.buf[:0]), preds)
-		if err != nil {
-			return err
-		}
-		r.buf = items
-		return pushSeq(items, yield)
-	}
-	// The run lengths fix the segment's size: last() works.
-	var sj *sjRun
-	r.c2 = *c
-	r.c2.pos, r.c2.size = 0, r.idx.total()
-	if len(preds) == 1 {
-		if e, ok := preds[0].(*pSemiJoin); ok {
-			if sj, err = e.start(c, d, r.c2.size); err != nil {
-				return err
-			}
-		}
-	}
+	r.ch.begin(c, s.preds, r.idx.total(), yield)
 	for m, ok := r.idx.next(); ok; m, ok = r.idx.next() {
-		if err := c.st.checkCancel(); err != nil {
-			return err
-		}
-		if len(preds) == 1 {
-			var keep bool
-			if sj != nil {
-				keep, err = sj.keep(m)
-			} else {
-				r.c2.item = m
-				r.c2.pos++
-				keep, err = predKeep(&r.c2, preds[0])
-			}
-			if err != nil {
-				return err
-			}
-			if !keep {
-				continue
-			}
-		}
-		if !yield(m) {
-			return errStop
+		if !r.ch.push(m) {
+			break
 		}
 	}
-	return nil
+	return r.ch.end()
 }

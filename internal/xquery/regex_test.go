@@ -2,6 +2,7 @@ package xquery
 
 import (
 	"fmt"
+	"regexp"
 	"testing"
 
 	"mhxquery/internal/corpus"
@@ -38,5 +39,39 @@ func TestRegexCacheBounded(t *testing.T) {
 	reMu.Unlock()
 	if n > maxCachedRegexps {
 		t.Fatalf("after a 600-pattern query the regex cache holds %d entries, want <= %d", n, maxCachedRegexps)
+	}
+}
+
+// TestMatchesOuterDotStar checks that matches, which drops an
+// unanchored leading or trailing .* before compiling, answers as the
+// pattern as written does, and that a pattern RE2 rejects still raises
+// FORX0002 when a .* prefix is dropped from it.
+func TestMatchesOuterDotStar(t *testing.T) {
+	d := corpus.MustBoethius()
+	q := MustCompile(`matches($s, $p)`)
+	inputs := []string{"", "e", "unaw", "unawe", "xxunaweyy", `unaw\`, "unaw...", "a.*", "ab"}
+	for _, pat := range []string{`.*unawe.*`, `unaw\.*`, `.*`, `.*a.*?`, `\Qa.*`} {
+		re := regexp.MustCompile(pat)
+		for _, in := range inputs {
+			v, err := q.EvalWithVars(d, map[string]Seq{"s": {in}, "p": {pat}})
+			if err != nil {
+				t.Fatalf("matches(%q, %q): %v", in, pat, err)
+			}
+			if want := re.MatchString(in); len(v) != 1 || v[0] != want {
+				t.Errorf("matches(%q, %q) = %v, want %v", in, pat, v, want)
+			}
+		}
+	}
+	reMu.Lock()
+	_, stripped := reCache["unawe"]
+	reMu.Unlock()
+	if !stripped {
+		t.Errorf(`matches(…, ".*unawe.*") did not compile "unawe"`)
+	}
+	for _, pat := range []string{`.*(`, `.*)a.*`, `.**`} {
+		_, err := q.EvalWithVars(d, map[string]Seq{"s": {"a"}, "p": {pat}})
+		if e, ok := err.(*Error); !ok || e.Code != "FORX0002" {
+			t.Errorf("matches(\"a\", %q): err %v, want FORX0002", pat, err)
+		}
 	}
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // This file holds the runtime of the engine (lower.go, push.go): the
-// per-evaluation mutable state, the dynamic context, predicate
-// application and the constructor content rules. The reference
-// interpreter of the package tests evaluates through the same runtime.
+// per-evaluation mutable state, the dynamic context, node-sequence
+// helpers and the constructor content rules. The reference interpreter
+// of the package tests runs on the same state and context.
 
 // evalState is the per-evaluation mutable state. The active document
 // pointer advances to overlay documents as analyze-string materializes
@@ -72,6 +72,9 @@ type evalState struct {
 	// operator's per-evaluation state by its plan slot.
 	sinks []*sink
 	slots []any
+
+	// nums holds the numbers 1, 2, … as items (number).
+	nums Seq
 }
 
 // scratchContext returns a context equal to *c from the evaluation's
@@ -94,20 +97,33 @@ func (st *evalState) releaseContext(x *context) {
 	st.ctxs = append(st.ctxs, x)
 }
 
+// number returns the one-item sequence of the number i ≥ 1 — a
+// position or a size — as a window of the evaluation's table of boxed
+// numbers. The table's entries are never overwritten, so a caller may
+// keep the window, and each number is boxed once per evaluation.
+func (st *evalState) number(i int) Seq {
+	for len(st.nums) < i {
+		st.nums = append(st.nums, float64(len(st.nums)+1))
+	}
+	return st.nums[i-1 : i : i]
+}
+
 // cancelStride is how many checkCancel ticks pass between ctx.Err()
 // polls; chokepoints tick per item, so cancellation latency is bounded
 // by a few hundred items of work.
 const cancelStride = 256
 
 // checkCancel polls the evaluation context at a strided rate and
-// converts cancellation into an evaluation error.
+// converts cancellation into an evaluation error. It is small enough to
+// inline into the per-item loops that call it.
 func (st *evalState) checkCancel() error {
-	if st.ctx == nil {
+	if st.tick++; st.ctx == nil || st.tick%cancelStride != 0 {
 		return nil
 	}
-	if st.tick++; st.tick%cancelStride != 0 {
-		return nil
-	}
+	return st.canceled()
+}
+
+func (st *evalState) canceled() error {
 	if err := st.ctx.Err(); err != nil {
 		return errf("MHXQ0002", "evaluation canceled: %v", err)
 	}
@@ -230,47 +246,18 @@ func stringItem(c *context, it Item) string {
 	return stringValue(it)
 }
 
-// evaluable is a syntax-tree expression of the reference interpreter
-// of the package tests, which the shared runtime evaluates beside
-// lowered operators.
-type evaluable interface {
-	eval(c *context) (Seq, error)
-}
-
-// evalMaybeLowered evaluates e: a lowered operator through pEval, a
-// syntax tree through the reference interpreter.
-func evalMaybeLowered(c *context, e expr) (Seq, error) {
-	if pn, ok := e.(pnode); ok {
-		return pEval(pn, c)
-	}
-	return e.(evaluable).eval(c)
-}
-
 // evalNumber evaluates an operand to a single number; empty reports the
 // empty sequence (which propagates as an empty result).
-func evalNumber(c *context, e expr, what string) (f float64, empty bool, err error) {
-	var first Item
-	var n int
-	if pn, ok := e.(pnode); ok {
-		s, err := c.st.sinkRun(pn, c, false, stopAt(pn, 2), false)
-		first, n = s.first, s.n
-		c.st.putSink(s)
-		if err != nil {
-			return 0, false, err
-		}
-	} else {
-		v, err := e.(evaluable).eval(c)
-		if err != nil {
-			return 0, false, err
-		}
-		if n = len(v); n > 0 {
-			first = v[0]
-		}
-	}
-	switch n {
-	case 0:
+func evalNumber(c *context, n pnode, what string) (f float64, empty bool, err error) {
+	s, err := c.st.sinkRun(n, c, false, stopAt(n, 2), false)
+	first, k := s.first, s.n
+	c.st.putSink(s)
+	switch {
+	case err != nil:
+		return 0, false, err
+	case k == 0:
 		return 0, true, nil
-	case 1:
+	case k == 1:
 		return toNumber(c.atomize(first)), false, nil
 	}
 	return 0, false, errf("XPTY0004", "%s operand is a sequence of more than one item", what)
@@ -315,105 +302,15 @@ func allNodes(items Seq) bool {
 	return true
 }
 
-// ---- predicates ------------------------------------------------------------
-
-// constNumPred recognizes a predicate that is a bare numeric literal —
-// in AST form (the reference interpreter) or lowered form. Such a predicate selects at most one item by position, so
-// the per-item evaluation loop can be short-circuited entirely — in
-// particular an out-of-range [7] no longer evaluates anything per item.
-func constNumPred(pr expr) (float64, bool) {
-	switch lit := pr.(type) {
-	case *literalExpr:
-		f, ok := lit.v.(float64)
-		return f, ok
-	case *pLiteral:
-		f, ok := lit.v.(float64)
-		return f, ok
-	}
-	return 0, false
-}
-
-// selectByConstPos applies a constant numeric predicate: the item at
-// position f when f is an integral in-range position, nothing otherwise
-// (the "keep iff position == f" rule evaluated once).
-func selectByConstPos(items Seq, f float64) Seq {
-	idx := int(f)
-	if float64(idx) != f || idx < 1 || idx > len(items) {
-		return items[:0]
-	}
-	items[0] = items[idx-1]
-	return items[:1]
-}
-
-// applyPredicatesInPlace filters items by each predicate in turn,
-// compacting into the items slice itself (callers own the storage), so
-// the step pipeline filters without a per-context-node allocation. A
-// predicate evaluating to a single number selects by position, anything
-// else by effective boolean value.
-func applyPredicatesInPlace(c *context, items Seq, preds []expr) (Seq, error) {
-	for _, pr := range preds {
-		if f, ok := constNumPred(pr); ok {
-			items = selectByConstPos(items, f)
-			continue
-		}
-		if sj, ok := pr.(*pSemiJoin); ok && len(items) > 0 {
-			var err error
-			if items, err = sj.filter(c, items); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		var err error
-		if items, err = filterInPlace(c, items, pr); err != nil {
-			return nil, err
-		}
-	}
-	return items, nil
-}
-
-// filterInPlace keeps the items predicate pr keeps, compacting in place.
-func filterInPlace(c *context, items Seq, pr expr) (Seq, error) {
-	c2 := c.st.scratchContext(c) // one scratch context, mutated per item
-	defer c.st.releaseContext(c2)
-	w := 0
-	for i, it := range items {
-		if err := c.st.checkCancel(); err != nil {
-			return nil, err
-		}
-		c2.item, c2.pos, c2.size = it, i+1, len(items)
-		keep, err := predKeep(c2, pr)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			items[w] = it
-			w++
-		}
-	}
-	return items[:w], nil
-}
-
-// predicateKeeps applies the predicate rule to the value v of a
-// predicate at position pos: a single number selects by position,
-// anything else by effective boolean value.
-func predicateKeeps(v Seq, pos int) (bool, error) {
-	if len(v) == 1 {
-		if f, ok := v[0].(float64); ok {
-			return float64(pos) == f, nil
-		}
-	}
-	return ebv(v)
-}
-
 // evalPrimStep evaluates a primary-expression step ("$x/string(.)") once
 // per input item.
-func evalPrimStep(c *context, cur Seq, s *step, last bool) (Seq, error) {
+func evalPrimStep(c *context, cur Seq, prim pnode, last bool) (Seq, error) {
 	var out Seq
 	c2 := c.st.scratchContext(c) // one scratch context, mutated per item
 	defer c.st.releaseContext(c2)
 	for i, it := range cur {
 		c2.item, c2.pos, c2.size = it, i+1, len(cur)
-		v, err := evalMaybeLowered(c2, s.prim)
+		v, err := pEval(prim, c2)
 		if err != nil {
 			return nil, err
 		}

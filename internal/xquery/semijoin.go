@@ -20,11 +20,11 @@ import (
 // only whether one target exists. Per candidate RUN, that is one merge
 // sweep of the candidates' spans against the targets' spans
 // (core.SemiJoin), O(candidates + targets) with no allocation per
-// candidate. The lowered predicate (pSemiJoin) sweeps whole segments:
-// the materialized index-scan and axis-step segments
-// (applyPredicatesInPlace) and, lazily, the pushed index-scan segments
-// (segRun), whose sweep advances as candidates are pushed, so early
-// exit stays early.
+// candidate. The lowered predicate (pSemiJoin) is one kind of stage of
+// the predicate stage chain (chain, push.go): it sweeps when its input
+// size is known and greater than 1 — the first predicate of an
+// axis-step segment, an index-scan segment or a target run — and the
+// sweep advances as candidates are pushed, so early exit stays early.
 //
 // Everything that sees one node at a time takes an existence probe
 // (pProbe): a relative one-step path axis::test, starting at the
@@ -36,24 +36,27 @@ import (
 // test and the step's predicates, building no axis result: Query I.2's
 // $leaf[ancestor::w and ancestor::dmg] and the join's
 // where exists($w/overlapping::dmg). pSemiJoin's per-node form is built
-// from the same probes, so a lone candidate (a one-candidate segment,
-// the positional shortcut's survivor) and a candidate the sweep leaves
-// undecided are probed too. Contexts a probe does not cover — atomic
-// items, an undefined focus, a variable not bound to exactly one node,
-// constructed nodes — evaluate the path itself, and
-// the probe tests candidates in axis order with the path's node test,
-// so results and error points are the per-node engine's (XPTY0019 for
-// an atomic context, MHXQ0001 at the first name-matched candidate
-// under an unknown hierarchy). A term whose targets cannot be bound
-// without raising — a hierarchy qualifier that does not resolve, the
-// shared root under a filtered target — is probed for every candidate.
+// from the same probes, so a lone candidate, a candidate of a stage
+// whose input size is not known (a predicate after another one) and a
+// candidate the sweep leaves undecided are probed too. Contexts a probe
+// does not cover — atomic items, an undefined focus, a variable not
+// bound to exactly one node, constructed nodes — evaluate the path
+// itself, and the probe tests candidates in axis order with the path's
+// node test, so results and error points are the per-node engine's
+// (XPTY0019 for an atomic context, MHXQ0001 at the first name-matched
+// candidate under an unknown hierarchy). A term whose targets cannot
+// be bound without raising — a hierarchy qualifier that does not
+// resolve, the shared root under a filtered target — is probed for
+// every candidate.
 //
 // A target step may carry predicates (axis::name[string(.) = 'x'],
 // axis::name[xancestor::dmg …]) when they are position-independent and
 // infallible: a probe evaluates them per candidate after the node test,
-// in any order, with the same answer and no error to reorder. The
-// semi-join also needs them variable-free: their value then depends on
-// the target alone, so they run once per target, per (evaluation,
+// in any order, with the same answer and no error to reorder: the
+// probe's axis walk feeds the step's stage chain, and the first
+// candidate the chain keeps ends the walk. The semi-join also needs
+// them variable-free: their value then depends on the target alone, so
+// a stage chain runs them once over the target runs, per (evaluation,
 // document) — themselves a semi-join where eligible — and the surviving
 // ordinals are memoized in evalState for the rest of the evaluation.
 
@@ -107,7 +110,7 @@ func probeable(p *pathExpr) bool {
 // Descendant name steps stay index scans, whose pushed segments
 // already stop at the first node.
 func probeStep(s *step) bool {
-	if s.prim != nil || s.posSel != 0 || indexableStep(s) || !fusablePreds(s.preds) {
+	if s.prim != nil || indexableStep(s) || !fusablePreds(s.preds) {
 		return false
 	}
 	for _, pr := range s.preds {
@@ -336,7 +339,8 @@ type sjKey struct {
 
 // bind resolves every term against d and loads its targets: the name
 // runs of the hierarchies the test allows, or their filtered subsets.
-func (sw *sjSweep) bind(c *context, e *pSemiJoin, d *core.Document) error {
+func (r *sjRun) bind(c *context, d *core.Document) error {
+	sw, e := &r.sw, r.e
 	if n := len(e.terms); cap(sw.terms) < n {
 		sw.terms = make([]sjTermState, n)
 	} else {
@@ -366,7 +370,10 @@ func (sw *sjSweep) bind(c *context, e *pSemiJoin, d *core.Document) error {
 			}
 			continue
 		}
-		runs, err := c.st.filteredTargets(c, s, d, &b)
+		if r.targets == nil {
+			r.targets = make([]chain, len(e.terms))
+		}
+		runs, err := c.st.filteredTargets(c, &r.targets[i], s, d, &b)
 		if err != nil {
 			return err
 		}
@@ -378,32 +385,31 @@ func (sw *sjSweep) bind(c *context, e *pSemiJoin, d *core.Document) error {
 }
 
 // filteredTargets returns, per hierarchy of d, the ordinals of the
-// target step's name matches that pass its predicates, evaluated once
-// per (term, document) in this evaluation.
-func (st *evalState) filteredTargets(c *context, s *step, d *core.Document, b *resolvedTest) ([][]int32, error) {
+// target step's name matches that pass its predicates, which the stage
+// chain ch applies once per (term, document) in this evaluation.
+func (st *evalState) filteredTargets(c *context, ch *chain, s *step, d *core.Document, b *resolvedTest) ([][]int32, error) {
 	key := sjKey{&s.preds[0], d}
 	if runs, ok := st.targets[key]; ok {
 		return runs, nil
 	}
 	runs := make([][]int32, len(d.Hiers))
 	for hi, h := range d.Hiers {
-		if !b.allows(hi) {
-			continue
-		}
 		run := h.NameRun(b.nameSym)
-		if len(run) == 0 {
+		if !b.allows(hi) || len(run) == 0 {
 			continue
 		}
-		items := make(Seq, len(run))
-		for k, ord := range run {
-			items[k] = h.Nodes[ord]
+		ch.out = slices.Grow(ch.out[:0], len(run))
+		ch.begin(c, s.preds, len(run), nil)
+		for _, ord := range run {
+			if !ch.push(h.Nodes[ord]) {
+				break
+			}
 		}
-		kept, err := applyPredicatesInPlace(c, items, s.preds)
-		if err != nil {
+		if err := ch.end(); err != nil {
 			return nil, err
 		}
-		out := make([]int32, len(kept))
-		for k, it := range kept {
+		out := make([]int32, len(ch.out))
+		for k, it := range ch.out {
 			out[k] = int32(it.(*dom.Node).Ord)
 		}
 		runs[hi] = out
@@ -442,18 +448,18 @@ func (sw *sjSweep) decide(x *sjShape, n *dom.Node) sjAnswer {
 }
 
 // sjRun is a semi-join's per-evaluation state (kept in its operator
-// slot): the sweep over the current segment, if any, and the focus of
-// the per-node predicate.
+// slot): the sweep over the current segment, if any, and the stage
+// chains of its terms' target predicates.
 type sjRun struct {
-	e     *pSemiJoin
-	sw    sjSweep
-	swept bool
-	c2    context
+	e       *pSemiJoin
+	sw      sjSweep
+	swept   bool
+	targets []chain
 }
 
-// start prepares a segment of size candidates in document d: a sweep
-// when it has more than one candidate, per-node evaluation otherwise
-// (d nil: atomic candidates).
+// start prepares a segment of size candidates (0: not known) in
+// document d (nil: atomic candidates): a sweep when it has more than
+// one candidate, per-node evaluation otherwise.
 func (e *pSemiJoin) start(c *context, d *core.Document, size int) (*sjRun, error) {
 	cell := c.st.slot(e.id)
 	r, _ := (*cell).(*sjRun)
@@ -464,25 +470,23 @@ func (e *pSemiJoin) start(c *context, d *core.Document, size int) (*sjRun, error
 	if ex := c.st.explain; ex != nil {
 		ex[e.id].calls++
 	}
-	r.c2 = *c
-	r.c2.pos, r.c2.size = 0, size
 	r.swept = size > 1 && d != nil
 	if r.swept {
-		return r, r.sw.bind(c, e, d)
+		return r, r.bind(c, d)
 	}
 	return r, nil
 }
 
-// keep answers the predicate for the segment's next candidate: the
-// sweep's answer, advancing it, or the per-node predicate's for what it
-// leaves undecided.
-func (r *sjRun) keep(it Item) (bool, error) {
-	st := r.c2.st
+// keep answers the predicate for the segment's next candidate it, at
+// the position of the focus c2: the sweep's answer, advancing it, or
+// the per-node predicate's, with it as the focus item, for what the
+// sweep leaves undecided.
+func (r *sjRun) keep(c2 *context, it Item) (bool, error) {
+	st := c2.st
 	var start time.Time
 	if st.timed {
 		start = time.Now()
 	}
-	r.c2.pos++
 	ans := sjUndecided
 	if n, ok := it.(*dom.Node); ok && r.swept {
 		ans = r.sw.decide(r.e.shape, n)
@@ -490,8 +494,8 @@ func (r *sjRun) keep(it Item) (bool, error) {
 	keep := ans == sjYes
 	var err error
 	if ans == sjUndecided {
-		r.c2.item = it
-		keep, err = pEbv(r.e.perNode, &r.c2)
+		c2.item = it
+		keep, err = pEbv(r.e.perNode, c2)
 	}
 	if ex := st.explain; ex != nil {
 		ex[r.e.id].in++
@@ -503,33 +507,6 @@ func (r *sjRun) keep(it Item) (bool, error) {
 		}
 	}
 	return keep, err
-}
-
-// filter applies the predicate to a whole segment in place.
-func (e *pSemiJoin) filter(c *context, items Seq) (Seq, error) {
-	var d *core.Document
-	if n, ok := items[0].(*dom.Node); ok {
-		d = c.st.docFor(n)
-	}
-	r, err := e.start(c, d, len(items))
-	if err != nil {
-		return nil, err
-	}
-	w := 0
-	for _, it := range items {
-		if err := c.st.checkCancel(); err != nil {
-			return nil, err
-		}
-		keep, err := r.keep(it)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			items[w] = it
-			w++
-		}
-	}
-	return items[:w], nil
 }
 
 // ---- existence probes ------------------------------------------------------
@@ -617,48 +594,28 @@ func (e *pProbe) probe(c *context) (bool, error) {
 		}
 		name = rt.nameSym
 	}
-	var found bool
+	// The first candidate passing the node test and the stage chain
+	// stops the walk: the chain's consumer stops at once. The
+	// predicates are position-independent, so the chain needs no size.
+	ps.ch.begin(c, s.preds, 0, stopFirst)
 	var err error
-	if len(s.preds) == 0 {
-		found, ps.buf = d.FindAxis(ps.buf, s.axis, n, s.test.candidates(), name, func(m *dom.Node) bool {
-			ok, merr := rt.match(m)
-			if merr != nil {
-				err = merr
-				return true
-			}
-			return ok
-		})
-	} else {
-		found, ps.buf, err = probeFiltered(c, d, ps.buf, n, s, rt, name)
-	}
-	return found && err == nil, err
-}
-
-// probeFiltered is the probe of a step with predicates: the first
-// candidate passing the node test and every predicate. The predicates
-// are position-independent, so their focus position is immaterial.
-func probeFiltered(c *context, d *core.Document, buf []*dom.Node, n *dom.Node, s *step, rt *resolvedTest, name int32) (bool, []*dom.Node, error) {
-	var err error
-	c2 := c.st.scratchContext(c)
-	defer c.st.releaseContext(c2)
-	c2.pos, c2.size = 1, 1
-	found, buf := d.FindAxis(buf, s.axis, n, s.test.candidates(), name, func(m *dom.Node) bool {
+	found, buf := d.FindAxis(ps.buf, s.axis, n, s.test.candidates(), name, func(m *dom.Node) bool {
 		ok, merr := rt.match(m)
-		for _, pr := range s.preds {
-			if !ok || merr != nil {
-				break
-			}
-			c2.item = m
-			ok, merr = predKeep(c2, pr)
-		}
 		if merr != nil {
 			err = merr
 			return true
 		}
-		return ok
+		return ok && !ps.ch.push(m)
 	})
-	return found, buf, err
+	ps.buf = buf
+	if err == nil && ps.ch.err != errStop {
+		err = ps.ch.err
+	}
+	return found && err == nil, err
 }
+
+// stopFirst is the consumer that stops at the first item.
+func stopFirst(Item) bool { return false }
 
 // delegate answers through the probed path itself.
 func (e *pProbe) delegate(c *context) (bool, error) {
@@ -673,6 +630,7 @@ func (e *pProbe) delegate(c *context) (bool, error) {
 type probeState struct {
 	rt  resolvedTest
 	buf []*dom.Node
+	ch  chain
 }
 
 // probeState returns probe id's state with its node test resolved

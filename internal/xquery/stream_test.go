@@ -155,6 +155,40 @@ func TestStreamLimitStopsScan(t *testing.T) {
 	}
 }
 
+// TestStreamNestedLastStaysLazy checks that a predicate reading last()
+// only in a nested focus leaves its own filter streaming: taking 3
+// items from (//w)[exists((/descendant::w)[last()])] over a large
+// document leaves the filter's base scan at 3 rows, while the nested
+// filter, whose predicate does read last(), takes its whole base.
+func TestStreamNestedLastStaysLazy(t *testing.T) {
+	d, err := corpus.Generate(corpus.Params{Seed: 5, Words: 600}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := MustCompile(`(//w)[exists((/descendant::w)[last()])]`)
+	total, err := q.Eval(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(total) < 100 {
+		t.Fatalf("fixture too small: %d words", len(total))
+	}
+	s, render := q.StreamExplain(nil, d, nil, nil)
+	if got, err := s.Take(3); err != nil || len(got) != 3 {
+		t.Fatalf("Take(3) = %d items, err=%v", len(got), err)
+	}
+	if scan := scanOp(render()); scan == nil || scan.OutRows != 3 {
+		t.Fatalf("outer index scan = %+v after a 3-item pull; want 3 rows (total %d)", scan, len(total))
+	}
+	rest, err := drainStream(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 3+len(rest) != len(total) {
+		t.Fatalf("stream delivered %d items, want %d", 3+len(rest), len(total))
+	}
+}
+
 // TestStreamCancel checks context cancellation: a runaway query, and a
 // predicate scan over a large document, stop with MHXQ0002 within a
 // bounded number of items.

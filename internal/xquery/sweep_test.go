@@ -108,7 +108,15 @@ func (g *qgen) sjStep() string {
 
 // pred emits one predicate expression.
 func (g *qgen) pred(depth int) string {
-	switch g.r.Intn(11) {
+	switch g.r.Intn(15) {
+	case 11:
+		return "last() - 1"
+	case 12:
+		return "position() = last()"
+	case 13:
+		return "position() < last()"
+	case 14:
+		return "exists((" + g.relPath(depth) + ")[last()])"
 	case 8:
 		return g.sjStep()
 	case 9:
@@ -438,6 +446,8 @@ var boundItemShapes = []string{
 	`for $x at $i in //w return ($x, $i)`,
 	`for $x in //w order by string($x) return $x`,
 	`for $x at $i in //w order by string($x) descending return ($i, $x)`,
+	`for $x at $p in //w order by string-length(string($x)) return $p`,
+	`for $y in (1, 2) for $x at $p in //line order by string($x) descending return ($y, $p, $x)`,
 	`for $x in //w order by string-length(string($x)) return ($x, $x/child::node())`,
 	`for $x in //w for $y in $x/child::node() return ($y, $x)`,
 	`for $x at $i in //line for $y at $j in $x/xdescendant::w return ($i, $j, $y)`,
