@@ -539,6 +539,7 @@ var indexedDescendantQueries = []struct{ name, src string }{
 	{"line", `count(/descendant::line)`},
 	{"abbrev", `count(//w)`},
 	{"subtree", `count(/descendant::vline/descendant::w)`},
+	{"posk", `count(//line[2]/overlapping::w)`},
 }
 
 // BenchmarkIndexedDescendant measures //name-leading path evaluation

@@ -42,7 +42,7 @@ func evalCmp(c *context, op string, kind cmpKind, va, vb Seq) (Seq, error) {
 		if len(va) > 1 || len(vb) > 1 {
 			return nil, errf("XPTY0004", "operands of %q must be single values", op)
 		}
-		cres, ok := compareAtomic(op, c.atomize(va[0]), c.atomize(vb[0]))
+		cres, ok := c.compare(op, va[0], vb[0])
 		if !ok {
 			return seqFalse, nil
 		}
@@ -51,13 +51,36 @@ func evalCmp(c *context, op string, kind cmpKind, va, vb Seq) (Seq, error) {
 	// General comparison: existential over both sequences.
 	for _, ia := range va {
 		for _, ib := range vb {
-			cres, ok := compareAtomic(op, c.atomize(ia), c.atomize(ib))
+			cres, ok := c.compare(op, ia, ib)
 			if ok && applyCmp(op, cres) {
 				return seqTrue, nil
 			}
 		}
 	}
 	return seqFalse, nil
+}
+
+// compare is compareAtomic over the atomized items a and b. A node or
+// string pair compares as strings, and a node's string value is never
+// boxed into an item for it.
+func (c *context) compare(op string, a, b Item) (int, bool) {
+	sa, aok := c.stringAtom(a)
+	sb, bok := c.stringAtom(b)
+	if aok && bok {
+		return compareStrings(op, sa, sb)
+	}
+	return compareAtomic(op, c.atomize(a), c.atomize(b))
+}
+
+// stringAtom is the string a node or string item atomizes to.
+func (c *context) stringAtom(it Item) (string, bool) {
+	switch v := it.(type) {
+	case *dom.Node:
+		return c.st.stringOf(v), true
+	case string:
+		return v, true
+	}
+	return "", false
 }
 
 // evalArith applies one arithmetic operator (shared with the lowered

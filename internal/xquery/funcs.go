@@ -5,6 +5,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/dom"
@@ -17,10 +18,10 @@ type builtin struct {
 	name     string
 	min, max int // max = -1: variadic
 	fn       func(c *context, args []Seq) (Seq, error)
-	// strArgs marks builtins that read every argument through
-	// oneString and never return an argument sequence, so a node may
-	// stand for its string value and argument storage is reused after
-	// the call (pCall.eval).
+	// strArgs marks builtins that read every argument as a string
+	// (oneString, stringItem) and never return an argument sequence, so
+	// a node may stand for its string value and argument storage is
+	// reused after the call (pCall.call).
 	strArgs bool
 }
 
@@ -82,9 +83,16 @@ func oneNode(args []Seq, i int) (*dom.Node, error) {
 // one recompile per pattern.
 const maxCachedRegexps = 256
 
+// reKey is a regex cache entry's key: the pattern and flags as the
+// query gave them, so a hit costs one lookup and no string building.
+type reKey struct {
+	pattern, flags string
+	matches        bool // compiled for matches() (matchesRegex)
+}
+
 var (
 	reMu    sync.Mutex
-	reCache = map[string]*regexp.Regexp{}
+	reCache = map[reKey]*regexp.Regexp{}
 )
 
 // compileRegex compiles an XPath-style regular expression with optional
@@ -92,8 +100,29 @@ var (
 // to RE2 for the constructs the paper uses; differences (backreferences,
 // lazy semantics nuances) are documented in README.
 func compileRegex(pattern, flags string) (*regexp.Regexp, error) {
+	return cachedRegex(reKey{pattern: pattern, flags: flags})
+}
+
+// matchesRegex compiles the pattern matches() runs. An unanchored outer
+// .* cannot change whether the pattern matches somewhere, but costs a
+// backtracking pass per match (Queries II.1/III.1 ask
+// matches(string(.), ".*unawe.*")), so it is dropped. A \Q…\E literal
+// could end in ".*", so it keeps its pattern.
+func matchesRegex(pat, flags string) (*regexp.Regexp, error) {
+	return cachedRegex(reKey{pattern: pat, flags: flags, matches: true})
+}
+
+// cachedRegex returns k's compiled expression, compiling it on a miss.
+// A pattern or flag that does not compile is not cached.
+func cachedRegex(k reKey) (*regexp.Regexp, error) {
+	reMu.Lock()
+	re, ok := reCache[k]
+	reMu.Unlock()
+	if ok {
+		return re, nil
+	}
 	prefix := ""
-	for _, f := range flags {
+	for _, f := range k.flags {
 		switch f {
 		case 'i':
 			prefix += "i"
@@ -105,25 +134,22 @@ func compileRegex(pattern, flags string) (*regexp.Regexp, error) {
 			return nil, errf("FORX0001", "unsupported regex flag %q", string(f))
 		}
 	}
-	src := pattern
-	if prefix != "" {
-		src = "(?" + prefix + ")" + pattern
+	src := k.pattern
+	if k.matches && !strings.Contains(src, `\Q`) {
+		src = stripOuterDotStar(src)
 	}
-	reMu.Lock()
-	re, ok := reCache[src]
-	reMu.Unlock()
-	if ok {
-		return re, nil
+	if prefix != "" {
+		src = "(?" + prefix + ")" + src
 	}
 	re, err := regexp.Compile(src)
 	if err != nil {
-		return nil, errf("FORX0002", "invalid regular expression %q: %v", pattern, err)
+		return nil, errf("FORX0002", "invalid regular expression %q: %v", k.pattern, err)
 	}
 	reMu.Lock()
 	if len(reCache) >= maxCachedRegexps {
 		clear(reCache)
 	}
-	reCache[src] = re
+	reCache[k] = re
 	reMu.Unlock()
 	return re, nil
 }
@@ -214,7 +240,7 @@ func registerStringFuncs() {
 		if len(v) > 0 {
 			s = stringItem(c, v[0])
 		}
-		return singleton(float64(len([]rune(s)))), nil
+		return numberSeq(utf8.RuneCountInString(s)), nil
 	})
 	register("normalize-space", 0, 1, func(c *context, args []Seq) (Seq, error) {
 		v, err := argOrContext(c, args, 0)
@@ -378,14 +404,7 @@ func registerStringFuncs() {
 		if err != nil {
 			return nil, err
 		}
-		// An unanchored outer .* cannot change whether the pattern
-		// matches somewhere, but costs a backtracking pass per match
-		// (Queries II.1/III.1 ask matches(string(.), ".*unawe.*")). A
-		// \Q…\E literal could end in ".*", so it keeps its pattern.
-		if !strings.Contains(pat, `\Q`) {
-			pat = stripOuterDotStar(pat)
-		}
-		re, err := compileRegex(pat, flags)
+		re, err := matchesRegex(pat, flags)
 		if err != nil {
 			return nil, err
 		}

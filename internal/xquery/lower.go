@@ -680,7 +680,7 @@ func init() {
 	bCount = builtins["count"]
 	bAnalyze = builtins["analyze-string"]
 	bString = builtins["string"]
-	for _, name := range []string{"matches", "replace", "tokenize", "contains", "starts-with", "ends-with"} {
+	for _, name := range []string{"string-length", "matches", "replace", "tokenize", "contains", "starts-with", "ends-with"} {
 		builtins[name].strArgs = true
 	}
 }

@@ -25,12 +25,17 @@ import (
 //     GODDAG: per hierarchy, the ascending ordinal run of elements
 //     bearing the name, restricted to the context subtree by binary
 //     search, emitted in document order with no per-candidate test.
+//     When //name's predicates may read position, the scan groups the
+//     run by parent and feeds each parent's children to the predicates
+//     as one segment (pushGroups), the focus the expanded form gives
+//     them.
 //   - axis-step: every other axis step runs through the order-aware
 //     pipeline (pipeline.go).
 //   - primary: a primary-expression step ("$x/string(.)").
 //
-// Each index-scan and axis-step context contributes one segment, built
-// by indexSegment or axisSegment; a materialized step (evalOpStrict)
+// Each index-scan and axis-step context contributes one segment (a
+// per-parent scan one per parent), built by indexSegment or
+// axisSegment; a materialized step (evalOpStrict)
 // appends the segments in bulk, a path's last step pushes them one by
 // one (pushStep).
 //
@@ -73,6 +78,12 @@ type pathOp struct {
 	prim     pnode // the lowered primary expression (primary steps)
 	id       int   // cardinality counter slot
 	primLast bool  // primary step: last op of its path
+	// expand, set on the index scan of //name[p] whose predicates may
+	// read position, is the descendant-or-self::node()/child::name[p]
+	// pair it stands for: the scan's predicates see one parent's
+	// children at a time, and the pair runs where the contexts'
+	// segments cannot be pushed in order (evalOpStrict).
+	expand []*pathOp
 }
 
 // ---- planner ---------------------------------------------------------------
@@ -110,8 +121,8 @@ func (pn *planner) newOpID() int {
 }
 
 // enode creates an explain-tree node under parent and the pbase that
-// ties a pnode to its cardinality slot.
-func (pn *planner) enode(parent *explainNode, op, detail string) (*explainNode, pbase) {
+// ties a pnode to its cardinality slot; detail is as explainNode's.
+func (pn *planner) enode(parent *explainNode, op string, detail any) (*explainNode, pbase) {
 	id := pn.newOpID()
 	en := &explainNode{op: op, detail: detail, id: id}
 	parent.kids = append(parent.kids, en)
@@ -120,7 +131,7 @@ func (pn *planner) enode(parent *explainNode, op, detail string) (*explainNode, 
 
 // group creates a structural explain node (no cardinality slot of its
 // own) under parent.
-func (pn *planner) group(parent *explainNode, op, detail string) *explainNode {
+func (pn *planner) group(parent *explainNode, op string, detail any) *explainNode {
 	en := &explainNode{op: op, detail: detail, id: -1}
 	parent.kids = append(parent.kids, en)
 	return en
@@ -140,12 +151,12 @@ func (pn *planner) lower(e expr, parent *explainNode) pnode {
 func (pn *planner) lowerExpr(e expr, parent *explainNode) pnode {
 	switch x := e.(type) {
 	case *literalExpr:
-		_, pb := pn.enode(parent, "literal", describeLiteral(x.v))
+		_, pb := pn.enode(parent, "literal", x)
 		return &pLiteral{pbase: pb, v: x.v, seq: x.seq}
 	case *rawTextExpr:
 		return &pLiteral{pbase: pbase{id: -1}, v: x.s, seq: singleton(x.s)}
 	case *varExpr:
-		_, pb := pn.enode(parent, "var", "$"+x.name)
+		_, pb := pn.enode(parent, "var", x)
 		return &pVar{pbase: pb, name: x.name}
 	case *contextItemExpr:
 		_, pb := pn.enode(parent, "context-item", ".")
@@ -197,11 +208,7 @@ func (pn *planner) lowerExpr(e expr, parent *explainNode) pnode {
 			els:   pn.lower(x.els, pn.group(en, "else", "")),
 		}
 	case *quantExpr:
-		kw := "some"
-		if x.every {
-			kw = "every"
-		}
-		en, pb := pn.enode(parent, "quantified", kw+" $"+strings.Join(x.names, ", $"))
+		en, pb := pn.enode(parent, "quantified", x)
 		f := &pFLWOR{pbase: pbase{id: pn.newOpID()}, ret: &pLiteral{pbase: pbase{id: -1}, v: true, seq: seqTrue}}
 		for i, s := range x.srcs {
 			f.clauses = append(f.clauses, pClause{kind: clauseFor, name: x.names[i], src: pn.lower(s, en)})
@@ -216,7 +223,7 @@ func (pn *planner) lowerExpr(e expr, parent *explainNode) pnode {
 	case *flworExpr:
 		return pn.lowerFLWOR(x, parent)
 	case *callExpr:
-		en, pb := pn.enode(parent, "call", x.name+"()")
+		en, pb := pn.enode(parent, "call", x)
 		call := &pCall{pbase: pb, name: x.name, fn: x.fn}
 		for _, a := range x.args {
 			lower := pn.lower
@@ -230,7 +237,7 @@ func (pn *planner) lowerExpr(e expr, parent *explainNode) pnode {
 		}
 		return call
 	case *filterExpr:
-		en, pb := pn.enode(parent, "filter", strings.Repeat("[…]", len(x.preds)))
+		en, pb := pn.enode(parent, "filter", x)
 		f := &pFilter{pbase: pb, base: pn.lower(x.base, en)}
 		for _, pr := range x.preds {
 			f.preds = append(f.preds, pn.stage(pr, pn.lowerTruth(pr, pn.group(en, "predicate", ""))))
@@ -239,7 +246,7 @@ func (pn *planner) lowerExpr(e expr, parent *explainNode) pnode {
 	case *pathExpr:
 		return pn.lowerPath(x, parent)
 	case *elemExpr:
-		en, pb := pn.enode(parent, "element", "<"+x.name+">")
+		en, pb := pn.enode(parent, "element", x)
 		pe := &pElem{pbase: pb, name: x.name}
 		for _, a := range x.attrs {
 			tpl := pAttr{name: a.name}
@@ -253,7 +260,7 @@ func (pn *planner) lowerExpr(e expr, parent *explainNode) pnode {
 		}
 		return pe
 	case *compCtorExpr:
-		en, pb := pn.enode(parent, "constructor", string(x.kind)+" "+x.name)
+		en, pb := pn.enode(parent, "constructor", x)
 		cc := &pCompCtor{pbase: pb, kind: x.kind, name: x.name}
 		if x.nameExpr != nil {
 			cc.nameExpr = pn.lower(x.nameExpr, en)
@@ -272,18 +279,15 @@ func (pn *planner) lowerExpr(e expr, parent *explainNode) pnode {
 func (pn *planner) lowerFLWOR(x *flworExpr, parent *explainNode) pnode {
 	en, pb := pn.enode(parent, "flwor", "")
 	f := &pFLWOR{pbase: pb}
-	for _, cl := range x.clauses {
+	for i := range x.clauses {
+		cl := &x.clauses[i]
 		var g *explainNode
 		lower := pn.lower
 		switch cl.kind {
 		case clauseFor:
-			detail := "$" + cl.name
-			if cl.posName != "" {
-				detail += " at $" + cl.posName
-			}
-			g = pn.group(en, "for", detail)
+			g = pn.group(en, "for", cl)
 		case clauseLet:
-			g = pn.group(en, "let", "$"+cl.name)
+			g = pn.group(en, "let", cl)
 		default:
 			g = pn.group(en, "where", "")
 			lower = pn.lowerTruth
@@ -398,7 +402,7 @@ func usesFocus(e expr, lastOnly bool) bool {
 }
 
 func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
-	node, pb := pn.enode(parent, "path", describePath(p))
+	node, pb := pn.enode(parent, "path", p)
 	pp := &pPath{pbase: pb, absolute: p.absolute}
 	if p.start != nil {
 		pp.start = pn.lower(p.start, node)
@@ -409,15 +413,23 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 		// Fuse the // abbreviation (descendant-or-self::node()/
 		// child::name) into one descendant::name index scan: the two
 		// select the same node set in the same document order. The
-		// child step's predicates ride along when they are provably
-		// position-independent (positions are per parent before the
-		// fusion and per subtree after it).
+		// child step's predicates ride along. Positions are per parent
+		// before the fusion and per subtree after it, so predicates
+		// that may read position keep the per-parent focus: the scan
+		// remembers the pair (pathOp.expand). The noIndex plan keeps
+		// that pair as it is.
+		var pair []*step
 		if fusibleDOS(s) && i+1 < len(steps) {
 			next := steps[i+1]
-			if next.prim == nil && next.axis == core.AxisChild &&
-				next.test.kind == testName && fusablePreds(next.preds) {
-				s = &step{axis: core.AxisDescendant, test: next.test, preds: next.preds}
-				i++
+			if next.prim == nil && next.axis == core.AxisChild && next.test.kind == testName {
+				positional := !fusablePreds(next.preds)
+				if !positional || !pn.noIndex {
+					if positional {
+						pair = []*step{s, next}
+					}
+					s = &step{axis: core.AxisDescendant, test: next.test, preds: next.preds}
+					i++
+				}
 			}
 		}
 		var op *pathOp
@@ -432,10 +444,10 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 			continue
 		case indexableStep(s) && !pn.noIndex:
 			op = &pathOp{kind: opIndexScan, id: pn.newOpID()}
-			en = &explainNode{op: "index-scan", detail: describeStep(s), index: true, id: op.id}
+			en = &explainNode{op: "index-scan", detail: op, index: true, id: op.id}
 		default:
 			op = &pathOp{kind: opAxisStep, id: pn.newOpID()}
-			en = &explainNode{op: "axis-step", detail: describeStep(s), id: op.id}
+			en = &explainNode{op: "axis-step", detail: op, id: op.id}
 		}
 		node.kids = append(node.kids, en)
 		// Plan copy of the step: the same axis and test, with predicates
@@ -445,6 +457,14 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 			cs.preds = append(cs.preds, pn.stage(pr, pn.lowerPred(pr, en)))
 		}
 		op.s = cs
+		for _, ps := range pair {
+			// The pair shares the scan's lowered predicates.
+			ex := &step{axis: ps.axis, test: ps.test}
+			if len(ps.preds) > 0 {
+				ex.preds = cs.preds
+			}
+			op.expand = append(op.expand, &pathOp{kind: opAxisStep, s: ex, id: pn.newOpID()})
+		}
 		pp.ops = append(pp.ops, op)
 	}
 	for oi, op := range pp.ops {
@@ -666,12 +686,15 @@ type ExplainOp struct {
 }
 
 // explainNode is the plan-time skeleton of the operator tree; id indexes
-// the cardinality counter slot (-1 for structural nodes).
+// the cardinality counter slot (-1 for structural nodes). detail is a
+// string, or the AST or plan node the detail is rendered from when the
+// plan is described (describe), so compiling builds no detail strings.
 type explainNode struct {
-	op, detail string
-	index      bool
-	id         int
-	kids       []*explainNode
+	op     string
+	detail any
+	index  bool
+	id     int
+	kids   []*explainNode
 }
 
 // Describe renders the operator tree without cardinalities (no
@@ -681,7 +704,7 @@ func (pl *Plan) Describe() *ExplainOp { return pl.render(nil) }
 func (pl *Plan) render(counts []opCard) *ExplainOp { return renderExplain(pl.root, counts) }
 
 func renderExplain(n *explainNode, counts []opCard) *ExplainOp {
-	out := &ExplainOp{Op: n.op, Detail: n.detail, Index: n.index}
+	out := &ExplainOp{Op: n.op, Detail: n.describe(), Index: n.index}
 	if n.id >= 0 && n.id < len(counts) {
 		cd := counts[n.id]
 		out.Calls, out.InRows, out.OutRows = cd.calls, cd.in, cd.out
@@ -691,6 +714,57 @@ func renderExplain(n *explainNode, counts []opCard) *ExplainOp {
 		out.Children = append(out.Children, renderExplain(k, counts))
 	}
 	return out
+}
+
+// describe renders the node's detail.
+func (n *explainNode) describe() string {
+	switch n.op {
+	case "semi-join":
+		return describeSemiJoin(n.detail.(expr))
+	case "exists-probe":
+		p := n.detail.(*pathExpr)
+		if v, isVar := p.start.(*varExpr); isVar {
+			return "$" + v.name + "/" + describeStep(p.steps[0])
+		}
+		return describeStep(p.steps[0])
+	}
+	switch x := n.detail.(type) {
+	case string:
+		return x
+	case *literalExpr:
+		return describeLiteral(x.v)
+	case *varExpr:
+		return "$" + x.name
+	case *quantExpr:
+		kw := "some"
+		if x.every {
+			kw = "every"
+		}
+		return kw + " $" + strings.Join(x.names, ", $")
+	case *callExpr:
+		return x.name + "()"
+	case *filterExpr:
+		return strings.Repeat("[…]", len(x.preds))
+	case *elemExpr:
+		return "<" + x.name + ">"
+	case *compCtorExpr:
+		return string(x.kind) + " " + x.name
+	case *flworClause:
+		if x.posName != "" {
+			return "$" + x.name + " at $" + x.posName
+		}
+		return "$" + x.name
+	case *pathOp:
+		if x.expand != nil {
+			return describeStep(x.s) + " per parent"
+		}
+		return describeStep(x.s)
+	case *pathExpr:
+		return describePath(x)
+	case *step: // a semi-join target
+		return describeTest(&x.test) + strings.Repeat("[…]", len(x.preds))
+	}
+	return ""
 }
 
 func describeTest(t *nodeTest) string {

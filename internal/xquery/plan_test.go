@@ -63,6 +63,52 @@ func TestExplainIndexScanSelected(t *testing.T) {
 	}
 }
 
+// TestExplainPerParentScan checks that //name[k], whose predicate
+// selects by position among each parent's children, runs as one index
+// scan of the name's run, grouped by parent: no operator of the plan
+// reads more rows than the document has lines, where the expanded
+// descendant-or-self::node()/child::line[2] read every node.
+func TestExplainPerParentScan(t *testing.T) {
+	d, err := corpus.Generate(corpus.Params{Seed: 10, Words: 60, DamageRate: 0.12}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := MustCompile(`count(/descendant::line)`).Eval(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nLines := int64(lines[0].(float64))
+	src := `count(//line[2]/overlapping::w)`
+	got, tree, err := MustCompile(src).ExplainAnalyze(d, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newPlan(MustCompile(src), planForce{noIndex: true}).Eval(d, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Serialize(got) != Serialize(want) {
+		t.Errorf("%s = %s, the expanded plan gives %s", src, Serialize(got), Serialize(want))
+	}
+	scans := findOps(tree, "index-scan")
+	if len(scans) != 1 || scans[0].Detail != "descendant::line[…] per parent" || scans[0].InRows != 1 {
+		t.Fatalf("index-scan ops = %+v, want one per-parent scan from the root", scans)
+	}
+	if len(findOps(tree, "axis-step")) != 1 {
+		t.Errorf("axis steps besides overlapping::w remain: %+v", findOps(tree, "axis-step"))
+	}
+	var walk func(n *ExplainOp)
+	walk = func(n *ExplainOp) {
+		if n.InRows > nLines {
+			t.Errorf("%s %s reads %d rows, more than the %d lines", n.Op, n.Detail, n.InRows, nLines)
+		}
+		for _, k := range n.Children {
+			walk(k)
+		}
+	}
+	walk(tree)
+}
+
 // TestExplainPaperQueryI1 checks the paper's Query I.1 runs its leading
 // step as an index scan and nests the predicate under it, lowered to a
 // semi-join that filters the scanned lines in one sweep.

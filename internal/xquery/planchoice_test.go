@@ -7,6 +7,7 @@ import (
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/corpus"
+	"mhxquery/internal/xmlparse"
 )
 
 // This file is the index rule's oracle: TestPlanChoiceDifferential
@@ -137,12 +138,25 @@ var multiShapeQueries = []string{
 	`count(for $a in /descendant::line for $b in /descendant::w return string($a))`,
 	`/descendant::vline[child::w][1]`,
 	`/descendant::line[child::w('nope')][descendant::text()]`,
+	// //name with predicates that read position: per-parent segments of
+	// the index scan, names nested in themselves, several contexts.
+	`//a[1]`,
+	`//a[last()]`,
+	`//a[position() = last() - 1]`,
+	`//a[2][child::a]`,
+	`//line[1 + 1]`,
+	`/descendant::s//p[1]`,
+	`(//s)[1]//p[last()]`,
+	// Nested and constructed contexts, where the scan runs expanded.
+	`//a//a[1]`,
+	`(<x><a/><b><a/><a/></b></x>)//a[2]`,
 }
 
 // planChoiceDocs is the differential corpus: the Boethius fixture, a
-// generated manuscript with heavy markup overlap, and the chain-test
+// generated manuscript with heavy markup overlap, the chain-test
 // document, whose nested uniform markup gives leading child chains
-// matches at several depths.
+// matches at several depths, and a document that nests a name in
+// itself, so a //name scan's parents interleave.
 func planChoiceDocs(t *testing.T) map[string]*core.Document {
 	t.Helper()
 	gen, err := corpus.Generate(corpus.Params{Seed: 9, Words: 25, DamageRate: 0.3, RestoreRate: 0.3}).Document()
@@ -153,7 +167,31 @@ func planChoiceDocs(t *testing.T) map[string]*core.Document {
 		"boethius": corpus.MustBoethius(),
 		"gen":      gen,
 		"chain":    chainDoc(t),
+		"nest":     nestDoc(t),
 	}
+}
+
+// nestDoc nests a in itself, so //a's parents interleave: the shared
+// root's a children come around the first one's, and those around the
+// a inside b.
+func nestDoc(t testing.TB) *core.Document {
+	t.Helper()
+	var trees []core.NamedTree
+	for _, h := range []struct{ name, xml string }{
+		{"nest", `<r><a><a>x</a><b><a>y</a></b><a>z</a></a><a>w</a></r>`},
+		{"str", `<r><s><p>xy</p></s><s><p>z</p><p>w</p></s></r>`},
+	} {
+		root, err := xmlparse.Parse(h.xml, xmlparse.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, core.NamedTree{Name: h.name, Root: root})
+	}
+	d, err := core.Build(trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // TestPlanChoiceDifferential is the plan-forcing sweep: for every query

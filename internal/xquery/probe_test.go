@@ -378,3 +378,42 @@ func TestForLoopAllocatesNothingPerTuple(t *testing.T) {
 		}
 	}
 }
+
+// TestStringPredicateAllocs pins the per-candidate allocations of string
+// predicates: comparing a node's string value with a string boxes
+// nothing, and string-length(string(.)) reads the node's string value
+// without building string(.)'s result.
+func TestStringPredicateAllocs(t *testing.T) {
+	type run struct {
+		words  int
+		allocs float64
+	}
+	measure := func(src string, words int) run {
+		d, err := corpus.Generate(corpus.Params{Seed: 5, Words: words}).Document()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Materialize()
+		n, err := MustCompile(`count(//w)`).Eval(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := MustCompile(src)
+		eval := func() {
+			if _, err := q.Eval(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eval()
+		return run{words: int(n[0].(float64)), allocs: testing.AllocsPerRun(20, eval)}
+	}
+	src := `count(//w[string(.) = 'x'])`
+	if few, many := measure(src, 50), measure(src, 500); few.allocs != many.allocs {
+		t.Errorf("%s: %v allocs over %d words, %v over %d", src, few.allocs, few.words, many.allocs, many.words)
+	}
+	src = `count(//w[string-length(string(.)) > 0])`
+	few, many := measure(src, 50), measure(src, 500)
+	if per := (many.allocs - few.allocs) / float64(many.words-few.words); per > 3 {
+		t.Errorf("%s: %v allocs over %d words, %v over %d: %.1f per word", src, few.allocs, few.words, many.allocs, many.words, per)
+	}
+}

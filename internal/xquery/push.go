@@ -253,8 +253,9 @@ func sinkTruth(n pnode, c *context, pos int) (b bool, keep bool, err error) {
 // chain is the engine's one way to apply predicates. Every operator
 // with predicates feeds one, a segment at a time (begin, push, end): a
 // filter its base, an axis step each context's tested candidates, an
-// index scan each context's name runs, a probe its axis walk and a
-// semi-join its target runs. Stage i keeps its focus in stages[i],
+// index scan each context's name runs (a per-parent scan each parent's
+// share of them), a probe its axis walk and a semi-join its target
+// runs. Stage i keeps its focus in stages[i],
 // counting positions, and passes the items its predicate keeps to stage
 // i+1, the last stage to down (with down nil, to out). A predicate that
 // evaluates to a single number keeps by position, anything else by
@@ -504,6 +505,9 @@ func evalOpStrict(c *context, cur Seq, op *pathOp) (Seq, error) {
 			c.st.putSink(s)
 			return out, err
 		}
+		if op.expand != nil {
+			return evalExpanded(c, cur, op)
+		}
 	}
 	// Axis steps, and index scans over atomic items (XPTY0019), nested
 	// or constructed contexts: the axis pipeline reproduces the
@@ -627,10 +631,11 @@ func verifyPair(st *evalState, op *pathOp, a, b *dom.Node) bool {
 // which stays valid while the consumer runs (nested evaluation may
 // reuse the evaluation-wide buffers, so these cannot be those).
 type segRun struct {
-	rt  resolvedTest
-	idx indexSeg
-	buf Seq
-	ch  chain
+	rt    resolvedTest
+	idx   indexSeg
+	buf   Seq
+	ch    chain
+	sizes []int // a per-parent scan's segment sizes (pushGroups)
 }
 
 // segRun returns path operator id's state.
@@ -668,6 +673,9 @@ func (r *segRun) push(c *context, n *dom.Node, d *core.Document, op *pathOp, yie
 	if ok, err := indexSegment(&r.idx, d, n, s, &r.rt); err != nil || !ok {
 		return err
 	}
+	if op.expand != nil {
+		return r.pushGroups(c, d, n, op, yield)
+	}
 	r.ch.begin(c, s.preds, r.idx.total(), yield)
 	for m, ok := r.idx.next(); ok; m, ok = r.idx.next() {
 		if !r.ch.push(m) {
@@ -675,4 +683,61 @@ func (r *segRun) push(c *context, n *dom.Node, d *core.Document, op *pathOp, yie
 		}
 	}
 	return r.ch.end()
+}
+
+// pushGroups pushes the candidates of a per-parent index scan
+// (pathOp.expand), which indexSegment put in r.idx for context n, one
+// parent's children at a time: each parent's candidates are one segment
+// of the stage chain, whose size a first pass over the run counts. The
+// segments follow each other in run order, which is document order,
+// unless a name nests in itself or in a sibling's subtree: a later
+// candidate then lies inside the subtree of a parent whose segment
+// ended, and that segment may resume after it. The first pass finds
+// such a candidate, and n then runs the expanded pair of axis steps.
+func (r *segRun) pushGroups(c *context, d *core.Document, n *dom.Node, op *pathOp, yield func(Item) bool) error {
+	r.sizes = r.sizes[:0]
+	ahead := r.idx.rc
+	var parent *dom.Node
+	for m, ok := ahead.Next(); ok; m, ok = ahead.Next() {
+		if parent != nil && m.Parent == parent {
+			r.sizes[len(r.sizes)-1]++
+			continue
+		}
+		if parent != nil && within(d, parent, m) {
+			out, err := evalExpanded(c, Seq{n}, op)
+			if err != nil {
+				return err
+			}
+			return pushSeq(out, yield)
+		}
+		parent = m.Parent
+		r.sizes = append(r.sizes, 1)
+	}
+	for _, size := range r.sizes {
+		r.ch.begin(c, op.s.preds, size, yield)
+		more := true
+		for range size {
+			m, _ := r.idx.rc.Next()
+			more = more && r.ch.push(m)
+		}
+		if err := r.ch.end(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// within reports whether document node m lies in p's subtree.
+func within(d *core.Document, p, m *dom.Node) bool {
+	return p == d.Root || m.HierIndex == p.HierIndex && p.Ord < m.Ord && m.Ord <= p.Last
+}
+
+// evalExpanded evaluates a per-parent index scan over the contexts cur
+// as the descendant-or-self::node()/child::name[p] pair it stands for.
+func evalExpanded(c *context, cur Seq, op *pathOp) (Seq, error) {
+	mid, err := evalStep(c, cur, op.expand[0])
+	if err != nil {
+		return nil, err
+	}
+	return evalStep(c, mid, op.expand[1])
 }

@@ -20,7 +20,7 @@ func TestRegexCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		reMu.Lock()
-		n, cached := len(reCache), reCache["(?i)"+pat]
+		n, cached := len(reCache), reCache[reKey{pattern: pat, flags: "i"}]
 		reMu.Unlock()
 		if n > maxCachedRegexps {
 			t.Fatalf("after %d patterns the regex cache holds %d entries, want <= %d", i+1, n, maxCachedRegexps)
@@ -63,15 +63,56 @@ func TestMatchesOuterDotStar(t *testing.T) {
 		}
 	}
 	reMu.Lock()
-	_, stripped := reCache["unawe"]
+	re, cached := reCache[reKey{pattern: ".*unawe.*", matches: true}]
 	reMu.Unlock()
-	if !stripped {
+	if !cached || re.String() != "unawe" {
 		t.Errorf(`matches(…, ".*unawe.*") did not compile "unawe"`)
 	}
 	for _, pat := range []string{`.*(`, `.*)a.*`, `.**`} {
 		_, err := q.EvalWithVars(d, map[string]Seq{"s": {"a"}, "p": {pat}})
 		if e, ok := err.(*Error); !ok || e.Code != "FORX0002" {
 			t.Errorf("matches(\"a\", %q): err %v, want FORX0002", pat, err)
+		}
+	}
+}
+
+// TestMatchesLiteralPattern checks matches() calls whose pattern and
+// flags are literals: they answer through the regex cache's key for
+// matches() (outer .* dropped, \Q kept), and a literal pattern or flag
+// that does not compile raises its error only when the call is
+// evaluated, not when the query is compiled.
+func TestMatchesLiteralPattern(t *testing.T) {
+	d := corpus.MustBoethius()
+	for _, tc := range []struct{ src, want string }{
+		{`count(/descendant::w[matches(string(.), ".*unawe.*")])`, "1"},
+		{`count(/descendant::w[matches(string(.), "^SING", "i")])`, "1"},
+		{`count(/descendant::w[matches(string(.), "\Qa.*")])`, "0"},
+		{`if (false()) then matches("a", "(") else "never evaluated"`, "never evaluated"},
+		{`count(/descendant::zzz[matches(string(.), "(")])`, "0"},
+	} {
+		v, err := MustCompile(tc.src).Eval(d)
+		if err != nil {
+			t.Errorf("%s: %v", tc.src, err)
+			continue
+		}
+		if got := Serialize(v); got != tc.want {
+			t.Errorf("%s = %q, want %q", tc.src, got, tc.want)
+		}
+	}
+	for _, tc := range []struct{ src, code string }{
+		{`matches("a", "(")`, "FORX0002"},
+		{`count(/descendant::w[matches(string(.), ".*(")])`, "FORX0002"},
+		{`matches("a", "a", "q")`, "FORX0001"},
+		{`matches(/descendant::w, "(")`, "XPTY0004"},
+	} {
+		q, err := Compile(tc.src)
+		if err != nil {
+			t.Errorf("compile %s: %v", tc.src, err)
+			continue
+		}
+		_, err = q.Eval(d)
+		if e, ok := err.(*Error); !ok || e.Code != tc.code {
+			t.Errorf("%s: err %v, want %s", tc.src, err, tc.code)
 		}
 	}
 }

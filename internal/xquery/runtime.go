@@ -97,15 +97,20 @@ func (st *evalState) releaseContext(x *context) {
 	st.ctxs = append(st.ctxs, x)
 }
 
-// number returns the one-item sequence of the number i ≥ 1 — a
-// position or a size — as a window of the evaluation's table of boxed
-// numbers. The table's entries are never overwritten, so a caller may
-// keep the window, and each number is boxed once per evaluation.
+// number returns the one-item sequence of the number i ≥ 0 — a
+// position or a size — as a window of the shared small numbers or, past
+// them, of the evaluation's table of boxed numbers. The table's entries
+// are never overwritten, so a caller may keep the window, and each
+// number is boxed at most once per evaluation.
 func (st *evalState) number(i int) Seq {
-	for len(st.nums) < i {
-		st.nums = append(st.nums, float64(len(st.nums)+1))
+	if i < len(smallNumbers) {
+		return numberSeq(i)
 	}
-	return st.nums[i-1 : i : i]
+	k := i - len(smallNumbers)
+	for len(st.nums) <= k {
+		st.nums = append(st.nums, float64(len(smallNumbers)+len(st.nums)))
+	}
+	return st.nums[k : k+1 : k+1]
 }
 
 // cancelStride is how many checkCancel ticks pass between ctx.Err()

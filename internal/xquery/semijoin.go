@@ -3,7 +3,6 @@ package xquery
 import (
 	"reflect"
 	"slices"
-	"strings"
 	"time"
 
 	"mhxquery/internal/core"
@@ -197,11 +196,7 @@ func (pn *planner) lowerTruth(e expr, parent *explainNode) pnode {
 	if !ok || !probeable(p) {
 		return pn.lower(e, parent)
 	}
-	detail := describeStep(p.steps[0])
-	if v, isVar := p.start.(*varExpr); isVar {
-		detail = "$" + v.name + "/" + detail
-	}
-	en, pb := pn.enode(parent, "exists-probe", detail)
+	en, pb := pn.enode(parent, "exists-probe", p)
 	return pn.newProbe(pb, pn.lowerPath(p, en).(*pPath))
 }
 
@@ -237,7 +232,7 @@ func (pn *planner) lowerPred(pr expr, parent *explainNode) pnode {
 	if !semiJoinable(pr) {
 		return pn.lowerTruth(pr, parent)
 	}
-	en, pb := pn.enode(parent, "semi-join", describeSemiJoin(pr))
+	en, pb := pn.enode(parent, "semi-join", pr)
 	sj := &pSemiJoin{pbase: pb}
 	var src []*step // the AST target step of each term
 	// lowerTerms records e's terms in sj and returns its shape and its
@@ -267,7 +262,7 @@ func (pn *planner) lowerPred(pr expr, parent *explainNode) pnode {
 				}
 			}
 			if ts.preds == nil {
-				g := pn.group(en, "target", describeTest(&s.test)+strings.Repeat("[…]", len(s.preds)))
+				g := pn.group(en, "target", s)
 				for _, tp := range s.preds {
 					ts.preds = append(ts.preds, pn.lowerPred(tp, g))
 				}

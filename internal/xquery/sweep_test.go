@@ -68,11 +68,26 @@ func (g *qgen) step(depth int) string {
 	return s
 }
 
-// path emits an absolute or variable-rooted path of 1–3 steps.
+// posStep emits a name step whose predicate reads position: after //,
+// the shape an index scan answers one parent at a time.
+func (g *qgen) posStep() string {
+	name := g.name()
+	if g.r.Intn(4) == 0 {
+		name += "('" + g.hier() + "')"
+	}
+	return name + "[" + g.pick("1", "2", "last()", "position() = last() - 1", "position() > 1", "1 + 1") + "]"
+}
+
+// path emits an absolute or variable-rooted path of 1–3 steps, some of
+// them //name[pos].
 func (g *qgen) path(depth int, varName string) string {
 	n := 1 + g.r.Intn(3)
 	p := ""
 	for i := 0; i < n; i++ {
+		if g.r.Intn(6) == 0 {
+			p += "//" + g.posStep()
+			continue
+		}
 		p += "/" + g.step(depth)
 	}
 	if varName != "" && g.r.Intn(2) == 0 {

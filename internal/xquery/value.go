@@ -38,6 +38,25 @@ var (
 	seqFalse = Seq{false}
 )
 
+// smallNumbers holds the numbers 0 … 255, each boxed once, as the items
+// of one-item sequences (numberSeq).
+var smallNumbers = func() Seq {
+	s := make(Seq, 256)
+	for i := range s {
+		s[i] = float64(i)
+	}
+	return s
+}()
+
+// numberSeq returns the one-item sequence of the integer n ≥ 0, shared
+// when n is small.
+func numberSeq(n int) Seq {
+	if n < len(smallNumbers) {
+		return smallNumbers[n : n+1 : n+1]
+	}
+	return singleton(float64(n))
+}
+
 // singletonBool returns the shared singleton for b.
 func singletonBool(b bool) Seq {
 	if b {
@@ -123,13 +142,18 @@ func toNumber(it Item) float64 {
 		}
 		return 0
 	case string:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err != nil {
-			return math.NaN()
-		}
-		return f
+		return stringNumber(v)
 	}
 	return math.NaN()
+}
+
+// stringNumber is the number a string converts to, NaN if none.
+func stringNumber(s string) float64 {
+	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil {
+		return math.NaN()
+	}
+	return f
 }
 
 // ebv computes the effective boolean value of a sequence.
@@ -168,8 +192,7 @@ func ebvOf(first Item, n int) (bool, error) {
 // either side is a boolean (for equality), string otherwise. It returns
 // -1/0/+1 and ok=false for incomparable NaN cases.
 func compareAtomic(op string, a, b Item) (int, bool) {
-	ordering := op == "<" || op == "<=" || op == ">" || op == ">=" ||
-		op == "lt" || op == "le" || op == "gt" || op == "ge"
+	ordering := isOrdering(op)
 	if !ordering {
 		if ab, ok := a.(bool); ok {
 			bb := truthyAtom(b)
@@ -183,23 +206,35 @@ func compareAtomic(op string, a, b Item) (int, bool) {
 	_, an := a.(float64)
 	_, bn := b.(float64)
 	if an || bn || ordering {
-		x, y := toNumber(a), toNumber(b)
-		if math.IsNaN(x) || math.IsNaN(y) {
-			if !an && !bn && !ordering {
-				// Neither side is a number: fall through to strings.
-				return strings.Compare(stringValue(a), stringValue(b)), true
-			}
-			return 0, false
-		}
-		switch {
-		case x < y:
-			return -1, true
-		case x > y:
-			return 1, true
-		}
-		return 0, true
+		return compareNumbers(toNumber(a), toNumber(b))
 	}
 	return strings.Compare(stringValue(a), stringValue(b)), true
+}
+
+// compareStrings is compareAtomic over two strings.
+func compareStrings(op string, a, b string) (int, bool) {
+	if isOrdering(op) {
+		return compareNumbers(stringNumber(a), stringNumber(b))
+	}
+	return strings.Compare(a, b), true
+}
+
+func isOrdering(op string) bool {
+	return op == "<" || op == "<=" || op == ">" || op == ">=" ||
+		op == "lt" || op == "le" || op == "gt" || op == "ge"
+}
+
+// compareNumbers is compareAtomic over two numbers: NaN is incomparable.
+func compareNumbers(x, y float64) (int, bool) {
+	switch {
+	case x < y:
+		return -1, true
+	case x > y:
+		return 1, true
+	case x == y:
+		return 0, true
+	}
+	return 0, false
 }
 
 // compareForOrder compares two atomic values as "order by", min() and
