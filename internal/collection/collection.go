@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -112,6 +113,10 @@ type Collection struct {
 	mu     sync.RWMutex
 	docs   map[string]*core.Document
 	closed bool
+	// snap is the registry's current view, built on first use after
+	// the registry last changed (view); every change resets it, under
+	// mu's write lock (setDoc, dropDoc).
+	snap *view
 
 	// updateMu serializes Update calls (single writer): an update reads
 	// the current version, applies the copy-on-write batch outside the
@@ -203,7 +208,7 @@ func Open(dir string, opts Options) (*Collection, error) {
 			// silently damaged corpus.
 			return nil, fmt.Errorf("collection: loading %q: %w", fname, err)
 		}
-		c.docs[name] = d
+		c.setDoc(name, d)
 		c.logState[name] = &docState{lastSeq: snapSeq, snapSeq: snapSeq}
 	}
 	if err := c.recover(opts); err != nil {
@@ -260,8 +265,20 @@ func (c *Collection) Put(name string, d *core.Document) (replaced bool, err erro
 		return false, fmt.Errorf("collection: closed")
 	}
 	_, replaced = c.docs[name]
-	c.docs[name] = d
+	c.setDoc(name, d)
 	return replaced, nil
+}
+
+// setDoc registers d under name; dropDoc removes name. The caller holds
+// mu's write lock, or owns the collection still being opened.
+func (c *Collection) setDoc(name string, d *core.Document) {
+	c.docs[name] = d
+	c.snap = nil
+}
+
+func (c *Collection) dropDoc(name string) {
+	delete(c.docs, name)
+	c.snap = nil
 }
 
 // encodeTemp writes d's image (recording snapSeq as its log coverage)
@@ -315,20 +332,13 @@ func (c *Collection) Delete(name string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.docs, name)
+	c.dropDoc(name)
 	return nil
 }
 
 // Names returns the member document names in sorted order.
 func (c *Collection) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.docs))
-	for name := range c.docs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(c.view().names)
 }
 
 // Close marks the collection closed and, in WAL mode, flushes the
@@ -421,15 +431,30 @@ type view struct {
 	docs  map[string]*core.Document
 }
 
-// view captures the registry under one read lock.
+// view returns the registry's current view. It is built once per
+// registry change, so a request neither copies nor sorts the registry.
 func (c *Collection) view() *view {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	v := &view{
-		names: make([]string, 0, len(c.docs)),
-		docs:  make(map[string]*core.Document, len(c.docs)),
+	v := c.snap
+	c.mu.RUnlock()
+	if v != nil {
+		return v
 	}
-	for name, d := range c.docs {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.snap == nil {
+		c.snap = newView(c.docs)
+	}
+	return c.snap
+}
+
+// newView copies docs into a view.
+func newView(docs map[string]*core.Document) *view {
+	v := &view{
+		names: make([]string, 0, len(docs)),
+		docs:  make(map[string]*core.Document, len(docs)),
+	}
+	for name, d := range docs {
 		v.names = append(v.names, name)
 		v.docs[name] = d
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -73,6 +74,39 @@ func TestRegistryBasics(t *testing.T) {
 	}
 	if got := c.Len(); got != 2 {
 		t.Fatalf("Len after delete = %d, want 2", got)
+	}
+}
+
+// TestQueryAllocsIndependentOfRegistrySize checks that a single-document
+// query reads the registry's view as it is, without copying or sorting
+// the registry: it allocates as many bytes at 256 member documents as
+// at 16 (copying 256 entries would add kilobytes).
+func TestQueryAllocsIndependentOfRegistrySize(t *testing.T) {
+	d := genDoc(t, 1, 60)
+	bytesPerQuery := func(n int) uint64 {
+		c := New(Options{})
+		for i := 0; i < n; i++ {
+			if _, err := c.Put(fmt.Sprintf("doc%03d", i), d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query := func() {
+			if _, err := c.Query("doc000", `count(/descendant::w)`); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query()
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			query()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	if few, many := bytesPerQuery(16), bytesPerQuery(256); many > few+256 {
+		t.Errorf("a query allocates %d bytes at 16 member documents, %d at 256", few, many)
 	}
 }
 

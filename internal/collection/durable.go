@@ -113,7 +113,7 @@ func (c *Collection) recover(opts Options) error {
 		case wal.Tombstone:
 			c.recovery.Tombstones++
 			if st, ok := c.logState[r.Name]; ok && st.snapSeq < r.Seq {
-				delete(c.docs, r.Name)
+				c.dropDoc(r.Name)
 				delete(c.logState, r.Name)
 				delete(replayed, r.Name)
 			}
@@ -147,7 +147,7 @@ func (c *Collection) recover(opts Options) error {
 				// failing now means the snapshot or log is damaged.
 				return fmt.Errorf("collection: replaying record %d for %q: %v: %w", r.Seq, r.Name, err, wal.ErrCorrupt)
 			}
-			c.docs[r.Name] = nd
+			c.setDoc(r.Name, nd)
 			st.lastSeq = r.Seq
 			replayed[r.Name] = true
 			c.recovery.Replayed++
@@ -259,7 +259,7 @@ func (c *Collection) updateDurable(ctx context.Context, name, src string, u *xqu
 		c.updateMu.Unlock()
 		return nil, nil, fmt.Errorf("collection: closed")
 	}
-	c.docs[name] = nd
+	c.setDoc(name, nd)
 	c.pubSeq = commit.Seq()
 	st := c.logState[name]
 	if st == nil {
@@ -311,7 +311,7 @@ func (c *Collection) putDurable(name string, d *core.Document) (replaced bool, e
 		return false, fmt.Errorf("collection: %w", err)
 	}
 	_, replaced = c.docs[name]
-	c.docs[name] = d
+	c.setDoc(name, d)
 	c.logState[name] = &docState{lastSeq: seq, snapSeq: seq}
 	delete(c.snapPending, name)
 	return replaced, nil
@@ -334,7 +334,7 @@ func (c *Collection) deleteDurable(name string) error {
 		return fmt.Errorf("collection: %w", err)
 	}
 	c.mu.Lock()
-	delete(c.docs, name)
+	c.dropDoc(name)
 	delete(c.logState, name)
 	delete(c.snapPending, name)
 	c.pubSeq = commit.Seq()

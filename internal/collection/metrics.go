@@ -26,6 +26,7 @@ import (
 //	mhx_index_maintenance_total       counter    {outcome="patched"|"lazy_rebuild"} update index outcomes (process-wide)
 //	mhx_overlays_total                counter    analyze-string overlay documents created (process-wide)
 //	mhx_overlay_leaf_builds_total     counter    overlay leaf layers built on first leaf access (process-wide)
+//	mhx_memo_lookups_total            counter    {result="hit"|"miss"} per-version filter memo lookups (process-wide)
 //	mhx_wal_fsync_seconds             histogram  WAL group-commit write+fsync latency
 //	mhx_wal_commit_batch_records      histogram  commits covered by one fsync batch
 //	mhx_wal_appends_total             counter    records acknowledged by the log
@@ -41,7 +42,7 @@ import (
 //	mhx_pool_busy_workers             gauge      shared-scheduler workers currently running a fan-out job
 //	mhx_pool_queued_jobs              gauge      helper tickets waiting in the shared scheduler
 //
-// The name-index and overlay families sample process-wide core
+// The name-index, overlay and memo families sample process-wide core
 // counters (builds happen lazily inside Hierarchy and Document methods
 // where no registry is in scope), so with several Collections in one
 // process each reports the same process totals; the pool families
@@ -143,6 +144,13 @@ func newCollMetrics(c *Collection) *collMetrics {
 	reg.CounterFunc("mhx_index_maintenance_total", maintHelp,
 		func() float64 { return float64(core.GlobalIndexStats().LazyReset) },
 		obs.L("outcome", "lazy_rebuild"))
+	const memoHelp = "Per-version filter memo lookups by index scans and semi-join targets: a stored answer reused, or not (process-wide)."
+	reg.CounterFunc("mhx_memo_lookups_total", memoHelp,
+		func() float64 { return float64(core.GlobalIndexStats().MemoHits) },
+		obs.L("result", "hit"))
+	reg.CounterFunc("mhx_memo_lookups_total", memoHelp,
+		func() float64 { return float64(core.GlobalIndexStats().MemoMisses) },
+		obs.L("result", "miss"))
 	return m
 }
 

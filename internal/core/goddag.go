@@ -159,6 +159,9 @@ type Document struct {
 	// leaf structs, or nil.
 	lineage   *lineage
 	leafOwner *lineage
+
+	// memo is the version's filter memo (memo.go), made on first use.
+	memo atomic.Pointer[Memo]
 }
 
 // numLeaves is the leaf count implied by the boundary array — equal to

@@ -22,6 +22,10 @@ var (
 	// between the two is the leaf work analyze-string no longer does.
 	overlays          atomic.Uint64
 	overlayLeafBuilds atomic.Uint64
+
+	// Filter memo lookups (memo.go) that found a stored answer, and
+	// those that did not.
+	memoHits, memoMisses atomic.Uint64
 )
 
 // IndexStats is a snapshot of the process-wide name-index counters and
@@ -42,6 +46,9 @@ type IndexStats struct {
 	// OverlayLeafBuilds counts the overlay leaf layers built on demand.
 	Overlays          uint64
 	OverlayLeafBuilds uint64
+	// MemoHits and MemoMisses count filter memo lookups that found a
+	// stored answer and those that did not.
+	MemoHits, MemoMisses uint64
 }
 
 // GlobalIndexStats returns the current process-wide name-index and
@@ -55,5 +62,7 @@ func GlobalIndexStats() IndexStats {
 		LazyReset:         indexLazyReset.Load(),
 		Overlays:          overlays.Load(),
 		OverlayLeafBuilds: overlayLeafBuilds.Load(),
+		MemoHits:          memoHits.Load(),
+		MemoMisses:        memoMisses.Load(),
 	}
 }

@@ -670,7 +670,7 @@ func noteEval(st *evalState, n pnode, k int) {
 // Builtins the engine special-cases, resolved by identity after
 // funcs.go has registered them (package init functions run in file
 // order, and a package-level var would capture the still-empty map).
-var bExists, bEmpty, bNot, bBoolean, bCount, bAnalyze, bString *builtin
+var bExists, bEmpty, bNot, bBoolean, bCount, bAnalyze, bString, bLast *builtin
 
 func init() {
 	bExists = builtins["exists"]
@@ -680,6 +680,7 @@ func init() {
 	bCount = builtins["count"]
 	bAnalyze = builtins["analyze-string"]
 	bString = builtins["string"]
+	bLast = builtins["last"]
 	for _, name := range []string{"string-length", "matches", "replace", "tokenize", "contains", "starts-with", "ends-with"} {
 		builtins[name].strArgs = true
 	}

@@ -1,0 +1,373 @@
+package xquery
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"mhxquery/internal/core"
+	"mhxquery/internal/corpus"
+	"mhxquery/internal/dom"
+)
+
+// This file tests the per-version filter memo (core.Memo; scanMemo and
+// filteredTargets): a scan from the root whose predicates read only the
+// candidate, and a semi-join's filtered targets, answer from the
+// document version's memo once stored, and the stored answer is the
+// one the predicates give.
+
+// memoDoc is a published manuscript with damage and restorations.
+func memoDoc(t testing.TB) *core.Document {
+	t.Helper()
+	d, err := corpus.Generate(corpus.Params{Seed: 31, Words: 120, DamageRate: 0.2, RestoreRate: 0.2}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// memoQueries are shapes whose root scans qualify for the memo, some
+// with filtered semi-join targets.
+var memoQueries = []string{
+	`count(/descendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg])`,
+	`//w[overlapping::line]`,
+	`/descendant::w[matches(string(.), "a")]`,
+	`//w[contains(string(.), 'e')]`,
+	`/descendant::line[xdescendant::w[string(.) != 'x'] or overlapping::w[xancestor::dmg]]`,
+	`for $w in /descendant::w[string-length(string(.)) > 3] return string($w)`,
+}
+
+// TestMemoRepeatedRunsMatchOracle runs every differential shape three
+// times on one published version — a miss that sights the scan, a miss
+// that stores it, and a hit — and holds each run to the AST oracle.
+func TestMemoRepeatedRunsMatchOracle(t *testing.T) {
+	t.Parallel()
+	docs := planChoiceDocs(t)
+	docs["memo"] = memoDoc(t)
+	queries := append([]string{}, multiShapeQueries...)
+	queries = append(queries, workloadShapes...)
+	queries = append(queries, memoQueries...)
+	g := &qgen{r: rand.New(rand.NewSource(20261019))}
+	for i := 0; i < 60; i++ {
+		queries = append(queries, g.query())
+	}
+	hits := core.GlobalIndexStats().MemoHits
+	for _, src := range queries {
+		q := MustCompile(src)
+		for name, d := range docs {
+			want, wantErr := oracleEval(q, d, nil, nil)
+			for run := 1; run <= 3; run++ {
+				got, err := q.Eval(d)
+				sameOutcome(t, fmt.Sprintf("%s: %q run %d", name, src, run), got, err, want, wantErr)
+			}
+		}
+	}
+	if core.GlobalIndexStats().MemoHits == hits {
+		t.Error("no run answered from the memo")
+	}
+}
+
+// TestMemoStoresOnSecondSighting checks the admission rule: the first
+// run of a scan stores nothing, the second stores its survivors and the
+// third reads them.
+func TestMemoStoresOnSecondSighting(t *testing.T) {
+	d := memoDoc(t)
+	q := MustCompile(`count(//w[overlapping::line])`)
+	entries := func() int { return d.Memo().Stats().Entries }
+	for run, want := range []int{0, 1, 1} {
+		if _, err := q.Eval(d); err != nil {
+			t.Fatal(err)
+		}
+		if got := entries(); got != want {
+			t.Fatalf("after run %d: %d memo entries, want %d", run+1, got, want)
+		}
+	}
+}
+
+// TestMemoFollowsVersions checks that an update's new version answers
+// with the edit and that the old version keeps its entries and answers.
+func TestMemoFollowsVersions(t *testing.T) {
+	d := memoDoc(t)
+	q := MustCompile(`//w[string(.) != '']`)
+	before, err := q.Eval(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := q.Eval(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := d.Memo().Stats()
+	u, err := CompileUpdate(`rename node (//w)[1] as "word"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, _, err := u.Apply(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantErr := oracleEval(q, d2, nil, nil)
+	if wantErr != nil || len(want) != len(before)-1 {
+		t.Fatalf("the oracle gives %d words after the rename (err %v), %d before", len(want), wantErr, len(before))
+	}
+	for run := 1; run <= 3; run++ {
+		got, err := q.Eval(d2)
+		sameOutcome(t, fmt.Sprintf("new version run %d", run), got, err, want, nil)
+	}
+	if got := d.Memo().Stats(); got != old {
+		t.Errorf("old version's memo changed: %+v, was %+v", got, old)
+	}
+	got, err := q.Eval(d)
+	sameOutcome(t, "old version", got, err, before, nil)
+}
+
+// TestMemoConcurrentVersion runs memo-backed queries from 8 goroutines
+// on one published version; under -race it checks the memo's locking.
+func TestMemoConcurrentVersion(t *testing.T) {
+	d := memoDoc(t)
+	want := make([]string, len(memoQueries))
+	for i, src := range memoQueries {
+		res, err := oracleEval(MustCompile(src), d, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = Serialize(res)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for run := 0; run < 4; run++ {
+				for k := range memoQueries {
+					i := (k + g) % len(memoQueries)
+					res, err := MustCompile(memoQueries[i]).Eval(d)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := Serialize(res); got != want[i] {
+						t.Errorf("goroutine %d: %q = %s, want %s", g, memoQueries[i], got, want[i])
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestMemoCaps checks the memo's bounds on one version: distinct scans
+// sighted once fill the sighting table only to its bound, and distinct
+// scans stored fill the answer table only to its bound, evicting the
+// least recently used.
+func TestMemoCaps(t *testing.T) {
+	d := memoDoc(t)
+	src := func(i int) string { return fmt.Sprintf(`count(//w[string(.) != 'w%d'])`, i) }
+	for i := 0; i < core.MemoMaxSeen+40; i++ {
+		if _, err := MustCompile(src(i)).Eval(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := d.Memo().Stats(); st.Seen != core.MemoMaxSeen || st.Entries != 0 {
+		t.Fatalf("after %d one-off scans: %+v, want %d sightings and no entries", core.MemoMaxSeen+40, st, core.MemoMaxSeen)
+	}
+	n := core.MemoMaxEntries + 10
+	for i := 0; i < n; i++ {
+		q := MustCompile(src(1000 + i))
+		for run := 0; run < 2; run++ {
+			if _, err := q.Eval(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := d.Memo().Stats()
+	if st.Entries != core.MemoMaxEntries || st.Seen > core.MemoMaxSeen || st.Ordinals > core.MemoMaxOrdinals {
+		t.Fatalf("after %d stored scans: %+v, want %d entries", n, st, core.MemoMaxEntries)
+	}
+	// The most recently stored scan is still there, the first one not.
+	for i, stored := range map[int]bool{0: false, n - 1: true} {
+		key := MustCompile(src(1000 + i)).plan.memoKey(scanOpID(t, src(1000+i)))
+		if _, ok := d.Memo().Get(key); ok != stored {
+			t.Errorf("scan %d stored = %v, want %v", i, ok, stored)
+		}
+	}
+}
+
+// scanOpID returns the plan slot of src's one index scan.
+func scanOpID(t *testing.T, src string) int {
+	t.Helper()
+	var ids []int
+	var walk func(n *explainNode)
+	walk = func(n *explainNode) {
+		if n.op == "index-scan" {
+			ids = append(ids, n.id)
+		}
+		for _, k := range n.kids {
+			walk(k)
+		}
+	}
+	walk(MustCompile(src).plan.root)
+	if len(ids) != 1 {
+		t.Fatalf("%q has %d index scans, want 1", src, len(ids))
+	}
+	return ids[0]
+}
+
+// TestMemoExclusions checks what never stores: scans whose predicates
+// read more than the candidate, consumers that stop early, overlays,
+// private versions and scans run while an overlay is active.
+func TestMemoExclusions(t *testing.T) {
+	base := memoDoc(t)
+	r := overlayResolver{"other": base}
+	for _, src := range []string{
+		`let $x := 'a' return count(/descendant::w[string(.) != $x])`,
+		`count(/descendant::w[position() > 1])`,
+		`count(/descendant::w[last() > 1])`,
+		`count(/descendant::w[exists(analyze-string(string(.), 'a'))])`,
+		`count(/descendant::w[exists(doc('other'))])`,
+		`count(/descendant::w[exists(<a/>)])`,
+		`count(/descendant::w[some $c in xdescendant::dmg satisfies exists($c)])`,
+		`(//w[overlapping::line])[1]`,
+		`exists(//w[overlapping::line])`,
+		`let $r := analyze-string((/descendant::w)[1], 'a') return count(/descendant::w[overlapping::line])`,
+	} {
+		d := base.Private().Publish()
+		q := MustCompile(src)
+		want, wantErr := oracleEval(q, d, nil, r)
+		for run := 1; run <= 3; run++ {
+			got, err := q.EvalWithResolver(d, nil, r)
+			sameOutcome(t, fmt.Sprintf("%q run %d", src, run), got, err, want, wantErr)
+		}
+		if st := d.Memo().Stats(); st.Entries != 0 {
+			t.Errorf("%q stored %d memo entries", src, st.Entries)
+		}
+	}
+
+	// A consumer that stops early stores nothing, and the full answer
+	// of the same scan afterwards is complete.
+	d := base.Private().Publish()
+	q := MustCompile(`//w[overlapping::line]`)
+	for run := 0; run < 3; run++ {
+		n := 0
+		if err := q.Each(nil, d, nil, nil, func(Item) bool { n++; return n < 2 }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := d.Memo().Stats(); st.Entries != 0 {
+		t.Errorf("stopped scans stored %d memo entries", st.Entries)
+	}
+	want, _ := oracleEval(q, d, nil, nil)
+	for run := 1; run <= 3; run++ {
+		got, err := q.Eval(d)
+		sameOutcome(t, fmt.Sprintf("full scan after stopped ones, run %d", run), got, err, want, nil)
+	}
+
+	// Private versions and overlays have no memo at all.
+	p := base.Private()
+	for run := 0; run < 3; run++ {
+		if _, err := q.Eval(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.Memo() != nil {
+		t.Error("a private version has a memo")
+	}
+	top := dom.NewElement("res")
+	top.Start, top.End = 0, len(base.Text)
+	overlay, err := base.AddHierarchy("rest", top, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ = oracleEval(q, overlay, nil, nil)
+	for run := 1; run <= 3; run++ {
+		got, err := q.Eval(overlay)
+		sameOutcome(t, fmt.Sprintf("overlay run %d", run), got, err, want, nil)
+	}
+	if overlay.Memo() != nil {
+		t.Error("an overlay has a memo")
+	}
+}
+
+// TestMemoForcedPlans checks that a forced plan (planForce), whose
+// slots hold other operators than the default plan's, leaves the
+// version memo untouched, and that the default plan then still stores
+// and reads its own entries.
+func TestMemoForcedPlans(t *testing.T) {
+	d := memoDoc(t)
+	src := `/descendant::line[xdescendant::w[string(.) != 'x'] or overlapping::w[xancestor::dmg]]`
+	q := MustCompile(src)
+	want, wantErr := oracleEval(q, d, nil, nil)
+	for _, k := range planKnobs[1:] {
+		pl := newPlan(q, k.force)
+		for run := 1; run <= 3; run++ {
+			got, err := pl.Eval(d, nil, nil)
+			sameOutcome(t, fmt.Sprintf("[%s] run %d", k.name, run), got, err, want, wantErr)
+		}
+		if st := d.Memo().Stats(); st != (core.MemoStats{}) {
+			t.Errorf("[%s] plan left the version memo at %+v, want it untouched", k.name, st)
+		}
+	}
+	for run := 1; run <= 3; run++ {
+		got, err := q.Eval(d)
+		sameOutcome(t, fmt.Sprintf("[default] run %d", run), got, err, want, wantErr)
+	}
+	if d.Memo().Stats().Entries == 0 {
+		t.Error("the default plan stored no memo entry")
+	}
+}
+
+// TestMemoTargetsOncePerEvaluation checks that a semi-join's filtered
+// target sets are computed once per evaluation even where the version
+// memo cannot keep them: with more target filters than the memo holds,
+// each context segment's bind finds the sets stored earlier in the
+// evaluation evicted, and would compute them again.
+func TestMemoTargetsOncePerEvaluation(t *testing.T) {
+	d := memoDoc(t)
+	terms := make([]string, core.MemoMaxEntries+6)
+	for i := range terms {
+		terms[i] = fmt.Sprintf(`xancestor::line[string(.) != 'x%d']`, i)
+	}
+	q := MustCompile(`count(/descendant::vline/child::w[` + strings.Join(terms, " or ") + `])`)
+	if len(findOps(q.plan.Describe(), "semi-join")) != 1 {
+		t.Fatal("the predicate did not lower to a semi-join")
+	}
+	want, wantErr := oracleEval(q, d, nil, nil)
+	for run := 1; run <= 3; run++ {
+		misses := core.GlobalIndexStats().MemoMisses
+		got, err := q.Eval(d)
+		sameOutcome(t, fmt.Sprintf("run %d", run), got, err, want, wantErr)
+		if n := core.GlobalIndexStats().MemoMisses - misses; n != uint64(len(terms)) {
+			t.Errorf("run %d looked up %d target sets in the version memo and missed, want one miss per target filter (%d)", run, n, len(terms))
+		}
+	}
+}
+
+// TestMemoUpdateExpressions checks that the expressions of one update,
+// which share its source, keep apart in the memo: applying the update
+// to one version again and again gives the first application's result.
+func TestMemoUpdateExpressions(t *testing.T) {
+	d := memoDoc(t)
+	u, err := CompileUpdate(`delete node /descendant::line[xdescendant::dmg], delete node /descendant::w[overlapping::dmg]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for run := 1; run <= 3; run++ {
+		d2, _, err := u.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EvalString(d2, `(count(//line), count(//w))`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 1 {
+			want = got
+		} else if got != want {
+			t.Errorf("application %d leaves %s lines and words, the first left %s", run, got, want)
+		}
+	}
+}

@@ -59,6 +59,12 @@ type Plan struct {
 	prog pnode
 	nOps int
 	root *explainNode
+	// src names the plan in version memos (core.MemoKey): lowering is
+	// deterministic, so every plan lowered from one source has the same
+	// operators in the same slots. It is empty for a forced plan, whose
+	// slots hold other operators, so it never shares a version's memo
+	// (sharedMemo).
+	src string
 }
 
 // Operator kinds.
@@ -84,6 +90,10 @@ type pathOp struct {
 	// children at a time, and the pair runs where the contexts'
 	// segments cannot be pushed in order (evalOpStrict).
 	expand []*pathOp
+	// memo is set on an index scan whose predicates depend on the
+	// candidate alone (candidateOnly): from the document root, its
+	// survivors are one answer per document version (scanMemo).
+	memo bool
 }
 
 // ---- planner ---------------------------------------------------------------
@@ -107,6 +117,9 @@ type planForce struct {
 // newPlan lowers q's whole expression tree.
 func newPlan(q *Query, force planForce) *Plan {
 	pl := &Plan{}
+	if force == (planForce{}) {
+		pl.src = q.key
+	}
 	pn := &planner{pl: pl, planForce: force, analyze: anyExpr(q.body, isAnalyzeCall)}
 	root := &explainNode{op: "query", id: -1}
 	pl.prog = pn.lower(q.body, root)
@@ -368,12 +381,34 @@ func predNeverNumeric(e expr) bool {
 		// primary step could yield anything.
 		return len(x.steps) > 0 && x.steps[len(x.steps)-1].prim == nil
 	case *callExpr:
-		switch x.fn {
-		case bExists, bEmpty, bNot, bBoolean:
+		switch x.fn.name {
+		case "exists", "empty", "not", "boolean", "matches", "contains",
+			"starts-with", "ends-with", "true", "false", "deep-equal":
 			return true
 		}
 	}
 	return false
+}
+
+// candidateOnly reports whether a scan predicate's value depends on the
+// candidate node alone, so that a scan's survivors are a property of
+// the document version (scanMemo): it is fusable (so it reads neither
+// position() nor last() of the scan's focus), reads no variable, calls
+// none of analyze-string, doc() and collection(), and constructs no
+// node.
+func candidateOnly(pr expr) bool {
+	return fusablePreds([]expr{pr}) && !anyExpr(pr, func(e expr) bool {
+		switch x := e.(type) {
+		case *varExpr, *elemExpr, *compCtorExpr:
+			return true
+		case *callExpr:
+			switch x.fn.name {
+			case "analyze-string", "doc", "collection":
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // usesFocus reports whether e reads last() (or, unless lastOnly,
@@ -457,6 +492,10 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 			cs.preds = append(cs.preds, pn.stage(pr, pn.lowerPred(pr, en)))
 		}
 		op.s = cs
+		op.memo = op.kind == opIndexScan && pair == nil && len(s.preds) > 0
+		for _, pr := range s.preds {
+			op.memo = op.memo && candidateOnly(pr)
+		}
 		for _, ps := range pair {
 			// The pair shares the scan's lowered predicates.
 			ex := &step{axis: ps.axis, test: ps.test}

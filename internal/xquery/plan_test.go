@@ -109,6 +109,33 @@ func TestExplainPerParentScan(t *testing.T) {
 	walk(tree)
 }
 
+// TestBooleanBuiltinPredicateScan checks that a predicate calling a
+// boolean builtin cannot select by position, so //w[contains(…)] fuses
+// into one plain index scan rather than a per-parent one, and answers
+// as the axis pipeline does.
+func TestBooleanBuiltinPredicateScan(t *testing.T) {
+	d, err := corpus.Generate(corpus.Params{Seed: 10, Words: 60, DamageRate: 0.12}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := `//w[contains(string(.),'a')]`
+	got, tree, err := MustCompile(src).Explain(d, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := newPlan(MustCompile(src), planForce{noIndex: true}).Eval(d, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || Serialize(got) != Serialize(want) {
+		t.Errorf("%s = %s, the noindex plan gives %s", src, Serialize(got), Serialize(want))
+	}
+	scans := findOps(tree, "index-scan")
+	if len(scans) != 1 || scans[0].Detail != "descendant::w[…]" {
+		t.Fatalf("index-scan ops = %+v, want one plain scan", scans)
+	}
+}
+
 // TestExplainPaperQueryI1 checks the paper's Query I.1 runs its leading
 // step as an index scan and nests the predicate under it, lowered to a
 // semi-join that filters the scanned lines in one sweep.

@@ -147,6 +147,16 @@ var multiShapeQueries = []string{
 	`//line[1 + 1]`,
 	`/descendant::s//p[1]`,
 	`(//s)[1]//p[last()]`,
+	// [last()] on segments of known size: an axis step (forward,
+	// reverse, hierarchy-qualified), an index scan, a filter and a
+	// later stage, which holds its input.
+	`/descendant::vline/child::w[last()]`,
+	`/descendant::w/preceding::node()[last()]`,
+	`/descendant::vline/child::w('structure')[last()]`,
+	`/descendant::w[last()]`,
+	`(/descendant::line)[last()]`,
+	`/descendant::vline/child::w[last()][overlapping::dmg]`,
+	`/descendant::w[overlapping::dmg][last()]`,
 	// Nested and constructed contexts, where the scan runs expanded.
 	`//a//a[1]`,
 	`(<x><a/><b><a/><a/></b></x>)//a[2]`,

@@ -172,8 +172,9 @@ func stopAt(n pnode, k int) int {
 	return k
 }
 
-// pEval collects n's result. A variable's or literal's sequence comes
-// back as it is, without copying.
+// pEval collects n's result. A variable's or literal's sequence, and
+// outside EXPLAIN a builtin's result, comes back as it is, without
+// copying.
 func pEval(n pnode, c *context) (Seq, error) {
 	switch x := n.(type) {
 	case *pVar:
@@ -183,6 +184,14 @@ func pEval(n pnode, c *context) (Seq, error) {
 	case *pLiteral:
 		noteEval(c.st, x, len(x.seq))
 		return x.seq, nil
+	case *pCall:
+		switch x.fn {
+		case bExists, bEmpty, bNot, bBoolean, bCount:
+		default:
+			if c.st.explain == nil {
+				return x.call(c)
+			}
+		}
 	}
 	s, err := c.st.sinkRun(n, c, true, 0, false)
 	out := s.seq()
@@ -289,6 +298,7 @@ type stage struct {
 	join    *pSemiJoin // pr, when it is a semi-join
 	k       float64    // pr's value, when it is a number literal ([k])
 	literal bool
+	atLast  bool    // pr is last(): with the size known, only the last item can pass
 	c       context // the focus: item, position and, when known, size
 	hold    bool    // held collects the input until the segment ends
 	held    Seq
@@ -309,6 +319,7 @@ func (ch *chain) begin(c *context, preds []expr, size int, down func(Item) bool)
 			if lit, ok := pr.(*pLiteral); ok {
 				s.k, s.literal = lit.v.(float64)
 			}
+			s.atLast = isLastCall(pr)
 			ch.ovl = ch.ovl || s.pr.overlays()
 		}
 	}
@@ -395,7 +406,7 @@ func (ch *chain) end() error {
 			continue
 		}
 		s.hold, s.c.size = false, len(s.held)
-		for _, it := range s.held {
+		for _, it := range s.held[s.skip():] {
 			if !ch.pass(i, it) {
 				break
 			}
@@ -404,10 +415,35 @@ func (ch *chain) end() error {
 	return ch.err
 }
 
+// isLastCall reports whether predicate pr is last().
+func isLastCall(pr expr) bool {
+	call, ok := pr.(*pCall)
+	return ok && call.fn == bLast
+}
+
+// skip is how many leading items of a segment of known size stage s
+// passes over unread: all but the last when its predicate is last().
+func (s *stage) skip() int {
+	if !s.atLast || s.c.size == 0 {
+		return 0
+	}
+	s.c.pos = s.c.size - 1
+	return s.c.pos
+}
+
+// skip is how many leading items of the segment begun the chain's
+// feeder may leave out: those its first stage passes over.
+func (ch *chain) skip() int {
+	if len(ch.stages) == 0 {
+		return 0
+	}
+	return ch.stages[0].skip()
+}
+
 // feed runs preds over items as one segment of known size.
 func (ch *chain) feed(c *context, preds []expr, items Seq, down func(Item) bool) error {
 	ch.begin(c, preds, len(items), down)
-	for _, it := range items {
+	for _, it := range items[ch.skip():] {
 		if !ch.push(it) {
 			break
 		}
@@ -651,9 +687,8 @@ func (st *evalState) segRun(id int) *segRun {
 
 // push pushes context n's segment: an axis segment is built whole (its
 // size is bounded by the axis fan-out; descendant name steps are index
-// scans), an index segment streams out of the name-index runs through
-// the stage chain, whose input size the run lengths fix, so it stops
-// where the consumer stops.
+// scans), an index segment streams out of the name-index runs
+// (pushScan), or out of the document's memo (scanMemo).
 func (r *segRun) push(c *context, n *dom.Node, d *core.Document, op *pathOp, yield func(Item) bool) error {
 	s := op.s
 	if op.kind == opAxisStep {
@@ -676,13 +711,66 @@ func (r *segRun) push(c *context, n *dom.Node, d *core.Document, op *pathOp, yie
 	if op.expand != nil {
 		return r.pushGroups(c, d, n, op, yield)
 	}
+	if op.memo && n == d.Root && r.idx.self == nil {
+		if m := c.st.sharedMemo(d); m != nil {
+			return r.scanMemo(c, d, m, op, yield)
+		}
+	}
+	return r.pushScan(c, s, yield)
+}
+
+// pushScan pushes the index segment in r.idx through the stage chain,
+// whose input size the run lengths fix, so it stops where the consumer
+// stops.
+func (r *segRun) pushScan(c *context, s *step, yield func(Item) bool) error {
 	r.ch.begin(c, s.preds, r.idx.total(), yield)
+	for k := r.ch.skip(); k > 0; k-- {
+		r.idx.next()
+	}
 	for m, ok := r.idx.next(); ok; m, ok = r.idx.next() {
 		if !r.ch.push(m) {
 			break
 		}
 	}
 	return r.ch.end()
+}
+
+// scanMemo runs a scan from d's root whose predicates depend on the
+// candidate alone (pathOp.memo) against d's memo m. A stored answer is
+// pushed as it is, without running the predicates. Otherwise the scan
+// runs, and the second time its key is sighted a complete, error-free
+// run stores its survivors, so a one-off query and a consumer that
+// stops early store nothing.
+func (r *segRun) scanMemo(c *context, d *core.Document, m *core.Memo, op *pathOp, yield func(Item) bool) error {
+	st := c.st
+	key := st.plan.memoKey(op.id)
+	if runs, ok := m.Get(key); ok {
+		for hi, run := range runs {
+			h := d.Hiers[hi]
+			for _, ord := range run {
+				if err := st.checkCancel(); err != nil {
+					return err
+				}
+				if !yield(h.Nodes[ord]) {
+					return errStop
+				}
+			}
+		}
+		return nil
+	}
+	if !m.Seen(key) {
+		return r.pushScan(c, op.s, yield)
+	}
+	runs := make([][]int32, len(d.Hiers))
+	err := r.pushScan(c, op.s, func(it Item) bool {
+		n := it.(*dom.Node)
+		runs[n.HierIndex] = append(runs[n.HierIndex], int32(n.Ord))
+		return yield(it)
+	})
+	if err == nil && st.doc == d {
+		m.Put(key, runs)
+	}
+	return err
 }
 
 // pushGroups pushes the candidates of a per-parent index scan
@@ -715,10 +803,11 @@ func (r *segRun) pushGroups(c *context, d *core.Document, n *dom.Node, op *pathO
 	}
 	for _, size := range r.sizes {
 		r.ch.begin(c, op.s.preds, size, yield)
+		skip := r.ch.skip()
 		more := true
-		for range size {
+		for k := range size {
 			m, _ := r.idx.rc.Next()
-			more = more && r.ch.push(m)
+			more = more && (k < skip || r.ch.push(m))
 		}
 		if err := r.ch.end(); err != nil {
 			return err

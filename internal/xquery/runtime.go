@@ -54,8 +54,9 @@ type evalState struct {
 	// document order over interleaved step results.
 	ordSet core.OrdinalSet
 
-	// targets memoizes the filtered semi-join target runs per (term,
-	// document) (semijoin.go) for the evaluation.
+	// targets holds the filtered semi-join target runs this evaluation
+	// computed, by plan slot and document (filteredTargets), so that a
+	// set no version memo keeps is still computed once per evaluation.
 	targets map[sjKey][][]int32
 
 	// args and items are the stacks pCall takes its argument sequences
@@ -75,6 +76,22 @@ type evalState struct {
 
 	// nums holds the numbers 1, 2, … as items (number).
 	nums Seq
+}
+
+// sharedMemo returns d's version memo when this evaluation may use it:
+// d is the active document and has a memo (core.Document.Memo), the
+// plan is not forced (Plan.src), and the evaluation is not
+// instrumented, so EXPLAIN counts every operator the query runs.
+func (st *evalState) sharedMemo(d *core.Document) *core.Memo {
+	if st.explain != nil || st.plan.src == "" || d != st.doc {
+		return nil
+	}
+	return d.Memo()
+}
+
+// memoKey names operator slot id of the plan in version memos.
+func (pl *Plan) memoKey(id int) core.MemoKey {
+	return core.MemoKey{Src: pl.src, Op: id}
 }
 
 // scratchContext returns a context equal to *c from the evaluation's

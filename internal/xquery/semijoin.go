@@ -57,7 +57,9 @@ import (
 // them variable-free: their value then depends on the target alone, so
 // a stage chain runs them once over the target runs, per (evaluation,
 // document) — themselves a semi-join where eligible — and the surviving
-// ordinals are memoized in evalState for the rest of the evaluation.
+// ordinals are memoized in evalState for the rest of the evaluation,
+// and in the document version's memo (core.Memo) where the evaluation
+// may share it.
 
 // semiJoinable reports whether a step predicate lowers to a semi-join.
 func semiJoinable(e expr) bool {
@@ -221,6 +223,10 @@ type pSemiJoin struct {
 	shape   *sjShape
 	terms   []*step
 	perNode pnode
+	// memo is, per term with target predicates, the plan slot that
+	// names its filtered targets in memos; terms with equal targets
+	// share it.
+	memo []int
 }
 
 func (e *pSemiJoin) each(c *context, yield func(Item) bool) error {
@@ -252,12 +258,13 @@ func (pn *planner) lowerPred(pr expr, parent *explainNode) pnode {
 		}
 		s := e.(*pathExpr).steps[0]
 		ts := &step{axis: s.axis, test: s.test}
+		memo := -1
 		if len(s.preds) > 0 {
 			// Terms whose filtered targets are equal share one lowered
 			// filter, and with it one memoized target set.
 			for k, prev := range src {
 				if sameTargets(prev, s) {
-					ts.preds = sj.terms[k].preds
+					ts.preds, memo = sj.terms[k].preds, sj.memo[k]
 					break
 				}
 			}
@@ -266,10 +273,12 @@ func (pn *planner) lowerPred(pr expr, parent *explainNode) pnode {
 				for _, tp := range s.preds {
 					ts.preds = append(ts.preds, pn.lowerPred(tp, g))
 				}
+				memo = pn.newOpID()
 			}
 		}
 		src = append(src, s)
 		sj.terms = append(sj.terms, ts)
+		sj.memo = append(sj.memo, memo)
 		path := &pPath{pbase: pbase{id: pn.newOpID()}, ops: []*pathOp{{kind: opAxisStep, s: ts, id: pn.newOpID()}}}
 		return &sjShape{term: len(sj.terms) - 1}, pn.newProbe(pbase{id: pn.newOpID()}, path)
 	}
@@ -325,11 +334,12 @@ type sjTermState struct {
 	sj      core.SemiJoin
 }
 
-// sjKey identifies a memoized filtered target set: the lowered target
-// filter (shared by the terms with equal targets) and the document.
+// sjKey identifies a memoized filtered target set: the plan slot of the
+// target filter (shared by the terms with equal targets) and the
+// document.
 type sjKey struct {
-	filter *expr
-	d      *core.Document
+	op int
+	d  *core.Document
 }
 
 // bind resolves every term against d and loads its targets: the name
@@ -368,7 +378,7 @@ func (r *sjRun) bind(c *context, d *core.Document) error {
 		if r.targets == nil {
 			r.targets = make([]chain, len(e.terms))
 		}
-		runs, err := c.st.filteredTargets(c, &r.targets[i], s, d, &b)
+		runs, err := c.st.filteredTargets(c, &r.targets[i], s, d, &b, e.memo[i])
 		if err != nil {
 			return err
 		}
@@ -381,33 +391,46 @@ func (r *sjRun) bind(c *context, d *core.Document) error {
 
 // filteredTargets returns, per hierarchy of d, the ordinals of the
 // target step's name matches that pass its predicates, which the stage
-// chain ch applies once per (term, document) in this evaluation.
-func (st *evalState) filteredTargets(c *context, ch *chain, s *step, d *core.Document, b *resolvedTest) ([][]int32, error) {
-	key := sjKey{&s.preds[0], d}
-	if runs, ok := st.targets[key]; ok {
+// chain ch applies once per (plan slot memo, document) in this
+// evaluation unless d's version memo holds the answer. The set is
+// always computed whole, so the version memo, where the evaluation may
+// share it, always gets it.
+func (st *evalState) filteredTargets(c *context, ch *chain, s *step, d *core.Document, b *resolvedTest, memo int) ([][]int32, error) {
+	key := sjKey{memo, d}
+	runs, ok := st.targets[key]
+	if ok {
 		return runs, nil
 	}
-	runs := make([][]int32, len(d.Hiers))
-	for hi, h := range d.Hiers {
-		run := h.NameRun(b.nameSym)
-		if !b.allows(hi) || len(run) == 0 {
-			continue
-		}
-		ch.out = slices.Grow(ch.out[:0], len(run))
-		ch.begin(c, s.preds, len(run), nil)
-		for _, ord := range run {
-			if !ch.push(h.Nodes[ord]) {
-				break
+	m := st.sharedMemo(d)
+	if m != nil {
+		runs, ok = m.Get(st.plan.memoKey(memo))
+	}
+	if !ok {
+		runs = make([][]int32, len(d.Hiers))
+		for hi, h := range d.Hiers {
+			run := h.NameRun(b.nameSym)
+			if !b.allows(hi) || len(run) == 0 {
+				continue
 			}
+			ch.out = slices.Grow(ch.out[:0], len(run))
+			ch.begin(c, s.preds, len(run), nil)
+			for _, ord := range run {
+				if !ch.push(h.Nodes[ord]) {
+					break
+				}
+			}
+			if err := ch.end(); err != nil {
+				return nil, err
+			}
+			out := make([]int32, len(ch.out))
+			for k, it := range ch.out {
+				out[k] = int32(it.(*dom.Node).Ord)
+			}
+			runs[hi] = out
 		}
-		if err := ch.end(); err != nil {
-			return nil, err
+		if m != nil {
+			m.Put(st.plan.memoKey(memo), runs)
 		}
-		out := make([]int32, len(ch.out))
-		for k, it := range ch.out {
-			out[k] = int32(it.(*dom.Node).Ord)
-		}
-		runs[hi] = out
 	}
 	if st.targets == nil {
 		st.targets = make(map[sjKey][][]int32)

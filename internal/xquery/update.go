@@ -32,6 +32,7 @@ package xquery
 
 import (
 	stdctx "context"
+	"strconv"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/dom"
@@ -98,6 +99,14 @@ func CompileUpdate(src string) (u *Update, err error) {
 	return u, nil
 }
 
+// subQuery parses one expression of the update src. The expressions of
+// one update share its source, so each plan is named in version memos
+// by the source and the expression's offset.
+func (p *parser) subQuery(src string) *Query {
+	key := src + "\x00" + strconv.Itoa(p.tok.start)
+	return newQuery(src, key, p.parseExprSingle())
+}
+
 // parseUpdatePrim parses one update primitive at the current token.
 func (p *parser) parseUpdatePrim(src string) *updOp {
 	switch {
@@ -115,20 +124,20 @@ func (p *parser) parseUpdatePrim(src string) *updOp {
 			default:
 				p.fail(`expected "into", "before" or "after"`)
 			}
-			op.target = newQuery(src, p.parseExprSingle())
+			op.target = p.subQuery(src)
 			return op
 		}
 		if p.eatName("hierarchy") {
 			op := &updOp{kind: updAddHier}
 			op.name = p.expect(tString).text
 			p.expectName("from")
-			op.with = newQuery(src, p.parseExprSingle())
+			op.with = p.subQuery(src)
 			return op
 		}
 		p.fail(`expected "node" or "hierarchy" after "insert"`)
 	case p.eatName("delete"):
 		if p.eatName("node") {
-			return &updOp{kind: updDeleteNode, target: newQuery(src, p.parseExprSingle())}
+			return &updOp{kind: updDeleteNode, target: p.subQuery(src)}
 		}
 		if p.eatName("hierarchy") {
 			return &updOp{kind: updRemoveHier, name: p.expect(tString).text}
@@ -137,18 +146,18 @@ func (p *parser) parseUpdatePrim(src string) *updOp {
 	case p.eatName("rename"):
 		p.expectName("node")
 		op := &updOp{kind: updRenameNode}
-		op.target = newQuery(src, p.parseExprSingle())
+		op.target = p.subQuery(src)
 		p.expectName("as")
-		op.with = newQuery(src, p.parseExprSingle())
+		op.with = p.subQuery(src)
 		return op
 	case p.eatName("replace"):
 		p.expectName("value")
 		p.expectName("of")
 		p.expectName("node")
 		op := &updOp{kind: updReplaceValue}
-		op.target = newQuery(src, p.parseExprSingle())
+		op.target = p.subQuery(src)
 		p.expectName("with")
-		op.with = newQuery(src, p.parseExprSingle())
+		op.with = p.subQuery(src)
 		return op
 	}
 	p.fail("expected an update expression (insert/delete/rename/replace)")
