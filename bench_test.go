@@ -309,6 +309,51 @@ func BenchmarkPaperRead(b *testing.B) {
 	b.Run("mix", func(b *testing.B) { run(b, all) })
 }
 
+// structuralTestQueries are the per-tuple structural tests of Query I.2
+// and the verse-line join, each beside the same query without its where
+// clause: their time ratio is what the tests cost over the tuples they
+// are asked of. I2-step asks I.2's test as a step predicate, which
+// sweeps each line's leaves.
+var structuralTestQueries = []struct{ name, src string }{
+	{"I2-where", `count(for $l in /descendant::line[xdescendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]]
+for $leaf in $l/descendant::leaf() where $leaf[ancestor::w and ancestor::dmg] return $leaf)`},
+	{"I2-nowhere", `count(for $l in /descendant::line[xdescendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]]
+for $leaf in $l/descendant::leaf() return $leaf)`},
+	{"I2-step", `count(for $l in /descendant::line[xdescendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]]
+return $l/descendant::leaf()[ancestor::w and ancestor::dmg])`},
+	{"join-where", `count(for $v in /descendant::vline for $w in $v/child::w where exists($w/overlapping::dmg) return $w)`},
+	{"join-nowhere", `count(for $v in /descendant::vline for $w in $v/child::w return $w)`},
+}
+
+// BenchmarkStructuralTests measures the structural tests asked once per
+// tuple on warm versions (a version's survivor sets built and stored by
+// earlier queries): one op is one pass of a query over the 16
+// paper-read documents.
+func BenchmarkStructuralTests(b *testing.B) {
+	coll, names := paperReadCollection(b)
+	defer coll.Close()
+	for _, q := range structuralTestQueries {
+		b.Run(q.name, func(b *testing.B) {
+			for run := 0; run < 3; run++ {
+				for _, name := range names {
+					if _, err := coll.Query(name, q.src); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, name := range names {
+					if _, err := coll.Query(name, q.src); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // ---- P1: construction scaling ----------------------------------------------
 
 func BenchmarkBuildScaling(b *testing.B) {

@@ -230,7 +230,9 @@ func (d *Document) AppendAxis(dst []*dom.Node, a Axis, n *dom.Node, c Candidates
 // building the result where the structure can be walked directly —
 // parent, ancestor and ancestor-or-self follow the leaf's parent chains
 // or the Parent links, xancestor and the overlap axes the per-hierarchy
-// containment chains, self is the node itself. The other axes read a
+// containment chains, xdescendant and xfollowing the hierarchies' node
+// arrays and the leaf layer (walkXForward), self is the node itself.
+// The other axes read a
 // shared view (SharedAxis) or gather into buf, which FindAxis returns,
 // possibly grown, for reuse. match may run nested evaluations: buf is
 // not reused until FindAxis returns.
@@ -273,6 +275,10 @@ func (d *Document) FindAxis(buf []*dom.Node, a Axis, n *dom.Node, c Candidates, 
 			return false, buf
 		}
 		return d.walkOverlaps(a, n, name, match), buf
+	case AxisXDescendant, AxisXFollowing:
+		if n != d.Root && d.spanNode(n) && !emptySpan(n) {
+			return d.walkXForward(a, n, c, name, match), buf
+		}
 	}
 	nodes, shared := d.SharedAxis(a, n, c)
 	if !shared {

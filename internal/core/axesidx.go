@@ -178,6 +178,60 @@ func (d *Document) xdescendantIdx(dst []*dom.Node, n *dom.Node, c Candidates) []
 	return dst
 }
 
+// walkXForward visits the xdescendant or xfollowing axis of n in
+// document order — each hierarchy's nodes in preorder, then the leaves —
+// and stops at the first node visit returns true for, reporting whether
+// it did. It visits what xdescendantIdx and xfollowingIdx return, without
+// gathering it. n must be a non-root node with a non-empty span. A
+// nonzero name skips the hierarchies without an element of that name.
+func (d *Document) walkXForward(a Axis, n *dom.Node, c Candidates, name int32, visit func(*dom.Node) bool) bool {
+	from, lo, hi := n.End, d.leafLow(n.End), d.numLeaves()
+	if a == AxisXDescendant {
+		from, lo, hi = n.Start, d.leafLow(n.Start), d.leafCountEndingBy(n.End)
+	}
+	for _, h := range d.Hiers {
+		if !h.mayHold(name) {
+			continue
+		}
+		// Definition 1 taken literally makes every empty-span node an
+		// xdescendant; they are visited in preorder among the others.
+		var empties []*dom.Node
+		if a == AxisXDescendant {
+			empties = d.empties
+		}
+		k := 0
+		emptiesBefore := func(ord int) bool {
+			for ; k < len(empties) && (empties[k].HierIndex != h.Index || empties[k].Ord < ord); k++ {
+				if m := empties[k]; m.HierIndex == h.Index && !d.inAncestorOrSelf(n, m) && visit(m) {
+					return true
+				}
+			}
+			return false
+		}
+		for i := h.startIndex(from); i < len(h.Nodes); i++ {
+			m := h.Nodes[i]
+			if a == AxisXDescendant && m.Start >= n.End {
+				break
+			}
+			if emptySpan(m) || a == AxisXDescendant && (m.End > n.End || d.inAncestorOrSelf(n, m)) {
+				continue
+			}
+			if emptiesBefore(m.Ord) || visit(m) {
+				return true
+			}
+		}
+		if emptiesBefore(len(h.Nodes)) {
+			return true
+		}
+	}
+	for _, l := range d.leafAxis(c, lo, hi) {
+		if l != n && visit(l) {
+			return true
+		}
+	}
+	return false
+}
+
 func (d *Document) xfollowingIdx(dst []*dom.Node, n *dom.Node, c Candidates) []*dom.Node {
 	for _, h := range d.Hiers {
 		for i := h.startIndex(n.End); i < len(h.Nodes); i++ {

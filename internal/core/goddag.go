@@ -160,8 +160,9 @@ type Document struct {
 	lineage   *lineage
 	leafOwner *lineage
 
-	// memo is the version's filter memo (memo.go), made on first use.
-	memo atomic.Pointer[Memo]
+	// memo is the version's filter memo (memo.go); overlays and private
+	// versions leave it unused.
+	memo Memo
 }
 
 // numLeaves is the leaf count implied by the boundary array — equal to
@@ -685,6 +686,13 @@ func (d *Document) LeafRange(n *dom.Node) (lo, hi int) {
 		return d.boundIndex(n.Start), d.boundIndex(n.End)
 	}
 	return 0, 0
+}
+
+// LeafLayer returns the leaf layer in text order, building a lazy one
+// first. The returned slice is shared and must not be mutated.
+func (d *Document) LeafLayer() []*dom.Node {
+	d.ensureLeaves()
+	return d.Leaves
 }
 
 // LeavesOf returns the leaves covered by a node, in text order.

@@ -2,37 +2,44 @@ package core
 
 import (
 	"container/list"
+	"hash/maphash"
 	"sync"
+	"sync/atomic"
 )
 
 // This file is the per-version filter memo. A published Document never
 // changes (Apply returns a new version), so a selection whose answer
 // depends on nothing but the document — an index scan from the root
-// whose predicates read only the candidate, the filtered targets of a
-// semi-join — has one answer for the life of the version. The query
-// engine keeps such answers here, as per-hierarchy ascending ordinal
-// runs (the shape of NameRun), instead of recomputing them per query.
+// whose predicates read only the candidate, the elements or leaves that
+// pass a structural test, the filtered targets of a semi-join — has one
+// answer for the life of the version. The query engine keeps such
+// answers here, as per-hierarchy ascending ordinal runs (the shape of
+// NameRun), instead of recomputing them per query.
 //
-// The table lives on the Document, so its entries die with the version:
+// The table lives in the Document, so its entries die with the version:
 // a superseded version takes its memo with it when it is collected.
-// Keys name an operator of a plan by the plan's query source and
-// operator slot, never by pointer, so an entry pins no
-// plan. Both the answers and the sightings that admit them are bounded
-// tables with least-recently-used eviction.
+// Keys name a selection by text, never by pointer, so an entry pins no
+// plan. The answers are a bounded table with least-recently-used
+// eviction; the sightings that admit them are a fixed ring of key
+// hashes, so a version's first queries, which only sight their keys,
+// allocate nothing for the memo.
 
 // Memo bounds: answers held, sightings remembered, and ordinals held in
 // total across the answers. An answer larger than MemoMaxOrdinals is
 // never stored.
 const (
 	MemoMaxEntries  = 64
-	MemoMaxSeen     = 256
+	MemoMaxSeen     = 32
 	MemoMaxOrdinals = 1 << 18
 )
 
-// MemoKey names one operator of one plan: the query's source (with a
-// suffix that tells apart the expressions of one update) and the
-// operator's slot. Lowering is deterministic, so one key denotes the
-// same operator in every plan lowered from it.
+// MemoKey names a selection. With Op ≥ 0 it is one operator of one
+// plan: the query's source (with a suffix that tells apart the
+// expressions of one update) and the operator's slot; lowering is
+// deterministic, so one key denotes the same operator in every plan
+// lowered from it. With Op < 0 it is a structural set, whatever query
+// asks for it: the elements whose name symbol is -Op-1 (the leaves for
+// Op -1) that pass the predicates whose canonical text is Src.
 type MemoKey struct {
 	Src string
 	Op  int
@@ -40,13 +47,26 @@ type MemoKey struct {
 
 // Memo is a bounded table of selection answers over one document
 // version. It is safe for concurrent use, and stored answers are
-// immutable. A Document makes its own (Document.Memo). The zero Memo
+// immutable. A Document holds its own (Document.Memo). The zero Memo
 // is empty.
 type Memo struct {
+	// seen is a ring of the hashes of the keys sighted last (0: an
+	// empty slot), read and written without the lock; next advances
+	// the ring.
+	seen [MemoMaxSeen]atomic.Uint64
+	next atomic.Uint32
+
 	mu      sync.Mutex
 	answers lru[[][]int32]
-	seen    lru[struct{}]
 	ords    int // ordinals held across answers
+}
+
+// memoSeed keys the sighting hashes of this process.
+var memoSeed = maphash.MakeSeed()
+
+// hash is k's sighting hash, never 0.
+func (k MemoKey) hash() uint64 {
+	return (maphash.String(memoSeed, k.Src) ^ uint64(k.Op)*0x9e3779b97f4a7c15) | 1
 }
 
 // Get returns the answer stored under k.
@@ -63,18 +83,18 @@ func (m *Memo) Get(k MemoKey) ([][]int32, bool) {
 }
 
 // Seen records a sighting of k and reports whether k was sighted
-// before: a selection is worth storing only the second time it runs, so
-// a one-off query pays nothing for the memo.
+// before, among the last MemoMaxSeen sightings: a selection is worth
+// storing only the second time it runs, so a one-off query pays nothing
+// for the memo. Two goroutines sighting a key at once may both see it
+// as new; the key is then stored one sighting later.
 func (m *Memo) Seen(k MemoKey) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.seen.get(k); ok {
-		return true
+	h := k.hash()
+	for i := range m.seen {
+		if m.seen[i].Load() == h {
+			return true
+		}
 	}
-	m.seen.put(k, struct{}{})
-	if m.seen.len() > MemoMaxSeen {
-		m.seen.evict()
-	}
+	m.seen[m.next.Add(1)%MemoMaxSeen].Store(h)
 	return false
 }
 
@@ -97,7 +117,10 @@ func (m *Memo) Put(k MemoKey, runs [][]int32) {
 	for m.answers.len() > MemoMaxEntries || m.ords > MemoMaxOrdinals {
 		m.ords -= ordCount(m.answers.evict())
 	}
-	m.seen.remove(k)
+	h := k.hash()
+	for i := range m.seen {
+		m.seen[i].CompareAndSwap(h, 0)
+	}
 }
 
 // MemoStats is a memo's occupancy.
@@ -107,9 +130,15 @@ type MemoStats struct {
 
 // Stats returns the memo's occupancy.
 func (m *Memo) Stats() MemoStats {
+	seen := 0
+	for i := range m.seen {
+		if m.seen[i].Load() != 0 {
+			seen++
+		}
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return MemoStats{Entries: m.answers.len(), Seen: m.seen.len(), Ordinals: m.ords}
+	return MemoStats{Entries: m.answers.len(), Seen: seen, Ordinals: m.ords}
 }
 
 func ordCount(runs [][]int32) int {
@@ -127,15 +156,12 @@ func (d *Document) Memo() *Memo {
 	if d.Base != nil || d.lineage != nil {
 		return nil
 	}
-	if m := d.memo.Load(); m != nil {
-		return m
-	}
-	d.memo.CompareAndSwap(nil, new(Memo))
-	return d.memo.Load()
+	return &d.memo
 }
 
 // lru is a least-recently-used map whose owner evicts to its bound;
-// the front of the list is the most recent.
+// the front of the list is the most recent. The zero lru is empty and
+// allocates on its first put.
 type lru[V any] struct {
 	ll list.List
 	m  map[MemoKey]*list.Element
@@ -178,11 +204,4 @@ func (l *lru[V]) evict() V {
 	l.ll.Remove(e)
 	delete(l.m, it.k)
 	return it.v
-}
-
-func (l *lru[V]) remove(k MemoKey) {
-	if e, ok := l.m[k]; ok {
-		l.ll.Remove(e)
-		delete(l.m, k)
-	}
 }

@@ -8,18 +8,24 @@ import (
 	"mhxquery/internal/dom"
 )
 
-// This file is the set-at-a-time evaluation of extended-axis existence
-// predicates — step[axis::name] asks only whether one target exists,
-// not which. Instead of descending a containment chain per candidate
-// and name-filtering the axis result (axesidx.go), a SemiJoin sweeps a
-// run of candidates in Start order against the targets' spans in Start
-// order: the stack-based structural join of the XML query-processing
-// literature, applied to the overlapping spans of a KyGODDAG. Every
-// hierarchy is a tree, so its target spans are laminar (nested or
-// disjoint), which makes each axis a constant-state merge:
+// This file is the set-at-a-time evaluation of structural existence
+// tests — step[axis::name] asks only whether one target exists, not
+// which. Instead of walking the axis from each candidate and
+// name-filtering it (axesidx.go), a SemiJoin sweeps a run of candidates
+// in Start order against the targets' spans in Start order: the
+// stack-based structural join of the XML query-processing literature,
+// applied to the overlapping spans of a KyGODDAG. Every hierarchy is a
+// tree, so its target spans are laminar (nested or disjoint), which
+// makes each axis a constant-state merge:
 //
 //   - xancestor: the largest End among the targets starting before n;
 //     a target starting at n.Start decides alone.
+//   - ancestor: for a leaf, the same merge — a leaf's ancestors are the
+//     elements whose span contains it, in any hierarchy, so the leaves
+//     with a target ancestor are the union of the non-empty targets'
+//     leaf ranges; for an element or text node, its own hierarchy's
+//     containment chain (the Parent links), which no other hierarchy
+//     enters.
 //   - xdescendant: the targets from the first one starting at n.Start
 //     onwards. Until the first proper sub-span of n, every one either
 //     ends after n or shares n's span, and each kind forms one
@@ -39,11 +45,12 @@ import (
 // rescan the targets. Equal spans are decided exactly with the
 // Definition 1 descendant-or-self / ancestor-or-self exclusions,
 // empty-span targets with the literal ∅ reading (never an xancestor or
-// an overlap, always an xdescendant). The sweep leaves undecided only
-// candidates outside its model — the shared root, leaves, attributes,
-// nodes of other documents, and empty-span nodes — which the caller
-// answers one at a time with an existence probe (FindAxis), stopping at
-// the first target.
+// an overlap, always an xdescendant). Leaves are atomic: no target
+// overlaps one or lies strictly inside it. The sweep leaves undecided
+// only candidates outside its model — the shared root, attributes,
+// nodes of other documents and constructed nodes, and empty-span nodes
+// on the span-keyed axes — which the caller answers one at a time with
+// an existence probe (FindAxis), stopping at the first target.
 
 // SemiJoin answers "has candidate n at least one target on axis a" for
 // a run of candidates. The zero value is unusable; Reset binds it to a
@@ -82,8 +89,8 @@ type sjHier struct {
 }
 
 // Reset binds the semi-join to document d and axis a, one of
-// xancestor, xdescendant, overlapping, preceding-overlapping and
-// following-overlapping, with no targets.
+// xancestor, ancestor, xdescendant, overlapping, preceding-overlapping
+// and following-overlapping, with no targets.
 func (sj *SemiJoin) Reset(d *Document, a Axis) {
 	sj.d, sj.axis, sj.root = d, a, false
 	sj.hiers = sj.hiers[:0]
@@ -108,8 +115,8 @@ func (sj *SemiJoin) AddRun(h *Hierarchy, run []int32) {
 }
 
 // AddRoot makes the shared root a target (its name matched the target
-// test): an xancestor of every other node, never an xdescendant or an
-// overlap of one.
+// test): an xancestor of every other node and an ancestor of every
+// node it reaches, never an xdescendant or an overlap of one.
 func (sj *SemiJoin) AddRoot() { sj.root = true }
 
 // Exists reports whether candidate n has a target on the semi-join's
@@ -117,15 +124,23 @@ func (sj *SemiJoin) AddRoot() { sj.root = true }
 // comment) and the caller must evaluate it per node.
 func (sj *SemiJoin) Exists(n *dom.Node) (found, ok bool) {
 	d := sj.d
-	if n == d.Root || (n.Kind != dom.Element && n.Kind != dom.Text) || emptySpan(n) {
+	if n == d.Root || (n.Kind != dom.Element && n.Kind != dom.Text && n.Kind != dom.Leaf) {
 		return false, false
 	}
 	if _, owned := d.OrdinalOf(n); !owned {
 		return false, false
 	}
+	if sj.axis == AxisAncestor && n.Kind != dom.Leaf {
+		return sj.chainAncestor(n), true
+	}
+	if emptySpan(n) {
+		return false, false
+	}
 	switch sj.axis {
-	case AxisXAncestor:
-		if sj.root {
+	case AxisXAncestor, AxisAncestor:
+		// The root contains every leaf, but is a leaf's ancestor only
+		// through a covering text node.
+		if sj.root && (sj.axis == AxisXAncestor || len(d.LeafParents(n)) > 0) {
 			return true, true
 		}
 		sj.advance(n.Start)
@@ -154,6 +169,18 @@ func (sj *SemiJoin) Exists(n *dom.Node) (found, ok bool) {
 		return false, false
 	}
 	return false, true
+}
+
+// chainAncestor answers the ancestor axis for an element or text node:
+// a target on its Parent chain, which stays in its hierarchy up to the
+// shared root.
+func (sj *SemiJoin) chainAncestor(n *dom.Node) bool {
+	for p := n.Parent; p != nil && p != sj.d.Root; p = p.Parent {
+		if sj.isTarget(p) {
+			return true
+		}
+	}
+	return sj.root
 }
 
 func (sj *SemiJoin) precedingOverlap(n *dom.Node) bool {

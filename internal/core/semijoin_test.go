@@ -9,12 +9,14 @@ import (
 	"testing/quick"
 
 	"mhxquery/internal/core"
+	"mhxquery/internal/corpus"
 	"mhxquery/internal/dom"
 )
 
 var semiJoinAxes = []core.Axis{
 	core.AxisXAncestor, core.AxisXDescendant, core.AxisOverlapping,
 	core.AxisPrecedingOverlapping, core.AxisFollowingOverlapping,
+	core.AxisAncestor,
 }
 
 // semiJoinOracle answers "has n a target on axis a" from the literal
@@ -86,13 +88,14 @@ func (ts semiJoinTargets) load(sj *core.SemiJoin, d *core.Document, a core.Axis)
 
 // checkSemiJoin sweeps one candidate run and compares every answer
 // with the oracle. Only candidates outside the sweep's model — the
-// shared root, leaves, empty-span nodes — may be left undecided.
+// shared root, and empty-span nodes except on the ancestor axis — may
+// be left undecided.
 func checkSemiJoin(o *semiJoinOracle, sj *core.SemiJoin, ts semiJoinTargets, a core.Axis, cands []*dom.Node) error {
 	ts.load(sj, o.d, a)
 	for i, n := range cands {
 		found, ok := sj.Exists(n)
 		if !ok {
-			if n != o.d.Root && n.Kind != dom.Leaf && n.Start < n.End {
+			if n != o.d.Root && (n.Start < n.End || a == core.AxisAncestor) {
 				return fmt.Errorf("%s: candidate %d (%s %q [%d,%d)) left undecided", a, i, n.Kind, n.Name, n.Start, n.End)
 			}
 			continue
@@ -107,8 +110,9 @@ func checkSemiJoin(o *semiJoinOracle, sj *core.SemiJoin, ts semiJoinTargets, a c
 
 // candidateRuns returns the candidate runs of the property test: each
 // hierarchy's nodes in preorder (Start order, nested), a disjoint
-// subsequence of them (Start and End order), and every hierarchy's run
-// concatenated in document order (the sweep seeks back per hierarchy).
+// subsequence of them (Start and End order), the leaf layer, and every
+// hierarchy's run and the leaves concatenated in document order (the
+// sweep seeks back per hierarchy).
 func candidateRuns(d *core.Document) (nested, disjoint [][]*dom.Node, all []*dom.Node) {
 	for _, h := range d.Hiers {
 		nested = append(nested, h.Nodes)
@@ -123,6 +127,8 @@ func candidateRuns(d *core.Document) (nested, disjoint [][]*dom.Node, all []*dom
 		disjoint = append(disjoint, run)
 		all = append(all, h.Nodes...)
 	}
+	disjoint = append(disjoint, d.LeafLayer())
+	all = append(all, d.LeafLayer()...)
 	return nested, disjoint, all
 }
 
@@ -132,7 +138,8 @@ func candidateRuns(d *core.Document) (nested, disjoint [][]*dom.Node, all []*dom
 // equals whether the Definition 1 reference result meets the targets.
 // Candidates come in Start and End order, in nested preorder, across
 // hierarchies and shuffled (root and leaves included); every
-// non-empty hierarchy node must be decided.
+// non-empty node but the root must be decided, and on the ancestor axis
+// every empty one too.
 func TestQuickSemiJoinMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		d, err := buildRandom(seed)
@@ -231,13 +238,19 @@ func fuzzDoc(data []byte) (*core.Document, core.Axis, []string, error) {
 	return d, a, names, nil
 }
 
-// FuzzSemiJoin checks the sweep against the Definition 1 reference on
-// byte-decoded span configurations: every hierarchy's nodes in
-// preorder, then all of them in reverse (a seek per candidate).
+// FuzzSemiJoin checks the sweep against the Definition 1 reference (for
+// ancestor, the Parent and leaf-parent chains) on byte-decoded span
+// configurations: every hierarchy's nodes in preorder and then the
+// leaves, then all of them in reverse (a seek per candidate).
 func FuzzSemiJoin(f *testing.F) {
 	f.Add([]byte{7, 1, 40, 2, 9, 0, 17, 33, 5, 2, 0, 3, 1})
 	f.Add([]byte{19, 4, 4, 0, 65, 3, 0, 2, 200, 10, 1, 1, 0, 2, 6})
 	f.Add([]byte{11, 1, 0, 1, 100, 2, 8, 0, 4, 120, 1, 0, 0, 3, 3, 3})
+	// The ancestor axis, over leaves and empty-span elements.
+	f.Add([]byte{0xb9, 0x15, 0x3f, 0x89, 0xb0, 0x2b, 0x72, 0xa2, 0xb5, 0xba, 0x1f, 0xa0, 0x87, 0xef, 0xee, 0xe5, 0x1,
+		0x7f, 0x46, 0x66, 0x5, 0x7e, 0xbd, 0xb, 0x6, 0x43, 0x3d, 0xa2, 0xcc, 0x6b, 0xa1, 0xb5, 0xbf, 0x91})
+	f.Add([]byte{0xa3, 0x6a, 0x6b, 0xe1, 0x35, 0x83, 0x67, 0x3a, 0x7f, 0x42, 0xac, 0x24, 0x5, 0x9f, 0x75, 0x24, 0x45,
+		0xd0, 0x7b, 0xbf, 0x6f, 0xbf, 0xae, 0xdd, 0x23, 0x93, 0x9e, 0x10, 0x3c, 0xb3, 0xf, 0x44, 0x76, 0x40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, a, names, err := fuzzDoc(data)
 		if err != nil {
@@ -258,4 +271,57 @@ func FuzzSemiJoin(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestSemiJoinAncestorMatchesWalk checks the ancestor semi-join against
+// the per-node walk (FindAxis, which follows walkAncestors) and the
+// reference (EvalRef) for every node kind — the root, elements and
+// text nodes of every hierarchy, attributes and leaves — on Boethius
+// and a generated manuscript, for every element name and the root's,
+// as name-run and filtered targets, with the candidates in document
+// order and in reverse.
+func TestSemiJoinAncestorMatchesWalk(t *testing.T) {
+	gen, err := corpus.Generate(corpus.Params{Seed: 8, Words: 60, DamageRate: 0.3, RestoreRate: 0.3}).Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*core.Document{"boethius": corpus.MustBoethius(), "generated": gen} {
+		cands := probeContexts(d)
+		rev := slices.Clone(cands)
+		slices.Reverse(rev)
+		names := map[string]bool{d.Root.Name: true}
+		for _, h := range d.Hiers {
+			for _, n := range h.Nodes {
+				if n.Kind == dom.Element {
+					names[n.Name] = true
+				}
+			}
+		}
+		var sj core.SemiJoin
+		for target := range names {
+			for _, filtered := range []bool{false, true} {
+				var keep func(*dom.Node) bool
+				if filtered {
+					keep = func(m *dom.Node) bool { return m.Ord%2 == 0 }
+				}
+				ts := nameTargets(d, []string{target}, keep)
+				for _, run := range [][]*dom.Node{cands, rev} {
+					ts.load(&sj, d, core.AxisAncestor)
+					for _, n := range run {
+						found, ok := sj.Exists(n)
+						walk, _ := d.FindAxis(nil, core.AxisAncestor, n, core.AllCandidates, 0, func(m *dom.Node) bool { return ts.nodes[m] })
+						ref := slices.ContainsFunc(d.EvalRef(core.AxisAncestor, n), func(m *dom.Node) bool { return ts.nodes[m] })
+						if walk != ref {
+							t.Fatalf("%s: ancestor::%s of %s %q: walk %v, reference %v", name, target, n.Kind, n.Name, walk, ref)
+						}
+						undecidable := n == d.Root || n.Kind == dom.Attribute
+						if ok == undecidable || ok && found != walk {
+							t.Fatalf("%s: ancestor::%s (filtered %v) of %s %q [%d,%d): semi-join %v (decided %v), walk %v",
+								name, target, filtered, n.Kind, n.Name, n.Start, n.End, found, ok, walk)
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -149,22 +149,35 @@ func (e *pRange) each(c *context, yield func(Item) bool) error {
 // ---- boolean connectives ---------------------------------------------------
 
 // pLogic is and (all) or or: the second operand runs only when the
-// first leaves the answer open.
+// first leaves the answer open. When it is a semi-join predicate of the
+// context item, set answers from the item's survivor set first
+// (member).
 type pLogic struct {
 	pbase
 	and  bool
 	a, b pnode
+	set  *pSemiJoin
 }
 
 func (e *pLogic) each(c *context, yield func(Item) bool) error {
-	b, err := pEbv(e.a, c)
-	if err == nil && b == e.and {
-		b, err = pEbv(e.b, c)
-	}
+	b, err := e.truth(c)
 	if err != nil {
 		return err
 	}
 	return push1(b, yield)
+}
+
+func (e *pLogic) truth(c *context) (bool, error) {
+	if n, ok := c.item.(*dom.Node); ok && e.set != nil {
+		if ans, err := e.set.member(c, n); err != nil || ans != sjUndecided {
+			return ans == sjYes, err
+		}
+	}
+	b, err := pEbv(e.a, c)
+	if err == nil && b == e.and {
+		b, err = pEbv(e.b, c)
+	}
+	return b, err
 }
 
 // ---- comparisons and arithmetic --------------------------------------------
@@ -556,32 +569,36 @@ func (e *pCall) each(c *context, yield func(Item) bool) error {
 	// two (exists, empty, boolean, not) or only on the item count
 	// (count) consume their argument through a sink, so index scans and
 	// FLWOR pipelines below them stop as soon as the answer is decided.
-	var b bool
-	var err error
 	switch e.fn {
-	case bExists, bEmpty:
-		b, err = pExists(e.args[0], c)
-		b = b == (e.fn == bExists)
-	case bNot, bBoolean:
-		b, err = pEbv(e.args[0], c)
-		b = b == (e.fn == bBoolean)
+	case bExists, bEmpty, bNot, bBoolean:
+		b, err := e.truth(c)
+		if err != nil {
+			return err
+		}
+		return push1(b, yield)
 	case bCount:
 		n, err := pCount(e.args[0], c)
 		if err != nil {
 			return err
 		}
 		return push1(float64(n), yield)
-	default:
-		out, err := e.call(c)
-		if err != nil {
-			return err
-		}
-		return pushSeq(out, yield)
 	}
+	out, err := e.call(c)
 	if err != nil {
 		return err
 	}
-	return push1(b, yield)
+	return pushSeq(out, yield)
+}
+
+// truth evaluates one of the boolean builtins exists, empty, not and
+// boolean.
+func (e *pCall) truth(c *context) (b bool, err error) {
+	if e.fn == bExists || e.fn == bEmpty {
+		b, err = pExists(e.args[0], c)
+		return b == (e.fn == bExists), err
+	}
+	b, err = pEbv(e.args[0], c)
+	return b == (e.fn == bBoolean), err
 }
 
 // call evaluates the arguments onto the evaluation's argument stack
@@ -702,6 +719,39 @@ type pFilter struct {
 type filterRun struct {
 	ch   chain
 	push func(Item) bool
+}
+
+// truth is the effective boolean value of $x[p] for a variable bound
+// to one node and a predicate lowered to a truth test (pProbe, pLogic),
+// which never selects by position: whether the node passes. ok=false
+// leaves other shapes to the stage chain.
+func (e *pFilter) truth(c *context) (b, ok bool, err error) {
+	v, isVar := e.base.(*pVar)
+	if !isVar || len(e.preds) != 1 {
+		return false, false, nil
+	}
+	var t interface{ truth(*context) (bool, error) }
+	switch p := e.preds[0].(type) {
+	case *pProbe:
+		t = p
+	case *pLogic:
+		t = p
+	default:
+		return false, false, nil
+	}
+	seq, _ := c.lookup(v.name)
+	if len(seq) != 1 {
+		return false, false, nil
+	}
+	n, isNode := seq[0].(*dom.Node)
+	if !isNode {
+		return false, false, nil
+	}
+	c2 := c.st.scratchContext(c)
+	c2.item, c2.pos, c2.size = n, 1, 1
+	b, err = t.truth(c2)
+	c.st.releaseContext(c2)
+	return b, true, err
 }
 
 func (e *pFilter) each(c *context, yield func(Item) bool) error {

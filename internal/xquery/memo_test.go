@@ -13,10 +13,10 @@ import (
 )
 
 // This file tests the per-version filter memo (core.Memo; scanMemo and
-// filteredTargets): a scan from the root whose predicates read only the
-// candidate, and a semi-join's filtered targets, answer from the
-// document version's memo once stored, and the stored answer is the
-// one the predicates give.
+// survivors): a scan from the root whose predicates read only the
+// candidate, a semi-join's filtered targets and the survivor sets of
+// membership tests answer from the document version's memo once
+// stored, and the stored answer is the one the predicates give.
 
 // memoDoc is a published manuscript with damage and restorations.
 func memoDoc(t testing.TB) *core.Document {
@@ -369,5 +369,137 @@ func TestMemoUpdateExpressions(t *testing.T) {
 		} else if got != want {
 			t.Errorf("application %d leaves %s lines and words, the first left %s", run, got, want)
 		}
+	}
+}
+
+// structuralQueries ask structural tests one node at a time: the
+// paper-read join's where clause and Query I.2's leaf test, the forms
+// that answer from survivor sets.
+var structuralQueries = []string{
+	`count(for $v in /descendant::vline for $w in $v/child::w where exists($w/overlapping::dmg) return $w)`,
+	`for $l in /descendant::leaf() where $l[ancestor::w and ancestor::dmg] return $l`,
+}
+
+// TestMemoSharedStructuralEntry checks that a survivor set is named by
+// what it denotes: two query texts asking the same test of one version
+// share one memo entry, which the first query stores on its second run
+// and the second query reads on its first.
+func TestMemoSharedStructuralEntry(t *testing.T) {
+	d := memoDoc(t)
+	key := setKey("[overlapping::dmg]", d.NameSymOf("w"))
+	first := MustCompile(structuralQueries[0])
+	second := MustCompile(`count((/descendant::w)[overlapping::dmg])`)
+	for run := 1; run <= 2; run++ {
+		want, wantErr := oracleEval(first, d, nil, nil)
+		got, err := first.Eval(d)
+		sameOutcome(t, fmt.Sprintf("first query, run %d", run), got, err, want, wantErr)
+	}
+	if _, ok := d.Memo().Get(key); !ok {
+		t.Fatalf("no survivor set stored under %+v after two runs", key)
+	}
+	entries, hits := d.Memo().Stats().Entries, core.GlobalIndexStats().MemoHits
+	want, wantErr := oracleEval(second, d, nil, nil)
+	got, err := second.Eval(d)
+	sameOutcome(t, "second query", got, err, want, wantErr)
+	if n := d.Memo().Stats().Entries; n != entries {
+		t.Errorf("the second query took %d memo entries, want the first query's %d", n, entries)
+	}
+	if core.GlobalIndexStats().MemoHits == hits {
+		t.Error("the second query did not read the stored set")
+	}
+}
+
+// TestMemoConcurrentMembership asks the same membership tests from 8
+// goroutines on one published version, so the set is sighted, built
+// and read concurrently; under -race it checks the sharing.
+func TestMemoConcurrentMembership(t *testing.T) {
+	d := memoDoc(t)
+	want := make([]string, len(structuralQueries))
+	for i, src := range structuralQueries {
+		res, err := oracleEval(MustCompile(src), d, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = Serialize(res)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for run := 0; run < 4; run++ {
+				i := (run + g) % len(structuralQueries)
+				res, err := MustCompile(structuralQueries[i]).Eval(d)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := Serialize(res); got != want[i] {
+					t.Errorf("goroutine %d run %d: %q = %s, want %s", g, run, structuralQueries[i], got, want[i])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if d.Memo().Stats().Entries == 0 {
+		t.Error("no survivor set was stored")
+	}
+}
+
+// TestMemoSetsFollowVersions runs membership tests on a version until
+// its sets are stored, applies an update that changes their answers,
+// and checks that the new version answers with the edit while the old
+// one keeps its answers.
+func TestMemoSetsFollowVersions(t *testing.T) {
+	d := memoDoc(t)
+	u, err := CompileUpdate(`delete node /descendant::dmg`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range structuralQueries {
+		q := MustCompile(src)
+		before, err := oracleEval(q, d, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 1; run <= 3; run++ {
+			got, err := q.Eval(d)
+			sameOutcome(t, fmt.Sprintf("%q run %d", src, run), got, err, before, nil)
+		}
+		d2, _, err := u.Apply(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := oracleEval(q, d2, nil, nil)
+		if Serialize(want) == Serialize(before) {
+			t.Fatalf("%q: the update leaves the answer as it was", src)
+		}
+		for run := 1; run <= 3; run++ {
+			got, err := q.Eval(d2)
+			sameOutcome(t, fmt.Sprintf("%q on the new version, run %d", src, run), got, err, want, nil)
+		}
+		got, err := q.Eval(d)
+		sameOutcome(t, fmt.Sprintf("%q on the old version", src), got, err, before, nil)
+	}
+}
+
+// TestMemoFreshVersionAllocs pins the memo's bookkeeping on a version's
+// first query: sighting a key allocates nothing, so a scan on a fresh
+// published copy allocates what it does on a private copy, which has no
+// memo.
+func TestMemoFreshVersionAllocs(t *testing.T) {
+	d := memoDoc(t)
+	q := MustCompile(`//w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]`)
+	allocs := func(version func() *core.Document) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := q.Eval(version()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	published := allocs(func() *core.Document { return d.Private().Publish() })
+	private := allocs(func() *core.Document { return d.Private() })
+	if published != private {
+		t.Errorf("a query on a fresh published version allocates %v objects, on a private one %v", published, private)
 	}
 }

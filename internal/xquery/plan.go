@@ -104,6 +104,9 @@ type planner struct {
 	// analyze is set when the query calls analyze-string: lowering then
 	// marks the operators whose subtree does (lower.go).
 	analyze bool
+	// noSet is set while lowering the operands of a truth test that
+	// answers from survivor sets (memberSet), which need none of theirs.
+	noSet bool
 }
 
 // planForce forces the canonical side of the planner's choices: noIndex

@@ -160,6 +160,31 @@ var multiShapeQueries = []string{
 	// Nested and constructed contexts, where the scan runs expanded.
 	`//a//a[1]`,
 	`(<x><a/><b><a/><a/></b></x>)//a[2]`,
+	// Structural tests asked of one node at a time, which the default
+	// plan answers from survivor sets once a version's memo has sighted
+	// them: Query I.2's test in its count form and the join's where form;
+	// leaves with an ancestor in one hierarchy only or in none, under a
+	// filter, a where, an if and a step; an element subject, whose
+	// ancestors are its own hierarchy's; a milestone named like the
+	// target; a predicate after another; a lone candidate; and the
+	// per-node fallbacks: a constructed node, the root, an attribute.
+	`count(for $l in /descendant::line[xdescendant::w[xancestor::dmg or xdescendant::dmg or overlapping::dmg]]
+for $leaf in $l/descendant::leaf() where $leaf[ancestor::w and ancestor::dmg] return $leaf)`,
+	`count(for $v in /descendant::vline for $w in $v/child::w where exists($w/overlapping::dmg) return $w)`,
+	`/descendant::leaf()[ancestor::a]`,
+	`for $l in /descendant::leaf() where $l[ancestor::a] return string($l)`,
+	`for $l in /descendant::leaf() return if ($l[ancestor::a or ancestor::e]) then 1 else 0`,
+	`for $l in /descendant::leaf() where $l[ancestor::a and xancestor::d] return $l`,
+	`(//c, //d)[ancestor::a]`,
+	`for $c in (//c, //d) where exists($c/ancestor::a) return $c`,
+	`for $c in (//c, //d) where $c/ancestor::a[xdescendant::d] return $c`,
+	`for $x in /descendant::a return exists($x/xdescendant::a)`,
+	`for $x in /descendant::node() where $x[ancestor::a] return $x`,
+	`/descendant::leaf()[string(.) != 'x'][ancestor::a]`,
+	`for $w in /descendant::w return $w/self::w[overlapping::dmg]`,
+	`let $x := <w>a<c>b</c></w> return (exists($x/overlapping::dmg), $x/c[ancestor::w], ($x/c)[ancestor::w])`,
+	`for $r in (/) return (exists($r/overlapping::w), $r[ancestor::a], count($r/descendant::leaf()[ancestor::a]))`,
+	`for $x in /descendant::*/attribute::* where $x[ancestor::a] return $x`,
 }
 
 // planChoiceDocs is the differential corpus: the Boethius fixture, a
@@ -178,19 +203,27 @@ func planChoiceDocs(t *testing.T) map[string]*core.Document {
 		"gen":      gen,
 		"chain":    chainDoc(t),
 		"nest":     nestDoc(t),
+		"anc":      ancDoc(t),
 	}
 }
 
-// nestDoc nests a in itself, so //a's parents interleave: the shared
-// root's a children come around the first one's, and those around the
-// a inside b.
-func nestDoc(t testing.TB) *core.Document {
+// ancDoc has leaves with an a ancestor, which hierarchy one alone holds
+// ("a", "b"), and leaves with none ("cd", "ef"); a c whose ancestor is
+// an a of its own hierarchy and a d of hierarchy two inside that a's
+// span, whose ancestors hold no a; and an empty a (a milestone) between
+// "cd" and "ef".
+func ancDoc(t testing.TB) *core.Document {
+	t.Helper()
+	return buildDoc(t, []struct{ name, xml string }{
+		{"one", `<r><a>a<c>b</c></a>cd<a/>ef</r>`},
+		{"two", `<r>a<d>b</d><e>cd</e>ef</r>`},
+	})
+}
+
+func buildDoc(t testing.TB, hs []struct{ name, xml string }) *core.Document {
 	t.Helper()
 	var trees []core.NamedTree
-	for _, h := range []struct{ name, xml string }{
-		{"nest", `<r><a><a>x</a><b><a>y</a></b><a>z</a></a><a>w</a></r>`},
-		{"str", `<r><s><p>xy</p></s><s><p>z</p><p>w</p></s></r>`},
-	} {
+	for _, h := range hs {
 		root, err := xmlparse.Parse(h.xml, xmlparse.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -202,6 +235,17 @@ func nestDoc(t testing.TB) *core.Document {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// nestDoc nests a in itself, so //a's parents interleave: the shared
+// root's a children come around the first one's, and those around the
+// a inside b.
+func nestDoc(t testing.TB) *core.Document {
+	t.Helper()
+	return buildDoc(t, []struct{ name, xml string }{
+		{"nest", `<r><a><a>x</a><b><a>y</a></b><a>z</a></a><a>w</a></r>`},
+		{"str", `<r><s><p>xy</p></s><s><p>z</p><p>w</p></s></r>`},
+	})
 }
 
 // TestPlanChoiceDifferential is the plan-forcing sweep: for every query

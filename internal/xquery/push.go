@@ -234,11 +234,29 @@ func pEbv(n pnode, c *context) (bool, error) {
 // sinkTruth runs n into an effective-boolean-value sink and applies the
 // predicate rule at position pos when pos > 0 (a single number selects
 // by position); keep is that rule's answer, b the effective boolean
-// value. A probe answers directly.
+// value. A probe answers directly, and so do, outside EXPLAIN, an
+// and/or, a boolean builtin and a filter of one bound node.
 func sinkTruth(n pnode, c *context, pos int) (b bool, keep bool, err error) {
-	if p, ok := n.(*pProbe); ok {
-		b, err = p.truth(c)
+	switch x := n.(type) {
+	case *pProbe:
+		b, err = x.truth(c)
 		return b, b, err
+	case *pLogic:
+		if c.st.explain == nil {
+			b, err = x.truth(c)
+			return b, b, err
+		}
+	case *pCall:
+		if c.st.explain == nil && (x.fn == bExists || x.fn == bEmpty || x.fn == bNot || x.fn == bBoolean) {
+			b, err = x.truth(c)
+			return b, b, err
+		}
+	case *pFilter:
+		if c.st.explain == nil {
+			if b, ok, err := x.truth(c); ok {
+				return b, b, err
+			}
+		}
 	}
 	stop, drain := 2, n.overlays()
 	if drain {
@@ -302,7 +320,8 @@ type stage struct {
 	c       context // the focus: item, position and, when known, size
 	hold    bool    // held collects the input until the segment ends
 	held    Seq
-	sj      *sjRun // the semi-join's state for this segment, once it has an item
+	sjOn    bool   // the semi-join's segment has started: sj is its state
+	sj      *sjRun // the semi-join's state, kept with its storage
 }
 
 // begin starts a segment of size items (0: not known) for preds.
@@ -332,7 +351,7 @@ func (ch *chain) begin(c *context, preds []expr, size int, down func(Item) bool)
 			s.c.size = size
 		}
 		s.hold = s.c.size == 0 && (s.pr.readsLast() || i > 0 && ch.ovl)
-		s.held, s.sj = s.held[:0], nil
+		s.held, s.sjOn = s.held[:0], false
 	}
 }
 
@@ -349,7 +368,7 @@ func (ch *chain) pass(i int, it Item) bool {
 	}
 	for ; i < len(ch.stages); i++ {
 		s := &ch.stages[i]
-		if s.sj == nil && s.hold {
+		if !s.sjOn && s.hold {
 			s.held = append(s.held, it)
 			return true
 		}
@@ -357,7 +376,7 @@ func (ch *chain) pass(i int, it Item) bool {
 		var keep bool
 		var err error
 		switch {
-		case s.sj != nil: // a semi-join whose segment has started
+		case s.sjOn: // a semi-join whose segment has started
 			keep, err = s.sj.keep(&s.c, it)
 		case s.literal:
 			if pos := float64(s.c.pos); pos != s.k {
@@ -370,9 +389,12 @@ func (ch *chain) pass(i int, it Item) bool {
 			if n, ok := it.(*dom.Node); ok {
 				d = s.c.st.docFor(n)
 			}
-			if s.sj, err = s.join.start(&s.c, d, s.c.size); err == nil {
-				keep, err = s.sj.keep(&s.c, it)
+			if s.sj == nil {
+				s.sj = new(sjRun)
 			}
+			s.sj.start(&s.c, s.join, d, s.c.size)
+			s.sjOn = true
+			keep, err = s.sj.keep(&s.c, it)
 		default:
 			s.c.item = it
 			_, keep, err = sinkTruth(s.pr, &s.c, s.c.pos)

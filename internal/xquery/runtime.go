@@ -54,8 +54,9 @@ type evalState struct {
 	// document order over interleaved step results.
 	ordSet core.OrdinalSet
 
-	// targets holds the filtered semi-join target runs this evaluation
-	// computed, by plan slot and document (filteredTargets), so that a
+	// targets holds the survivor sets this evaluation computed or read
+	// from a version memo — filtered semi-join targets and the sets
+	// membership tests read — by key and document (survivors), so that a
 	// set no version memo keeps is still computed once per evaluation.
 	targets map[sjKey][][]int32
 

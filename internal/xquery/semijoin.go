@@ -1,8 +1,11 @@
 package xquery
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"mhxquery/internal/core"
@@ -10,43 +13,59 @@ import (
 )
 
 // This file lowers the structural tests that are asked only whether
-// they are empty: per candidate run, to structural semi-joins; per
-// node, to existence probes.
+// they are empty: per candidate run, to structural semi-joins; per node,
+// to membership in a per-version survivor set, or to existence probes.
 //
 // A step predicate that is an or/and tree of relative one-step paths
-// axis::name — axis one of xancestor, xdescendant, overlapping,
-// preceding-overlapping, following-overlapping — asks of each candidate
-// only whether one target exists. Per candidate RUN, that is one merge
-// sweep of the candidates' spans against the targets' spans
-// (core.SemiJoin), O(candidates + targets) with no allocation per
+// axis::name — axis one of ancestor, xancestor, xdescendant,
+// overlapping, preceding-overlapping, following-overlapping — asks of
+// each candidate only whether one target exists. Per candidate RUN,
+// that is one merge sweep of the candidates' spans against the targets'
+// spans (core.SemiJoin), O(candidates + targets) with no allocation per
 // candidate. The lowered predicate (pSemiJoin) is one kind of stage of
 // the predicate stage chain (chain, push.go): it sweeps when its input
 // size is known and greater than 1 — the first predicate of an
 // axis-step segment, an index-scan segment or a target run — and the
 // sweep advances as candidates are pushed, so early exit stays early.
 //
-// Everything that sees one node at a time takes an existence probe
-// (pProbe): a relative one-step path axis::test, starting at the
-// context item or at a variable, lowered where only its truth value is
-// used — a step or filter predicate, an and/or operand, an if
-// condition, a where clause, a satisfies clause, the argument of
-// exists/empty/not/boolean. The probe walks the axis in axis order
-// (core.Document.FindAxis) and stops at the first node passing the
-// test and the step's predicates, building no axis result: Query I.2's
+// The same test asked of one node at a time — a lone candidate, a
+// predicate after another one, a filter on a variable ($x[S]), a where,
+// if or exists condition (exists($x/axis::t) is $x[axis::t]) — depends
+// only on the node and the document version. So it is answered from the
+// node's survivor set: the nodes of its run (its hierarchy's name run,
+// or the leaf layer) that pass the whole predicate, built in one sweep
+// by the stage chain that filters semi-join targets (survivors) and
+// found with a forward cursor (member). Query I.2's
 // $leaf[ancestor::w and ancestor::dmg] and the join's
-// where exists($w/overlapping::dmg). pSemiJoin's per-node form is built
-// from the same probes, so a lone candidate, a candidate of a stage
-// whose input size is not known (a predicate after another one) and a
-// candidate the sweep leaves undecided are probed too. Contexts a probe
-// does not cover — atomic items, an undefined focus, a variable not
-// bound to exactly one node, constructed nodes — evaluate the path
-// itself, and the probe tests candidates in axis order with the path's
-// node test, so results and error points are the per-node engine's
-// (XPTY0019 for an atomic context, MHXQ0001 at the first name-matched
-// candidate under an unknown hierarchy). A term whose targets cannot
-// be bound without raising — a hierarchy qualifier that does not
-// resolve, the shared root under a filtered target — is probed for
-// every candidate.
+// where exists($w/overlapping::dmg) cost one lookup per tuple this way.
+// A set is named by what it denotes — the run and the predicate's
+// canonical text (canon) — so every query asking the same test of a
+// version shares it. It lives in the evaluation's targets map and in
+// the version's memo (core.Memo), which stores it the second time an
+// evaluation asks for it; the first evaluation to ask probes per node.
+// Lowering decides which tests may take this route (memberSet): those
+// with no hierarchy-qualified term. At run time it needs a version memo
+// the evaluation may share (sharedMemo: not an overlay, a private
+// version or an instrumented run) and a document element or leaf;
+// everything else keeps the per-node probe.
+//
+// The per-node probe (pProbe) is a relative one-step path axis::test,
+// starting at the context item or at a variable, lowered where only its
+// truth value is used — a step or filter predicate, an and/or operand,
+// an if condition, a where clause, a satisfies clause, the argument of
+// exists/empty/not/boolean. It walks the axis in axis order
+// (core.Document.FindAxis) and stops at the first node passing the test
+// and the step's predicates, building no axis result. pSemiJoin's
+// per-node form is built from the same probes, so a candidate the sweep
+// leaves undecided is probed too. Contexts a probe does not cover —
+// atomic items, an undefined focus, a variable not bound to exactly one
+// node, constructed nodes — evaluate the path itself, and the probe
+// tests candidates in axis order with the path's node test, so results
+// and error points are the per-node engine's (XPTY0019 for an atomic
+// context, MHXQ0001 at the first name-matched candidate under an
+// unknown hierarchy). A term whose targets cannot be bound without
+// raising — a hierarchy qualifier that does not resolve, the shared
+// root under a filtered target — is probed for every candidate.
 //
 // A target step may carry predicates (axis::name[string(.) = 'x'],
 // axis::name[xancestor::dmg …]) when they are position-independent and
@@ -55,11 +74,10 @@ import (
 // probe's axis walk feeds the step's stage chain, and the first
 // candidate the chain keeps ends the walk. The semi-join also needs
 // them variable-free: their value then depends on the target alone, so
-// a stage chain runs them once over the target runs, per (evaluation,
-// document) — themselves a semi-join where eligible — and the surviving
-// ordinals are memoized in evalState for the rest of the evaluation,
-// and in the document version's memo (core.Memo) where the evaluation
-// may share it.
+// the filtered targets are a survivor set like any other — the target
+// name's run under the target predicates — built by the same stage
+// chain once per (evaluation, document) and kept in the version's memo
+// where the evaluation may share it.
 
 // semiJoinable reports whether a step predicate lowers to a semi-join.
 func semiJoinable(e expr) bool {
@@ -74,7 +92,7 @@ func semiJoinable(e expr) bool {
 		}
 		s := x.steps[0]
 		switch s.axis {
-		case core.AxisXAncestor, core.AxisXDescendant, core.AxisOverlapping,
+		case core.AxisAncestor, core.AxisXAncestor, core.AxisXDescendant, core.AxisOverlapping,
 			core.AxisPrecedingOverlapping, core.AxisFollowingOverlapping:
 		default:
 			return false
@@ -192,18 +210,78 @@ func isVarRef(e expr) bool {
 }
 
 // lowerTruth lowers an expression whose effective boolean value alone
-// is used: as an existence probe when eligible.
+// is used: as an existence probe when eligible, and with a membership
+// test in survivor sets in front when it is a semi-join predicate of
+// its subject (memberSet).
 func (pn *planner) lowerTruth(e expr, parent *explainNode) pnode {
 	p, ok := e.(*pathExpr)
 	if !ok || !probeable(p) {
-		return pn.lower(e, parent)
+		set := pn.setEligible(e)
+		// The operands of an and/or that answers from its own set need
+		// none of theirs.
+		outer := pn.noSet
+		pn.noSet = outer || set
+		n := pn.lower(e, parent)
+		pn.noSet = outer
+		if l, ok := n.(*pLogic); ok && set {
+			l.set = pn.memberSet(e, l, pbase{id: pn.newOpID()})
+		}
+		return n
 	}
 	en, pb := pn.enode(parent, "exists-probe", p)
-	return pn.newProbe(pb, pn.lowerPath(p, en).(*pPath))
+	probe := &pProbe{pbase: pb, path: pn.lowerPath(p, en).(*pPath)}
+	if rel := (&pathExpr{steps: p.steps}); pn.setEligible(rel) {
+		per := probe
+		if p.start != nil {
+			per = pn.termProbe(probe.path.ops[0].s) // tests the candidate, not $x
+		}
+		probe.set = pn.memberSet(rel, per, pbase{id: pn.newOpID()})
+	}
+	return probe
 }
 
-func (pn *planner) newProbe(pb pbase, path *pPath) *pProbe {
-	return &pProbe{pbase: pb, path: path}
+// setEligible reports whether the truth test e of its context item
+// answers from survivor sets: a semi-join predicate with no
+// hierarchy-qualified term, whose answer stays a per-node probe.
+func (pn *planner) setEligible(e expr) bool {
+	return !pn.noSet && semiJoinable(e) && !anyExpr(e, hierQualified)
+}
+
+func hierQualified(e expr) bool {
+	p, ok := e.(*pathExpr)
+	return ok && slices.ContainsFunc(p.steps, func(s *step) bool { return len(s.test.hiers) > 0 })
+}
+
+// memberSet makes the semi-join of predicate e lowered to per, the
+// or/and tree of e's existence probes: its terms are the probes' steps
+// and per answers the candidates neither its sweep nor its survivor
+// sets decide.
+func (pn *planner) memberSet(e expr, per pnode, pb pbase) *pSemiJoin {
+	sj := &pSemiJoin{pbase: pb, perNode: per, key: predKey([]expr{e})}
+	sj.self = []expr{sj}
+	var terms func(e expr, n pnode) *sjShape
+	terms = func(e expr, n pnode) *sjShape {
+		switch x := e.(type) {
+		case *orExpr:
+			l := n.(*pLogic)
+			return &sjShape{a: terms(x.a, l.a), b: terms(x.b, l.b)}
+		case *andExpr:
+			l := n.(*pLogic)
+			return &sjShape{and: true, a: terms(x.a, l.a), b: terms(x.b, l.b)}
+		}
+		sj.terms = append(sj.terms, n.(*pProbe).path.ops[0].s)
+		sj.keys = append(sj.keys, predKey(e.(*pathExpr).steps[0].preds))
+		return &sjShape{term: len(sj.terms) - 1}
+	}
+	sj.shape = terms(e, per)
+	return sj
+}
+
+// termProbe is the existence probe of step s from the context item,
+// with no explain node.
+func (pn *planner) termProbe(s *step) *pProbe {
+	op := &pathOp{kind: opAxisStep, s: s, id: pn.newOpID()}
+	return &pProbe{pbase: pbase{id: pn.newOpID()}, path: &pPath{pbase: pbase{id: pn.newOpID()}, ops: []*pathOp{op}}}
 }
 
 // sjShape is the boolean shape of a semi-join predicate over its terms:
@@ -223,10 +301,14 @@ type pSemiJoin struct {
 	shape   *sjShape
 	terms   []*step
 	perNode pnode
-	// memo is, per term with target predicates, the plan slot that
-	// names its filtered targets in memos; terms with equal targets
-	// share it.
-	memo []int
+	// keys is, per term with target predicates, the canonical text of
+	// those predicates, which names its filtered targets in memos.
+	keys []string
+	// key is the canonical text of the whole predicate, which names its
+	// survivor sets (member), or "" when it has a hierarchy-qualified
+	// term; self is the predicate as a one-stage chain.
+	key  string
+	self []expr
 }
 
 func (e *pSemiJoin) each(c *context, yield func(Item) bool) error {
@@ -234,55 +316,44 @@ func (e *pSemiJoin) each(c *context, yield func(Item) bool) error {
 }
 
 // lowerPred lowers one step predicate, as a semi-join when eligible.
+// Its per-node form is the or/and tree of its terms' probes, which have
+// no explain nodes; terms with equal filtered targets share one lowered
+// filter (EXPLAIN shows each as a target child of the semi-join).
 func (pn *planner) lowerPred(pr expr, parent *explainNode) pnode {
 	if !semiJoinable(pr) {
 		return pn.lowerTruth(pr, parent)
 	}
 	en, pb := pn.enode(parent, "semi-join", pr)
-	sj := &pSemiJoin{pbase: pb}
-	var src []*step // the AST target step of each term
-	// lowerTerms records e's terms in sj and returns its shape and its
-	// per-node form: the or/and tree of one-step relative paths that
-	// lowerPath would build, sharing the term steps.
-	var lowerTerms func(e expr) (*sjShape, pnode)
-	lowerTerms = func(e expr) (*sjShape, pnode) {
+	var src, lowered []*step // each term's AST step and plan copy
+	var perNode func(e expr) pnode
+	perNode = func(e expr) pnode {
 		switch x := e.(type) {
 		case *orExpr:
-			a, pa := lowerTerms(x.a)
-			b, pb := lowerTerms(x.b)
-			return &sjShape{a: a, b: b}, &pLogic{pbase: pbase{id: pn.newOpID()}, a: pa, b: pb}
+			return &pLogic{pbase: pbase{id: pn.newOpID()}, a: perNode(x.a), b: perNode(x.b)}
 		case *andExpr:
-			a, pa := lowerTerms(x.a)
-			b, pb := lowerTerms(x.b)
-			return &sjShape{and: true, a: a, b: b}, &pLogic{pbase: pbase{id: pn.newOpID()}, and: true, a: pa, b: pb}
+			return &pLogic{pbase: pbase{id: pn.newOpID()}, and: true, a: perNode(x.a), b: perNode(x.b)}
 		}
 		s := e.(*pathExpr).steps[0]
 		ts := &step{axis: s.axis, test: s.test}
-		memo := -1
-		if len(s.preds) > 0 {
-			// Terms whose filtered targets are equal share one lowered
-			// filter, and with it one memoized target set.
-			for k, prev := range src {
-				if sameTargets(prev, s) {
-					ts.preds, memo = sj.terms[k].preds, sj.memo[k]
-					break
-				}
-			}
-			if ts.preds == nil {
-				g := pn.group(en, "target", s)
-				for _, tp := range s.preds {
-					ts.preds = append(ts.preds, pn.lowerPred(tp, g))
-				}
-				memo = pn.newOpID()
+		for k, prev := range src {
+			if sameTargets(prev, s) {
+				ts.preds = lowered[k].preds
+				break
 			}
 		}
-		src = append(src, s)
-		sj.terms = append(sj.terms, ts)
-		sj.memo = append(sj.memo, memo)
-		path := &pPath{pbase: pbase{id: pn.newOpID()}, ops: []*pathOp{{kind: opAxisStep, s: ts, id: pn.newOpID()}}}
-		return &sjShape{term: len(sj.terms) - 1}, pn.newProbe(pbase{id: pn.newOpID()}, path)
+		if ts.preds == nil && len(s.preds) > 0 {
+			g := pn.group(en, "target", s)
+			for _, tp := range s.preds {
+				ts.preds = append(ts.preds, pn.lowerPred(tp, g))
+			}
+		}
+		src, lowered = append(src, s), append(lowered, ts)
+		return pn.termProbe(ts)
 	}
-	sj.shape, sj.perNode = lowerTerms(pr)
+	sj := pn.memberSet(pr, perNode(pr), pb)
+	if anyExpr(pr, hierQualified) {
+		sj.key = ""
+	}
 	return sj
 }
 
@@ -291,6 +362,76 @@ func (pn *planner) lowerPred(pr expr, parent *explainNode) pnode {
 func sameTargets(a, b *step) bool {
 	return a.test.kind == b.test.kind && a.test.name == b.test.name &&
 		slices.Equal(a.test.hiers, b.test.hiers) && reflect.DeepEqual(a.preds, b.preds)
+}
+
+// predKey is the canonical text of a predicate list (canonPreds).
+func predKey(preds []expr) string {
+	var b strings.Builder
+	canonPreds(&b, preds)
+	return b.String()
+}
+
+// canonPreds writes each predicate's canon in brackets.
+func canonPreds(b *strings.Builder, preds []expr) {
+	for _, pr := range preds {
+		b.WriteByte('[')
+		canon(b, pr)
+		b.WriteByte(']')
+	}
+}
+
+// canon writes the canonical text of e, an expression of the infallible
+// predicate language (predInfallible), which semi-join predicates and
+// their target predicates are: the expression printed in full — every
+// step with its axis, test and predicates, literals quoted — so that
+// two predicates have one text exactly when they are the same
+// expression, whatever query they come from.
+func canon(b *strings.Builder, e expr) {
+	op := func(a expr, op string, c expr) {
+		b.WriteByte('(')
+		canon(b, a)
+		b.WriteByte(' ')
+		b.WriteString(op)
+		b.WriteByte(' ')
+		canon(b, c)
+		b.WriteByte(')')
+	}
+	switch x := e.(type) {
+	case *literalExpr:
+		if s, ok := x.v.(string); ok {
+			b.WriteString(strconv.Quote(s))
+		} else {
+			fmt.Fprint(b, x.v)
+		}
+	case *contextItemExpr:
+		b.WriteByte('.')
+	case *orExpr:
+		op(x.a, "or", x.b)
+	case *andExpr:
+		op(x.a, "and", x.b)
+	case *cmpExpr:
+		op(x.a, x.op, x.b)
+	case *callExpr:
+		b.WriteString(x.name)
+		b.WriteByte('(')
+		for i, a := range x.args {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			canon(b, a)
+		}
+		b.WriteByte(')')
+	case *pathExpr:
+		for i, s := range x.steps {
+			if i > 0 || x.absolute {
+				b.WriteByte('/')
+			}
+			b.WriteString(s.axis.String())
+			b.WriteString("::")
+			b.WriteString(describeTest(&s.test))
+			canonPreds(b, s.preds)
+		}
+	}
 }
 
 // describeSemiJoin renders the predicate for EXPLAIN; and binds tighter
@@ -334,12 +475,17 @@ type sjTermState struct {
 	sj      core.SemiJoin
 }
 
-// sjKey identifies a memoized filtered target set: the plan slot of the
-// target filter (shared by the terms with equal targets) and the
-// document.
+// sjKey identifies a survivor set of one document in the evaluation's
+// targets map.
 type sjKey struct {
-	op int
-	d  *core.Document
+	k core.MemoKey
+	d *core.Document
+}
+
+// setKey names the survivor set of the elements with name symbol sym
+// (0: the leaves) under the predicates whose canonical text is src.
+func setKey(src string, sym int32) core.MemoKey {
+	return core.MemoKey{Src: src, Op: -1 - int(sym)}
 }
 
 // bind resolves every term against d and loads its targets: the name
@@ -378,46 +524,52 @@ func (r *sjRun) bind(c *context, d *core.Document) error {
 		if r.targets == nil {
 			r.targets = make([]chain, len(e.terms))
 		}
-		runs, err := c.st.filteredTargets(c, &r.targets[i], s, d, &b, e.memo[i])
+		runs, _, err := c.st.survivors(c, &r.targets[i], s.preds, d, b.nameSym, e.keys[i], false)
 		if err != nil {
 			return err
 		}
 		for hi, run := range runs {
-			sj.AddRun(d.Hiers[hi], run)
+			if b.allows(hi) {
+				sj.AddRun(d.Hiers[hi], run)
+			}
 		}
 	}
 	return nil
 }
 
-// filteredTargets returns, per hierarchy of d, the ordinals of the
-// target step's name matches that pass its predicates, which the stage
-// chain ch applies once per (plan slot memo, document) in this
-// evaluation unless d's version memo holds the answer. The set is
-// always computed whole, so the version memo, where the evaluation may
-// share it, always gets it.
-func (st *evalState) filteredTargets(c *context, ch *chain, s *step, d *core.Document, b *resolvedTest, memo int) ([][]int32, error) {
-	key := sjKey{memo, d}
-	runs, ok := st.targets[key]
-	if ok {
-		return runs, nil
+// survivors returns the survivor set of a run of d under preds: per
+// hierarchy, the ascending ordinals of the elements with name symbol
+// sym that pass them, or for sym 0 the leaf ordinals that do, as one
+// run. The stage chain ch (nil: a new one) applies preds over each run
+// as one segment of known size, so a semi-join among them sweeps. A set
+// is computed once per (key, document) in an evaluation (st.targets),
+// and taken from and stored in d's version memo where the evaluation
+// may share it; a set is always computed whole, so the memo always gets
+// it. With sighted set, the set is computed only when the memo sighted
+// its key before (ok=false otherwise), so a one-off query builds none.
+func (st *evalState) survivors(c *context, ch *chain, preds []expr, d *core.Document, sym int32, src string, sighted bool) (runs [][]int32, ok bool, err error) {
+	key := setKey(src, sym)
+	if runs, ok := st.targets[sjKey{key, d}]; ok {
+		return runs, true, nil
 	}
 	m := st.sharedMemo(d)
 	if m != nil {
-		runs, ok = m.Get(st.plan.memoKey(memo))
+		if runs, ok = m.Get(key); ok && sighted {
+			return runs, true, nil // the caller keeps it for the evaluation
+		}
 	}
 	if !ok {
-		runs = make([][]int32, len(d.Hiers))
-		for hi, h := range d.Hiers {
-			run := h.NameRun(b.nameSym)
-			if !b.allows(hi) || len(run) == 0 {
-				continue
-			}
-			ch.out = slices.Grow(ch.out[:0], len(run))
-			ch.begin(c, s.preds, len(run), nil)
-			for _, ord := range run {
-				if !ch.push(h.Nodes[ord]) {
-					break
-				}
+		if sighted && (m == nil || !m.Seen(key)) {
+			return nil, false, nil
+		}
+		if ch == nil {
+			ch = new(chain)
+		}
+		// sweep returns the ordinals of the nodes at(0…size-1) that pass.
+		sweep := func(size int, at func(int) *dom.Node) ([]int32, error) {
+			ch.out = slices.Grow(ch.out[:0], size)
+			ch.begin(c, preds, size, nil)
+			for k := 0; k < size && ch.push(at(k)); k++ {
 			}
 			if err := ch.end(); err != nil {
 				return nil, err
@@ -426,17 +578,115 @@ func (st *evalState) filteredTargets(c *context, ch *chain, s *step, d *core.Doc
 			for k, it := range ch.out {
 				out[k] = int32(it.(*dom.Node).Ord)
 			}
-			runs[hi] = out
+			return out, nil
 		}
-		if m != nil {
-			m.Put(st.plan.memoKey(memo), runs)
+		if sym == 0 {
+			leaves := d.LeafLayer()
+			run, err := sweep(len(leaves), func(k int) *dom.Node { return leaves[k] })
+			if err != nil {
+				return nil, false, err
+			}
+			runs = [][]int32{run}
+		} else {
+			runs = make([][]int32, len(d.Hiers))
+			for hi, h := range d.Hiers {
+				if run := h.NameRun(sym); len(run) > 0 {
+					if runs[hi], err = sweep(len(run), func(k int) *dom.Node { return h.Nodes[run[k]] }); err != nil {
+						return nil, false, err
+					}
+				}
+			}
+		}
+		if m != nil && st.doc == d {
+			m.Put(key, runs)
 		}
 	}
 	if st.targets == nil {
 		st.targets = make(map[sjKey][][]int32)
 	}
-	st.targets[key] = runs
-	return runs, nil
+	st.targets[sjKey{key, d}] = runs
+	return runs, true, nil
+}
+
+// sjMember is a semi-join's per-evaluation membership state, kept in
+// its operator slot: the survivor set of the run last asked about and a
+// forward cursor into it.
+type sjMember struct {
+	d     *core.Document
+	sym   int32
+	runs  [][]int32
+	i     int
+	asked bool // the memo sighted the key of (d, sym) in this evaluation, or the set is being built
+}
+
+// member answers the predicate for node n from the survivor set of n's
+// run — its hierarchy's elements of its name, or the leaves — or
+// reports sjUndecided when n or the evaluation is outside the route
+// (see the file comment) or the set is not built yet: the first
+// evaluation to ask for a set on a version only sights it.
+func (e *pSemiJoin) member(c *context, n *dom.Node) (sjAnswer, error) {
+	st := c.st
+	if e.key == "" || (n.Kind != dom.Element && n.Kind != dom.Leaf) {
+		return sjUndecided, nil
+	}
+	d := st.docFor(n)
+	if n == d.Root || st.sharedMemo(d) == nil {
+		return sjUndecided, nil
+	}
+	if _, owned := d.OrdinalOf(n); !owned {
+		return sjUndecided, nil
+	}
+	sym, hi := n.NameSym, n.HierIndex
+	if n.Kind == dom.Leaf {
+		sym, hi = 0, 0
+	} else if sym == 0 {
+		return sjUndecided, nil // sym 0 names the leaves' set
+	}
+	cell := st.slot(e.id)
+	ms, _ := (*cell).(*sjMember)
+	if ms == nil {
+		ms = new(sjMember)
+		*cell = ms
+	}
+	if ms.d != d || ms.sym != sym {
+		ms.d, ms.sym, ms.runs, ms.asked = d, sym, nil, false
+	}
+	if ms.runs == nil {
+		if ms.asked {
+			return sjUndecided, nil
+		}
+		// While the set is built, its run's lone segments (a run of one
+		// node) answer per node.
+		ms.asked = true
+		runs, ok, err := st.survivors(c, nil, e.self, d, sym, e.key, true)
+		if err != nil {
+			return sjUndecided, err
+		}
+		ms.runs, ms.i, ms.asked = runs, 0, !ok
+		if !ok {
+			return sjUndecided, nil
+		}
+	}
+	// The forward cursor: i is the first survivor at or after the last
+	// node asked about. Nodes asked in document order step it forward,
+	// one behind it searches from the start.
+	run, ord, i := ms.runs[hi], int32(n.Ord), ms.i
+	if i > len(run) || i > 0 && run[i-1] >= ord {
+		i = 0
+	}
+	if i < len(run) && run[i] < ord {
+		if i+1 < len(run) && run[i+1] >= ord {
+			i++
+		} else {
+			k, _ := slices.BinarySearch(run[i:], ord)
+			i += k
+		}
+	}
+	ms.i = i
+	if i < len(run) && run[i] == ord {
+		return sjYes, nil
+	}
+	return sjNo, nil
 }
 
 // decide answers the shape for candidate n with the per-node
@@ -465,40 +715,40 @@ func (sw *sjSweep) decide(x *sjShape, n *dom.Node) sjAnswer {
 	return sw.decide(x.b, n)
 }
 
-// sjRun is a semi-join's per-evaluation state (kept in its operator
-// slot): the sweep over the current segment, if any, and the stage
-// chains of its terms' target predicates.
+// sjRun is a semi-join stage's state in one stage chain: the sweep,
+// which stays bound to its document's targets from segment to segment
+// (it seeks when a segment starts behind it), and the stage chains of
+// its terms' target predicates.
 type sjRun struct {
 	e       *pSemiJoin
 	sw      sjSweep
-	swept   bool
+	seg     *core.Document // the segment's document, when it sweeps
+	bound   *core.Document // the document whose targets sw holds
 	targets []chain
 }
 
-// start prepares a segment of size candidates (0: not known) in
-// document d (nil: atomic candidates): a sweep when it has more than
-// one candidate, per-node evaluation otherwise.
-func (e *pSemiJoin) start(c *context, d *core.Document, size int) (*sjRun, error) {
-	cell := c.st.slot(e.id)
-	r, _ := (*cell).(*sjRun)
-	if r == nil {
-		r = &sjRun{e: e}
-		*cell = r
+// start prepares the stage for semi-join e over a segment of size
+// candidates (0: not known) in document d (nil: atomic candidates): a
+// sweep when it has more than one candidate, per-node answers
+// otherwise.
+func (r *sjRun) start(c *context, e *pSemiJoin, d *core.Document, size int) {
+	if r.e != e {
+		*r = sjRun{e: e}
 	}
 	if ex := c.st.explain; ex != nil {
 		ex[e.id].calls++
 	}
-	r.swept = size > 1 && d != nil
-	if r.swept {
-		return r, r.bind(c, d)
+	r.seg = nil
+	if size > 1 {
+		r.seg = d
 	}
-	return r, nil
 }
 
 // keep answers the predicate for the segment's next candidate it, at
-// the position of the focus c2: the sweep's answer, advancing it, or
-// the per-node predicate's, with it as the focus item, for what the
-// sweep leaves undecided.
+// the position of the focus c2: by the sweep, advancing it (its targets
+// loaded at its document's first candidate), or from the candidate's
+// survivor set, else by the per-node predicate, with it as the focus
+// item.
 func (r *sjRun) keep(c2 *context, it Item) (bool, error) {
 	st := c2.st
 	var start time.Time
@@ -506,12 +756,21 @@ func (r *sjRun) keep(c2 *context, it Item) (bool, error) {
 		start = time.Now()
 	}
 	ans := sjUndecided
-	if n, ok := it.(*dom.Node); ok && r.swept {
-		ans = r.sw.decide(r.e.shape, n)
+	var err error
+	if n, ok := it.(*dom.Node); ok {
+		if r.seg == nil {
+			ans, err = r.e.member(c2, n)
+		} else {
+			if r.bound != r.seg {
+				r.bound, err = r.seg, r.bind(c2, r.seg)
+			}
+			if err == nil {
+				ans = r.sw.decide(r.e.shape, n)
+			}
+		}
 	}
 	keep := ans == sjYes
-	var err error
-	if ans == sjUndecided {
+	if ans == sjUndecided && err == nil {
 		c2.item = it
 		keep, err = pEbv(r.e.perNode, c2)
 	}
@@ -539,6 +798,9 @@ type pProbe struct {
 	// axis-step operator, whose lowered step the probe tests candidates
 	// with; it also evaluates the contexts the probe does not cover.
 	path *pPath
+	// set, when the step is a semi-join predicate of the start node,
+	// answers from that node's survivor set before any walk (member).
+	set *pSemiJoin
 }
 
 // pid hides the probe's slot from pEach: truth does its own accounting,
@@ -592,6 +854,11 @@ func (e *pProbe) probe(c *context) (bool, error) {
 	n, ok := item.(*dom.Node)
 	if !ok {
 		return e.delegate(c)
+	}
+	if e.set != nil {
+		if ans, err := e.set.member(c, n); err != nil || ans != sjUndecided {
+			return ans == sjYes, err
+		}
 	}
 	st := c.st
 	d := st.docFor(n)

@@ -10,8 +10,9 @@
 # durable-update path, the P14 predicate-scan fixtures, the per-node
 # existence-probe fixtures (BenchmarkLeafPredicate), the P16
 # multi-predicate and binding-run fixtures, the P17 query-after-update
-# fixtures, the P18 recovery fixtures, and the E9 paper-read request
-# mix of the load benchmark, per request) with -count
+# fixtures, the P18 recovery fixtures, the E9 paper-read request
+# mix of the load benchmark, per request, and its per-tuple structural
+# tests on warm versions, BenchmarkStructuralTests) with -count
 # repetitions, prints the raw `go test -bench` output, and writes the
 # best (minimum ns/op) run per benchmark to a JSON file so the perf
 # trajectory is diffable in git.
@@ -25,7 +26,7 @@
 set -eu
 
 COUNT=5
-BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkPredicateScan|BenchmarkLeafPredicate|BenchmarkPlanChoice|BenchmarkQueryAfterUpdate|BenchmarkRecovery|BenchmarkPaperRead'
+BENCH='BenchmarkOpenCold|BenchmarkOpenFirstQuery|BenchmarkQuery|BenchmarkOverlayQueries|BenchmarkAnalyzeStringScaling|BenchmarkPathPipeline|BenchmarkExample1AnalyzeString|BenchmarkIndexedDescendant|BenchmarkEarlyExit|BenchmarkFLWORJoin|BenchmarkUpdateSmallEdit|BenchmarkUpdateLargestHier|BenchmarkUpdateReparse|BenchmarkUpdateExpression|BenchmarkUpdateDurable|BenchmarkPredicateScan|BenchmarkLeafPredicate|BenchmarkPlanChoice|BenchmarkQueryAfterUpdate|BenchmarkRecovery|BenchmarkPaperRead|BenchmarkStructuralTests'
 OUT=BENCH_eval.json
 while [ $# -gt 0 ]; do
 	case "$1" in
