@@ -256,10 +256,11 @@ func (c *Collection) QueryMatchingLimit(ctx context.Context, pattern, src string
 	return out, nil
 }
 
-// StreamDoc starts a lazy evaluation of src against the named member
-// document: items are produced on demand (Next) or pushed (Each), so a
-// limit (or an abandoned stream) stops document evaluation early. doc()/collection() inside
-// src resolve against this collection's registry epoch at the start.
+// StreamDoc prepares a streaming evaluation of src against the named
+// member document. The stream pushes its items (Each, Take), so a
+// limit or a consumer that stops stops document evaluation early.
+// doc()/collection() inside src resolve against this collection's
+// registry epoch at the start.
 func (c *Collection) StreamDoc(ctx context.Context, name, src string) (*Stream, error) {
 	s, d, err := c.c.StreamDoc(ctx, name, src)
 	if err != nil {
@@ -283,14 +284,14 @@ type CollectionRow struct {
 
 // CollectionStream streams one query across member documents in name
 // order with bounded memory: at most one document evaluates at a time,
-// nothing is materialized beyond the item in flight, and abandoning the
-// stream stops all remaining work.
+// nothing is materialized beyond the item in flight, and a consumer
+// that stops stops all remaining work. It is single-use.
 type CollectionStream struct {
 	rows *collection.Rows
 }
 
-// StreamMatching starts a collection-wide lazy evaluation over the
-// documents whose names match pattern ("" = all), in name order.
+// StreamMatching prepares a collection-wide streaming evaluation over
+// the documents whose names match pattern ("" = all), in name order.
 func (c *Collection) StreamMatching(ctx context.Context, pattern, src string) (*CollectionStream, error) {
 	rows, err := c.c.StreamAll(ctx, src, pattern)
 	if err != nil {
@@ -299,18 +300,8 @@ func (c *Collection) StreamMatching(ctx context.Context, pattern, src string) (*
 	return &CollectionStream{rows: rows}, nil
 }
 
-// Next returns the next row, or ok=false when every document is
-// exhausted.
-func (s *CollectionStream) Next() (CollectionRow, bool) {
-	ev, ok := s.rows.Next()
-	if !ok {
-		return CollectionRow{}, false
-	}
-	return collectionRow(ev), true
-}
-
-// Each pushes the remaining rows to yield in order until yield returns
-// false; it evaluates on the caller's goroutine.
+// Each pushes the rows to yield in order, on the caller's goroutine,
+// until yield returns false, and consumes the stream.
 func (s *CollectionStream) Each(yield func(CollectionRow) bool) {
 	s.rows.Each(func(ev collection.Event) bool { return yield(collectionRow(ev)) })
 }

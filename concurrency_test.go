@@ -248,27 +248,29 @@ func TestSnapshotIsolationUnderUpdates(t *testing.T) {
 					errs <- fmt.Errorf("reader %d: %v", r, err)
 					return
 				}
-				// Pull item by item: the stream spans many writer
+				// Push item by item: the stream spans many writer
 				// commits, yet must stay inside its snapshot.
 				first := ""
 				n := 0
-				for {
-					item, ok, err := st.Next()
-					if err != nil {
-						errs <- fmt.Errorf("reader %d: %v", r, err)
-						return
-					}
-					if !ok {
-						break
-					}
+				var torn error
+				err = st.Each(func(item mhxquery.Sequence) bool {
 					name := item.Item(0).Node().Name()
 					if first == "" {
 						first = name
 					} else if name != first {
-						errs <- fmt.Errorf("reader %d: torn read: %s then %s in one stream", r, first, name)
-						return
+						torn = fmt.Errorf("reader %d: torn read: %s then %s in one stream", r, first, name)
+						return false
 					}
 					n++
+					return true
+				})
+				if err != nil {
+					errs <- fmt.Errorf("reader %d: %v", r, err)
+					return
+				}
+				if torn != nil {
+					errs <- torn
+					return
 				}
 				if n != elems {
 					errs <- fmt.Errorf("reader %d: streamed %d elements, want %d", r, n, elems)
@@ -362,21 +364,23 @@ func TestCollectionSnapshotIsolationUnderUpdates(t *testing.T) {
 					return
 				}
 				perDoc := map[string]string{}
-				for {
-					row, ok := cs.Next()
-					if !ok {
-						break
-					}
+				var bad error
+				cs.Each(func(row mhxquery.CollectionRow) bool {
 					if row.Err != nil {
-						errs <- fmt.Errorf("reader %d: %s: %v", r, row.Doc, row.Err)
-						return
+						bad = fmt.Errorf("reader %d: %s: %v", r, row.Doc, row.Err)
+						return false
 					}
 					name := row.Item.Item(0).Node().Name()
 					if prev, seen := perDoc[row.Doc]; seen && prev != name {
-						errs <- fmt.Errorf("reader %d: %s: torn stream read: %s then %s", r, row.Doc, prev, name)
-						return
+						bad = fmt.Errorf("reader %d: %s: torn stream read: %s then %s", r, row.Doc, prev, name)
+						return false
 					}
 					perDoc[row.Doc] = name
+					return true
+				})
+				if bad != nil {
+					errs <- bad
+					return
 				}
 			}
 		}(r)

@@ -577,25 +577,20 @@ func (c *Collection) QueryDocContext(ctx context.Context, name, src string, limi
 }
 
 // evalLimit evaluates q against d, stopping after limit items when
-// limit > 0: the evaluation pushes into the result on the caller's
-// goroutine and does no work past the limit.
+// limit > 0: the evaluation does no work past the limit.
 func evalLimit(ctx context.Context, q *xquery.Query, d *core.Document, v *view, limit int) (xquery.Seq, error) {
 	if limit <= 0 {
 		return q.EvalContext(ctx, d, nil, v)
 	}
-	var seq xquery.Seq
-	err := q.Each(ctx, d, nil, v, func(it xquery.Item) bool {
-		seq = append(seq, it)
-		return len(seq) < limit
-	})
-	return seq, err
+	return q.Stream(ctx, d, nil, v).Take(limit)
 }
 
-// StreamDoc starts a lazy evaluation of src against the named
-// document: items are produced on demand (Stream.Next) or pushed
-// (Stream.Each), so a caller applying a limit (or a disconnecting HTTP
-// client) stops document evaluation after the items it consumed. ctx cancels the evaluation mid-stream.
-// Like QueryDoc, the evaluation sees one registry epoch.
+// StreamDoc prepares a streaming evaluation of src against the named
+// document. The stream pushes its items (Stream.Each, Stream.Take), so
+// a caller applying a limit (or a disconnecting HTTP client) stops
+// document evaluation after the items it consumed. ctx cancels the
+// evaluation mid-stream. Like QueryDoc, the evaluation sees one
+// registry epoch.
 func (c *Collection) StreamDoc(ctx context.Context, name, src string) (*xquery.Stream, *core.Document, error) {
 	q, err := c.Compile(src)
 	if err != nil {

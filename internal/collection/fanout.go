@@ -116,28 +116,25 @@ type Event struct {
 	Err error
 }
 
-// Rows is a lazy iterator over one query evaluated across member
-// documents in name order: document k+1's evaluation does not start
-// until document k's is exhausted, and abandoning the iterator (a
+// Rows is one query evaluated across member documents in name order,
+// pushed to its consumer: document k+1's evaluation does not start
+// until document k's is exhausted, and a consumer that stops (a
 // satisfied limit, a disconnected client) stops all remaining work.
-// Next pulls (through each document's Stream); Each pushes and starts
-// no goroutine. Rows is single-use and not safe for concurrent use.
+// Rows is single-use: Each consumes it. It is not safe for concurrent
+// use.
 type Rows struct {
 	ctx   context.Context
-	coll  *Collection
 	q     *xquery.Query
 	v     *view
 	names []string
 	docs  []*core.Document
-	i     int
-	cur   *xquery.Stream
 }
 
 // StreamAll evaluates src across every member document whose name
-// matches pattern ("" = all) as a lazy name-order stream. Unlike
-// QueryAll it trades fan-out parallelism for bounded memory: at most
-// one document evaluates at a time and nothing is materialized beyond
-// the item in flight.
+// matches pattern ("" = all) as a name-order stream. Unlike QueryAll it
+// trades fan-out parallelism for bounded memory: at most one document
+// evaluates at a time and nothing is materialized beyond the item in
+// flight.
 func (c *Collection) StreamAll(ctx context.Context, src, pattern string) (*Rows, error) {
 	q, err := c.Compile(src)
 	if err != nil {
@@ -148,52 +145,21 @@ func (c *Collection) StreamAll(ctx context.Context, src, pattern string) (*Rows,
 	if err != nil {
 		return nil, err
 	}
-	return &Rows{ctx: ctx, coll: c, q: q, v: v, names: names, docs: docs}, nil
+	return &Rows{ctx: ctx, q: q, v: v, names: names, docs: docs}, nil
 }
 
-// Next returns the next event, or ok=false when every document is
-// exhausted.
-func (r *Rows) Next() (Event, bool) {
-	for {
-		if r.cur == nil {
-			if r.i >= len(r.docs) {
-				return Event{}, false
-			}
-			d := r.docs[r.i]
-			r.cur = r.q.Stream(r.ctx, d, nil, r.v)
-		}
-		it, ok, err := r.cur.Next()
-		name, d := r.names[r.i], r.docs[r.i]
-		if err != nil {
-			r.cur = nil
-			r.i++
-			return Event{Name: name, Doc: d, Err: err}, true
-		}
-		if !ok {
-			r.cur = nil
-			r.i++
-			continue
-		}
-		return Event{Name: name, Doc: d, Item: it}, true
-	}
-}
-
-// Each pushes the remaining events to yield in order until yield
-// returns false; the document it stops in is consumed.
+// Each pushes the events to yield in order, on the caller's goroutine,
+// until yield returns false, and consumes the stream.
 func (r *Rows) Each(yield func(Event) bool) {
-	for ; r.i < len(r.docs); r.i++ {
-		name, d := r.names[r.i], r.docs[r.i]
-		if r.cur == nil {
-			r.cur = r.q.Stream(r.ctx, d, nil, r.v)
-		}
+	names, docs := r.names, r.docs
+	r.names, r.docs = nil, nil
+	for i, d := range docs {
 		stopped := false
-		err := r.cur.Each(func(it xquery.Item) bool {
-			stopped = !yield(Event{Name: name, Doc: d, Item: it})
+		err := r.q.Each(r.ctx, d, nil, r.v, func(it xquery.Item) bool {
+			stopped = !yield(Event{Name: names[i], Doc: d, Item: it})
 			return !stopped
 		})
-		r.cur = nil
-		if stopped || err != nil && !yield(Event{Name: name, Doc: d, Err: err}) {
-			r.i++
+		if stopped || err != nil && !yield(Event{Name: names[i], Doc: d, Err: err}) {
 			return
 		}
 	}

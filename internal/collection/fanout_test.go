@@ -83,8 +83,10 @@ func TestRunPoolSmall(t *testing.T) {
 	}
 }
 
-// TestStreamAllNameOrder checks the lazy collection stream: items come
-// grouped by document in name order and abandoning the stream is safe.
+// TestStreamAllNameOrder checks the collection stream: items come
+// grouped by document in name order, per-document errors do not abort
+// the remaining documents, a consumer that stops stops the stream, and
+// a consumed stream pushes nothing.
 func TestStreamAllNameOrder(t *testing.T) {
 	c := New(Options{})
 	for _, name := range []string{"bb", "aa", "cc"} {
@@ -92,16 +94,26 @@ func TestStreamAllNameOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows, err := c.StreamAll(context.Background(), `/descendant::w`, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for {
-		ev, ok := rows.Next()
-		if !ok {
-			break
+	events := func(src string, stop func([]Event) bool) []Event {
+		rows, err := c.StreamAll(context.Background(), src, "")
+		if err != nil {
+			t.Fatal(err)
 		}
+		var evs []Event
+		rows.Each(func(ev Event) bool {
+			evs = append(evs, ev)
+			return !stop(evs)
+		})
+		rows.Each(func(ev Event) bool {
+			t.Errorf("%s: a consumed stream pushed %v", src, ev)
+			return true
+		})
+		return evs
+	}
+	never := func([]Event) bool { return false }
+
+	var names []string
+	for _, ev := range events(`/descendant::w`, never) {
 		if ev.Err != nil {
 			t.Fatalf("%s: %v", ev.Name, ev.Err)
 		}
@@ -114,16 +126,8 @@ func TestStreamAllNameOrder(t *testing.T) {
 	}
 
 	// Per-document errors do not abort the remaining documents.
-	rows, err = c.StreamAll(context.Background(), `/descendant::w('nope')`, "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	errs, docs := 0, 0
-	for {
-		ev, ok := rows.Next()
-		if !ok {
-			break
-		}
+	for _, ev := range events(`/descendant::w('nope')`, never) {
 		docs++
 		if ev.Err != nil {
 			errs++
@@ -133,36 +137,13 @@ func TestStreamAllNameOrder(t *testing.T) {
 		t.Fatalf("errs=%d docs=%d, want 3/3", errs, docs)
 	}
 
-	// Each pushes the same events: the rest of a document Next began,
-	// then whole documents, per-document errors included, stopping where
-	// yield stops.
-	pulled := func(src string) []Event {
-		rows, err := c.StreamAll(context.Background(), src, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var evs []Event
-		for ev, ok := rows.Next(); ok; ev, ok = rows.Next() {
-			evs = append(evs, ev)
-		}
-		return evs
-	}
+	// A consumer that stops gets a prefix of the full stream, per-document
+	// errors included.
 	for _, src := range []string{`/descendant::w`, `/descendant::w('nope')`} {
-		want := pulled(src)
-		rows, err := c.StreamAll(context.Background(), src, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]Event, 0, len(want))
-		if ev, ok := rows.Next(); ok {
-			got = append(got, ev)
-		}
-		rows.Each(func(ev Event) bool {
-			got = append(got, ev)
-			return len(got) < len(want)-1
-		})
+		want := events(src, never)
+		got := events(src, func(evs []Event) bool { return len(evs) == len(want)-1 })
 		if fmt.Sprint(got) != fmt.Sprint(want[:len(want)-1]) {
-			t.Fatalf("%s: Each pushed %v, want %v", src, got, want[:len(want)-1])
+			t.Fatalf("%s: stopped stream pushed %v, want %v", src, got, want[:len(want)-1])
 		}
 	}
 }

@@ -2,7 +2,6 @@ package xquery
 
 import (
 	stdctx "context"
-	"runtime"
 	"time"
 
 	"mhxquery/internal/core"
@@ -14,8 +13,8 @@ import (
 // operators (plan.go) once, and every document, version and layout the
 // query meets shares that one plan. Every operator pushes its result
 // into its consumer (push.go), so early-exit consumers (Each with a
-// yield that stops, Stream's Next and Take) stop the pipeline after the
-// items they need.
+// yield that stops, Stream.Take with a limit) stop the pipeline after
+// the items they need.
 type Query struct {
 	src  string
 	key  string // the plan's name in version memos (Plan.src)
@@ -118,23 +117,14 @@ func (q *Query) Each(ctx stdctx.Context, d *core.Document, vars map[string]Seq, 
 	return q.plan.run(q.plan.newEvalContext(ctx, d, vars, r, nil), yield)
 }
 
-// run pushes the program's result into yield, polling cancellation per
-// item, and reads a stop by yield as success.
+// run pushes the program's result into yield and reads a stop by
+// yield as success. Only the operators poll cancellation, at the same
+// points as in a collecting evaluation (eval).
 func (pl *Plan) run(c *context, yield func(Item) bool) error {
-	var cerr error
-	err := pEach(pl.prog, c, func(it Item) bool {
-		if cerr = c.st.checkCancel(); cerr != nil {
-			return false
-		}
-		return yield(it)
-	})
-	if cerr != nil {
-		return cerr
+	if err := pEach(pl.prog, c, yield); err != errStop {
+		return err
 	}
-	if err == errStop {
-		err = nil
-	}
-	return err
+	return nil
 }
 
 // eval is the collecting entry point.
@@ -151,154 +141,61 @@ func (pl *Plan) newEvalContext(ctx stdctx.Context, d *core.Document, vars map[st
 	return c
 }
 
-// Stream is a lazy, pull-based result iterator over one evaluation.
-// Items are produced on demand: the first Next starts the evaluation on
-// a goroutine of its own, which computes item k+1 only when Next asks
-// for it (like iter.Pull, which go 1.22 lacks), so abandoning a Stream
-// after n items does only the work those n items required. The
-// goroutine ends when the evaluation is exhausted, fails or is
-// canceled, or once the Stream is garbage-collected; no Close is
-// needed. A panic in the evaluation is raised again in Next. Each
-// pushes instead and starts no goroutine when called first. A Stream is
-// single-use and not safe for concurrent use.
+// Stream is one deferred evaluation whose result is pushed to its
+// consumer: Each runs the evaluation on the caller's goroutine and
+// stops it once yield returns false, so a consumer that stops after n
+// items does only the work those n items required. A Stream is
+// single-use: once consumed it pushes nothing and Each returns the
+// first run's error. It is not safe for concurrent use.
+//
+// Cancellation is polled exactly as in EvalContext: a canceled ctx
+// stops the evaluation with MHXQ0002 within a bounded number of items,
+// because the operators' per-item loops poll it every cancelStride
+// ticks. There is no end-of-run check, so an evaluation that finishes
+// before its first poll, such as one producing a few items, completes
+// without error on both routes.
 type Stream struct {
-	ctx  stdctx.Context
-	run  func(yield func(Item) bool) error
-	p    *puller
-	err  error
-	done bool
-	n    int
+	run func(yield func(Item) bool) error // nil once consumed
+	err error
 }
 
-// puller is a started Stream's side of its evaluation goroutine. It
-// holds no reference to the Stream, whose finalizer closes next.
-type puller struct {
-	ctx  stdctx.Context
-	next chan bool   // Next's request for one more item
-	out  chan pulled // one answer per request
-}
-
-// pulled is one answer: an item (ok), or the end with its error or
-// panic value.
-type pulled struct {
-	it    Item
-	ok    bool
-	err   error
-	panic any
-}
-
-// Stream starts a streaming evaluation. ctx may be nil (uncancellable).
+// Stream prepares a streaming evaluation. ctx may be nil
+// (uncancellable).
 func (pl *Plan) Stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver) *Stream {
 	return pl.stream(ctx, d, vars, r, nil)
 }
 
-// Stream starts a streaming evaluation through the query's plan.
+// Stream prepares a streaming evaluation through the query's plan.
 func (q *Query) Stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver) *Stream {
 	return q.plan.Stream(ctx, d, vars, r)
 }
 
 func (pl *Plan) stream(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver, counts []opCard) *Stream {
 	c := pl.newEvalContext(ctx, d, vars, r, counts)
-	return &Stream{ctx: ctx, run: func(yield func(Item) bool) error { return pl.run(c, yield) }}
+	return &Stream{run: func(yield func(Item) bool) error { return pl.run(c, yield) }}
 }
 
-// produce runs the evaluation, handing over one item per request.
-func (p *puller) produce(run func(yield func(Item) bool) error) {
-	var end pulled
-	defer func() {
-		if v := recover(); v != nil {
-			end = pulled{panic: v}
-		}
-		p.out <- end
-	}()
-	var done <-chan struct{}
-	if p.ctx != nil {
-		done = p.ctx.Done()
-	}
-	end.err = run(func(it Item) bool {
-		p.out <- pulled{it: it, ok: true}
-		select {
-		case more := <-p.next:
-			return more
-		case <-done:
-			return false
-		}
-	})
-	if end.err == nil && p.ctx != nil && p.ctx.Err() != nil {
-		end.err = errf("MHXQ0002", "evaluation canceled: %v", p.ctx.Err())
-	}
-}
-
-// Next returns the next result item. After an error or exhaustion it
-// keeps returning (nil, false, err).
-func (s *Stream) Next() (Item, bool, error) {
-	if s.done {
-		return nil, false, s.err
-	}
-	if s.p == nil {
-		s.p = &puller{ctx: s.ctx, next: make(chan bool, 1), out: make(chan pulled, 1)}
-		go s.p.produce(s.run)
-		runtime.SetFinalizer(s, func(s *Stream) { close(s.p.next) })
-	} else {
-		s.p.next <- true
-	}
-	m := <-s.p.out
-	if !m.ok {
-		s.done, s.err = true, m.err
-		if m.panic != nil {
-			panic(m.panic)
-		}
-		return nil, false, m.err
-	}
-	s.n++
-	return m.it, true, nil
-}
-
-// Each pushes the remaining items to yield in order until yield returns
-// false, and consumes the stream. Called before Next, it evaluates on
-// the caller's goroutine.
+// Each pushes the result items to yield in order until yield returns
+// false, and consumes the stream.
 func (s *Stream) Each(yield func(Item) bool) error {
-	if s.p != nil || s.done {
-		for {
-			it, ok, err := s.Next()
-			if err != nil || !ok {
-				return err
-			}
-			if !yield(it) {
-				// Stop the parked evaluation now rather than at
-				// collection.
-				s.done = true
-				runtime.SetFinalizer(s, nil)
-				close(s.p.next)
-				return nil
-			}
-		}
+	if run := s.run; run != nil {
+		s.run = nil
+		s.err = run(yield)
 	}
-	s.done = true
-	s.err = s.run(func(it Item) bool {
-		s.n++
-		return yield(it)
-	})
 	return s.err
 }
 
-// Count returns how many items Next has produced so far.
-func (s *Stream) Count() int { return s.n }
-
-// Take drains up to limit items (all remaining when limit <= 0).
-// Evaluation stops once the limit is produced — the upstream operators
-// do no further work — and Next resumes after them.
+// Take collects up to limit items (all when limit <= 0) and consumes
+// the stream: evaluation stops once the limit is reached, so the
+// upstream operators do no further work.
 func (s *Stream) Take(limit int) (Seq, error) {
 	var out Seq
-	for limit <= 0 || len(out) < limit {
-		it, ok, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
+	err := s.Each(func(it Item) bool {
 		out = append(out, it)
+		return limit <= 0 || len(out) < limit
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -348,10 +245,10 @@ func (pl *Plan) ExplainAnalyze(ctx stdctx.Context, d *core.Document, vars map[st
 }
 
 // StreamExplain is Stream with per-operator instrumentation: the
-// returned render function may be called once the caller has pulled
-// whatever it needs, yielding the cardinalities observed so far — the
-// observable proof that a limited stream stopped the upstream operators
-// early.
+// returned render function may be called at any point of the stream's
+// consumption, inside its yield too, and yields the cardinalities
+// observed so far — the observable proof that a limited stream stopped
+// the upstream operators early.
 func (q *Query) StreamExplain(ctx stdctx.Context, d *core.Document, vars map[string]Seq, r Resolver) (*Stream, func() *ExplainOp) {
 	pl := q.plan
 	counts := make([]opCard, pl.nOps)

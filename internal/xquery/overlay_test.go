@@ -187,7 +187,7 @@ return count(analyze-string($w, ".*unawe.*")/descendant::leaf())`
 			if route == "collected" {
 				_, err = q.Eval(d)
 			} else {
-				_, err = drainStream(q.Stream(nil, d, nil, nil))
+				_, err = q.Stream(nil, d, nil, nil).Take(0)
 			}
 			if err != nil {
 				t.Fatalf("%s (%s): %v", tc.name, route, err)
@@ -291,7 +291,7 @@ func TestAnalyzeStringOrderSweep(t *testing.T) {
 		for name, d := range docs {
 			label := fmt.Sprintf("shape %d (%s): %q", i, name, src)
 			ref, refErr := oracleEval(q, d, nil, nil)
-			got, err := drainStream(q.Stream(nil, d, nil, nil))
+			got, err := q.Stream(nil, d, nil, nil).Take(0)
 			switch {
 			case (err == nil) != (refErr == nil) || errCode(err) != errCode(refErr):
 				t.Errorf("%s: engine err=%v, oracle err=%v", label, err, refErr)

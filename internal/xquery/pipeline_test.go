@@ -113,7 +113,7 @@ func evalBothWith(t *testing.T, d *core.Document, src string, r Resolver) (fast,
 		t.Fatalf("compile %q: %v", src, err)
 	}
 	fast, fastErr = q.EvalWithResolver(d, nil, r)
-	streamed, streamErr := drainStream(q.Stream(nil, d, nil, r))
+	streamed, streamErr := q.Stream(nil, d, nil, r).Take(0)
 	if (fastErr == nil) != (streamErr == nil) || errCode(fastErr) != errCode(streamErr) {
 		t.Errorf("%q: eval err=%v, stream err=%v", src, fastErr, streamErr)
 	} else if fastErr == nil && !sameItems(fast, streamed) &&
@@ -160,21 +160,6 @@ func errCode(err error) string {
 		return e.Code
 	}
 	return ""
-}
-
-// drainStream materializes a Stream (test helper).
-func drainStream(s *Stream) (Seq, error) {
-	var out Seq
-	for {
-		it, ok, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, it)
-	}
 }
 
 func sameItems(a, b Seq) bool {

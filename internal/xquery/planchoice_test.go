@@ -41,7 +41,7 @@ func evalForced(t *testing.T, d *core.Document, src string, k planKnob) (Seq, er
 	}
 	pl := newPlan(q, k.force)
 	fast, fastErr := pl.Eval(d, nil, nil)
-	streamed, streamErr := drainStream(pl.Stream(nil, d, nil, nil))
+	streamed, streamErr := pl.Stream(nil, d, nil, nil).Take(0)
 	switch {
 	case (fastErr == nil) != (streamErr == nil):
 		t.Errorf("[%s] %q: eval err=%v, stream err=%v", k.name, src, fastErr, streamErr)

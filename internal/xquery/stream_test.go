@@ -7,9 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/corpus"
@@ -74,9 +72,9 @@ func TestExplainFLWORGolden(t *testing.T) {
 }
 
 // TestStreamLimitStopsScan is the cardinality-observing proof of
-// early exit: taking 3 items from //w — bare, or through a predicate
-// every word passes — over a large document must leave the index scan
-// having produced only those 3 items, not the whole run.
+// early exit: when the 3rd item of //w — bare, or through a predicate
+// every word passes — over a large document reaches the consumer, the
+// index scan must have produced only those 3 items, not the whole run.
 func TestStreamLimitStopsScan(t *testing.T) {
 	d, err := corpus.Generate(corpus.Params{Seed: 5, Words: 600}).Document()
 	if err != nil {
@@ -92,34 +90,16 @@ func TestStreamLimitStopsScan(t *testing.T) {
 			t.Fatalf("%s: fixture too small: %d words", src, len(total))
 		}
 
-		s, render := q.StreamExplain(nil, d, nil, nil)
-		if got, err := s.Take(3); err != nil || len(got) != 3 {
-			t.Fatalf("%s: Take(3) = %d items, err=%v", src, len(got), err)
-		}
-		var scan *ExplainOp
-		var walk func(op *ExplainOp)
-		walk = func(op *ExplainOp) {
-			if op.Op == "index-scan" {
-				scan = op
-			}
-			for _, k := range op.Children {
-				walk(k)
-			}
-		}
-		walk(render())
+		scan, n := scanAtItem(t, q, d, 3)
 		if scan == nil {
 			t.Fatalf("%s: no index-scan operator in the plan", src)
 		}
 		if scan.OutRows != 3 {
-			t.Fatalf("%s: index scan produced %d rows after a 3-item pull; early exit is broken (total %d)", src, scan.OutRows, len(total))
+			t.Fatalf("%s: index scan had produced %d rows at the 3rd item; early exit is broken (total %d)", src, scan.OutRows, len(total))
 		}
-		// Draining the rest must still deliver the full result.
-		rest, err := drainStream(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if 3+len(rest) != len(total) {
-			t.Fatalf("%s: stream delivered %d items, want %d", src, 3+len(rest), len(total))
+		// Running on must still deliver the full result.
+		if n != len(total) {
+			t.Fatalf("%s: stream delivered %d items, want %d", src, n, len(total))
 		}
 	}
 
@@ -138,27 +118,19 @@ func TestStreamLimitStopsScan(t *testing.T) {
 	if len(total) < 10 || words < 500 {
 		t.Fatalf("fixture too small: %d of %d words overlap damage", len(total), words)
 	}
-	s, render := q.StreamExplain(nil, dd, nil, nil)
-	if got, err := s.Take(3); err != nil || len(got) != 3 {
-		t.Fatalf("semi-join: Take(3) = %d items, err=%v", len(got), err)
-	}
-	scan := scanOp(render())
+	scan, n := scanAtItem(t, q, dd, 3)
 	if scan == nil || scan.OutRows >= int64(words/4) {
-		t.Fatalf("semi-join: index scan = %+v after a 3-item pull over %d words; early exit is broken", scan, words)
+		t.Fatalf("semi-join: index scan = %+v at the 3rd item over %d words; early exit is broken", scan, words)
 	}
-	rest, err := drainStream(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if 3+len(rest) != len(total) {
-		t.Fatalf("semi-join: stream delivered %d items, want %d", 3+len(rest), len(total))
+	if n != len(total) {
+		t.Fatalf("semi-join: stream delivered %d items, want %d", n, len(total))
 	}
 }
 
 // TestStreamNestedLastStaysLazy checks that a predicate reading last()
-// only in a nested focus leaves its own filter streaming: taking 3
-// items from (//w)[exists((/descendant::w)[last()])] over a large
-// document leaves the filter's base scan at 3 rows, while the nested
+// only in a nested focus leaves its own filter streaming: at the 3rd
+// item of (//w)[exists((/descendant::w)[last()])] over a large
+// document the filter's base scan is at 3 rows, while the nested
 // filter, whose predicate does read last(), takes its whole base.
 func TestStreamNestedLastStaysLazy(t *testing.T) {
 	d, err := corpus.Generate(corpus.Params{Seed: 5, Words: 600}).Document()
@@ -173,25 +145,19 @@ func TestStreamNestedLastStaysLazy(t *testing.T) {
 	if len(total) < 100 {
 		t.Fatalf("fixture too small: %d words", len(total))
 	}
-	s, render := q.StreamExplain(nil, d, nil, nil)
-	if got, err := s.Take(3); err != nil || len(got) != 3 {
-		t.Fatalf("Take(3) = %d items, err=%v", len(got), err)
+	scan, n := scanAtItem(t, q, d, 3)
+	if scan == nil || scan.OutRows != 3 {
+		t.Fatalf("outer index scan = %+v at the 3rd item; want 3 rows (total %d)", scan, len(total))
 	}
-	if scan := scanOp(render()); scan == nil || scan.OutRows != 3 {
-		t.Fatalf("outer index scan = %+v after a 3-item pull; want 3 rows (total %d)", scan, len(total))
-	}
-	rest, err := drainStream(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if 3+len(rest) != len(total) {
-		t.Fatalf("stream delivered %d items, want %d", 3+len(rest), len(total))
+	if n != len(total) {
+		t.Fatalf("stream delivered %d items, want %d", n, len(total))
 	}
 }
 
 // TestStreamCancel checks context cancellation: a runaway query, and a
 // predicate scan over a large document, stop with MHXQ0002 within a
-// bounded number of items.
+// bounded number of items, and the stream routes poll where
+// EvalContext does.
 func TestStreamCancel(t *testing.T) {
 	big, err := corpus.Generate(corpus.Params{Seed: 23, Words: 2000, DamageRate: 0.2, RestoreRate: 0.2}).Document()
 	if err != nil {
@@ -218,12 +184,51 @@ func TestStreamCancel(t *testing.T) {
 			t.Fatalf("%s: err = %v, want MHXQ0002", tc.src, err)
 		}
 
-		if _, err := drainStream(q.Stream(ctx, tc.d, nil, nil)); err == nil {
+		if _, err := q.Stream(ctx, tc.d, nil, nil).Take(0); err == nil {
 			t.Fatalf("%s: canceled stream drained without error", tc.src)
 		} else if xe, ok := err.(*Error); !ok || xe.Code != "MHXQ0002" {
 			t.Fatalf("%s: stream err = %v, want MHXQ0002", tc.src, err)
 		}
 	}
+
+	// Under a canceled context the stream, Each and EvalContext poll at
+	// the same points, so they agree error for error, and item for item
+	// when they complete: short results complete, `1 to 300` reaches a
+	// poll (Each has pushed the items before it).
+	d := corpus.MustBoethius()
+	for _, src := range []string{`//nonexistent`, `()`, `1`, `1 to 10`, `//w`, `count(//w)`, `1 to 200`, `1 to 300`} {
+		q := MustCompile(src)
+		want, wantErr := q.EvalContext(ctx, d, nil, nil)
+		got, err := q.Stream(ctx, d, nil, nil).Take(0)
+		if errCode(err) != errCode(wantErr) || !sameItems(got, want) {
+			t.Errorf("%s: canceled stream = %s, err=%v; EvalContext = %s, err=%v", src, Serialize(got), err, Serialize(want), wantErr)
+		}
+		var pushed Seq
+		err = q.Each(ctx, d, nil, nil, func(it Item) bool { pushed = append(pushed, it); return true })
+		if errCode(err) != errCode(wantErr) || wantErr == nil && !sameItems(pushed, want) {
+			t.Errorf("%s: canceled Each = %s, err=%v; EvalContext = %s, err=%v", src, Serialize(pushed), err, Serialize(want), wantErr)
+		}
+	}
+}
+
+// scanAtItem streams q over d with instrumentation and returns the
+// first index scan as rendered when the k-th item reached the consumer,
+// and how many items the stream delivered in all: laziness is observed
+// inside one Each that then runs to the end.
+func scanAtItem(t *testing.T, q *Query, d *core.Document, k int) (*ExplainOp, int) {
+	t.Helper()
+	s, render := q.StreamExplain(nil, d, nil, nil)
+	var scan *ExplainOp
+	n := 0
+	if err := s.Each(func(Item) bool {
+		if n++; n == k {
+			scan = scanOp(render())
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return scan, n
 }
 
 // scanOp returns the first index-scan operator of an EXPLAIN tree.
@@ -254,17 +259,18 @@ func TestParallelCancellation(t *testing.T) {
 	}
 	ctx, cancel := stdctx.WithCancel(stdctx.Background())
 	defer cancel()
-	s := q.Stream(ctx, d, nil, nil)
-	if got, err := s.Take(5); err != nil || len(got) != 5 {
-		t.Fatalf("Take(5) = %d items, err=%v", len(got), err)
-	}
-	cancel()
-	rest, err := drainStream(s)
+	n := 0
+	err = q.Stream(ctx, d, nil, nil).Each(func(Item) bool {
+		if n++; n == 5 {
+			cancel()
+		}
+		return true
+	})
 	xe, ok := err.(*Error)
 	if !ok || xe.Code != "MHXQ0002" {
 		t.Fatalf("stream canceled mid-scan returned %v, want MHXQ0002", err)
 	}
-	if 5+len(rest) >= len(total) {
+	if n >= len(total) {
 		t.Fatalf("stream canceled mid-scan delivered all %d items", len(total))
 	}
 }
@@ -316,7 +322,7 @@ func TestStreamErrorParity(t *testing.T) {
 	} {
 		q := MustCompile(src)
 		_, evalErr := q.Eval(d)
-		_, streamErr := drainStream(q.Stream(nil, d, nil, nil))
+		_, streamErr := q.Stream(nil, d, nil, nil).Take(0)
 		switch {
 		case evalErr == nil && streamErr == nil:
 		case evalErr != nil && streamErr != nil:
@@ -329,12 +335,11 @@ func TestStreamErrorParity(t *testing.T) {
 	}
 }
 
-// TestStreamPullAdapter checks the goroutine behind Stream.Next: an
-// abandoned stream's evaluation goroutine ends once the Stream is
-// garbage-collected, streams on separate goroutines do not share
-// state, Next resumes after Take, a panic in the evaluation is raised
-// in Next, and Each before Next evaluates on the caller's goroutine.
-func TestStreamPullAdapter(t *testing.T) {
+// TestStreamPushOnly checks the stream's consumer protocol: Each and
+// Take evaluate on the caller's goroutine and start none of their own,
+// and a stream is single-use — once consumed it pushes nothing and
+// returns the first run's error.
+func TestStreamPushOnly(t *testing.T) {
 	d, err := corpus.Generate(corpus.Params{Seed: 5, Words: 300}).Document()
 	if err != nil {
 		t.Fatal(err)
@@ -345,68 +350,10 @@ func TestStreamPullAdapter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	settle := func(want int) int {
-		n := runtime.NumGoroutine()
-		for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-			runtime.GC()
-			time.Sleep(10 * time.Millisecond)
-		}
-		return n
-	}
-	base := settle(runtime.NumGoroutine())
-	func() {
-		for i := 0; i < 100; i++ {
-			if got, err := q.Stream(nil, d, nil, nil).Take(1); err != nil || len(got) != 1 {
-				t.Fatalf("Take(1) = %d items, err=%v", len(got), err)
-			}
-		}
-	}()
-	if n := settle(base); n > base {
-		t.Errorf("%d goroutines after abandoning 100 streams, want the baseline %d", n, base)
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := q.Stream(nil, d, nil, nil)
-			head, err := s.Take(3)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			rest, err := drainStream(s)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if got := append(head, rest...); !sameItems(got, total) || s.Count() != len(total) {
-				t.Errorf("Take(3) then Next delivered %d items (Count %d), want %d", len(got), s.Count(), len(total))
-			}
-		}()
-	}
-	wg.Wait()
-
-	s := &Stream{run: func(yield func(Item) bool) error {
-		yield(1.0)
-		panic("boom")
-	}}
-	if it, ok, err := s.Next(); !ok || err != nil || it != 1.0 {
-		t.Fatalf("Next = %v, %v, %v", it, ok, err)
-	}
-	func() {
-		defer func() {
-			if r := recover(); r != "boom" {
-				t.Errorf("Next after the evaluation panicked: recovered %v, want boom", r)
-			}
-		}()
-		s.Next()
-	}()
-
 	before := runtime.NumGoroutine()
 	n := 0
-	err = q.Stream(nil, d, nil, nil).Each(func(Item) bool {
+	s := q.Stream(nil, d, nil, nil)
+	err = s.Each(func(Item) bool {
 		if runtime.NumGoroutine() > before {
 			t.Error("Each started a goroutine")
 		}
@@ -415,5 +362,31 @@ func TestStreamPullAdapter(t *testing.T) {
 	})
 	if err != nil || n != 5 {
 		t.Errorf("Each stopped after %d items, err=%v, want 5", n, err)
+	}
+	if err := s.Each(func(Item) bool { t.Error("a consumed stream pushed an item"); return true }); err != nil {
+		t.Errorf("consumed stream: err=%v", err)
+	}
+	if got, err := s.Take(0); len(got) != 0 || err != nil {
+		t.Errorf("consumed stream: Take(0) = %d items, err=%v", len(got), err)
+	}
+
+	head, err := q.Stream(nil, d, nil, nil).Take(3)
+	if err != nil || !sameItems(head, total[:3]) {
+		t.Errorf("Take(3) = %s, err=%v, want the first 3 words", Serialize(head), err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Each and Take, want at most %d", n, before)
+	}
+
+	failing := MustCompile(`/descendant::w('nope')`)
+	_, evalErr := failing.Eval(d)
+	if evalErr == nil {
+		t.Fatal("fixture query evaluated without error")
+	}
+	bad := failing.Stream(nil, d, nil, nil)
+	for i := 1; i <= 2; i++ {
+		if _, err := bad.Take(0); errCode(err) != errCode(evalErr) {
+			t.Errorf("failed stream, Take #%d: err=%v, want the first run's %v", i, err, evalErr)
+		}
 	}
 }

@@ -274,11 +274,11 @@ func (d *Document) QueryString(src string) (string, error) {
 	return res.String(), nil
 }
 
-// Stream compiles src and starts a lazy evaluation: result items are
-// produced on demand, so taking n items does only the work those n
-// items required (the engine's early exit). ctx may be nil; when it is
-// canceled the stream's Next returns an error within a bounded number
-// of items.
+// Stream compiles src and prepares a streaming evaluation, which
+// pushes its result items to the consumer (Each, Take): a consumer
+// that stops after n items does only the work those n items required
+// (the engine's early exit). ctx may be nil; when it is canceled the
+// evaluation stops with an error within a bounded number of items.
 func (d *Document) Stream(ctx context.Context, src string) (*Stream, error) {
 	q, err := Compile(src)
 	if err != nil {
@@ -287,43 +287,46 @@ func (d *Document) Stream(ctx context.Context, src string) (*Stream, error) {
 	return q.Stream(ctx, d), nil
 }
 
-// Stream is a lazy result stream. Next yields items one at a time,
-// each wrapped as a one-item Sequence (so callers render it with the
-// usual String/Text); Next runs the evaluation on a goroutine of its
-// own, which computes the next item only when asked for it. Each
-// pushes the items instead, on the caller's goroutine. A Stream needs
-// no Close: abandoning it stops the evaluation (its goroutine ends once
-// the Stream is garbage-collected).
+// Stream is one deferred evaluation whose result items are pushed to
+// the consumer on the caller's goroutine, each wrapped as a one-item
+// Sequence (so callers render it with the usual String/Text). It needs
+// no Close. A Stream is single-use: Each, Take and Next consume it, and
+// a consumed stream yields nothing more.
 type Stream struct {
-	s *xquery.Stream
-	d *core.Document
+	s    *xquery.Stream
+	d    *core.Document
+	rest xquery.Seq // items Next has collected but not handed out
 }
 
 // Next returns the next result item as a one-item Sequence. ok is
 // false when the stream is exhausted.
+//
+// Deprecated: Next is not lazy. Its first call collects the rest of the
+// stream (an evaluation error is returned then, in place of any item)
+// and each call hands out one collected item. Use Each or Take, which
+// stop the evaluation early.
 func (s *Stream) Next() (item Sequence, ok bool, err error) {
-	it, ok, err := s.s.Next()
-	if err != nil || !ok {
-		return Sequence{}, false, err
+	if len(s.rest) == 0 {
+		if s.rest, err = s.s.Take(0); err != nil || len(s.rest) == 0 {
+			return Sequence{}, false, err
+		}
 	}
+	it := s.rest[0]
+	s.rest = s.rest[1:]
 	return Sequence{s: xquery.Seq{it}, d: s.d}, true, nil
 }
 
-// Count reports how many items Next has produced so far.
-func (s *Stream) Count() int { return s.s.Count() }
-
-// Each pushes the remaining items, each as a one-item Sequence, to
-// yield in order until yield returns false, and consumes the stream.
-// Called before Next, it evaluates on the caller's goroutine.
+// Each pushes the items, each as a one-item Sequence, to yield in order
+// until yield returns false, and consumes the stream.
 func (s *Stream) Each(yield func(Sequence) bool) error {
 	return s.s.Each(func(it xquery.Item) bool {
 		return yield(Sequence{s: xquery.Seq{it}, d: s.d})
 	})
 }
 
-// Take drains up to n items (all remaining when n <= 0) into a
-// Sequence. Evaluation stops once n items are produced — the upstream
-// operators do no further work.
+// Take collects up to n items (all when n <= 0) into a Sequence and
+// consumes the stream. Evaluation stops once n items are produced —
+// the upstream operators do no further work.
 func (s *Stream) Take(n int) (Sequence, error) {
 	out, err := s.s.Take(n)
 	if err != nil {
@@ -459,7 +462,7 @@ func (q *Query) Eval(d *Document) (Sequence, error) {
 	return Sequence{s: s, d: d.g}, nil
 }
 
-// Stream starts a lazy evaluation of the compiled query (see
+// Stream prepares a streaming evaluation of the compiled query (see
 // Document.Stream). ctx may be nil.
 func (q *Query) Stream(ctx context.Context, d *Document) *Stream {
 	return &Stream{s: q.q.Stream(ctx, d.g, nil, nil), d: d.g}

@@ -2,6 +2,8 @@ package mhxquery_test
 
 import (
 	"bytes"
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -89,6 +91,72 @@ func TestCompiledQueryReuse(t *testing.T) {
 		if res.String() != "6" {
 			t.Errorf("eval %d = %q", i, res.String())
 		}
+	}
+}
+
+// TestStreamPublic checks the public stream: Each and Take push on the
+// caller's goroutine, the deprecated Next hands out the same items one
+// per call without starting a goroutine, a stream is single-use, and an
+// evaluation error reaches every consumer.
+func TestStreamPublic(t *testing.T) {
+	d := boethius(t)
+	const src = `/descendant::w`
+	want, err := d.Query(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func() *mhxquery.Stream {
+		st, err := d.Stream(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	before := runtime.NumGoroutine()
+	st := stream()
+	var got []string
+	for {
+		item, ok, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("Next started a goroutine: %d > %d", n, before)
+		}
+		got = append(got, item.String())
+	}
+	if len(got) != want.Len() || strings.Join(got, "") != want.String() {
+		t.Errorf("Next delivered %q, want %s", got, want.String())
+	}
+	if _, ok, err := st.Next(); ok || err != nil {
+		t.Errorf("Next after the end: ok=%v err=%v", ok, err)
+	}
+
+	st = stream()
+	head, err := st.Take(2)
+	if err != nil || head.Len() != 2 || head.String() != strings.Join(got[:2], "") {
+		t.Errorf("Take(2) = %s, err=%v", head.String(), err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("Take started a goroutine: %d > %d", n, before)
+	}
+	if err := st.Each(func(mhxquery.Sequence) bool { t.Error("a consumed stream pushed an item"); return true }); err != nil {
+		t.Errorf("consumed stream: err=%v", err)
+	}
+
+	bad, err := d.Stream(context.Background(), `/descendant::w('nope')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := bad.Next(); ok || err == nil {
+		t.Errorf("failing stream: Next ok=%v err=%v, want the evaluation error", ok, err)
+	}
+	if _, ok, err := bad.Next(); ok || err == nil {
+		t.Errorf("failing stream, second Next: ok=%v err=%v, want the error again", ok, err)
 	}
 }
 
