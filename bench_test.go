@@ -16,7 +16,7 @@
 //	E8  BenchmarkOverlayQueries/*        — Queries II.1/III.1 at 10×/100× scale
 //	E9  BenchmarkPaperRead/*             — the load benchmark's paper-read mix, per request
 //	P1  BenchmarkBuildScaling/*          — KyGODDAG construction scaling
-//	P2  BenchmarkAxes*/Reference         — interval vs Definition-1-literal axes
+//	P2  BenchmarkAxes* (internal/core)   — interval vs Definition-1-literal axes
 //	P3  BenchmarkDamagedWords*           — KyGODDAG vs fragmentation vs milestones
 //	P4  BenchmarkAnalyzeStringScaling/*  — temp-hierarchy overlay cost
 //	P5  BenchmarkParseThroughput/*       — document-centric parse throughput
@@ -373,60 +373,6 @@ func BenchmarkBuildScaling(b *testing.B) {
 		})
 	}
 }
-
-// ---- P2: axis evaluation, interval vs Definition-1-literal reference --------
-
-func axisBenchDoc(b *testing.B, words int) *core.Document {
-	b.Helper()
-	c := corpus.Generate(corpus.Params{Seed: 2, Words: words, DamageRate: 0.15})
-	d, err := c.Document()
-	if err != nil {
-		b.Fatal(err)
-	}
-	return d
-}
-
-// impl selects one of the three extended-axis implementations: the
-// indexed default, the O(N) interval scan, or the literal Definition 1
-// set-based reference.
-func benchAxis(b *testing.B, impl string, ax core.Axis, words int) {
-	d := axisBenchDoc(b, words)
-	h := d.HierarchyByName("structure")
-	var targets []int
-	for i, n := range h.Nodes {
-		if n.Name == "w" {
-			targets = append(targets, i)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := h.Nodes[targets[i%len(targets)]]
-		switch impl {
-		case "indexed":
-			d.Eval(ax, n)
-		case "scan":
-			d.EvalScan(ax, n)
-		default:
-			d.EvalRef(ax, n)
-		}
-	}
-}
-
-func BenchmarkAxesOverlappingIndexed(b *testing.B) {
-	benchAxis(b, "indexed", core.AxisOverlapping, 500)
-}
-func BenchmarkAxesOverlappingScan(b *testing.B)      { benchAxis(b, "scan", core.AxisOverlapping, 500) }
-func BenchmarkAxesOverlappingReference(b *testing.B) { benchAxis(b, "ref", core.AxisOverlapping, 500) }
-func BenchmarkAxesXAncestorIndexed(b *testing.B)     { benchAxis(b, "indexed", core.AxisXAncestor, 500) }
-func BenchmarkAxesXAncestorScan(b *testing.B)        { benchAxis(b, "scan", core.AxisXAncestor, 500) }
-func BenchmarkAxesXAncestorReference(b *testing.B)   { benchAxis(b, "ref", core.AxisXAncestor, 500) }
-func BenchmarkAxesXDescendantIndexed(b *testing.B) {
-	benchAxis(b, "indexed", core.AxisXDescendant, 500)
-}
-func BenchmarkAxesXDescendantScan(b *testing.B)   { benchAxis(b, "scan", core.AxisXDescendant, 500) }
-func BenchmarkAxesXFollowingIndexed(b *testing.B) { benchAxis(b, "indexed", core.AxisXFollowing, 500) }
-func BenchmarkAxesXFollowingScan(b *testing.B)    { benchAxis(b, "scan", core.AxisXFollowing, 500) }
 
 // ---- P3: the [6] comparison — damaged words over three representations -------
 

@@ -586,20 +586,6 @@ func (d *Document) extendedAxis(dst []*dom.Node, a Axis, n *dom.Node, c Candidat
 	return dst
 }
 
-// EvalScan evaluates an extended axis with the unindexed O(N) interval
-// scan over the whole node set — the ablation baseline for the indexed
-// implementation used by Eval. Standard axes delegate to Eval.
-func (d *Document) EvalScan(a Axis, n *dom.Node) []*dom.Node {
-	d.ensureLayout()
-	if !a.Extended() {
-		return d.Eval(a, n)
-	}
-	if !d.spanNode(n) {
-		return nil
-	}
-	return d.extendedScan(a, n, AllCandidates)
-}
-
 // extendedScan evaluates one of the Definition 1 axes by scanning all
 // candidate nodes (root, every hierarchy node, every leaf — the node set
 // N of the KyGODDAG — restricted to c) with an O(1) interval predicate.

@@ -32,10 +32,10 @@ import (
 // so: AppendAxis appends every visited node, and an existence probe
 // (FindAxis) stops at its first match without building the result.
 //
-// The unindexed O(N) interval scan is kept (EvalScan) as the ablation
-// baseline, and the literal Definition 1 transcription (EvalRef) as the
-// semantic reference; property tests require all of them, the sweep
-// and the walks to agree exactly.
+// The package tests keep the unindexed O(N) interval scan as the
+// ablation baseline and the literal Definition 1 transcription as the
+// semantic reference (axesref_test.go); property tests require all of
+// them, the sweep and the walks to agree exactly.
 
 // walkChain visits the containment chain of hierarchy h at position p —
 // the nodes whose span contains p — outermost first, or innermost first

@@ -2,14 +2,31 @@ package core
 
 import "mhxquery/internal/dom"
 
-// This file contains a literal, set-based implementation of the extended
-// axes, transcribing Definition 1 of the paper with explicit leaf sets
-// and min/max over the leaf order. It is deliberately naive — leaves(x)
-// is materialized as a map by graph traversal, subset/intersection tests
-// are element-wise — and exists for two purposes: (i) property-based
-// tests validate the fast interval implementation in axes.go against it,
-// and (ii) the ablation benchmarks (bench_test.go, table P2) quantify
-// what the interval representation buys.
+// This file holds the two test-only axis engines the indexed axes are
+// checked and measured against. EvalRef is a literal, set-based
+// implementation of the extended axes, transcribing Definition 1 of the
+// paper with explicit leaf sets and min/max over the leaf order. It is
+// deliberately naive — leaves(x) is materialized as a map by graph
+// traversal, subset/intersection tests are element-wise — and exists for
+// two purposes: (i) property-based tests validate the fast interval
+// implementation in axes.go against it, and (ii) the ablation
+// benchmarks (BenchmarkAxes*, table P2) quantify what the interval
+// representation buys. EvalScan is the unindexed O(N) interval scan,
+// the ablation baseline between the two.
+
+// EvalScan evaluates an extended axis with the unindexed O(N) interval
+// scan over the whole node set — the ablation baseline for the indexed
+// implementation used by Eval. Standard axes delegate to Eval.
+func (d *Document) EvalScan(a Axis, n *dom.Node) []*dom.Node {
+	d.ensureLayout()
+	if !a.Extended() {
+		return d.Eval(a, n)
+	}
+	if !d.spanNode(n) {
+		return nil
+	}
+	return d.extendedScan(a, n, AllCandidates)
+}
 
 // LeafSetRef computes leaves(x) by traversal: the leaves reachable from x
 // through child edges and text→leaf edges (never via the interval index).

@@ -9,10 +9,10 @@ import (
 
 // This file is the per-version filter memo. A published Document never
 // changes (Apply returns a new version), so a selection whose answer
-// depends on nothing but the document — an index scan from the root
-// whose predicates read only the candidate, the elements or leaves that
-// pass a structural test, the filtered targets of a semi-join — has one
-// answer for the life of the version. The query engine keeps such
+// depends on nothing but the document — the elements of one name or the
+// leaves that pass predicates reading only the candidate, whether an
+// index scan from the root, a structural test or a semi-join's filtered
+// targets asks for them — has one answer for the life of the version. The query engine keeps such
 // answers here, as per-hierarchy ascending ordinal runs (the shape of
 // NameRun), instead of recomputing them per query.
 //
@@ -33,16 +33,12 @@ const (
 	MemoMaxOrdinals = 1 << 18
 )
 
-// MemoKey names a selection. With Op ≥ 0 it is one operator of one
-// plan: the query's source (with a suffix that tells apart the
-// expressions of one update) and the operator's slot; lowering is
-// deterministic, so one key denotes the same operator in every plan
-// lowered from it. With Op < 0 it is a structural set, whatever query
-// asks for it: the elements whose name symbol is -Op-1 (the leaves for
-// Op -1) that pass the predicates whose canonical text is Src.
+// MemoKey names a selection by what it selects, whatever query asks
+// for it: the elements whose name symbol is Sym (the leaves for Sym 0)
+// that pass the predicates whose canonical text is Src.
 type MemoKey struct {
 	Src string
-	Op  int
+	Sym int32
 }
 
 // Memo is a bounded table of selection answers over one document
@@ -66,7 +62,7 @@ var memoSeed = maphash.MakeSeed()
 
 // hash is k's sighting hash, never 0.
 func (k MemoKey) hash() uint64 {
-	return (maphash.String(memoSeed, k.Src) ^ uint64(k.Op)*0x9e3779b97f4a7c15) | 1
+	return (maphash.String(memoSeed, k.Src) ^ uint64(k.Sym)*0x9e3779b97f4a7c15) | 1
 }
 
 // Get returns the answer stored under k.

@@ -13,7 +13,7 @@ import (
 // used answers until the held ordinals fit again.
 func TestMemoBounds(t *testing.T) {
 	var m core.Memo
-	key := func(op int) core.MemoKey { return core.MemoKey{Src: "q", Op: op} }
+	key := func(op int) core.MemoKey { return core.MemoKey{Src: "q", Sym: int32(op)} }
 	run := func(n int) [][]int32 { return [][]int32{make([]int32, n)} }
 	m.Put(key(0), run(core.MemoMaxOrdinals+1))
 	if _, ok := m.Get(key(0)); ok || m.Stats().Ordinals != 0 {

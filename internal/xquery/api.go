@@ -17,7 +17,6 @@ import (
 // the items they need.
 type Query struct {
 	src  string
-	key  string // the plan's name in version memos (Plan.src)
 	body expr
 	plan *Plan
 }
@@ -40,13 +39,13 @@ func Compile(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newQuery(src, src, body), nil
+	return newQuery(src, body), nil
 }
 
 // newQuery wraps a parsed expression as a compiled query and lowers its
-// one plan, named key in version memos.
-func newQuery(src, key string, body expr) *Query {
-	q := &Query{src: src, key: key, body: body}
+// one plan.
+func newQuery(src string, body expr) *Query {
+	q := &Query{src: src, body: body}
 	q.plan = newPlan(q, planForce{})
 	return q
 }

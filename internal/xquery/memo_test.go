@@ -12,7 +12,7 @@ import (
 	"mhxquery/internal/dom"
 )
 
-// This file tests the per-version filter memo (core.Memo; scanMemo and
+// This file tests the per-version filter memo (core.Memo and
 // survivors): a scan from the root whose predicates read only the
 // candidate, a semi-join's filtered targets and the survivor sets of
 // membership tests answer from the document version's memo once
@@ -189,31 +189,11 @@ func TestMemoCaps(t *testing.T) {
 	}
 	// The most recently stored scan is still there, the first one not.
 	for i, stored := range map[int]bool{0: false, n - 1: true} {
-		key := MustCompile(src(1000 + i)).plan.memoKey(scanOpID(t, src(1000+i)))
+		key := setKey(fmt.Sprintf(`[(string(.) != "w%d")]`, 1000+i), d.NameSymOf("w"))
 		if _, ok := d.Memo().Get(key); ok != stored {
 			t.Errorf("scan %d stored = %v, want %v", i, ok, stored)
 		}
 	}
-}
-
-// scanOpID returns the plan slot of src's one index scan.
-func scanOpID(t *testing.T, src string) int {
-	t.Helper()
-	var ids []int
-	var walk func(n *explainNode)
-	walk = func(n *explainNode) {
-		if n.op == "index-scan" {
-			ids = append(ids, n.id)
-		}
-		for _, k := range n.kids {
-			walk(k)
-		}
-	}
-	walk(MustCompile(src).plan.root)
-	if len(ids) != 1 {
-		t.Fatalf("%q has %d index scans, want 1", src, len(ids))
-	}
-	return ids[0]
 }
 
 // TestMemoExclusions checks what never stores: scans whose predicates
@@ -501,5 +481,135 @@ func TestMemoFreshVersionAllocs(t *testing.T) {
 	private := allocs(func() *core.Document { return d.Private() })
 	if published != private {
 		t.Errorf("a query on a fresh published version allocates %v objects, on a private one %v", published, private)
+	}
+}
+
+// TestMemoScanIsSurvivorSet checks that a root scan under a
+// candidate-only predicate is the survivor set of its name's run: two
+// runs of a count store one set, named by the predicate, and a scan in
+// another query and a membership test on a bound node then read that
+// set on their first run, storing nothing new.
+func TestMemoScanIsSurvivorSet(t *testing.T) {
+	d := memoDoc(t)
+	key := setKey("[overlapping::line]", d.NameSymOf("w"))
+	count := MustCompile(`count(//w[overlapping::line])`)
+	for run := 1; run <= 2; run++ {
+		want, wantErr := oracleEval(count, d, nil, nil)
+		got, err := count.Eval(d)
+		sameOutcome(t, fmt.Sprintf("count, run %d", run), got, err, want, wantErr)
+	}
+	if st := d.Memo().Stats(); st.Entries != 1 {
+		t.Fatalf("two runs of the count left %d memo entries, want 1", st.Entries)
+	}
+	if _, ok := d.Memo().Get(key); !ok {
+		t.Fatalf("no survivor set stored under %+v", key)
+	}
+	for _, src := range []string{
+		`for $w in //w[overlapping::line] return string($w)`,
+		`for $v in //vline for $w in $v/w where $w[overlapping::line] return $w`,
+	} {
+		q := MustCompile(src)
+		want, wantErr := oracleEval(q, d, nil, nil)
+		hits := core.GlobalIndexStats().MemoHits
+		got, err := q.Eval(d)
+		sameOutcome(t, src, got, err, want, wantErr)
+		if core.GlobalIndexStats().MemoHits == hits {
+			t.Errorf("%q did not read the stored set on its first run", src)
+		}
+		if st := d.Memo().Stats(); st.Entries != 1 {
+			t.Errorf("%q left %d memo entries, want the count's one", src, st.Entries)
+		}
+	}
+}
+
+// TestCandidateOnlyKeys checks that one key never names two predicates.
+// Every predicate the generator emits that candidateOnly accepts, and
+// two respellings of it, must select the same nodes (or raise the same
+// error) as every other predicate with its predKey, on every
+// planChoiceDocs document; and repeated scans under them on one
+// published version, which share the version memo, must keep giving
+// the oracle's answer. candidateOnly must reject every kind of
+// expression canon does not print in full.
+func TestCandidateOnlyKeys(t *testing.T) {
+	t.Parallel()
+	parse := func(src string) expr {
+		e, err := parseQuery(src)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		return e
+	}
+	for _, src := range []string{
+		`string-length(string(.)) + 1 > 3`,
+		`-string-length(string(.)) < 0`,
+		`exists((.)/xancestor::dmg)`,
+		`xancestor::dmg/string(.) = 'a'`,
+		`exists(xancestor::dmg[string(.) = $x])`,
+		`string(.) = $x`,
+		`exists(<a/>)`,
+		`deep-equal(., element w {})`,
+		`exists(analyze-string(string(.), 'a'))`,
+		`exists(doc('x'))`,
+		`exists(collection())`,
+		`exists(if (true()) then . else ())`,
+		`some $c in xancestor::dmg satisfies exists($c)`,
+		`exists((xancestor::dmg)[1])`,
+		`exists(xancestor::dmg | xdescendant::dmg)`,
+		`exists((1 to 2))`,
+		`exists((., .))`,
+		`exists(/)`,
+	} {
+		if candidateOnly(parse(src)) {
+			t.Errorf("candidateOnly accepts %q, which canon does not print", src)
+		}
+	}
+	for _, src := range []string{
+		`string(.) = 'a'`,
+		`xancestor::dmg or overlapping::line`,
+		`exists(xancestor::dmg[string(.) != ''])`,
+		`contains(string(.), 'e')`,
+		`/descendant::dmg`,
+	} {
+		if !candidateOnly(parse(src)) {
+			t.Errorf("candidateOnly rejects %q", src)
+		}
+	}
+
+	g := &qgen{r: rand.New(rand.NewSource(20261020))}
+	var preds []string
+	for len(preds) < 120 {
+		src := g.pred(2)
+		if !candidateOnly(parse(src)) {
+			continue
+		}
+		preds = append(preds, src,
+			strings.NewReplacer("string(", "fn:string(", "exists(", "fn:exists(").Replace(src),
+			strings.ReplaceAll(src, "'", `"`))
+	}
+	type outcome struct {
+		src  string
+		res  Seq
+		code string
+	}
+	for name, d := range planChoiceDocs(t) {
+		pub := d.Private().Publish()
+		for _, elem := range []string{"w", "line", "a"} {
+			first := map[string]outcome{}
+			for _, pr := range preds {
+				key := predKey([]expr{parse(pr)})
+				q := MustCompile(`/descendant::` + elem + `[` + pr + `]`)
+				want, wantErr := oracleEval(q, pub, nil, nil)
+				o := outcome{src: pr, res: want, code: errCode(wantErr)}
+				if f, ok := first[key]; !ok {
+					first[key] = o
+				} else if f.code != o.code || !sameItems(f.res, o.res) {
+					t.Errorf("%s: %q and %q share the key %s but select differently from %s", name, f.src, pr, key, elem)
+				}
+				for run := 1; run <= 2; run++ {
+					got, err := q.Eval(pub)
+					sameOutcome(t, fmt.Sprintf("%s: %q run %d", name, q.Source(), run), got, err, want, wantErr)
+				}
+			}
+		}
 	}
 }

@@ -35,9 +35,6 @@ import (
 //     (evalState.axisBuf) and runs the predicates' stage chain over the
 //     tested candidates in place, so a steady-state step allocates only
 //     its output.
-//
-// One context's segment is built by axisSegment, for a materialized
-// step (evalStep) and a pushed one (segRun) alike.
 
 // resolvedTest is a node test resolved against one document: the name as
 // an interned symbol, hierarchy restrictions as indices. Hierarchy
@@ -217,53 +214,14 @@ func segOrder(seg Seq) int {
 	return segDescending
 }
 
-// evalStep evaluates one axis step over the context sequence cur,
-// returning the result in document order without duplicates (the
-// reference evaluator's output, without its per-step comparison sort).
-func evalStep(c *context, cur Seq, op *pathOp) (Seq, error) {
-	st := c.st
-	r := st.segRun(op.id)
-	var out Seq
-	sorted := true      // out is strictly ascending across segment junctions
-	degenerate := false // saw an order-degenerate segment: finish with sortDedupe
-	for _, it := range cur {
-		n, ok := it.(*dom.Node)
-		if !ok {
-			return nil, errf("XPTY0019", "%s:: step applied to an atomic value", op.s.axis)
-		}
-		segStart := len(out)
-		var ordered bool
-		var err error
-		if out, ordered, err = axisSegment(c, r, out, st.docFor(n), n, op.s); err != nil {
-			return nil, err
-		}
-		if degenerate = degenerate || !ordered; degenerate {
-			continue
-		}
-		if sorted && len(out) > segStart && segStart > 0 &&
-			dom.Compare(out[segStart-1].(*dom.Node), out[segStart].(*dom.Node)) >= 0 {
-			sorted = false
-		}
-	}
-	if degenerate {
-		// Order-degenerate nodes have no document ordinals; reproduce
-		// the reference stable sort. (Reversed segments were strictly
-		// ordered, so reversal cannot perturb stable-sort ties.)
-		return sortDedupe(out), nil
-	}
-	if !sorted {
-		return st.mergeDocOrder(out), nil
-	}
-	return out, nil
-}
-
 // axisSegment appends context n's segment of axis step s to out: the
 // axis candidates — a shared view of d's arrays, else gathered into
 // evalState.axisBuf — that pass the node test, filtered in place by the
 // predicates' stage chain (which then knows its input's size), then put
-// in ascending document order. ordered is false for an order-degenerate
-// segment (constructed trees), which only sortDedupe can order.
-func axisSegment(c *context, r *segRun, out Seq, d *core.Document, n *dom.Node, s *step) (Seq, bool, error) {
+// in ascending document order: by a reversal, or for an
+// order-degenerate segment (constructed trees) by sortDedupe, whose
+// stable sort a later one over the whole step (mergeDocOrder) keeps.
+func axisSegment(c *context, r *segRun, out Seq, d *core.Document, n *dom.Node, s *step) (Seq, error) {
 	rt := &r.rt
 	if rt.doc != d {
 		rt.init(d, s)
@@ -286,7 +244,7 @@ func axisSegment(c *context, r *segRun, out Seq, d *core.Document, n *dom.Node, 
 	for _, m := range nodes {
 		ok, err := rt.match(m)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if ok {
 			if out == nil {
@@ -301,16 +259,16 @@ func axisSegment(c *context, r *segRun, out Seq, d *core.Document, n *dom.Node, 
 		err := r.ch.feed(c, s.preds, out[segStart:], nil)
 		out, r.ch.out = r.ch.out, nil
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
 	switch segOrder(out[segStart:]) {
 	case segDescending:
 		reverseSeq(out[segStart:])
 	case segUnordered:
-		return out, false, nil
+		out = append(out[:segStart], sortDedupe(out[segStart:])...)
 	}
-	return out, true, nil
+	return out, nil
 }
 
 // mergeDocOrder restores document order over an interleaved step result

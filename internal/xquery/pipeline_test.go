@@ -295,3 +295,66 @@ func TestPipelineOverlayQueries(t *testing.T) {
 		}
 	}
 }
+
+// unorderedContexts are paths whose first step's context list fails
+// segmentsOrdered on some planChoiceDocs document — nested elements,
+// mixed hierarchies under node(), the root beside an element, constructed
+// nodes beside document nodes, atomic items — so the step collects its
+// segments and puts them in order, whether it is the path's last step or
+// not. The path is (start)rest.
+var unorderedContexts = []struct{ start, rest string }{
+	{`/descendant::*`, `/descendant::leaf()`},
+	{`/descendant::*`, `/descendant::w`},
+	{`/descendant::*`, `/descendant::w[string(.) != 'x']/descendant::leaf()`},
+	{`/descendant::*`, `/descendant-or-self::a[1]`},
+	{`/descendant::*`, `/child::node()`},
+	{`(/descendant::*)[last()], (/descendant::*)[1]`, `/descendant::leaf()`},
+	{`/, (/descendant::*)[1]`, `/descendant::leaf()`},
+	{`/, (/descendant::*)[2]`, `/descendant::w[overlapping::line]`},
+	{`/, /`, `/descendant::w[string(.) != 'x']/child::node()`},
+	{`<w><w>a</w><a><w>b</w></a></w>, (/descendant::*)[1]`, `/descendant::w`},
+	{`(/descendant::*)[1], <w><w>a</w><a><w>b</w></a></w>`, `/descendant-or-self::w[string(.) != 'b']`},
+	{`(/descendant::*)[1], <a><a>x</a><b><a>y</a></b></a>`, `//a[1]`},
+	{`/descendant::*`, `//a[1]`},
+	{`/descendant::*`, `//w[2]/descendant::leaf()`},
+	{`(//a)[2], (//a)[1]`, `//a[last()]`},
+	{`1, /descendant::*`, `/descendant::leaf()`},
+	{`(/descendant::*)[1], 'a'`, `//w[1]`},
+	{`/descendant::*, 2`, `/descendant::w`},
+	{`'a', /descendant::*`, `/descendant::w/descendant::leaf()`},
+	{`/descendant::*`, `/descendant::w('nope')`},
+}
+
+// TestStepRouteUnorderedContexts holds the collected step route to the
+// AST oracle, error codes included, on the context lists no path step
+// can push in order, three runs each on one published version (so root
+// scans among them sight, store and read their survivor sets).
+func TestStepRouteUnorderedContexts(t *testing.T) {
+	t.Parallel()
+	docs := planChoiceDocs(t)
+	for _, c := range unorderedContexts {
+		src := "(" + c.start + ")" + c.rest
+		q := MustCompile(src)
+		unordered := false
+		for name, d := range docs {
+			if cur, err := MustCompile(c.start).Eval(d); err == nil && !segmentsOrdered(&evalState{doc: d}, cur, q.plan.prog.(*pPath).ops[0]) {
+				unordered = true
+			}
+			for _, q := range []*Query{q, MustCompile("count(" + src + ")")} {
+				want, wantErr := oracleEval(q, d, nil, nil)
+				for run := 1; run <= 3; run++ {
+					got, err := q.Eval(d)
+					switch {
+					case (err == nil) != (wantErr == nil) || errCode(err) != errCode(wantErr):
+						t.Errorf("%s: %q run %d: err=%v, want err=%v", name, q.Source(), run, err, wantErr)
+					case err == nil && !sameOrSerialized(got, want):
+						t.Errorf("%s: %q run %d = %s, want %s", name, q.Source(), run, Serialize(got), Serialize(want))
+					}
+				}
+			}
+		}
+		if !unordered {
+			t.Errorf("%q: every document's contexts pass segmentsOrdered", src)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"slices"
 	"strings"
 
 	"mhxquery/internal/core"
@@ -35,9 +36,12 @@ import (
 //
 // Each index-scan and axis-step context contributes one segment (a
 // per-parent scan one per parent), built by indexSegment or
-// axisSegment; a materialized step (evalOpStrict)
-// appends the segments in bulk, a path's last step pushes them one by
-// one (pushStep).
+// axisSegment. One route runs every step (runStep, push.go): a path's
+// last step pushes the segments one by one where they follow each
+// other in document order, and otherwise, like every step before it,
+// collects them and puts them in order. A root scan under predicates
+// that read only the candidate is the survivor set of its name's run
+// (survivors, semijoin.go), read from the version memo once stored.
 //
 // Every lowering choice is syntactic — index scan, semi-join
 // (semijoin.go), existence probe — and nothing in a plan depends on a
@@ -59,17 +63,15 @@ type Plan struct {
 	prog pnode
 	nOps int
 	root *explainNode
-	// src names the plan in version memos (core.MemoKey): lowering is
-	// deterministic, so every plan lowered from one source has the same
-	// operators in the same slots. It is empty for a forced plan, whose
-	// slots hold other operators, so it never shares a version's memo
-	// (sharedMemo).
-	src string
+	// forced is set on a plan lowered with a planForce: it never shares
+	// a version's memo (sharedMemo), so the plan-choice differentials
+	// compute every answer themselves.
+	forced bool
 }
 
 // Operator kinds.
 const (
-	opAxisStep  = iota // generic pipeline step (evalStep)
+	opAxisStep  = iota // generic pipeline step (axisSegment)
 	opIndexScan        // structural name index scan
 	opPrimStep         // primary-expression step (evalPrimStep)
 )
@@ -88,12 +90,13 @@ type pathOp struct {
 	// read position, is the descendant-or-self::node()/child::name[p]
 	// pair it stands for: the scan's predicates see one parent's
 	// children at a time, and the pair runs where the contexts'
-	// segments cannot be pushed in order (evalOpStrict).
+	// segments cannot be pushed in order (stepPair).
 	expand []*pathOp
-	// memo is set on an index scan whose predicates depend on the
-	// candidate alone (candidateOnly): from the document root, its
-	// survivors are one answer per document version (scanMemo).
-	memo bool
+	// key is set on an index scan of an unqualified name whose
+	// predicates depend on the candidate alone (candidateOnly): from the
+	// document root, its result is the survivor set of the name's run
+	// under them, named by their canonical text (survivors).
+	key string
 }
 
 // ---- planner ---------------------------------------------------------------
@@ -119,10 +122,7 @@ type planForce struct {
 
 // newPlan lowers q's whole expression tree.
 func newPlan(q *Query, force planForce) *Plan {
-	pl := &Plan{}
-	if force == (planForce{}) {
-		pl.src = q.key
-	}
+	pl := &Plan{forced: force != (planForce{})}
 	pn := &planner{pl: pl, planForce: force, analyze: anyExpr(q.body, isAnalyzeCall)}
 	root := &explainNode{op: "query", id: -1}
 	pl.prog = pn.lower(q.body, root)
@@ -394,23 +394,24 @@ func predNeverNumeric(e expr) bool {
 }
 
 // candidateOnly reports whether a scan predicate's value depends on the
-// candidate node alone, so that a scan's survivors are a property of
-// the document version (scanMemo): it is fusable (so it reads neither
-// position() nor last() of the scan's focus), reads no variable, calls
-// none of analyze-string, doc() and collection(), and constructs no
-// node.
+// candidate node alone, so that a root scan's survivors are a property
+// of the document version (survivors), and its canonical text names
+// exactly it: it is fusable (so it reads neither position() nor last()
+// of the scan's focus) and written, down to its leaves, in the language
+// canon prints in full — literals, the context item, and/or,
+// comparisons, calls of any function but analyze-string, doc() and
+// collection(), and paths of axis steps with no start expression.
 func candidateOnly(pr expr) bool {
 	return fusablePreds([]expr{pr}) && !anyExpr(pr, func(e expr) bool {
 		switch x := e.(type) {
-		case *varExpr, *elemExpr, *compCtorExpr:
-			return true
+		case *literalExpr, *contextItemExpr, *orExpr, *andExpr, *cmpExpr:
+			return false
 		case *callExpr:
-			switch x.fn.name {
-			case "analyze-string", "doc", "collection":
-				return true
-			}
+			return x.fn.name == "analyze-string" || x.fn.name == "doc" || x.fn.name == "collection"
+		case *pathExpr:
+			return x.start != nil || slices.ContainsFunc(x.steps, func(s *step) bool { return s.prim != nil })
 		}
-		return false
+		return true
 	})
 }
 
@@ -495,9 +496,16 @@ func (pn *planner) lowerPath(p *pathExpr, parent *explainNode) pnode {
 			cs.preds = append(cs.preds, pn.stage(pr, pn.lowerPred(pr, en)))
 		}
 		op.s = cs
-		op.memo = op.kind == opIndexScan && pair == nil && len(s.preds) > 0
+		keyed := op.kind == opIndexScan && pair == nil && len(s.preds) > 0 && len(s.test.hiers) == 0
 		for _, pr := range s.preds {
-			op.memo = op.memo && candidateOnly(pr)
+			keyed = keyed && candidateOnly(pr)
+		}
+		if keyed {
+			if sj, ok := cs.preds[0].(*pSemiJoin); ok && len(cs.preds) == 1 && sj.key != "" {
+				op.key = sj.key // a lone semi-join's canonical text, rendered already
+			} else {
+				op.key = predKey(s.preds)
+			}
 		}
 		for _, ps := range pair {
 			// The pair shares the scan's lowered predicates.

@@ -16,7 +16,11 @@ import (
 // boolean value stop at the first decisive item, [k] stops at the k-th
 // and the public Stream stops where its caller stops asking. A consumer
 // that needs one item ((//w)[1], exists(//dmg), some $x in … satisfies
-// …) therefore stops the whole upstream pipeline after one item.
+// …) therefore stops the whole upstream pipeline after one item. A path
+// runs every step by one route (runStep): each context's segment
+// (segRun.push) is pushed on where the segments follow each other in
+// document order, and otherwise collected, as every step before the
+// last is, and put in order first.
 //
 // The hot sinks allocate nothing per call or per item: a sink's push
 // method is bound once and the sink is recycled through evalState, and
@@ -121,9 +125,9 @@ func (s *sink) push(it Item) bool {
 	return s.n != s.stop
 }
 
-// getSink takes a sink from the evaluation's free list; putSink hands
-// it back.
-func (st *evalState) getSink(keep bool, stop int, nodeStop bool) *sink {
+// sinkRun runs n into a sink from the evaluation's free list; the
+// caller reads it and hands it back with putSink.
+func (st *evalState) sinkRun(n pnode, c *context, keep bool, stop int, nodeStop bool) (*sink, error) {
 	var s *sink
 	if k := len(st.sinks); k > 0 {
 		s, st.sinks = st.sinks[k-1], st.sinks[:k-1]
@@ -132,13 +136,6 @@ func (st *evalState) getSink(keep bool, stop int, nodeStop bool) *sink {
 		s.yield = s.push
 	}
 	s.keep, s.stop, s.nodeStop = keep, stop, nodeStop
-	return s
-}
-
-// sinkRun runs n into a sink; the caller reads it and hands it back
-// with putSink.
-func (st *evalState) sinkRun(n pnode, c *context, keep bool, stop int, nodeStop bool) (*sink, error) {
-	s := st.getSink(keep, stop, nodeStop)
 	err := pEach(n, c, s.yield)
 	if err == errStop {
 		err = nil
@@ -284,7 +281,8 @@ func sinkTruth(n pnode, c *context, pos int) (b bool, keep bool, err error) {
 // share of them), a probe its axis walk and a semi-join its target
 // runs. Stage i keeps its focus in stages[i],
 // counting positions, and passes the items its predicate keeps to stage
-// i+1, the last stage to down (with down nil, to out). A predicate that
+// i+1, the last stage to down (with down nil or keep set, to out too:
+// a survivor set's build, survivors). A predicate that
 // evaluates to a single number keeps by position, anything else by
 // effective boolean value, and three kinds of stage do more:
 //
@@ -306,6 +304,7 @@ type chain struct {
 	one    [1]stage // a one-predicate chain's stages: never copy a chain
 	ovl    bool     // a predicate overlays
 	down   func(Item) bool
+	keep   bool // out also collects what down is passed
 	out    Seq
 	err    error // a predicate's error, or errStop when down stopped
 }
@@ -342,7 +341,7 @@ func (ch *chain) begin(c *context, preds []expr, size int, down func(Item) bool)
 			ch.ovl = ch.ovl || s.pr.overlays()
 		}
 	}
-	ch.st, ch.down, ch.err = c.st, down, nil
+	ch.st, ch.down, ch.err, ch.keep = c.st, down, nil, false
 	for i := range ch.stages {
 		s := &ch.stages[i]
 		s.c = *c
@@ -407,11 +406,10 @@ func (ch *chain) pass(i int, it Item) bool {
 			return true
 		}
 	}
-	if ch.down == nil {
+	if ch.keep || ch.down == nil {
 		ch.out = append(ch.out, it)
-		return true
 	}
-	if ch.down(it) {
+	if ch.down == nil || ch.down(it) {
 		return true
 	}
 	ch.err = errStop
@@ -485,8 +483,8 @@ func (st *evalState) slot(id int) *any {
 
 // ---- paths -----------------------------------------------------------------
 
-// each materializes every step but the last, each of which drains its
-// upstream anyway, and pushes the last (pushStep).
+// each runs the path's steps in turn (runStep): every step but the last is
+// collected, and the last is pushed.
 func (p *pPath) each(c *context, yield func(Item) bool) error {
 	var one [1]Item
 	var cur Seq
@@ -508,100 +506,98 @@ func (p *pPath) each(c *context, yield func(Item) bool) error {
 		cur = one[:]
 	}
 	last := len(p.ops) - 1
-	for _, op := range p.ops[:last] {
+	for i, op := range p.ops {
+		var y func(Item) bool
+		if i == last {
+			y = yield
+		}
 		var err error
-		if cur, err = runOp(c, cur, op); err != nil {
-			return err
+		if ex := c.st.explain; ex != nil {
+			// EXPLAIN counts the step's call, contexts and items, and
+			// EXPLAIN ANALYZE its time less its consumer's.
+			ex[op.id].in += int64(len(cur))
+			iy, done := c.st.instrument(op.id, yield)
+			if y != nil {
+				y = iy
+			}
+			cur, err = runStep(c, cur, op, y)
+			ex[op.id].out += int64(len(cur))
+			done()
+		} else {
+			cur, err = runStep(c, cur, op, y)
 		}
-	}
-	op := p.ops[last]
-	if ex := c.st.explain; ex != nil {
-		ex[op.id].in += int64(len(cur))
-		y, done := c.st.instrument(op.id, yield)
-		err := pushStep(c, cur, op, y)
-		done()
-		return err
-	}
-	return pushStep(c, cur, op, yield)
-}
-
-// runOp evaluates one non-last path operator over a materialized
-// context sequence, with EXPLAIN accounting.
-func runOp(c *context, cur Seq, op *pathOp) (Seq, error) {
-	ex := c.st.explain
-	if ex == nil {
-		return evalOpStrict(c, cur, op)
-	}
-	var start time.Time
-	if c.st.timed {
-		start = time.Now()
-	}
-	out, err := evalOpStrict(c, cur, op)
-	if err != nil {
-		return nil, err
-	}
-	ex[op.id].calls++
-	ex[op.id].in += int64(len(cur))
-	ex[op.id].out += int64(len(out))
-	if c.st.timed {
-		ex[op.id].nanos += int64(time.Since(start))
-	}
-	return out, nil
-}
-
-// evalOpStrict evaluates one path operator over a materialized context
-// sequence.
-func evalOpStrict(c *context, cur Seq, op *pathOp) (Seq, error) {
-	switch op.kind {
-	case opPrimStep:
-		return evalPrimStep(c, cur, op.prim, op.primLast)
-	case opIndexScan:
-		if segmentsOrdered(c.st, cur, op) {
-			s := c.st.getSink(true, 0, false)
-			err := pushSegments(c, cur, op, s.yield)
-			out := s.seq()
-			c.st.putSink(s)
-			return out, err
-		}
-		if op.expand != nil {
-			return evalExpanded(c, cur, op)
-		}
-	}
-	// Axis steps, and index scans over atomic items (XPTY0019), nested
-	// or constructed contexts: the axis pipeline reproduces the
-	// reference semantics.
-	return evalStep(c, cur, op)
-}
-
-// pushStep pushes a path's last step. A step's output is ascending
-// Definition 3 document order without duplicates; pushing context by
-// context keeps that only when no two contexts' segments can interleave
-// or share items, which segmentsOrdered proves for the whole context
-// list before anything is pushed. Otherwise the step runs strictly
-// (which also reproduces the reference errors for atomic items,
-// constructed nodes and nested contexts) and its result is pushed.
-func pushStep(c *context, cur Seq, op *pathOp, yield func(Item) bool) error {
-	if !segmentsOrdered(c.st, cur, op) {
-		out, err := evalOpStrict(c, cur, op)
 		if err != nil {
-			return err
-		}
-		return pushSeq(out, yield)
-	}
-	return pushSegments(c, cur, op, yield)
-}
-
-// pushSegments pushes op's segments over the contexts cur, context by
-// context.
-func pushSegments(c *context, cur Seq, op *pathOp, yield func(Item) bool) error {
-	r := c.st.segRun(op.id)
-	for _, it := range cur {
-		n := it.(*dom.Node)
-		if err := r.push(c, n, c.st.docFor(n), op, yield); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// runStep runs path operator op over the contexts cur: it pushes the
+// result into yield, or with yield nil returns it, in document order
+// without duplicates. Pushed context by context, the segments keep that
+// order only when segmentsOrdered proves, before anything is pushed,
+// that no two can interleave or share items. Otherwise, and to collect,
+// each context's segment is appended (segRun.push) and, where a junction
+// is out of order, the result merged (mergeDocOrder). A per-parent scan
+// whose contexts fail segmentsOrdered runs as its pair of steps.
+func runStep(c *context, cur Seq, op *pathOp, yield func(Item) bool) (Seq, error) {
+	st := c.st
+	if op.kind == opPrimStep {
+		out, err := evalPrimStep(c, cur, op.prim, op.primLast)
+		if err != nil || yield == nil {
+			return out, err
+		}
+		return nil, pushSeq(out, yield)
+	}
+	ordered := (yield != nil || op.expand != nil) && segmentsOrdered(st, cur, op)
+	if op.expand != nil && !ordered {
+		return stepPair(c, cur, op, yield)
+	}
+	r := st.segRun(op.id)
+	if ordered && yield != nil {
+		for _, it := range cur {
+			n := it.(*dom.Node)
+			if _, err := r.push(c, n, st.docFor(n), op, nil, yield); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}
+	var out Seq
+	sorted := true // out is strictly ascending across segment junctions
+	for _, it := range cur {
+		n, ok := it.(*dom.Node)
+		if !ok {
+			return nil, errf("XPTY0019", "%s:: step applied to an atomic value", op.s.axis)
+		}
+		start := len(out)
+		var err error
+		if out, err = r.push(c, n, st.docFor(n), op, out, nil); err != nil {
+			return nil, err
+		}
+		if sorted && start > 0 && len(out) > start &&
+			dom.Compare(out[start-1].(*dom.Node), out[start].(*dom.Node)) >= 0 {
+			sorted = false
+		}
+	}
+	if !sorted {
+		out = st.mergeDocOrder(out)
+	}
+	if yield == nil {
+		return out, nil
+	}
+	return nil, pushSeq(out, yield)
+}
+
+// stepPair runs a per-parent index scan over the contexts cur as the
+// descendant-or-self::node()/child::name[p] pair it stands for.
+func stepPair(c *context, cur Seq, op *pathOp, yield func(Item) bool) (Seq, error) {
+	mid, err := runStep(c, cur, op.expand[0], nil)
+	if err != nil {
+		return nil, err
+	}
+	return runStep(c, mid, op.expand[1], yield)
 }
 
 // segmentsOrdered reports whether op's segments over the contexts cur
@@ -611,9 +607,6 @@ func pushSegments(c *context, cur Seq, op *pathOp, yield func(Item) bool) error 
 // root) of one document and every adjacent pair passes verifyPair.
 // Other axes' results can precede their context, so they never do.
 func segmentsOrdered(st *evalState, cur Seq, op *pathOp) bool {
-	if op.kind == opPrimStep {
-		return false
-	}
 	if op.kind == opAxisStep {
 		switch op.s.axis {
 		case core.AxisChild, core.AxisSelf, core.AxisDescendant, core.AxisDescendantOrSelf:
@@ -707,44 +700,58 @@ func (st *evalState) segRun(id int) *segRun {
 	return r
 }
 
-// push pushes context n's segment: an axis segment is built whole (its
-// size is bounded by the axis fan-out; descendant name steps are index
-// scans), an index segment streams out of the name-index runs
-// (pushScan), or out of the document's memo (scanMemo).
-func (r *segRun) push(c *context, n *dom.Node, d *core.Document, op *pathOp, yield func(Item) bool) error {
+// push runs context n's segment of op: appended to out and returned when
+// yield is nil, else pushed into yield. An axis segment is built whole
+// (its size is bounded by the axis fan-out; descendant name steps are
+// index scans). An index segment streams out of the name-index runs
+// (pushScan), a parent at a time for a per-parent scan (pushGroups), and
+// from the root, under candidate-only predicates (pathOp.key), out of
+// the survivor set of the name's run (survivors). A constructed node has
+// no name runs, so an index scan's constructed context runs on the axis
+// pipeline.
+func (r *segRun) push(c *context, n *dom.Node, d *core.Document, op *pathOp, out Seq, yield func(Item) bool) (Seq, error) {
 	s := op.s
-	if op.kind == opAxisStep {
-		out, ordered, err := axisSegment(c, r, r.buf[:0], d, n, s)
-		if err != nil {
-			return err
+	if op.kind == opIndexScan && d.Owns(n) {
+		if r.rt.doc != d {
+			r.rt.init(d, s)
 		}
-		r.buf = out
-		if !ordered {
-			out = sortDedupe(out)
+		if ok, err := indexSegment(&r.idx, d, n, s, &r.rt); err != nil || !ok {
+			return out, err
 		}
-		return pushSeq(out, yield)
-	}
-	if r.rt.doc != d {
-		r.rt.init(d, s)
-	}
-	if ok, err := indexSegment(&r.idx, d, n, s, &r.rt); err != nil || !ok {
-		return err
-	}
-	if op.expand != nil {
-		return r.pushGroups(c, d, n, op, yield)
-	}
-	if op.memo && n == d.Root && r.idx.self == nil {
-		if m := c.st.sharedMemo(d); m != nil {
-			return r.scanMemo(c, d, m, op, yield)
+		if op.expand != nil {
+			return r.pushGroups(c, d, n, op, out, yield)
 		}
+		if op.key != "" && n == d.Root && r.idx.self == nil {
+			runs, ok, err := c.st.survivors(c, &r.ch, s.preds, d, r.rt.nameSym, op.key, true, yield)
+			if ok && yield == nil {
+				for hi, run := range runs {
+					for _, ord := range run {
+						out = append(out, d.Hiers[hi].Nodes[ord])
+					}
+				}
+			}
+			if ok || err != nil {
+				return out, err
+			}
+		}
+		return r.pushScan(c, s, out, yield)
 	}
-	return r.pushScan(c, s, yield)
+	if yield == nil {
+		return axisSegment(c, r, out, d, n, s)
+	}
+	seg, err := axisSegment(c, r, r.buf[:0], d, n, s)
+	if err != nil {
+		return out, err
+	}
+	r.buf = seg
+	return out, pushSeq(seg, yield)
 }
 
-// pushScan pushes the index segment in r.idx through the stage chain,
+// pushScan runs the index segment in r.idx through the stage chain,
 // whose input size the run lengths fix, so it stops where the consumer
 // stops.
-func (r *segRun) pushScan(c *context, s *step, yield func(Item) bool) error {
+func (r *segRun) pushScan(c *context, s *step, out Seq, yield func(Item) bool) (Seq, error) {
+	r.ch.out = out
 	r.ch.begin(c, s.preds, r.idx.total(), yield)
 	for k := r.ch.skip(); k > 0; k-- {
 		r.idx.next()
@@ -754,48 +761,12 @@ func (r *segRun) pushScan(c *context, s *step, yield func(Item) bool) error {
 			break
 		}
 	}
-	return r.ch.end()
+	err := r.ch.end()
+	out, r.ch.out = r.ch.out, nil
+	return out, err
 }
 
-// scanMemo runs a scan from d's root whose predicates depend on the
-// candidate alone (pathOp.memo) against d's memo m. A stored answer is
-// pushed as it is, without running the predicates. Otherwise the scan
-// runs, and the second time its key is sighted a complete, error-free
-// run stores its survivors, so a one-off query and a consumer that
-// stops early store nothing.
-func (r *segRun) scanMemo(c *context, d *core.Document, m *core.Memo, op *pathOp, yield func(Item) bool) error {
-	st := c.st
-	key := st.plan.memoKey(op.id)
-	if runs, ok := m.Get(key); ok {
-		for hi, run := range runs {
-			h := d.Hiers[hi]
-			for _, ord := range run {
-				if err := st.checkCancel(); err != nil {
-					return err
-				}
-				if !yield(h.Nodes[ord]) {
-					return errStop
-				}
-			}
-		}
-		return nil
-	}
-	if !m.Seen(key) {
-		return r.pushScan(c, op.s, yield)
-	}
-	runs := make([][]int32, len(d.Hiers))
-	err := r.pushScan(c, op.s, func(it Item) bool {
-		n := it.(*dom.Node)
-		runs[n.HierIndex] = append(runs[n.HierIndex], int32(n.Ord))
-		return yield(it)
-	})
-	if err == nil && st.doc == d {
-		m.Put(key, runs)
-	}
-	return err
-}
-
-// pushGroups pushes the candidates of a per-parent index scan
+// pushGroups runs the candidates of a per-parent index scan
 // (pathOp.expand), which indexSegment put in r.idx for context n, one
 // parent's children at a time: each parent's candidates are one segment
 // of the stage chain, whose size a first pass over the run counts. The
@@ -804,7 +775,7 @@ func (r *segRun) scanMemo(c *context, d *core.Document, m *core.Memo, op *pathOp
 // candidate then lies inside the subtree of a parent whose segment
 // ended, and that segment may resume after it. The first pass finds
 // such a candidate, and n then runs the expanded pair of axis steps.
-func (r *segRun) pushGroups(c *context, d *core.Document, n *dom.Node, op *pathOp, yield func(Item) bool) error {
+func (r *segRun) pushGroups(c *context, d *core.Document, n *dom.Node, op *pathOp, out Seq, yield func(Item) bool) (Seq, error) {
 	r.sizes = r.sizes[:0]
 	ahead := r.idx.rc
 	var parent *dom.Node
@@ -814,15 +785,14 @@ func (r *segRun) pushGroups(c *context, d *core.Document, n *dom.Node, op *pathO
 			continue
 		}
 		if parent != nil && within(d, parent, m) {
-			out, err := evalExpanded(c, Seq{n}, op)
-			if err != nil {
-				return err
-			}
-			return pushSeq(out, yield)
+			seg, err := stepPair(c, Seq{n}, op, yield)
+			return append(out, seg...), err
 		}
 		parent = m.Parent
 		r.sizes = append(r.sizes, 1)
 	}
+	r.ch.out = out
+	var err error
 	for _, size := range r.sizes {
 		r.ch.begin(c, op.s.preds, size, yield)
 		skip := r.ch.skip()
@@ -831,24 +801,15 @@ func (r *segRun) pushGroups(c *context, d *core.Document, n *dom.Node, op *pathO
 			m, _ := r.idx.rc.Next()
 			more = more && (k < skip || r.ch.push(m))
 		}
-		if err := r.ch.end(); err != nil {
-			return err
+		if err = r.ch.end(); err != nil {
+			break
 		}
 	}
-	return nil
+	out, r.ch.out = r.ch.out, nil
+	return out, err
 }
 
 // within reports whether document node m lies in p's subtree.
 func within(d *core.Document, p, m *dom.Node) bool {
 	return p == d.Root || m.HierIndex == p.HierIndex && p.Ord < m.Ord && m.Ord <= p.Last
-}
-
-// evalExpanded evaluates a per-parent index scan over the contexts cur
-// as the descendant-or-self::node()/child::name[p] pair it stands for.
-func evalExpanded(c *context, cur Seq, op *pathOp) (Seq, error) {
-	mid, err := evalStep(c, cur, op.expand[0])
-	if err != nil {
-		return nil, err
-	}
-	return evalStep(c, mid, op.expand[1])
 }

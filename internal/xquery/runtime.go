@@ -54,10 +54,10 @@ type evalState struct {
 	// document order over interleaved step results.
 	ordSet core.OrdinalSet
 
-	// targets holds the survivor sets this evaluation computed or read
-	// from a version memo — filtered semi-join targets and the sets
-	// membership tests read — by key and document (survivors), so that a
-	// set no version memo keeps is still computed once per evaluation.
+	// targets holds the survivor sets this evaluation built — filtered
+	// semi-join targets, the sets membership tests read, root scans —
+	// by key and document (survivors), so that a set no version memo
+	// keeps is still built once per evaluation.
 	targets map[sjKey][][]int32
 
 	// args and items are the stacks pCall takes its argument sequences
@@ -81,18 +81,13 @@ type evalState struct {
 
 // sharedMemo returns d's version memo when this evaluation may use it:
 // d is the active document and has a memo (core.Document.Memo), the
-// plan is not forced (Plan.src), and the evaluation is not
+// plan is not forced (Plan.forced), and the evaluation is not
 // instrumented, so EXPLAIN counts every operator the query runs.
 func (st *evalState) sharedMemo(d *core.Document) *core.Memo {
-	if st.explain != nil || st.plan.src == "" || d != st.doc {
+	if st.explain != nil || st.plan.forced || d != st.doc {
 		return nil
 	}
 	return d.Memo()
-}
-
-// memoKey names operator slot id of the plan in version memos.
-func (pl *Plan) memoKey(id int) core.MemoKey {
-	return core.MemoKey{Src: pl.src, Op: id}
 }
 
 // scratchContext returns a context equal to *c from the evaluation's

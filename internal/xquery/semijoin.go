@@ -43,6 +43,10 @@ import (
 // version shares it. It lives in the evaluation's targets map and in
 // the version's memo (core.Memo), which stores it the second time an
 // evaluation asks for it; the first evaluation to ask probes per node.
+// A root index scan under predicates that read only the candidate
+// (candidateOnly, plan.go) is such a set too, and reads, sights and
+// builds it the same way, its nodes pushed to the scan's consumer as
+// they are read or pass; a build the consumer stops keeps nothing.
 // Lowering decides which tests may take this route (memberSet): those
 // with no hierarchy-qualified term. At run time it needs a version memo
 // the evaluation may share (sharedMemo: not an overlay, a private
@@ -485,7 +489,7 @@ type sjKey struct {
 // setKey names the survivor set of the elements with name symbol sym
 // (0: the leaves) under the predicates whose canonical text is src.
 func setKey(src string, sym int32) core.MemoKey {
-	return core.MemoKey{Src: src, Op: -1 - int(sym)}
+	return core.MemoKey{Src: src, Sym: sym}
 }
 
 // bind resolves every term against d and loads its targets: the name
@@ -524,7 +528,7 @@ func (r *sjRun) bind(c *context, d *core.Document) error {
 		if r.targets == nil {
 			r.targets = make([]chain, len(e.terms))
 		}
-		runs, _, err := c.st.survivors(c, &r.targets[i], s.preds, d, b.nameSym, e.keys[i], false)
+		runs, _, err := c.st.survivors(c, &r.targets[i], s.preds, d, b.nameSym, e.keys[i], false, nil)
 		if err != nil {
 			return err
 		}
@@ -542,64 +546,81 @@ func (r *sjRun) bind(c *context, d *core.Document) error {
 // sym that pass them, or for sym 0 the leaf ordinals that do, as one
 // run. The stage chain ch (nil: a new one) applies preds over each run
 // as one segment of known size, so a semi-join among them sweeps. A set
-// is computed once per (key, document) in an evaluation (st.targets),
-// and taken from and stored in d's version memo where the evaluation
-// may share it; a set is always computed whole, so the memo always gets
-// it. With sighted set, the set is computed only when the memo sighted
-// its key before (ok=false otherwise), so a one-off query builds none.
-func (st *evalState) survivors(c *context, ch *chain, preds []expr, d *core.Document, sym int32, src string, sighted bool) (runs [][]int32, ok bool, err error) {
+// is taken from the evaluation's builds (st.targets) or d's version
+// memo where the evaluation may share it, else built, kept for the
+// evaluation and stored in the memo. With sighted set, it is built only
+// when the memo sighted its key before (ok=false otherwise, and without
+// a memo), so a one-off query builds none. A consumer yield is pushed
+// the set's nodes in document order as they are read or pass; a build
+// that fails or that yield stops keeps nothing.
+func (st *evalState) survivors(c *context, ch *chain, preds []expr, d *core.Document, sym int32, src string, sighted bool, yield func(Item) bool) ([][]int32, bool, error) {
 	key := setKey(src, sym)
-	if runs, ok := st.targets[sjKey{key, d}]; ok {
-		return runs, true, nil
-	}
 	m := st.sharedMemo(d)
-	if m != nil {
-		if runs, ok = m.Get(key); ok && sighted {
-			return runs, true, nil // the caller keeps it for the evaluation
-		}
+	if sighted && m == nil {
+		return nil, false, nil
 	}
-	if !ok {
-		if sighted && (m == nil || !m.Seen(key)) {
-			return nil, false, nil
-		}
-		if ch == nil {
-			ch = new(chain)
-		}
-		// sweep returns the ordinals of the nodes at(0…size-1) that pass.
-		sweep := func(size int, at func(int) *dom.Node) ([]int32, error) {
-			ch.out = slices.Grow(ch.out[:0], size)
-			ch.begin(c, preds, size, nil)
-			for k := 0; k < size && ch.push(at(k)); k++ {
-			}
-			if err := ch.end(); err != nil {
-				return nil, err
-			}
-			out := make([]int32, len(ch.out))
-			for k, it := range ch.out {
-				out[k] = int32(it.(*dom.Node).Ord)
-			}
-			return out, nil
-		}
-		if sym == 0 {
-			leaves := d.LeafLayer()
-			run, err := sweep(len(leaves), func(k int) *dom.Node { return leaves[k] })
-			if err != nil {
-				return nil, false, err
-			}
-			runs = [][]int32{run}
-		} else {
-			runs = make([][]int32, len(d.Hiers))
-			for hi, h := range d.Hiers {
-				if run := h.NameRun(sym); len(run) > 0 {
-					if runs[hi], err = sweep(len(run), func(k int) *dom.Node { return h.Nodes[run[k]] }); err != nil {
-						return nil, false, err
-					}
+	runs, ok := st.targets[sjKey{key, d}]
+	if !ok && m != nil {
+		runs, ok = m.Get(key)
+	}
+	if ok && yield != nil {
+		for hi, run := range runs {
+			for _, ord := range run {
+				if err := st.checkCancel(); err != nil {
+					return nil, false, err
+				}
+				if !yield(d.Hiers[hi].Nodes[ord]) {
+					return nil, false, errStop
 				}
 			}
 		}
-		if m != nil && st.doc == d {
-			m.Put(key, runs)
+	}
+	if ok {
+		return runs, true, nil
+	}
+	if sighted && !m.Seen(key) {
+		return nil, false, nil
+	}
+	if ch == nil {
+		ch = new(chain)
+	}
+	// sweep returns the ordinals of the nodes at(0…size-1) that pass.
+	sweep := func(size int, at func(int) *dom.Node) ([]int32, error) {
+		ch.out = ch.out[:0]
+		if yield == nil {
+			ch.out = slices.Grow(ch.out, size)
 		}
+		ch.begin(c, preds, size, yield)
+		ch.keep = true
+		for k := 0; k < size && ch.push(at(k)); k++ {
+		}
+		if err := ch.end(); err != nil {
+			return nil, err
+		}
+		out := make([]int32, len(ch.out))
+		for k, it := range ch.out {
+			out[k] = int32(it.(*dom.Node).Ord)
+		}
+		return out, nil
+	}
+	var err error
+	if sym == 0 {
+		leaves := d.LeafLayer()
+		runs = make([][]int32, 1)
+		runs[0], err = sweep(len(leaves), func(k int) *dom.Node { return leaves[k] })
+	} else {
+		runs = make([][]int32, len(d.Hiers))
+		for hi, h := range d.Hiers {
+			if run := h.NameRun(sym); len(run) > 0 && err == nil {
+				runs[hi], err = sweep(len(run), func(k int) *dom.Node { return h.Nodes[run[k]] })
+			}
+		}
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	if m != nil && st.doc == d {
+		m.Put(key, runs)
 	}
 	if st.targets == nil {
 		st.targets = make(map[sjKey][][]int32)
@@ -658,7 +679,7 @@ func (e *pSemiJoin) member(c *context, n *dom.Node) (sjAnswer, error) {
 		// While the set is built, its run's lone segments (a run of one
 		// node) answer per node.
 		ms.asked = true
-		runs, ok, err := st.survivors(c, nil, e.self, d, sym, e.key, true)
+		runs, ok, err := st.survivors(c, nil, e.self, d, sym, e.key, true, nil)
 		if err != nil {
 			return sjUndecided, err
 		}

@@ -32,7 +32,6 @@ package xquery
 
 import (
 	stdctx "context"
-	"strconv"
 
 	"mhxquery/internal/core"
 	"mhxquery/internal/dom"
@@ -99,12 +98,9 @@ func CompileUpdate(src string) (u *Update, err error) {
 	return u, nil
 }
 
-// subQuery parses one expression of the update src. The expressions of
-// one update share its source, so each plan is named in version memos
-// by the source and the expression's offset.
+// subQuery parses one expression of the update src.
 func (p *parser) subQuery(src string) *Query {
-	key := src + "\x00" + strconv.Itoa(p.tok.start)
-	return newQuery(src, key, p.parseExprSingle())
+	return newQuery(src, p.parseExprSingle())
 }
 
 // parseUpdatePrim parses one update primitive at the current token.
